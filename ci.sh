@@ -67,6 +67,13 @@ done
 # Benches must at least compile.
 cargo bench --no-run
 
+# The ledger (BENCHMARK.json) is a package of its own, outside the
+# workspace, built against these crates' public API: test it and smoke-run
+# every workload here, so a crate change that stops the benchmark compiling
+# or verifying its outputs fails CI rather than the next measurement.
+cargo test --offline --manifest-path ledger/Cargo.toml
+cargo run --release --offline --manifest-path ledger/Cargo.toml -- --smoke
+
 # Dispatch-pipeline throughput smoke: exercises the batched HTEX protocol
 # and the compiled-expression cache end to end. The committed
 # BENCH_dispatch.json comes from a full run (no --smoke); see EXPERIMENTS.md.

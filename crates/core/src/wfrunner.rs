@@ -12,6 +12,7 @@
 use crate::cwlapp::CwlAppOptions;
 use cwl::loader::{load_file, resolve_run, CwlDocument};
 use cwl::workflow::{Step, Workflow};
+use cwl::CommandLineTool;
 use cwlexec::{execute_tool_staged, StageCtx, ToolDispatch};
 use datastore::Stager;
 use expr::{interpolate, EvalContext, ExpressionEngine, JsCostModel};
@@ -23,17 +24,20 @@ use std::sync::Arc;
 use yamlite::{Map, Value};
 
 /// A dataflow node: either a known value or (gathered) task futures with an
-/// output key to extract.
+/// output key to extract. A literal is held by reference count: every
+/// scatter instance of every step it feeds shares the one value.
 #[derive(Clone)]
 enum Node {
-    Lit(Value),
+    Lit(Arc<Value>),
     Fut { fut: AppFuture, key: Option<String> },
     Gather { futs: Vec<AppFuture>, key: String },
 }
 
-/// How one tool input gets its value inside the task body.
+/// How one tool input gets its value inside the task body. The body is
+/// `Fn` (a retried or re-dispatched task runs it again), so a literal is
+/// shared into each attempt's input object, never moved out.
 enum Slot {
-    Lit(Value),
+    Lit(Arc<Value>),
     One {
         arg: usize,
         key: Option<String>,
@@ -43,6 +47,18 @@ enum Slot {
         len: usize,
         key: String,
     },
+}
+
+/// What a step runs, prepared once per step and shared by all of its
+/// scatter instances.
+enum StepRun {
+    Tool {
+        tool: Arc<CommandLineTool>,
+        /// The engine the tool's requirements select (its `expressionLib`
+        /// compiled once).
+        engine: Arc<dyn ExpressionEngine>,
+    },
+    Workflow(Box<Workflow>),
 }
 
 /// Runs CWL workflows on a Parsl kernel.
@@ -94,7 +110,7 @@ impl ParslWorkflowRunner {
 
         let mut given: HashMap<String, Node> = HashMap::new();
         for (k, v) in provided.iter() {
-            given.insert(k.to_string(), Node::Lit(v.clone()));
+            given.insert(k.to_string(), Node::Lit(Arc::new(v.clone())));
         }
         let outputs = self.compile(&wf, &base_dir, given, "")?;
 
@@ -124,10 +140,10 @@ impl ParslWorkflowRunner {
         for input in &wf.inputs {
             let node = match given.get(&input.id) {
                 Some(Node::Lit(v)) if v.is_null() => default_or_err(input)?,
-                Some(Node::Lit(v)) => Node::Lit(
+                Some(Node::Lit(v)) => Node::Lit(Arc::new(
                     cwl::input::normalize_value(v, &input.typ)
                         .map_err(|e| format!("workflow input {:?}: {e}", input.id))?,
-                ),
+                )),
                 Some(fut) => fut.clone(),
                 None => default_or_err(input)?,
             };
@@ -146,8 +162,18 @@ impl ParslWorkflowRunner {
         let order = wf.topo_order()?;
         for idx in order {
             let step = &wf.steps[idx];
-            let doc =
-                resolve_run(&step.run, base_dir).map_err(|e| format!("step {:?}: {e}", step.id))?;
+            let run = match resolve_run(&step.run, base_dir)
+                .map_err(|e| format!("step {:?}: {e}", step.id))?
+            {
+                CwlDocument::Tool(tool) => StepRun::Tool {
+                    engine: Arc::from(cwlexec::engine_for(
+                        &tool.requirements,
+                        JsCostModel::free(),
+                    )?),
+                    tool: Arc::new(tool),
+                },
+                CwlDocument::Workflow(sub) => StepRun::Workflow(Box::new(sub)),
+            };
             let step_base = match &step.run {
                 cwl::workflow::RunRef::Path(p) => {
                     let p = if Path::new(p).is_absolute() {
@@ -177,30 +203,30 @@ impl ParslWorkflowRunner {
                             step.id, si.id
                         )
                     })?,
-                    None => Node::Lit(si.default.clone().unwrap_or(Value::Null)),
+                    None => Node::Lit(Arc::new(Value::Null)),
                 };
                 // A null from a missing source falls back to the default.
                 let node = match (&node, &si.default) {
-                    (Node::Lit(Value::Null), Some(d)) => Node::Lit(d.clone()),
+                    (Node::Lit(v), Some(d)) if v.is_null() => Node::Lit(Arc::new(d.clone())),
                     _ => node,
                 };
                 inputs.push((si.id.clone(), node, si.value_from.clone()));
             }
 
             if step.scatter.is_empty() {
-                match &doc {
-                    CwlDocument::Tool(_) => {
+                match &run {
+                    StepRun::Tool { tool, engine } => {
                         let fut = self.submit_step(
                             step,
-                            &doc,
-                            &step_base,
+                            tool,
+                            engine,
                             inputs,
                             &wf_engine,
                             &format!("{prefix}{}", step.id),
                         )?;
                         record(step, fut, &mut values, None);
                     }
-                    CwlDocument::Workflow(sub) => {
+                    StepRun::Workflow(sub) => {
                         // Non-scattered subworkflow: compile recursively so
                         // its steps join the same dataflow graph.
                         if !wf.requirements.subworkflow {
@@ -244,7 +270,7 @@ impl ParslWorkflowRunner {
                             .ok_or_else(|| {
                                 format!("step {:?}: scatter target {target:?} not wired", step.id)
                             })?;
-                    let Node::Lit(Value::Seq(arr)) = node else {
+                    let Some(arr) = literal_seq(node) else {
                         return Err(format!(
                             "step {:?}: scatter over a dynamic (future-valued) array is not \
                              supported by the Parsl workflow compiler",
@@ -270,29 +296,27 @@ impl ParslWorkflowRunner {
                         .iter()
                         .map(|(id, node, vf)| {
                             let node = if step.scatter.contains(id) {
-                                let Node::Lit(Value::Seq(arr)) = node else {
-                                    unreachable!()
-                                };
-                                Node::Lit(arr[k].clone())
+                                let arr = literal_seq(node).expect("scatter arrays checked above");
+                                Node::Lit(Arc::new(arr[k].clone()))
                             } else {
                                 node.clone()
                             };
                             (id.clone(), node, vf.clone())
                         })
                         .collect();
-                    match &doc {
-                        CwlDocument::Tool(_) => {
+                    match &run {
+                        StepRun::Tool { tool, engine } => {
                             let fut = self.submit_step(
                                 step,
-                                &doc,
-                                &step_base,
+                                tool,
+                                engine,
                                 instance,
                                 &wf_engine,
                                 &format!("{prefix}{}_{k}", step.id),
                             )?;
                             futs.push(fut);
                         }
-                        CwlDocument::Workflow(sub) => {
+                        StepRun::Workflow(sub) => {
                             if !wf.requirements.subworkflow {
                                 return Err(format!(
                                     "step {:?} runs a nested workflow but \
@@ -347,154 +371,138 @@ impl ParslWorkflowRunner {
         Ok(outputs)
     }
 
-    /// Submit one step instance. Non-scatter subworkflows recurse at
-    /// compile time; tools become Parsl tasks.
+    /// Submit one instance of a tool step as a Parsl task. `tool` and
+    /// `tool_engine` are the step's, shared by every instance.
     fn submit_step(
         &self,
         step: &Step,
-        doc: &CwlDocument,
-        step_base: &Path,
+        tool: &Arc<CommandLineTool>,
+        tool_engine: &Arc<dyn ExpressionEngine>,
         inputs: Vec<(String, Node, Option<String>)>,
         wf_engine: &Arc<dyn ExpressionEngine>,
         task_name: &str,
     ) -> Result<AppFuture, String> {
-        match doc {
-            CwlDocument::Workflow(_) => Err(format!(
-                "step {:?}: non-scattered subworkflows should be compiled, not submitted \
-                 (internal error)",
-                step.id
-            )),
-            CwlDocument::Tool(tool) => {
-                let tool = Arc::new(tool.clone());
-                let tool_engine: Arc<dyn ExpressionEngine> = Arc::from(cwlexec::engine_for(
-                    &tool.requirements,
-                    JsCostModel::free(),
-                )?);
-
-                // Translate input nodes into Parsl args + body slots.
-                let mut parsl_args: Vec<AppArg> = Vec::new();
-                let mut slots: Vec<(String, Slot)> = Vec::new();
-                let mut value_froms: Vec<(String, String)> = Vec::new();
-                for (id, node, vf) in inputs {
-                    if let Some(vf) = vf {
-                        value_froms.push((id.clone(), vf));
-                    }
-                    let slot = match node {
-                        Node::Lit(v) => Slot::Lit(v),
-                        Node::Fut { fut, key } => {
-                            let arg = parsl_args.len();
-                            parsl_args.push(AppArg::future(&fut));
-                            Slot::One { arg, key }
-                        }
-                        Node::Gather { futs, key } => {
-                            let start = parsl_args.len();
-                            let len = futs.len();
-                            for f in &futs {
-                                parsl_args.push(AppArg::future(f));
-                            }
-                            Slot::Many { start, len, key }
-                        }
-                    };
-                    slots.push((id, slot));
-                }
-
-                let workdir = self.workdir_base.join(task_name);
-                let dispatch = self.dispatch.clone();
-                let stager = self.stager.as_ref().map_err(|e| e.clone())?.clone();
-                let obs = self.dfk.observability().clone();
-                // Task id for staging-span lineage, assigned after submit;
-                // a racing no-dependency task may read 0 (untracked spans).
-                let lineage = Arc::new(AtomicU64::new(0));
-                let body_lineage = lineage.clone();
-                let wf_engine = wf_engine.clone();
-                let step_id = step.id.clone();
-                let when = step.when.clone();
-                let declared_outs = step.out.clone();
-                let _ = step_base;
-                let body = parsl::apps::FnApp::new(move |vals: &[Value]| {
-                    let mut provided = Map::with_capacity(slots.len());
-                    for (id, slot) in &slots {
-                        let v = match slot {
-                            Slot::Lit(v) => v.clone(),
-                            Slot::One { arg, key } => {
-                                extract(&vals[*arg], key.as_deref()).map_err(TaskError::failed)?
-                            }
-                            Slot::Many { start, len, key } => {
-                                let mut seq = Vec::with_capacity(*len);
-                                for v in &vals[*start..*start + *len] {
-                                    seq.push(extract(v, Some(key)).map_err(TaskError::failed)?);
-                                }
-                                Value::Seq(seq)
-                            }
-                        };
-                        provided.insert(id.clone(), v);
-                    }
-                    // Step-level valueFrom transforms.
-                    let frozen = Value::Map(provided.clone());
-                    for (id, vf) in &value_froms {
-                        let mut ctx = EvalContext::from_inputs(frozen.clone());
-                        ctx.self_ = provided.get(id).cloned().unwrap_or(Value::Null);
-                        let v = interpolate(vf, wf_engine.as_ref(), &ctx).map_err(|e| {
-                            TaskError::failed(format!(
-                                "step {step_id:?} input {id:?} valueFrom: {e}"
-                            ))
-                        })?;
-                        provided.insert(id.clone(), v);
-                    }
-                    // CWL v1.2 conditional execution: a falsy `when` skips
-                    // the tool; outputs become null.
-                    if let Some(when) = &when {
-                        let ctx = EvalContext::from_inputs(Value::Map(provided.clone()));
-                        let verdict = interpolate(when, wf_engine.as_ref(), &ctx).map_err(|e| {
-                            TaskError::failed(format!("step {step_id:?} when: {e}"))
-                        })?;
-                        if !verdict.truthy() {
-                            let mut skipped = Map::with_capacity(declared_outs.len());
-                            for out_id in &declared_outs {
-                                skipped.insert(out_id.clone(), Value::Null);
-                            }
-                            return Ok(Value::Map(skipped));
-                        }
-                    }
-                    let ctx = StageCtx {
-                        stager: &stager,
-                        obs: &obs,
-                        lineage: body_lineage.load(Ordering::Acquire),
-                        parent: 0,
-                    };
-                    let run = execute_tool_staged(
-                        &tool,
-                        &provided,
-                        &workdir,
-                        tool_engine.as_ref(),
-                        dispatch.as_ref(),
-                        Some(&ctx),
-                    )
-                    .map_err(|e| TaskError::failed(format!("step {step_id:?}: {e}")))?;
-                    Ok(Value::Map(run.outputs))
-                });
-                // `submit_bound` joins the Parsl task id to the CWL step id
-                // in both the lineage table and the checkpoint journal
-                // before the task can launch — binding after submit races a
-                // fast worker journaling a step-less record. Scatter
-                // instances share the step id; the task label keeps the
-                // per-instance index.
-                let fut = match &self.run_tag {
-                    Some(tag) => self.dfk.submit_tagged(
-                        task_name,
-                        Some(&step.id),
-                        parsl_args,
-                        body,
-                        tag.clone(),
-                    ),
-                    None => self
-                        .dfk
-                        .submit_bound(task_name, Some(&step.id), parsl_args, body),
-                };
-                lineage.store(fut.id().0, Ordering::Release);
-                Ok(fut)
+        // Translate input nodes into Parsl args + body slots.
+        let mut parsl_args: Vec<AppArg> = Vec::new();
+        let mut slots: Vec<(String, Slot)> = Vec::new();
+        let mut value_froms: Vec<(String, String)> = Vec::new();
+        for (id, node, vf) in inputs {
+            if let Some(vf) = vf {
+                value_froms.push((id.clone(), vf));
             }
+            let slot = match node {
+                Node::Lit(v) => Slot::Lit(v),
+                Node::Fut { fut, key } => {
+                    let arg = parsl_args.len();
+                    parsl_args.push(AppArg::future(&fut));
+                    Slot::One { arg, key }
+                }
+                Node::Gather { futs, key } => {
+                    let start = parsl_args.len();
+                    let len = futs.len();
+                    for f in &futs {
+                        parsl_args.push(AppArg::future(f));
+                    }
+                    Slot::Many { start, len, key }
+                }
+            };
+            slots.push((id, slot));
         }
+
+        let workdir = self.workdir_base.join(task_name);
+        let dispatch = self.dispatch.clone();
+        let stager = self.stager.as_ref().map_err(|e| e.clone())?.clone();
+        let obs = self.dfk.observability().clone();
+        // Task id for staging-span lineage, assigned after submit;
+        // a racing no-dependency task may read 0 (untracked spans).
+        let lineage = Arc::new(AtomicU64::new(0));
+        let body_lineage = lineage.clone();
+        let tool = tool.clone();
+        let tool_engine = tool_engine.clone();
+        let wf_engine = wf_engine.clone();
+        let step_id = step.id.clone();
+        let when = step.when.clone();
+        let declared_outs = step.out.clone();
+        let body = parsl::apps::FnApp::new(move |vals: &[Value]| {
+            let mut provided = Map::with_capacity(slots.len());
+            for (id, slot) in &slots {
+                let v = match slot {
+                    Slot::Lit(v) => Arc::clone(v),
+                    Slot::One { arg, key } => {
+                        Arc::new(extract(&vals[*arg], key.as_deref()).map_err(TaskError::failed)?)
+                    }
+                    Slot::Many { start, len, key } => {
+                        let mut seq = Vec::with_capacity(*len);
+                        for v in &vals[*start..*start + *len] {
+                            seq.push(extract(v, Some(key)).map_err(TaskError::failed)?);
+                        }
+                        Arc::new(Value::Seq(seq))
+                    }
+                };
+                provided.insert_shared(id.clone(), v);
+            }
+            // Step-level valueFrom transforms, each over the
+            // pre-transform inputs.
+            if !value_froms.is_empty() {
+                let frozen = Value::Map(provided.clone());
+                for (id, vf) in &value_froms {
+                    let mut ctx = EvalContext::from_inputs(frozen.clone());
+                    ctx.self_ = provided.get(id).cloned().unwrap_or(Value::Null);
+                    let v = interpolate(vf, wf_engine.as_ref(), &ctx).map_err(|e| {
+                        TaskError::failed(format!("step {step_id:?} input {id:?} valueFrom: {e}"))
+                    })?;
+                    // `_shared`: `frozen` still holds the replaced value.
+                    provided.insert_shared(id.clone(), Arc::new(v));
+                }
+            }
+            // CWL v1.2 conditional execution: a falsy `when` skips
+            // the tool; outputs become null.
+            if let Some(when) = &when {
+                let ctx = EvalContext::from_inputs(Value::Map(provided.clone()));
+                let verdict = interpolate(when, wf_engine.as_ref(), &ctx)
+                    .map_err(|e| TaskError::failed(format!("step {step_id:?} when: {e}")))?;
+                if !verdict.truthy() {
+                    let mut skipped = Map::with_capacity(declared_outs.len());
+                    for out_id in &declared_outs {
+                        skipped.insert(out_id.clone(), Value::Null);
+                    }
+                    return Ok(Value::Map(skipped));
+                }
+            }
+            let ctx = StageCtx {
+                stager: &stager,
+                obs: &obs,
+                lineage: body_lineage.load(Ordering::Acquire),
+                parent: 0,
+            };
+            let run = execute_tool_staged(
+                &tool,
+                &provided,
+                &workdir,
+                tool_engine.as_ref(),
+                dispatch.as_ref(),
+                Some(&ctx),
+            )
+            .map_err(|e| TaskError::failed(format!("step {step_id:?}: {e}")))?;
+            Ok(Value::Map(run.outputs))
+        });
+        // `submit_bound` joins the Parsl task id to the CWL step id
+        // in both the lineage table and the checkpoint journal
+        // before the task can launch — binding after submit races a
+        // fast worker journaling a step-less record. Scatter
+        // instances share the step id; the task label keeps the
+        // per-instance index.
+        let fut = match &self.run_tag {
+            Some(tag) => {
+                self.dfk
+                    .submit_tagged(task_name, Some(&step.id), parsl_args, body, tag.clone())
+            }
+            None => self
+                .dfk
+                .submit_bound(task_name, Some(&step.id), parsl_args, body),
+        };
+        lineage.store(fut.id().0, Ordering::Release);
+        Ok(fut)
     }
 }
 
@@ -513,15 +521,23 @@ fn record(step: &Step, fut: AppFuture, values: &mut HashMap<String, Node>, _k: O
 
 fn default_or_err(input: &cwl::workflow::WorkflowInput) -> Result<Node, String> {
     if let Some(d) = &input.default {
-        return Ok(Node::Lit(
+        return Ok(Node::Lit(Arc::new(
             cwl::input::normalize_value(d, &input.typ)
                 .map_err(|e| format!("workflow input {:?}: {e}", input.id))?,
-        ));
+        )));
     }
     if input.typ.allows_null() {
-        return Ok(Node::Lit(Value::Null));
+        return Ok(Node::Lit(Arc::new(Value::Null)));
     }
     Err(format!("missing required workflow input {:?}", input.id))
+}
+
+/// The array behind a literal node, if it is one.
+fn literal_seq(node: &Node) -> Option<&[Value]> {
+    match node {
+        Node::Lit(v) => v.as_seq(),
+        _ => None,
+    }
 }
 
 /// Extract an output by key from a task's output object.
@@ -546,22 +562,22 @@ fn apply_value_from_static(
     for (id, node, _) in &inputs {
         match node {
             Node::Lit(v) => {
-                literal.insert(id.clone(), v.clone());
+                literal.insert_shared(id.clone(), Arc::clone(v));
             }
             _ => any_future = true,
         }
     }
-    let frozen = Value::Map(literal.clone());
+    let frozen = Value::Map(literal);
     let mut out = HashMap::new();
     for (id, node, vf) in inputs {
         let node = match (&node, vf) {
             (Node::Lit(v), Some(vf)) => {
                 let mut ctx = EvalContext::from_inputs(frozen.clone());
-                ctx.self_ = v.clone();
-                Node::Lit(
+                ctx.self_ = Value::clone(v);
+                Node::Lit(Arc::new(
                     interpolate(&vf, engine.as_ref(), &ctx)
                         .map_err(|e| format!("input {id:?} valueFrom: {e}"))?,
-                )
+                ))
             }
             (_, Some(_)) if any_future => {
                 return Err(format!(
@@ -583,11 +599,11 @@ fn gather_nodes(parts: Vec<Node>) -> Result<Node, String> {
         let vals = parts
             .into_iter()
             .map(|p| match p {
-                Node::Lit(v) => v,
+                Node::Lit(v) => Arc::unwrap_or_clone(v),
                 _ => unreachable!(),
             })
             .collect();
-        return Ok(Node::Lit(Value::Seq(vals)));
+        return Ok(Node::Lit(Arc::new(Value::Seq(vals))));
     }
     let mut futs = Vec::with_capacity(parts.len());
     let mut shared_key: Option<String> = None;
@@ -622,7 +638,7 @@ fn gather_nodes(parts: Vec<Node>) -> Result<Node, String> {
 /// Wait for a node's futures and produce its final value.
 fn materialize(node: Node) -> Result<Value, String> {
     match node {
-        Node::Lit(v) => Ok(v),
+        Node::Lit(v) => Ok(Arc::unwrap_or_clone(v)),
         Node::Fut { fut, key } => {
             let v = fut.result().map_err(|e| e.to_string())?;
             extract(&v, key.as_deref())

@@ -4,6 +4,7 @@
 use crate::tool::{CommandLineTool, InputParam};
 use crate::types::CwlType;
 use expr::{EvalContext, ExpressionEngine};
+use std::sync::Arc;
 use yamlite::{Map, Value};
 
 /// Normalize a File-typed value: a bare path string or a partial
@@ -65,25 +66,28 @@ pub fn normalize_file(v: &Value, class: &str) -> Result<Value, String> {
 /// Normalize a value against its declared type (recursing into arrays and
 /// optionals), then verify conformance.
 pub fn normalize_value(v: &Value, typ: &CwlType) -> Result<Value, String> {
+    Ok(normalize(v, typ)?.unwrap_or_else(|| v.clone()))
+}
+
+/// The normalization walk behind [`normalize_value`]. `None` reports that
+/// `v` is already in normal form (and conforms to `typ`), so a caller
+/// holding it in a shared cell can pass the cell on instead of a copy.
+fn normalize(v: &Value, typ: &CwlType) -> Result<Option<Value>, String> {
     let normalized = match (typ, v) {
-        (CwlType::File, _) if !v.is_null() => normalize_file(v, "File")?,
-        (CwlType::Directory, _) if !v.is_null() => normalize_file(v, "Directory")?,
-        (CwlType::Array(item), Value::Seq(items)) => Value::Seq(
-            items
-                .iter()
-                .map(|i| normalize_value(i, item))
-                .collect::<Result<Vec<_>, _>>()?,
-        ),
-        (CwlType::Optional(inner), _) if !v.is_null() => normalize_value(v, inner)?,
+        (CwlType::File, _) if !v.is_null() => Some(normalize_file(v, "File")?),
+        (CwlType::Directory, _) if !v.is_null() => Some(normalize_file(v, "Directory")?),
+        (CwlType::Array(item), Value::Seq(items)) => {
+            yamlite::rewrite_seq(items, |it| normalize(it, item))?.map(Value::Seq)
+        }
+        (CwlType::Optional(inner), _) if !v.is_null() => normalize(v, inner)?,
         // Widen ints to declared float/double types.
-        (CwlType::Float | CwlType::Double, Value::Int(i)) => Value::Float(*i as f64),
-        _ => v.clone(),
+        (CwlType::Float | CwlType::Double, Value::Int(i)) => Some(Value::Float(*i as f64)),
+        _ => None,
     };
-    let null_ok = normalized.is_null() && typ.allows_null();
-    if !(typ.accepts(&normalized) || null_ok) {
-        return Err(format!(
-            "value {normalized:?} does not conform to type {typ}"
-        ));
+    let result = normalized.as_ref().unwrap_or(v);
+    let null_ok = result.is_null() && typ.allows_null();
+    if !(typ.accepts(result) || null_ok) {
+        return Err(format!("value {result:?} does not conform to type {typ}"));
     }
     Ok(normalized)
 }
@@ -91,6 +95,8 @@ pub fn normalize_value(v: &Value, typ: &CwlType) -> Result<Value, String> {
 /// Resolve a provided input object against a tool's declared inputs:
 /// apply defaults, normalize Files, check types, and reject unknown keys.
 /// Returns the complete job-order map used for binding and expressions.
+/// A provided value that normalization leaves unchanged is shared with
+/// `provided`, not copied.
 pub fn resolve_inputs(params: &[InputParam], provided: &Map) -> Result<Map, String> {
     for key in provided.keys() {
         if !params.iter().any(|p| p.id == key) {
@@ -99,20 +105,23 @@ pub fn resolve_inputs(params: &[InputParam], provided: &Map) -> Result<Map, Stri
     }
     let mut resolved = Map::with_capacity(params.len());
     for param in params {
-        let raw = provided
-            .get(&param.id)
-            .cloned()
-            .or_else(|| param.default.clone())
-            .unwrap_or(Value::Null);
+        let given = provided.get_shared(&param.id);
+        let raw = match given {
+            Some(cell) => &**cell,
+            None => param.default.as_ref().unwrap_or(&Value::Null),
+        };
         if raw.is_null() && !param.typ.allows_null() {
             return Err(format!(
                 "missing required input {:?} of type {}",
                 param.id, param.typ
             ));
         }
-        let value =
-            normalize_value(&raw, &param.typ).map_err(|e| format!("input {:?}: {e}", param.id))?;
-        resolved.insert(param.id.clone(), value);
+        let cell =
+            match normalize(raw, &param.typ).map_err(|e| format!("input {:?}: {e}", param.id))? {
+                Some(changed) => Arc::new(changed),
+                None => given.cloned().unwrap_or_else(|| Arc::new(raw.clone())),
+            };
+        resolved.insert_shared(param.id.clone(), cell);
     }
     Ok(resolved)
 }

@@ -256,36 +256,47 @@ impl Stager {
     /// disambiguating `_<n>` suffix on the name root.
     pub fn stage_value(&self, value: &Value, dir: &Path) -> std::io::Result<Value> {
         let mut claimed: HashMap<String, Digest> = HashMap::new();
-        self.stage_walk(value, dir, &mut claimed)
+        Ok(self
+            .stage_walk(value, dir, &mut claimed)?
+            .unwrap_or_else(|| value.clone()))
     }
 
+    /// Stage every `class: File` under `value`. `None` reports a subtree
+    /// with no File in it, which the caller keeps (and, inside a map,
+    /// shares) as it is instead of rebuilding it.
     fn stage_walk(
         &self,
         value: &Value,
         dir: &Path,
         claimed: &mut HashMap<String, Digest>,
-    ) -> std::io::Result<Value> {
+    ) -> std::io::Result<Option<Value>> {
         match value {
             Value::Map(map) => {
                 if map.get("class").and_then(Value::as_str) == Some("File") {
                     if let Some(src) = map.get("path").and_then(Value::as_str) {
-                        return self.stage_file_value(map, Path::new(src), dir, claimed);
+                        return self
+                            .stage_file_value(map, Path::new(src), dir, claimed)
+                            .map(Some);
                     }
                 }
-                let mut out = yamlite::Map::new();
+                let mut out: Option<yamlite::Map> = None;
                 for (k, v) in map.iter() {
-                    out.insert(k, self.stage_walk(v, dir, claimed)?);
+                    if let Some(staged) = self.stage_walk(v, dir, claimed)? {
+                        // `_shared`: the entry replaced is still shared
+                        // with `map`, and `insert` would copy it to return it.
+                        out.get_or_insert_with(|| map.clone())
+                            .insert_shared(k, Arc::new(staged));
+                    }
                 }
-                Ok(Value::Map(out))
+                Ok(out.map(Value::Map))
             }
             Value::Seq(items) => {
-                let mut out = Vec::with_capacity(items.len());
-                for v in items {
-                    out.push(self.stage_walk(v, dir, claimed)?);
-                }
-                Ok(Value::Seq(out))
+                Ok(
+                    yamlite::rewrite_seq(items, |v| self.stage_walk(v, dir, claimed))?
+                        .map(Value::Seq),
+                )
             }
-            other => Ok(other.clone()),
+            _ => Ok(None),
         }
     }
 

@@ -15,7 +15,7 @@ use cwl::workflow::{RunRef, Step, Workflow};
 use cwl::CommandLineTool;
 use cwlexec::{engine_for, execute_tool_staged, StageCtx, ToolDispatch};
 use datastore::Stager;
-use expr::{interpolate, EvalContext};
+use expr::{interpolate, EvalContext, ExpressionEngine};
 use obs::{Observability, SpanKind};
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
@@ -28,11 +28,22 @@ use yamlite::{Map, Value};
 /// parsed documents; the *revalidation* knob models cwltool's per-job
 /// reprocessing separately).
 struct ResolvedStep {
-    doc: CwlDocument,
+    target: StepTarget,
     /// Raw document text, kept for per-task revalidation cost.
     raw: Option<String>,
     /// Directory for resolving the step document's own references.
     base_dir: PathBuf,
+}
+
+/// What a resolved step runs.
+enum StepTarget {
+    Tool {
+        tool: Box<CommandLineTool>,
+        /// The engine the tool's requirements select, compiled once for
+        /// all of the step's jobs.
+        engine: Box<dyn ExpressionEngine>,
+    },
+    Workflow(Box<Workflow>),
 }
 
 /// The generic executor. See [`crate::RefRunner`] / [`crate::ToilRunner`]
@@ -131,8 +142,10 @@ impl WorkflowExecutor {
                 let kib = (bytes as f64 / 1024.0).ceil() as u32;
                 gridsim::pay(self.profile.setup_per_task + self.profile.setup_per_kib * kib);
                 let label = tool.id.clone().unwrap_or_else(|| "tool".to_string());
+                let engine = engine_for(&tool.requirements, self.profile.js_cost.clone())?;
                 self.run_tool_task(
                     tool,
+                    engine.as_ref(),
                     Some(&raw),
                     provided,
                     &run_dir,
@@ -164,6 +177,7 @@ impl WorkflowExecutor {
     fn run_tool_task(
         &self,
         tool: &CommandLineTool,
+        engine: &dyn ExpressionEngine,
         raw: Option<&str>,
         provided: &Map,
         workdir: &Path,
@@ -218,7 +232,6 @@ impl WorkflowExecutor {
             None
         };
 
-        let engine = engine_for(&tool.requirements, self.profile.js_cost.clone())?;
         let stage_ctx = StageCtx {
             stager,
             obs,
@@ -229,7 +242,7 @@ impl WorkflowExecutor {
             tool,
             provided,
             workdir,
-            engine.as_ref(),
+            engine,
             self.dispatch.as_ref(),
             Some(&stage_ctx),
         );
@@ -315,14 +328,23 @@ impl WorkflowExecutor {
                     (doc, None, base_dir.to_path_buf())
                 }
             };
-            if matches!(doc, CwlDocument::Workflow(_)) && !wf.requirements.subworkflow {
-                return Err(format!(
-                    "step {:?} runs a nested workflow but SubworkflowFeatureRequirement is absent",
-                    step.id
-                ));
-            }
+            let target = match doc {
+                CwlDocument::Tool(tool) => StepTarget::Tool {
+                    engine: engine_for(&tool.requirements, self.profile.js_cost.clone())
+                        .map_err(|e| format!("step {:?}: {e}", step.id))?,
+                    tool: Box::new(tool),
+                },
+                CwlDocument::Workflow(_) if !wf.requirements.subworkflow => {
+                    return Err(format!(
+                        "step {:?} runs a nested workflow but \
+                         SubworkflowFeatureRequirement is absent",
+                        step.id
+                    ));
+                }
+                CwlDocument::Workflow(sub) => StepTarget::Workflow(Box::new(sub)),
+            };
             resolved.push(ResolvedStep {
-                doc,
+                target,
                 raw,
                 base_dir: step_base,
             });
@@ -384,8 +406,10 @@ impl WorkflowExecutor {
                                 .get(target)
                                 .and_then(Value::as_seq)
                                 .expect("scatter_len validated arrays");
-                            let element = arr[k].clone();
-                            inst.insert(target.clone(), element);
+                            let element = Arc::new(arr[k].clone());
+                            // `_shared`: the array replaced is still
+                            // shared with `base`; `insert` would copy it.
+                            inst.insert_shared(target.clone(), element);
                         }
                         let inputs = self.apply_value_from(step, inst, wf_engine.as_ref())?;
                         jobs.push(Job {
@@ -450,10 +474,11 @@ impl WorkflowExecutor {
                                 return Ok(skipped);
                             }
                         }
-                        match &rstep.doc {
-                            CwlDocument::Tool(tool) => self
+                        match &rstep.target {
+                            StepTarget::Tool { tool, engine } => self
                                 .run_tool_task(
                                     tool,
+                                    engine.as_ref(),
                                     rstep.raw.as_deref(),
                                     &inputs,
                                     &job_dir,
@@ -463,7 +488,7 @@ impl WorkflowExecutor {
                                     stager,
                                 )
                                 .map_err(|e| format!("step {:?}: {e}", step.id)),
-                            CwlDocument::Workflow(sub) => self
+                            StepTarget::Workflow(sub) => self
                                 .run_workflow(
                                     sub,
                                     &rstep.base_dir,
@@ -634,7 +659,7 @@ impl WorkflowExecutor {
         &self,
         step: &Step,
         base: Map,
-        engine: &dyn expr::ExpressionEngine,
+        engine: &dyn ExpressionEngine,
     ) -> Result<Map, String> {
         let frozen = Value::Map(base.clone());
         let mut out = base;
@@ -645,7 +670,8 @@ impl WorkflowExecutor {
                 let v = interpolate(vf, engine, &ctx).map_err(|e| {
                     format!("step {:?} input {:?} valueFrom: {e}", step.id, input.id)
                 })?;
-                out.insert(input.id.clone(), v);
+                // `_shared`: `frozen` still holds the replaced value.
+                out.insert_shared(input.id.clone(), Arc::new(v));
             }
         }
         Ok(out)

@@ -45,7 +45,7 @@ pub use emit::{to_string, to_string_flow};
 pub use error::{ParseError, Position};
 pub use parse::{parse_str, parse_str_spanned};
 pub use span::SpanIndex;
-pub use value::{Map, Value};
+pub use value::{rewrite_seq, Map, Value};
 
 /// Parse a YAML document from a file path.
 pub fn parse_file(path: impl AsRef<std::path::Path>) -> Result<Value, ParseError> {

@@ -2,16 +2,23 @@
 //! expression engines, and Parsl task payloads.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// An insertion-ordered string-keyed map.
 ///
 /// CWL semantics care about document order (e.g. the order of `inputs`
 /// determines tie-breaking for command-line bindings), so we preserve it.
-/// Backed by a `Vec<(String, Value)>`: CWL maps are small (tens of entries),
-/// where linear scans beat hashing and keep ordering for free.
+/// Backed by a `Vec<(String, Arc<Value>)>`: CWL maps are small (tens of
+/// entries), where linear scans beat hashing and keep ordering for free.
+///
+/// Values are reference-counted, so cloning a map costs one refcount bump
+/// per key however large the values are, and the clones stay independent:
+/// every mutable access ([`Map::get_mut`], [`Map::iter_mut`]) copies a
+/// value first if another map still shares it. The `*_shared` methods hand
+/// a value from one map to another without copying it.
 #[derive(Clone, Default, PartialEq)]
 pub struct Map {
-    entries: Vec<(String, Value)>,
+    entries: Vec<(String, Arc<Value>)>,
 }
 
 impl Map {
@@ -39,15 +46,22 @@ impl Map {
 
     /// Look up a value by key.
     pub fn get(&self, key: &str) -> Option<&Value> {
+        self.get_shared(key).map(|v| &**v)
+    }
+
+    /// Look up the shared cell holding `key`'s value; cloning the `Arc`
+    /// and passing it to [`Map::insert_shared`] carries the value into
+    /// another map without copying it.
+    pub fn get_shared(&self, key: &str) -> Option<&Arc<Value>> {
         self.entries.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 
-    /// Mutable lookup by key.
+    /// Mutable lookup by key. Copies the value first when it is shared.
     pub fn get_mut(&mut self, key: &str) -> Option<&mut Value> {
         self.entries
             .iter_mut()
             .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
+            .map(|(_, v)| Arc::make_mut(v))
     }
 
     /// True when `key` is present.
@@ -56,10 +70,22 @@ impl Map {
     }
 
     /// Insert or replace `key`, returning the previous value if any.
-    /// New keys are appended, preserving insertion order.
+    /// New keys are appended, preserving insertion order. A replaced value
+    /// that another map still shares is copied to be returned; use
+    /// [`Map::insert_shared`] where that value may be large.
     pub fn insert(&mut self, key: impl Into<String>, value: impl Into<Value>) -> Option<Value> {
+        self.insert_shared(key, Arc::new(value.into()))
+            .map(Arc::unwrap_or_clone)
+    }
+
+    /// [`Map::insert`] for a value that already lives in a shared cell;
+    /// neither the new nor the previous value is copied.
+    pub fn insert_shared(
+        &mut self,
+        key: impl Into<String>,
+        value: Arc<Value>,
+    ) -> Option<Arc<Value>> {
         let key = key.into();
-        let value = value.into();
         for (k, v) in &mut self.entries {
             if *k == key {
                 return Some(std::mem::replace(v, value));
@@ -73,17 +99,20 @@ impl Map {
     /// the remaining entries.
     pub fn remove(&mut self, key: &str) -> Option<Value> {
         let idx = self.entries.iter().position(|(k, _)| k == key)?;
-        Some(self.entries.remove(idx).1)
+        Some(Arc::unwrap_or_clone(self.entries.remove(idx).1))
     }
 
     /// Iterate over `(key, value)` pairs in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Value)> {
-        self.entries.iter().map(|(k, v)| (k.as_str(), v))
+        self.entries.iter().map(|(k, v)| (k.as_str(), &**v))
     }
 
-    /// Iterate mutably over `(key, value)` pairs in insertion order.
+    /// Iterate mutably over `(key, value)` pairs in insertion order. Each
+    /// value visited is copied first when it is shared.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = (&str, &mut Value)> {
-        self.entries.iter_mut().map(|(k, v)| (k.as_str(), v))
+        self.entries
+            .iter_mut()
+            .map(|(k, v)| (k.as_str(), Arc::make_mut(v)))
     }
 
     /// Iterate over keys in insertion order.
@@ -93,7 +122,7 @@ impl Map {
 
     /// Iterate over values in insertion order.
     pub fn values(&self) -> impl Iterator<Item = &Value> {
-        self.entries.iter().map(|(_, v)| v)
+        self.entries.iter().map(|(_, v)| &**v)
     }
 }
 
@@ -278,11 +307,11 @@ impl Value {
     pub fn merge_from(&mut self, other: &Value) {
         match (self, other) {
             (Value::Map(dst), Value::Map(src)) => {
-                for (k, v) in src.iter() {
+                for (k, v) in &src.entries {
                     match dst.get_mut(k) {
                         Some(existing) => existing.merge_from(v),
                         None => {
-                            dst.insert(k.to_string(), v.clone());
+                            dst.insert_shared(k, Arc::clone(v));
                         }
                     }
                 }
@@ -290,6 +319,28 @@ impl Value {
             (dst, src) => *dst = src.clone(),
         }
     }
+}
+
+/// Rewrite a sequence copy-on-first-change: `f` returns `None` for an item
+/// it leaves as it is. The result is `None` when no item changed, so walks
+/// that usually change nothing (normalization, staging) allocate nothing.
+pub fn rewrite_seq<E>(
+    items: &[Value],
+    mut f: impl FnMut(&Value) -> Result<Option<Value>, E>,
+) -> Result<Option<Vec<Value>>, E> {
+    let mut out: Option<Vec<Value>> = None;
+    for (i, item) in items.iter().enumerate() {
+        let changed = f(item)?;
+        if out.is_none() && changed.is_some() {
+            let mut head = Vec::with_capacity(items.len());
+            head.extend_from_slice(&items[..i]);
+            out = Some(head);
+        }
+        if let Some(out) = &mut out {
+            out.push(changed.unwrap_or_else(|| item.clone()));
+        }
+    }
+    Ok(out)
 }
 
 /// Format a float the way YAML/JSON emitters conventionally do: integral
@@ -456,6 +507,150 @@ mod tests {
         assert_eq!(m.remove("b"), Some(Value::Int(2)));
         assert_eq!(m.keys().collect::<Vec<_>>(), vec!["a", "c"]);
         assert_eq!(m.remove("nope"), None);
+    }
+
+    fn big() -> Value {
+        Value::Seq((0..64i64).map(Value::Int).collect())
+    }
+
+    fn sample() -> Map {
+        let mut m = Map::new();
+        m.insert("carried", big());
+        m.insert("nested", vmap! {"x" => 1i64, "carried" => big()});
+        m.insert("n", 7i64);
+        m
+    }
+
+    #[test]
+    fn clone_shares_values_and_get_mut_copies_on_write() {
+        let original = sample();
+        let mut copy = original.clone();
+        for k in ["carried", "nested", "n"] {
+            assert!(Arc::ptr_eq(
+                original.get_shared(k).unwrap(),
+                copy.get_shared(k).unwrap()
+            ));
+        }
+        copy.get_mut("carried")
+            .unwrap()
+            .as_seq_mut()
+            .unwrap()
+            .push(Value::Null);
+        copy.get_mut("nested")
+            .unwrap()
+            .as_map_mut()
+            .unwrap()
+            .get_mut("carried")
+            .unwrap()
+            .as_seq_mut()
+            .unwrap()
+            .clear();
+        assert_eq!(original, sample());
+        assert_eq!(copy.get("carried").unwrap().as_seq().unwrap().len(), 65);
+        assert!(copy.get("nested").unwrap()["carried"]
+            .as_seq()
+            .unwrap()
+            .is_empty());
+        // What was not written to is still shared.
+        assert!(Arc::ptr_eq(
+            original.get_shared("n").unwrap(),
+            copy.get_shared("n").unwrap()
+        ));
+        // An unshared value is mutated in place, not copied again.
+        let cell = Arc::as_ptr(copy.get_shared("carried").unwrap());
+        copy.get_mut("carried").unwrap();
+        assert_eq!(cell, Arc::as_ptr(copy.get_shared("carried").unwrap()));
+    }
+
+    #[test]
+    fn iter_mut_copies_on_write() {
+        let original = sample();
+        let mut copy = original.clone();
+        for (_, v) in copy.iter_mut() {
+            *v = Value::Null;
+        }
+        assert_eq!(original, sample());
+        assert!(copy.values().all(Value::is_null));
+    }
+
+    #[test]
+    fn insert_and_remove_return_the_previous_value_while_shared() {
+        let original = sample();
+        let mut copy = original.clone();
+        assert_eq!(copy.insert("carried", 1i64), Some(big()));
+        assert_eq!(copy.remove("nested"), original.get("nested").cloned());
+        assert_eq!(copy.keys().collect::<Vec<_>>(), vec!["carried", "n"]);
+        assert_eq!(original, sample());
+    }
+
+    #[test]
+    fn insert_shared_moves_a_value_between_maps_without_copying() {
+        let original = sample();
+        let mut other = Map::new();
+        let cell = original.get_shared("carried").unwrap();
+        assert!(other.insert_shared("moved", Arc::clone(cell)).is_none());
+        assert!(Arc::ptr_eq(cell, other.get_shared("moved").unwrap()));
+        // Replacing hands back the previous cell itself.
+        let previous = other.insert_shared("moved", Arc::new(Value::Null)).unwrap();
+        assert!(Arc::ptr_eq(cell, &previous));
+        assert_eq!(original, sample());
+    }
+
+    #[test]
+    fn merge_from_shares_new_keys_and_leaves_both_sides_alone() {
+        let base = sample();
+        let overlay = match vmap! {
+            "nested" => vmap!{"x" => 2i64},
+            "extra" => big(),
+        } {
+            Value::Map(m) => m,
+            _ => unreachable!(),
+        };
+        let mut merged = Value::Map(base.clone());
+        merged.merge_from(&Value::Map(overlay.clone()));
+        assert_eq!(merged["nested"]["x"].as_int(), Some(2));
+        assert_eq!(merged["nested"]["carried"], big());
+        assert!(Arc::ptr_eq(
+            overlay.get_shared("extra").unwrap(),
+            merged.as_map().unwrap().get_shared("extra").unwrap()
+        ));
+        assert_eq!(base, sample());
+        assert_eq!(overlay.get("nested").unwrap()["x"].as_int(), Some(2));
+        assert_eq!(overlay.len(), 2);
+    }
+
+    #[test]
+    fn equality_is_by_value_not_by_cell() {
+        let a = sample();
+        let b = sample();
+        assert!(!Arc::ptr_eq(
+            a.get_shared("carried").unwrap(),
+            b.get_shared("carried").unwrap()
+        ));
+        assert_eq!(a, b);
+        let mut c = a.clone();
+        c.insert("n", 8i64);
+        assert_ne!(a, c);
+    }
+
+    #[test]
+    fn rewrite_seq_allocates_only_from_the_first_change() {
+        let items = vec![Value::Int(1), Value::Int(2), Value::Int(3)];
+        let unchanged = rewrite_seq(&items, |_| Ok::<_, ()>(None)).unwrap();
+        assert_eq!(unchanged, None);
+        let doubled_twos = rewrite_seq(&items, |v| {
+            Ok::<_, ()>((v.as_int() == Some(2)).then_some(Value::Int(4)))
+        })
+        .unwrap();
+        assert_eq!(
+            doubled_twos,
+            Some(vec![Value::Int(1), Value::Int(4), Value::Int(3)])
+        );
+        let failed = rewrite_seq(&items, |v| match v.as_int() {
+            Some(3) => Err("three"),
+            _ => Ok(None),
+        });
+        assert_eq!(failed, Err("three"));
     }
 
     #[test]

@@ -45,6 +45,24 @@ fn value() -> impl Strategy<Value = Value> {
     })
 }
 
+/// Overwrite `v` wherever a mutable borrow reaches: containers grow and
+/// their children are overwritten too, scalars are replaced.
+fn scribble(v: &mut Value) {
+    match v {
+        Value::Map(m) => {
+            for (_, child) in m.iter_mut() {
+                scribble(child);
+            }
+            m.insert("scribbled", true);
+        }
+        Value::Seq(items) => {
+            items.iter_mut().for_each(scribble);
+            items.push(Value::str("scribbled"));
+        }
+        other => *other = Value::str("scribbled"),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -82,5 +100,48 @@ proptest! {
             doc.push_str(":\n");
         }
         let _ = yamlite::parse_str(&doc);
+    }
+
+    /// The copy-on-write contract of `Map`: whatever is done to a clone —
+    /// through `get_mut`, `iter_mut`, `insert`, `remove` or `merge_from` —
+    /// the original still equals an independently built copy of itself, and
+    /// `insert`/`remove` hand back the previous value although the original
+    /// shares it.
+    #[test]
+    fn mutating_a_clone_never_changes_the_original(
+        pairs in proptest::collection::vec((key(), value()), 1..5),
+        overlay in proptest::collection::vec((key(), value()), 0..3),
+        ops in proptest::collection::vec((0usize..5, any::<usize>()), 1..8),
+    ) {
+        let original: Map = pairs.into_iter().collect();
+        // Rebuilt from text, so it shares no cell with `original`.
+        let reference = yamlite::parse_str(&yamlite::to_string(&Value::Map(original.clone())))
+            .unwrap();
+        let mut copy = original.clone();
+        for (op, pick) in ops {
+            let keys: Vec<String> = copy.keys().map(str::to_string).collect();
+            let Some(k) = keys.get(pick % keys.len().max(1)) else { break };
+            let before = copy.get(k).cloned();
+            match op {
+                0 => scribble(copy.get_mut(k).unwrap()),
+                1 => copy.iter_mut().for_each(|(_, v)| scribble(v)),
+                2 => prop_assert_eq!(copy.insert(k.clone(), "replaced"), before),
+                3 => prop_assert_eq!(copy.remove(k), before),
+                _ => {
+                    // Merge into the picked key as well as the generated ones.
+                    let mut over: Map = overlay.iter().cloned().collect();
+                    let mut inner = Map::new();
+                    inner.insert("merged", true);
+                    over.insert(k.clone(), Value::Map(inner));
+                    let mut merged = Value::Map(copy);
+                    merged.merge_from(&Value::Map(over));
+                    copy = match merged {
+                        Value::Map(m) => m,
+                        _ => unreachable!("merging maps yields a map"),
+                    };
+                }
+            }
+        }
+        prop_assert_eq!(Value::Map(original), reference);
     }
 }

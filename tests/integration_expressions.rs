@@ -8,7 +8,7 @@ use cwlexec::BuiltinDispatch;
 use parsl::{Config, DataFlowKernel};
 use runners::RefRunner;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use yamlite::{Map, Value};
 
 fn fixtures() -> PathBuf {
@@ -22,6 +22,34 @@ fn scratch(tag: &str) -> PathBuf {
     d
 }
 
+/// `gridsim::TimeScale` is process-global and the harness runs this
+/// binary's tests on parallel threads, so a test that sets the scale holds
+/// this guard for as long as it depends on it: one such test at a time, and
+/// the previous scale restored on drop (also when the test panics).
+struct ScaleGuard {
+    previous: f64,
+    _turn: MutexGuard<'static, ()>,
+}
+
+fn time_scale(factor: f64) -> ScaleGuard {
+    static TURN: Mutex<()> = Mutex::new(());
+    // A test that failed while holding the guard restored the scale in
+    // `drop`, so the poison carries no broken state.
+    let turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let previous = gridsim::TimeScale::get();
+    gridsim::TimeScale::set(factor);
+    ScaleGuard {
+        previous,
+        _turn: turn,
+    }
+}
+
+impl Drop for ScaleGuard {
+    fn drop(&mut self) {
+        gridsim::TimeScale::set(self.previous);
+    }
+}
+
 fn word_inputs(n: usize) -> Map {
     let words: Vec<Value> = (0..n).map(|i| Value::str(format!("item{i:03}"))).collect();
     let mut m = Map::new();
@@ -31,7 +59,7 @@ fn word_inputs(n: usize) -> Map {
 
 #[test]
 fn js_and_python_word_workflows_agree_across_runners() {
-    gridsim::TimeScale::set(0.0);
+    let _scale = time_scale(0.0);
     let base = scratch("agree");
 
     // JS under the cwltool-like runner.
@@ -66,13 +94,12 @@ fn js_and_python_word_workflows_agree_across_runners() {
     assert_eq!(js_texts, py_texts);
     assert_eq!(js_texts[0], "Item000\n");
     assert_eq!(js_texts.len(), 6);
-    gridsim::TimeScale::set(1.0);
     let _ = std::fs::remove_dir_all(&base);
 }
 
 #[test]
 fn validate_hook_enforced_by_baseline_runner_too() {
-    gridsim::TimeScale::set(0.0);
+    let _scale = time_scale(0.0);
     let base = scratch("validate");
     std::fs::write(base.join("good.csv"), "a,b\n").unwrap();
     std::fs::write(base.join("bad.json"), "{}").unwrap();
@@ -104,7 +131,6 @@ fn validate_hook_enforced_by_baseline_runner_too() {
         )
         .unwrap_err();
     assert!(err.contains("Expected '.csv'"), "{err}");
-    gridsim::TimeScale::set(1.0);
     let _ = std::fs::remove_dir_all(&base);
 }
 
@@ -113,7 +139,7 @@ fn fig2_cost_asymmetry_direction() {
     // With overheads at full scale, JS-under-cwltool must cost strictly
     // more than Python-under-parsl for the same word workload — the
     // asymmetry Fig. 2 plots. Small n keeps this fast.
-    gridsim::TimeScale::set(0.2);
+    let _scale = time_scale(0.2);
     let base = scratch("asym");
     let n = 12;
 
@@ -144,6 +170,5 @@ fn fig2_cost_asymmetry_direction() {
         t_js > t_py * 2,
         "expected JS ({t_js:?}) to cost well over 2x inline Python ({t_py:?})"
     );
-    gridsim::TimeScale::set(1.0);
     let _ = std::fs::remove_dir_all(&base);
 }

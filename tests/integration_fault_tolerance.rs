@@ -8,13 +8,15 @@
 //! out) even though thread interleavings differ run to run.
 
 use cwl_parsl::config::load_config_file;
-use cwl_parsl::{CwlApp, CwlAppOptions};
+use cwl_parsl::{CwlApp, CwlAppOptions, ParslWorkflowRunner};
+use cwlexec::{BuiltinDispatch, ToolDispatch};
 use gridsim::{BatchScheduler, ClusterSpec, FaultPlan, LatencyModel, SchedulerConfig};
 use parsl::{
     AppArg, Config, DataFlowKernel, FaultSummary, FnApp, HtexConfig, RetryPolicy, SlurmProvider,
     TaskEvent, TaskEventKind,
 };
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use yamlite::Value;
@@ -245,8 +247,71 @@ fn cwl_workflow_survives_node_loss() {
             format!("survivor {i}\n")
         );
     }
+    // The node can die holding no unfinished task; the monitor then records
+    // the loss only after every future has already resolved.
+    wait_for(&dfk, "node loss processed", |evs| {
+        !FaultSummary::from_events(evs).nodes_lost.is_empty()
+    });
     let fs = dfk.monitoring().fault_summary();
     assert_eq!(fs.nodes_lost, vec!["node01".to_string()]);
+    dfk.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Builtin tools, except that the first command mentioning `word` fails.
+struct FailsOnceOn {
+    word: &'static str,
+    tripped: AtomicBool,
+}
+
+impl ToolDispatch for FailsOnceOn {
+    fn run(&self, cmd: &cwl::BuiltCommand, workdir: &Path) -> Result<(), String> {
+        if cmd.argv.iter().any(|a| a == self.word) && !self.tripped.swap(true, Ordering::SeqCst) {
+            return Err(format!("injected failure on {:?}", self.word));
+        }
+        BuiltinDispatch.run(cmd, workdir)
+    }
+
+    fn label(&self) -> &'static str {
+        "fails-once"
+    }
+}
+
+/// The workflow compiler shares a step's literal inputs (here the scattered
+/// word and the whole carried list) across instances and attempts. A task
+/// body runs again on retry, so the second attempt must find the same
+/// literals the first one did — a body that moved them out on first use
+/// would retry with its required inputs missing.
+#[test]
+fn retried_scatter_instance_sees_the_same_literal_inputs() {
+    let dir = scratch("retry-literals");
+    let dfk = DataFlowKernel::new(Config::local_threads(2).with_retries(1));
+    let dispatch = Arc::new(FailsOnceOn {
+        word: "Beta",
+        tripped: AtomicBool::new(false),
+    });
+    let words = ["alpha", "beta", "gamma"].map(Value::str).to_vec();
+    let mut inputs = yamlite::Map::new();
+    inputs.insert("words", Value::Seq(words));
+    let outputs = ParslWorkflowRunner::new(
+        &dfk,
+        CwlAppOptions::in_dir(&dir).with_dispatch(dispatch.clone()),
+    )
+    .run(fixtures().join("scatter_words_py.cwl"), &inputs)
+    .unwrap();
+    let texts: Vec<String> = outputs
+        .get("capitalized")
+        .unwrap()
+        .as_seq()
+        .unwrap()
+        .iter()
+        .map(|f| std::fs::read_to_string(f["path"].as_str().unwrap()).unwrap())
+        .collect();
+    assert_eq!(texts, vec!["Alpha\n", "Beta\n", "Gamma\n"]);
+    assert!(dispatch.tripped.load(Ordering::SeqCst));
+    let summary = dfk.monitoring().summary();
+    assert_eq!((summary.completed, summary.failed), (3, 0));
+    assert_eq!(summary.retried, 1);
     dfk.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
