@@ -114,6 +114,17 @@ for metric in stage.links stage.bytes_saved; do
     echo "data-plane smoke: $metric=$value"
 done
 
+# linkMerge smoke, same config: the diamond whose join gathers both branches
+# through one `source` list (fixtures/diamond_merge.cwl) must run through the
+# shipped binary and join the message twice.
+cargo run --release -p cwl_parsl --bin parsl-cwl -- \
+    configs/trace-smoke.yml fixtures/diamond_merge.cwl --message='merge smoke'
+merged=$(grep -c '^merge smoke$' target/trace-smoke-work/join/joined.txt || true)
+if [ "$merged" -ne 2 ]; then
+    echo "error: linkMerge join holds the message $merged time(s), expected 2" >&2
+    exit 1
+fi
+
 # Crash-resume smoke: kill parsl-cwl mid-run with SIGKILL, resume from the
 # checkpoint journal, and require the resumed run to report replayed tasks
 # through parsl-trace. The workflow is generated under target/ (not

@@ -1,15 +1,13 @@
 //! `CwlApp` — a CWL `CommandLineTool` imported as a Parsl app (§III-A).
 
+use crate::task::ToolTask;
 use cwl::loader::{load_file, CwlDocument};
 use cwl::types::CwlType;
 use cwl::CommandLineTool;
-use cwlexec::{
-    execute_tool_staged, BuiltinDispatch, StageCtx, StagingSettings, SubprocessDispatch,
-    ToolDispatch,
-};
+use cwlexec::{BuiltinDispatch, StagingSettings, SubprocessDispatch, ToolDispatch};
 use datastore::Stager;
 use expr::{interpolate, EvalContext, ExpressionEngine, JsCostModel};
-use parsl::{AppArg, AppFuture, DataFlowKernel, DataFuture, File, TaskError};
+use parsl::{AppArg, AppFuture, DataFlowKernel, DataFuture, File};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -240,6 +238,13 @@ impl CwlApp {
     }
 }
 
+/// How one tool input gets its value inside the task body. A literal is
+/// shared into each attempt's input object, never copied.
+enum Slot {
+    Lit(Arc<Value>),
+    Arg(usize),
+}
+
 /// Argument kinds accepted by an invocation.
 enum Kwarg {
     Literal(Value),
@@ -319,19 +324,20 @@ impl<'a> CwlInvocation<'a> {
         // Split literal vs future-valued arguments; futures become Parsl
         // dataflow dependencies.
         let mut parsl_args: Vec<AppArg> = Vec::new();
-        let mut slots: Vec<(String, Option<usize>, Option<Value>)> = Vec::new();
+        let mut slots: Vec<(String, Slot)> = Vec::new();
         for (name, kwarg) in self.args {
-            match kwarg {
-                Kwarg::Literal(v) => slots.push((name, None, Some(v))),
+            let slot = match kwarg {
+                Kwarg::Literal(v) => Slot::Lit(Arc::new(v)),
                 Kwarg::Fut(f) => {
-                    slots.push((name, Some(parsl_args.len()), None));
                     parsl_args.push(AppArg::future(&f));
+                    Slot::Arg(parsl_args.len() - 1)
                 }
                 Kwarg::Data(d) => {
-                    slots.push((name, Some(parsl_args.len()), None));
                     parsl_args.push(AppArg::data(&d));
+                    Slot::Arg(parsl_args.len() - 1)
                 }
-            }
+            };
+            slots.push((name, slot));
         }
 
         // Predict output file names from the literal arguments so
@@ -340,54 +346,32 @@ impl<'a> CwlInvocation<'a> {
         let predicted = predict_output_files(&tool, &slots, &workdir, app.engine.as_ref())?;
 
         // The task body: reconstruct the full input object and run the tool.
-        let engine = app.engine.clone();
-        let dispatch = app.dispatch.clone();
-        let stager = app.stager.clone();
-        let obs = app.dfk.observability().clone();
-        // Task id for the staging spans' lineage: assigned by submit()
-        // below, so the body reads it through a cell. A no-dependency task
-        // can race the store and see 0 — spans then record untracked,
-        // which is harmless.
-        let lineage = Arc::new(AtomicU64::new(0));
-        let body_lineage = lineage.clone();
-        let body_tool = tool.clone();
-        let body_workdir = workdir.clone();
-        let body_slots = slots;
-        let body = parsl::apps::FnApp::new(move |vals: &[Value]| {
-            let mut provided = Map::with_capacity(body_slots.len());
-            for (name, fut_idx, literal) in &body_slots {
-                let v = match (fut_idx, literal) {
-                    (Some(i), _) => vals[*i].clone(),
-                    (None, Some(v)) => v.clone(),
-                    (None, None) => Value::Null,
-                };
-                provided.insert(name.clone(), v);
-            }
-            let ctx = StageCtx {
-                stager: &stager,
-                obs: &obs,
-                lineage: body_lineage.load(Ordering::Acquire),
-                parent: 0,
-            };
-            let run = execute_tool_staged(
-                &body_tool,
-                &provided,
-                &body_workdir,
-                engine.as_ref(),
-                dispatch.as_ref(),
-                Some(&ctx),
-            )
-            .map_err(TaskError::failed)?;
-            Ok(Value::Map(run.outputs))
-        });
-
-        let future = match &app.run_tag {
-            Some(tag) => app
-                .dfk
-                .submit_tagged(&app.label, None, parsl_args, body, tag.clone()),
-            None => app.dfk.submit(&app.label, parsl_args, body),
+        let task = ToolTask {
+            tool,
+            engine: app.engine.clone(),
+            dispatch: app.dispatch.clone(),
+            stager: app.stager.clone(),
+            workdir: workdir.clone(),
         };
-        lineage.store(future.id().0, Ordering::Release);
+        let tag = app.run_tag.as_ref();
+        let future = task.submit(
+            &app.dfk,
+            tag,
+            &app.label,
+            None,
+            parsl_args,
+            move |run, vals| {
+                let mut provided = Map::with_capacity(slots.len());
+                for (name, slot) in &slots {
+                    let v = match slot {
+                        Slot::Lit(v) => Arc::clone(v),
+                        Slot::Arg(i) => Arc::new(vals[*i].clone()),
+                    };
+                    provided.insert_shared(name.clone(), v);
+                }
+                run(&provided)
+            },
+        );
         let outputs = predicted
             .into_iter()
             .map(|path| DataFuture::new(File::new(path), future.clone()))
@@ -403,7 +387,7 @@ impl<'a> CwlInvocation<'a> {
 /// Predict output file paths from literal inputs (plus defaults).
 fn predict_output_files(
     tool: &CommandLineTool,
-    slots: &[(String, Option<usize>, Option<Value>)],
+    slots: &[(String, Slot)],
     workdir: &Path,
     engine: &dyn ExpressionEngine,
 ) -> Result<Vec<PathBuf>, String> {
@@ -414,19 +398,19 @@ fn predict_output_files(
             known.insert(param.id.clone(), default.clone());
         }
     }
-    for (name, fut_idx, literal) in slots {
-        match (fut_idx, literal) {
-            (None, Some(v)) => {
+    for (name, slot) in slots {
+        match slot {
+            Slot::Lit(v) => {
                 // Normalize literal Files so expressions can use .basename.
                 let v = match tool.input(name).map(|p| &p.typ) {
                     Some(t @ (CwlType::File | CwlType::Directory)) => {
-                        cwl::input::normalize_value(v, t).unwrap_or_else(|_| v.clone())
+                        cwl::input::normalize_value(v, t).unwrap_or_else(|_| Value::clone(v))
                     }
-                    _ => v.clone(),
+                    _ => Value::clone(v),
                 };
                 known.insert(name.clone(), v);
             }
-            _ => {
+            Slot::Arg(_) => {
                 known.insert(name.clone(), Value::Null);
             }
         }
@@ -628,7 +612,7 @@ mod tests {
             .submit()
             .unwrap();
         match b.future.result() {
-            Err(TaskError::DependencyFailed { .. }) => {}
+            Err(parsl::TaskError::DependencyFailed { .. }) => {}
             other => panic!("unexpected {other:?}"),
         }
         dfk.shutdown();

@@ -26,6 +26,7 @@ pub mod cwlapp;
 pub mod lint;
 pub mod proto;
 pub mod runner;
+mod task;
 pub mod wfrunner;
 
 pub use config::{load_config_file, load_config_value, RunnerConfig, ServeSettings};

@@ -10,55 +10,58 @@
 //! behaviour Listing 4 demonstrates by hand.
 
 use crate::cwlapp::CwlAppOptions;
-use cwl::loader::{load_file, resolve_run, CwlDocument};
-use cwl::workflow::{Step, Workflow};
-use cwl::CommandLineTool;
-use cwlexec::{execute_tool_staged, StageCtx, ToolDispatch};
+use crate::task::ToolTask;
+use cwl::loader::{load_document, CwlDocument};
+use cwl::workflow::Step;
+use cwlexec::step::{self, PreparedWorkflow, StepTarget};
+use cwlexec::ToolDispatch;
 use datastore::Stager;
-use expr::{interpolate, EvalContext, ExpressionEngine, JsCostModel};
-use parsl::{AppArg, AppFuture, DataFlowKernel, TaskError};
+use expr::JsCostModel;
+use parsl::{AppArg, AppFuture, DataFlowKernel};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use yamlite::{Map, Value};
 
-/// A dataflow node: either a known value or (gathered) task futures with an
-/// output key to extract. A literal is held by reference count: every
-/// scatter instance of every step it feeds shares the one value.
+/// A dataflow node: a known value, one output of a task that may not have
+/// run yet, or an array of nodes (a scattered step's gathered output). A
+/// literal is held by reference count: every scatter instance of every
+/// step it feeds shares the one value.
 #[derive(Clone)]
 enum Node {
     Lit(Arc<Value>),
-    Fut { fut: AppFuture, key: Option<String> },
-    Gather { futs: Vec<AppFuture>, key: String },
+    Fut { fut: AppFuture, key: Arc<str> },
+    Seq(Vec<Node>),
 }
 
-/// How one tool input gets its value inside the task body. The body is
-/// `Fn` (a retried or re-dispatched task runs it again), so a literal is
-/// shared into each attempt's input object, never moved out.
-enum Slot {
+/// A [`Node`] as a task body reads it: futures have become positions in
+/// the task's dependency values.
+enum Src {
     Lit(Arc<Value>),
-    One {
-        arg: usize,
-        key: Option<String>,
-    },
-    Many {
-        start: usize,
-        len: usize,
-        key: String,
-    },
+    Arg { arg: usize, key: Arc<str> },
+    Seq(Vec<Src>),
 }
 
-/// What a step runs, prepared once per step and shared by all of its
-/// scatter instances.
-enum StepRun {
-    Tool {
-        tool: Arc<CommandLineTool>,
-        /// The engine the tool's requirements select (its `expressionLib`
-        /// compiled once).
-        engine: Arc<dyn ExpressionEngine>,
-    },
-    Workflow(Box<Workflow>),
+/// How one step input gets its value.
+#[derive(Clone)]
+enum Slot<S> {
+    /// Known when the step was compiled: every source was a literal (then
+    /// already gathered), or it is one element of a scattered array.
+    Ready(Arc<Value>),
+    /// Gathered in the task body, once these sources' tasks have finished.
+    Pending(Vec<S>),
+}
+
+/// The one construct the compiler cannot express: the whole graph is
+/// submitted before anything runs, so what shapes the graph — how wide a
+/// scatter is, whether a nested workflow's steps exist, what they are fed —
+/// cannot wait for a task (that would take a join app).
+fn needs_upstream(step: &Step, what: &str) -> String {
+    format!(
+        "step {:?}: {what} depends on the output of an upstream step, which the Parsl \
+         workflow compiler cannot know when it submits the graph",
+        step.id
+    )
 }
 
 /// Runs CWL workflows on a Parsl kernel.
@@ -95,33 +98,32 @@ impl ParslWorkflowRunner {
     /// all tasks finish and returns the workflow output object.
     pub fn run(&self, path: impl AsRef<Path>, provided: &Map) -> Result<Map, String> {
         let path = path.as_ref();
-        let doc = load_file(path)?;
+        let parsed = yamlite::parse_file(path).map_err(|e| format!("{}: {e}", path.display()))?;
+        let doc = load_document(&parsed).map_err(|e| format!("{}: {e}", path.display()))?;
         let CwlDocument::Workflow(wf) = doc else {
             return Err(format!("{} is not a Workflow", path.display()));
         };
-        let diags = cwl::validate_document(&yamlite::parse_file(path).map_err(|e| e.to_string())?);
+        let diags = cwl::validate_document(&parsed);
         if !cwl::validate::is_valid(&diags) {
             return Err(format!("validation failed: {}", diags[0]));
         }
-        let base_dir = path.parent().unwrap_or(Path::new(".")).to_path_buf();
         // A data plane that failed to open fails the run up front, not one
         // task at a time.
-        self.stager.as_ref().map_err(|e| e.clone())?;
+        let stager = self.stager.as_ref().map_err(|e| e.clone())?;
+        // parsl-cwl evaluates expressions in-process (the paper's §V fast
+        // path): no modelled process-boundary cost.
+        let base_dir = path.parent().unwrap_or(Path::new("."));
+        let prepared = step::prepare_workflow(wf, base_dir, &JsCostModel::free())?;
 
-        let mut given: HashMap<String, Node> = HashMap::new();
-        for (k, v) in provided.iter() {
-            given.insert(k.to_string(), Node::Lit(Arc::new(v.clone())));
-        }
-        let outputs = self.compile(&wf, &base_dir, given, "")?;
+        let outputs = self.compile(&prepared, stager, literals(provided).collect(), "")?;
 
         // Materialize: wait on every output's futures.
         let mut out = Map::with_capacity(outputs.len());
-        for output in &wf.outputs {
+        for output in &prepared.workflow.outputs {
             let node = outputs
                 .get(&output.id)
-                .cloned()
                 .ok_or_else(|| format!("internal: output {:?} not compiled", output.id))?;
-            out.insert(output.id.clone(), materialize(node)?);
+            out.insert_shared(output.id.clone(), materialize(node)?);
         }
         Ok(out)
     }
@@ -129,234 +131,113 @@ impl ParslWorkflowRunner {
     /// Compile a workflow into submitted tasks; returns output nodes.
     fn compile(
         &self,
-        wf: &Workflow,
-        base_dir: &Path,
-        given: HashMap<String, Node>,
+        prepared: &Arc<PreparedWorkflow>,
+        stager: &Arc<Stager>,
+        mut given: HashMap<String, Node>,
         prefix: &str,
     ) -> Result<HashMap<String, Node>, String> {
-        // Resolve workflow inputs: literals are normalized now; futures pass
-        // through and are checked by the consuming tool.
+        let wf = &prepared.workflow;
+        // Workflow inputs: what is known is resolved now; a future (feeding
+        // a nested workflow) passes through and is checked by the tool that
+        // consumes it.
+        step::check_input_names(wf, given.keys().map(String::as_str))?;
         let mut values: HashMap<String, Node> = HashMap::new();
         for input in &wf.inputs {
-            let node = match given.get(&input.id) {
-                Some(Node::Lit(v)) if v.is_null() => default_or_err(input)?,
-                Some(Node::Lit(v)) => Node::Lit(Arc::new(
-                    cwl::input::normalize_value(v, &input.typ)
-                        .map_err(|e| format!("workflow input {:?}: {e}", input.id))?,
-                )),
-                Some(fut) => fut.clone(),
-                None => default_or_err(input)?,
+            let node = match given.remove(&input.id) {
+                Some(Node::Lit(v)) => {
+                    Node::Lit(Arc::new(step::resolve_workflow_input(input, Some(&v))?))
+                }
+                Some(pending) => pending,
+                None => Node::Lit(Arc::new(step::resolve_workflow_input(input, None)?)),
             };
             values.insert(input.id.clone(), node);
         }
-        for key in given.keys() {
-            if !wf.inputs.iter().any(|i| &i.id == key) {
-                return Err(format!("unknown workflow input {key:?}"));
-            }
-        }
 
-        // Engine for step-level valueFrom expressions.
-        let wf_engine: Arc<dyn ExpressionEngine> =
-            Arc::from(cwlexec::engine_for(&wf.requirements, JsCostModel::free())?);
-
-        let order = wf.topo_order()?;
-        for idx in order {
+        for &idx in &prepared.order {
             let step = &wf.steps[idx];
-            let run = match resolve_run(&step.run, base_dir)
-                .map_err(|e| format!("step {:?}: {e}", step.id))?
-            {
-                CwlDocument::Tool(tool) => StepRun::Tool {
-                    engine: Arc::from(cwlexec::engine_for(
-                        &tool.requirements,
-                        JsCostModel::free(),
-                    )?),
-                    tool: Arc::new(tool),
-                },
-                CwlDocument::Workflow(sub) => StepRun::Workflow(Box::new(sub)),
-            };
-            let step_base = match &step.run {
-                cwl::workflow::RunRef::Path(p) => {
-                    let p = if Path::new(p).is_absolute() {
-                        PathBuf::from(p)
-                    } else {
-                        base_dir.join(p)
-                    };
-                    p.parent().unwrap_or(base_dir).to_path_buf()
-                }
-                cwl::workflow::RunRef::Inline(_) => base_dir.to_path_buf(),
-            };
-
-            // Gather this step's input nodes.
-            let mut inputs: Vec<(String, Node, Option<String>)> = Vec::new();
-            for si in &step.inputs {
-                if si.is_multi_source() {
-                    return Err(format!(
-                        "step {:?} input {:?}: multiple sources (linkMerge) are not \
-                         supported by the Parsl workflow compiler; use a single source",
-                        step.id, si.id
-                    ));
-                }
-                let node = match &si.source {
-                    Some(src) => values.get(src).cloned().ok_or_else(|| {
-                        format!(
-                            "step {:?} input {:?}: unknown source {src:?}",
-                            step.id, si.id
-                        )
-                    })?,
-                    None => Node::Lit(Arc::new(Value::Null)),
-                };
-                // A null from a missing source falls back to the default.
-                let node = match (&node, &si.default) {
-                    (Node::Lit(v), Some(d)) if v.is_null() => Node::Lit(Arc::new(d.clone())),
-                    _ => node,
-                };
-                inputs.push((si.id.clone(), node, si.value_from.clone()));
-            }
-
-            if step.scatter.is_empty() {
-                match &run {
-                    StepRun::Tool { tool, engine } => {
-                        let fut = self.submit_step(
-                            step,
-                            tool,
-                            engine,
-                            inputs,
-                            &wf_engine,
-                            &format!("{prefix}{}", step.id),
-                        )?;
-                        record(step, fut, &mut values, None);
+            // An input whose sources are all known is gathered now; the
+            // rest wait for the task body — except a scatter target: the
+            // width is part of the graph's shape.
+            let mut slots: Vec<Slot<Node>> = Vec::with_capacity(step.inputs.len());
+            let mut ready = Map::with_capacity(step.inputs.len());
+            for input in &step.inputs {
+                let mut nodes = Vec::with_capacity(input.sources.len());
+                let mut known = Vec::with_capacity(input.sources.len());
+                for src in &input.sources {
+                    let node = values
+                        .get(src)
+                        .ok_or_else(|| step::unknown_source(step, input, src))?;
+                    if let Node::Lit(v) = node {
+                        known.push(v.clone());
                     }
-                    StepRun::Workflow(sub) => {
-                        // Non-scattered subworkflow: compile recursively so
-                        // its steps join the same dataflow graph.
-                        if !wf.requirements.subworkflow {
-                            return Err(format!(
-                                "step {:?} runs a nested workflow but \
-                                 SubworkflowFeatureRequirement is absent",
-                                step.id
-                            ));
-                        }
-                        if step.when.is_some() {
-                            return Err(format!(
-                                "step {:?}: `when` on subworkflow steps is not supported \
-                                 by the Parsl workflow compiler",
-                                step.id
-                            ));
-                        }
-                        let sub_given = apply_value_from_static(inputs, &wf_engine)?;
-                        let outs = self.compile(
-                            sub,
-                            &step_base,
-                            sub_given,
-                            &format!("{prefix}{}_", step.id),
-                        )?;
-                        for out_id in &step.out {
-                            let node = outs.get(out_id).cloned().ok_or_else(|| {
-                                format!("step {:?}: subworkflow lacks output {out_id:?}", step.id)
-                            })?;
-                            values.insert(format!("{}/{}", step.id, out_id), node);
-                        }
-                    }
+                    nodes.push(node.clone());
                 }
-            } else {
-                // Scatter: the scattered arrays must be known at compile
-                // time (dynamic scatter would need join-app machinery).
-                let mut n: Option<usize> = None;
-                for target in &step.scatter {
-                    let (_, node, _) =
-                        inputs
-                            .iter()
-                            .find(|(id, _, _)| id == target)
-                            .ok_or_else(|| {
-                                format!("step {:?}: scatter target {target:?} not wired", step.id)
-                            })?;
-                    let Some(arr) = literal_seq(node) else {
-                        return Err(format!(
-                            "step {:?}: scatter over a dynamic (future-valued) array is not \
-                             supported by the Parsl workflow compiler",
-                            step.id
-                        ));
-                    };
-                    match n {
-                        None => n = Some(arr.len()),
-                        Some(m) if m != arr.len() => {
-                            return Err(format!(
-                                "step {:?}: scatter arrays disagree on length",
-                                step.id
-                            ))
-                        }
-                        _ => {}
-                    }
-                }
-                let n = n.ok_or_else(|| format!("step {:?}: empty scatter", step.id))?;
-                let mut futs: Vec<AppFuture> = Vec::with_capacity(n);
-                let mut sub_outs: Vec<HashMap<String, Node>> = Vec::with_capacity(n);
-                for k in 0..n {
-                    let instance: Vec<(String, Node, Option<String>)> = inputs
-                        .iter()
-                        .map(|(id, node, vf)| {
-                            let node = if step.scatter.contains(id) {
-                                let arr = literal_seq(node).expect("scatter arrays checked above");
-                                Node::Lit(Arc::new(arr[k].clone()))
-                            } else {
-                                node.clone()
-                            };
-                            (id.clone(), node, vf.clone())
-                        })
-                        .collect();
-                    match &run {
-                        StepRun::Tool { tool, engine } => {
-                            let fut = self.submit_step(
-                                step,
-                                tool,
-                                engine,
-                                instance,
-                                &wf_engine,
-                                &format!("{prefix}{}_{k}", step.id),
-                            )?;
-                            futs.push(fut);
-                        }
-                        StepRun::Workflow(sub) => {
-                            if !wf.requirements.subworkflow {
-                                return Err(format!(
-                                    "step {:?} runs a nested workflow but \
-                                     SubworkflowFeatureRequirement is absent",
-                                    step.id
-                                ));
-                            }
-                            let sub_given = apply_value_from_static(instance, &wf_engine)?;
-                            let outs = self.compile(
-                                sub,
-                                &step_base,
-                                sub_given,
-                                &format!("{prefix}{}_{k}_", step.id),
-                            )?;
-                            sub_outs.push(outs);
-                        }
-                    }
-                }
-                if !futs.is_empty() {
-                    for out_id in &step.out {
-                        values.insert(
-                            format!("{}/{}", step.id, out_id),
-                            Node::Gather {
-                                futs: futs.clone(),
-                                key: out_id.clone(),
-                            },
-                        );
-                    }
+                if known.len() == nodes.len() {
+                    let value = step::gather_input(step, input, &known)?;
+                    ready.insert_shared(input.id.clone(), value.clone());
+                    slots.push(Slot::Ready(value));
+                } else if step.scatter.contains(&input.id) {
+                    return Err(needs_upstream(step, "the scatter width"));
                 } else {
-                    // Scattered subworkflow: gather each declared output.
-                    for out_id in &step.out {
-                        let mut parts = Vec::with_capacity(sub_outs.len());
-                        for outs in &sub_outs {
-                            parts.push(outs.get(out_id).cloned().ok_or_else(|| {
-                                format!("step {:?}: subworkflow lacks output {out_id:?}", step.id)
-                            })?);
-                        }
-                        values.insert(format!("{}/{}", step.id, out_id), gather_nodes(parts)?);
-                    }
+                    slots.push(Slot::Pending(nodes));
                 }
+            }
+            let instances: Vec<(String, Vec<Slot<Node>>)> =
+                match step::scatter_width(step, &ready)? {
+                    None => vec![(format!("{prefix}{}", step.id), slots)],
+                    Some(n) => (0..n)
+                        .map(|k| {
+                            let sliced = step::scatter_instance(step, &ready, k);
+                            let slots = step.inputs.iter().zip(&slots).map(|(input, slot)| {
+                                match sliced.get_shared(&input.id) {
+                                    Some(v) => Slot::Ready(v.clone()),
+                                    None => slot.clone(),
+                                }
+                            });
+                            (format!("{prefix}{}_{k}", step.id), slots.collect())
+                        })
+                        .collect(),
+                };
+
+            // Each instance is one task, or a nested workflow compiled into
+            // this same dataflow graph; either way, one node per declared
+            // output.
+            let out_keys: Vec<Arc<str>> = step.out.iter().map(|o| Arc::from(&**o)).collect();
+            let mut parts: Vec<Vec<Node>> = Vec::with_capacity(instances.len());
+            for (name, slots) in instances {
+                parts.push(match &prepared.targets[idx] {
+                    StepTarget::Tool { .. } => {
+                        let fut = self.submit_step(prepared, idx, stager, slots, &name);
+                        let output = |key: &Arc<str>| Node::Fut {
+                            fut: fut.clone(),
+                            key: key.clone(),
+                        };
+                        out_keys.iter().map(output).collect()
+                    }
+                    StepTarget::Workflow(sub) => match self.bind_nested(prepared, idx, slots)? {
+                        None => literals(&step::skipped_outputs(step))
+                            .map(|(_, null)| null)
+                            .collect(),
+                        Some(given) => {
+                            let outs = self.compile(sub, stager, given, &format!("{name}_"))?;
+                            let output = |out_id: &String| {
+                                outs.get(out_id)
+                                    .cloned()
+                                    .ok_or_else(|| step::missing_output(step, out_id))
+                            };
+                            step.out.iter().map(output).collect::<Result<_, _>>()?
+                        }
+                    },
+                });
+            }
+            for (j, out_id) in step.out.iter().enumerate() {
+                let mut nodes = parts.iter().map(|part| part[j].clone());
+                let node = if step.scatter.is_empty() {
+                    nodes.next().expect("an unscattered step is one instance")
+                } else {
+                    gathered(nodes.collect())
+                };
+                values.insert(step::output_key(&step.id, out_id), node);
             }
         }
 
@@ -371,287 +252,198 @@ impl ParslWorkflowRunner {
         Ok(outputs)
     }
 
-    /// Submit one instance of a tool step as a Parsl task. `tool` and
-    /// `tool_engine` are the step's, shared by every instance.
+    /// The inputs of one nested-workflow instance, or `None` when its
+    /// `when` skips it. There is no task body to finish binding in, so an
+    /// input still waiting for a task passes through only if that task's
+    /// output *is* its value: one source, no `default`, and no `valueFrom`
+    /// or `when` to evaluate over it.
+    fn bind_nested(
+        &self,
+        prepared: &PreparedWorkflow,
+        idx: usize,
+        slots: Vec<Slot<Node>>,
+    ) -> Result<Option<HashMap<String, Node>>, String> {
+        let step = &prepared.workflow.steps[idx];
+        let mut known = Map::with_capacity(slots.len());
+        let mut given = HashMap::new();
+        for (input, slot) in step.inputs.iter().zip(slots) {
+            match slot {
+                Slot::Ready(v) => {
+                    known.insert_shared(input.id.clone(), v);
+                }
+                Slot::Pending(mut nodes) if input.source.is_some() && input.default.is_none() => {
+                    given.extend(nodes.pop().map(|node| (input.id.clone(), node)));
+                }
+                Slot::Pending(_) => {
+                    let what = format!("the linkMerge or default of input {:?}", input.id);
+                    return Err(needs_upstream(step, &what));
+                }
+            }
+        }
+        let evaluates = step.when.is_some() || step.inputs.iter().any(|i| i.value_from.is_some());
+        if evaluates && !given.is_empty() {
+            return Err(needs_upstream(
+                step,
+                "`when` or `valueFrom` on a nested workflow",
+            ));
+        }
+        let engine = prepared.engine.as_ref();
+        let inputs = step::apply_value_from(step, engine, known)?;
+        if !step::should_run(step, engine, &inputs)? {
+            return Ok(None);
+        }
+        given.extend(literals(&inputs));
+        Ok(Some(given))
+    }
+
+    /// Submit one instance of a tool step as a Parsl task. Scatter
+    /// instances share the step id; the task name keeps the instance index.
     fn submit_step(
         &self,
-        step: &Step,
-        tool: &Arc<CommandLineTool>,
-        tool_engine: &Arc<dyn ExpressionEngine>,
-        inputs: Vec<(String, Node, Option<String>)>,
-        wf_engine: &Arc<dyn ExpressionEngine>,
+        prepared: &Arc<PreparedWorkflow>,
+        idx: usize,
+        stager: &Arc<Stager>,
+        slots: Vec<Slot<Node>>,
         task_name: &str,
-    ) -> Result<AppFuture, String> {
-        // Translate input nodes into Parsl args + body slots.
-        let mut parsl_args: Vec<AppArg> = Vec::new();
-        let mut slots: Vec<(String, Slot)> = Vec::new();
-        let mut value_froms: Vec<(String, String)> = Vec::new();
-        for (id, node, vf) in inputs {
-            if let Some(vf) = vf {
-                value_froms.push((id.clone(), vf));
-            }
-            let slot = match node {
-                Node::Lit(v) => Slot::Lit(v),
-                Node::Fut { fut, key } => {
-                    let arg = parsl_args.len();
-                    parsl_args.push(AppArg::future(&fut));
-                    Slot::One { arg, key }
-                }
-                Node::Gather { futs, key } => {
-                    let start = parsl_args.len();
-                    let len = futs.len();
-                    for f in &futs {
-                        parsl_args.push(AppArg::future(f));
-                    }
-                    Slot::Many { start, len, key }
-                }
-            };
-            slots.push((id, slot));
-        }
-
-        let workdir = self.workdir_base.join(task_name);
-        let dispatch = self.dispatch.clone();
-        let stager = self.stager.as_ref().map_err(|e| e.clone())?.clone();
-        let obs = self.dfk.observability().clone();
-        // Task id for staging-span lineage, assigned after submit;
-        // a racing no-dependency task may read 0 (untracked spans).
-        let lineage = Arc::new(AtomicU64::new(0));
-        let body_lineage = lineage.clone();
-        let tool = tool.clone();
-        let tool_engine = tool_engine.clone();
-        let wf_engine = wf_engine.clone();
-        let step_id = step.id.clone();
-        let when = step.when.clone();
-        let declared_outs = step.out.clone();
-        let body = parsl::apps::FnApp::new(move |vals: &[Value]| {
-            let mut provided = Map::with_capacity(slots.len());
-            for (id, slot) in &slots {
-                let v = match slot {
-                    Slot::Lit(v) => Arc::clone(v),
-                    Slot::One { arg, key } => {
-                        Arc::new(extract(&vals[*arg], key.as_deref()).map_err(TaskError::failed)?)
-                    }
-                    Slot::Many { start, len, key } => {
-                        let mut seq = Vec::with_capacity(*len);
-                        for v in &vals[*start..*start + *len] {
-                            seq.push(extract(v, Some(key)).map_err(TaskError::failed)?);
-                        }
-                        Arc::new(Value::Seq(seq))
-                    }
-                };
-                provided.insert_shared(id.clone(), v);
-            }
-            // Step-level valueFrom transforms, each over the
-            // pre-transform inputs.
-            if !value_froms.is_empty() {
-                let frozen = Value::Map(provided.clone());
-                for (id, vf) in &value_froms {
-                    let mut ctx = EvalContext::from_inputs(frozen.clone());
-                    ctx.self_ = provided.get(id).cloned().unwrap_or(Value::Null);
-                    let v = interpolate(vf, wf_engine.as_ref(), &ctx).map_err(|e| {
-                        TaskError::failed(format!("step {step_id:?} input {id:?} valueFrom: {e}"))
-                    })?;
-                    // `_shared`: `frozen` still holds the replaced value.
-                    provided.insert_shared(id.clone(), Arc::new(v));
-                }
-            }
-            // CWL v1.2 conditional execution: a falsy `when` skips
-            // the tool; outputs become null.
-            if let Some(when) = &when {
-                let ctx = EvalContext::from_inputs(Value::Map(provided.clone()));
-                let verdict = interpolate(when, wf_engine.as_ref(), &ctx)
-                    .map_err(|e| TaskError::failed(format!("step {step_id:?} when: {e}")))?;
-                if !verdict.truthy() {
-                    let mut skipped = Map::with_capacity(declared_outs.len());
-                    for out_id in &declared_outs {
-                        skipped.insert(out_id.clone(), Value::Null);
-                    }
-                    return Ok(Value::Map(skipped));
-                }
-            }
-            let ctx = StageCtx {
-                stager: &stager,
-                obs: &obs,
-                lineage: body_lineage.load(Ordering::Acquire),
-                parent: 0,
-            };
-            let run = execute_tool_staged(
-                &tool,
-                &provided,
-                &workdir,
-                tool_engine.as_ref(),
-                dispatch.as_ref(),
-                Some(&ctx),
-            )
-            .map_err(|e| TaskError::failed(format!("step {step_id:?}: {e}")))?;
-            Ok(Value::Map(run.outputs))
-        });
-        // `submit_bound` joins the Parsl task id to the CWL step id
-        // in both the lineage table and the checkpoint journal
-        // before the task can launch — binding after submit races a
-        // fast worker journaling a step-less record. Scatter
-        // instances share the step id; the task label keeps the
-        // per-instance index.
-        let fut = match &self.run_tag {
-            Some(tag) => {
-                self.dfk
-                    .submit_tagged(task_name, Some(&step.id), parsl_args, body, tag.clone())
-            }
-            None => self
-                .dfk
-                .submit_bound(task_name, Some(&step.id), parsl_args, body),
+    ) -> AppFuture {
+        let StepTarget::Tool { tool, engine, .. } = &prepared.targets[idx] else {
+            unreachable!("submit_step is called for tool steps only");
         };
-        lineage.store(fut.id().0, Ordering::Release);
-        Ok(fut)
-    }
-}
-
-/// Record a step's output futures under `step/out` keys.
-fn record(step: &Step, fut: AppFuture, values: &mut HashMap<String, Node>, _k: Option<usize>) {
-    for out_id in &step.out {
-        values.insert(
-            format!("{}/{}", step.id, out_id),
-            Node::Fut {
-                fut: fut.clone(),
-                key: Some(out_id.clone()),
-            },
-        );
-    }
-}
-
-fn default_or_err(input: &cwl::workflow::WorkflowInput) -> Result<Node, String> {
-    if let Some(d) = &input.default {
-        return Ok(Node::Lit(Arc::new(
-            cwl::input::normalize_value(d, &input.typ)
-                .map_err(|e| format!("workflow input {:?}: {e}", input.id))?,
-        )));
-    }
-    if input.typ.allows_null() {
-        return Ok(Node::Lit(Arc::new(Value::Null)));
-    }
-    Err(format!("missing required workflow input {:?}", input.id))
-}
-
-/// The array behind a literal node, if it is one.
-fn literal_seq(node: &Node) -> Option<&[Value]> {
-    match node {
-        Node::Lit(v) => v.as_seq(),
-        _ => None,
-    }
-}
-
-/// Extract an output by key from a task's output object.
-fn extract(v: &Value, key: Option<&str>) -> Result<Value, String> {
-    match key {
-        None => Ok(v.clone()),
-        Some(k) => v
-            .get(k)
-            .cloned()
-            .ok_or_else(|| format!("upstream task did not produce output {k:?}")),
-    }
-}
-
-/// Apply valueFrom transforms whose inputs are fully static (used when
-/// feeding literal scatter elements into a subworkflow).
-fn apply_value_from_static(
-    inputs: Vec<(String, Node, Option<String>)>,
-    engine: &Arc<dyn ExpressionEngine>,
-) -> Result<HashMap<String, Node>, String> {
-    let mut literal = Map::new();
-    let mut any_future = false;
-    for (id, node, _) in &inputs {
-        match node {
-            Node::Lit(v) => {
-                literal.insert_shared(id.clone(), Arc::clone(v));
-            }
-            _ => any_future = true,
-        }
-    }
-    let frozen = Value::Map(literal);
-    let mut out = HashMap::new();
-    for (id, node, vf) in inputs {
-        let node = match (&node, vf) {
-            (Node::Lit(v), Some(vf)) => {
-                let mut ctx = EvalContext::from_inputs(frozen.clone());
-                ctx.self_ = Value::clone(v);
-                Node::Lit(Arc::new(
-                    interpolate(&vf, engine.as_ref(), &ctx)
-                        .map_err(|e| format!("input {id:?} valueFrom: {e}"))?,
-                ))
-            }
-            (_, Some(_)) if any_future => {
-                return Err(format!(
-                    "input {id:?}: valueFrom on future-valued subworkflow inputs is not supported"
-                ))
-            }
-            _ => node,
-        };
-        out.insert(id, node);
-    }
-    Ok(out)
-}
-
-/// Combine per-instance subworkflow output nodes into one gathered node.
-fn gather_nodes(parts: Vec<Node>) -> Result<Node, String> {
-    // All-literal parts collapse to a literal array; future-valued parts
-    // must share the extraction shape.
-    if parts.iter().all(|p| matches!(p, Node::Lit(_))) {
-        let vals = parts
+        // Futures become the task's dependencies, in input order.
+        let mut args: Vec<AppArg> = Vec::new();
+        let slots: Vec<Slot<Src>> = slots
             .into_iter()
-            .map(|p| match p {
-                Node::Lit(v) => Arc::unwrap_or_clone(v),
-                _ => unreachable!(),
+            .map(|slot| match slot {
+                Slot::Ready(v) => Slot::Ready(v),
+                Slot::Pending(nodes) => {
+                    Slot::Pending(nodes.iter().map(|n| wire(n, &mut args)).collect())
+                }
             })
             .collect();
-        return Ok(Node::Lit(Arc::new(Value::Seq(vals))));
-    }
-    let mut futs = Vec::with_capacity(parts.len());
-    let mut shared_key: Option<String> = None;
-    for p in parts {
-        match p {
-            Node::Fut { fut, key } => {
-                match (&shared_key, key) {
-                    (None, Some(k)) => shared_key = Some(k),
-                    (Some(a), Some(b)) if *a == b => {}
-                    (_, k) => {
-                        return Err(format!(
-                            "cannot gather subworkflow outputs with mixed keys ({shared_key:?} vs {k:?})"
-                        ))
-                    }
+        let task = ToolTask {
+            tool: tool.clone(),
+            engine: engine.clone(),
+            dispatch: self.dispatch.clone(),
+            stager: stager.clone(),
+            workdir: self.workdir_base.join(task_name),
+        };
+        let body_prepared = prepared.clone();
+        task.submit(
+            &self.dfk,
+            self.run_tag.as_ref(),
+            task_name,
+            Some(&prepared.workflow.steps[idx].id),
+            args,
+            move |run, vals| {
+                let prepared = &body_prepared;
+                let step = &prepared.workflow.steps[idx];
+                let engine = prepared.engine.as_ref();
+                let mut inputs = Map::with_capacity(slots.len());
+                for (input, slot) in step.inputs.iter().zip(&slots) {
+                    let value = match slot {
+                        Slot::Ready(v) => v.clone(),
+                        Slot::Pending(srcs) => {
+                            let sources =
+                                srcs.iter()
+                                    .map(|src| src.value(vals))
+                                    .collect::<Result<Vec<_>, _>>()?;
+                            step::gather_input(step, input, &sources)?
+                        }
+                    };
+                    inputs.insert_shared(input.id.clone(), value);
                 }
-                futs.push(fut);
-            }
-            other => {
-                let _ = other;
-                return Err(
-                    "cannot gather a mix of literal and future subworkflow outputs".to_string(),
-                );
+                let inputs = step::apply_value_from(step, engine, inputs)?;
+                if !step::should_run(step, engine, &inputs)? {
+                    return Ok(step::skipped_outputs(step));
+                }
+                let outputs = run(&inputs).map_err(|e| format!("step {:?}: {e}", step.id))?;
+                for out_id in &step.out {
+                    step::declared_output(step, &outputs, out_id)?;
+                }
+                Ok(outputs)
+            },
+        )
+    }
+}
+
+/// Every entry of `map` as a literal node sharing the map's cell.
+fn literals(map: &Map) -> impl Iterator<Item = (String, Node)> + '_ {
+    map.keys()
+        .filter_map(|k| Some((k.to_string(), Node::Lit(map.get_shared(k)?.clone()))))
+}
+
+/// A scattered step's gathered output, one node per instance. Instances
+/// that are all known (skipped by `when`, or nested workflows forwarding
+/// literal inputs) gather into a known array, so a downstream step may
+/// scatter over it.
+fn gathered(instances: Vec<Node>) -> Node {
+    let known = instances.iter().map(|node| match node {
+        Node::Lit(v) => Some(Value::clone(v)),
+        _ => None,
+    });
+    match known.collect() {
+        Some(items) => Node::Lit(Arc::new(Value::Seq(items))),
+        None => Node::Seq(instances),
+    }
+}
+
+/// Turn a node into what a task body reads, adding the futures it holds to
+/// the task's dependencies.
+fn wire(node: &Node, args: &mut Vec<AppArg>) -> Src {
+    match node {
+        Node::Lit(v) => Src::Lit(v.clone()),
+        Node::Fut { fut, key } => {
+            args.push(AppArg::future(fut));
+            Src::Arg {
+                arg: args.len() - 1,
+                key: key.clone(),
             }
         }
+        Node::Seq(items) => Src::Seq(items.iter().map(|n| wire(n, args)).collect()),
     }
-    Ok(Node::Gather {
-        futs,
-        key: shared_key.ok_or("gather requires an output key")?,
-    })
+}
+
+/// One named output of an upstream task's output object.
+fn extract(outputs: &Value, key: &str) -> Result<Value, String> {
+    outputs
+        .get(key)
+        .cloned()
+        .ok_or_else(|| format!("upstream task did not produce output {key:?}"))
+}
+
+impl Src {
+    /// The value, given the task's dependency values.
+    fn value(&self, vals: &[Value]) -> Result<Arc<Value>, String> {
+        Ok(match self {
+            Src::Lit(v) => v.clone(),
+            Src::Arg { arg, key } => Arc::new(extract(&vals[*arg], key)?),
+            Src::Seq(items) => {
+                let seq = items
+                    .iter()
+                    .map(|item| item.value(vals).map(Arc::unwrap_or_clone))
+                    .collect::<Result<_, _>>()?;
+                Arc::new(Value::Seq(seq))
+            }
+        })
+    }
 }
 
 /// Wait for a node's futures and produce its final value.
-fn materialize(node: Node) -> Result<Value, String> {
-    match node {
-        Node::Lit(v) => Ok(Arc::unwrap_or_clone(v)),
+fn materialize(node: &Node) -> Result<Arc<Value>, String> {
+    Ok(match node {
+        Node::Lit(v) => v.clone(),
         Node::Fut { fut, key } => {
-            let v = fut.result().map_err(|e| e.to_string())?;
-            extract(&v, key.as_deref())
+            let outputs = fut.result().map_err(|e| e.to_string())?;
+            Arc::new(extract(&outputs, key)?)
         }
-        Node::Gather { futs, key } => {
-            let mut out = Vec::with_capacity(futs.len());
-            for fut in futs {
-                let v = fut.result().map_err(|e| e.to_string())?;
-                out.push(extract(&v, Some(&key))?);
-            }
-            Ok(Value::Seq(out))
+        Node::Seq(items) => {
+            let seq = items
+                .iter()
+                .map(|item| materialize(item).map(Arc::unwrap_or_clone))
+                .collect::<Result<_, _>>()?;
+            Arc::new(Value::Seq(seq))
         }
-    }
+    })
 }
 
 #[cfg(test)]

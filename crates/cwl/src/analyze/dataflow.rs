@@ -425,6 +425,13 @@ pub(crate) fn check_workflow(wf: &Workflow, doc: &Value, base_dir: Option<&Path>
             let Some((_, sink_t, _)) = io.inputs.iter().find(|(id, _, _)| id == &input.id) else {
                 continue;
             };
+            // A null source value is replaced by the step input's `default`,
+            // so with one the sink never sees the null.
+            if input.default.as_ref().is_some_and(|d| !d.is_null()) {
+                if let CwlType::Optional(inner) = src_t {
+                    src_t = *inner;
+                }
+            }
             match fit(&src_t, sink_t) {
                 Fit::Ok => {}
                 Fit::Warn => out.warning(

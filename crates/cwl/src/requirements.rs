@@ -132,6 +132,8 @@ impl Requirements {
             "StepInputExpressionRequirement" => self.step_input_expression = true,
             "ScatterFeatureRequirement" => self.scatter = true,
             "SubworkflowFeatureRequirement" => self.subworkflow = true,
+            // Source lists and `linkMerge` are always available.
+            "MultipleInputFeatureRequirement" => {}
             "InitialWorkDirRequirement" => {
                 // Not materialized by the runner (W105), but the listing
                 // feeds the effect analysis.

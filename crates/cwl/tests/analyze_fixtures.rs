@@ -107,6 +107,34 @@ fn broken_corpus_produces_expected_codes() {
     }
 }
 
+/// A step input's `default` replaces a null source value, so an optional
+/// source may feed a required sink through one; without it W103 stands.
+#[test]
+fn step_input_default_answers_optional_coercion() {
+    let workflow = |step_input: &str| {
+        format!(
+            "cwlVersion: v1.2\nclass: Workflow\ninputs:\n  x: string?\noutputs: {{}}\nsteps:\n  s:\n    \
+             run:\n      class: CommandLineTool\n      baseCommand: echo\n      inputs:\n        \
+             x: string\n      outputs: {{}}\n    in:\n      x: {step_input}\n    out: []\n"
+        )
+    };
+    for (step_input, warns) in [
+        ("x", true),
+        ("{source: x}", true),
+        ("{source: x, default: null}", true),
+        ("{source: x, default: fallback}", false),
+    ] {
+        let report = analyze_str(&workflow(step_input), None);
+        assert_eq!(
+            report.has_code(codes::OPTIONAL_COERCION),
+            warns,
+            "in: {{x: {step_input}}}:\n{}",
+            report.render_text()
+        );
+        assert_eq!(report.is_clean(true), !warns, "{}", report.render_text());
+    }
+}
+
 #[test]
 fn broken_corpus_is_complete() {
     // Every corpus file is covered by the expectation table above.

@@ -1,12 +1,13 @@
-//! `cwlexec` — the shared tool-execution engine every runner in this
-//! workspace builds on.
+//! `cwlexec` — the shared execution semantics every runner in this
+//! workspace builds on: what one tool run means, and what one workflow step
+//! instance means.
 //!
 //! Running one `CommandLineTool` means: resolve the input object → run the
 //! paper's `validate:` hooks → build the command line → execute it → collect
 //! the output object. That pipeline is identical whether the caller is the
 //! Parsl bridge (`cwl_parsl`), the cwltool-like reference runner, or the
 //! Toil-like runner — they differ in *scheduling* and *overhead structure*,
-//! not in per-tool semantics. This crate owns the per-tool semantics:
+//! not in semantics. This crate owns the per-tool semantics:
 //!
 //! * [`engine_for`] — pick and build the expression engine a tool needs
 //!   (inline Python from the paper's `InlinePythonRequirement`, otherwise
@@ -21,11 +22,18 @@
 //!   is the same pipeline with the content-addressed data plane attached
 //!   (inputs staged zero-copy into the workdir, outputs registered as CAS
 //!   handles with digests).
+//!
+//! and the per-step semantics of a `Workflow`, as pure functions in
+//! [`step`]: workflow-input resolution, run-target preparation, source
+//! gathering (`linkMerge`, step `default`), scatter, `valueFrom`, `when`
+//! and step outputs. The ready-wave executor in `runners` and the Parsl
+//! workflow compiler in `cwl_parsl` both bind a step instance through it.
 
 pub mod dispatch;
 pub mod engine;
 pub mod exec;
 pub mod staging;
+pub mod step;
 
 pub use dispatch::{BuiltinDispatch, FlakyDispatch, SubprocessDispatch, ToolDispatch};
 pub use engine::engine_for;

@@ -256,8 +256,17 @@ pub fn clear_all() {
 mod tests {
     use super::*;
 
+    /// `ENABLED`, `HITS` and `MISSES` are process-wide, so the tests of this
+    /// module take turns: one that flips the switch or compares counter
+    /// deltas must not overlap one that looks programs up by the thousand.
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        static TURN: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        TURN.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn second_lookup_is_a_hit_and_shares_the_ast() {
+        let _serial = serial();
         let cache: ProgramCache<String> = ProgramCache::new();
         let before = stats();
         let a = cache
@@ -274,6 +283,7 @@ mod tests {
 
     #[test]
     fn errors_are_not_cached() {
+        let _serial = serial();
         let cache: ProgramCache<String> = ProgramCache::new();
         let e = cache.get_or_compile("boom", |_| Err::<String, _>("syntax"));
         assert_eq!(e.unwrap_err(), "syntax");
@@ -287,6 +297,7 @@ mod tests {
 
     #[test]
     fn disabled_cache_always_compiles() {
+        let _serial = serial();
         let cache: ProgramCache<u32> = ProgramCache::new();
         let was = set_enabled(false);
         let mut compiles = 0;
@@ -305,6 +316,7 @@ mod tests {
 
     #[test]
     fn capacity_is_bounded_with_lru_eviction() {
+        let _serial = serial();
         let cache: ProgramCache<usize> = ProgramCache::new();
         let total = SHARDS * SHARD_CAPACITY;
         for i in 0..total * 2 {
@@ -322,6 +334,7 @@ mod tests {
 
     #[test]
     fn distinct_sources_do_not_collide_in_use() {
+        let _serial = serial();
         let cache: ProgramCache<String> = ProgramCache::new();
         for i in 0..64 {
             let src = format!("inputs.field{i}");
@@ -341,6 +354,7 @@ mod tests {
 
     #[test]
     fn concurrent_lookups_agree() {
+        let _serial = serial();
         let cache: Arc<ProgramCache<String>> = Arc::new(ProgramCache::new());
         let mut handles = Vec::new();
         for t in 0..8 {

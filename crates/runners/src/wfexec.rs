@@ -9,13 +9,12 @@
 use crate::pool::run_parallel;
 use crate::profile::ExecProfile;
 use crate::report::RunReport;
-use cwl::input::normalize_value;
-use cwl::loader::{load_document, resolve_run, CwlDocument};
-use cwl::workflow::{RunRef, Step, Workflow};
+use cwl::loader::{load_document, CwlDocument};
 use cwl::CommandLineTool;
+use cwlexec::step::{self, PreparedWorkflow, StepTarget};
 use cwlexec::{engine_for, execute_tool_staged, StageCtx, ToolDispatch};
 use datastore::Stager;
-use expr::{interpolate, EvalContext, ExpressionEngine};
+use expr::ExpressionEngine;
 use obs::{Observability, SpanKind};
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
@@ -23,28 +22,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use yamlite::{Map, Value};
-
-/// A step's resolved run target, loaded once up front (all runners cache
-/// parsed documents; the *revalidation* knob models cwltool's per-job
-/// reprocessing separately).
-struct ResolvedStep {
-    target: StepTarget,
-    /// Raw document text, kept for per-task revalidation cost.
-    raw: Option<String>,
-    /// Directory for resolving the step document's own references.
-    base_dir: PathBuf,
-}
-
-/// What a resolved step runs.
-enum StepTarget {
-    Tool {
-        tool: Box<CommandLineTool>,
-        /// The engine the tool's requirements select, compiled once for
-        /// all of the step's jobs.
-        engine: Box<dyn ExpressionEngine>,
-    },
-    Workflow(Box<Workflow>),
-}
 
 /// The generic executor. See [`crate::RefRunner`] / [`crate::ToilRunner`]
 /// for the configured baselines.
@@ -103,7 +80,7 @@ impl WorkflowExecutor {
             &yamlite::parse_str(&raw).map_err(|e| format!("{}: {e}", path.display()))?,
         )
         .map_err(|e| format!("{}: {e}", path.display()))?;
-        let base_dir = path.parent().unwrap_or(Path::new(".")).to_path_buf();
+        let base_dir = path.parent().unwrap_or(Path::new("."));
 
         // Pre-run gate: refuse to start a run the static analyzer can
         // already prove broken (type-mismatched links, bad expressions).
@@ -135,7 +112,7 @@ impl WorkflowExecutor {
             .obs()
             .start_span(SpanKind::WorkflowRun, 0, 0, &wf_label);
         let root = wf_span.id();
-        let outputs = match &doc {
+        let outputs = match doc {
             CwlDocument::Tool(tool) => {
                 // Single-tool runs pay the coordinator setup once.
                 let bytes = yamlite::to_string_flow(&Value::Map(provided.clone())).len();
@@ -144,7 +121,7 @@ impl WorkflowExecutor {
                 let label = tool.id.clone().unwrap_or_else(|| "tool".to_string());
                 let engine = engine_for(&tool.requirements, self.profile.js_cost.clone())?;
                 self.run_tool_task(
-                    tool,
+                    &tool,
                     engine.as_ref(),
                     Some(&raw),
                     provided,
@@ -156,7 +133,8 @@ impl WorkflowExecutor {
                 )?
             }
             CwlDocument::Workflow(wf) => {
-                self.run_workflow(wf, &base_dir, provided, &run_dir, root, &stager)?
+                let prepared = step::prepare_workflow(wf, base_dir, &self.profile.js_cost)?;
+                self.run_workflow(&prepared, provided, &run_dir, root, &stager)?
             }
         };
         self.obs().finish_span(wf_span);
@@ -268,92 +246,25 @@ impl WorkflowExecutor {
     }
 
     /// Execute a workflow: ready-wave scheduling with scatter expansion.
+    /// What each step instance is given and leaves behind is
+    /// [`cwlexec::step`]'s; this decides when and on which thread.
     fn run_workflow(
         &self,
-        wf: &Workflow,
-        base_dir: &Path,
+        prepared: &PreparedWorkflow,
         provided: &Map,
         workdir: &Path,
         parent: u64,
         stager: &Arc<Stager>,
     ) -> Result<Map, String> {
-        // Check structure first (cheap; mirrors runners validating upfront).
-        wf.topo_order()?;
-
-        // Resolve workflow inputs.
-        let mut wf_inputs = Map::with_capacity(wf.inputs.len());
-        for key in provided.keys() {
-            if !wf.inputs.iter().any(|i| i.id == key) {
-                return Err(format!("unknown workflow input {key:?}"));
-            }
-        }
-        for input in &wf.inputs {
-            let raw = provided
-                .get(&input.id)
-                .cloned()
-                .or_else(|| input.default.clone())
-                .unwrap_or(Value::Null);
-            if raw.is_null() && !input.typ.allows_null() {
-                return Err(format!("missing required workflow input {:?}", input.id));
-            }
-            let v = normalize_value(&raw, &input.typ)
-                .map_err(|e| format!("workflow input {:?}: {e}", input.id))?;
-            wf_inputs.insert(input.id.clone(), v);
-        }
-
-        // Load each step's run target once.
-        let mut resolved: Vec<ResolvedStep> = Vec::with_capacity(wf.steps.len());
-        for step in &wf.steps {
-            let (doc, raw, step_base) = match &step.run {
-                RunRef::Path(p) => {
-                    let path = if Path::new(p).is_absolute() {
-                        PathBuf::from(p)
-                    } else {
-                        base_dir.join(p)
-                    };
-                    let raw = std::fs::read_to_string(&path).map_err(|e| {
-                        format!("step {:?}: cannot read {}: {e}", step.id, path.display())
-                    })?;
-                    let doc = load_document(
-                        &yamlite::parse_str(&raw)
-                            .map_err(|e| format!("step {:?}: {e}", step.id))?,
-                    )
-                    .map_err(|e| format!("step {:?}: {e}", step.id))?;
-                    let dir = path.parent().unwrap_or(base_dir).to_path_buf();
-                    (doc, Some(raw), dir)
-                }
-                inline @ RunRef::Inline(_) => {
-                    let doc = resolve_run(inline, base_dir)
-                        .map_err(|e| format!("step {:?}: {e}", step.id))?;
-                    (doc, None, base_dir.to_path_buf())
-                }
-            };
-            let target = match doc {
-                CwlDocument::Tool(tool) => StepTarget::Tool {
-                    engine: engine_for(&tool.requirements, self.profile.js_cost.clone())
-                        .map_err(|e| format!("step {:?}: {e}", step.id))?,
-                    tool: Box::new(tool),
-                },
-                CwlDocument::Workflow(_) if !wf.requirements.subworkflow => {
-                    return Err(format!(
-                        "step {:?} runs a nested workflow but \
-                         SubworkflowFeatureRequirement is absent",
-                        step.id
-                    ));
-                }
-                CwlDocument::Workflow(sub) => StepTarget::Workflow(Box::new(sub)),
-            };
-            resolved.push(ResolvedStep {
-                target,
-                raw,
-                base_dir: step_base,
-            });
-        }
-
-        // Expression engine for step-level valueFrom.
-        let wf_engine = engine_for(&wf.requirements, self.profile.js_cost.clone())?;
-
-        let mut completed: HashMap<String, Value> = HashMap::new();
+        let wf = &prepared.workflow;
+        let engine = prepared.engine.as_ref();
+        let resolved = step::resolve_workflow_inputs(wf, provided)?;
+        // Workflow inputs by id, then step outputs by `step/out` key.
+        let mut values: HashMap<String, Arc<Value>> = wf
+            .inputs
+            .iter()
+            .filter_map(|i| Some((i.id.clone(), resolved.get_shared(&i.id)?.clone())))
+            .collect();
         let mut done: HashSet<usize> = HashSet::new();
 
         while done.len() < wf.steps.len() {
@@ -361,13 +272,10 @@ impl WorkflowExecutor {
                 .filter(|i| !done.contains(i))
                 .filter(|&i| {
                     wf.steps[i].upstream_steps().iter().all(|up| {
-                        wf.step(up).is_some()
-                            && done.contains(
-                                &wf.steps
-                                    .iter()
-                                    .position(|s| &s.id == up)
-                                    .expect("validated"),
-                            )
+                        wf.steps
+                            .iter()
+                            .position(|s| &s.id == up)
+                            .is_some_and(|j| done.contains(&j))
                     })
                 })
                 .collect();
@@ -375,51 +283,36 @@ impl WorkflowExecutor {
                 return Err("workflow scheduling deadlock (cycle?)".to_string());
             }
 
-            // Expand every ready step into leaf jobs.
-            struct Job<'a> {
+            // Expand every ready step into leaf jobs. `valueFrom` is
+            // evaluated here, on the scheduling thread, one job after
+            // another — where cwltool and Toil build their job objects.
+            struct Job {
                 step_idx: usize,
                 scatter_idx: Option<usize>,
                 inputs: Map,
-                rstep: &'a ResolvedStep,
-                step: &'a Step,
             }
             let mut jobs: Vec<Job> = Vec::new();
+            // Per scattered step, its instances' outputs in instance order
+            // (present even when the step scatters over nothing).
+            let mut scattered: HashMap<usize, Vec<Map>> = HashMap::new();
             for &i in &ready {
                 let step = &wf.steps[i];
-                let rstep = &resolved[i];
-                let base = self.step_base_inputs(step, &wf_inputs, &completed)?;
-                if step.scatter.is_empty() {
-                    let inputs = self.apply_value_from(step, base, wf_engine.as_ref())?;
+                let base = step::gather_inputs(step, |src| values.get(src).cloned())?;
+                let instances: Vec<(Option<usize>, Map)> = match step::scatter_width(step, &base)? {
+                    None => vec![(None, base)],
+                    Some(n) => {
+                        scattered.insert(i, Vec::with_capacity(n));
+                        (0..n)
+                            .map(|k| (Some(k), step::scatter_instance(step, &base, k)))
+                            .collect()
+                    }
+                };
+                for (scatter_idx, instance) in instances {
                     jobs.push(Job {
                         step_idx: i,
-                        scatter_idx: None,
-                        inputs,
-                        rstep,
-                        step,
+                        scatter_idx,
+                        inputs: step::apply_value_from(step, engine, instance)?,
                     });
-                } else {
-                    let n = scatter_len(step, &base)?;
-                    for k in 0..n {
-                        let mut inst = base.clone();
-                        for target in &step.scatter {
-                            let arr = inst
-                                .get(target)
-                                .and_then(Value::as_seq)
-                                .expect("scatter_len validated arrays");
-                            let element = Arc::new(arr[k].clone());
-                            // `_shared`: the array replaced is still
-                            // shared with `base`; `insert` would copy it.
-                            inst.insert_shared(target.clone(), element);
-                        }
-                        let inputs = self.apply_value_from(step, inst, wf_engine.as_ref())?;
-                        jobs.push(Job {
-                            step_idx: i,
-                            scatter_idx: Some(k),
-                            inputs,
-                            rstep,
-                            step,
-                        });
-                    }
                 }
             }
 
@@ -441,111 +334,69 @@ impl WorkflowExecutor {
             // siblings — per-job stage-in then only links.
             self.prestage_wave(jobs.iter().map(|job| &job.inputs), stager);
 
-            // Run this wave's jobs on the bounded pool.
+            // Run this wave's jobs on the bounded pool; `when` is decided
+            // on the worker, next to the job it gates.
             let closures: Vec<_> = jobs
                 .iter()
                 .map(|job| {
-                    let job_dir = match job.scatter_idx {
-                        None => workdir.join(&job.step.id),
-                        Some(k) => workdir.join(format!("{}_{k}", job.step.id)),
-                    };
-                    let inputs = job.inputs.clone();
-                    let rstep = job.rstep;
-                    let step = job.step;
-                    // Scatter instances keep the index in the label but
-                    // share the bare step id in the lineage record.
+                    let step = &wf.steps[job.step_idx];
+                    let target = &prepared.targets[job.step_idx];
+                    // Scatter instances keep the index in the label (and
+                    // the job directory) but share the bare step id in
+                    // the lineage record.
                     let label = match job.scatter_idx {
                         None => step.id.clone(),
                         Some(k) => format!("{}_{k}", step.id),
                     };
-                    let wf_engine = &wf_engine;
+                    let job_dir = workdir.join(&label);
+                    let inputs = &job.inputs;
                     move || -> Result<Map, String> {
-                        // CWL v1.2 conditional execution: a falsy `when`
-                        // skips the step; its outputs become null.
-                        if let Some(when) = &step.when {
-                            let ctx = expr::EvalContext::from_inputs(Value::Map(inputs.clone()));
-                            let verdict = interpolate(when, wf_engine.as_ref(), &ctx)
-                                .map_err(|e| format!("step {:?} when: {e}", step.id))?;
-                            if !verdict.truthy() {
-                                let mut skipped = Map::with_capacity(step.out.len());
-                                for out_id in &step.out {
-                                    skipped.insert(out_id.clone(), Value::Null);
-                                }
-                                return Ok(skipped);
+                        if !step::should_run(step, engine, inputs)? {
+                            return Ok(step::skipped_outputs(step));
+                        }
+                        match target {
+                            StepTarget::Tool { tool, engine, raw } => self.run_tool_task(
+                                tool,
+                                engine.as_ref(),
+                                raw.as_deref(),
+                                inputs,
+                                &job_dir,
+                                &label,
+                                Some(&step.id),
+                                parent,
+                                stager,
+                            ),
+                            StepTarget::Workflow(sub) => {
+                                self.run_workflow(sub, inputs, &job_dir, parent, stager)
                             }
                         }
-                        match &rstep.target {
-                            StepTarget::Tool { tool, engine } => self
-                                .run_tool_task(
-                                    tool,
-                                    engine.as_ref(),
-                                    rstep.raw.as_deref(),
-                                    &inputs,
-                                    &job_dir,
-                                    &label,
-                                    Some(&step.id),
-                                    parent,
-                                    stager,
-                                )
-                                .map_err(|e| format!("step {:?}: {e}", step.id)),
-                            StepTarget::Workflow(sub) => self
-                                .run_workflow(
-                                    sub,
-                                    &rstep.base_dir,
-                                    &inputs,
-                                    &job_dir,
-                                    parent,
-                                    stager,
-                                )
-                                .map_err(|e| format!("step {:?}: {e}", step.id)),
-                        }
+                        .map_err(|e| format!("step {:?}: {e}", step.id))
                     }
                 })
                 .collect();
             let results = run_parallel(closures, self.profile.slots);
 
-            // Gather results back into `completed`.
-            let mut scatter_acc: HashMap<usize, Vec<Map>> = HashMap::new();
+            // Publish results for downstream steps.
             for (job, result) in jobs.iter().zip(results) {
                 let outputs = result?;
-                match job.scatter_idx {
-                    None => record_outputs(&wf.steps[job.step_idx], outputs, &mut completed)?,
-                    Some(_) => scatter_acc.entry(job.step_idx).or_default().push(outputs),
+                match scattered.get_mut(&job.step_idx) {
+                    None => step::record_outputs(&wf.steps[job.step_idx], &outputs, &mut values)?,
+                    Some(instances) => instances.push(outputs),
                 }
             }
-            for (step_idx, parts) in scatter_acc {
-                let step = &wf.steps[step_idx];
-                for out_id in &step.out {
-                    let collected: Result<Vec<Value>, String> = parts
-                        .iter()
-                        .map(|m| {
-                            m.get(out_id).cloned().ok_or_else(|| {
-                                format!("step {:?} did not produce output {out_id:?}", step.id)
-                            })
-                        })
-                        .collect();
-                    completed.insert(format!("{}/{}", step.id, out_id), Value::Seq(collected?));
-                }
+            for (step_idx, instances) in scattered {
+                step::gather_outputs(&wf.steps[step_idx], &instances, &mut values)?;
             }
-            for i in ready {
-                done.insert(i);
-            }
+            done.extend(ready);
         }
 
         // Wire workflow outputs.
         let mut outputs = Map::with_capacity(wf.outputs.len());
         for out in &wf.outputs {
-            let value = if out.output_source.contains('/') {
-                completed
-                    .get(&out.output_source)
-                    .cloned()
-                    .ok_or_else(|| format!("outputSource {:?} never produced", out.output_source))?
-            } else {
-                wf_inputs.get(&out.output_source).cloned().ok_or_else(|| {
-                    format!("outputSource {:?} is not an input", out.output_source)
-                })?
-            };
-            outputs.insert(out.id.clone(), value);
+            let value = values.get(&out.output_source).ok_or_else(|| {
+                format!("outputSource {:?} was never produced", out.output_source)
+            })?;
+            outputs.insert_shared(out.id.clone(), Arc::clone(value));
         }
         Ok(outputs)
     }
@@ -581,100 +432,6 @@ impl WorkflowExecutor {
             })
             .collect();
         let _ = run_parallel(jobs, self.profile.staging.pool.max(1));
-    }
-
-    /// Resolve a step's inputs from sources and defaults (pre-scatter,
-    /// pre-valueFrom).
-    fn step_base_inputs(
-        &self,
-        step: &Step,
-        wf_inputs: &Map,
-        completed: &HashMap<String, Value>,
-    ) -> Result<Map, String> {
-        let mut out = Map::with_capacity(step.inputs.len());
-        for input in &step.inputs {
-            let resolve_one = |src: &str| -> Result<Value, String> {
-                if src.contains('/') {
-                    completed.get(src).cloned().ok_or_else(|| {
-                        format!(
-                            "step {:?} input {:?}: source {src:?} not ready",
-                            step.id, input.id
-                        )
-                    })
-                } else {
-                    wf_inputs.get(src).cloned().ok_or_else(|| {
-                        format!(
-                            "step {:?} input {:?}: unknown workflow input {src:?}",
-                            step.id, input.id
-                        )
-                    })
-                }
-            };
-            let mut value = if input.is_multi_source() {
-                // Gather a source list according to linkMerge (default
-                // merge_nested: one array element per listed source).
-                let gathered: Vec<Value> = input
-                    .sources
-                    .iter()
-                    .map(|s| resolve_one(s))
-                    .collect::<Result<_, _>>()?;
-                match input.link_merge.as_deref().unwrap_or("merge_nested") {
-                    "merge_flattened" => {
-                        let mut flat = Vec::new();
-                        for v in gathered {
-                            match v {
-                                Value::Seq(items) => flat.extend(items),
-                                other => flat.push(other),
-                            }
-                        }
-                        Value::Seq(flat)
-                    }
-                    "merge_nested" => Value::Seq(gathered),
-                    other => {
-                        return Err(format!(
-                            "step {:?} input {:?}: unknown linkMerge method {other:?}",
-                            step.id, input.id
-                        ))
-                    }
-                }
-            } else {
-                match &input.source {
-                    Some(src) => resolve_one(src)?,
-                    None => Value::Null,
-                }
-            };
-            if value.is_null() {
-                if let Some(default) = &input.default {
-                    value = default.clone();
-                }
-            }
-            out.insert(input.id.clone(), value);
-        }
-        Ok(out)
-    }
-
-    /// Apply `valueFrom` transforms: each sees `inputs` (the full
-    /// pre-transform map) and `self` (its own current value).
-    fn apply_value_from(
-        &self,
-        step: &Step,
-        base: Map,
-        engine: &dyn ExpressionEngine,
-    ) -> Result<Map, String> {
-        let frozen = Value::Map(base.clone());
-        let mut out = base;
-        for input in &step.inputs {
-            if let Some(vf) = &input.value_from {
-                let mut ctx = EvalContext::from_inputs(frozen.clone());
-                ctx.self_ = out.get(&input.id).cloned().unwrap_or(Value::Null);
-                let v = interpolate(vf, engine, &ctx).map_err(|e| {
-                    format!("step {:?} input {:?} valueFrom: {e}", step.id, input.id)
-                })?;
-                // `_shared`: `frozen` still holds the replaced value.
-                out.insert_shared(input.id.clone(), Arc::new(v));
-            }
-        }
-        Ok(out)
     }
 }
 
@@ -743,49 +500,6 @@ fn collect_file_paths(value: &Value, out: &mut HashSet<PathBuf>) {
         }
         _ => {}
     }
-}
-
-/// Validate scatter targets are equal-length arrays; return the length.
-fn scatter_len(step: &Step, inputs: &Map) -> Result<usize, String> {
-    let mut len: Option<usize> = None;
-    for target in &step.scatter {
-        let arr = inputs.get(target).and_then(Value::as_seq).ok_or_else(|| {
-            format!(
-                "step {:?}: scatter target {target:?} is not an array",
-                step.id
-            )
-        })?;
-        match len {
-            None => len = Some(arr.len()),
-            Some(n) if n != arr.len() => {
-                return Err(format!(
-                    "step {:?}: scatter arrays have different lengths ({n} vs {})",
-                    step.id,
-                    arr.len()
-                ))
-            }
-            _ => {}
-        }
-    }
-    len.ok_or_else(|| format!("step {:?}: empty scatter", step.id))
-}
-
-/// Record a non-scattered step's outputs under `step/out` keys.
-fn record_outputs(
-    step: &Step,
-    outputs: Map,
-    completed: &mut HashMap<String, Value>,
-) -> Result<(), String> {
-    for out_id in &step.out {
-        let v = outputs.get(out_id).cloned().ok_or_else(|| {
-            format!(
-                "step {:?} did not produce declared output {out_id:?}",
-                step.id
-            )
-        })?;
-        completed.insert(format!("{}/{}", step.id, out_id), v);
-    }
-    Ok(())
 }
 
 #[cfg(test)]
