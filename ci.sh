@@ -21,6 +21,27 @@ fi
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Timer gate (DESIGN.md §4m): in the non-test part of ckpt and parsl (each
+# file up to its first #[cfg(test)]) every `sleep(` must say, on its own
+# line, why it is not a wakeable `Clock::wait` — so the next timer someone
+# puts on an exit path fails here instead of showing up as a 50 ms step in
+# the ledger. No timing is asserted anywhere: the tests that hang when a
+# periodic thread cannot be woken are the regression guard.
+unmarked_sleeps=$(awk '
+    FNR == 1 { in_tests = 0 }
+    /#\[cfg\(test\)\]/ { in_tests = 1 }
+    !in_tests && /sleep\(/ && !/\/\/ timer-ok: [^ ]/ {
+        printf "%s:%d:%s\n", FILENAME, FNR, $0
+    }
+' crates/ckpt/src/*.rs crates/parsl/src/*.rs)
+if [ -n "$unmarked_sleeps" ]; then
+    echo "error: sleep( without a same-line '// timer-ok: <reason>' marker:" >&2
+    echo "$unmarked_sleeps" >&2
+    echo "a periodic thread waits with Clock::wait and a StopSignal; see DESIGN.md §4m" >&2
+    exit 1
+fi
+echo "timer gate: every sleep( in ckpt and parsl carries its timer-ok reason"
+
 # Deterministic-simulation gate (DESIGN.md §4i): the invariant suite over a
 # fixed 50-seed matrix plus one rotating seed indexed by the CI run (falling
 # back to the date locally), so every CI run explores a schedule nobody has

@@ -9,6 +9,8 @@
 //! - every `class: File` object in the result still exists on disk — a
 //!   deleted or moved output means the task must re-run, not replay.
 
+use crate::Record;
+use std::fs::Metadata;
 use std::path::{Path, PathBuf};
 use yamlite::Value;
 
@@ -19,23 +21,80 @@ pub fn parse_result(serialized: &str) -> Result<Value, String> {
     yamlite::parse_str(serialized).map_err(|e| format!("ckpt: unparseable journaled result: {e}"))
 }
 
+/// A journal record whose result has been parsed — the form a record takes
+/// once the resume path has looked inside it, so the value it checked is
+/// the value the memo table is seeded with and nothing parses it twice.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Seed {
+    /// Task label — the memo key's first half.
+    pub label: String,
+    /// Input fingerprint — the memo key's second half.
+    pub fingerprint: u64,
+    /// The task's result, parsed from [`Record::result`].
+    pub value: Value,
+}
+
+impl Seed {
+    /// Parse `record`'s result; `Err` when it does not parse.
+    pub fn parse(record: &Record) -> Result<Seed, String> {
+        Ok(Seed {
+            label: record.label.clone(),
+            fingerprint: record.fingerprint,
+            value: parse_result(&record.result)?,
+        })
+    }
+}
+
+/// What a memo table needs from a journal record to be seeded from it.
+/// Implemented by the raw [`Record`] (parses on demand) and by [`Seed`]
+/// (already parsed), so a kernel seeds from either.
+pub trait SeedSource {
+    /// The memo key: task label and input fingerprint.
+    fn memo_key(&self) -> (&str, u64);
+    /// The recorded result; `Err` when it does not parse.
+    fn value(&self) -> Result<Value, String>;
+}
+
+impl SeedSource for Record {
+    fn memo_key(&self) -> (&str, u64) {
+        (&self.label, self.fingerprint)
+    }
+
+    fn value(&self) -> Result<Value, String> {
+        parse_result(&self.result)
+    }
+}
+
+impl SeedSource for Seed {
+    fn memo_key(&self) -> (&str, u64) {
+        (&self.label, self.fingerprint)
+    }
+
+    fn value(&self) -> Result<Value, String> {
+        Ok(self.value.clone())
+    }
+}
+
 /// Walk a result value and collect the `path` of every `class: File`
 /// object that no longer exists on disk. An empty return means the record
 /// is replayable as far as file outputs are concerned.
 pub fn missing_file_outputs(value: &Value) -> Vec<PathBuf> {
     let mut stale = Vec::new();
-    walk(value, &mut |_, _| true, false, &mut stale);
+    walk(value, &mut |_, _, _| true, false, &mut stale);
     stale
 }
 
 /// Like [`missing_file_outputs`], but a `class: File` that *does* exist
-/// is additionally checked against `verify(path, expected_checksum)` when
-/// the record carries a `checksum` — so an output truncated or modified
-/// in place invalidates the record instead of replaying as a stale memo
-/// hit. `verify` returns whether the on-disk content still matches.
+/// is additionally checked against `verify(path, metadata,
+/// expected_checksum)` when the record carries a `checksum` — so an output
+/// truncated or modified in place invalidates the record instead of
+/// replaying as a stale memo hit. `verify` returns whether the on-disk
+/// content still matches; it is handed the one `metadata()` this walk
+/// took of the file (which already answered "exists" and "size"), so it
+/// need not stat again.
 pub fn stale_file_outputs(
     value: &Value,
-    verify: &mut dyn FnMut(&Path, &str) -> bool,
+    verify: &mut dyn FnMut(&Path, &Metadata, &str) -> bool,
 ) -> Vec<PathBuf> {
     let mut stale = Vec::new();
     walk(value, verify, true, &mut stale);
@@ -44,7 +103,7 @@ pub fn stale_file_outputs(
 
 fn walk(
     value: &Value,
-    verify: &mut dyn FnMut(&Path, &str) -> bool,
+    verify: &mut dyn FnMut(&Path, &Metadata, &str) -> bool,
     check_content: bool,
     stale: &mut Vec<PathBuf>,
 ) {
@@ -54,22 +113,26 @@ fn walk(
             if is_file {
                 if let Some(path) = map.get("path").and_then(Value::as_str) {
                     let p = Path::new(path);
-                    if !p.exists() {
-                        stale.push(PathBuf::from(path));
-                    } else if check_content {
-                        if let Some(sum) = map.get("checksum").and_then(Value::as_str) {
-                            // Cheap pre-check: a recorded size mismatch is
-                            // already disqualifying without hashing.
-                            let size_ok = match map.get("size").and_then(Value::as_int) {
-                                Some(len) => std::fs::metadata(p)
-                                    .map(|m| m.len() == len as u64)
-                                    .unwrap_or(false),
-                                None => true,
-                            };
-                            if !size_ok || !verify(p, sum) {
-                                stale.push(PathBuf::from(path));
+                    // One stat answers existence, size and (for `verify`)
+                    // mtime.
+                    let fresh = match std::fs::metadata(p) {
+                        Err(_) => false,
+                        Ok(_) if !check_content => true,
+                        Ok(meta) => match map.get("checksum").and_then(Value::as_str) {
+                            None => true,
+                            Some(sum) => {
+                                // Cheap pre-check: a recorded size mismatch
+                                // is already disqualifying without hashing.
+                                let size_ok = map
+                                    .get("size")
+                                    .and_then(Value::as_int)
+                                    .is_none_or(|len| meta.len() == len as u64);
+                                size_ok && verify(p, &meta, sum)
                             }
-                        }
+                        },
+                    };
+                    if !fresh {
+                        stale.push(PathBuf::from(path));
                     }
                 }
             }
@@ -133,10 +196,10 @@ mod tests {
         let value = parse_result(&yaml).unwrap();
 
         // Digest verifier agrees: replayable.
-        assert!(stale_file_outputs(&value, &mut |_, _| true).is_empty());
+        assert!(stale_file_outputs(&value, &mut |_, _, _| true).is_empty());
         // Digest verifier disagrees: the existing file is stale.
         assert_eq!(
-            stale_file_outputs(&value, &mut |_, _| false),
+            stale_file_outputs(&value, &mut |_, _, _| false),
             vec![out.clone()]
         );
 
@@ -144,7 +207,7 @@ mod tests {
         // verifier runs.
         std::fs::write(&out, b"pay").unwrap();
         let mut called = false;
-        let stale = stale_file_outputs(&value, &mut |_, _| {
+        let stale = stale_file_outputs(&value, &mut |_, _, _| {
             called = true;
             true
         });

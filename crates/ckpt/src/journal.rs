@@ -18,17 +18,18 @@
 //! Because frames are only ever appended, a crash can damage at most the
 //! final frame. [`load`] stops at the first frame that is short, oversized,
 //! or fails its checksum and reports everything before it as the valid
-//! prefix; [`Journal::resume`] truncates the file to that prefix. A
+//! prefix; [`Journal::reopen`] truncates the file to that prefix. A
 //! corrupted *interior* frame therefore also drops everything after it —
 //! the cost of not maintaining a side index, and safe because dropped
 //! records only mean re-execution, never wrong results.
 
 use crate::crc32;
 use parking_lot::Mutex;
+use simtest::{StopSignal, Waited};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -88,10 +89,11 @@ pub enum SyncMode {
     /// fsync after every append: a record is durable the moment the task
     /// that produced it completes.
     TaskExit,
-    /// Appends hit the OS page cache immediately; a background flusher
-    /// fsyncs on this interval. Loses at most one interval of completions
-    /// on power failure (a process crash alone loses nothing — the page
-    /// cache survives it).
+    /// Appends hit the OS page cache immediately and never wait on an
+    /// fsync; a background flusher fsyncs every interval (exactly: the
+    /// deadlines are `interval` apart on the journal's clock). Loses at most
+    /// one interval of completions on power failure (a process crash alone
+    /// loses nothing — the page cache survives it).
     Periodic(Duration),
 }
 
@@ -286,19 +288,46 @@ pub fn load(path: &Path) -> Result<LoadedJournal, String> {
 
 // ----------------------------------------------------------------- writing
 
-struct WriterState {
+/// The durability half of an open journal: a second handle on the same open
+/// file (so an fsync never holds the append lock) and the two counters that
+/// say whether an fsync has anything to cover.
+struct Syncer {
     file: File,
+    /// Records written to the OS through this journal. Bumped *after* the
+    /// write returns, so an fsync that starts after reading `n` here covers
+    /// at least the first `n` records.
+    appended: AtomicUsize,
+    /// Records an fsync is known to cover.
+    synced: AtomicUsize,
+}
+
+impl Syncer {
+    /// fsync unless every appended record is already covered. A record
+    /// appended while an fsync is in flight is not counted as covered by
+    /// it: the target is read before the fsync starts.
+    fn sync(&self) -> Result<(), String> {
+        let target = self.appended.load(Ordering::SeqCst);
+        if self.synced.load(Ordering::SeqCst) >= target {
+            return Ok(());
+        }
+        self.file
+            .sync_data()
+            .map_err(|e| format!("ckpt: journal fsync failed: {e}"))?;
+        self.synced.fetch_max(target, Ordering::SeqCst);
+        Ok(())
+    }
 }
 
 /// An open journal accepting appends. Thread-safe; clone the `Arc` it is
-/// normally held in. Dropping the journal flushes and fsyncs outstanding
-/// appends and stops the periodic flusher, if any.
+/// normally held in. Dropping the journal fsyncs outstanding appends and
+/// stops the periodic flusher, if any, without waiting out its period.
 pub struct Journal {
     path: PathBuf,
     mode: SyncMode,
-    state: Arc<Mutex<WriterState>>,
-    appended: AtomicUsize,
-    stop: Arc<AtomicBool>,
+    /// The append handle; the lock keeps frames whole.
+    writer: Mutex<File>,
+    syncer: Arc<Syncer>,
+    stop: Arc<StopSignal>,
     flusher: Mutex<Option<JoinHandle<()>>>,
 }
 
@@ -339,7 +368,7 @@ impl Journal {
             .and_then(|_| file.sync_data())
             .map_err(|e| format!("ckpt: cannot write journal header: {e}"))?;
         sync_parent_dir(&path);
-        Ok(Self::from_file(path, file, mode, clock))
+        Self::from_file(path, file, mode, clock)
     }
 
     /// Open an existing journal for appending: verify it with [`load`],
@@ -360,7 +389,30 @@ impl Journal {
     ) -> Result<(Self, LoadedJournal), String> {
         let path = path.into();
         let loaded = load(&path)?;
-        let file = OpenOptions::new()
+        let journal = Self::open_verified(path, &loaded, mode, clock)?;
+        Ok((journal, loaded))
+    }
+
+    /// The second half of [`Journal::resume`], for a caller that has
+    /// already read the file with [`load`] (to check its run hash, say) and
+    /// should not pay to read and checksum it again: truncate the torn tail
+    /// `loaded` reports and open for appending at the end of its valid
+    /// prefix. `loaded` must come from this `path`, unmodified since.
+    pub fn reopen(
+        path: impl Into<PathBuf>,
+        loaded: &LoadedJournal,
+        mode: SyncMode,
+    ) -> Result<Self, String> {
+        Self::open_verified(path.into(), loaded, mode, simtest::real_clock())
+    }
+
+    fn open_verified(
+        path: PathBuf,
+        loaded: &LoadedJournal,
+        mode: SyncMode,
+        clock: simtest::ClockRef,
+    ) -> Result<Self, String> {
+        let mut file = OpenOptions::new()
             .write(true)
             .open(&path)
             .map_err(|e| format!("ckpt: cannot open journal {}: {e}", path.display()))?;
@@ -370,79 +422,77 @@ impl Journal {
                 .map_err(|e| format!("ckpt: cannot truncate torn tail: {e}"))?;
         }
         use std::io::Seek;
-        let mut file = file;
         file.seek(std::io::SeekFrom::End(0))
             .map_err(|e| format!("ckpt: cannot seek journal: {e}"))?;
-        Ok((Self::from_file(path, file, mode, clock), loaded))
+        Self::from_file(path, file, mode, clock)
     }
 
-    fn from_file(path: PathBuf, file: File, mode: SyncMode, clock: simtest::ClockRef) -> Self {
-        let state = Arc::new(Mutex::new(WriterState { file }));
-        let stop = Arc::new(AtomicBool::new(false));
+    fn from_file(
+        path: PathBuf,
+        file: File,
+        mode: SyncMode,
+        clock: simtest::ClockRef,
+    ) -> Result<Self, String> {
+        let syncer = Arc::new(Syncer {
+            file: file
+                .try_clone()
+                .map_err(|e| format!("ckpt: cannot open journal {}: {e}", path.display()))?,
+            appended: AtomicUsize::new(0),
+            synced: AtomicUsize::new(0),
+        });
+        let stop = Arc::new(StopSignal::new());
         let flusher = if let SyncMode::Periodic(period) = mode {
-            let state = state.clone();
+            let syncer = syncer.clone();
             let stop = stop.clone();
+            // A zero period would spin; the config loader already floors it.
+            let period = period.max(Duration::from_millis(1));
             Some(std::thread::spawn(move || {
-                // Short ticks (on the journal's clock) so a stop request is
-                // honoured promptly even when the period is long.
-                let tick = period
-                    .min(Duration::from_millis(50))
-                    .max(Duration::from_millis(1));
-                let mut since_sync = Duration::ZERO;
-                while !stop.load(Ordering::Relaxed) {
-                    clock.sleep(tick);
-                    since_sync += tick;
-                    if since_sync >= period {
-                        let _ = state.lock().file.sync_data();
-                        since_sync = Duration::ZERO;
-                    }
+                // One wait per period, deadlines exactly `period` apart on
+                // the journal's clock, ended early only by the stop signal.
+                let mut deadline = clock.now() + period;
+                while clock.wait(deadline.saturating_sub(clock.now()), &stop) == Waited::Elapsed {
+                    let _ = syncer.sync();
+                    deadline += period;
                 }
             }))
         } else {
             None
         };
-        Self {
+        Ok(Self {
             path,
             mode,
-            state,
-            appended: AtomicUsize::new(0),
+            writer: Mutex::new(file),
+            syncer,
             stop,
             flusher: Mutex::new(flusher),
-        }
+        })
     }
 
     /// Append one task record. In [`SyncMode::TaskExit`] the record is
-    /// durable (fsync'd) when this returns.
+    /// durable (fsync'd) when this returns; in [`SyncMode::Periodic`] it
+    /// returns as soon as the OS has the bytes.
     pub fn append(&self, record: &Record) -> Result<(), String> {
         let buf = frame(&encode_record(record));
-        let mut state = self.state.lock();
-        state
-            .file
+        self.writer
+            .lock()
             .write_all(&buf)
             .map_err(|e| format!("ckpt: journal append failed: {e}"))?;
+        self.syncer.appended.fetch_add(1, Ordering::SeqCst);
         if self.mode == SyncMode::TaskExit {
-            state
-                .file
-                .sync_data()
-                .map_err(|e| format!("ckpt: journal fsync failed: {e}"))?;
+            self.syncer.sync()?;
         }
-        drop(state);
-        self.appended.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
-    /// Force outstanding appends to stable storage.
+    /// Force outstanding appends to stable storage (a no-op when every
+    /// append is already covered by an earlier fsync).
     pub fn flush(&self) -> Result<(), String> {
-        self.state
-            .lock()
-            .file
-            .sync_data()
-            .map_err(|e| format!("ckpt: journal fsync failed: {e}"))
+        self.syncer.sync()
     }
 
     /// Records appended through this handle (not counting pre-existing ones).
     pub fn appended(&self) -> usize {
-        self.appended.load(Ordering::Relaxed)
+        self.syncer.appended.load(Ordering::SeqCst)
     }
 
     /// The journal file's path.
@@ -453,11 +503,11 @@ impl Journal {
 
 impl Drop for Journal {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        self.stop.raise();
         if let Some(h) = self.flusher.lock().take() {
             let _ = h.join();
         }
-        let _ = self.state.lock().file.sync_data();
+        let _ = self.syncer.sync();
     }
 }
 
@@ -474,6 +524,7 @@ fn sync_parent_dir(path: &Path) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simtest::Clock as _;
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("ckpt-test-{}", std::process::id()));
@@ -638,6 +689,130 @@ mod tests {
         let loaded = load(&path).unwrap();
         assert!(!loaded.torn);
         assert_eq!(loaded.records.len(), 10);
+    }
+
+    #[test]
+    fn drop_wakes_a_flusher_parked_for_an_hour() {
+        // Manual virtual clock, never advanced: the flusher can only leave
+        // its hour-long wait by being woken. At a sleep-then-check flusher
+        // this drop never returns.
+        let path = tmp("wakeable.ckpt");
+        let _ = std::fs::remove_file(&path);
+        let vc = simtest::VirtualClock::new();
+        vc.set_auto(false);
+        let journal = Journal::create_with_clock(
+            &path,
+            &header(),
+            SyncMode::Periodic(Duration::from_secs(3600)),
+            vc.clone(),
+        )
+        .unwrap();
+        journal.append(&rec("t", 1)).unwrap();
+        assert!(
+            simtest::wait_until(Duration::from_secs(20), || vc.sleeper_count() == 1),
+            "flusher never parked on the journal's clock"
+        );
+        assert!(
+            simtest::returns_within(Duration::from_secs(20), move || drop(journal)).is_some(),
+            "Journal::drop waited out the flusher's period"
+        );
+        assert_eq!(vc.sleeper_count(), 0, "the flusher left a deadline behind");
+        assert_eq!(vc.now(), Duration::ZERO, "a cancelled wait moved time");
+        assert_eq!(load(&path).unwrap().records.len(), 1);
+    }
+
+    #[test]
+    fn periodic_flusher_syncs_once_per_period_on_its_clock() {
+        let path = tmp("cadence.ckpt");
+        let _ = std::fs::remove_file(&path);
+        let vc = simtest::VirtualClock::new();
+        vc.set_auto(false);
+        let period = Duration::from_secs(30);
+        let journal =
+            Journal::create_with_clock(&path, &header(), SyncMode::Periodic(period), vc.clone())
+                .unwrap();
+        let parked = || simtest::wait_until(Duration::from_secs(20), || vc.sleeper_count() == 1);
+        let synced = |n: usize| {
+            simtest::wait_until(Duration::from_secs(20), || {
+                journal.syncer.synced.load(Ordering::SeqCst) == n
+            })
+        };
+        journal.append(&rec("a", 1)).unwrap();
+        assert!(parked());
+        // One tick short of the period: nothing synced yet.
+        vc.advance(period - Duration::from_millis(1));
+        assert!(parked());
+        assert_eq!(journal.syncer.synced.load(Ordering::SeqCst), 0);
+        vc.advance(Duration::from_millis(1));
+        assert!(synced(1), "the flusher syncs when its period elapses");
+        // The next deadline is one full period on, not a tick.
+        assert!(parked());
+        journal.append(&rec("b", 2)).unwrap();
+        vc.advance(period - Duration::from_millis(1));
+        assert!(parked());
+        assert_eq!(journal.syncer.synced.load(Ordering::SeqCst), 1);
+        vc.advance(Duration::from_millis(1));
+        assert!(synced(2));
+    }
+
+    #[test]
+    fn sync_skips_when_nothing_was_appended_since_the_last_one() {
+        let path = tmp("skip.ckpt");
+        let _ = std::fs::remove_file(&path);
+        let journal = Journal::create(
+            &path,
+            &header(),
+            SyncMode::Periodic(Duration::from_secs(3600)),
+        )
+        .unwrap();
+        let synced = || journal.syncer.synced.load(Ordering::SeqCst);
+        journal.flush().unwrap();
+        assert_eq!(synced(), 0, "nothing appended: nothing to cover");
+        journal.append(&rec("a", 1)).unwrap();
+        journal.append(&rec("b", 2)).unwrap();
+        assert_eq!(synced(), 0, "periodic appends do not sync");
+        journal.flush().unwrap();
+        assert_eq!(synced(), 2);
+        // A record appended after a sync's target was read is not counted
+        // as covered by it: the next sync must run.
+        journal.append(&rec("c", 3)).unwrap();
+        assert_eq!(synced(), 2);
+        journal.flush().unwrap();
+        assert_eq!(synced(), 3);
+
+        // TaskExit: every append is covered when it returns, so the final
+        // flush and the drop have nothing left to do.
+        let path = tmp("skip-taskexit.ckpt");
+        let _ = std::fs::remove_file(&path);
+        let journal = Journal::create(&path, &header(), SyncMode::TaskExit).unwrap();
+        journal.append(&rec("a", 1)).unwrap();
+        assert_eq!(journal.syncer.synced.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn reopen_uses_the_load_it_is_given() {
+        let path = tmp("reopen.ckpt");
+        let _ = std::fs::remove_file(&path);
+        let journal = Journal::create(&path, &header(), SyncMode::TaskExit).unwrap();
+        journal.append(&rec("a", 1)).unwrap();
+        drop(journal);
+        let good_len = std::fs::metadata(&path).unwrap().len();
+        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+        f.write_all(&[0x10, 0x00, 0x00]).unwrap();
+        drop(f);
+
+        let loaded = load(&path).unwrap();
+        assert!(loaded.torn);
+        // `load` alone never modifies the file; `reopen` truncates to the
+        // prefix that load verified and appends after it.
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), good_len + 3);
+        let journal = Journal::reopen(&path, &loaded, SyncMode::TaskExit).unwrap();
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), good_len);
+        journal.append(&rec("b", 2)).unwrap();
+        drop(journal);
+        let reloaded = load(&path).unwrap();
+        assert!(!reloaded.torn);
+        assert_eq!(reloaded.records, vec![rec("a", 1), rec("b", 2)]);
     }
 
     #[test]

@@ -13,14 +13,16 @@
 //!   crash can only damage the final record, never an earlier one.
 //! - **Torn-tail recovery.** [`load`] walks the frames and stops at the
 //!   first short, oversized, or checksum-failing frame, reporting the valid
-//!   prefix; [`Journal::resume`] truncates the file there so the damaged
-//!   tail cannot poison later appends.
+//!   prefix; [`Journal::resume`] (or [`Journal::reopen`], for a caller that
+//!   already holds the load) truncates the file there so the damaged tail
+//!   cannot poison later appends.
 //! - **Run binding.** The header frame stores a caller-supplied `run_hash`
 //!   (workflow content + root inputs). A resume against a different hash
 //!   must invalidate the journal instead of trusting it.
 //! - **Sync modes.** [`SyncMode::TaskExit`] fsyncs on every append (maximum
 //!   durability); [`SyncMode::Periodic`] batches appends and a background
-//!   flusher syncs on an interval (cheaper, bounded loss window).
+//!   flusher syncs on an interval (cheaper, bounded loss window). Either
+//!   way an fsync is skipped when no append has happened since the last one.
 //!
 //! Trust rules for loaded records live in [`invalidate`]: results that name
 //! `class: File` outputs are only replayable while those paths still exist.
@@ -30,6 +32,7 @@ pub mod invalidate;
 mod journal;
 
 pub use crc32::crc32;
+pub use invalidate::{Seed, SeedSource};
 pub use journal::{load, Header, Journal, LoadedJournal, Record, SyncMode, MAGIC};
 
 /// FNV-1a over a byte slice, chained from `seed` (use [`FNV_OFFSET`] to

@@ -17,12 +17,18 @@
 //!    path that no longer exists is dropped (the task re-runs); records are
 //!    also deduplicated last-wins so a re-run's fresh record supersedes the
 //!    invalidated one on the next resume.
+//!
+//! The pass is single: the file is read and checksummed once, each
+//! surviving record's result is parsed once (the parsed value is what the
+//! kernel is seeded with), and each `class: File` costs one `metadata()`.
 
 use crate::config::CheckpointSettings;
-use ckpt::{Header, Journal, LoadedJournal, Record};
+use ckpt::{Header, Journal, Record, Seed};
 use cwl::loader::{load_file, CwlDocument};
 use cwl::workflow::RunRef;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
+use std::fs::Metadata;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use yamlite::{Map, Value};
@@ -73,10 +79,11 @@ fn hash_document(path: &Path, mut h: u64, visited: &mut HashSet<PathBuf>) -> Res
 pub struct PreparedCkpt {
     /// The open journal the kernel will append to.
     pub journal: Arc<Journal>,
-    /// Validated records to seed the memo table with.
-    pub seed: Vec<Record>,
-    /// Records rejected during validation (stale hash, missing output
-    /// files). Parse failures surface later via `seed_checkpoint`.
+    /// Validated records, results already parsed, to seed the memo table
+    /// with.
+    pub seed: Vec<Seed>,
+    /// Records rejected during validation (stale hash, superseded
+    /// duplicates, unparseable results, missing or changed output files).
     pub invalidated: usize,
     /// Whether a torn tail was truncated on load.
     pub torn: bool,
@@ -123,6 +130,22 @@ pub fn prepare(
     resume: Option<&Path>,
     hash: u64,
     label: &str,
+) -> Result<Option<PreparedCkpt>, String> {
+    prepare_with_pool(settings, workdir, resume, hash, label, 1)
+}
+
+/// [`prepare`], validating a resumed journal's records on `pool` threads.
+/// In a fresh process the digest index is cold, so every replayed output is
+/// re-read and re-hashed before the kernel may start; the CLI hands that to
+/// the pool it already has configured for parallel file work
+/// (`staging.pool`). The outcome is the same for every `pool`.
+pub fn prepare_with_pool(
+    settings: &CheckpointSettings,
+    workdir: &Path,
+    resume: Option<&Path>,
+    hash: u64,
+    label: &str,
+    pool: usize,
 ) -> Result<Option<PreparedCkpt>, String> {
     let Some(sync) = settings.sync_mode() else {
         if resume.is_some() {
@@ -176,70 +199,158 @@ pub fn prepare(
         }));
     }
 
-    let (journal, loaded) = Journal::resume(&path, sync)?;
-    let torn = loaded.torn;
-    let (seed, invalidated) = validate_records(loaded);
+    let journal = Journal::reopen(&path, &loaded, sync)?;
+    let (seed, invalidated) = validate_records(&loaded.records, pool);
     Ok(Some(PreparedCkpt {
         journal: Arc::new(journal),
         seed,
         invalidated,
-        torn,
+        torn: loaded.torn,
         stale: false,
     }))
 }
 
 /// Apply the record-level trust rules: deduplicate by memo key (last
 /// record wins — a re-run after invalidation supersedes the stale entry)
-/// and drop records whose `class: File` outputs no longer exist or whose
-/// on-disk content no longer matches the recorded digest (a truncated or
-/// modified-in-place output re-runs instead of replaying).
-fn validate_records(loaded: LoadedJournal) -> (Vec<Record>, usize) {
-    let total = loaded.records.len();
-    let mut by_key: HashMap<(String, u64), Record> = HashMap::new();
-    let mut order: Vec<(String, u64)> = Vec::new();
-    for rec in loaded.records {
-        let key = (rec.label.clone(), rec.fingerprint);
-        if by_key.insert(key.clone(), rec).is_none() {
-            order.push(key);
-        }
-    }
-    let mut seed = Vec::new();
-    let mut invalidated = total - order.len();
-    let mut verify = |path: &Path, expected: &str| content_matches(path, expected);
-    for key in order {
-        let rec = by_key.remove(&key).expect("key recorded on insert");
-        match ckpt::invalidate::parse_result(&rec.result) {
-            Ok(value) if ckpt::invalidate::stale_file_outputs(&value, &mut verify).is_empty() => {
-                seed.push(rec)
+/// and drop records whose result does not parse, whose `class: File`
+/// outputs no longer exist, or whose on-disk content no longer matches the
+/// recorded digest (a truncated or modified-in-place output re-runs instead
+/// of replaying). Survivors keep the order their keys first appeared in.
+///
+/// Two phases. The first, on this thread, parses each record and checks its
+/// Files against the digest index — a stat and a hash-map probe per File,
+/// which is all a warm index (same process as the data plane) ever costs.
+/// Files the index does not know (every File, in a fresh process) are only
+/// collected; the second phase reads and hashes them on `pool` threads, and
+/// spawns nothing when there are none.
+fn validate_records(records: &[Record], pool: usize) -> (Vec<Seed>, usize) {
+    let mut slot_of: HashMap<(&str, u64), usize> = HashMap::with_capacity(records.len());
+    let mut latest: Vec<&Record> = Vec::with_capacity(records.len());
+    for rec in records {
+        match slot_of.entry((rec.label.as_str(), rec.fingerprint)) {
+            Entry::Occupied(slot) => latest[*slot.get()] = rec,
+            Entry::Vacant(slot) => {
+                slot.insert(latest.len());
+                latest.push(rec);
             }
-            _ => invalidated += 1,
         }
     }
+
+    let mut unhashed: Vec<Unhashed> = Vec::new();
+    let mut seeds: Vec<Option<Seed>> = latest
+        .iter()
+        .enumerate()
+        .map(|(record, rec)| {
+            let seed = Seed::parse(rec).ok()?;
+            let mut verify = |path: &Path, meta: &Metadata, expected: &str| {
+                match indexed_verdict(path, meta, expected) {
+                    Indexed::Verdict(matches) => matches,
+                    Indexed::Unknown {
+                        canonical,
+                        want_hash,
+                    } => {
+                        // Provisionally fresh; phase two has the last word.
+                        unhashed.push(Unhashed {
+                            record,
+                            path: path.to_path_buf(),
+                            canonical,
+                            meta: meta.clone(),
+                            want_hash,
+                        });
+                        true
+                    }
+                }
+            };
+            ckpt::invalidate::stale_file_outputs(&seed.value, &mut verify)
+                .is_empty()
+                .then_some(seed)
+        })
+        .collect();
+
+    let matches = datastore::par_map(&unhashed, pool, Unhashed::hash_matches);
+    for (file, matches) in unhashed.iter().zip(matches) {
+        if !matches {
+            seeds[file.record] = None;
+        }
+    }
+    let seed: Vec<Seed> = seeds.into_iter().flatten().collect();
+    let invalidated = records.len() - seed.len();
     (seed, invalidated)
 }
 
-/// Does the file's current content match a recorded `checksum` string?
-/// Unknown checksum formats replay (fail open: the format predates or
-/// postdates this build; existence was already checked). Hashing goes
-/// through the process-global digest index, so a file the data plane
-/// already ingested costs a metadata stat, not a re-read.
-fn content_matches(path: &Path, expected: &str) -> bool {
+/// A journaled File the digest index could not vouch for: it has to be
+/// read and hashed before its record may replay.
+struct Unhashed {
+    /// Position of the owning record among the deduplicated records.
+    record: usize,
+    path: PathBuf,
+    canonical: Option<PathBuf>,
+    meta: Metadata,
+    want_hash: u64,
+}
+
+/// What the process-global digest index can say, for the caller's one stat
+/// and no read, about whether a file still matches its recorded checksum.
+enum Indexed {
+    /// It matches or it does not: a file the data plane already ingested —
+    /// or a checksum format this build does not know, which replays (fail
+    /// open: the format predates or postdates this build; existence was
+    /// already checked).
+    Verdict(bool),
+    /// The index does not know the file; `canonical` is the key to record
+    /// its digest under, when the path resolves.
+    Unknown {
+        canonical: Option<PathBuf>,
+        want_hash: u64,
+    },
+}
+
+fn indexed_verdict(path: &Path, meta: &Metadata, expected: &str) -> Indexed {
     let Some(want_hash) = expected
         .strip_prefix("xxh64:")
         .and_then(|hex| u64::from_str_radix(hex, 16).ok())
     else {
-        return true;
+        return Indexed::Verdict(true);
     };
-    if let Some(d) = datastore::index::global().lookup_current(path) {
-        return d.hash == want_hash;
+    let index = datastore::index::global();
+    // Index keys are canonical paths, so a recorded path that equals a key
+    // names that very file: probe with the path as written and pay for a
+    // realpath only on a miss (a path through a symlink never equals a key
+    // and must fall back, not fail open).
+    if let Some(d) = index.lookup(path, meta) {
+        return Indexed::Verdict(d.hash == want_hash);
     }
-    match datastore::Digest::of_file(path) {
-        Ok(d) => {
-            if let (Ok(canonical), Ok(meta)) = (path.canonicalize(), std::fs::metadata(path)) {
-                datastore::index::global().record(&canonical, &meta, d);
-            }
-            d.hash == want_hash
-        }
-        Err(_) => false,
+    let canonical = path.canonicalize().ok();
+    if let Some(d) = canonical.as_deref().and_then(|c| index.lookup(c, meta)) {
+        return Indexed::Verdict(d.hash == want_hash);
+    }
+    Indexed::Unknown {
+        canonical,
+        want_hash,
+    }
+}
+
+impl Unhashed {
+    /// Read and hash the file (unless another record's copy of the same
+    /// File got there first) and remember the digest for the data plane.
+    fn hash_matches(&self) -> bool {
+        let index = datastore::index::global();
+        let known = self
+            .canonical
+            .as_deref()
+            .and_then(|c| index.lookup(c, &self.meta));
+        let digest = match known {
+            Some(d) => d,
+            None => match datastore::Digest::of_file(&self.path) {
+                Ok(d) => {
+                    if let Some(canonical) = &self.canonical {
+                        index.record(canonical, &self.meta, d);
+                    }
+                    d
+                }
+                Err(_) => return false,
+            },
+        };
+        digest.hash == self.want_hash
     }
 }

@@ -39,7 +39,7 @@
 //! checkpoint:             # durable crash-resume journal
 //!   mode: task-exit       # off | task-exit | periodic
 //!   dir: ./work/ckpt      # journal directory (default: <workdir>/ckpt)
-//!   period_ms: 500        # fsync interval for periodic mode
+//!   period_ms: 500        # periodic mode: the exact fsync period
 //! staging:                # content-addressed data plane
 //!   mode: auto            # copy | link | auto (default auto)
 //!   dir: /shared/cas      # shared store (default: per-run <workdir>/cas)
@@ -158,7 +158,8 @@ pub struct CheckpointSettings {
     pub mode: CheckpointMode,
     /// Journal directory; `None` defaults to `<workdir>/ckpt` at run time.
     pub dir: Option<PathBuf>,
-    /// fsync interval for [`CheckpointMode::Periodic`].
+    /// fsync period for [`CheckpointMode::Periodic`] (exact: the flusher's
+    /// deadlines are this far apart).
     pub period: Duration,
 }
 

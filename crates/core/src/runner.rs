@@ -144,7 +144,14 @@ pub fn run_tool_cli_resumable(
             .file_name()
             .map(|s| s.to_string_lossy().into_owned())
             .unwrap_or_default();
-        checkpoint::prepare(&config.checkpoint, &config.workdir, resume, hash, &label)?
+        checkpoint::prepare_with_pool(
+            &config.checkpoint,
+            &config.workdir,
+            resume,
+            hash,
+            &label,
+            config.staging.pool,
+        )?
     } else {
         None
     };

@@ -46,6 +46,38 @@ pub enum Ingest {
 /// What one ingest produced: digest, object path, and how it got there.
 pub type IngestResult = std::io::Result<(Digest, PathBuf, Ingest)>;
 
+/// Map `f` over `items` on a bounded pool of scoped threads, each claiming
+/// the next unclaimed item, so uneven per-item cost (one file to hash, the
+/// next an index hit) balances itself. Result order matches input order.
+/// With one worker (or one item) it runs on the calling thread.
+pub fn par_map<T: Sync, R: Send>(
+    items: &[T],
+    workers: usize,
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    let workers = workers.min(items.len());
+    if workers <= 1 {
+        return items.iter().map(f).collect();
+    }
+    let next = AtomicU64::new(0);
+    let results: Vec<Mutex<Option<R>>> = (0..items.len()).map(|_| Mutex::new(None)).collect();
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed) as usize;
+                if i >= items.len() {
+                    break;
+                }
+                *results[i].lock() = Some(f(&items[i]));
+            });
+        }
+    });
+    results
+        .into_iter()
+        .map(|slot| slot.into_inner().expect("every slot filled"))
+        .collect()
+}
+
 /// A content-addressed store rooted at one directory.
 pub struct ContentStore {
     root: PathBuf,
@@ -122,25 +154,7 @@ impl ContentStore {
         paths: &[PathBuf],
         workers: usize,
     ) -> Vec<IngestResult> {
-        let workers = workers.max(1).min(paths.len().max(1));
-        let next = AtomicU64::new(0);
-        let results: Vec<Mutex<Option<IngestResult>>> =
-            (0..paths.len()).map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed) as usize;
-                    if i >= paths.len() {
-                        break;
-                    }
-                    *results[i].lock() = Some(self.ingest(&paths[i]));
-                });
-            }
-        });
-        results
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("every slot filled"))
-            .collect()
+        par_map(paths, workers, |p| self.ingest(p))
     }
 
     fn materialize(&self, src: &Path, d: &Digest) -> std::io::Result<(PathBuf, Ingest)> {

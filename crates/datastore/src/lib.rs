@@ -24,6 +24,6 @@ pub mod digest;
 pub mod index;
 pub mod stage;
 
-pub use cas::{ContentStore, Ingest};
+pub use cas::{par_map, ContentStore, Ingest};
 pub use digest::{Digest, Xxh64};
 pub use stage::{Method, StageMode, StageStats, Staged, Stager};

@@ -467,33 +467,45 @@ impl DataFlowKernel {
         self.outstanding.load(Ordering::Acquire)
     }
 
-    /// Seed the memo table from journal records loaded on resume. Records
-    /// whose result fails to parse are skipped (counted as the second
-    /// element of the return value); callers have already applied the
-    /// stale-hash and missing-file invalidation rules. Later memo hits on
-    /// seeded keys are counted as *replays*, not plain memo hits.
+    /// Seed the memo table from journal records loaded on resume — raw
+    /// [`ckpt::Record`]s, or [`ckpt::Seed`]s whose results the caller has
+    /// already parsed while validating them. Records whose result fails to
+    /// parse are skipped (counted as the second element of the return
+    /// value); callers have already applied the stale-hash and missing-file
+    /// invalidation rules. Later memo hits on seeded keys are counted as
+    /// *replays*, not plain memo hits.
     ///
     /// No-op (all records "invalid") when the kernel has no checkpoint
     /// journal — seeding without one would replay results that nothing
     /// guards.
-    pub fn seed_checkpoint(&self, records: &[ckpt::Record]) -> (usize, usize) {
-        let Some(ckpt) = &self.ckpt else {
-            return (0, records.len());
-        };
-        let mut seeded = 0usize;
+    pub fn seed_checkpoint<R: ckpt::SeedSource>(&self, records: &[R]) -> (usize, usize) {
+        match &self.ckpt {
+            Some(ckpt) => self.seed_memo(&ckpt.seeded, records),
+            None => (0, records.len()),
+        }
+    }
+
+    /// Insert each record's result into the memo table and note its key in
+    /// `seeded`; returns `(seeded, unparseable)`.
+    fn seed_memo<R: ckpt::SeedSource>(
+        &self,
+        seeded: &Mutex<std::collections::HashSet<(Arc<str>, u64)>>,
+        records: &[R],
+    ) -> (usize, usize) {
+        let mut keys = seeded.lock();
         let mut invalid = 0usize;
         for rec in records {
-            match ckpt::invalidate::parse_result(&rec.result) {
+            match rec.value() {
                 Ok(value) => {
-                    let label: Arc<str> = Arc::from(rec.label.as_str());
-                    ckpt.seeded.lock().insert((label.clone(), rec.fingerprint));
-                    self.memo.insert(label, rec.fingerprint, value);
-                    seeded += 1;
+                    let (label, fingerprint) = rec.memo_key();
+                    let label: Arc<str> = Arc::from(label);
+                    keys.insert((label.clone(), fingerprint));
+                    self.memo.insert(label, fingerprint, value);
                 }
                 Err(_) => invalid += 1,
             }
         }
-        (seeded, invalid)
+        (records.len() - invalid, invalid)
     }
 
     /// Record that a task originated from a CWL workflow step, so its
@@ -538,24 +550,15 @@ impl DataFlowKernel {
     /// fingerprints are already namespace-mixed, so hits land only on
     /// tasks tagged with the same workflow namespace. Returns
     /// `(seeded, invalid)`; no-op when `run` has no attached journal.
-    pub fn seed_run_checkpoint(&self, run: u64, records: &[ckpt::Record]) -> (usize, usize) {
-        let Some(rc) = self.run_ckpt(run) else {
-            return (0, records.len());
-        };
-        let mut seeded = 0usize;
-        let mut invalid = 0usize;
-        for rec in records {
-            match ckpt::invalidate::parse_result(&rec.result) {
-                Ok(value) => {
-                    let label: Arc<str> = Arc::from(rec.label.as_str());
-                    rc.seeded.lock().insert((label.clone(), rec.fingerprint));
-                    self.memo.insert(label, rec.fingerprint, value);
-                    seeded += 1;
-                }
-                Err(_) => invalid += 1,
-            }
+    pub fn seed_run_checkpoint<R: ckpt::SeedSource>(
+        &self,
+        run: u64,
+        records: &[R],
+    ) -> (usize, usize) {
+        match self.run_ckpt(run) {
+            Some(rc) => self.seed_memo(&rc.seeded, records),
+            None => (0, records.len()),
         }
-        (seeded, invalid)
     }
 
     /// Checkpoint activity for one service run, when its journal is
@@ -960,7 +963,7 @@ impl DataFlowKernel {
                             let _ = std::thread::Builder::new()
                                 .name(format!("backoff-{}", task.id))
                                 .spawn(move || {
-                                    dfk.clock.sleep(delay);
+                                    dfk.clock.sleep(delay); // timer-ok: retry backoff, a modelled delay
                                     dfk.attempt(task, vals, fingerprint);
                                 });
                         }

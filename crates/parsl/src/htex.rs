@@ -47,6 +47,7 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use gridsim::{FaultPlan, LatencyModel};
 use obs::{names, Observability, SpanKind};
 use parking_lot::Mutex;
+use simtest::{StopSignal, Waited};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
@@ -209,7 +210,10 @@ pub struct HighThroughputExecutor {
     /// Tasks submitted minus tasks finished — used by the scaling strategy.
     outstanding: AtomicUsize,
     next_seq: AtomicU64,
-    closed: AtomicBool,
+    /// Raised once by [`Executor::shutdown`]: the "closed" flag every path
+    /// reads, and the signal that wakes the heartbeat and monitor threads
+    /// out of their per-period waits so the joins below never wait one out.
+    stop: Arc<StopSignal>,
     /// Set when every node is lost and no replacement could be provisioned;
     /// pending tasks then fail with [`TaskError::ExecutorLost`].
     failed: AtomicBool,
@@ -246,7 +250,7 @@ impl HighThroughputExecutor {
             batch_size: config.batch_size.max(1),
             outstanding: AtomicUsize::new(0),
             next_seq: AtomicU64::new(1),
-            closed: AtomicBool::new(false),
+            stop: Arc::new(StopSignal::new()),
             failed: AtomicBool::new(false),
             clock: config.clock,
             log: Mutex::new(None),
@@ -351,12 +355,13 @@ impl HighThroughputExecutor {
                 let mgr_for_beat = mgr.clone();
                 let plan = self.fault_plan.clone();
                 let period = self.heartbeat_period;
+                let stop = self.stop.clone();
                 let me = Arc::downgrade(self);
                 let clock = self.clock.clone();
                 *mgr.heartbeat.lock() = Some(
                     std::thread::Builder::new()
                         .name(format!("{}-{node_name}-hb", self.label))
-                        .spawn(move || heartbeat_loop(mgr_for_beat, period, plan, me, clock))
+                        .spawn(move || heartbeat_loop(mgr_for_beat, period, plan, stop, me, clock))
                         .map_err(|e| format!("failed to spawn HTEX heartbeat: {e}"))?,
                 );
             }
@@ -369,7 +374,7 @@ impl HighThroughputExecutor {
         // batch queue for a long time; shutdown may well finish first).
         {
             let mut registry = self.managers.lock();
-            if !self.closed.load(Ordering::SeqCst) {
+            if !self.stop.is_raised() {
                 registry.extend(new_mgrs.iter().cloned());
                 self.worker_total.fetch_add(added, Ordering::SeqCst);
                 return Ok((added, names));
@@ -555,7 +560,7 @@ fn dispatcher_loop(rx: Receiver<DispatchMsg>, htex: Weak<HighThroughputExecutor>
                 .cloned()
                 .collect();
             if alive.is_empty() {
-                if h.closed.load(Ordering::SeqCst) {
+                if h.stop.is_raised() {
                     for (payload, finished) in queue.drain(..) {
                         h.fail_task(&payload, &finished, TaskError::Shutdown);
                     }
@@ -576,7 +581,9 @@ fn dispatcher_loop(rx: Receiver<DispatchMsg>, htex: Weak<HighThroughputExecutor>
                 }
                 let clock = h.clock.clone();
                 drop(h);
-                clock.sleep(Duration::from_millis(2));
+                // Only reached while every manager is dead and tasks wait
+                // for a replacement block; costs a shutdown at most 2 ms.
+                clock.sleep(Duration::from_millis(2)); // timer-ok: no-manager backoff
                 continue;
             }
             rr = rr.wrapping_add(1);
@@ -892,19 +899,20 @@ fn flush_results(
     }
 }
 
-/// Periodically refresh this manager's heartbeat. A dead node stops
-/// beating — detection is the monitor's job, as with real HTEX managers.
+/// Periodically refresh this manager's heartbeat: one wait per period,
+/// ended early only by executor shutdown. A dead node stops beating —
+/// detection is the monitor's job, as with real HTEX managers.
 fn heartbeat_loop(
     mgr: Arc<ManagerState>,
     period: Duration,
     plan: Option<FaultPlan>,
+    stop: Arc<StopSignal>,
     htex: Weak<HighThroughputExecutor>,
     clock: simtest::ClockRef,
 ) {
-    loop {
-        clock.sleep(period);
-        let Some(h) = htex.upgrade() else { return };
-        if h.closed.load(Ordering::SeqCst) || mgr.dead.load(Ordering::SeqCst) {
+    while clock.wait(period, &stop) == Waited::Elapsed {
+        // An executor dropped without `shutdown` raises nothing.
+        if htex.strong_count() == 0 || mgr.dead.load(Ordering::SeqCst) {
             return;
         }
         if plan.as_ref().is_some_and(|p| p.is_dead(&mgr.node_name)) {
@@ -916,11 +924,12 @@ fn heartbeat_loop(
 }
 
 /// Submit-side failure detector: declare managers with stale heartbeats
-/// dead and process each loss exactly once.
+/// dead and process each loss exactly once. Scans once per heartbeat
+/// period; shutdown wakes it out of the wait in between.
 fn monitor_loop(htex: Weak<HighThroughputExecutor>) {
     loop {
         let Some(h) = htex.upgrade() else { return };
-        if h.closed.load(Ordering::SeqCst) {
+        if h.stop.is_raised() {
             return;
         }
         let period = h.heartbeat_period;
@@ -942,14 +951,17 @@ fn monitor_loop(htex: Weak<HighThroughputExecutor>) {
                 h.handle_node_loss(mgr);
             }
         }
+        let stop = h.stop.clone();
         drop(h);
-        clock.sleep(period);
+        if clock.wait(period, &stop) == Waited::Stopped {
+            return;
+        }
     }
 }
 
 impl Executor for HighThroughputExecutor {
     fn submit(&self, task: TaskPayload) {
-        if self.closed.load(Ordering::SeqCst) {
+        if self.stop.is_raised() {
             // Fail fast instead of enqueueing onto a stopped dispatcher —
             // the promise must never be left unresolved.
             task.promise.complete(Err(TaskError::Shutdown));
@@ -976,7 +988,7 @@ impl Executor for HighThroughputExecutor {
     }
 
     fn shutdown(&self) {
-        if self.closed.swap(true, Ordering::SeqCst) {
+        if self.stop.raise() {
             return;
         }
         let _ = self.dispatch_tx.send(DispatchMsg::Stop);
@@ -1091,6 +1103,38 @@ mod tests {
         }
         assert_eq!(htex.outstanding_tasks(), 0);
         htex.shutdown();
+    }
+
+    #[test]
+    fn shutdown_wakes_heartbeat_and_monitor_parked_for_an_hour() {
+        // Manual virtual clock, never advanced: the two heartbeat threads
+        // and the monitor can only leave their hour-long waits by being
+        // woken. With sleep-then-check loops this shutdown never returns.
+        let vc = simtest::VirtualClock::new();
+        vc.set_auto(false);
+        let htex = HighThroughputExecutor::start(
+            HtexConfig {
+                heartbeat_period: Duration::from_secs(3600),
+                heartbeat_threshold: Duration::from_secs(36_000),
+                clock: vc.clone(),
+                ..no_latency("htex", 2, 1)
+            },
+            Arc::new(LocalProvider::new(1)),
+        )
+        .unwrap();
+        // The executor works while they are parked.
+        assert_eq!(submit_value(&htex, 1).result().unwrap(), Value::Int(1));
+        assert!(
+            simtest::wait_until(Duration::from_secs(20), || vc.sleeper_count() == 3),
+            "heartbeats and monitor never parked on the executor's clock"
+        );
+        let h = htex.clone();
+        assert!(
+            simtest::returns_within(Duration::from_secs(20), move || h.shutdown()).is_some(),
+            "shutdown waited out a heartbeat period"
+        );
+        assert_eq!(vc.sleeper_count(), 0, "a stopped wait left its deadline");
+        assert_eq!(htex.outstanding_tasks(), 0);
     }
 
     #[test]

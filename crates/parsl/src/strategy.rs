@@ -10,7 +10,8 @@
 //! scale-in is out of scope and documented as such).
 
 use crate::htex::HighThroughputExecutor;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use simtest::{StopSignal, Waited};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -41,7 +42,7 @@ impl Default for ScalingPolicy {
 /// Handle to a running strategy thread. Stop it with [`Strategy::stop`]
 /// (also stopped on drop).
 pub struct Strategy {
-    stop: Arc<AtomicBool>,
+    stop: Arc<StopSignal>,
     scale_outs: Arc<AtomicUsize>,
     thread: Option<std::thread::JoinHandle<()>>,
 }
@@ -49,7 +50,7 @@ pub struct Strategy {
 impl Strategy {
     /// Start monitoring `htex` under `policy`.
     pub fn start(htex: Arc<HighThroughputExecutor>, policy: ScalingPolicy) -> Self {
-        let stop = Arc::new(AtomicBool::new(false));
+        let stop = Arc::new(StopSignal::new());
         let scale_outs = Arc::new(AtomicUsize::new(0));
         let thread = {
             let stop = stop.clone();
@@ -59,10 +60,10 @@ impl Strategy {
                 .spawn(move || {
                     use crate::executor::Executor as _;
                     // Sample on the executor's clock so the strategy runs in
-                    // virtual time under the simulation harness.
+                    // virtual time under the simulation harness: one wait
+                    // per interval, ended early only by `stop`.
                     let clock = htex.clock();
-                    while !stop.load(Ordering::SeqCst) {
-                        clock.sleep(policy.interval);
+                    while clock.wait(policy.interval, &stop) == Waited::Elapsed {
                         let workers = htex.worker_count().max(1);
                         let backlog = htex.outstanding_tasks();
                         if backlog > workers * policy.tasks_per_worker
@@ -97,7 +98,7 @@ impl Strategy {
 
     /// Stop the monitor thread (idempotent).
     pub fn stop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.stop.raise();
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
@@ -209,6 +210,47 @@ mod tests {
         assert_eq!(htex.manager_count(), 1);
         assert_eq!(strategy.scale_out_events(), 0);
         htex.shutdown();
+    }
+
+    #[test]
+    fn stop_wakes_a_strategy_parked_for_an_hour() {
+        // Manual virtual clock, never advanced: only the stop can end the
+        // sampling wait. With a sleep-then-check loop `stop` never returns.
+        let vc = simtest::VirtualClock::new();
+        vc.set_auto(false);
+        let sched = BatchScheduler::new(ClusterSpec::small(2, 1), SchedulerConfig::immediate());
+        let htex = HighThroughputExecutor::start(
+            HtexConfig {
+                label: "parked".into(),
+                nodes: 1,
+                workers_per_node: 1,
+                latency: LatencyModel::in_process(),
+                clock: vc.clone(),
+                ..HtexConfig::default()
+            },
+            Arc::new(SlurmProvider::new(sched)),
+        )
+        .unwrap();
+        // Heartbeat + monitor park too (25 ms periods nobody advances).
+        let mut strategy = Strategy::start(
+            htex.clone(),
+            ScalingPolicy {
+                interval: Duration::from_secs(3600),
+                ..Default::default()
+            },
+        );
+        assert!(
+            simtest::wait_until(Duration::from_secs(20), || vc.sleeper_count() == 3),
+            "strategy never parked on the executor's clock"
+        );
+        let stopped = simtest::returns_within(Duration::from_secs(20), move || {
+            strategy.stop();
+            strategy.scale_out_events()
+        });
+        assert_eq!(stopped, Some(0), "Strategy::stop waited out its interval");
+        assert_eq!(vc.sleeper_count(), 2, "the strategy left its deadline");
+        htex.shutdown();
+        assert_eq!(vc.sleeper_count(), 0);
     }
 
     #[test]

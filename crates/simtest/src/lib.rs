@@ -6,18 +6,21 @@
 //!   time and sleeps. [`RealClock`] is wall-clock; [`VirtualClock`] advances
 //!   via an event queue of sleeper deadlines, so a test run that "waits"
 //!   hundreds of milliseconds of heartbeat/backoff time completes in
-//!   microseconds, and always in the same logical order.
+//!   microseconds, and always in the same logical order. Periodic threads
+//!   park in [`Clock::wait`], which a [`StopSignal`] ends early, so joining
+//!   one never waits out its period.
 //! * [`SimRng`] — a seeded, splittable PRNG (xoshiro256** seeded through
 //!   splitmix64). Identical seeds produce identical draw sequences, which is
 //!   what makes a failing schedule replayable from its seed alone.
 //! * [`wait_until`] — a deadline-bounded condition wait for tests that must
 //!   observe a concurrent real-time system (no fixed sleeps, no unbounded
-//!   spins).
+//!   spins) — and [`returns_within`], which turns "this call must not hang"
+//!   into a test failure instead of a hung suite.
 
 mod clock;
 mod rng;
 
-pub use clock::{real_clock, Clock, ClockRef, RealClock, VirtualClock};
+pub use clock::{real_clock, Clock, ClockRef, RealClock, StopSignal, VirtualClock, Waited};
 pub use rng::SimRng;
 
 use std::time::{Duration, Instant};
@@ -46,6 +49,21 @@ pub fn wait_until(timeout: Duration, mut pred: impl FnMut() -> bool) -> bool {
     }
 }
 
+/// Run `f` on a helper thread and give it `timeout` of real time to return:
+/// `Some(result)` if it did, `None` if it is still running (the helper is
+/// then left detached). For tests of "this shutdown/drop/stop returns":
+/// pick a generous bound and assert on `is_some()`, never on elapsed time.
+pub fn returns_within<T: Send + 'static>(
+    timeout: Duration,
+    f: impl FnOnce() -> T + Send + 'static,
+) -> Option<T> {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    rx.recv_timeout(timeout).ok()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -64,6 +82,16 @@ mod tests {
             hits.load(Ordering::SeqCst) == 1
         }));
         t.join().unwrap();
+    }
+
+    #[test]
+    fn returns_within_tells_a_return_from_a_hang() {
+        assert_eq!(returns_within(Duration::from_secs(20), || 7), Some(7));
+        let (_keep, never) = std::sync::mpsc::channel::<()>();
+        assert_eq!(
+            returns_within(Duration::from_millis(30), move || never.recv().ok()),
+            None
+        );
     }
 
     #[test]

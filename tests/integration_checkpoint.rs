@@ -786,3 +786,325 @@ fn fresh_run_refuses_to_clobber_existing_journal() {
     assert!(err.contains("--resume"), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+// ---------------------------------------------------------------------------
+// Resume equivalence: the single-pass resume (one load, one parse per
+// record, one stat per File, raw-path index probe) must decide exactly what
+// the two-pass one decided.
+// ---------------------------------------------------------------------------
+
+/// A stale-hash journal is set aside as it was found, torn tail included:
+/// truncation is for journals that will be appended to, not for evidence.
+#[test]
+fn stale_journal_with_torn_tail_is_set_aside_byte_for_byte() {
+    let dir = scratch("stale-torn");
+    let wf = fixtures().join("diamond.cwl");
+    let (result, prepared, _) = run_checkpointed(
+        &wf,
+        &diamond_inputs(),
+        &dir,
+        None,
+        CountingDispatch::new(),
+        1,
+    );
+    assert!(result.is_ok());
+    drop(prepared);
+
+    // A crash mid-append: a frame header promising more payload than
+    // follows.
+    let journal_path = dir.join("ckpt").join("journal.ckpt");
+    let mut bytes = std::fs::read(&journal_path).unwrap();
+    bytes.extend_from_slice(&1000u32.to_le_bytes());
+    bytes.extend_from_slice(&0u32.to_le_bytes());
+    bytes.extend_from_slice(b"torn mid-append");
+    std::fs::write(&journal_path, &bytes).unwrap();
+
+    let mut changed = Map::new();
+    changed.insert("message", Value::str("a different message"));
+    let counting = CountingDispatch::new();
+    let (result, prepared, stats) = run_checkpointed(
+        &wf,
+        &changed,
+        &dir,
+        Some(&dir.join("ckpt")),
+        counting.clone(),
+        1,
+    );
+    assert!(result.is_ok());
+    assert!(prepared.stale && prepared.torn);
+    assert_eq!(prepared.invalidated, 4);
+    assert_eq!((counting.runs(), stats.replayed), (4, 0));
+    assert_eq!(
+        std::fs::read(dir.join("ckpt").join("journal.ckpt.stale")).unwrap(),
+        bytes,
+        "the stale journal must be kept exactly as found, torn tail and all"
+    );
+    let fresh = ckpt::load(&journal_path).unwrap();
+    assert!(!fresh.torn);
+    assert_eq!(fresh.records.len(), 4);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The digest index is keyed by canonical path. A journaled path that runs
+/// through a symlinked directory never equals a key, so the raw-path probe
+/// misses; it must then fall back to the canonical path — and a corrupted
+/// output behind the symlink must still be caught, not waved through.
+#[test]
+fn output_reached_through_a_symlinked_directory_still_verifies() {
+    let real = scratch("symlink-real");
+    let link = real.with_file_name(format!("ckpt-int-symlink-link-{}", std::process::id()));
+    let _ = std::fs::remove_file(&link);
+    std::os::unix::fs::symlink(&real, &link).unwrap();
+    let wf = fixtures().join("diamond.cwl");
+    let inputs = diamond_inputs();
+
+    let (result, prepared, _) =
+        run_checkpointed(&wf, &inputs, &link, None, CountingDispatch::new(), 1);
+    let expected = output_bytes(&result.unwrap(), "joined");
+    drop(prepared);
+
+    let loaded = ckpt::load(&link.join("ckpt").join("journal.ckpt")).unwrap();
+    let left = loaded
+        .records
+        .iter()
+        .find(|r| r.step.as_deref() == Some("left"))
+        .unwrap();
+    let left_file = ckpt::invalidate::parse_result(&left.result).unwrap()["output"]["path"]
+        .as_str()
+        .unwrap()
+        .to_string();
+    assert!(
+        Path::new(&left_file).starts_with(&link)
+            && Path::new(&left_file).canonicalize().unwrap() != Path::new(&left_file),
+        "the journaled path must run through the symlink for this test to mean anything: {left_file}"
+    );
+
+    // Untouched outputs replay through the fallback.
+    let counting = CountingDispatch::new();
+    let (result, prepared, stats) = run_checkpointed(
+        &wf,
+        &inputs,
+        &link,
+        Some(&link.join("ckpt")),
+        counting.clone(),
+        1,
+    );
+    assert_eq!(output_bytes(&result.unwrap(), "joined"), expected);
+    assert_eq!(prepared.invalidated, 0);
+    assert_eq!((counting.runs(), stats.replayed), (0, 4));
+    drop(prepared);
+
+    // Same size, different bytes, behind the symlink: re-run, not replay.
+    let original = std::fs::read(&left_file).unwrap();
+    std::fs::write(&left_file, vec![b'X'; original.len()]).unwrap();
+    let counting = CountingDispatch::new();
+    let (result, prepared, stats) = run_checkpointed(
+        &wf,
+        &inputs,
+        &link,
+        Some(&link.join("ckpt")),
+        counting.clone(),
+        1,
+    );
+    assert_eq!(output_bytes(&result.unwrap(), "joined"), expected);
+    assert_eq!(prepared.invalidated, 1);
+    assert_eq!((counting.runs(), stats.replayed), (1, 3));
+    assert_eq!(std::fs::read(&left_file).unwrap(), original);
+    let _ = std::fs::remove_file(&link);
+    let _ = std::fs::remove_dir_all(&real);
+}
+
+/// Write a journal by hand: `records` are `(label, fingerprint, result)`.
+fn handmade_journal(dir: &Path, hash: u64, records: &[(&str, u64, &str)]) -> PathBuf {
+    let path = dir.join("ckpt").join("journal.ckpt");
+    let header = ckpt::Header {
+        version: 1,
+        run_hash: hash,
+        label: "handmade".to_string(),
+    };
+    let journal = ckpt::Journal::create(&path, &header, ckpt::SyncMode::TaskExit).unwrap();
+    for (label, fingerprint, result) in records {
+        journal
+            .append(&ckpt::Record {
+                label: label.to_string(),
+                fingerprint: *fingerprint,
+                step: None,
+                result: result.to_string(),
+            })
+            .unwrap();
+    }
+    path
+}
+
+/// Duplicate memo keys: the last record's value wins, the survivor keeps
+/// the position its key first appeared at, and each superseded record
+/// counts as invalidated.
+#[test]
+fn duplicate_records_stay_last_wins_in_first_seen_order() {
+    let dir = scratch("dupes");
+    handmade_journal(
+        &dir,
+        42,
+        &[
+            ("a", 1, "{v: 1}"),
+            ("b", 2, "{v: 2}"),
+            ("a", 1, "{v: 3}"),
+            ("a", 9, "{v: 4}"),
+            ("b", 2, "{v: 5}"),
+        ],
+    );
+    let prepared = checkpoint::prepare(&settings(&dir), &dir, Some(&dir.join("ckpt")), 42, "test")
+        .unwrap()
+        .unwrap();
+    assert_eq!(prepared.invalidated, 2);
+    let seeded: Vec<(&str, u64, String)> = prepared
+        .seed
+        .iter()
+        .map(|s| {
+            (
+                s.label.as_str(),
+                s.fingerprint,
+                yamlite::to_string_flow(&s.value),
+            )
+        })
+        .collect();
+    assert_eq!(
+        seeded,
+        vec![
+            ("a", 1, "{v: 3}".to_string()),
+            ("b", 2, "{v: 5}".to_string()),
+            ("a", 9, "{v: 4}".to_string()),
+        ]
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A record whose result does not parse is invalidated by `prepare` and,
+/// handed to the kernel raw, is still counted as unparseable — never
+/// seeded, never silently dropped from the count.
+#[test]
+fn unparseable_result_is_counted_by_prepare_and_by_the_kernel() {
+    let dir = scratch("unparseable");
+    let path = handmade_journal(
+        &dir,
+        42,
+        &[("good", 1, "{v: 1}"), ("bad", 2, "{unclosed: [")],
+    );
+    let raw = ckpt::load(&path).unwrap().records;
+    let prepared = checkpoint::prepare(&settings(&dir), &dir, Some(&dir.join("ckpt")), 42, "test")
+        .unwrap()
+        .unwrap();
+    assert_eq!(prepared.invalidated, 1);
+    assert_eq!(prepared.seed.len(), 1);
+    assert_eq!(prepared.seed[0].label, "good");
+
+    let dfk =
+        DataFlowKernel::try_new(Config::local_threads(1).with_checkpoint(prepared.journal.clone()))
+            .unwrap();
+    assert_eq!(dfk.seed_checkpoint(&prepared.seed), (1, 0));
+    assert_eq!(
+        dfk.seed_checkpoint(&raw),
+        (1, 1),
+        "a raw record that does not parse is reported, not seeded"
+    );
+    dfk.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Validating on a pool changes how long the pass takes, not what it
+/// decides: same survivors in the same order, same invalidated count. The
+/// files here were never staged, so the digest index does not know them —
+/// the fresh-process case, where every checksummed File is read and hashed
+/// (that is the part the pool runs).
+#[test]
+fn pooled_validation_keeps_record_order_and_invalidated_count() {
+    let dir = scratch("pooled");
+    let sums: Vec<(PathBuf, String)> = (0..40)
+        .map(|i| {
+            let path = dir.join(format!("out-{i}.txt"));
+            let bytes = format!("output number {i}").into_bytes();
+            std::fs::write(&path, &bytes).unwrap();
+            (path, datastore::Digest::of_bytes(&bytes).checksum())
+        })
+        .collect();
+    let file = |path: &Path, sum: &str| {
+        format!(
+            "{{out: {{class: File, path: {}, checksum: '{sum}'}}}}",
+            path.display()
+        )
+    };
+    let results: Vec<String> = (0..97usize)
+        .map(|i| {
+            let (path, sum) = &sums[i % sums.len()];
+            match i % 6 {
+                // Content as recorded (files 0..40 recur: hashed once or
+                // twice, same verdict).
+                0 | 1 => file(path, sum),
+                // Same path, some other file's checksum: content mismatch.
+                2 => file(path, &sums[(i + 1) % sums.len()].1),
+                3 => file(&dir.join(format!("gone-{i}.txt")), sum),
+                4 => "{unclosed: [".to_string(),
+                _ => format!("{{v: {i}}}"),
+            }
+        })
+        .collect();
+    // Every seventh record re-uses an earlier key (last wins).
+    let records: Vec<(String, u64, &str)> = results
+        .iter()
+        .enumerate()
+        .map(|(i, r)| {
+            let key = if i % 7 == 6 { i - 6 } else { i };
+            (format!("t{key}"), key as u64, r.as_str())
+        })
+        .collect();
+    let records: Vec<(&str, u64, &str)> = records
+        .iter()
+        .map(|(l, f, r)| (l.as_str(), *f, *r))
+        .collect();
+    handmade_journal(&dir, 42, &records);
+
+    let outcome = |pool: usize| {
+        let p = checkpoint::prepare_with_pool(
+            &settings(&dir),
+            &dir,
+            Some(&dir.join("ckpt")),
+            42,
+            "test",
+            pool,
+        )
+        .unwrap()
+        .unwrap();
+        let keys: Vec<(String, u64)> = p
+            .seed
+            .iter()
+            .map(|s| (s.label.clone(), s.fingerprint))
+            .collect();
+        (keys, p.invalidated)
+    };
+    // Pooled first, while the index is still cold for these files.
+    let (pooled_keys, pooled_invalidated) = outcome(4);
+    assert_eq!(pooled_keys.len() + pooled_invalidated, records.len());
+    // By hand: what the rules say about each deduplicated record.
+    let mut last: Vec<(usize, usize)> = Vec::new(); // (key, index of its last record)
+    for (i, record) in records.iter().enumerate() {
+        let key = record.1 as usize;
+        match last.iter_mut().find(|(k, _)| *k == key) {
+            Some(slot) => slot.1 = i,
+            None => last.push((key, i)),
+        }
+    }
+    let expected: Vec<(String, u64)> = last
+        .iter()
+        .filter(|(_, i)| matches!(i % 6, 0 | 1 | 5))
+        .map(|(key, _)| (format!("t{key}"), *key as u64))
+        .collect();
+    assert_eq!(pooled_keys, expected);
+    for pool in [1, 2, 16] {
+        assert_eq!(
+            outcome(pool),
+            (pooled_keys.clone(), pooled_invalidated),
+            "pool {pool}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
