@@ -21,26 +21,30 @@ fi
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
 
-# Timer gate (DESIGN.md §4m): in the non-test part of ckpt and parsl (each
-# file up to its first #[cfg(test)]) every `sleep(` must say, on its own
-# line, why it is not a wakeable `Clock::wait` — so the next timer someone
-# puts on an exit path fails here instead of showing up as a 50 ms step in
-# the ledger. No timing is asserted anywhere: the tests that hang when a
-# periodic thread cannot be woken are the regression guard.
+# Timer gate (DESIGN.md §4m): in the non-test part of ckpt, parsl, serve and
+# core (each file up to its first #[cfg(test)]) every `sleep(` must say, on
+# its own line, why it is not a wait something can end — `Clock::wait` with
+# a StopSignal in a periodic thread, the daemon's poll(2), the client's
+# `wait` verb — so the next timer someone puts on a request or exit path
+# fails here instead of showing up as a 25 or 50 ms step in the ledger. No
+# timing is asserted anywhere: the tests that hang when a waiter cannot be
+# woken are the regression guard.
 unmarked_sleeps=$(awk '
     FNR == 1 { in_tests = 0 }
     /#\[cfg\(test\)\]/ { in_tests = 1 }
     !in_tests && /sleep\(/ && !/\/\/ timer-ok: [^ ]/ {
         printf "%s:%d:%s\n", FILENAME, FNR, $0
     }
-' crates/ckpt/src/*.rs crates/parsl/src/*.rs)
+' crates/ckpt/src/*.rs crates/parsl/src/*.rs \
+    crates/serve/src/*.rs crates/serve/src/bin/*.rs \
+    crates/core/src/*.rs crates/core/src/bin/*.rs)
 if [ -n "$unmarked_sleeps" ]; then
     echo "error: sleep( without a same-line '// timer-ok: <reason>' marker:" >&2
     echo "$unmarked_sleeps" >&2
-    echo "a periodic thread waits with Clock::wait and a StopSignal; see DESIGN.md §4m" >&2
+    echo "wait on what signals instead (Clock::wait + StopSignal, poll, the wait verb); see DESIGN.md §4m" >&2
     exit 1
 fi
-echo "timer gate: every sleep( in ckpt and parsl carries its timer-ok reason"
+echo "timer gate: every sleep( in ckpt, parsl, serve and core carries its timer-ok reason"
 
 # Deterministic-simulation gate (DESIGN.md §4i): the invariant suite over a
 # fixed 50-seed matrix plus one rotating seed indexed by the CI run (falling
@@ -295,14 +299,13 @@ wait_for_socket
     --message='serve smoke' --tenant=alice
 ./target/release/parsl-cwl submit "$serve_cfg" fixtures/scatter_words_py.cwl \
     target/serve-smoke/words.yml --tenant=bob
-for _ in $(seq 1 600); do
-    finished=$(./target/release/parsl-cwl status "$serve_cfg" \
-        | grep -c 'state=completed' || true)
-    [ "$finished" -ge 2 ] && break
-    sleep 0.1
-done
-if [ "${finished:-0}" -lt 2 ]; then
-    echo "error: concurrent serve runs never completed:" >&2
+# `wait` returns when the daemon says the run has ended; nothing polls.
+./target/release/parsl-cwl wait "$serve_cfg" 0
+./target/release/parsl-cwl wait "$serve_cfg" 1
+finished=$(./target/release/parsl-cwl status "$serve_cfg" \
+    | grep -c 'state=completed' || true)
+if [ "$finished" -lt 2 ]; then
+    echo "error: concurrent serve runs did not both complete:" >&2
     ./target/release/parsl-cwl status "$serve_cfg" >&2 || true
     exit 1
 fi
@@ -323,13 +326,10 @@ test -s "$serve_journal"
 ./target/release/parsl-serve "$serve_cfg" --resume &
 serve_pid=$!
 wait_for_socket
-for _ in $(seq 1 600); do
-    line=$(./target/release/parsl-cwl status "$serve_cfg" 2 | grep '^run 2 ' || true)
-    echo "$line" | grep -q 'state=completed' && break
-    sleep 0.1
-done
+./target/release/parsl-cwl wait "$serve_cfg" 2
+line=$(./target/release/parsl-cwl status "$serve_cfg" 2 | grep '^run 2 ' || true)
 echo "$line" | grep -q 'state=completed' || {
-    echo "error: resumed serve run never completed: $line" >&2
+    echo "error: resumed serve run did not complete: $line" >&2
     exit 1
 }
 resumed_replayed=$(echo "$line" | grep -o 'replayed=[0-9]*' | grep -o '[0-9]*$')

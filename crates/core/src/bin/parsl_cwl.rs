@@ -4,7 +4,7 @@
 //! parsl-cwl <config.yml> <doc.cwl> [inputs.yml] [--key=value ...]
 //! parsl-cwl <config.yml> <doc.cwl> --resume <run-dir> [inputs...]
 //! parsl-cwl --validate <doc.cwl>
-//! parsl-cwl submit|status|logs|cancel|drain <config.yml> ...   (service client)
+//! parsl-cwl submit|status|wait|logs|cancel|drain <config.yml> ...   (service client)
 //! ```
 
 use cwl_parsl::proto::{self, obj, s};
@@ -18,6 +18,7 @@ const USAGE: &str = "usage: parsl-cwl <config.yml> <doc.cwl> [inputs.yml] [--key
        parsl-cwl --validate <doc.cwl>
        parsl-cwl submit <config.yml> <doc.cwl> [inputs.yml] [--key=value ...] [--tenant=NAME]
        parsl-cwl status <config.yml> [run-id]
+       parsl-cwl wait   <config.yml> [run-id]
        parsl-cwl logs   <config.yml> <run-id>
        parsl-cwl cancel <config.yml> <run-id>
        parsl-cwl drain  <config.yml> [--wait]
@@ -30,9 +31,12 @@ options:
   --validate <doc>     statically validate a CWL document and exit
   --help               print this message
 
-The submit/status/logs/cancel/drain subcommands talk to a running
+The submit/status/wait/logs/cancel/drain subcommands talk to a running
 `parsl-serve` daemon over the Unix socket the config's `serve:` block
-names (default <run.workdir>/serve.sock).
+names (default <run.workdir>/serve.sock). `wait` returns when the run has
+ended (without a run id: when nothing is queued or running) and exits
+non-zero unless the run completed; `drain --wait` returns when the daemon
+has finished every run.
 
 Input overrides are written --key=value (values parse as YAML scalars).
 Flags not listed above and not of --key=value form are rejected.";
@@ -59,6 +63,7 @@ fn run(args: &[String]) -> Result<(), String> {
     match args.first().map(String::as_str) {
         Some("submit") => return client_submit(&args[1..]),
         Some("status") => return client_status(&args[1..]),
+        Some("wait") => return client_wait(&args[1..]),
         Some("logs") => return client_logs(&args[1..]),
         Some("cancel") => return client_cancel(&args[1..]),
         Some("drain") => return client_drain(&args[1..]),
@@ -230,25 +235,55 @@ fn print_run_line(run: &Json) {
     ));
 }
 
+/// The request `{cmd, run?}` that `status` and `wait` share.
+fn run_request(cmd: &str, run_id: Option<&String>) -> Result<Json, String> {
+    let mut fields = vec![("cmd", s(cmd))];
+    if let Some(id) = run_id {
+        let id: u64 = id.parse().map_err(|_| format!("bad run id {id:?}"))?;
+        fields.push(("run", Json::Num(id as f64)));
+    }
+    Ok(obj(fields))
+}
+
+fn print_load_line(resp: &Json) {
+    let active = resp.get("active").and_then(Json::as_u64).unwrap_or(0);
+    let queued = resp.get("queued").and_then(Json::as_u64).unwrap_or(0);
+    out_line(format_args!("active {active} queued {queued}"));
+}
+
 /// `parsl-cwl status <config.yml> [run-id]`
 fn client_status(args: &[String]) -> Result<(), String> {
     let config_path = args.first().ok_or(USAGE)?;
     let socket = socket_from_config(config_path)?;
-    let mut fields = vec![("cmd", s("status"))];
-    if let Some(id) = args.get(1) {
-        let id: u64 = id.parse().map_err(|_| format!("bad run id {id:?}"))?;
-        fields.push(("run", Json::Num(id as f64)));
-    }
-    let resp = proto::request(&socket, &obj(fields))?;
+    let resp = proto::request(&socket, &run_request("status", args.get(1))?)?;
     if let Some(runs) = resp.get("runs").and_then(Json::as_arr) {
         for run in runs {
             print_run_line(run);
         }
     }
-    let active = resp.get("active").and_then(Json::as_u64).unwrap_or(0);
-    let queued = resp.get("queued").and_then(Json::as_u64).unwrap_or(0);
-    out_line(format_args!("active {active} queued {queued}"));
+    print_load_line(&resp);
     Ok(())
+}
+
+/// `parsl-cwl wait <config.yml> [run-id]` — block until the run has ended
+/// and print its `status` line; without a run id, until nothing is queued
+/// or running. The daemon answers when that happens: nothing is polled.
+fn client_wait(args: &[String]) -> Result<(), String> {
+    let config_path = args.first().ok_or(USAGE)?;
+    let socket = socket_from_config(config_path)?;
+    let resp = proto::request_unbounded(&socket, &run_request("wait", args.get(1))?)?;
+    if args.get(1).is_none() {
+        print_load_line(&resp);
+        return Ok(());
+    }
+    print_run_line(&resp);
+    match resp.get("state").and_then(Json::as_str) {
+        Some("completed") => Ok(()),
+        state => Err(format!(
+            "run ended {}",
+            state.unwrap_or("in an unknown state")
+        )),
+    }
 }
 
 /// `parsl-cwl logs <config.yml> <run-id>`
@@ -303,7 +338,7 @@ fn client_cancel(args: &[String]) -> Result<(), String> {
 }
 
 /// `parsl-cwl drain <config.yml> [--wait]` — stop admissions; with
-/// `--wait`, poll until the daemon finishes every run and exits.
+/// `--wait`, return once the daemon has finished every run.
 fn client_drain(args: &[String]) -> Result<(), String> {
     let config_path = args.first().ok_or(USAGE)?;
     let wait = match args.get(1).map(String::as_str) {
@@ -316,22 +351,12 @@ fn client_drain(args: &[String]) -> Result<(), String> {
     let active = resp.get("active").and_then(Json::as_u64).unwrap_or(0);
     let queued = resp.get("queued").and_then(Json::as_u64).unwrap_or(0);
     println!("draining ({active} active, {queued} queued)");
-    if !wait {
-        return Ok(());
+    if wait {
+        // A drained daemon answers its waiters, removes its socket and
+        // exits: a refused connect, or EOF in place of the answer, means it
+        // got there first.
+        let _ = proto::request_unbounded(&socket, &obj(vec![("cmd", s("wait"))]));
+        println!("drained");
     }
-    loop {
-        std::thread::sleep(std::time::Duration::from_millis(300));
-        let status = match proto::request(&socket, &obj(vec![("cmd", s("status"))])) {
-            Ok(v) => v,
-            // The daemon removes its socket and exits once drained.
-            Err(_) => break,
-        };
-        let active = status.get("active").and_then(Json::as_u64).unwrap_or(0);
-        let queued = status.get("queued").and_then(Json::as_u64).unwrap_or(0);
-        if active == 0 && queued == 0 {
-            break;
-        }
-    }
-    println!("drained");
     Ok(())
 }

@@ -3,17 +3,23 @@
 //! Submissions and control commands travel over a Unix-domain socket as
 //! length-prefixed JSON frames: a 4-byte big-endian payload length
 //! followed by a UTF-8 JSON object. Requests carry a `cmd` field
-//! (`submit`, `status`, `logs`, `cancel`, `drain`, `ping`); responses
-//! carry `ok: true` plus command-specific fields, or `ok: false` with an
-//! `error` string (and, for admission rejections, the full diagnostic
-//! text under `diagnostics`).
+//! (`submit`, `status`, `wait`, `logs`, `cancel`, `drain`, `ping`);
+//! responses carry `ok: true` plus command-specific fields, or `ok: false`
+//! with an `error` string (and, for admission rejections, the full
+//! diagnostic text under `diagnostics`). Every verb is answered at once
+//! except `wait`, whose response is the daemon telling the client that a
+//! run (or every run) has ended — so [`request`] bounds how long it reads
+//! and [`request_unbounded`], for `wait`, does not.
 //!
 //! The frame format is deliberately dumb — no streaming, no pipelining,
 //! one request/response per connection round — because the payloads are
-//! small (a CWL path plus an inputs object) and the daemon's accept loop
-//! is single-threaded. The JSON value type is [`obs::json::Json`], shared
-//! with the trace tooling so the client, daemon, and `parsl-trace` all
-//! read the same dialect.
+//! small (a CWL path plus an inputs object) and the daemon serves every
+//! connection from one thread. That thread therefore never blocks on a
+//! client: it buffers whatever bytes a connection has delivered and only
+//! parses once [`frame_complete`] says a whole frame is there, so a peer
+//! that is slow, silent or gone delays nobody else. The JSON value type is
+//! [`obs::json::Json`], shared with the trace tooling so the client,
+//! daemon, and `parsl-trace` all read the same dialect.
 
 use obs::json::{self, Json};
 use std::collections::BTreeMap;
@@ -176,20 +182,46 @@ pub fn read_frame(stream: &mut impl Read) -> Result<Option<Json>, String> {
     json::parse(&text).map(Some)
 }
 
+/// Does `buf` — the bytes a connection has delivered so far — hold
+/// everything [`read_frame`] will consume? True for a whole frame, and for
+/// a bare header announcing more than [`MAX_FRAME`] (rejected before any
+/// body is read). A reader that must not block buffers until this holds,
+/// then calls `read_frame(&mut &buf[..])`; at end of stream it calls it
+/// regardless, and gets the same verdict a blocking reader would have.
+pub fn frame_complete(buf: &[u8]) -> bool {
+    let Some(header) = buf.first_chunk::<4>() else {
+        return false;
+    };
+    let len = u32::from_be_bytes(*header);
+    len > MAX_FRAME || buf.len() - 4 >= len as usize
+}
+
 /// One client round: connect, send `req`, read the response.
 ///
 /// Responses are the daemon's to define; this helper only turns
 /// `ok: false` frames into `Err` with the daemon's message so callers
 /// handle one error channel.
 pub fn request(socket: &Path, req: &Json) -> Result<Json, String> {
+    // A wedged daemon should produce a client error, not a hang.
+    round_trip(socket, req, Some(Duration::from_secs(120)))
+}
+
+/// [`request`] without the bound on how long the response may take: for
+/// `wait`, which the daemon answers when the run ends, however long that
+/// is. A daemon that stops meanwhile closes the connection, which reads as
+/// an error here, not a hang.
+pub fn request_unbounded(socket: &Path, req: &Json) -> Result<Json, String> {
+    round_trip(socket, req, None)
+}
+
+fn round_trip(socket: &Path, req: &Json, read_timeout: Option<Duration>) -> Result<Json, String> {
     let mut stream = UnixStream::connect(socket).map_err(|e| {
         format!(
             "connect to {} failed: {e} (daemon not running?)",
             socket.display()
         )
     })?;
-    // A wedged daemon should produce a client error, not a hang.
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(120)));
+    let _ = stream.set_read_timeout(read_timeout);
     let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
     write_frame(&mut stream, req)?;
     let resp = read_frame(&mut stream)?
@@ -246,6 +278,27 @@ mod tests {
         buf.extend_from_slice(&(MAX_FRAME + 1).to_be_bytes());
         buf.extend_from_slice(b"xxxx");
         assert!(read_frame(&mut &buf[..]).unwrap_err().contains("MAX_FRAME"));
+    }
+
+    /// `frame_complete` and `read_frame` agree at every prefix length: not
+    /// complete until the last byte, and an oversized header is complete
+    /// (that is, ready to be rejected) as soon as it is whole.
+    #[test]
+    fn frame_complete_agrees_with_read_frame_at_every_prefix() {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, &obj(vec![("cmd", s("ping"))])).unwrap();
+        for cut in 0..buf.len() {
+            assert!(!frame_complete(&buf[..cut]), "prefix of {cut} bytes");
+        }
+        assert!(frame_complete(&buf));
+        buf.extend_from_slice(b"trailing bytes are not this frame's");
+        assert!(frame_complete(&buf));
+        assert!(read_frame(&mut &buf[..]).unwrap().is_some());
+
+        let oversized = (MAX_FRAME + 1).to_be_bytes();
+        assert!(!frame_complete(&oversized[..3]));
+        assert!(frame_complete(&oversized));
+        assert!(frame_complete(&0u32.to_be_bytes()), "empty payload");
     }
 
     #[test]

@@ -1621,7 +1621,11 @@ mod tests {
             l.launch();
         }
         assert_eq!(gated.result().unwrap(), Value::Int(1));
-        assert_eq!(gate.finished.load(Ordering::SeqCst), 1);
+        // `finished` is owed *after* the promise resolves (see `finish`), so
+        // the result can be seen a moment before the callback has run.
+        assert!(simtest::wait_until(Duration::from_secs(20), || {
+            gate.finished.load(Ordering::SeqCst) == 1
+        }));
         // Aborted tasks fail without executing and without a finished().
         let doomed = dfk.submit_tagged("d", None, vec![], add_app(), tag(1, 7));
         let parked: Vec<_> = std::mem::take(&mut *gate.parked.lock());

@@ -6,7 +6,7 @@
 //!
 //! Serves workflow submissions over the Unix socket configured in the
 //! `serve:` block (default `<run.workdir>/serve.sock`). Submit and manage
-//! runs with `parsl-cwl submit|status|logs|cancel|drain <config.yml> …`.
+//! runs with `parsl-cwl submit|status|wait|logs|cancel|drain <config.yml> …`.
 
 use std::process::ExitCode;
 

@@ -16,17 +16,19 @@
 //!   [`parsl::DispatchGate`] giving each tenant executor slots in
 //!   proportion to its configured weight;
 //! * [`daemon`] — the Unix-socket protocol front end
-//!   (`parsl-serve` binary), with graceful drain and SIGTERM fast-stop;
-//! * the client side lives in `parsl-cwl submit|status|logs|cancel|drain`
-//!   (the `cwl_parsl` crate), sharing the wire format via
-//!   [`cwl_parsl::proto`].
+//!   (`parsl-serve` binary): one readiness loop that waits on events, not
+//!   on a timer, with graceful drain and SIGTERM fast-stop;
+//! * the client side lives in
+//!   `parsl-cwl submit|status|wait|logs|cancel|drain` (the `cwl_parsl`
+//!   crate), sharing the wire format via [`cwl_parsl::proto`].
 
 pub mod daemon;
 pub mod queue;
 pub mod run;
 pub mod service;
+mod sys;
 
-pub use daemon::serve_daemon;
+pub use daemon::{serve_daemon, Daemon, StopHandle};
 pub use queue::FairShare;
 pub use run::{RunRecord, RunState};
 pub use service::{RunSnapshot, Service, SubmitError};

@@ -24,7 +24,7 @@ use parsl::{DataFlowKernel, RunTag};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 use yamlite::{Map, Value};
 
@@ -84,10 +84,20 @@ pub struct Service {
     strict_check: bool,
     capacity: cwl::analyze::ExecutorCapacity,
     runs: Mutex<BTreeMap<u64, RunRecord>>,
-    /// Signalled on every run state transition (used by `wait`).
+    /// What `wait`, `idle`, `drained` and `shutdown` read — run states,
+    /// `active`, `draining` — changes only through code that then calls
+    /// [`Service::notify`] once, after the change is visible. Run states
+    /// and `active` change under the `runs` lock, so a condvar waiter that
+    /// checks them under that lock cannot miss the notification.
     changed: Condvar,
+    /// The daemon's wake-up, called after `changed` on every notification.
+    on_change: OnceLock<Box<dyn Fn() + Send + Sync>>,
+    /// Runs claimed by a run thread. Written only under the `runs` lock.
     active: AtomicUsize,
     draining: AtomicBool,
+    /// Set by `fast_stop`, under the `runs` lock: no run starts and no
+    /// manifest is rewritten afterwards.
+    stopped: AtomicBool,
     queued_metric: Arc<obs::Counter>,
     admitted_metric: Arc<obs::Counter>,
     rejected_metric: Arc<obs::Counter>,
@@ -136,8 +146,10 @@ impl Service {
             capacity,
             runs: Mutex::new(BTreeMap::new()),
             changed: Condvar::new(),
+            on_change: OnceLock::new(),
             active: AtomicUsize::new(0),
             draining: AtomicBool::new(false),
+            stopped: AtomicBool::new(false),
         });
 
         if resume {
@@ -171,6 +183,24 @@ impl Service {
     /// The shared data plane.
     pub fn stager(&self) -> &Arc<Stager> {
         &self.stager
+    }
+
+    /// Register the one callback run after every change a waiter can be
+    /// waiting for — a run ending or being cancelled, a drain beginning —
+    /// once the change is visible to [`Service::status`], [`Service::idle`]
+    /// and [`Service::drained`] (the daemon's loop wake-up). It runs on
+    /// whichever thread made the change, so it must not block. A second
+    /// registration is ignored.
+    pub fn on_change(&self, wake: impl Fn() + Send + Sync + 'static) {
+        let _ = self.on_change.set(Box::new(wake));
+    }
+
+    /// Tell every waiter — condvar and daemon loop — to look again.
+    fn notify(&self) {
+        self.changed.notify_all();
+        if let Some(wake) = self.on_change.get() {
+            wake();
+        }
     }
 
     /// Admit a workflow submission. Admission control mirrors the
@@ -246,7 +276,9 @@ impl Service {
         loop {
             let next = {
                 let mut runs = self.runs.lock();
-                if self.active.load(Ordering::Acquire) >= self.serve.max_in_flight {
+                if self.stopped.load(Ordering::Acquire)
+                    || self.active.load(Ordering::Acquire) >= self.serve.max_in_flight
+                {
                     None
                 } else {
                     match runs.values_mut().find(|r| r.state == RunState::Queued) {
@@ -255,7 +287,8 @@ impl Service {
                             let _ = rec.save();
                             // Claimed under the lock so two pumps never
                             // double-start one run or oversubscribe.
-                            self.active.fetch_add(1, Ordering::AcqRel);
+                            let active = self.active.fetch_add(1, Ordering::AcqRel) + 1;
+                            self.active_gauge.set(active as i64);
                             Some(rec.id)
                         }
                         None => None,
@@ -263,16 +296,10 @@ impl Service {
                 }
             };
             let Some(id) = next else { return };
-            self.active_gauge
-                .set(self.active.load(Ordering::Acquire) as i64);
             let svc = self.clone();
             std::thread::spawn(move || {
                 let result = svc.execute(id);
                 svc.finish(id, result);
-                svc.active.fetch_sub(1, Ordering::AcqRel);
-                svc.active_gauge
-                    .set(svc.active.load(Ordering::Acquire) as i64);
-                svc.changed.notify_all();
                 svc.pump();
             });
         }
@@ -352,32 +379,44 @@ impl Service {
         }
     }
 
-    /// Record a run's terminal state, flush + detach its journal.
+    /// Record a run's terminal state, flush + detach its journal, and
+    /// give its in-flight slot back — one change, one notification.
     fn finish(&self, id: u64, result: Result<Map, String>) {
         let stats = self.dfk.detach_run_journal(id).unwrap_or_default();
         self.gate.forget_run(id);
-        let mut runs = self.runs.lock();
-        let Some(rec) = runs.get_mut(&id) else { return };
-        rec.replayed = stats.replayed;
-        rec.appended = stats.appended;
-        match result {
-            _ if rec.state == RunState::Cancelled => {
-                // Keep the client's verdict; the error (if any) explains
-                // where the abort landed.
-                if let Err(e) = result {
-                    rec.error = Some(e);
+        {
+            let mut runs = self.runs.lock();
+            // After a fast stop the manifest must keep saying `running`:
+            // that is what makes `--resume` pick the run up again.
+            let rec = runs
+                .get_mut(&id)
+                .filter(|_| !self.stopped.load(Ordering::Acquire));
+            if let Some(rec) = rec {
+                rec.replayed = stats.replayed;
+                rec.appended = stats.appended;
+                match result {
+                    _ if rec.state == RunState::Cancelled => {
+                        // Keep the client's verdict; the error (if any)
+                        // explains where the abort landed.
+                        if let Err(e) = result {
+                            rec.error = Some(e);
+                        }
+                    }
+                    Ok(outputs) => {
+                        rec.state = RunState::Completed;
+                        rec.outputs = Some(outputs);
+                    }
+                    Err(e) => {
+                        rec.state = RunState::Failed;
+                        rec.error = Some(e);
+                    }
                 }
+                let _ = rec.save();
             }
-            Ok(outputs) => {
-                rec.state = RunState::Completed;
-                rec.outputs = Some(outputs);
-            }
-            Err(e) => {
-                rec.state = RunState::Failed;
-                rec.error = Some(e);
-            }
+            let active = self.active.fetch_sub(1, Ordering::AcqRel) - 1;
+            self.active_gauge.set(active as i64);
         }
-        let _ = rec.save();
+        self.notify();
     }
 
     /// Snapshot one run.
@@ -463,32 +502,51 @@ impl Service {
             }
         };
         self.gate.cancel_run(id);
-        self.changed.notify_all();
+        self.notify();
         found
     }
 
     /// Stop admitting; in-flight and queued runs still finish.
     pub fn drain(&self) {
         self.draining.store(true, Ordering::Release);
+        self.notify();
     }
 
     pub fn draining(&self) -> bool {
         self.draining.load(Ordering::Acquire)
     }
 
+    /// True when nothing is queued or running. Read under the `runs` lock
+    /// so a run moving from queued to running is never seen as neither.
+    pub fn idle(&self) -> bool {
+        self.idle_in(&self.runs.lock())
+    }
+
+    fn idle_in(&self, runs: &BTreeMap<u64, RunRecord>) -> bool {
+        self.active.load(Ordering::Acquire) == 0
+            && !runs.values().any(|r| r.state == RunState::Queued)
+    }
+
     /// True once a drain has nothing left to finish.
     pub fn drained(&self) -> bool {
-        self.draining() && self.active_runs() == 0 && self.queued_runs() == 0
+        self.draining() && self.idle()
     }
 
     /// Fast stop (SIGTERM path): flush every active run's journal and
     /// return without waiting. Manifests keep their `running` state, so a
     /// restart with `--resume` re-queues them; the synced journals replay
-    /// everything that completed.
+    /// everything that completed. Tasks already on a worker cannot be
+    /// preempted (they die with the process); everything still behind the
+    /// gate is aborted, so a process that lingers starts nothing new.
     pub fn fast_stop(&self) {
-        let ids: Vec<u64> = self.runs.lock().keys().copied().collect();
+        let ids: Vec<u64> = {
+            let runs = self.runs.lock();
+            self.stopped.store(true, Ordering::Release);
+            runs.keys().copied().collect()
+        };
         for id in ids {
             let _ = self.dfk.detach_run_journal(id);
+            self.gate.cancel_run(id);
         }
     }
 
@@ -499,11 +557,8 @@ impl Service {
         self.drain();
         {
             let mut runs = self.runs.lock();
-            while runs
-                .values()
-                .any(|r| matches!(r.state, RunState::Queued | RunState::Running))
-            {
-                self.changed.wait_for(&mut runs, Duration::from_millis(200));
+            while !self.idle_in(&runs) {
+                self.changed.wait(&mut runs);
             }
         }
         cwlexec::publish_stage_stats(self.dfk.observability(), self.stager.stats());

@@ -2,15 +2,26 @@
 //! multiplexed over one warm kernel + shared CAS must be observationally
 //! identical to running each workflow alone.
 //!
-//! These tests drive [`serve::Service`] directly (the in-process core);
-//! the Unix-socket daemon and client are exercised end-to-end by the CI
-//! serve smoke (`ci.sh`), including SIGTERM + `--resume`.
+//! The first half drives [`serve::Service`] directly (the in-process core).
+//! The second half talks to [`serve::Daemon`]s over their sockets — each on
+//! its own thread, with its own scratch directory — and covers what the
+//! readiness loop owes its clients: the response shapes, the `wait` verb,
+//! exit after a drain with nobody connected, the in-process equivalent of
+//! SIGTERM, and a table of hostile clients. The `parsl-cwl` client binary
+//! and a real SIGTERM + `--resume` are exercised by the CI serve smoke
+//! (`ci.sh`).
 
 use cwl_parsl::config::{load_config_value, RunnerConfig};
+use cwl_parsl::proto::{self, obj, s};
 use cwl_parsl::runner::run_tool_cli;
-use serve::{RunRecord, RunState, Service, SubmitError};
+use obs::json::Json;
+use serve::{Daemon, RunRecord, RunState, Service, StopHandle, SubmitError};
+use std::io::{Read, Write};
+use std::net::Shutdown;
+use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc;
 use std::time::Duration;
 use yamlite::{Map, Value};
 
@@ -324,5 +335,591 @@ fn resume_replays_interrupted_run_from_its_journal() {
         output_bytes(after.outputs.as_ref().unwrap()),
     );
     svc.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------
+// Socket level: `serve::Daemon` behind its Unix socket.
+// ---------------------------------------------------------------------
+
+/// How long a hostile-client row lets an honest `ping` take. The parent's
+/// loop read each request inline with a 10 s timeout, so one silent client
+/// starved every other for longer than this.
+const PING_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// A daemon serving on its own thread.
+struct Served {
+    socket: PathBuf,
+    stop: StopHandle,
+    /// Receives `Daemon::run`'s result when the loop returns.
+    exit: mpsc::Receiver<Result<(), String>>,
+}
+
+fn spawn_daemon(config: RunnerConfig, resume: bool) -> Served {
+    let socket = config.serve.socket_path(&config.workdir);
+    // Bound and listening before `run`: a client may connect at once.
+    let daemon = Daemon::bind(config, resume).unwrap();
+    let stop = daemon.stop_handle();
+    let (tx, exit) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(daemon.run());
+    });
+    Served { socket, stop, exit }
+}
+
+impl Served {
+    fn connect(&self) -> Client {
+        Client::connect(&self.socket, WAIT)
+    }
+
+    /// One honest round trip; `Err` carries the daemon's error text.
+    fn request(&self, req: &Json) -> Result<Json, String> {
+        proto::request(&self.socket, req)
+    }
+
+    /// An honest client with little patience ([`PING_TIMEOUT`]).
+    fn ping(&self) -> Json {
+        let mut c = Client::connect(&self.socket, PING_TIMEOUT);
+        c.send(&cmd("ping"));
+        c.recv().expect("ping must be answered")
+    }
+
+    fn submit(&self, cwl: &Path, inputs: Json) -> u64 {
+        let resp = self
+            .request(&obj(vec![
+                ("cmd", s("submit")),
+                ("cwl", s(cwl.display().to_string())),
+                ("inputs", inputs),
+                ("tenant", s("alice")),
+            ]))
+            .unwrap();
+        resp.get("run").and_then(Json::as_u64).unwrap()
+    }
+
+    fn status_of(&self, run: u64) -> Json {
+        let resp = self.request(&cmd_run("status", run)).unwrap();
+        resp.get("runs").and_then(Json::as_arr).unwrap()[0].clone()
+    }
+
+    /// The loop returned. The bound is generous on purpose: a daemon that
+    /// fails it is hung, not slow.
+    fn exited(&self) -> Result<(), String> {
+        self.exit
+            .recv_timeout(WAIT)
+            .expect("daemon loop did not return")
+    }
+}
+
+/// One raw connection: frames or arbitrary bytes out, at most one frame in.
+struct Client(UnixStream);
+
+impl Client {
+    fn connect(socket: &Path, read_timeout: Duration) -> Self {
+        let stream = UnixStream::connect(socket).unwrap();
+        stream.set_read_timeout(Some(read_timeout)).unwrap();
+        Self(stream)
+    }
+
+    fn send(&mut self, req: &Json) {
+        proto::write_frame(&mut self.0, req).unwrap();
+    }
+
+    fn send_bytes(&mut self, bytes: &[u8]) {
+        self.0.write_all(bytes).unwrap();
+    }
+
+    /// The response frame, or `None` if the daemon closed without one.
+    fn recv(&mut self) -> Option<Json> {
+        proto::read_frame(&mut self.0).unwrap()
+    }
+
+    /// The daemon has closed its end without sending anything (more).
+    fn at_eof(&mut self) -> bool {
+        matches!(self.0.read(&mut [0u8; 1]), Ok(0))
+    }
+}
+
+fn cmd(name: &str) -> Json {
+    obj(vec![("cmd", s(name))])
+}
+
+fn cmd_run(name: &str, run: u64) -> Json {
+    obj(vec![("cmd", s(name)), ("run", Json::Num(run as f64))])
+}
+
+fn field<'a>(v: &'a Json, key: &str) -> &'a Json {
+    v.get(key)
+        .unwrap_or_else(|| panic!("missing `{key}` in {}", proto::render(v)))
+}
+
+fn str_field<'a>(v: &'a Json, key: &str) -> &'a str {
+    field(v, key).as_str().unwrap()
+}
+
+fn num_field(v: &Json, key: &str) -> u64 {
+    field(v, key).as_u64().unwrap()
+}
+
+/// `sleepms` as a CommandLineTool, optionally gated on a File so that
+/// steps of it chain.
+fn write_slow_tool(dir: &Path) -> PathBuf {
+    let tool = dir.join("slow_step.cwl");
+    std::fs::write(
+        &tool,
+        "cwlVersion: v1.2\nclass: CommandLineTool\nbaseCommand: sleepms\ninputs:\n  ms:\n    type: int\n    inputBinding:\n      position: 1\n  gate:\n    type: File?\n    inputBinding:\n      position: 2\noutputs:\n  output:\n    type: stdout\nstdout: slept.txt\n",
+    )
+    .unwrap();
+    tool
+}
+
+/// A workflow of [`write_slow_tool`] steps in a row, each gated on the one
+/// before and sleeping its entry of `steps_ms`.
+fn write_slow_chain(dir: &Path, steps_ms: &[u64]) -> PathBuf {
+    write_slow_tool(dir);
+    let mut wf = format!(
+        "cwlVersion: v1.2\nclass: Workflow\ninputs: {{}}\noutputs:\n  done:\n    type: File\n    outputSource: s{}/output\nsteps:\n",
+        steps_ms.len()
+    );
+    for (i, ms) in steps_ms.iter().enumerate() {
+        let n = i + 1;
+        wf += &format!(
+            "  s{n}:\n    run: slow_step.cwl\n    in:\n      ms:\n        default: {ms}\n"
+        );
+        if i > 0 {
+            wf += &format!("      gate: s{i}/output\n");
+        }
+        wf += "    out: [output]\n";
+    }
+    let workflow = dir.join("slow.cwl");
+    std::fs::write(&workflow, wf).unwrap();
+    workflow
+}
+
+fn ms_inputs(ms: u64) -> Json {
+    obj(vec![("ms", Json::Num(ms as f64))])
+}
+
+/// (a) The response shapes the ledger's `serve_mix` reads, field by field,
+/// one request and one response frame per connection.
+#[test]
+fn socket_responses_have_the_shapes_clients_read() {
+    let dir = scratch("shapes");
+    let d = spawn_daemon(config(&dir, ""), false);
+
+    // Connect-then-close with nothing sent is the liveness probe
+    // (`serve_daemon`'s own, and the ledger's): not a request, no reply.
+    drop(d.connect());
+    let pong = d.request(&cmd("ping")).unwrap();
+    assert_eq!(pong, obj(vec![("ok", Json::Bool(true))]));
+
+    let mut c = d.connect();
+    c.send(&obj(vec![
+        ("cmd", s("submit")),
+        (
+            "cwl",
+            s(fixtures().join("diamond.cwl").display().to_string()),
+        ),
+        ("inputs", obj(vec![("message", s("over the socket"))])),
+        ("tenant", s("alice")),
+    ]));
+    let ack = c.recv().unwrap();
+    assert_eq!(field(&ack, "ok"), &Json::Bool(true));
+    let run = num_field(&ack, "run");
+    assert!(Path::new(str_field(&ack, "run_dir")).is_dir());
+    assert!(c.at_eof(), "one response frame, then the daemon closes");
+
+    let done = d.request(&cmd_run("wait", run)).unwrap();
+    assert_eq!(str_field(&done, "state"), "completed");
+
+    let status = d.request(&cmd_run("status", run)).unwrap();
+    assert_eq!(num_field(&status, "active"), 0);
+    assert_eq!(num_field(&status, "queued"), 0);
+    let runs = field(&status, "runs").as_arr().unwrap();
+    assert_eq!(runs.len(), 1);
+    let entry = &runs[0];
+    assert_eq!(num_field(entry, "run"), run);
+    assert_eq!(str_field(entry, "tenant"), "alice");
+    assert_eq!(str_field(entry, "state"), "completed");
+    assert_eq!(str_field(entry, "run_dir"), str_field(&ack, "run_dir"));
+    assert!(str_field(entry, "cwl").ends_with("diamond.cwl"));
+    assert_eq!(num_field(entry, "replayed"), 0);
+    assert!(num_field(entry, "appended") > 0);
+    assert!(entry.get("error").is_none());
+    let joined = field(field(entry, "outputs"), "joined");
+    assert_eq!(
+        std::fs::read_to_string(str_field(joined, "path")).unwrap(),
+        "over the socket\nover the socket\n"
+    );
+
+    let second = d.submit(
+        &fixtures().join("diamond.cwl"),
+        obj(vec![("message", s("two"))]),
+    );
+    d.request(&cmd_run("wait", second)).unwrap();
+    let all = d.request(&cmd("status")).unwrap();
+    let ids: Vec<u64> = field(&all, "runs")
+        .as_arr()
+        .unwrap()
+        .iter()
+        .map(|r| num_field(r, "run"))
+        .collect();
+    assert_eq!(ids, vec![run, second], "bare status lists every run");
+
+    // A failed run reports `error` where a completed one has `outputs`.
+    let bad = d.submit(&fixtures().join("diamond.cwl"), obj(vec![]));
+    let failed = d.request(&cmd_run("wait", bad)).unwrap();
+    assert_eq!(str_field(&failed, "state"), "failed");
+    assert!(!str_field(&failed, "error").is_empty());
+    assert!(failed.get("outputs").is_none());
+
+    let draining = d.request(&cmd("drain")).unwrap();
+    assert_eq!(num_field(&draining, "active"), 0);
+    assert_eq!(num_field(&draining, "queued"), 0);
+    d.exited().unwrap();
+    assert!(!d.socket.exists(), "a drained daemon removes its socket");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// (b) `wait` parks the connection until its run is terminal and answers
+/// with exactly that run's `status` entry (plus `ok`); every case that
+/// needs no waiting is answered at once.
+#[test]
+fn wait_answers_with_the_status_entry_once_the_run_is_terminal() {
+    let dir = scratch("wait");
+    let tool = write_slow_tool(&dir);
+    let d = spawn_daemon(config(&dir, ""), false);
+
+    // Nothing submitted yet: idle, so a bare `wait` returns at once.
+    let idle = d.request(&cmd("wait")).unwrap();
+    assert_eq!(
+        (num_field(&idle, "active"), num_field(&idle, "queued")),
+        (0, 0)
+    );
+    let unknown = d.request(&cmd_run("wait", 99)).unwrap_err();
+    assert!(unknown.contains("unknown run 99"), "{unknown}");
+    let bad = d
+        .request(&obj(vec![("cmd", s("wait")), ("run", s("seven"))]))
+        .unwrap_err();
+    assert!(bad.contains("numeric `run`"), "{bad}");
+
+    let run = d.submit(&tool, ms_inputs(300));
+    let mut waiter = d.connect();
+    waiter.send(&cmd_run("wait", run));
+    let mut everything = d.connect();
+    everything.send(&cmd("wait"));
+    let mut answer = waiter.recv().expect("a parked wait is answered");
+    assert_eq!(str_field(&answer, "state"), "completed");
+    let output = field(field(&answer, "outputs"), "output");
+    assert_eq!(
+        std::fs::read_to_string(str_field(output, "path")).unwrap(),
+        "slept\n"
+    );
+    let idle = everything.recv().expect("a parked bare wait is answered");
+    assert_eq!(
+        (num_field(&idle, "active"), num_field(&idle, "queued")),
+        (0, 0)
+    );
+
+    // `ok` + exactly the fields of a status entry — now, and again for a
+    // run that is already terminal when the `wait` arrives.
+    let entry = d.status_of(run);
+    let Json::Obj(fields) = &mut answer else {
+        panic!("wait response is not an object");
+    };
+    assert_eq!(fields.remove("ok"), Some(Json::Bool(true)));
+    assert_eq!(answer, entry);
+    let mut again = d.request(&cmd_run("wait", run)).unwrap();
+    let Json::Obj(fields) = &mut again else {
+        panic!("wait response is not an object");
+    };
+    fields.remove("ok");
+    assert_eq!(again, entry);
+
+    d.request(&cmd("drain")).unwrap();
+    d.exited().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// (b) A waiter parked on a run that cannot end by itself inside the test
+/// (a minute of `sleepms`) is woken by that run's cancellation, with
+/// `cancelled`. The interleaving is forced, not timed: the `status` that
+/// sees the run non-terminal is answered after the `wait` was parked (one
+/// loop, connections served in order), and only then is the run cancelled.
+#[test]
+fn cancelling_a_run_wakes_its_parked_waiter() {
+    let dir = scratch("wait-cancel");
+    let tool = write_slow_tool(&dir);
+    let d = spawn_daemon(config(&dir, ""), false);
+
+    let run = d.submit(&tool, ms_inputs(60_000));
+    let mut waiter = d.connect();
+    waiter.send(&cmd_run("wait", run));
+    let state = str_field(&d.status_of(run), "state").to_string();
+    assert!(state == "queued" || state == "running", "{state}");
+    let cancelled = d.request(&cmd_run("cancel", run)).unwrap();
+    assert_eq!(field(&cancelled, "cancelled"), &Json::Bool(true));
+
+    let answer = waiter.recv().expect("cancellation answers the waiter");
+    assert_eq!(str_field(&answer, "state"), "cancelled");
+    assert_eq!(str_field(&answer, "error"), "cancelled by client");
+
+    // The sleeping task cannot be preempted, so a drain would take the
+    // minute: stop instead. A client parked on idleness sees EOF.
+    let mut parked = d.connect();
+    parked.send(&cmd("wait"));
+    d.ping();
+    d.stop.term();
+    d.exited().unwrap();
+    assert!(parked.recv().is_none(), "a stopped daemon answers nobody");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// (c) `drain` while a run is in flight: `serve_daemon` returns by itself
+/// once that run completes — no connection is made after the drain — and
+/// the client parked on idleness gets its answer first. A loop that only
+/// looks at its exit conditions when a connection arrives hangs here.
+#[test]
+fn drained_daemon_exits_with_nobody_connected() {
+    let dir = scratch("drain-exit");
+    let tool = write_slow_tool(&dir);
+    let cfg = config(&dir, "");
+    let socket = cfg.serve.socket_path(&cfg.workdir);
+    let (tx, exit) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(serve::serve_daemon(cfg, false));
+    });
+    // The same probe `serve_daemon` and the ledger use: connect, say
+    // nothing, close.
+    assert!(simtest::wait_until(WAIT, || UnixStream::connect(&socket).is_ok()));
+
+    let ack = proto::request(
+        &socket,
+        &obj(vec![
+            ("cmd", s("submit")),
+            ("cwl", s(tool.display().to_string())),
+            ("inputs", ms_inputs(700)),
+        ]),
+    )
+    .unwrap();
+    let run_dir = PathBuf::from(str_field(&ack, "run_dir"));
+    let mut parked = Client::connect(&socket, WAIT);
+    parked.send(&cmd("wait"));
+    let draining = proto::request(&socket, &cmd("drain")).unwrap();
+    assert_eq!(num_field(&draining, "active"), 1, "the run is in flight");
+
+    let idle = parked.recv().expect("parked wait is answered before exit");
+    assert_eq!(
+        (num_field(&idle, "active"), num_field(&idle, "queued")),
+        (0, 0)
+    );
+    exit.recv_timeout(WAIT)
+        .expect("serve_daemon did not return after the drained run ended")
+        .unwrap();
+    assert_eq!(
+        RunRecord::load(&run_dir).unwrap().state,
+        RunState::Completed
+    );
+    assert!(!socket.exists());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// (d) The in-process equivalent of SIGTERM, with a run in flight and an
+/// idle client connected: the loop returns without waiting for either, the
+/// manifest still says `running`, the journal holds what completed, and a
+/// second daemon started with `resume` finishes the run by replay.
+#[test]
+fn term_returns_at_once_and_resume_replays_the_interrupted_run() {
+    let dir = scratch("term");
+    let workflow = write_slow_chain(&dir, &[10, 400, 400, 400]);
+    let d = spawn_daemon(config(&dir, ""), false);
+
+    let run = d.submit(&workflow, obj(vec![]));
+    let run_dir = PathBuf::from(str_field(&d.status_of(run), "run_dir"));
+    assert!(
+        simtest::wait_until(WAIT, || num_field(&d.status_of(run), "appended") >= 1),
+        "first step never journaled"
+    );
+    let mut idle = d.connect();
+    let mut parked = d.connect();
+    parked.send(&cmd_run("wait", run));
+    d.ping();
+
+    d.stop.term();
+    d.exited().unwrap();
+    assert!(idle.at_eof() && parked.recv().is_none());
+    assert_eq!(RunRecord::load(&run_dir).unwrap().state, RunState::Running);
+    let journal = run_dir
+        .join("ckpt")
+        .join(cwl_parsl::checkpoint::JOURNAL_FILE);
+    assert!(std::fs::metadata(&journal).unwrap().len() > 0);
+
+    let d = spawn_daemon(config(&dir, ""), true);
+    let done = d.request(&cmd_run("wait", run)).unwrap();
+    assert_eq!(str_field(&done, "state"), "completed");
+    assert!(num_field(&done, "replayed") > 0, "{}", proto::render(&done));
+    assert_eq!(
+        RunRecord::load(&run_dir).unwrap().state,
+        RunState::Completed
+    );
+    d.request(&cmd("drain")).unwrap();
+    d.exited().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// What a hostile client sends, and what (if anything) it gets back.
+struct Hostile {
+    name: &'static str,
+    bytes: Vec<u8>,
+    /// Close the sending side after `bytes`.
+    half_close: bool,
+    reply: Expect,
+}
+
+enum Expect {
+    /// An `ok: false` frame carrying this text.
+    Error(String),
+    /// No frame, and the connection stays open: nothing to answer yet.
+    Silence,
+    /// No frame, and the daemon closes: the client went away.
+    Eof,
+}
+
+/// The error text `proto::read_frame` gives for `bytes` followed by EOF —
+/// what the parent's blocking reader answered, and so what the buffered
+/// reader must.
+fn read_frame_error(bytes: &[u8]) -> Expect {
+    Expect::Error(proto::read_frame(&mut &bytes[..]).unwrap_err())
+}
+
+fn framed(body: &[u8]) -> Vec<u8> {
+    let mut bytes = (body.len() as u32).to_be_bytes().to_vec();
+    bytes.extend_from_slice(body);
+    bytes
+}
+
+/// Hostile clients. For every row: an honest `ping` made *while the hostile
+/// connection is still open* is answered within [`PING_TIMEOUT`] (at the
+/// parent the first row starves it for 10 s); rows that amount to a
+/// malformed request get the text `read_frame` has always given; nothing
+/// panics; connections that never complete a request are dropped at the
+/// request deadline with no other client noticing; and the daemon still
+/// drains and exits afterwards.
+#[test]
+fn hostile_clients_cost_a_poll_slot_and_nothing_else() {
+    let dir = scratch("hostile");
+    let tool = write_slow_tool(&dir);
+    let d = spawn_daemon(config(&dir, ""), false);
+    // Something for the half-closing `wait` row to be parked on.
+    let slow = d.submit(&tool, ms_inputs(1500));
+
+    let oversized = (proto::MAX_FRAME + 1).to_be_bytes().to_vec();
+    let mut wait_frame = Vec::new();
+    proto::write_frame(&mut wait_frame, &cmd_run("wait", slow)).unwrap();
+    let mut submit_frame = Vec::new();
+    proto::write_frame(
+        &mut submit_frame,
+        &obj(vec![("cmd", s("submit")), ("cwl", s("/nowhere.cwl"))]),
+    )
+    .unwrap();
+    let cut_submit = submit_frame[..submit_frame.len() - 5].to_vec();
+
+    let rows = vec![
+        Hostile {
+            name: "connects and never sends",
+            bytes: vec![],
+            half_close: false,
+            reply: Expect::Silence,
+        },
+        Hostile {
+            name: "two of four header bytes, then silence",
+            bytes: vec![0, 0],
+            half_close: false,
+            reply: Expect::Silence,
+        },
+        Hostile {
+            name: "header announcing MAX_FRAME + 1",
+            reply: read_frame_error(&oversized),
+            bytes: oversized,
+            half_close: false,
+        },
+        Hostile {
+            name: "body is not UTF-8",
+            reply: read_frame_error(&framed(&[0xff, 0xfe, 0xfd])),
+            bytes: framed(&[0xff, 0xfe, 0xfd]),
+            half_close: false,
+        },
+        Hostile {
+            name: "body is not JSON",
+            reply: read_frame_error(&framed(b"drain, please")),
+            bytes: framed(b"drain, please"),
+            half_close: false,
+        },
+        Hostile {
+            name: "JSON without cmd",
+            bytes: framed(b"{\"run\": 0}"),
+            half_close: false,
+            reply: Expect::Error("unknown command None".to_string()),
+        },
+        Hostile {
+            name: "half-close in the middle of a submit",
+            reply: read_frame_error(&cut_submit),
+            bytes: cut_submit,
+            half_close: true,
+        },
+        Hostile {
+            name: "half-close after a complete wait",
+            bytes: wait_frame,
+            half_close: true,
+            reply: Expect::Eof,
+        },
+    ];
+
+    // Every row's connection stays open until the end of the test.
+    let mut open = Vec::new();
+    for row in rows {
+        let mut c = Client::connect(&d.socket, PING_TIMEOUT);
+        c.send_bytes(&row.bytes);
+        if row.half_close {
+            c.0.shutdown(Shutdown::Write).unwrap();
+        }
+        let pong = d.ping();
+        assert_eq!(field(&pong, "ok"), &Json::Bool(true), "row: {}", row.name);
+        match &row.reply {
+            Expect::Error(text) => {
+                let resp = c
+                    .recv()
+                    .unwrap_or_else(|| panic!("row `{}` got no reply", row.name));
+                assert_eq!(field(&resp, "ok"), &Json::Bool(false), "row: {}", row.name);
+                assert_eq!(str_field(&resp, "error"), text, "row: {}", row.name);
+                assert!(c.at_eof(), "row: {}", row.name);
+            }
+            Expect::Eof => assert!(c.at_eof(), "row: {}", row.name),
+            Expect::Silence => {}
+        }
+        open.push((row, c));
+    }
+
+    // Sixty-four idle connections at once, then gone again.
+    let crowd: Vec<Client> = (0..64).map(|_| d.connect()).collect();
+    d.ping();
+    drop(crowd);
+    d.ping();
+
+    // The silent rows are dropped at their deadline — a blocking read sees
+    // EOF, not a frame — and the honest client between them sees nothing.
+    for (row, c) in &mut open {
+        if matches!(row.reply, Expect::Silence) {
+            c.0.set_read_timeout(Some(WAIT)).unwrap();
+            assert!(c.at_eof(), "row `{}` was not dropped", row.name);
+            d.ping();
+        }
+    }
+
+    assert_eq!(
+        str_field(&d.request(&cmd_run("wait", slow)).unwrap(), "state"),
+        "completed"
+    );
+    d.request(&cmd("drain")).unwrap();
+    d.exited().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
