@@ -81,7 +81,7 @@ cargo run --release -p cwl_parsl --bin parsl-lint -- --strict -q configs/
 
 # The analyzer must still CATCH what it exists to catch: a clean exit on
 # the negative corpus would mean the effect/feasibility passes regressed.
-for bad in effect_collision unschedulable; do
+for bad in effect_collision unschedulable nested_unschedulable; do
     if cargo run --release -p cwl --bin cwl-check -- --strict -q \
         "fixtures/broken/$bad.cwl" >/dev/null 2>&1; then
         echo "error: cwl-check --strict passed fixtures/broken/$bad.cwl" >&2

@@ -6,7 +6,8 @@
 //! order on resume:
 //!
 //! 1. **Stale workflow or inputs.** The journal header's `run_hash` covers
-//!    every CWL file the workflow references plus the root input object.
+//!    every CWL file of the run's document set — the files that run — plus
+//!    the root input object.
 //!    On mismatch, the whole journal is set aside (renamed to
 //!    `journal.ckpt.stale`) and the run starts a fresh one — replaying
 //!    results computed by a *different* workflow would be silent
@@ -23,56 +24,24 @@
 //! kernel is seeded with), and each `class: File` costs one `metadata()`.
 
 use crate::config::CheckpointSettings;
+use crate::run::RunSpec;
 use ckpt::{Header, Journal, Record, Seed};
-use cwl::loader::{load_file, CwlDocument};
-use cwl::workflow::RunRef;
+use parsl::DataFlowKernel;
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fs::Metadata;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use yamlite::{Map, Value};
+use yamlite::Map;
 
 /// Journal file name inside the checkpoint directory.
 pub const JOURNAL_FILE: &str = "journal.ckpt";
 
 /// Hash the run identity: every CWL file the workflow references
-/// (recursively through `run:`), chained with the root input object. Two
-/// runs share a hash exactly when replaying one's results in the other is
-/// sound.
+/// (recursively through `run:`), chained with the root input object — see
+/// [`RunSpec::hash`].
 pub fn run_hash(cwl_path: &Path, inputs: &Map) -> Result<u64, String> {
-    let mut h = ckpt::FNV_OFFSET;
-    let mut visited = HashSet::new();
-    h = hash_document(cwl_path, h, &mut visited)?;
-    h = ckpt::fnv1a(
-        h,
-        yamlite::to_string_flow(&Value::Map(inputs.clone())).as_bytes(),
-    );
-    Ok(h)
-}
-
-fn hash_document(path: &Path, mut h: u64, visited: &mut HashSet<PathBuf>) -> Result<u64, String> {
-    let canonical = path
-        .canonicalize()
-        .map_err(|e| format!("cannot hash {}: {e}", path.display()))?;
-    if !visited.insert(canonical.clone()) {
-        return Ok(h);
-    }
-    let bytes =
-        std::fs::read(&canonical).map_err(|e| format!("cannot hash {}: {e}", path.display()))?;
-    h = ckpt::fnv1a(h, &bytes);
-    // Recurse into referenced step files so editing a tool invalidates
-    // journals of every workflow that runs it. Inline run blocks are
-    // already covered by the parent file's bytes.
-    if let Ok(CwlDocument::Workflow(wf)) = load_file(&canonical) {
-        let base = canonical.parent().unwrap_or(Path::new("."));
-        for step in &wf.steps {
-            if let RunRef::Path(p) = &step.run {
-                h = hash_document(&base.join(p), h, visited)?;
-            }
-        }
-    }
-    Ok(h)
+    RunSpec::load(cwl_path, inputs.clone()).hash()
 }
 
 /// A journal bound to the current run, plus what a resume recovered.
@@ -89,6 +58,26 @@ pub struct PreparedCkpt {
     pub torn: bool,
     /// Whether the whole journal was set aside as stale.
     pub stale: bool,
+}
+
+impl PreparedCkpt {
+    /// Seed the kernel's memo table with the replayable records — into the
+    /// journal of service run `run`, or the kernel's own when `None` — and
+    /// count every record rejected on the way (here or by the kernel) into
+    /// `ckpt.invalidated`. Returns that count.
+    pub fn seed_into(&self, dfk: &DataFlowKernel, run: Option<u64>) -> usize {
+        let (_seeded, unparseable) = match run {
+            Some(id) => dfk.seed_run_checkpoint(id, &self.seed),
+            None => dfk.seed_checkpoint(&self.seed),
+        };
+        let invalidated = self.invalidated + unparseable;
+        if invalidated > 0 {
+            dfk.observability()
+                .counter(obs::names::CKPT_INVALIDATED)
+                .add(invalidated as u64);
+        }
+        invalidated
+    }
 }
 
 /// Resolve where the journal lives for this run.

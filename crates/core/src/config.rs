@@ -174,6 +174,18 @@ impl Default for CheckpointSettings {
 }
 
 impl CheckpointSettings {
+    /// The journal of one `parsl-serve` run, kept in `dir`. Whatever the
+    /// daemon's own `checkpoint:` block says, every task exit is fsynced:
+    /// a SIGTERMed daemon resumes its runs from these journals, and a
+    /// periodic flush would lose the tasks of the last period.
+    pub fn per_run(dir: PathBuf) -> Self {
+        Self {
+            mode: CheckpointMode::TaskExit,
+            dir: Some(dir),
+            ..Self::default()
+        }
+    }
+
     /// The journal sync mode, unless checkpointing is off.
     pub fn sync_mode(&self) -> Option<ckpt::SyncMode> {
         match self.mode {

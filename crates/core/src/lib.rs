@@ -1,6 +1,6 @@
 //! `cwl_parsl` — the paper's contribution: the integration of CWL and Parsl.
 //!
-//! Three pieces (paper §III–§V):
+//! Its pieces (paper §III–§V, and the run lifecycle they share):
 //!
 //! * [`CwlApp`] — *importing tool definitions*: load a CWL
 //!   `CommandLineTool` and call it like any other Parsl app. Inputs are
@@ -11,6 +11,9 @@
 //! * [`config`] — the TaPS-style YAML configuration the `parsl-cwl` runner
 //!   uses to pick an executor/provider (§III-B), plus the runner library
 //!   behind the `parsl-cwl` binary;
+//! * [`run`] — one run's document set and inputs ([`RunSpec`]), and the
+//!   lifecycle steps `parsl-cwl` and `parsl-serve` share: gate, hash,
+//!   prestage, execute;
 //! * [`wfrunner`] — the paper's stated future work, implemented here as an
 //!   extension: executing a complete CWL `Workflow` (including scatter and
 //!   subworkflows) on Parsl's dataflow kernel, one Parsl task per step
@@ -25,11 +28,13 @@ pub mod config;
 pub mod cwlapp;
 pub mod lint;
 pub mod proto;
+pub mod run;
 pub mod runner;
 mod task;
 pub mod wfrunner;
 
 pub use config::{load_config_file, load_config_value, RunnerConfig, ServeSettings};
 pub use cwlapp::{CwlApp, CwlAppOptions, CwlInvocation, CwlRun};
+pub use run::RunSpec;
 pub use runner::{run_tool_cli, run_tool_cli_resumable, CkptReport, CliOutcome};
 pub use wfrunner::ParslWorkflowRunner;

@@ -9,9 +9,8 @@
 
 use crate::checkpoint;
 use crate::config::RunnerConfig;
-use crate::cwlapp::{CwlApp, CwlAppOptions};
-use crate::wfrunner::ParslWorkflowRunner;
-use cwl::loader::{load_file, CwlDocument};
+use crate::cwlapp::CwlAppOptions;
+use crate::run::RunSpec;
 use parsl::DataFlowKernel;
 use std::path::Path;
 use yamlite::{Map, Value};
@@ -109,26 +108,17 @@ pub fn run_tool_cli_resumable(
     inputs: &Map,
     resume: Option<&Path>,
 ) -> Result<CliOutcome, String> {
+    let spec = RunSpec::load(cwl_path, inputs.clone());
     // The cwl-check pre-run gate: refuse to start a run the static
     // analyzer can already prove broken (configurable via `check:`).
     // The configured executor's capacity feeds the feasibility pass, so a
     // ResourceRequirement no node can satisfy fails here, not mid-run.
     if config.pre_run_check {
-        let opts = cwl::analyze::AnalyzeOptions {
-            capacity: Some(crate::lint::executor_capacity(&config.parsl)),
-        };
-        let report = cwl::analyze::analyze_file_opts(cwl_path, &opts);
-        if !report.is_clean(config.strict_check) {
-            return Err(format!(
-                "static analysis found {} error(s), {} warning(s):\n{}",
-                report.error_count(),
-                report.warning_count(),
-                report.render_text().trim_end()
-            ));
-        }
+        let capacity = crate::lint::executor_capacity(&config.parsl);
+        spec.gate(capacity, config.strict_check)
+            .map_err(|report| report.refusal())?;
     }
-
-    let doc = load_file(cwl_path)?;
+    spec.document()?;
     let trace = if config.parsl.monitoring.enabled {
         config.parsl.monitoring.export_path.clone()
     } else {
@@ -136,20 +126,15 @@ pub fn run_tool_cli_resumable(
     };
 
     // Bind the checkpoint journal before the kernel exists so the very
-    // first completion is journaled. The run hash walks every referenced
-    // CWL file — only worth computing when a journal is in play.
+    // first completion is journaled. The run hash reads every file of the
+    // set — only worth computing when a journal is in play.
     let prepared = if config.checkpoint.sync_mode().is_some() || resume.is_some() {
-        let hash = checkpoint::run_hash(cwl_path, inputs)?;
-        let label = cwl_path
-            .file_name()
-            .map(|s| s.to_string_lossy().into_owned())
-            .unwrap_or_default();
         checkpoint::prepare_with_pool(
             &config.checkpoint,
             &config.workdir,
             resume,
-            hash,
-            &label,
+            spec.hash()?,
+            &spec.label(),
             config.staging.pool,
         )?
     } else {
@@ -160,16 +145,7 @@ pub fn run_tool_cli_resumable(
     }
 
     let dfk = DataFlowKernel::try_new(config.parsl)?;
-    let mut invalidated = 0usize;
-    if let Some(p) = &prepared {
-        let (_seeded, unparseable) = dfk.seed_checkpoint(&p.seed);
-        invalidated = p.invalidated + unparseable;
-        if invalidated > 0 {
-            dfk.observability()
-                .counter(obs::names::CKPT_INVALIDATED)
-                .add(invalidated as u64);
-        }
-    }
+    let invalidated = prepared.as_ref().map_or(0, |p| p.seed_into(&dfk, None));
     let mut options = CwlAppOptions::in_dir(&config.workdir);
     if config.builtin_tools {
         options = options.with_builtin_tools();
@@ -180,35 +156,8 @@ pub fn run_tool_cli_resumable(
     options = options
         .with_staging(config.staging.clone())
         .with_stager(stager.clone());
-    prestage_inputs(&stager, inputs, config.staging.pool);
-
-    let outputs = match doc {
-        CwlDocument::Tool(tool) => {
-            let app = CwlApp::from_tool(
-                &dfk,
-                tool,
-                cwl_path
-                    .file_stem()
-                    .map(|s| s.to_string_lossy().into_owned()),
-                options,
-            )?;
-            let mut invocation = app.call();
-            for (k, v) in inputs.iter() {
-                invocation = invocation.arg(k.to_string(), v.clone());
-            }
-            let run = invocation.submit()?;
-            match run.future.result() {
-                Ok(Value::Map(m)) => m,
-                Ok(other) => return Err(format!("unexpected tool result {other:?}")),
-                Err(e) => return Err(e.to_string()),
-            }
-        }
-        CwlDocument::Workflow(_) => {
-            // Paper future work, implemented here: run full workflows.
-            let runner = ParslWorkflowRunner::new(&dfk, options);
-            runner.run(cwl_path, inputs)?
-        }
-    };
+    spec.prestage(&stager, config.staging.pool);
+    let outputs = spec.execute(&dfk, options)?;
 
     let tasks = dfk.monitoring().summary().completed;
     // Before shutdown: export (inside shutdown) folds metrics into the
@@ -233,46 +182,6 @@ pub fn run_tool_cli_resumable(
         trace,
         ckpt,
     })
-}
-
-/// Hash the run's root `class:File` inputs into the content store up
-/// front, in parallel — tasks consuming them then stage by index hit.
-/// Best-effort: unreadable paths surface later as per-task errors.
-fn prestage_inputs(stager: &datastore::Stager, inputs: &Map, pool: usize) {
-    let mut paths = Vec::new();
-    for (_, v) in inputs.iter() {
-        collect_file_paths(v, &mut paths);
-    }
-    paths.sort();
-    paths.dedup();
-    if paths.is_empty() {
-        return;
-    }
-    let _ = stager.store().ingest_parallel(&paths, pool.max(1));
-}
-
-/// Collect `class: File` paths from an input value, recursively.
-fn collect_file_paths(value: &Value, out: &mut Vec<std::path::PathBuf>) {
-    match value {
-        Value::Map(m) => {
-            if m.get("class").and_then(|c| c.as_str()) == Some("File") {
-                if let Some(p) = m.get("path").or_else(|| m.get("location")) {
-                    if let Some(p) = p.as_str() {
-                        out.push(std::path::PathBuf::from(p));
-                    }
-                }
-            }
-            for (_, v) in m.iter() {
-                collect_file_paths(v, out);
-            }
-        }
-        Value::Seq(s) => {
-            for v in s {
-                collect_file_paths(v, out);
-            }
-        }
-        _ => {}
-    }
 }
 
 #[cfg(test)]

@@ -11,8 +11,9 @@
 
 use crate::cwlapp::CwlAppOptions;
 use crate::task::ToolTask;
-use cwl::loader::{load_document, CwlDocument};
+use cwl::loader::CwlDocument;
 use cwl::workflow::Step;
+use cwl::DocSet;
 use cwlexec::step::{self, PreparedWorkflow, StepTarget};
 use cwlexec::ToolDispatch;
 use datastore::Stager;
@@ -97,13 +98,17 @@ impl ParslWorkflowRunner {
     /// Execute the workflow at `path` with `provided` inputs; blocks until
     /// all tasks finish and returns the workflow output object.
     pub fn run(&self, path: impl AsRef<Path>, provided: &Map) -> Result<Map, String> {
-        let path = path.as_ref();
-        let parsed = yamlite::parse_file(path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let doc = load_document(&parsed).map_err(|e| format!("{}: {e}", path.display()))?;
-        let CwlDocument::Workflow(wf) = doc else {
-            return Err(format!("{} is not a Workflow", path.display()));
+        self.run_docs(&DocSet::load(path), provided)
+    }
+
+    /// [`ParslWorkflowRunner::run`] over an already-loaded document set: the
+    /// root workflow and every file it runs come from `docs`.
+    pub fn run_docs(&self, docs: &DocSet, provided: &Map) -> Result<Map, String> {
+        let root = docs.root();
+        let CwlDocument::Workflow(_) = root.document()? else {
+            return Err(format!("{} is not a Workflow", root.path.display()));
         };
-        let diags = cwl::validate_document(&parsed);
+        let diags = cwl::validate_document(root.value()?);
         if !cwl::validate::is_valid(&diags) {
             return Err(format!("validation failed: {}", diags[0]));
         }
@@ -112,8 +117,7 @@ impl ParslWorkflowRunner {
         let stager = self.stager.as_ref().map_err(|e| e.clone())?;
         // parsl-cwl evaluates expressions in-process (the paper's §V fast
         // path): no modelled process-boundary cost.
-        let base_dir = path.parent().unwrap_or(Path::new("."));
-        let prepared = step::prepare_workflow(wf, base_dir, &JsCostModel::free())?;
+        let prepared = step::prepare_workflow(docs, &JsCostModel::free())?;
 
         let outputs = self.compile(&prepared, stager, literals(provided).collect(), "")?;
 

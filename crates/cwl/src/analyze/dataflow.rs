@@ -4,7 +4,8 @@
 //! steps, unused outputs).
 
 use super::{codes, entry_path, join, step_value, Sink};
-use crate::loader::{load_document, resolve_run, CwlDocument};
+use crate::docs::DocSet;
+use crate::loader::CwlDocument;
 use crate::requirements::Requirements;
 use crate::tool::CommandLineTool;
 use crate::types::CwlType;
@@ -162,7 +163,13 @@ pub(crate) fn check_tool(tool: &CommandLineTool, doc: &Value, out: &mut Sink) {
 }
 
 /// Full dataflow analysis of a `Workflow`.
-pub(crate) fn check_workflow(wf: &Workflow, doc: &Value, base_dir: Option<&Path>, out: &mut Sink) {
+pub(crate) fn check_workflow(
+    wf: &Workflow,
+    doc: &Value,
+    docs: &DocSet,
+    base_dir: Option<&Path>,
+    out: &mut Sink,
+) {
     req_warnings(&wf.requirements, out);
 
     // Resolve each step's run target to its IO signature. `None` means the
@@ -171,28 +178,17 @@ pub(crate) fn check_workflow(wf: &Workflow, doc: &Value, base_dir: Option<&Path>
     let mut ios: HashMap<&str, Option<RunIo>> = HashMap::new();
     for step in &wf.steps {
         let spath = entry_path(doc, "", "steps", &step.id);
-        let io = match &step.run {
-            RunRef::Inline(v) => match load_document(v) {
-                Ok(d) => Some(run_io(&d)),
-                Err(e) => {
-                    out.error(
-                        codes::RUN_UNLOADABLE,
-                        join(&spath, "run"),
-                        format!("cannot load inline run document: {e}"),
-                    );
-                    None
-                }
-            },
-            RunRef::Path(_) => match base_dir {
-                Some(dir) => match resolve_run(&step.run, dir) {
-                    Ok(d) => Some(run_io(&d)),
-                    Err(e) => {
-                        out.error(codes::RUN_UNLOADABLE, join(&spath, "run"), e);
-                        None
-                    }
-                },
-                None => None,
-            },
+        let io = match docs.resolve(&step.run, base_dir) {
+            None => None,
+            Some(Ok(target)) => Some(run_io(&target.doc)),
+            Some(Err(e)) => {
+                let message = match &step.run {
+                    RunRef::Inline(_) => format!("cannot load inline run document: {e}"),
+                    RunRef::Path(_) => e,
+                };
+                out.error(codes::RUN_UNLOADABLE, join(&spath, "run"), message);
+                None
+            }
         };
         if matches!(
             &io,

@@ -192,6 +192,16 @@ impl Report {
         });
     }
 
+    /// Why a runner refuses to start a run over this report.
+    pub fn refusal(&self) -> String {
+        format!(
+            "static analysis found {} error(s), {} warning(s):\n{}",
+            self.error_count(),
+            self.warning_count(),
+            self.render_text().trim_end()
+        )
+    }
+
     /// Compiler-style text rendering, one line per finding.
     pub fn render_text(&self) -> String {
         let mut out = String::new();

@@ -18,7 +18,8 @@
 //! this pass under-approximates, so every report is a real hazard.
 
 use super::{codes, entry_path, join, Sink};
-use crate::loader::{resolve_run, CwlDocument};
+use crate::docs::DocSet;
+use crate::loader::CwlDocument;
 use crate::tool::CommandLineTool;
 use crate::types::CwlType;
 use crate::workflow::{RunRef, Step, Workflow};
@@ -173,33 +174,29 @@ pub(crate) fn check_tool(tool: &CommandLineTool, out: &mut Sink) {
     }
 }
 
-/// Resolve a step's run target to a tool, when it is one. Load failures
-/// are already E003 in the dataflow pass and produce `None` here.
-fn step_tool(step: &Step, base_dir: Option<&Path>) -> Option<CommandLineTool> {
-    let doc = match (&step.run, base_dir) {
-        (RunRef::Inline(_), _) => resolve_run(&step.run, Path::new(".")).ok()?,
-        (RunRef::Path(_), Some(dir)) => resolve_run(&step.run, dir).ok()?,
-        (RunRef::Path(_), None) => return None,
-    };
-    match doc {
-        CwlDocument::Tool(t) => Some(t),
-        CwlDocument::Workflow(_) => None,
-    }
-}
-
 /// Workflow-level effect analysis: E030 write-write collisions between
 /// unordered steps, E031 scatter shards sharing one write, and W110 on
 /// inline tools.
-pub(crate) fn check_workflow(wf: &Workflow, doc: &Value, base_dir: Option<&Path>, out: &mut Sink) {
+pub(crate) fn check_workflow(
+    wf: &Workflow,
+    doc: &Value,
+    docs: &DocSet,
+    base_dir: Option<&Path>,
+    out: &mut Sink,
+) {
     // Per-step shared write-sets.
     let mut writes: Vec<(usize, &Step, Vec<SharedWrite>)> = Vec::new();
     for (i, step) in wf.steps.iter().enumerate() {
-        let Some(tool) = step_tool(step, base_dir) else {
+        // Load failures are already E003 in the dataflow pass.
+        let Some(Ok(target)) = docs.resolve(&step.run, base_dir) else {
+            continue;
+        };
+        let CwlDocument::Tool(tool) = target.doc.as_ref() else {
             continue;
         };
         if matches!(step.run, RunRef::Inline(_)) {
             let spath = entry_path(doc, "", "steps", &step.id);
-            for param in writable_input_hazards(&tool) {
+            for param in writable_input_hazards(tool) {
                 out.warning(
                     codes::WRITABLE_INPUT,
                     join(&join(&spath, "run"), "requirements"),
@@ -207,7 +204,7 @@ pub(crate) fn check_workflow(wf: &Workflow, doc: &Value, base_dir: Option<&Path>
                 );
             }
         }
-        writes.push((i, step, shared_writes(&tool, Some(step))));
+        writes.push((i, step, shared_writes(tool, Some(step))));
     }
 
     // E031: every scatter shard of a step runs concurrently in its own

@@ -18,7 +18,9 @@
 //!   plus requirement gating for `${...}` bodies.
 //!
 //! Entry points: [`analyze_file`] / [`analyze_str`] for source text (spans
-//! included), [`analyze_value`] for an already-parsed document.
+//! included), [`analyze_docs`] for an already-loaded
+//! [`DocSet`](crate::docs::DocSet) — the passes look every `run:` target up
+//! in the set and read no file themselves.
 
 pub mod dataflow;
 pub mod diag;
@@ -29,12 +31,13 @@ pub mod plan;
 pub use diag::{codes, Diag, Report};
 pub use plan::ExecutorCapacity;
 
-use crate::loader::{load_document, CwlDocument};
+use crate::docs::{DocEntry, DocSet, Loaded};
+use crate::loader::CwlDocument;
 use crate::validate::Severity;
 use crate::workflow::{RunRef, Workflow};
 use std::collections::BTreeMap;
 use std::path::Path;
-use yamlite::{parse_str_spanned, SpanIndex, Value};
+use yamlite::{SpanIndex, Value};
 
 /// Options for the cwl-check v2 passes. The default runs every pass that
 /// needs no external context; adding an [`ExecutorCapacity`] additionally
@@ -92,24 +95,7 @@ pub fn analyze_str(text: &str, file: Option<&Path>) -> Report {
 
 /// [`analyze_str`] with explicit [`AnalyzeOptions`].
 pub fn analyze_str_opts(text: &str, file: Option<&Path>, opts: &AnalyzeOptions) -> Report {
-    let mut report = Report::new();
-    report.file = file.map(|p| p.display().to_string());
-    match parse_str_spanned(text) {
-        Err(e) => report.diags.push(Diag {
-            code: codes::YAML_PARSE,
-            severity: Severity::Error,
-            path: String::new(),
-            position: Some(e.position),
-            message: e.message,
-            file: None,
-        }),
-        Ok((doc, spans)) => {
-            let base_dir = file.and_then(Path::parent);
-            analyze_value_opts(&doc, &spans, base_dir, opts, &mut report);
-        }
-    }
-    report.sort();
-    report
+    analyze_docs(&DocSet::from_text(text, file), opts)
 }
 
 /// Analyze a CWL file on disk.
@@ -119,71 +105,92 @@ pub fn analyze_file(path: impl AsRef<Path>) -> Report {
 
 /// [`analyze_file`] with explicit [`AnalyzeOptions`].
 pub fn analyze_file_opts(path: impl AsRef<Path>, opts: &AnalyzeOptions) -> Report {
-    let path = path.as_ref();
-    match std::fs::read_to_string(path) {
-        Ok(text) => analyze_str_opts(&text, Some(path), opts),
-        Err(e) => {
-            let mut report = Report::new();
-            report.file = Some(path.display().to_string());
-            report.diags.push(Diag {
-                code: codes::YAML_PARSE,
-                severity: Severity::Error,
-                path: String::new(),
-                position: None,
-                message: format!("cannot read {}: {e}", path.display()),
-                file: None,
-            });
-            report
+    analyze_docs(&DocSet::load(path), opts)
+}
+
+/// Analyze a loaded document set: every pass over the root document, plus
+/// the file-local errors of the tool files its steps reference. Referenced
+/// files are looked up in the set, never read here.
+pub fn analyze_docs(docs: &DocSet, opts: &AnalyzeOptions) -> Report {
+    let root = docs.root();
+    let mut report = Report::new();
+    report.file = docs.root_dir().map(|_| root.path.display().to_string());
+    let unparsed = |message, position| Diag {
+        code: codes::YAML_PARSE,
+        severity: Severity::Error,
+        path: String::new(),
+        position,
+        message,
+        file: None,
+    };
+    match &root.loaded {
+        Loaded::Unread(e) => report.diags.push(unparsed(
+            format!("cannot read {}: {e}", root.path.display()),
+            None,
+        )),
+        Loaded::Unparsed { error, .. } => report
+            .diags
+            .push(unparsed(error.message.clone(), Some(error.position))),
+        Loaded::Parsed {
+            value, spans, doc, ..
+        } => {
+            let dir = docs.root_dir();
+            check_document(docs, value, spans, doc, dir, opts, &mut report);
+            if let (Ok(CwlDocument::Workflow(wf)), Some(dir)) = (doc, dir) {
+                check_referenced_tools(docs, wf, dir, &mut report);
+            }
         }
+    }
+    report.sort();
+    report
+}
+
+/// The pre-run gate every runner applies: `Err` carries the report of a
+/// document set that is not clean (warnings count under `strict`).
+pub fn gate(docs: &DocSet, opts: &AnalyzeOptions, strict: bool) -> Result<(), Report> {
+    let report = analyze_docs(docs, opts);
+    if report.is_clean(strict) {
+        Ok(())
+    } else {
+        Err(report)
     }
 }
 
-/// Analyze an already-parsed document, appending findings to `report`.
-/// Pass an empty [`SpanIndex`] when no span data is available — positions
-/// are then omitted from the diagnostics.
-pub fn analyze_value(doc: &Value, spans: &SpanIndex, base_dir: Option<&Path>, report: &mut Report) {
-    analyze_value_opts(doc, spans, base_dir, &AnalyzeOptions::default(), report)
-}
-
-/// [`analyze_value`] with explicit [`AnalyzeOptions`].
-pub fn analyze_value_opts(
-    doc: &Value,
+/// Every pass over one parsed document, appending to `report`. `dir`
+/// anchors its `run:` paths (`None`: no file, so they stay unresolved).
+fn check_document(
+    docs: &DocSet,
+    value: &Value,
     spans: &SpanIndex,
-    base_dir: Option<&Path>,
+    loaded: &Result<CwlDocument, String>,
+    dir: Option<&Path>,
     opts: &AnalyzeOptions,
     report: &mut Report,
 ) {
-    let loaded = load_document(doc);
-    {
-        let mut sink = Sink { spans, report };
-        match doc.get("cwlVersion").and_then(Value::as_str) {
-            None => sink.error(codes::CWL_MODEL, "cwlVersion", "missing cwlVersion"),
-            Some(v) if !matches!(v, "v1.0" | "v1.1" | "v1.2") => sink.warning(
-                codes::ODD_VERSION,
-                "cwlVersion",
-                format!("unrecognized cwlVersion {v:?} (treating as v1.2)"),
-            ),
-            _ => {}
-        }
-        match &loaded {
-            Err(e) => sink.error(codes::CWL_MODEL, "", e.clone()),
-            Ok(CwlDocument::Tool(tool)) => {
-                dataflow::check_tool(tool, doc, &mut sink);
-                exprlint::lint_tool(tool, doc, &mut sink);
-                effects::check_tool(tool, &mut sink);
-                plan::check_tool(tool, opts.capacity.as_ref(), &mut sink);
-            }
-            Ok(CwlDocument::Workflow(wf)) => {
-                dataflow::check_workflow(wf, doc, base_dir, &mut sink);
-                exprlint::lint_workflow(wf, doc, &mut sink);
-                effects::check_workflow(wf, doc, base_dir, &mut sink);
-                plan::check_workflow(wf, doc, base_dir, opts.capacity.as_ref(), &mut sink);
-            }
-        }
+    let mut sink = Sink { spans, report };
+    match value.get("cwlVersion").and_then(Value::as_str) {
+        None => sink.error(codes::CWL_MODEL, "cwlVersion", "missing cwlVersion"),
+        Some(v) if !matches!(v, "v1.0" | "v1.1" | "v1.2") => sink.warning(
+            codes::ODD_VERSION,
+            "cwlVersion",
+            format!("unrecognized cwlVersion {v:?} (treating as v1.2)"),
+        ),
+        _ => {}
     }
-    // File-local findings inside *referenced* tool files, deduped per file.
-    if let (Ok(CwlDocument::Workflow(wf)), Some(dir)) = (&loaded, base_dir) {
-        check_referenced_tools(wf, dir, report);
+    match loaded {
+        Err(e) => sink.error(codes::CWL_MODEL, "", e.clone()),
+        Ok(CwlDocument::Tool(tool)) => {
+            dataflow::check_tool(tool, value, &mut sink);
+            exprlint::lint_tool(tool, value, &mut sink);
+            effects::check_tool(tool, &mut sink);
+            plan::check_tool(tool, opts.capacity.as_ref(), &mut sink);
+        }
+        Ok(CwlDocument::Workflow(wf)) => {
+            dataflow::check_workflow(wf, value, docs, dir, &mut sink);
+            exprlint::lint_workflow(wf, value, &mut sink);
+            effects::check_workflow(wf, value, docs, dir, &mut sink);
+            plan::check_workflow(wf, value, docs, dir, opts.capacity.as_ref(), &mut sink);
+        }
     }
 }
 
@@ -204,33 +211,42 @@ const REFERENCED_FILE_CODES: &[&str] = &[
 /// annotated with the referencing steps. Referenced *workflows* are not
 /// descended into (they get their own report when checked themselves, and
 /// skipping them keeps reference cycles harmless).
-fn check_referenced_tools(wf: &Workflow, base_dir: &Path, report: &mut Report) {
-    // Group referencing steps per resolved path; BTreeMap keeps the
-    // output order stable across runs.
-    let mut refs: BTreeMap<std::path::PathBuf, Vec<&str>> = BTreeMap::new();
+fn check_referenced_tools(docs: &DocSet, wf: &Workflow, base_dir: &Path, report: &mut Report) {
+    // Group referencing steps per file; BTreeMap keeps the output order
+    // stable across runs.
+    let mut refs: BTreeMap<&Path, (&DocEntry, Vec<&str>)> = BTreeMap::new();
     for step in &wf.steps {
         if let RunRef::Path(p) = &step.run {
-            let path = if Path::new(p).is_absolute() {
-                std::path::PathBuf::from(p)
-            } else {
-                base_dir.join(p)
-            };
-            let path = path.canonicalize().unwrap_or(path);
-            refs.entry(path).or_default().push(&step.id);
+            if let Some(entry) = docs.get(&base_dir.join(p)) {
+                refs.entry(&entry.key)
+                    .or_insert((entry, Vec::new()))
+                    .1
+                    .push(&step.id);
+            }
         }
     }
-    for (path, steps) in refs {
-        let Ok(text) = std::fs::read_to_string(&path) else {
-            continue; // unloadable targets are already E003
+    for (key, (entry, steps)) in refs {
+        // Unloadable targets are already E003.
+        let Loaded::Parsed {
+            value, spans, doc, ..
+        } = &entry.loaded
+        else {
+            continue;
         };
-        let is_tool = yamlite::parse_str(&text)
-            .ok()
-            .and_then(|d| d.get("class").and_then(Value::as_str).map(str::to_string))
-            == Some("CommandLineTool".to_string());
-        if !is_tool {
+        if value.get("class").and_then(Value::as_str) != Some("CommandLineTool") {
             continue;
         }
-        let sub = analyze_str(&text, Some(&path));
+        let mut sub = Report::new();
+        check_document(
+            docs,
+            value,
+            spans,
+            doc,
+            None,
+            &AnalyzeOptions::default(),
+            &mut sub,
+        );
+        sub.sort();
         let note = format!(
             " (referenced from {} step{}: {})",
             steps.len(),
@@ -241,7 +257,7 @@ fn check_referenced_tools(wf: &Workflow, base_dir: &Path, report: &mut Report) {
             if REFERENCED_FILE_CODES.contains(&d.code) {
                 report.diags.push(Diag {
                     message: format!("{}{note}", d.message),
-                    file: Some(path.display().to_string()),
+                    file: Some(key.display().to_string()),
                     ..d
                 });
             }

@@ -18,7 +18,8 @@
 //! classic greedy-scheduling bound (work law / span law).
 
 use super::{codes, entry_path, join, Sink};
-use crate::loader::{resolve_run, CwlDocument};
+use crate::docs::DocSet;
+use crate::loader::CwlDocument;
 use crate::requirements::ResourceRequirement;
 use crate::tool::CommandLineTool;
 use crate::workflow::{Step, Workflow};
@@ -257,16 +258,25 @@ struct SubPlan {
     width_unknown: bool,
 }
 
-/// Walk a workflow, checking each step's effective resources and summing
-/// task counts. `depth` caps nested-workflow recursion (cycles between
-/// files would otherwise hang the analyzer).
-fn walk_workflow(
-    wf: &Workflow,
+/// Where [`walk_workflow`] reports E032/W111: the document being checked,
+/// its sink, and — inside a nested workflow — the outer step that runs it,
+/// which every nested finding is anchored on (the nested file has its own
+/// spans only when checked itself).
+type DiagCtx<'a, 'b, 's> = (&'a Value, &'a mut Sink<'b>, Option<&'s Step>);
+
+/// Walk a workflow, checking each step's effective resources (when `diag`
+/// is given) and summing task counts. `base_dir` anchors the workflow's own
+/// `run:` paths; a nested file workflow's steps resolve against its
+/// directory. `depth` caps nested-workflow recursion (cycles between files
+/// would otherwise hang the analyzer).
+fn walk_workflow<'s>(
+    wf: &'s Workflow,
+    docs: &DocSet,
     base_dir: Option<&Path>,
     capacity: Option<&ExecutorCapacity>,
     inherited: Option<&ResourceRequirement>,
     depth: usize,
-    mut diag: Option<(&Value, &mut Sink)>,
+    mut diag: Option<DiagCtx<'_, '_, 's>>,
 ) -> SubPlan {
     let outer = wf.requirements.resources.as_ref().or(inherited);
     let mut per_step: HashMap<&str, SubPlan> = HashMap::new();
@@ -276,36 +286,33 @@ fn walk_workflow(
         } else {
             scatter_width(wf, step)
         };
-        let resolved = match (base_dir, &step.run) {
-            (Some(dir), _) => resolve_run(&step.run, dir).ok(),
-            (None, crate::workflow::RunRef::Inline(_)) => {
-                resolve_run(&step.run, Path::new(".")).ok()
-            }
-            (None, _) => None,
+        let target = docs.resolve(&step.run, base_dir).and_then(Result::ok);
+        let (doc, dir) = match &target {
+            Some(t) => (Some(t.doc.as_ref()), t.dir),
+            None => (None, None),
         };
-        let inner = match &resolved {
+        let inner = match doc {
             Some(CwlDocument::Tool(tool)) => {
                 let res = tool.requirements.resources.as_ref().or(outer);
-                if let Some(res) = res {
-                    if let Some((doc, out)) = diag.as_mut() {
-                        let spath = entry_path(doc, "", "steps", &step.id);
+                if let (Some(res), Some((doc, out, via))) = (res, diag.as_mut()) {
+                    let (who, anchor) = match via {
+                        Some(outer_step) => (
+                            format!("nested step {:?} (via step {:?})", step.id, outer_step.id),
+                            join(&entry_path(doc, "", "steps", &outer_step.id), "run"),
+                        ),
                         // Inline tools carry their requirements in this
-                        // document, so the span can point straight at them;
-                        // path-referenced tools anchor on the `run:` line.
-                        let anchor = match &step.run {
-                            crate::workflow::RunRef::Inline(_) => {
-                                join(&join(&spath, "run"), "requirements")
-                            }
-                            _ => join(&spath, "run"),
-                        };
-                        check_resources(
-                            res,
-                            capacity,
-                            &format!("step {:?}", step.id),
-                            &anchor,
-                            out,
-                        );
-                    }
+                        // document, so the span can point straight at
+                        // them; path-referenced tools anchor on `run:`.
+                        None => {
+                            let run = join(&entry_path(doc, "", "steps", &step.id), "run");
+                            let anchor = match &step.run {
+                                crate::workflow::RunRef::Inline(_) => join(&run, "requirements"),
+                                _ => run,
+                            };
+                            (format!("step {:?}", step.id), anchor)
+                        }
+                    };
+                    check_resources(res, capacity, &who, &anchor, out);
                 }
                 SubPlan {
                     tasks: 1,
@@ -314,22 +321,10 @@ fn walk_workflow(
                 }
             }
             Some(CwlDocument::Workflow(sub)) if depth > 0 => {
-                // Nested diagnostics stay anchored on the outer step: the
-                // sub-file has its own spans only when checked itself.
-                let sub_plan = walk_workflow(sub, base_dir, capacity, outer, depth - 1, None);
-                if let Some((doc, out)) = diag.as_mut() {
-                    nested_resource_errors(
-                        sub,
-                        base_dir,
-                        capacity,
-                        outer,
-                        depth - 1,
-                        doc,
-                        step,
-                        out,
-                    );
-                }
-                sub_plan
+                let nested = diag
+                    .as_mut()
+                    .map(|(doc, out, via)| (*doc, &mut **out, Some(via.unwrap_or(step))));
+                walk_workflow(sub, docs, dir, capacity, outer, depth - 1, nested)
             }
             _ => SubPlan {
                 tasks: 1,
@@ -382,67 +377,24 @@ fn walk_workflow(
     }
 }
 
-/// Surface E032/W111 for tools inside a *nested* workflow, anchored on the
-/// outer step that runs it.
-#[allow(clippy::too_many_arguments)]
-fn nested_resource_errors(
-    sub: &Workflow,
-    base_dir: Option<&Path>,
-    capacity: Option<&ExecutorCapacity>,
-    inherited: Option<&ResourceRequirement>,
-    depth: usize,
-    doc: &Value,
-    outer_step: &Step,
-    out: &mut Sink,
-) {
-    let outer = sub.requirements.resources.as_ref().or(inherited);
-    for step in &sub.steps {
-        let resolved = match (base_dir, &step.run) {
-            (Some(dir), _) => resolve_run(&step.run, dir).ok(),
-            (None, crate::workflow::RunRef::Inline(_)) => {
-                resolve_run(&step.run, Path::new(".")).ok()
-            }
-            (None, _) => None,
-        };
-        match &resolved {
-            Some(CwlDocument::Tool(tool)) => {
-                if let Some(res) = tool.requirements.resources.as_ref().or(outer) {
-                    let spath = entry_path(doc, "", "steps", &outer_step.id);
-                    check_resources(
-                        res,
-                        capacity,
-                        &format!("nested step {:?} (via step {:?})", step.id, outer_step.id),
-                        &join(&spath, "run"),
-                        out,
-                    );
-                }
-            }
-            Some(CwlDocument::Workflow(deeper)) if depth > 0 => {
-                nested_resource_errors(
-                    deeper,
-                    base_dir,
-                    capacity,
-                    outer,
-                    depth - 1,
-                    doc,
-                    outer_step,
-                    out,
-                );
-            }
-            _ => {}
-        }
-    }
-}
-
 /// Workflow-level feasibility diagnostics (E032 / W111).
 pub(crate) fn check_workflow(
     wf: &Workflow,
     doc: &Value,
+    docs: &DocSet,
     base_dir: Option<&Path>,
     capacity: Option<&ExecutorCapacity>,
     out: &mut Sink,
 ) {
-    walk_workflow(wf, base_dir, capacity, None, 8, Some((doc, out)));
+    walk_workflow(
+        wf,
+        docs,
+        base_dir,
+        capacity,
+        None,
+        8,
+        Some((doc, out, None)),
+    );
 }
 
 /// The `cwl-check --plan` summary: task counts, critical path, and the
@@ -493,17 +445,20 @@ impl PlanSummary {
     }
 }
 
-/// Compute the plan summary for a CWL file (tool or workflow).
-pub fn plan_file(path: &Path, capacity: Option<&ExecutorCapacity>) -> Result<PlanSummary, String> {
-    let doc = crate::loader::load_file(path)?;
-    let base_dir = path.parent();
-    let sub = match &doc {
+/// Compute the plan summary for a document set's root (tool or workflow).
+pub fn plan_docs(
+    docs: &DocSet,
+    capacity: Option<&ExecutorCapacity>,
+) -> Result<PlanSummary, String> {
+    let sub = match docs.root().document()? {
         CwlDocument::Tool(_) => SubPlan {
             tasks: 1,
             critical_path: 1,
             width_unknown: false,
         },
-        CwlDocument::Workflow(wf) => walk_workflow(wf, base_dir, capacity, None, 8, None),
+        CwlDocument::Workflow(wf) => {
+            walk_workflow(wf, docs, docs.root_dir(), capacity, None, 8, None)
+        }
     };
     Ok(PlanSummary {
         tasks: sub.tasks,

@@ -14,9 +14,8 @@
 //! well-formedness checking only. Exit status: 0 clean, 1 findings,
 //! 2 usage error.
 
-use cwl::analyze::{
-    analyze_file_opts, analyze_str_opts, plan, AnalyzeOptions, ExecutorCapacity, Report,
-};
+use cwl::analyze::{analyze_docs, plan, AnalyzeOptions, ExecutorCapacity, Report};
+use cwl::docs::{DocSet, Loaded};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -99,7 +98,8 @@ fn main() -> ExitCode {
 
     let mut failed = false;
     for file in &files {
-        let (report, is_cwl) = check_file(file, &opts);
+        let docs = DocSet::load(file);
+        let (report, is_cwl) = check_file(&docs, &opts);
         failed |= !report.is_clean(strict);
         if json {
             println!("{}", report.to_json());
@@ -110,7 +110,7 @@ fn main() -> ExitCode {
             }
         }
         if plan_mode && is_cwl && !json {
-            match plan::plan_file(file, capacity.as_ref()) {
+            match plan::plan_docs(&docs, capacity.as_ref()) {
                 Ok(summary) => println!("{}: {}", file.display(), summary.render()),
                 Err(e) => eprintln!("{}: plan unavailable: {e}", file.display()),
             }
@@ -127,20 +127,17 @@ fn main() -> ExitCode {
 /// configs ride along in the same directories — so they only get YAML
 /// well-formedness checking. The second return says whether the file was
 /// treated as CWL (and so participates in `--plan`).
-fn check_file(path: &Path, opts: &AnalyzeOptions) -> (Report, bool) {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(_) => return (analyze_file_opts(path, opts), false), // cannot-read E001
-    };
-    let is_cwl = yamlite::parse_str(&text)
-        .map(|doc| doc.get("class").is_some())
-        .unwrap_or(true); // parse errors must be reported either way
-    if is_cwl {
-        (analyze_str_opts(&text, Some(path), opts), true)
-    } else {
-        let mut report = Report::new();
-        report.file = Some(path.display().to_string());
-        (report, false)
+fn check_file(docs: &DocSet, opts: &AnalyzeOptions) -> (Report, bool) {
+    let root = docs.root();
+    match &root.loaded {
+        Loaded::Unread(_) => (analyze_docs(docs, opts), false), // cannot-read E001
+        Loaded::Parsed { value, .. } if value.get("class").is_none() => {
+            let mut report = Report::new();
+            report.file = Some(root.path.display().to_string());
+            (report, false)
+        }
+        // Parse errors must be reported either way.
+        _ => (analyze_docs(docs, opts), true),
     }
 }
 

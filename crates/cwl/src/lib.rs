@@ -16,8 +16,9 @@
 //!
 //! Supporting machinery:
 //!
-//! * [`loader`] — YAML document → model, with `run:` reference resolution
-//!   relative to the referencing file;
+//! * [`loader`] — YAML document → model;
+//! * [`docs`] — the set of files a run consists of: `run:` references
+//!   resolved relative to the referencing file, each file read once;
 //! * [`validate`] — structural validation with precise diagnostics
 //!   (cwltool's `--validate` role);
 //! * [`analyze`] — whole-document static analysis (`cwl-check`): typed
@@ -35,6 +36,7 @@
 
 pub mod analyze;
 pub mod binding;
+pub mod docs;
 pub mod input;
 pub mod loader;
 pub mod outputs;
@@ -44,8 +46,9 @@ pub mod types;
 pub mod validate;
 pub mod workflow;
 
-pub use analyze::{analyze_file, analyze_str, analyze_value, Diag, Report};
+pub use analyze::{analyze_file, analyze_str, Diag, Report};
 pub use binding::{build_command, BuiltCommand};
+pub use docs::DocSet;
 pub use loader::{load_document, load_file, CwlDocument};
 pub use requirements::Requirements;
 pub use tool::{Argument, CommandLineTool, InputBinding, InputParam, OutputParam};

@@ -1,9 +1,9 @@
-//! Loading CWL documents from values and files, with `run:` reference
-//! resolution relative to the referencing document.
+//! Loading CWL documents from values and files. Resolving a step's `run:`
+//! reference is [`crate::docs::DocSet`]'s.
 
 use crate::tool::CommandLineTool;
-use crate::workflow::{RunRef, Workflow};
-use std::path::{Path, PathBuf};
+use crate::workflow::Workflow;
+use std::path::Path;
 use yamlite::Value;
 
 /// A parsed top-level CWL document.
@@ -60,22 +60,6 @@ pub fn load_file(path: impl AsRef<Path>) -> Result<CwlDocument, String> {
     load_document(&doc).map_err(|e| format!("{}: {e}", path.display()))
 }
 
-/// Resolve a step's `run` reference into a document. Path references
-/// resolve relative to `base_dir` (the directory of the referencing file).
-pub fn resolve_run(run: &RunRef, base_dir: &Path) -> Result<CwlDocument, String> {
-    match run {
-        RunRef::Inline(doc) => load_document(doc),
-        RunRef::Path(p) => {
-            let path = if Path::new(p).is_absolute() {
-                PathBuf::from(p)
-            } else {
-                base_dir.join(p)
-            };
-            load_file(path)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,38 +83,6 @@ mod tests {
         assert!(load_document(&parse_str("class: ExpressionTool\n").unwrap()).is_err());
         assert!(load_document(&parse_str("class: Nonsense\n").unwrap()).is_err());
         assert!(load_document(&parse_str("cwlVersion: v1.2\n").unwrap()).is_err());
-    }
-
-    #[test]
-    fn file_loading_and_run_resolution() {
-        let dir = std::env::temp_dir().join(format!("cwl-loader-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(
-            dir.join("echo.cwl"),
-            "class: CommandLineTool\ncwlVersion: v1.2\nbaseCommand: echo\ninputs: {}\noutputs: {}\n",
-        )
-        .unwrap();
-        let doc = load_file(dir.join("echo.cwl")).unwrap();
-        assert_eq!(doc.class(), "CommandLineTool");
-
-        let run = RunRef::Path("echo.cwl".to_string());
-        let resolved = resolve_run(&run, &dir).unwrap();
-        assert_eq!(resolved.class(), "CommandLineTool");
-
-        let missing = RunRef::Path("ghost.cwl".to_string());
-        assert!(resolve_run(&missing, &dir).is_err());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn inline_run_resolution() {
-        let inline = parse_str(
-            "class: CommandLineTool\ncwlVersion: v1.2\nbaseCommand: ls\ninputs: {}\noutputs: {}\n",
-        )
-        .unwrap();
-        let run = RunRef::Inline(Box::new(inline));
-        let doc = resolve_run(&run, Path::new("/nowhere")).unwrap();
-        assert_eq!(doc.class(), "CommandLineTool");
     }
 
     #[test]

@@ -53,7 +53,7 @@ fn eight_core_node() -> ExecutorCapacity {
 #[test]
 fn broken_corpus_produces_expected_codes() {
     // (file, expected code, executor capacity handed to the analyzer).
-    let expected: [(&str, &str, Option<ExecutorCapacity>); 23] = [
+    let expected: [(&str, &str, Option<ExecutorCapacity>); 24] = [
         ("bad_link_type.cwl", codes::LINK_TYPE, None),
         ("scatter_nonarray.cwl", codes::SCATTER_NOT_ARRAY, None),
         ("scatter_not_input.cwl", codes::SCATTER_NOT_INPUT, None),
@@ -80,6 +80,9 @@ fn broken_corpus_produces_expected_codes() {
         ("scatter_effect.cwl", codes::SCATTER_EFFECT, None),
         ("writable_input.cwl", codes::WRITABLE_INPUT, None),
         ("unschedulable.cwl", codes::UNSCHEDULABLE, None),
+        // The same E032 one workflow deeper, in another directory: the
+        // nested file's `run:` resolves against its own directory.
+        ("nested_unschedulable.cwl", codes::UNSCHEDULABLE, None),
         // W111 only fires against a capacity: coresMin 6 vs an 8-core node.
         (
             "near_capacity.cwl",
@@ -149,7 +152,7 @@ fn broken_corpus_is_complete() {
                 == Some("cwl")
         })
         .count();
-    assert_eq!(count, 23);
+    assert_eq!(count, 24);
 }
 
 #[test]

@@ -5,8 +5,9 @@
 //! every runner. In the order an instance meets them:
 //!
 //! 1. [`resolve_workflow_inputs`] — the workflow's own input object;
-//! 2. [`prepare_workflow`] — every step's `run:` target loaded and its
-//!    expression engine compiled once, nested workflows recursively;
+//! 2. [`prepare_workflow`] — every step's `run:` target taken from the
+//!    run's [`DocSet`] and its expression engine compiled once, nested
+//!    workflows recursively;
 //! 3. [`gather_input`] / [`gather_inputs`] — `source`, `linkMerge` and the
 //!    step input's `default`, over values that are already known (whether
 //!    they were literals or arrived from an upstream step);
@@ -21,9 +22,10 @@
 //! depend on the size of the inputs it only carries.
 
 use crate::engine::engine_for;
+use cwl::docs::{DocEntry, DocSet};
 use cwl::input::normalize_value;
-use cwl::loader::{load_document, CwlDocument};
-use cwl::workflow::{RunRef, Step, StepInput, Workflow, WorkflowInput};
+use cwl::loader::CwlDocument;
+use cwl::workflow::{Step, StepInput, Workflow, WorkflowInput};
 use cwl::CommandLineTool;
 use expr::{interpolate, EvalContext, ExpressionEngine, JsCostModel};
 use std::collections::HashMap;
@@ -53,26 +55,32 @@ pub enum StepTarget {
         /// The engine the tool's requirements select, its `expressionLib`
         /// compiled.
         engine: Arc<dyn ExpressionEngine>,
-        /// Text of the file a `run:` path named (an inline tool has none);
-        /// runners that model per-task document reprocessing re-read it.
+        /// Text of the file a `run:` path named, as the document set read it
+        /// (an inline tool has none); runners that model per-task document
+        /// reprocessing re-parse it.
         raw: Option<String>,
     },
     Workflow(Arc<PreparedWorkflow>),
 }
 
-/// Load and compile everything `workflow` runs. Relative `run:` paths
-/// resolve against `base_dir`, a nested workflow's against its own file.
+/// Compile everything the root workflow of `docs` runs. Every `run:`
+/// target is looked up in the set, which resolved relative paths against
+/// the referencing file's directory; nothing is read here.
 pub fn prepare_workflow(
-    workflow: Workflow,
-    base_dir: &Path,
+    docs: &DocSet,
     js_cost: &JsCostModel,
 ) -> Result<Arc<PreparedWorkflow>, String> {
-    prepare(workflow, base_dir, js_cost, 0)
+    let root = docs.root();
+    let CwlDocument::Workflow(workflow) = root.document()? else {
+        return Err(format!("{} is not a Workflow", root.path.display()));
+    };
+    prepare(workflow.clone(), docs, docs.root_dir(), js_cost, 0)
 }
 
 fn prepare(
     workflow: Workflow,
-    base_dir: &Path,
+    docs: &DocSet,
+    dir: Option<&Path>,
     js_cost: &JsCostModel,
     depth: usize,
 ) -> Result<Arc<PreparedWorkflow>, String> {
@@ -85,7 +93,7 @@ fn prepare(
     let engine = Arc::from(engine_for(&workflow.requirements, js_cost.clone())?);
     let mut targets = Vec::with_capacity(workflow.steps.len());
     for step in &workflow.steps {
-        let target = prepare_target(step, &workflow, base_dir, js_cost, depth)
+        let target = prepare_target(step, &workflow, docs, dir, js_cost, depth)
             .map_err(|e| format!("step {:?}: {e}", step.id))?;
         targets.push(target);
     }
@@ -100,26 +108,16 @@ fn prepare(
 fn prepare_target(
     step: &Step,
     parent: &Workflow,
-    base_dir: &Path,
+    docs: &DocSet,
+    dir: Option<&Path>,
     js_cost: &JsCostModel,
     depth: usize,
 ) -> Result<StepTarget, String> {
-    let (doc, raw, dir) = match &step.run {
-        RunRef::Path(p) => {
-            // `join` keeps an absolute `p` as it is.
-            let path = base_dir.join(p);
-            let raw = std::fs::read_to_string(&path)
-                .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-            let doc = load_document(&yamlite::parse_str(&raw).map_err(|e| e.to_string())?)?;
-            (
-                doc,
-                Some(raw),
-                path.parent().unwrap_or(base_dir).to_path_buf(),
-            )
-        }
-        RunRef::Inline(doc) => (load_document(doc)?, None, base_dir.to_path_buf()),
-    };
-    match doc {
+    let target = docs
+        .resolve(&step.run, dir)
+        .ok_or("a `run:` path needs the workflow's file to resolve against")??;
+    let raw = target.file.and_then(DocEntry::text).map(str::to_string);
+    match target.doc.into_owned() {
         CwlDocument::Tool(tool) => Ok(StepTarget::Tool {
             engine: Arc::from(engine_for(&tool.requirements, js_cost.clone())?),
             tool: Arc::new(tool),
@@ -130,7 +128,8 @@ fn prepare_target(
         }
         CwlDocument::Workflow(sub) => Ok(StepTarget::Workflow(prepare(
             sub,
-            &dir,
+            docs,
+            target.dir,
             js_cost,
             depth + 1,
         )?)),
@@ -634,15 +633,17 @@ mod tests {
         std::fs::write(dir.join("sub/tool.cwl"), tool).unwrap();
         let inner = "cwlVersion: v1.2\nclass: Workflow\ninputs:\n  f: File\noutputs: {}\nsteps:\n  t:\n    run: tool.cwl\n    in: {f: f}\n    out: []\n";
         std::fs::write(dir.join("sub/inner.cwl"), inner).unwrap();
+        // The set is loaded from the outer file, which lives in `dir`.
         let outer = |requirements: &str| {
-            Workflow::parse(&yaml(&format!(
+            let text = format!(
                 "cwlVersion: v1.2\nclass: Workflow\n{requirements}inputs: {{}}\noutputs: {{}}\nsteps:\n  nested:\n    run: sub/inner.cwl\n    in:\n      f: {{default: data.txt}}\n    out: []\n"
-            )))
-            .unwrap()
+            );
+            std::fs::write(dir.join("outer.cwl"), text).unwrap();
+            DocSet::load(dir.join("outer.cwl"))
         };
 
         let requirement = "requirements:\n  - class: SubworkflowFeatureRequirement\n";
-        let prepared = prepare_workflow(outer(requirement), &dir, &JsCostModel::free()).unwrap();
+        let prepared = prepare_workflow(&outer(requirement), &JsCostModel::free()).unwrap();
         let StepTarget::Workflow(nested) = &prepared.targets[0] else {
             panic!("nested step must prepare as a workflow");
         };
@@ -656,7 +657,7 @@ mod tests {
         assert_eq!(loaded.inputs[0].id, "f");
         assert_eq!(raw.as_deref(), Some(tool));
 
-        let err = prepare_workflow(outer(""), &dir, &JsCostModel::free())
+        let err = prepare_workflow(&outer(""), &JsCostModel::free())
             .err()
             .unwrap();
         assert!(
@@ -664,10 +665,16 @@ mod tests {
             "{err}"
         );
         std::fs::write(dir.join("sub/tool.cwl"), "class: Nonsense\n").unwrap();
-        let err = prepare_workflow(outer(requirement), &dir, &JsCostModel::free())
+        let err = prepare_workflow(&outer(requirement), &JsCostModel::free())
             .err()
             .unwrap();
         assert!(err.contains("step \"nested\": step \"t\":"), "{err}");
+
+        // The set is what runs: once loaded, deleting every file changes
+        // nothing.
+        let docs = outer(requirement);
         std::fs::remove_dir_all(&dir).unwrap();
+        let err = prepare_workflow(&docs, &JsCostModel::free()).err().unwrap();
+        assert!(err.contains("unknown CWL class"), "{err}");
     }
 }

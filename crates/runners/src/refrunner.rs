@@ -3,6 +3,7 @@
 use crate::profile::ExecProfile;
 use crate::report::RunReport;
 use crate::wfexec::WorkflowExecutor;
+use cwl::DocSet;
 use cwlexec::ToolDispatch;
 use std::path::Path;
 use std::sync::Arc;
@@ -51,12 +52,13 @@ impl RefRunner {
         inputs: &Map,
         workdir: impl AsRef<Path>,
     ) -> Result<RunReport, String> {
+        let docs = DocSet::load(path);
         // cwltool validates the top-level document before running.
-        let diags = Self::validate(path.as_ref())?;
+        let diags = cwl::validate_document(docs.root().value()?);
         if !cwl::validate::is_valid(&diags) {
             return Err(format!("validation failed: {}", diags[0]));
         }
-        self.exec.run_file(path, inputs, workdir)
+        self.exec.run_docs(&docs, inputs, workdir)
     }
 }
 

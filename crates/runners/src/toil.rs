@@ -50,7 +50,8 @@ impl ToilRunner {
     ) -> Result<RunReport, String> {
         std::fs::create_dir_all(&self.job_store)
             .map_err(|e| format!("cannot create job store: {e}"))?;
-        self.exec.run_file(path, inputs, workdir)
+        self.exec
+            .run_docs(&cwl::DocSet::load(path), inputs, workdir)
     }
 
     /// Number of job files currently in the job store.

@@ -9,8 +9,8 @@
 use crate::pool::run_parallel;
 use crate::profile::ExecProfile;
 use crate::report::RunReport;
-use cwl::loader::{load_document, CwlDocument};
-use cwl::CommandLineTool;
+use cwl::loader::CwlDocument;
+use cwl::{CommandLineTool, DocSet};
 use cwlexec::step::{self, PreparedWorkflow, StepTarget};
 use cwlexec::{engine_for, execute_tool_staged, StageCtx, ToolDispatch};
 use datastore::Stager;
@@ -57,43 +57,31 @@ impl WorkflowExecutor {
         self.obs.as_deref().unwrap_or_else(|| obs::global())
     }
 
-    /// Execute the CWL file at `path` with `provided` inputs, placing all
-    /// working files under `workdir`. Works for both CommandLineTools and
-    /// Workflows (including scatter and subworkflows).
-    pub fn run_file(
+    /// Execute the root document of `docs` with `provided` inputs, placing
+    /// all working files under `workdir`. Works for both CommandLineTools
+    /// and Workflows (including scatter and subworkflows); every file the
+    /// run needs comes from `docs`.
+    pub fn run_docs(
         &self,
-        path: impl AsRef<Path>,
+        docs: &DocSet,
         provided: &Map,
         workdir: impl AsRef<Path>,
     ) -> Result<RunReport, String> {
-        let path = path.as_ref();
         let workdir = workdir.as_ref();
+        let file = docs.root();
+        let doc = file.document()?;
         std::fs::create_dir_all(workdir)
             .map_err(|e| format!("cannot create workdir {}: {e}", workdir.display()))?;
         // Every run stages under its own `run-*` subdirectory: two runs
         // sharing a workdir (concurrent invocations, or a rerun after a
         // crash) must never clobber each other's staged files.
         let run_dir = unique_run_dir(workdir)?;
-        let raw = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        let doc = load_document(
-            &yamlite::parse_str(&raw).map_err(|e| format!("{}: {e}", path.display()))?,
-        )
-        .map_err(|e| format!("{}: {e}", path.display()))?;
-        let base_dir = path.parent().unwrap_or(Path::new("."));
 
         // Pre-run gate: refuse to start a run the static analyzer can
         // already prove broken (type-mismatched links, bad expressions).
         if self.profile.precheck {
-            let report = cwl::analyze::analyze_str(&raw, Some(path));
-            if !report.is_clean(self.profile.precheck_strict) {
-                return Err(format!(
-                    "static analysis found {} error(s), {} warning(s):\n{}",
-                    report.error_count(),
-                    report.warning_count(),
-                    report.render_text().trim_end()
-                ));
-            }
+            cwl::analyze::gate(docs, &Default::default(), self.profile.precheck_strict)
+                .map_err(|report| report.refusal())?;
         }
 
         // The run's data plane: a content store under the run directory
@@ -104,7 +92,8 @@ impl WorkflowExecutor {
         let start = Instant::now();
         // Root span for the whole run; every leaf task hangs off it. An
         // early-error `?` drops the span unfinished, which never records.
-        let wf_label = path
+        let wf_label = file
+            .path
             .file_name()
             .map(|n| n.to_string_lossy().into_owned())
             .unwrap_or_else(|| self.profile.name.clone());
@@ -121,9 +110,9 @@ impl WorkflowExecutor {
                 let label = tool.id.clone().unwrap_or_else(|| "tool".to_string());
                 let engine = engine_for(&tool.requirements, self.profile.js_cost.clone())?;
                 self.run_tool_task(
-                    &tool,
+                    tool,
                     engine.as_ref(),
-                    Some(&raw),
+                    file.text(),
                     provided,
                     &run_dir,
                     &label,
@@ -132,8 +121,8 @@ impl WorkflowExecutor {
                     &stager,
                 )?
             }
-            CwlDocument::Workflow(wf) => {
-                let prepared = step::prepare_workflow(wf, base_dir, &self.profile.js_cost)?;
+            CwlDocument::Workflow(_) => {
+                let prepared = step::prepare_workflow(docs, &self.profile.js_cost)?;
                 self.run_workflow(&prepared, provided, &run_dir, root, &stager)?
             }
         };

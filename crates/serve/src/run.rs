@@ -13,7 +13,9 @@
 //! older incarnation already used, or the new run would collide with the
 //! old run's directory and journal.
 
+use cwl_parsl::RunSpec;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use yamlite::{Map, Value};
 
 /// Lifecycle of one admitted submission.
@@ -74,6 +76,10 @@ pub struct RunRecord {
     /// Checkpoint activity, filled in at run end.
     pub replayed: usize,
     pub appended: usize,
+    /// The documents and inputs the run was admitted with, held from
+    /// admission until the run starts. `None` for a run recovered from its
+    /// manifest, which reloads them from `cwl`.
+    pub spec: Option<Arc<RunSpec>>,
 }
 
 impl RunRecord {
@@ -137,6 +143,7 @@ impl RunRecord {
             outputs: v.get("outputs").and_then(Value::as_map).cloned(),
             replayed: v.get("replayed").and_then(Value::as_int).unwrap_or(0) as usize,
             appended: v.get("appended").and_then(Value::as_int).unwrap_or(0) as usize,
+            spec: None,
         })
     }
 }
@@ -200,6 +207,7 @@ mod tests {
             outputs: None,
             replayed: 0,
             appended: 3,
+            spec: None,
         };
         rec.save().unwrap();
         let back = RunRecord::load(&run_dir).unwrap();

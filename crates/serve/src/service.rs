@@ -14,9 +14,8 @@
 
 use crate::queue::FairShare;
 use crate::run::{next_run_id, scan_runs, RunRecord, RunState};
-use cwl::loader::CwlDocument;
-use cwl_parsl::config::{CheckpointMode, CheckpointSettings, RunnerConfig, ServeSettings};
-use cwl_parsl::{checkpoint, CwlApp, CwlAppOptions, ParslWorkflowRunner};
+use cwl_parsl::config::{CheckpointSettings, RunnerConfig, ServeSettings};
+use cwl_parsl::{checkpoint, CwlAppOptions, RunSpec};
 use cwlexec::StagingSettings;
 use datastore::Stager;
 use parking_lot::{Condvar, Mutex};
@@ -26,7 +25,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
-use yamlite::{Map, Value};
+use yamlite::Map;
 
 /// Why a submission was turned away at the door.
 #[derive(Debug)]
@@ -203,11 +202,13 @@ impl Service {
         }
     }
 
-    /// Admit a workflow submission. Admission control mirrors the
-    /// standalone runner's pre-run gate: the static analyzer runs with
-    /// this daemon's executor capacity, so an E032-unschedulable document
-    /// is rejected here, at submit time, with the same diagnostics a
-    /// standalone run would print.
+    /// Admit a workflow submission. The document and every file it runs
+    /// are read once, here; the run executes that set even if the files
+    /// change before it starts. Admission control mirrors the standalone
+    /// runner's pre-run gate: the static analyzer runs with this daemon's
+    /// executor capacity, so an E032-unschedulable document is rejected
+    /// here, at submit time, with the same diagnostics a standalone run
+    /// would print. A document that does not load is refused too.
     pub fn submit(
         self: &Arc<Self>,
         cwl: &Path,
@@ -230,12 +231,9 @@ impl Service {
         let cwl = cwl
             .canonicalize()
             .map_err(|e| SubmitError::Internal(format!("{}: {e}", cwl.display())))?;
+        let spec = RunSpec::load(&cwl, inputs.clone());
         if self.pre_run_check {
-            let opts = cwl::analyze::AnalyzeOptions {
-                capacity: Some(self.capacity.clone()),
-            };
-            let report = cwl::analyze::analyze_file_opts(&cwl, &opts);
-            if !report.is_clean(self.strict_check) {
+            if let Err(report) = spec.gate(self.capacity.clone(), self.strict_check) {
                 self.rejected_metric.add(1);
                 return Err(SubmitError::Rejected {
                     summary: format!(
@@ -247,11 +245,12 @@ impl Service {
                 });
             }
         }
+        spec.document().map_err(SubmitError::Internal)?;
         let id = next_run_id(&self.runs_dir).map_err(SubmitError::Internal)?;
         let run_dir = self.runs_dir.join(format!("run-{id}"));
         std::fs::create_dir_all(&run_dir)
             .map_err(|e| SubmitError::Internal(format!("{}: {e}", run_dir.display())))?;
-        let rec = RunRecord {
+        let mut rec = RunRecord {
             id,
             tenant: tenant.to_string(),
             cwl,
@@ -262,13 +261,47 @@ impl Service {
             outputs: None,
             replayed: 0,
             appended: 0,
+            spec: Some(Arc::new(spec)),
         };
-        rec.save().map_err(SubmitError::Internal)?;
-        self.runs.lock().insert(id, rec);
+        // Start at once when a slot is free and nobody queued earlier: the
+        // record is claimed under the lock and its manifest written once,
+        // already `running`. No ack without a manifest.
+        let started = {
+            let mut runs = self.runs.lock();
+            let start = self.has_slot() && !runs.values().any(|r| r.state == RunState::Queued);
+            if start {
+                rec.state = RunState::Running;
+            }
+            rec.save().map_err(SubmitError::Internal)?;
+            let spec = if start {
+                self.claim_slot();
+                rec.spec.take()
+            } else {
+                None
+            };
+            runs.insert(id, rec);
+            start.then_some(spec)
+        };
         self.queued_metric.add(1);
         self.admitted_metric.add(1);
-        self.pump();
+        match started {
+            Some(spec) => self.spawn_run(id, spec),
+            None => self.pump(),
+        }
         Ok(id)
+    }
+
+    /// Whether another run may start now. Read under the `runs` lock.
+    fn has_slot(&self) -> bool {
+        !self.stopped.load(Ordering::Acquire)
+            && self.active.load(Ordering::Acquire) < self.serve.max_in_flight
+    }
+
+    /// Take an in-flight slot for a run just marked `running`. Called under
+    /// the `runs` lock, so two starts never oversubscribe.
+    fn claim_slot(&self) {
+        let active = self.active.fetch_add(1, Ordering::AcqRel) + 1;
+        self.active_gauge.set(active as i64);
     }
 
     /// Start queued runs while in-flight slots remain, lowest id first.
@@ -276,69 +309,62 @@ impl Service {
         loop {
             let next = {
                 let mut runs = self.runs.lock();
-                if self.stopped.load(Ordering::Acquire)
-                    || self.active.load(Ordering::Acquire) >= self.serve.max_in_flight
-                {
+                if !self.has_slot() {
                     None
                 } else {
-                    match runs.values_mut().find(|r| r.state == RunState::Queued) {
-                        Some(rec) => {
+                    runs.values_mut()
+                        .find(|r| r.state == RunState::Queued)
+                        .map(|rec| {
                             rec.state = RunState::Running;
                             let _ = rec.save();
-                            // Claimed under the lock so two pumps never
-                            // double-start one run or oversubscribe.
-                            let active = self.active.fetch_add(1, Ordering::AcqRel) + 1;
-                            self.active_gauge.set(active as i64);
-                            Some(rec.id)
-                        }
-                        None => None,
-                    }
+                            self.claim_slot();
+                            (rec.id, rec.spec.take())
+                        })
                 }
             };
-            let Some(id) = next else { return };
-            let svc = self.clone();
-            std::thread::spawn(move || {
-                let result = svc.execute(id);
-                svc.finish(id, result);
-                svc.pump();
-            });
+            let Some((id, spec)) = next else { return };
+            self.spawn_run(id, spec);
         }
     }
 
+    /// Run `id` on its own thread, then hand its slot to the queue.
+    fn spawn_run(self: &Arc<Self>, id: u64, spec: Option<Arc<RunSpec>>) {
+        let svc = self.clone();
+        std::thread::spawn(move || {
+            let result = svc.execute(id, spec);
+            svc.finish(id, result);
+            svc.pump();
+        });
+    }
+
     /// Run one admitted workflow on the shared kernel. Blocks (on its
-    /// worker thread) until every task finishes.
-    fn execute(self: &Arc<Self>, id: u64) -> Result<Map, String> {
-        let (cwl, inputs, tenant, run_dir) = {
+    /// worker thread) until every task finishes. `spec` is what admission
+    /// loaded; a run recovered from its manifest reloads it.
+    fn execute(self: &Arc<Self>, id: u64, spec: Option<Arc<RunSpec>>) -> Result<Map, String> {
+        let (tenant, run_dir, cwl, inputs) = {
             let runs = self.runs.lock();
             let rec = runs.get(&id).ok_or("run vanished")?;
             (
-                rec.cwl.clone(),
-                rec.inputs.clone(),
                 rec.tenant.clone(),
                 rec.run_dir.clone(),
+                rec.cwl.clone(),
+                rec.inputs.clone(),
             )
         };
+        let spec = spec.unwrap_or_else(|| Arc::new(RunSpec::load(&cwl, inputs)));
         // Per-run durable journal, bound to the workflow's run hash so a
         // resume replays only journals that match document + inputs.
-        let hash = checkpoint::run_hash(&cwl, &inputs)?;
+        let hash = spec.hash()?;
         let ckpt_dir = run_dir.join("ckpt");
-        let settings = CheckpointSettings {
-            mode: CheckpointMode::TaskExit,
-            dir: Some(ckpt_dir.clone()),
-            period: Duration::from_millis(500),
-        };
         let resume_from = ckpt_dir
             .join(checkpoint::JOURNAL_FILE)
             .exists()
             .then_some(ckpt_dir.as_path());
-        let label = cwl
-            .file_name()
-            .map(|s| s.to_string_lossy().into_owned())
-            .unwrap_or_default();
-        let prepared = checkpoint::prepare(&settings, &run_dir, resume_from, hash, &label)?
+        let settings = CheckpointSettings::per_run(ckpt_dir.clone());
+        let prepared = checkpoint::prepare(&settings, &run_dir, resume_from, hash, &spec.label())?
             .ok_or("internal: per-run checkpointing must be on")?;
         self.dfk.attach_run_journal(id, prepared.journal.clone());
-        self.dfk.seed_run_checkpoint(id, &prepared.seed);
+        prepared.seed_into(&self.dfk, Some(id));
 
         let tag = RunTag {
             run: id,
@@ -352,31 +378,8 @@ impl Service {
         if self.builtin_tools {
             options = options.with_builtin_tools();
         }
-        let doc = cwl::loader::load_file(&cwl)?;
-        match doc {
-            CwlDocument::Tool(tool) => {
-                let app = CwlApp::from_tool(
-                    &self.dfk,
-                    tool,
-                    cwl.file_stem().map(|s| s.to_string_lossy().into_owned()),
-                    options,
-                )?;
-                let mut invocation = app.call();
-                for (k, v) in inputs.iter() {
-                    invocation = invocation.arg(k.to_string(), v.clone());
-                }
-                let run = invocation.submit()?;
-                match run.future.result() {
-                    Ok(Value::Map(m)) => Ok(m),
-                    Ok(other) => Err(format!("unexpected tool result {other:?}")),
-                    Err(e) => Err(e.to_string()),
-                }
-            }
-            CwlDocument::Workflow(_) => {
-                let runner = ParslWorkflowRunner::new(&self.dfk, options);
-                runner.run(&cwl, &inputs)
-            }
-        }
+        spec.prestage(&self.stager, self.staging.pool);
+        spec.execute(&self.dfk, options)
     }
 
     /// Record a run's terminal state, flush + detach its journal, and
@@ -494,6 +497,8 @@ impl Service {
                 Some(rec) if rec.state.is_terminal() => return true,
                 Some(rec) => {
                     rec.state = RunState::Cancelled;
+                    // A queued run never starts: its documents can go.
+                    rec.spec = None;
                     rec.error
                         .get_or_insert_with(|| "cancelled by client".to_string());
                     let _ = rec.save();

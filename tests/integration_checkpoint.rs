@@ -1108,3 +1108,65 @@ fn pooled_validation_keeps_record_order_and_invalidated_count() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+// ---------------------------------------------------------------------
+// The run hash: over the files that run, byte-compatible with older journals.
+// ---------------------------------------------------------------------
+
+/// Journals written before the document set existed must still resume: the
+/// hash walks the same files in the same order and so keeps its value.
+#[test]
+fn run_hash_values_are_pinned() {
+    let mut diamond = Map::new();
+    diamond.insert("message", Value::str("pinned"));
+    let images = yamlite::parse_str(
+        "input_images:\n  - {class: File, path: /data/a.rimg}\n  \
+         - {class: File, path: /data/b.rimg}\nsize: 64\nsepia: true\nradius: 2\n",
+    )
+    .unwrap();
+    let Value::Map(images) = images else {
+        panic!("inputs are a mapping")
+    };
+    assert_eq!(
+        checkpoint::run_hash(&fixtures().join("diamond.cwl"), &diamond).unwrap(),
+        0x0f5b_e876_9a02_9715
+    );
+    assert_eq!(
+        checkpoint::run_hash(&fixtures().join("scatter_images.cwl"), &images).unwrap(),
+        0x0fa1_8188_5512_f2d5
+    );
+}
+
+/// A workflow reached through a symlink runs the tool next to the link, so
+/// that tool is what the hash covers: editing it must set a journal aside.
+#[test]
+fn run_hash_covers_the_tool_next_to_a_symlinked_workflow() {
+    let dir = scratch("hash-symlink");
+    let tool = |word: &str| {
+        format!(
+            "cwlVersion: v1.2\nclass: CommandLineTool\nbaseCommand: [echo, {word}]\n\
+             inputs: {{}}\noutputs:\n  output:\n    type: stdout\nstdout: out.txt\n"
+        )
+    };
+    let wf = "cwlVersion: v1.2\nclass: Workflow\ninputs: {}\noutputs: {}\nsteps:\n  \
+              say:\n    run: tool.cwl\n    in: {}\n    out: [output]\n";
+    for side in ["A", "B"] {
+        std::fs::create_dir_all(dir.join(side)).unwrap();
+    }
+    std::fs::write(dir.join("A/wf.cwl"), wf).unwrap();
+    std::fs::write(dir.join("A/tool.cwl"), tool("a")).unwrap();
+    std::fs::write(dir.join("B/tool.cwl"), tool("b")).unwrap();
+    std::os::unix::fs::symlink(dir.join("A/wf.cwl"), dir.join("B/wf.cwl")).unwrap();
+
+    let inputs = Map::new();
+    let linked = dir.join("B/wf.cwl");
+    let before = checkpoint::run_hash(&linked, &inputs).unwrap();
+    assert_ne!(
+        before,
+        checkpoint::run_hash(&dir.join("A/wf.cwl"), &inputs).unwrap(),
+        "the two directories run different tools"
+    );
+    std::fs::write(dir.join("B/tool.cwl"), tool("edited")).unwrap();
+    assert_ne!(checkpoint::run_hash(&linked, &inputs).unwrap(), before);
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -338,6 +338,87 @@ fn resume_replays_interrupted_run_from_its_journal() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A resumed run whose journal names an output file that is gone drops
+/// that record — counted into `ckpt.invalidated`, as a resumed `parsl-cwl`
+/// run counts it — and re-runs the task, recreating the file.
+#[test]
+fn resume_counts_invalidated_records_and_recreates_deleted_outputs() {
+    let dir = scratch("resume-invalidated");
+    let diamond = fixtures().join("diamond.cwl");
+
+    let svc = Service::start(config(&dir, ""), false).unwrap();
+    let id = svc
+        .submit(&diamond, &msg_inputs("delete one output"), "alice")
+        .unwrap();
+    let before = completed(&svc, id);
+    svc.shutdown();
+
+    let mut rec = RunRecord::load(&before.run_dir).unwrap();
+    rec.state = RunState::Running;
+    rec.save().unwrap();
+    let joined = before.outputs.as_ref().unwrap().get("joined").unwrap();
+    std::fs::remove_file(joined["path"].as_str().unwrap()).unwrap();
+
+    let svc = Service::start(config(&dir, ""), true).unwrap();
+    let after = completed(&svc, id);
+    let invalidated = svc
+        .kernel()
+        .observability()
+        .counter(obs::names::CKPT_INVALIDATED)
+        .value();
+    assert!(invalidated >= 1, "ckpt.invalidated = {invalidated}");
+    assert!(after.appended >= 1, "the invalidated task runs again");
+    let recreated = after.outputs.as_ref().unwrap().get("joined").unwrap();
+    assert_eq!(
+        std::fs::read_to_string(recreated["path"].as_str().unwrap()).unwrap(),
+        "delete one output\ndelete one output\n"
+    );
+    svc.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A run queued behind `max_in_flight` executes the document it was
+/// admitted with: overwriting the file before the run starts changes
+/// nothing about what runs.
+#[test]
+fn queued_run_executes_the_document_it_was_admitted_with() {
+    let dir = scratch("admitted");
+    let slow = write_slow_tool(&dir);
+    let echo = dir.join("echo.cwl");
+    std::fs::copy(fixtures().join("echo.cwl"), &echo).unwrap();
+    let svc = Service::start(config(&dir, "serve:\n  max_in_flight: 1\n"), false).unwrap();
+
+    let mut ms = Map::new();
+    ms.insert("ms", Value::Int(1500));
+    let blocker = svc.submit(&slow, &ms, "alice").unwrap();
+    let id = svc
+        .submit(&echo, &msg_inputs("as admitted"), "alice")
+        .unwrap();
+    std::fs::write(
+        &echo,
+        "cwlVersion: v1.2\nclass: CommandLineTool\nbaseCommand: [echo, overwritten]\n\
+         inputs:\n  message:\n    type: string\n    inputBinding:\n      position: 1\n\
+         outputs:\n  output:\n    type: stdout\nstdout: overwritten.txt\n",
+    )
+    .unwrap();
+    assert_eq!(
+        svc.status(id).unwrap().state,
+        RunState::Queued,
+        "the file must change while the run waits for its slot"
+    );
+
+    completed(&svc, blocker);
+    let snap = completed(&svc, id);
+    let output = snap.outputs.as_ref().unwrap().get("output").unwrap();
+    assert_eq!(output["basename"].as_str(), Some("hello.txt"));
+    assert_eq!(
+        std::fs::read_to_string(output["path"].as_str().unwrap()).unwrap(),
+        "as admitted\n"
+    );
+    svc.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ---------------------------------------------------------------------
 // Socket level: `serve::Daemon` behind its Unix socket.
 // ---------------------------------------------------------------------
