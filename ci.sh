@@ -46,6 +46,26 @@ if [ -n "$unmarked_sleeps" ]; then
 fi
 echo "timer gate: every sleep( in ckpt, parsl, serve and core carries its timer-ok reason"
 
+# Realpath gate (DESIGN.md §4g): the data plane and checkpoint validation
+# know a file by the identity of the one stat they make, so in the non-test
+# part of datastore and core's checkpoint.rs every `.canonicalize(` must
+# say, on its own line, why that file needs a resolved path. The one
+# expected marker is ingest's symlink-source fallback.
+unmarked_realpaths=$(awk '
+    FNR == 1 { in_tests = 0 }
+    /#\[cfg\((all\()?test/ { in_tests = 1 }
+    !in_tests && /\.canonicalize\(/ && !/\/\/ realpath-ok: [^ ]/ {
+        printf "%s:%d:%s\n", FILENAME, FNR, $0
+    }
+' crates/datastore/src/*.rs crates/core/src/checkpoint.rs)
+if [ -n "$unmarked_realpaths" ]; then
+    echo "error: .canonicalize( without a same-line '// realpath-ok: <reason>' marker:" >&2
+    echo "$unmarked_realpaths" >&2
+    echo "probe the digest index with the stat you already have; see DESIGN.md §4g" >&2
+    exit 1
+fi
+echo "realpath gate: every canonicalize in datastore and checkpoint carries its realpath-ok reason"
+
 # Deterministic-simulation gate (DESIGN.md §4i): the invariant suite over a
 # fixed 50-seed matrix plus one rotating seed indexed by the CI run (falling
 # back to the date locally), so every CI run explores a schedule nobody has

@@ -232,17 +232,13 @@ fn validate_records(records: &[Record], pool: usize) -> (Vec<Seed>, usize) {
         .map(|(record, rec)| {
             let seed = Seed::parse(rec).ok()?;
             let mut verify = |path: &Path, meta: &Metadata, expected: &str| {
-                match indexed_verdict(path, meta, expected) {
+                match indexed_verdict(meta, expected) {
                     Indexed::Verdict(matches) => matches,
-                    Indexed::Unknown {
-                        canonical,
-                        want_hash,
-                    } => {
+                    Indexed::Unknown { want_hash } => {
                         // Provisionally fresh; phase two has the last word.
                         unhashed.push(Unhashed {
                             record,
                             path: path.to_path_buf(),
-                            canonical,
                             meta: meta.clone(),
                             want_hash,
                         });
@@ -273,7 +269,6 @@ struct Unhashed {
     /// Position of the owning record among the deduplicated records.
     record: usize,
     path: PathBuf,
-    canonical: Option<PathBuf>,
     meta: Metadata,
     want_hash: u64,
 }
@@ -286,36 +281,22 @@ enum Indexed {
     /// open: the format predates or postdates this build; existence was
     /// already checked).
     Verdict(bool),
-    /// The index does not know the file; `canonical` is the key to record
-    /// its digest under, when the path resolves.
-    Unknown {
-        canonical: Option<PathBuf>,
-        want_hash: u64,
-    },
+    /// The index does not know the file.
+    Unknown { want_hash: u64 },
 }
 
-fn indexed_verdict(path: &Path, meta: &Metadata, expected: &str) -> Indexed {
+fn indexed_verdict(meta: &Metadata, expected: &str) -> Indexed {
     let Some(want_hash) = expected
         .strip_prefix("xxh64:")
         .and_then(|hex| u64::from_str_radix(hex, 16).ok())
     else {
         return Indexed::Verdict(true);
     };
-    let index = datastore::index::global();
-    // Index keys are canonical paths, so a recorded path that equals a key
-    // names that very file: probe with the path as written and pay for a
-    // realpath only on a miss (a path through a symlink never equals a key
-    // and must fall back, not fail open).
-    if let Some(d) = index.lookup(path, meta) {
-        return Indexed::Verdict(d.hash == want_hash);
-    }
-    let canonical = path.canonicalize().ok();
-    if let Some(d) = canonical.as_deref().and_then(|c| index.lookup(c, meta)) {
-        return Indexed::Verdict(d.hash == want_hash);
-    }
-    Indexed::Unknown {
-        canonical,
-        want_hash,
+    // The index is keyed by file identity, so the stat of the path as
+    // recorded — through whatever symlinks it runs — finds the entry.
+    match datastore::index::global().lookup(meta) {
+        Some(d) => Indexed::Verdict(d.hash == want_hash),
+        None => Indexed::Unknown { want_hash },
     }
 }
 
@@ -324,17 +305,11 @@ impl Unhashed {
     /// File got there first) and remember the digest for the data plane.
     fn hash_matches(&self) -> bool {
         let index = datastore::index::global();
-        let known = self
-            .canonical
-            .as_deref()
-            .and_then(|c| index.lookup(c, &self.meta));
-        let digest = match known {
+        let digest = match index.lookup(&self.meta) {
             Some(d) => d,
             None => match datastore::Digest::of_file(&self.path) {
                 Ok(d) => {
-                    if let Some(canonical) = &self.canonical {
-                        index.record(canonical, &self.meta, d);
-                    }
+                    index.record(&self.meta, d);
                     d
                 }
                 Err(_) => return false,

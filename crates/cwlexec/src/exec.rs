@@ -2,7 +2,7 @@
 
 use crate::dispatch::ToolDispatch;
 use crate::staging::StageCtx;
-use cwl::{build_command, CommandLineTool};
+use cwl::{build_command, CommandLineTool, CwlType, InputParam};
 use expr::ExpressionEngine;
 use obs::SpanKind;
 use std::path::Path;
@@ -49,15 +49,8 @@ pub fn execute_tool_staged(
         let span = ctx
             .obs
             .start_span(SpanKind::StageIn, ctx.lineage, ctx.parent, "stage_in");
-        let staged = ctx
-            .stager
-            .stage_value(&Value::Map(inputs), workdir)
-            .map_err(|e| format!("stage-in into {}: {e}", workdir.display()))?;
+        stage_inputs(ctx, &tool.inputs, &mut inputs, workdir)?;
         ctx.obs.finish_span(span);
-        inputs = match staged {
-            Value::Map(m) => m,
-            _ => unreachable!("stage_value preserves value shape"),
-        };
     }
     cwl::input::run_validate_hooks(tool, &inputs, engine)?;
     let cmd = build_command(tool, &inputs, engine)?;
@@ -96,6 +89,47 @@ pub fn execute_tool_staged(
         outputs,
         command: cmd.argv,
     })
+}
+
+/// Stage the resolved inputs that can hold a File: those declared `File`,
+/// `Directory` or `Any`, or an array or optional of one. Conformance has
+/// been checked, so no File hides in any other input (a scatter's carried
+/// `string[]` is not walked). They go through one `stage_value` call, so
+/// basename disambiguation spans every File of the task; each staged value
+/// replaces its input's cell, and every other cell is left as it was.
+fn stage_inputs(
+    ctx: &StageCtx<'_>,
+    params: &[InputParam],
+    inputs: &mut Map,
+    workdir: &Path,
+) -> Result<(), String> {
+    let mut holders = Map::new();
+    for param in params.iter().filter(|p| can_hold_file(&p.typ)) {
+        if let Some(cell) = inputs.get_shared(&param.id) {
+            holders.insert_shared(param.id.clone(), cell.clone());
+        }
+    }
+    if holders.is_empty() {
+        return Ok(());
+    }
+    let staged = match ctx.stager.stage_value(&Value::Map(holders), workdir) {
+        Ok(Value::Map(staged)) => staged,
+        Ok(_) => unreachable!("stage_value preserves value shape"),
+        Err(e) => return Err(format!("stage-in into {}: {e}", workdir.display())),
+    };
+    for id in staged.keys() {
+        let cell = staged.get_shared(id).expect("iterated key").clone();
+        inputs.insert_shared(id, cell);
+    }
+    Ok(())
+}
+
+fn can_hold_file(typ: &CwlType) -> bool {
+    match typ {
+        CwlType::File | CwlType::Directory | CwlType::Any => true,
+        CwlType::Array(inner) | CwlType::Optional(inner) => can_hold_file(inner),
+        _ => false,
+    }
 }
 
 /// Bind every collected `class: File` into the content store and attach
@@ -354,6 +388,70 @@ outputs:
         assert!(kinds.contains(&SpanKind::StageIn), "{kinds:?}");
         assert!(kinds.contains(&SpanKind::StageOut), "{kinds:?}");
 
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&src_dir).unwrap();
+    }
+
+    /// Stage-in walks only the inputs that can hold a File: the `File` and
+    /// the File under `Any` are both staged, and the `string[]` comes back
+    /// as the very cell that was passed in.
+    #[test]
+    fn stage_in_walks_only_inputs_that_can_hold_a_file() {
+        use crate::staging::StageCtx;
+        use datastore::{ContentStore, StageMode, Stager};
+        use std::sync::Arc;
+
+        let dir = workdir("holders");
+        let src_dir = workdir("holders-src");
+        std::fs::write(src_dir.join("a.txt"), b"alpha").unwrap();
+        std::fs::write(src_dir.join("b.txt"), b"beta").unwrap();
+        let t = tool(
+            r#"
+cwlVersion: v1.2
+class: CommandLineTool
+baseCommand: cat
+inputs:
+  image:
+    type: File
+  words:
+    type: string[]
+  extra:
+    type: Any
+outputs: {}
+"#,
+        );
+        let mut extra = Map::new();
+        extra.insert("class", "File");
+        extra.insert("path", src_dir.join("b.txt").to_string_lossy().into_owned());
+        let provided = as_map(vmap! {
+            "image" => src_dir.join("a.txt").to_string_lossy().into_owned(),
+            "words" => Value::Seq(vec![Value::str("one"), Value::str("two")]),
+            "extra" => Value::Map(extra),
+        });
+        let store = ContentStore::open(dir.join("cas")).unwrap();
+        let stager = Stager::new(store, StageMode::Link);
+        let obs = obs::Observability::off();
+        let ctx = StageCtx {
+            stager: &stager,
+            obs: &obs,
+            lineage: 0,
+            parent: 0,
+        };
+        let mut inputs = cwl::input::resolve_inputs(&t.inputs, &provided).unwrap();
+        stage_inputs(&ctx, &t.inputs, &mut inputs, &dir).unwrap();
+
+        for (id, name) in [("image", "a.txt"), ("extra", "b.txt")] {
+            assert_eq!(
+                inputs.get(id).unwrap()["path"].as_str(),
+                Some(dir.join(name).to_string_lossy().as_ref()),
+                "{id}"
+            );
+        }
+        assert_eq!(stager.stats().links + stager.stats().copies, 2);
+        assert!(Arc::ptr_eq(
+            inputs.get_shared("words").unwrap(),
+            provided.get_shared("words").unwrap()
+        ));
         std::fs::remove_dir_all(&dir).unwrap();
         std::fs::remove_dir_all(&src_dir).unwrap();
     }

@@ -18,12 +18,15 @@
 //!
 //! Two runs may share one store directory: `hard_link` returning
 //! `AlreadyExists` is dedupe, not an error, and the copy path goes
-//! through a per-process temp name plus `rename`, which on POSIX
-//! atomically replaces an identical object if both writers race.
+//! through a temp name unique to the attempt (pid plus a process-wide
+//! counter, so neither another process nor another thread of this one
+//! writes it) plus `rename`, which on POSIX atomically replaces an
+//! identical object if both writers race.
 
 use crate::digest::Digest;
 use crate::index::{self, PathIndex};
 use parking_lot::Mutex;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -32,7 +35,7 @@ use std::sync::Arc;
 /// How an object landed in the store.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Ingest {
-    /// Digest was served from the path index; no bytes were even read.
+    /// Digest was served from the digest index; no bytes were even read.
     Cached,
     /// Object already present under this digest (another path, or another
     /// run sharing the store).
@@ -85,18 +88,34 @@ pub struct ContentStore {
     /// ingest contention off a single lock.
     objects: [Mutex<HashMap<Digest, PathBuf>>; index::STRIPES],
     ingested_bytes: AtomicU64,
+    /// The digest index this store consults and feeds: the process-global
+    /// one, except in tests that count entries.
+    index: &'static PathIndex,
 }
 
 impl ContentStore {
     /// Open (creating if needed) a store at `root`.
     pub fn open(root: impl Into<PathBuf>) -> std::io::Result<Arc<ContentStore>> {
+        Self::open_with_index(root, index::global())
+    }
+
+    pub(crate) fn open_with_index(
+        root: impl Into<PathBuf>,
+        index: &'static PathIndex,
+    ) -> std::io::Result<Arc<ContentStore>> {
         let root = root.into();
         std::fs::create_dir_all(root.join("objects"))?;
         Ok(Arc::new(ContentStore {
             root,
             objects: std::array::from_fn(|_| Mutex::new(HashMap::new())),
             ingested_bytes: AtomicU64::new(0),
+            index,
         }))
+    }
+
+    /// The digest index behind this store.
+    pub(crate) fn index(&self) -> &'static PathIndex {
+        self.index
     }
 
     /// Store root directory.
@@ -125,25 +144,35 @@ impl ContentStore {
         stripe.lock().get(d).cloned()
     }
 
-    /// Ingest a file: digest it (once per (path, len, mtime) — repeat
-    /// ingests are index hits) and materialize it in the store. Returns
-    /// the digest, the object path, and how the work was (not) done.
-    pub fn ingest(&self, src: &Path) -> std::io::Result<(Digest, PathBuf, Ingest)> {
-        let canonical = src.canonicalize()?;
-        let meta = std::fs::metadata(&canonical)?;
-        if let Some(d) = index::global().lookup(&canonical, &meta) {
+    /// Ingest a file: digest it (once per file identity and `(len, mtime)`
+    /// — repeat ingests, and ingests of another name for the same file, are
+    /// index hits) and materialize it in the store. Returns the digest, the
+    /// object path, and how the work was (not) done. The source costs one
+    /// `lstat`; only a symlink is resolved further.
+    pub fn ingest(&self, src: &Path) -> IngestResult {
+        let meta = std::fs::symlink_metadata(src)?;
+        // `hard_link` would link the symlink itself, so the store gets what
+        // it names.
+        let (src, meta) = if meta.file_type().is_symlink() {
+            let target = src.canonicalize()?; // realpath-ok: a symlinked source is linked by its target
+            let meta = std::fs::metadata(&target)?;
+            (Cow::Owned(target), meta)
+        } else {
+            (Cow::Borrowed(src), meta)
+        };
+        if let Some(d) = self.index.lookup(&meta) {
             if let Some(obj) = self.lookup(&d) {
                 return Ok((d, obj, Ingest::Cached));
             }
             // Known digest, but the object is not in *this* store yet
             // (e.g. a fresh per-run store): fall through to materialize.
-            let (obj, how) = self.materialize(&canonical, &d)?;
+            let (obj, how) = self.materialize(&src, &d)?;
             return Ok((d, obj, how));
         }
-        let d = Digest::of_file(&canonical)?;
+        let d = Digest::of_file(&src)?;
         self.ingested_bytes.fetch_add(d.len, Ordering::Relaxed);
-        index::global().record(&canonical, &meta, d);
-        let (obj, how) = self.materialize(&canonical, &d)?;
+        self.index.record(&meta, d);
+        let (obj, how) = self.materialize(&src, &d)?;
         Ok((d, obj, how))
     }
 
@@ -157,38 +186,54 @@ impl ContentStore {
         par_map(paths, workers, |p| self.ingest(p))
     }
 
+    /// Put the object for `d` in the store, linking `src` first: an object
+    /// already on disk (another name for the same content, another run
+    /// sharing the store) answers `AlreadyExists`, so nothing is checked
+    /// before the attempt.
     fn materialize(&self, src: &Path, d: &Digest) -> std::io::Result<(PathBuf, Ingest)> {
+        let stripe = &self.objects[(d.hash as usize) & (index::STRIPES - 1)];
+        if let Some(obj) = stripe.lock().get(d) {
+            return Ok((obj.clone(), Ingest::Deduped));
+        }
         let obj = self.object_path(d);
-        {
-            let stripe = &self.objects[(d.hash as usize) & (index::STRIPES - 1)];
-            let mut map = stripe.lock();
-            if map.contains_key(d) {
-                return Ok((obj, Ingest::Deduped));
-            }
-            if obj.exists() {
-                map.insert(*d, obj.clone());
-                return Ok((obj, Ingest::Deduped));
-            }
-        }
-        if let Some(parent) = obj.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        let how = match std::fs::hard_link(src, &obj) {
+        let how = match in_shard(&obj, || std::fs::hard_link(src, &obj)) {
             Ok(()) => Ingest::Linked,
             Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => Ingest::Deduped,
             Err(_) => {
                 // Cross-device (or a filesystem without hardlinks): copy
-                // through a unique temp name, seal, and rename into place.
-                let tmp = obj.with_extension(format!("tmp.{}", std::process::id()));
-                std::fs::copy(src, &tmp)?;
-                seal(&tmp)?;
-                std::fs::rename(&tmp, &obj)?;
+                // through a temp name no other attempt uses, seal, and
+                // rename into place. The copy is a new inode, so it gets
+                // its own index entry for what is later linked from it.
+                static ATTEMPT: AtomicU64 = AtomicU64::new(0);
+                let n = ATTEMPT.fetch_add(1, Ordering::Relaxed);
+                let tmp = obj.with_extension(format!("tmp.{}.{n}", std::process::id()));
+                let copied = in_shard(&obj, || std::fs::copy(src, &tmp))
+                    .and_then(|_| seal(&tmp))
+                    .and_then(|()| std::fs::rename(&tmp, &obj));
+                if let Err(e) = copied {
+                    let _ = std::fs::remove_file(&tmp);
+                    return Err(e);
+                }
+                if let Ok(meta) = std::fs::metadata(&obj) {
+                    self.index.record(&meta, *d);
+                }
                 Ingest::Copied
             }
         };
-        let stripe = &self.objects[(d.hash as usize) & (index::STRIPES - 1)];
         stripe.lock().insert(*d, obj.clone());
         Ok((obj, how))
+    }
+}
+
+/// Run `op` on a path inside `obj`'s shard, creating the shard directory
+/// and trying once more only when the first attempt finds it missing.
+fn in_shard<T>(obj: &Path, op: impl Fn() -> std::io::Result<T>) -> std::io::Result<T> {
+    match op() {
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+            std::fs::create_dir_all(obj.parent().expect("an object path has a shard"))?;
+            op()
+        }
+        done => done,
     }
 }
 
@@ -204,11 +249,6 @@ pub fn seal(path: &Path) -> std::io::Result<()> {
     #[cfg(not(unix))]
     let _ = path;
     Ok(())
-}
-
-/// Convenience: the process-global path index (digests by canonical path).
-pub fn path_index() -> &'static PathIndex {
-    index::global()
 }
 
 #[cfg(test)]
@@ -290,11 +330,82 @@ mod tests {
             assert!(r.is_ok());
         }
         // 7 distinct contents -> 7 objects on disk.
-        let mut objects = 0;
+        assert_eq!(object_files(&store).len(), 7);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Every object file under the store, temp files included.
+    fn object_files(store: &ContentStore) -> Vec<PathBuf> {
+        let mut files = Vec::new();
         for shard in std::fs::read_dir(store.root().join("objects")).unwrap() {
-            objects += std::fs::read_dir(shard.unwrap().path()).unwrap().count();
+            for f in std::fs::read_dir(shard.unwrap().path()).unwrap() {
+                files.push(f.unwrap().path());
+            }
         }
-        assert_eq!(objects, 7);
+        files
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_symlinked_source_is_stored_as_its_target() {
+        let dir = scratch("symlink");
+        let target = dir.join("target.txt");
+        let link = dir.join("link.txt");
+        std::fs::write(&target, b"behind a link").unwrap();
+        std::os::unix::fs::symlink(&target, &link).unwrap();
+        let store = ContentStore::open(dir.join("cas")).unwrap();
+        let (d, obj, how) = store.ingest(&link).unwrap();
+        assert_eq!(how, Ingest::Linked);
+        assert!(std::fs::symlink_metadata(&obj).unwrap().is_file());
+        assert_eq!(std::fs::read(&obj).unwrap(), b"behind a link");
+        assert_eq!(d, Digest::of_bytes(b"behind a link"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Threads ingesting one file from another device each copy it through
+    /// a temp name of their own, so none truncates or renames away the
+    /// copy of another. Skipped where `/dev/shm` and the temp dir share a
+    /// device (nothing would be copied).
+    #[cfg(unix)]
+    #[test]
+    fn concurrent_cross_device_ingests_all_succeed() {
+        use std::os::unix::fs::MetadataExt;
+        const THREADS: usize = 4;
+        let shm = Path::new("/dev/shm");
+        let dir = scratch("xdev");
+        let device = |p: &Path| std::fs::metadata(p).map(|m| m.dev()).ok();
+        if device(shm).is_none() || device(shm) == device(&dir) {
+            eprintln!("skipped: /dev/shm is missing or on the temp dir's device");
+            std::fs::remove_dir_all(&dir).ok();
+            return;
+        }
+        let src = shm.join(format!("ds-cas-xdev-{}", std::process::id()));
+        let bytes: Vec<u8> = (0..1u32 << 20).map(|i| (i % 251) as u8).collect();
+        std::fs::write(&src, &bytes).unwrap();
+        for trial in 0..20 {
+            let store = ContentStore::open(dir.join(format!("cas{trial}"))).unwrap();
+            let start = std::sync::Barrier::new(THREADS);
+            let results: Vec<IngestResult> = std::thread::scope(|scope| {
+                let threads: Vec<_> = (0..THREADS)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            start.wait();
+                            store.ingest(&src)
+                        })
+                    })
+                    .collect();
+                threads.into_iter().map(|t| t.join().unwrap()).collect()
+            });
+            for r in &results {
+                let (d, _, how) = r.as_ref().expect("every concurrent ingest succeeds");
+                assert_eq!(d.len, bytes.len() as u64);
+                assert_ne!(*how, Ingest::Linked, "{how:?}");
+            }
+            let objects = object_files(&store);
+            assert_eq!(objects.len(), 1, "{objects:?}");
+            assert_eq!(std::fs::read(&objects[0]).unwrap(), bytes);
+        }
+        std::fs::remove_file(&src).ok();
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -3,8 +3,8 @@
 //! The paper's Fig. 1 workload scatters one input over up to 1000 tool
 //! invocations. A copying stager moves the same bytes a thousand times;
 //! this crate replaces that with a content-addressed store ([`cas`]), a
-//! sharded path-to-digest index ([`index`]) so bytes are hashed exactly
-//! once, and a zero-copy stager ([`stage`]) whose materialization ladder
+//! sharded index from file identity (`dev`, `ino`) to digest ([`index`])
+//! so bytes are hashed exactly once, and a zero-copy stager ([`stage`]) whose materialization ladder
 //! — hardlink, then reflink (`FICLONE`), then copy — is chosen at
 //! runtime per filesystem pair.
 //!

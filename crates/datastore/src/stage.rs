@@ -8,13 +8,14 @@
 //! 3. **copy** — the portable fallback, and the forced behavior of
 //!    `StageMode::Copy` (the measured baseline).
 //!
-//! `StageMode::Auto` remembers which rung worked per
-//! `(source device, destination device)` pair, so a 1000-way scatter
+//! `StageMode::Auto` remembers which rung worked per destination device
+//! (every link is made from this stager's store), so a 1000-way scatter
 //! probes the filesystem once and links 999 more times without retrying
 //! failed rungs.
 
 use crate::cas::{ContentStore, Ingest};
 use crate::digest::Digest;
+use crate::index;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -83,8 +84,9 @@ pub struct StageStats {
 pub struct Stager {
     store: Arc<ContentStore>,
     mode: StageMode,
-    /// (src dev, dest dev) -> first ladder rung worth attempting.
-    probed: Mutex<HashMap<(u64, u64), Method>>,
+    /// Destination device -> first ladder rung worth attempting. The
+    /// source side is always this stager's store.
+    probed: Mutex<HashMap<u64, Method>>,
     hits: AtomicU64,
     links: AtomicU64,
     copies: AtomicU64,
@@ -152,7 +154,10 @@ impl Stager {
         self.stage_prepared(src, dest, digest, &obj)
     }
 
-    /// Materialize `dest` from an already-ingested source.
+    /// Materialize `dest` from an already-ingested source whose store
+    /// object is `obj`. A fresh destination costs a failed `stat`, one of
+    /// its directory (made only if missing, and the device the `auto` rung
+    /// is cached under) and the link; nothing resolves a path.
     fn stage_prepared(
         &self,
         src: &Path,
@@ -160,49 +165,58 @@ impl Stager {
         digest: Digest,
         obj: &Path,
     ) -> std::io::Result<Staged> {
-        // Staging a file onto itself (input already lives in the workdir)
-        // is a no-op, not a copy.
-        if let (Ok(s), Ok(d)) = (src.canonicalize(), dest_canonical(dest)) {
-            if s == d {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(Staged {
-                    path: dest.to_path_buf(),
-                    digest,
-                    method: Method::Hit,
-                });
-            }
-        }
-        if dest.exists() {
-            if crate::index::global().lookup_current(dest) == Some(digest) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(Staged {
-                    path: dest.to_path_buf(),
-                    digest,
-                    method: Method::Hit,
-                });
-            }
-            std::fs::remove_file(dest)?;
-        }
-        if let Some(parent) = dest.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        // Prefer the materialized object as link anchor; it survives even
-        // if the original source is later edited in place.
-        let anchor = if obj.exists() { obj } else { src };
-        let method = self.materialize(anchor, dest, digest.len)?;
-        if let Ok(meta) = std::fs::metadata(dest) {
-            crate::index::global().record(&dest.canonicalize()?, &meta, digest);
-        }
-        Ok(Staged {
+        let staged = |method| Staged {
             path: dest.to_path_buf(),
             digest,
             method,
-        })
+        };
+        if let Ok(existing) = std::fs::metadata(dest) {
+            // Staging a file onto itself (input already lives in the
+            // workdir), or onto a file that already holds the content, is
+            // a no-op, not a copy.
+            let id = index::identity(&existing);
+            let onto_itself =
+                id.is_some() && std::fs::metadata(src).is_ok_and(|s| index::identity(&s) == id);
+            if onto_itself || self.store.index().lookup(&existing) == Some(digest) {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return Ok(staged(Method::Hit));
+            }
+            std::fs::remove_file(dest)?;
+        }
+        let dir = match dest.parent() {
+            Some(p) if !p.as_os_str().is_empty() => p,
+            _ => Path::new("."),
+        };
+        let dir_meta = match std::fs::metadata(dir) {
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                std::fs::create_dir_all(dir)?;
+                std::fs::metadata(dir)?
+            }
+            found => found?,
+        };
+        let dest_dev = index::identity(&dir_meta).map_or(0, |(dev, _)| dev);
+        // Link from the store object, not the source: it survives even if
+        // the original source is later edited in place.
+        let method = self.materialize(obj, dest, digest.len, dest_dev)?;
+        if method != Method::Hardlink {
+            // A reflink or copy is a new file. A hardlink shares the
+            // object's inode, and with it the object's index entry.
+            if let Ok(meta) = std::fs::metadata(dest) {
+                self.store.index().record(&meta, digest);
+            }
+        }
+        Ok(staged(method))
     }
 
-    fn materialize(&self, src: &Path, dest: &Path, len: u64) -> std::io::Result<Method> {
+    fn materialize(
+        &self,
+        obj: &Path,
+        dest: &Path,
+        len: u64,
+        dest_dev: u64,
+    ) -> std::io::Result<Method> {
         if self.mode == StageMode::Copy {
-            std::fs::copy(src, dest)?;
+            std::fs::copy(obj, dest)?;
             self.copies.fetch_add(1, Ordering::Relaxed);
             self.bytes_copied.fetch_add(len, Ordering::Relaxed);
             return Ok(Method::Copy);
@@ -210,15 +224,15 @@ impl Stager {
         let start = if self.mode == StageMode::Auto {
             self.probed
                 .lock()
-                .get(&dev_pair(src, dest))
+                .get(&dest_dev)
                 .copied()
                 .unwrap_or(Method::Hardlink)
         } else {
             Method::Hardlink
         };
-        let method = self.climb(start, src, dest)?;
-        if self.mode == StageMode::Auto {
-            self.probed.lock().insert(dev_pair(src, dest), method);
+        let method = self.climb(start, obj, dest)?;
+        if self.mode == StageMode::Auto && method != start {
+            self.probed.lock().insert(dest_dev, method);
         }
         match method {
             Method::Copy => {
@@ -360,34 +374,6 @@ fn disambiguate(basename: &str, n: usize) -> String {
     }
 }
 
-fn dest_canonical(dest: &Path) -> std::io::Result<PathBuf> {
-    // The destination usually doesn't exist yet; canonicalize its parent.
-    if dest.exists() {
-        return dest.canonicalize();
-    }
-    let parent = dest.parent().unwrap_or(Path::new("."));
-    let name = dest.file_name().unwrap_or_default();
-    Ok(parent.canonicalize()?.join(name))
-}
-
-#[cfg(unix)]
-fn dev_of(path: &Path) -> u64 {
-    use std::os::unix::fs::MetadataExt;
-    std::fs::metadata(path)
-        .or_else(|_| std::fs::metadata(path.parent().unwrap_or(Path::new("."))))
-        .map(|m| m.dev())
-        .unwrap_or(0)
-}
-
-#[cfg(not(unix))]
-fn dev_of(_path: &Path) -> u64 {
-    0
-}
-
-fn dev_pair(src: &Path, dest: &Path) -> (u64, u64) {
-    (dev_of(src), dev_of(dest))
-}
-
 /// Clone `src` into a fresh `dest` via the Linux `FICLONE` ioctl (reflink
 /// on btrfs/XFS/bcachefs). Fails cleanly (`Unsupported`/`EOPNOTSUPP`) on
 /// filesystems without CoW cloning and on non-Linux targets.
@@ -505,6 +491,32 @@ mod tests {
         stager.stage_file(&src, &dest).unwrap();
         let again = stager.stage_file(&src, &dest).unwrap();
         assert_eq!(again.method, Method::Hit);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A hardlinked destination is the object's inode, so it shares the
+    /// object's index entry; a copy is a new file with an entry of its own.
+    #[cfg(unix)]
+    #[test]
+    fn staging_by_hardlink_adds_no_index_entry() {
+        let dir = scratch("entries");
+        let src = dir.join("input.dat");
+        std::fs::write(&src, vec![3u8; 512]).unwrap();
+        let index: &'static index::PathIndex = Box::leak(Box::default());
+        let store = ContentStore::open_with_index(dir.join("cas"), index).unwrap();
+
+        let linker = Stager::new(store.clone(), StageMode::Link);
+        let staged = linker
+            .stage_file(&src, &dir.join("job1/input.dat"))
+            .unwrap();
+        assert_eq!(staged.method, Method::Hardlink);
+        assert_eq!(index.len(), 1);
+
+        let copier = Stager::new(store, StageMode::Copy);
+        copier
+            .stage_file(&src, &dir.join("job2/input.dat"))
+            .unwrap();
+        assert_eq!(index.len(), 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 

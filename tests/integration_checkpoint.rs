@@ -789,7 +789,7 @@ fn fresh_run_refuses_to_clobber_existing_journal() {
 
 // ---------------------------------------------------------------------------
 // Resume equivalence: the single-pass resume (one load, one parse per
-// record, one stat per File, raw-path index probe) must decide exactly what
+// record, one stat per File, index probed by that stat) must decide exactly what
 // the two-pass one decided.
 // ---------------------------------------------------------------------------
 
@@ -845,10 +845,10 @@ fn stale_journal_with_torn_tail_is_set_aside_byte_for_byte() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The digest index is keyed by canonical path. A journaled path that runs
-/// through a symlinked directory never equals a key, so the raw-path probe
-/// misses; it must then fall back to the canonical path — and a corrupted
-/// output behind the symlink must still be caught, not waved through.
+/// A journaled path that runs through a symlinked directory names the same
+/// file, so the digest index (keyed by file identity) must vouch for it
+/// through that path — and a corrupted output behind the symlink must still
+/// be caught, not waved through.
 #[test]
 fn output_reached_through_a_symlinked_directory_still_verifies() {
     let real = scratch("symlink-real");
@@ -879,7 +879,7 @@ fn output_reached_through_a_symlinked_directory_still_verifies() {
         "the journaled path must run through the symlink for this test to mean anything: {left_file}"
     );
 
-    // Untouched outputs replay through the fallback.
+    // Untouched outputs replay through the symlinked path.
     let counting = CountingDispatch::new();
     let (result, prepared, stats) = run_checkpointed(
         &wf,
