@@ -170,6 +170,25 @@ if [ "$merged" -ne 2 ]; then
     exit 1
 fi
 
+# Blur-radius smoke: box_blur's cost must not depend on its radius and its
+# window sums must not wrap. An 8x8 all-white image (checker kind, seed 100:
+# cells wider than the image) blurred at the largest u32 radius must finish
+# well inside the timeout and stay all white.
+rm -rf target/blur-smoke
+mkdir -p target/blur-smoke
+./target/release/imgtool gen target/blur-smoke/white.rimg \
+    --width 8 --height 8 --kind checker --seed 100
+timeout 10 ./target/release/imgtool blur target/blur-smoke/white.rimg \
+    target/blur-smoke/wide.rimg --radius 4294967295
+blur_info=$(./target/release/imgtool info target/blur-smoke/wide.rimg)
+case "$blur_info" in
+*"mean_rgb=(255.0, 255.0, 255.0)"*) echo "blur-radius smoke: $blur_info" ;;
+*)
+    echo "error: blur at radius u32::MAX changed a white image: $blur_info" >&2
+    exit 1
+    ;;
+esac
+
 # Crash-resume smoke: kill parsl-cwl mid-run with SIGKILL, resume from the
 # checkpoint journal, and require the resumed run to report replayed tasks
 # through parsl-trace. The workflow is generated under target/ (not

@@ -71,7 +71,9 @@ impl ToolDispatch for SubprocessDispatch {
 /// Run the workspace's workload tools in-process.
 ///
 /// Recognized commands:
-/// * `imgtool resize|sepia|blur|gen|info …` — the imaging kernels;
+/// * `imgtool gen|resize|sepia|blur|info …` — the imaging kernels, through
+///   the same front end as the `imgtool` binary ([`imaging::imgtool::run`]);
+///   what `info` prints goes to the stdout capture;
 /// * `echo args…` — writes args to the stdout capture;
 /// * `cat file…` — concatenates files to the stdout capture;
 /// * `wc-words file` — writes the file's word count to the stdout capture;
@@ -91,40 +93,6 @@ impl BuiltinDispatch {
         }
         Ok(())
     }
-}
-
-/// Positional arguments plus `--flag value` option pairs.
-type ParsedArgs<'a> = (Vec<&'a str>, Vec<(&'a str, &'a str)>);
-
-/// Parse `--flag value` style options from an argv tail.
-fn parse_opts(args: &[String]) -> Result<ParsedArgs<'_>, String> {
-    let mut pos = Vec::new();
-    let mut opts = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        if let Some(name) = args[i].strip_prefix("--") {
-            let value = args
-                .get(i + 1)
-                .ok_or_else(|| format!("option --{name} requires a value"))?;
-            opts.push((name, value.as_str()));
-            i += 2;
-        } else {
-            pos.push(args[i].as_str());
-            i += 1;
-        }
-    }
-    Ok((pos, opts))
-}
-
-fn opt<'a>(opts: &[(&'a str, &'a str)], name: &str) -> Option<&'a str> {
-    opts.iter().find(|(n, _)| *n == name).map(|(_, v)| *v)
-}
-
-fn req_u32(opts: &[(&str, &str)], name: &str) -> Result<u32, String> {
-    opt(opts, name)
-        .ok_or_else(|| format!("--{name} is required"))?
-        .parse::<u32>()
-        .map_err(|_| format!("--{name} must be an integer"))
 }
 
 impl ToolDispatch for BuiltinDispatch {
@@ -172,77 +140,9 @@ impl ToolDispatch for BuiltinDispatch {
                 Self::write_stdout(cmd, workdir, "slept\n")
             }
             "imgtool" => {
-                let sub = argv
-                    .get(1)
-                    .map(String::as_str)
-                    .ok_or("imgtool: missing subcommand")?;
-                let (pos, opts) = parse_opts(&argv[2..])?;
-                let resolve = |name: &str| {
-                    let p = workdir.join(name);
-                    if p.exists() || name.starts_with('/') {
-                        if p.exists() {
-                            p
-                        } else {
-                            name.into()
-                        }
-                    } else {
-                        p
-                    }
-                };
-                match sub {
-                    "gen" => {
-                        let [out] = pos[..] else {
-                            return Err("imgtool gen: need out path".into());
-                        };
-                        let w = req_u32(&opts, "width")?;
-                        let h = req_u32(&opts, "height")?;
-                        let seed = opt(&opts, "seed")
-                            .and_then(|s| s.parse().ok())
-                            .unwrap_or(0u64);
-                        let img = match opt(&opts, "kind").unwrap_or("gradient") {
-                            "gradient" => imaging::gradient(w, h, seed),
-                            "noise" => imaging::noise(w, h, seed),
-                            "checker" => imaging::checkerboard(w, h, seed.max(1) as u32),
-                            other => return Err(format!("imgtool gen: unknown kind {other:?}")),
-                        };
-                        imaging::write_rimg(workdir.join(out), &img).map_err(|e| e.to_string())
-                    }
-                    "resize" => {
-                        let [input, output] = pos[..] else {
-                            return Err("imgtool resize: need <in> <out>".into());
-                        };
-                        let size = req_u32(&opts, "size")?;
-                        if size == 0 {
-                            return Err("imgtool resize: --size must be positive".into());
-                        }
-                        let img = imaging::read_rimg(resolve(input)).map_err(|e| e.to_string())?;
-                        let out = imaging::resize_bilinear(&img, size, size);
-                        imaging::write_rimg(workdir.join(output), &out).map_err(|e| e.to_string())
-                    }
-                    "sepia" => {
-                        let [input, output] = pos[..] else {
-                            return Err("imgtool sepia: need <in> <out>".into());
-                        };
-                        let apply = match opt(&opts, "sepia").unwrap_or("true") {
-                            "true" => true,
-                            "false" => false,
-                            other => return Err(format!("imgtool sepia: bad flag {other:?}")),
-                        };
-                        let img = imaging::read_rimg(resolve(input)).map_err(|e| e.to_string())?;
-                        let out = if apply { imaging::sepia(&img) } else { img };
-                        imaging::write_rimg(workdir.join(output), &out).map_err(|e| e.to_string())
-                    }
-                    "blur" => {
-                        let [input, output] = pos[..] else {
-                            return Err("imgtool blur: need <in> <out>".into());
-                        };
-                        let radius = req_u32(&opts, "radius")?;
-                        let img = imaging::read_rimg(resolve(input)).map_err(|e| e.to_string())?;
-                        let out = imaging::box_blur(&img, radius);
-                        imaging::write_rimg(workdir.join(output), &out).map_err(|e| e.to_string())
-                    }
-                    other => Err(format!("imgtool: unknown subcommand {other:?}")),
-                }
+                let out = imaging::imgtool::run(&argv[1..], workdir)
+                    .map_err(|e| format!("imgtool: {e}"))?;
+                Self::write_stdout(cmd, workdir, &out)
             }
             other => Err(format!(
                 "builtin dispatch does not recognize {other:?} (use SubprocessDispatch)"

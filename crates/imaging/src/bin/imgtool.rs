@@ -1,141 +1,22 @@
 //! `imgtool` — the command-line image processor invoked by the CWL
 //! `CommandLineTool` definitions in this repository (resize_image.cwl,
-//! filter_image.cwl, blur_image.cwl).
-//!
-//! Subcommands:
-//! ```text
-//! imgtool gen    <out.rimg> --width W --height H [--seed S] [--kind gradient|noise|checker]
-//! imgtool resize <in.rimg> <out.rimg> --size N
-//! imgtool sepia  <in.rimg> <out.rimg> [--sepia true|false]
-//! imgtool blur   <in.rimg> <out.rimg> --radius R
-//! imgtool info   <in.rimg>
-//! ```
+//! filter_image.cwl, blur_image.cwl). The subcommands live in
+//! [`imaging::imgtool`]; file arguments are relative to the current
+//! directory.
 
-use imaging::{
-    box_blur, checkerboard, gradient, noise, read_rimg, resize_bilinear, sepia, write_rimg,
-};
+use std::path::Path;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
-        Ok(()) => ExitCode::SUCCESS,
+    match imaging::imgtool::run(&args, Path::new(".")) {
+        Ok(out) => {
+            print!("{out}");
+            ExitCode::SUCCESS
+        }
         Err(msg) => {
             eprintln!("imgtool: {msg}");
             ExitCode::FAILURE
         }
-    }
-}
-
-/// Positional arguments plus `--flag value` option pairs.
-type ParsedArgs<'a> = (Vec<&'a str>, Vec<(&'a str, &'a str)>);
-
-/// Split positional arguments from `--flag value` options.
-fn split_args(args: &[String]) -> Result<ParsedArgs<'_>, String> {
-    let mut pos = Vec::new();
-    let mut opts = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        if let Some(name) = args[i].strip_prefix("--") {
-            let value = args
-                .get(i + 1)
-                .ok_or_else(|| format!("option --{name} requires a value"))?;
-            opts.push((name, value.as_str()));
-            i += 2;
-        } else {
-            pos.push(args[i].as_str());
-            i += 1;
-        }
-    }
-    Ok((pos, opts))
-}
-
-fn opt<'a>(opts: &[(&'a str, &'a str)], name: &str) -> Option<&'a str> {
-    opts.iter().find(|(n, _)| *n == name).map(|(_, v)| *v)
-}
-
-fn parse_u32(opts: &[(&str, &str)], name: &str) -> Result<Option<u32>, String> {
-    match opt(opts, name) {
-        None => Ok(None),
-        Some(v) => v
-            .parse::<u32>()
-            .map(Some)
-            .map_err(|_| format!("--{name} must be a non-negative integer, got {v:?}")),
-    }
-}
-
-fn run(args: &[String]) -> Result<(), String> {
-    let Some(cmd) = args.first() else {
-        return Err("usage: imgtool <gen|resize|sepia|blur|info> ...".to_string());
-    };
-    let (pos, opts) = split_args(&args[1..])?;
-    match cmd.as_str() {
-        "gen" => {
-            let [out] = pos[..] else {
-                return Err("usage: imgtool gen <out.rimg> --width W --height H".to_string());
-            };
-            let width = parse_u32(&opts, "width")?.ok_or("--width is required")?;
-            let height = parse_u32(&opts, "height")?.ok_or("--height is required")?;
-            let seed = opt(&opts, "seed")
-                .map(|s| s.parse::<u64>().map_err(|_| format!("bad --seed {s:?}")))
-                .transpose()?
-                .unwrap_or(0);
-            let img = match opt(&opts, "kind").unwrap_or("gradient") {
-                "gradient" => gradient(width, height, seed),
-                "noise" => noise(width, height, seed),
-                "checker" => checkerboard(width, height, (seed.max(1)) as u32),
-                other => return Err(format!("unknown --kind {other:?}")),
-            };
-            write_rimg(out, &img).map_err(|e| e.to_string())
-        }
-        "resize" => {
-            let [input, output] = pos[..] else {
-                return Err("usage: imgtool resize <in> <out> --size N".to_string());
-            };
-            let size = parse_u32(&opts, "size")?.ok_or("--size is required")?;
-            if size == 0 {
-                return Err("--size must be positive".to_string());
-            }
-            let img = read_rimg(input).map_err(|e| e.to_string())?;
-            let out = resize_bilinear(&img, size, size);
-            write_rimg(output, &out).map_err(|e| e.to_string())
-        }
-        "sepia" => {
-            let [input, output] = pos[..] else {
-                return Err("usage: imgtool sepia <in> <out> [--sepia true|false]".to_string());
-            };
-            let apply = match opt(&opts, "sepia").unwrap_or("true") {
-                "true" => true,
-                "false" => false,
-                other => return Err(format!("--sepia must be true or false, got {other:?}")),
-            };
-            let img = read_rimg(input).map_err(|e| e.to_string())?;
-            let out = if apply { sepia(&img) } else { img };
-            write_rimg(output, &out).map_err(|e| e.to_string())
-        }
-        "blur" => {
-            let [input, output] = pos[..] else {
-                return Err("usage: imgtool blur <in> <out> --radius R".to_string());
-            };
-            let radius = parse_u32(&opts, "radius")?.ok_or("--radius is required")?;
-            let img = read_rimg(input).map_err(|e| e.to_string())?;
-            let out = box_blur(&img, radius);
-            write_rimg(output, &out).map_err(|e| e.to_string())
-        }
-        "info" => {
-            let [input] = pos[..] else {
-                return Err("usage: imgtool info <in>".to_string());
-            };
-            let img = read_rimg(input).map_err(|e| e.to_string())?;
-            let (r, g, b) = img.mean_rgb();
-            println!(
-                "{}x{} mean_rgb=({r:.1}, {g:.1}, {b:.1}) fingerprint={:#018x}",
-                img.width(),
-                img.height(),
-                img.fingerprint()
-            );
-            Ok(())
-        }
-        other => Err(format!("unknown subcommand {other:?}")),
     }
 }

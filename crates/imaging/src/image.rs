@@ -88,6 +88,11 @@ impl Image {
         &self.data
     }
 
+    /// Raw RGB bytes, writable (the kernels fill their output row by row).
+    pub(crate) fn raw_mut(&mut self) -> &mut [u8] {
+        &mut self.data
+    }
+
     #[inline]
     fn offset(&self, x: u32, y: u32) -> usize {
         debug_assert!(x < self.width && y < self.height);

@@ -7,8 +7,9 @@
 //! path: a real in-memory RGB image type, real pixel kernels (bilinear
 //! resize, sepia matrix, separable box blur), a simple uncompressed on-disk
 //! format (`.rimg`) with integrity checking, deterministic synthetic image
-//! generators, and an `imgtool` command-line binary so CWL
-//! `CommandLineTool`s can invoke the operations as genuine subprocesses.
+//! generators, and the `imgtool` command line ([`imgtool::run`]) — built as a
+//! binary so CWL `CommandLineTool`s can invoke the operations as genuine
+//! subprocesses, and called in-process by the builtin tool dispatch.
 //!
 //! The per-image compute is real work — the scaling curves in the Fig. 1
 //! reproduction come from actually crunching pixels, not from sleeps.
@@ -16,7 +17,10 @@
 pub mod codec;
 pub mod gen;
 pub mod image;
+pub mod imgtool;
 pub mod ops;
+#[cfg(test)]
+mod reference;
 
 pub use codec::{read_rimg, write_rimg, CodecError};
 pub use gen::{checkerboard, gradient, noise};

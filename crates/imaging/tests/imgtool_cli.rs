@@ -1,5 +1,6 @@
 //! End-to-end tests of the real `imgtool` binary (the executable the CWL
-//! fixtures name in `baseCommand` when running with subprocess dispatch).
+//! fixtures name in `baseCommand` when running with subprocess dispatch),
+//! and of its agreement with the in-process builtin dispatch.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -103,4 +104,99 @@ fn generated_kinds_differ() {
     assert_ne!(g.fingerprint(), n.fingerprint());
     assert_ne!(n.fingerprint(), c.fingerprint());
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn binary_and_builtin_dispatch_agree() {
+    use cwlexec::{BuiltinDispatch, SubprocessDispatch, ToolDispatch};
+
+    let (via_bin, via_builtin) = (scratch("parity-bin"), scratch("parity-builtin"));
+    let cases: &[&[&str]] = &[
+        &[
+            "gen", "src.rimg", "--width", "19", "--height", "11", "--kind", "noise", "--seed", "5",
+        ],
+        &["gen", "grad.rimg", "--width", "8", "--height", "8"],
+        &[
+            "gen",
+            "white.rimg",
+            "--width",
+            "8",
+            "--height",
+            "8",
+            "--kind",
+            "checker",
+            "--seed",
+            "100",
+        ],
+        &[
+            "gen", "bad.rimg", "--width", "4", "--height", "4", "--seed", "x",
+        ],
+        &[
+            "gen", "bad.rimg", "--width", "4", "--height", "4", "--kind", "plaid",
+        ],
+        &["gen", "bad.rimg", "--height", "4"],
+        &["resize", "src.rimg", "small.rimg", "--size", "7"],
+        &["resize", "src.rimg", "big.rimg", "--size", "40"],
+        &["resize", "src.rimg", "bad.rimg", "--size", "0"],
+        &["resize", "ghost.rimg", "bad.rimg", "--size", "3"],
+        &["sepia", "small.rimg", "sepia.rimg"],
+        &["sepia", "small.rimg", "plain.rimg", "--sepia", "false"],
+        &["sepia", "small.rimg", "bad.rimg", "--sepia", "maybe"],
+        &["blur", "sepia.rimg", "blur.rimg", "--radius", "2"],
+        &["blur", "white.rimg", "wide.rimg", "--radius", "4294967295"],
+        &["blur", "sepia.rimg", "bad.rimg"],
+        &["blur", "sepia.rimg", "bad.rimg", "--radius"],
+        &["info", "blur.rimg"],
+        &["info", "wide.rimg"],
+        &["info", "ghost.rimg"],
+        &["frobnicate"],
+        &[],
+    ];
+    for (i, args) in cases.iter().enumerate() {
+        let command = |program: &str| cwl::BuiltCommand {
+            argv: std::iter::once(program)
+                .chain(args.iter().copied())
+                .map(str::to_string)
+                .collect(),
+            stdout: Some(format!("{i}.out")),
+            stderr: Some(format!("{i}.err")),
+            env: vec![],
+        };
+        let bin = SubprocessDispatch.run(&command(env!("CARGO_BIN_EXE_imgtool")), &via_bin);
+        let builtin = BuiltinDispatch.run(&command("imgtool"), &via_builtin);
+        assert_eq!(
+            bin.is_ok(),
+            builtin.is_ok(),
+            "imgtool {args:?}: {bin:?} vs {builtin:?}"
+        );
+        // Only the subprocess captures stderr, and it creates its stdout
+        // capture even when the command fails.
+        std::fs::remove_file(via_bin.join(format!("{i}.err"))).unwrap();
+        if bin.is_err() {
+            std::fs::remove_file(via_bin.join(format!("{i}.out"))).unwrap();
+        }
+    }
+
+    let files = |dir: &std::path::Path| {
+        let mut names: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        names.sort();
+        names
+            .into_iter()
+            .map(|n| (n.clone(), std::fs::read(dir.join(&n)).unwrap()))
+            .collect::<Vec<_>>()
+    };
+    let (bin_files, builtin_files) = (files(&via_bin), files(&via_builtin));
+    assert!(bin_files.iter().any(|(n, _)| n == "wide.rimg"));
+    assert!(!bin_files.iter().any(|(n, _)| n == "bad.rimg"));
+    assert_eq!(bin_files, builtin_files);
+    let info = std::fs::read_to_string(via_bin.join("18.out")).unwrap();
+    assert!(
+        info.starts_with("8x8 mean_rgb=(255.0, 255.0, 255.0) "),
+        "{info}"
+    );
+    let _ = std::fs::remove_dir_all(&via_bin);
+    let _ = std::fs::remove_dir_all(&via_builtin);
 }
