@@ -95,6 +95,35 @@ echo "sim gate: seed 42 event log is byte-stable across runs"
 # own negative corpus and is deliberately not globbed here.)
 cargo run --release -p cwl --bin cwl-check -- --strict -q fixtures/*.cwl configs/
 
+# One-rulebook gate (DESIGN.md §4d): `cwl::analyze` is the only code that
+# decides whether a CWL document is valid. (a) The benchmark's two compat
+# names for it are called nowhere but their own file, and `Severity` is
+# defined once; (b) `parsl-cwl --validate` passes exactly the documents
+# `cwl-check` passes, broken corpus included.
+compat_calls=$(grep -rnE --include='*.rs' '\bvalidate_document\b|\bvalidate::is_valid\b' \
+    crates/*/src crates/*/tests tests | grep -v '^crates/cwl/src/lib.rs:' || true)
+if [ -n "$compat_calls" ]; then
+    echo "error: call the analyzer (cwl::analyze), not its benchmark compat names:" >&2
+    echo "$compat_calls" >&2
+    exit 1
+fi
+severity_defs=$(grep -rn --include='*.rs' 'enum Severity\b' crates tests || true)
+if [ "$(echo "$severity_defs" | grep -c .)" -ne 1 ]; then
+    echo "error: Severity must be defined once, in cwl::analyze::diag:" >&2
+    echo "$severity_defs" >&2
+    exit 1
+fi
+for doc in fixtures/*.cwl $(find fixtures/broken -name '*.cwl' | sort); do
+    checked=pass validated=pass
+    ./target/release/cwl-check -q "$doc" >/dev/null 2>&1 || checked=fail
+    ./target/release/parsl-cwl --validate "$doc" >/dev/null 2>&1 || validated=fail
+    if [ "$checked" != "$validated" ]; then
+        echo "error: $doc: cwl-check ${checked}, parsl-cwl --validate ${validated}" >&2
+        exit 1
+    fi
+done
+echo "rulebook gate: one Severity, no compat calls, --validate agrees with cwl-check"
+
 # Run-config lint gate: every shipped config must type-check against the
 # parsl-lint schema, warnings included.
 cargo run --release -p cwl_parsl --bin parsl-lint -- --strict -q configs/

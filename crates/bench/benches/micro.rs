@@ -23,8 +23,8 @@ fn bench_micro(c: &mut Criterion) {
         b.iter(|| cwl::Workflow::parse(&doc).unwrap());
     });
 
-    group.bench_function("validate_document", |b| {
-        b.iter(|| cwl::validate_document(&doc));
+    group.bench_function("analyze_value", |b| {
+        b.iter(|| cwl::analyze_value(&doc));
     });
 
     let tool_doc = yamlite::parse_file(bench::fixtures_dir().join("resize_image.cwl")).unwrap();

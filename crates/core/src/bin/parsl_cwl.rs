@@ -28,7 +28,8 @@ options:
                        (<run-dir> is the journal directory, the workdir
                        containing ckpt/, or the journal file itself);
                        requires a `checkpoint:` block in the config
-  --validate <doc>     statically validate a CWL document and exit
+  --validate <doc>     statically analyze a CWL document (and the files its
+                       steps run) and exit non-zero if a run would be refused
   --help               print this message
 
 The submit/status/wait/logs/cancel/drain subcommands talk to a running
@@ -70,13 +71,13 @@ fn run(args: &[String]) -> Result<(), String> {
         _ => {}
     }
     if args.first().map(String::as_str) == Some("--validate") {
+        // The analyzer over the document set, as the pre-run gate applies
+        // it (no executor capacity, warnings allowed): exit non-zero
+        // exactly when a run of it would be refused.
         let path = args.get(1).ok_or("usage: parsl-cwl --validate <doc.cwl>")?;
-        let doc = yamlite::parse_file(path).map_err(|e| e.to_string())?;
-        let diags = cwl::validate_document(&doc);
-        for d in &diags {
-            println!("{d}");
-        }
-        return if cwl::validate::is_valid(&diags) {
+        let report = cwl::analyze_file(path);
+        print!("{}", report.render_text());
+        return if report.is_clean(false) {
             println!("{path}: valid");
             Ok(())
         } else {

@@ -12,8 +12,7 @@
 //! key are skipped (those belong to `cwl-check`). Exit status: 0 clean,
 //! 1 findings, 2 usage error.
 
-use cwl::analyze::diag::{codes, Diag, Report};
-use cwl::validate::Severity;
+use cwl::analyze::diag::{Diag, Report};
 use cwl_parsl::lint::{cross_file_checks, lint_value};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -77,26 +76,15 @@ fn main() -> ExitCode {
         report.file = Some(file.display().to_string());
         match std::fs::read_to_string(&file) {
             Err(e) => {
-                report.diags.push(Diag {
-                    code: codes::YAML_PARSE,
-                    severity: Severity::Error,
-                    path: String::new(),
-                    position: None,
-                    message: format!("cannot read {}: {e}", file.display()),
-                    file: None,
-                });
+                let message = format!("cannot read {}: {e}", file.display());
+                report.diags.push(Diag::yaml_parse(message, None));
                 checked.push((file, Value::Null, SpanIndex::default(), report));
             }
             Ok(text) => match yamlite::parse_str_spanned(&text) {
                 Err(e) => {
-                    report.diags.push(Diag {
-                        code: codes::YAML_PARSE,
-                        severity: Severity::Error,
-                        path: String::new(),
-                        position: Some(e.position),
-                        message: e.message,
-                        file: None,
-                    });
+                    report
+                        .diags
+                        .push(Diag::yaml_parse(e.message, Some(e.position)));
                     checked.push((file, Value::Null, SpanIndex::default(), report));
                 }
                 Ok((doc, spans)) => {

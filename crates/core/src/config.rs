@@ -34,7 +34,8 @@
 //!   workdir: ./work
 //!   builtin_tools: true
 //! check:                  # cwl-check pre-run gate
-//!   pre_run: true         # analyze the document before executing
+//!   pre_run: true         # analyze the documents before executing (false:
+//!                         # no static rule is checked, only the executor's)
 //!   strict: false         # also refuse to run on warnings
 //! checkpoint:             # durable crash-resume journal
 //!   mode: task-exit       # off | task-exit | periodic
@@ -80,7 +81,8 @@ pub struct RunnerConfig {
     /// callers can assert which nodes died).
     pub fault_plan: Option<FaultPlan>,
     /// Run the `cwl::analyze` static pass before executing (the `cwl-check`
-    /// pre-run gate).
+    /// pre-run gate). Without it nothing checks the documents against the
+    /// spec's rules: only the executor's own errors remain.
     pub pre_run_check: bool,
     /// Under `pre_run_check`, also refuse to run on warnings.
     pub strict_check: bool,

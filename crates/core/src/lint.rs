@@ -24,8 +24,7 @@
 //! config's own `check: {pre_run, strict}` block), so a typo fails the run
 //! before the kernel starts.
 
-use cwl::analyze::diag::{codes, Diag, Report};
-use cwl::validate::Severity;
+use cwl::analyze::diag::{codes, Diag, Report, Sink};
 use cwlexec::StagingSettings;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -104,35 +103,6 @@ const HTEX_ONLY_KEYS: &[&str] = &[
     "batch_size",
 ];
 
-/// Diagnostic emitter: resolves dotted paths to positions via the span
-/// index (same contract as the cwl analyzer's sink).
-struct CfgSink<'a> {
-    spans: &'a SpanIndex,
-    report: &'a mut Report,
-}
-
-impl CfgSink<'_> {
-    fn push(&mut self, code: &'static str, severity: Severity, path: String, message: String) {
-        let position = self.spans.resolve(&path);
-        self.report.diags.push(Diag {
-            code,
-            severity,
-            path,
-            position,
-            message,
-            file: None,
-        });
-    }
-
-    fn error(&mut self, code: &'static str, path: impl Into<String>, message: impl Into<String>) {
-        self.push(code, Severity::Error, path.into(), message.into());
-    }
-
-    fn warning(&mut self, code: &'static str, path: impl Into<String>, message: impl Into<String>) {
-        self.push(code, Severity::Warning, path.into(), message.into());
-    }
-}
-
 fn child(base: &str, seg: &str) -> String {
     yamlite::span::child_path(base, seg)
 }
@@ -165,7 +135,7 @@ fn did_you_mean<'a>(key: &str, known: &[&'a str]) -> Option<&'a str> {
 }
 
 /// E041 for every key of `block` not in `known`.
-fn check_keys(block: &Value, base: &str, known: &[&str], sink: &mut CfgSink) {
+fn check_keys(block: &Value, base: &str, known: &[&str], sink: &mut Sink) {
     let Value::Map(m) = block else { return };
     for (key, _) in m.iter() {
         if known.contains(&key) {
@@ -189,7 +159,7 @@ fn check_keys(block: &Value, base: &str, known: &[&str], sink: &mut CfgSink) {
 }
 
 /// E042 unless `block[key]`, when present, is an integer `>= min`.
-fn check_int(block: &Value, base: &str, key: &str, min: i64, sink: &mut CfgSink) {
+fn check_int(block: &Value, base: &str, key: &str, min: i64, sink: &mut Sink) {
     let Some(v) = block.get(key) else { return };
     let label = child(base, key);
     match v.as_int() {
@@ -208,7 +178,7 @@ fn check_int(block: &Value, base: &str, key: &str, min: i64, sink: &mut CfgSink)
 }
 
 /// E042 unless `block[key]`, when present, is a boolean.
-fn check_bool(block: &Value, base: &str, key: &str, sink: &mut CfgSink) {
+fn check_bool(block: &Value, base: &str, key: &str, sink: &mut Sink) {
     let Some(v) = block.get(key) else { return };
     if v.as_bool().is_none() {
         sink.error(
@@ -223,7 +193,7 @@ fn check_bool(block: &Value, base: &str, key: &str, sink: &mut CfgSink) {
 }
 
 /// E042 unless `block[key]`, when present, is a number in `[lo, hi]`.
-fn check_fraction(block: &Value, base: &str, key: &str, sink: &mut CfgSink) {
+fn check_fraction(block: &Value, base: &str, key: &str, sink: &mut Sink) {
     let Some(v) = block.get(key) else { return };
     match v.as_float().or_else(|| v.as_int().map(|n| n as f64)) {
         Some(f) if f.is_finite() && (0.0..=1.0).contains(&f) => {}
@@ -240,7 +210,7 @@ fn check_fraction(block: &Value, base: &str, key: &str, sink: &mut CfgSink) {
 
 /// E042 unless `block[key]`, when present, is a finite number `> 0`
 /// (fair-share weights: a zero or negative weight starves the tenant).
-fn check_weight(block: &Value, base: &str, key: &str, sink: &mut CfgSink) {
+fn check_weight(block: &Value, base: &str, key: &str, sink: &mut Sink) {
     let Some(v) = block.get(key) else { return };
     match v.as_float() {
         Some(f) if f.is_finite() && f > 0.0 => {}
@@ -294,7 +264,7 @@ fn probe_socket_dir(sock: &Path) -> Result<(), String> {
 }
 
 /// E042 unless `block[key]`, when present, is one of `allowed`.
-fn check_enum(block: &Value, base: &str, key: &str, allowed: &[&str], sink: &mut CfgSink) {
+fn check_enum(block: &Value, base: &str, key: &str, allowed: &[&str], sink: &mut Sink) {
     let Some(v) = block.get(key) else { return };
     let ok = v.as_str().map(|s| allowed.contains(&s)).unwrap_or(false);
     if !ok {
@@ -316,7 +286,7 @@ fn check_enum(block: &Value, base: &str, key: &str, allowed: &[&str], sink: &mut
 
 /// Lint a parsed run config, appending findings to `report`.
 pub fn lint_value(doc: &Value, spans: &SpanIndex, report: &mut Report) {
-    let mut sink = CfgSink { spans, report };
+    let mut sink = Sink::new(spans, report);
     let sink = &mut sink;
     match doc {
         Value::Null => return, // empty config = all defaults, fine
@@ -610,14 +580,9 @@ pub fn lint_str(text: &str, file: Option<&Path>) -> Report {
     let mut report = Report::new();
     report.file = file.map(|p| p.display().to_string());
     match yamlite::parse_str_spanned(text) {
-        Err(e) => report.diags.push(Diag {
-            code: codes::YAML_PARSE,
-            severity: Severity::Error,
-            path: String::new(),
-            position: Some(e.position),
-            message: e.message,
-            file: None,
-        }),
+        Err(e) => report
+            .diags
+            .push(Diag::yaml_parse(e.message, Some(e.position))),
         Ok((doc, spans)) => lint_value(&doc, &spans, &mut report),
     }
     report.sort();
@@ -638,14 +603,9 @@ pub fn lint_file(path: impl AsRef<Path>) -> Report {
         Err(e) => {
             let mut report = Report::new();
             report.file = Some(path.display().to_string());
-            report.diags.push(Diag {
-                code: codes::YAML_PARSE,
-                severity: Severity::Error,
-                path: String::new(),
-                position: Some(e.position),
-                message: e.message,
-                file: None,
-            });
+            report
+                .diags
+                .push(Diag::yaml_parse(e.message, Some(e.position)));
             report
         }
     }
@@ -690,29 +650,21 @@ pub fn cross_file_checks(files: &mut [(PathBuf, Value, SpanIndex, Report)]) {
                 .filter(|&&j| j != i)
                 .map(|&j| files[j].0.display().to_string())
                 .collect();
-            let path = if files[i]
-                .1
-                .get("checkpoint")
-                .and_then(|c| c.get("dir"))
-                .is_some()
-            {
-                "checkpoint.dir".to_string()
+            let (_, doc, spans, report) = &mut files[i];
+            let path = if doc.get("checkpoint").and_then(|c| c.get("dir")).is_some() {
+                "checkpoint.dir"
             } else {
-                "checkpoint".to_string()
+                "checkpoint"
             };
-            let position = files[i].2.resolve(&path);
-            files[i].3.diags.push(Diag {
-                code: codes::CFG_SHARED_CKPT,
-                severity: Severity::Warning,
+            Sink::new(spans, report).warning(
+                codes::CFG_SHARED_CKPT,
                 path,
-                position,
-                message: format!(
+                format!(
                     "checkpoint dir {} is shared with {} (a resume would mix runs)",
                     dir.display(),
                     others.join(", ")
                 ),
-                file: None,
-            });
+            );
         }
     }
 }

@@ -96,22 +96,24 @@ impl ParslWorkflowRunner {
     }
 
     /// Execute the workflow at `path` with `provided` inputs; blocks until
-    /// all tasks finish and returns the workflow output object.
+    /// all tasks finish and returns the workflow output object. The library
+    /// entry: nothing gates before it, so it applies the pre-run gate
+    /// itself (no executor capacity, warnings allowed).
     pub fn run(&self, path: impl AsRef<Path>, provided: &Map) -> Result<Map, String> {
-        self.run_docs(&DocSet::load(path), provided)
+        let docs = DocSet::load(path);
+        cwl::analyze::gate(&docs, &Default::default(), false).map_err(|r| r.refusal())?;
+        self.run_docs(&docs, provided)
     }
 
     /// [`ParslWorkflowRunner::run`] over an already-loaded document set: the
-    /// root workflow and every file it runs come from `docs`.
+    /// root workflow and every file it runs come from `docs`. The caller
+    /// gates `docs` ([`crate::run::RunSpec::gate`]); nothing here checks
+    /// them against the spec's rules again.
     pub fn run_docs(&self, docs: &DocSet, provided: &Map) -> Result<Map, String> {
         let root = docs.root();
         let CwlDocument::Workflow(_) = root.document()? else {
             return Err(format!("{} is not a Workflow", root.path.display()));
         };
-        let diags = cwl::validate_document(root.value()?);
-        if !cwl::validate::is_valid(&diags) {
-            return Err(format!("validation failed: {}", diags[0]));
-        }
         // A data plane that failed to open fails the run up front, not one
         // task at a time.
         let stager = self.stager.as_ref().map_err(|e| e.clone())?;

@@ -56,8 +56,14 @@
 //! | W120 | config setting has no effect |
 //! | W121 | two configs share one checkpoint dir |
 
-use crate::validate::Severity;
-use yamlite::Position;
+use yamlite::{Position, SpanIndex};
+
+/// Diagnostic severity.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Severity {
+    Error,
+    Warning,
+}
 
 /// Stable diagnostic code constants (see the module table).
 pub mod codes {
@@ -123,6 +129,21 @@ pub struct Diag {
     pub file: Option<String>,
 }
 
+impl Diag {
+    /// The E001 finding for text that could not be read or parsed as YAML:
+    /// it has no document path.
+    pub fn yaml_parse(message: String, position: Option<Position>) -> Self {
+        Self {
+            code: codes::YAML_PARSE,
+            severity: Severity::Error,
+            path: String::new(),
+            position,
+            message,
+            file: None,
+        }
+    }
+}
+
 impl std::fmt::Display for Diag {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let sev = match self.severity {
@@ -141,6 +162,51 @@ impl std::fmt::Display for Diag {
             write!(f, " (at {})", self.path)?;
         }
         Ok(())
+    }
+}
+
+/// Where a checker writes its findings: each dotted path is resolved to a
+/// source position through the document's span index. The CWL passes and
+/// `parsl-lint`'s config checks share it.
+pub struct Sink<'a> {
+    spans: &'a SpanIndex,
+    report: &'a mut Report,
+}
+
+impl<'a> Sink<'a> {
+    /// A sink appending to `report`, positioned by `spans`.
+    pub fn new(spans: &'a SpanIndex, report: &'a mut Report) -> Self {
+        Self { spans, report }
+    }
+
+    fn push(&mut self, code: &'static str, severity: Severity, path: String, message: String) {
+        let position = self.spans.resolve(&path);
+        self.report.diags.push(Diag {
+            code,
+            severity,
+            path,
+            position,
+            message,
+            file: None,
+        });
+    }
+
+    pub fn error(
+        &mut self,
+        code: &'static str,
+        path: impl Into<String>,
+        message: impl Into<String>,
+    ) {
+        self.push(code, Severity::Error, path.into(), message.into());
+    }
+
+    pub fn warning(
+        &mut self,
+        code: &'static str,
+        path: impl Into<String>,
+        message: impl Into<String>,
+    ) {
+        self.push(code, Severity::Warning, path.into(), message.into());
     }
 }
 

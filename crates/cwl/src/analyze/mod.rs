@@ -20,7 +20,10 @@
 //! Entry points: [`analyze_file`] / [`analyze_str`] for source text (spans
 //! included), [`analyze_docs`] for an already-loaded
 //! [`DocSet`](crate::docs::DocSet) — the passes look every `run:` target up
-//! in the set and read no file themselves.
+//! in the set and read no file themselves — and [`analyze_value`] for one
+//! parsed document on its own. This is the only code that decides whether
+//! a CWL document is valid: `cwl-check`, `parsl-cwl --validate`, the
+//! pre-run gate and serve's admission all apply it.
 
 pub mod dataflow;
 pub mod diag;
@@ -28,12 +31,11 @@ pub mod effects;
 pub mod exprlint;
 pub mod plan;
 
-pub use diag::{codes, Diag, Report};
+pub use diag::{codes, Diag, Report, Severity, Sink};
 pub use plan::ExecutorCapacity;
 
 use crate::docs::{DocEntry, DocSet, Loaded};
-use crate::loader::CwlDocument;
-use crate::validate::Severity;
+use crate::loader::{load_document, CwlDocument};
 use crate::workflow::{RunRef, Workflow};
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -46,45 +48,6 @@ use yamlite::{SpanIndex, Value};
 pub struct AnalyzeOptions {
     /// Executor capacity for the feasibility pass (from a run config).
     pub capacity: Option<ExecutorCapacity>,
-}
-
-/// Diagnostic emission context shared by the checkers: resolves dotted
-/// paths to source positions through the span index.
-pub(crate) struct Sink<'a> {
-    spans: &'a SpanIndex,
-    report: &'a mut Report,
-}
-
-impl Sink<'_> {
-    fn push(&mut self, code: &'static str, severity: Severity, path: String, message: String) {
-        let position = self.spans.resolve(&path);
-        self.report.diags.push(Diag {
-            code,
-            severity,
-            path,
-            position,
-            message,
-            file: None,
-        });
-    }
-
-    pub(crate) fn error(
-        &mut self,
-        code: &'static str,
-        path: impl Into<String>,
-        message: impl Into<String>,
-    ) {
-        self.push(code, Severity::Error, path.into(), message.into());
-    }
-
-    pub(crate) fn warning(
-        &mut self,
-        code: &'static str,
-        path: impl Into<String>,
-        message: impl Into<String>,
-    ) {
-        self.push(code, Severity::Warning, path.into(), message.into());
-    }
 }
 
 /// Analyze a document from source text. `file`, when given, names the
@@ -115,22 +78,15 @@ pub fn analyze_docs(docs: &DocSet, opts: &AnalyzeOptions) -> Report {
     let root = docs.root();
     let mut report = Report::new();
     report.file = docs.root_dir().map(|_| root.path.display().to_string());
-    let unparsed = |message, position| Diag {
-        code: codes::YAML_PARSE,
-        severity: Severity::Error,
-        path: String::new(),
-        position,
-        message,
-        file: None,
-    };
     match &root.loaded {
-        Loaded::Unread(e) => report.diags.push(unparsed(
+        Loaded::Unread(e) => report.diags.push(Diag::yaml_parse(
             format!("cannot read {}: {e}", root.path.display()),
             None,
         )),
-        Loaded::Unparsed { error, .. } => report
-            .diags
-            .push(unparsed(error.message.clone(), Some(error.position))),
+        Loaded::Unparsed { error, .. } => report.diags.push(Diag::yaml_parse(
+            error.message.clone(),
+            Some(error.position),
+        )),
         Loaded::Parsed {
             value, spans, doc, ..
         } => {
@@ -141,6 +97,18 @@ pub fn analyze_docs(docs: &DocSet, opts: &AnalyzeOptions) -> Report {
             }
         }
     }
+    report.sort();
+    report
+}
+
+/// Analyze one already-parsed document on its own: every pass, without
+/// spans, its `run:` paths unresolved — the findings [`analyze_str`] gives
+/// the same text with no file.
+pub fn analyze_value(value: &Value) -> Report {
+    let mut report = Report::new();
+    let (docs, spans, loaded) = (DocSet::unresolved(), SpanIndex::new(), load_document(value));
+    let opts = AnalyzeOptions::default();
+    check_document(&docs, value, &spans, &loaded, None, &opts, &mut report);
     report.sort();
     report
 }
@@ -167,7 +135,7 @@ fn check_document(
     opts: &AnalyzeOptions,
     report: &mut Report,
 ) {
-    let mut sink = Sink { spans, report };
+    let mut sink = Sink::new(spans, report);
     match value.get("cwlVersion").and_then(Value::as_str) {
         None => sink.error(codes::CWL_MODEL, "cwlVersion", "missing cwlVersion"),
         Some(v) if !matches!(v, "v1.0" | "v1.1" | "v1.2") => sink.warning(

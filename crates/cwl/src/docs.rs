@@ -153,6 +153,18 @@ impl DocSet {
         Self::with_root(root, file.is_some())
     }
 
+    /// A set of no files, for the passes over one lone document
+    /// ([`crate::analyze::analyze_value`]): with no directory, its path
+    /// `run:`s stay unresolved and the set is never looked in. It has no
+    /// root.
+    pub(crate) fn unresolved() -> Self {
+        Self {
+            entries: Vec::new(),
+            index: HashMap::new(),
+            rooted: false,
+        }
+    }
+
     fn with_root(root: DocEntry, rooted: bool) -> Self {
         let mut set = Self {
             entries: Vec::new(),

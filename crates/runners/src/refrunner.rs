@@ -39,26 +39,15 @@ impl RefRunner {
         self
     }
 
-    /// Validate a document the way `cwltool --validate` does.
-    pub fn validate(path: impl AsRef<Path>) -> Result<Vec<cwl::Diagnostic>, String> {
-        let doc = yamlite::parse_file(path.as_ref()).map_err(|e| e.to_string())?;
-        Ok(cwl::validate_document(&doc))
-    }
-
-    /// Execute a tool or workflow file.
+    /// Execute a tool or workflow file. Like cwltool, it checks the
+    /// documents before running them: the profile's pre-run gate.
     pub fn run(
         &self,
         path: impl AsRef<Path>,
         inputs: &Map,
         workdir: impl AsRef<Path>,
     ) -> Result<RunReport, String> {
-        let docs = DocSet::load(path);
-        // cwltool validates the top-level document before running.
-        let diags = cwl::validate_document(docs.root().value()?);
-        if !cwl::validate::is_valid(&diags) {
-            return Err(format!("validation failed: {}", diags[0]));
-        }
-        self.exec.run_docs(&docs, inputs, workdir)
+        self.exec.run_docs(&DocSet::load(path), inputs, workdir)
     }
 }
 
@@ -182,14 +171,14 @@ mod tests {
         .unwrap();
         let runner = RefRunner::new(2, Arc::new(BuiltinDispatch));
         let err = runner.run(&bad, &Map::new(), &dir).unwrap_err();
-        assert!(err.contains("validation failed"), "{err}");
+        assert!(err.contains("E004"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn validate_reports_diagnostics() {
-        let diags = RefRunner::validate(fixtures().join("image_pipeline.cwl")).unwrap();
-        assert!(cwl::validate::is_valid(&diags), "{diags:?}");
+        let report = cwl::analyze_file(fixtures().join("image_pipeline.cwl"));
+        assert!(report.is_clean(true), "{}", report.render_text());
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crate::pool::run_parallel;
 use crate::profile::ExecProfile;
 use crate::report::RunReport;
 use cwl::loader::CwlDocument;
-use cwl::{CommandLineTool, DocSet};
+use cwl::{CommandLineTool, DocSet, Severity};
 use cwlexec::step::{self, PreparedWorkflow, StepTarget};
 use cwlexec::{engine_for, execute_tool_staged, StageCtx, ToolDispatch};
 use datastore::Stager;
@@ -169,13 +169,14 @@ impl WorkflowExecutor {
         // Per-task interpreter/process start-up.
         gridsim::pay(self.profile.per_task_overhead);
 
-        // cwltool-style per-job document reprocessing (real work).
+        // cwltool-style per-job document reprocessing (real work): re-parse
+        // the tool and apply the analyzer to it.
         if self.profile.revalidate_per_task {
             if let Some(raw) = raw {
                 let doc = yamlite::parse_str(raw).map_err(|e| format!("revalidation: {e}"))?;
-                let diags = cwl::validate_document(&doc);
-                if !cwl::validate::is_valid(&diags) {
-                    return Err(format!("revalidation failed: {}", diags[0]));
+                let report = cwl::analyze_value(&doc);
+                if let Some(error) = report.diags.iter().find(|d| d.severity == Severity::Error) {
+                    return Err(format!("revalidation failed: {error}"));
                 }
             }
         }

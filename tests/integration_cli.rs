@@ -105,6 +105,71 @@ fn validate_mode_reports_diagnostics() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `--validate` refuses exactly what a run refuses: the analyzer over the
+/// document set, the files its steps run included.
+#[test]
+fn validate_mode_agrees_with_the_run() {
+    let dir = scratch("validate-agrees");
+    let config = dir.join("config.yml");
+    std::fs::write(
+        &config,
+        format!(
+            "executor:\n  kind: thread-pool\n  workers: 1\nrun:\n  workdir: {}\n  builtin_tools: true\n",
+            dir.join("work").display()
+        ),
+    )
+    .unwrap();
+    // A workflow whose step runs a tool with no command line.
+    std::fs::write(
+        dir.join("no_command.cwl"),
+        "cwlVersion: v1.2\nclass: CommandLineTool\ninputs:\n  message: string\noutputs: {}\n",
+    )
+    .unwrap();
+    std::fs::write(
+        dir.join("wf.cwl"),
+        "cwlVersion: v1.2\nclass: Workflow\ninputs:\n  message: string\noutputs: {}\n\
+         steps:\n  say:\n    run: no_command.cwl\n    in:\n      message: message\n    out: []\n",
+    )
+    .unwrap();
+    // A tool whose argument is an unterminated expression.
+    std::fs::write(
+        dir.join("bad_expr.cwl"),
+        "cwlVersion: v1.2\nclass: CommandLineTool\nbaseCommand: echo\n\
+         arguments: [\"$(inputs.message.\"]\ninputs:\n  message: string\noutputs: {}\n",
+    )
+    .unwrap();
+    for (doc, code) in [("wf.cwl", "E004"), ("bad_expr.cwl", "E020")] {
+        let doc = dir.join(doc);
+        let checked = parsl_cwl()
+            .arg("--validate")
+            .arg(&doc)
+            .output()
+            .expect("binary runs");
+        let stdout = String::from_utf8_lossy(&checked.stdout);
+        assert!(!checked.status.success(), "{}: {stdout}", doc.display());
+        assert!(stdout.contains(&format!("error[{code}]")), "{stdout}");
+        assert!(!stdout.ends_with(": valid\n"), "{stdout}");
+        let run = parsl_cwl()
+            .arg(&config)
+            .arg(&doc)
+            .arg("--message=hi")
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert!(!run.status.success(), "{}: {stderr}", doc.display());
+        assert!(stderr.contains(&format!("error[{code}]")), "{stderr}");
+    }
+    let ok = parsl_cwl()
+        .arg("--validate")
+        .arg(fixtures().join("diamond.cwl"))
+        .output()
+        .expect("binary runs");
+    assert!(ok.status.success());
+    let stdout = String::from_utf8_lossy(&ok.stdout);
+    assert!(stdout.ends_with("diamond.cwl: valid\n"), "{stdout}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn missing_arguments_produce_usage() {
     let res = parsl_cwl().output().expect("binary runs");
