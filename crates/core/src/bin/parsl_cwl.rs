@@ -29,7 +29,9 @@ options:
                        containing ckpt/, or the journal file itself);
                        requires a `checkpoint:` block in the config
   --validate <doc>     statically analyze a CWL document (and the files its
-                       steps run) and exit non-zero if a run would be refused
+                       steps run) and exit non-zero on an error, as cwl-check
+                       does: the pre-run gate without executor capacity or
+                       `check: {strict}`
   --help               print this message
 
 The submit/status/wait/logs/cancel/drain subcommands talk to a running
@@ -72,8 +74,8 @@ fn run(args: &[String]) -> Result<(), String> {
     }
     if args.first().map(String::as_str) == Some("--validate") {
         // The analyzer over the document set, as the pre-run gate applies
-        // it (no executor capacity, warnings allowed): exit non-zero
-        // exactly when a run of it would be refused.
+        // it with no executor capacity and warnings allowed: a run with a
+        // config can still refuse it (E032, or a warning under `strict`).
         let path = args.get(1).ok_or("usage: parsl-cwl --validate <doc.cwl>")?;
         let report = cwl::analyze_file(path);
         print!("{}", report.render_text());

@@ -33,9 +33,7 @@
 //! run:
 //!   workdir: ./work
 //!   builtin_tools: true
-//! check:                  # cwl-check pre-run gate
-//!   pre_run: true         # analyze the documents before executing (false:
-//!                         # no static rule is checked, only the executor's)
+//! check:                  # cwl-check pre-run gate (every run is analyzed)
 //!   strict: false         # also refuse to run on warnings
 //! checkpoint:             # durable crash-resume journal
 //!   mode: task-exit       # off | task-exit | periodic
@@ -80,11 +78,8 @@ pub struct RunnerConfig {
     /// The fault plan, when a `fault:` block was configured (kept so
     /// callers can assert which nodes died).
     pub fault_plan: Option<FaultPlan>,
-    /// Run the `cwl::analyze` static pass before executing (the `cwl-check`
-    /// pre-run gate). Without it nothing checks the documents against the
-    /// spec's rules: only the executor's own errors remain.
-    pub pre_run_check: bool,
-    /// Under `pre_run_check`, also refuse to run on warnings.
+    /// The `cwl-check` pre-run gate, which analyzes every run's documents
+    /// before executing, also refuses to run on warnings.
     pub strict_check: bool,
     /// Durable checkpointing of task completions (the `checkpoint:` block).
     pub checkpoint: CheckpointSettings,
@@ -200,36 +195,30 @@ impl CheckpointSettings {
 
 /// Load a configuration from a YAML file.
 ///
-/// The file is first run through the `parsl-lint` pass ([`crate::lint`]),
-/// honouring the config's own `check:` block: with `pre_run: true` (the
-/// default) lint *errors* (unknown keys, bad values/combos, unreachable
-/// staging dirs) fail the load; with `strict: true` warnings do too.
+/// The file is first run through the `parsl-lint` pass ([`crate::lint`]):
+/// lint *errors* (unknown keys, bad values/combos, unreachable staging
+/// dirs) fail the load; with the config's own `check: {strict: true}`
+/// warnings do too.
 /// [`load_config_value`] stays gate-free for programmatic construction.
 pub fn load_config_file(path: impl AsRef<Path>) -> Result<RunnerConfig, String> {
     let path = path.as_ref();
     let (v, spans) = yamlite::parse_file_spanned(path).map_err(|e| e.to_string())?;
-    let check = v.get("check").cloned().unwrap_or(Value::Null);
-    let pre_run = check
-        .get("pre_run")
-        .and_then(Value::as_bool)
-        .unwrap_or(true);
-    let strict = check
-        .get("strict")
+    let strict = v
+        .get("check")
+        .and_then(|check| check.get("strict"))
         .and_then(Value::as_bool)
         .unwrap_or(false);
-    if pre_run {
-        let mut report = cwl::analyze::Report::new();
-        report.file = Some(path.display().to_string());
-        crate::lint::lint_value(&v, &spans, &mut report);
-        report.sort();
-        if !report.is_clean(strict) {
-            return Err(format!(
-                "config lint found {} error(s), {} warning(s):\n{}",
-                report.error_count(),
-                report.warning_count(),
-                report.render_text().trim_end()
-            ));
-        }
+    let mut report = cwl::analyze::Report::new();
+    report.file = Some(path.display().to_string());
+    crate::lint::lint_value(&v, &spans, &mut report);
+    report.sort();
+    if !report.is_clean(strict) {
+        return Err(format!(
+            "config lint found {} error(s), {} warning(s):\n{}",
+            report.error_count(),
+            report.warning_count(),
+            report.render_text().trim_end()
+        ));
     }
     load_config_value(&v)
 }
@@ -553,10 +542,6 @@ pub fn load_config_value(v: &Value) -> Result<RunnerConfig, String> {
         .unwrap_or(false);
 
     let check = v.get("check").cloned().unwrap_or(Value::Null);
-    let pre_run_check = check
-        .get("pre_run")
-        .and_then(Value::as_bool)
-        .unwrap_or(true);
     let strict_check = check
         .get("strict")
         .and_then(Value::as_bool)
@@ -570,7 +555,6 @@ pub fn load_config_value(v: &Value) -> Result<RunnerConfig, String> {
         builtin_tools,
         scheduler,
         fault_plan,
-        pre_run_check,
         strict_check,
         checkpoint,
         staging,
@@ -671,11 +655,9 @@ mod tests {
     #[test]
     fn check_block_defaults_and_overrides() {
         let c = load_config_value(&Value::Null).unwrap();
-        assert!(c.pre_run_check);
         assert!(!c.strict_check);
-        let v = parse_str("check:\n  pre_run: false\n  strict: true\n").unwrap();
+        let v = parse_str("check:\n  strict: true\n").unwrap();
         let c = load_config_value(&v).unwrap();
-        assert!(!c.pre_run_check);
         assert!(c.strict_check);
     }
 

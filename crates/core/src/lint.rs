@@ -21,8 +21,8 @@
 //!   directory (resumes would mix runs).
 //!
 //! The same pass gates [`crate::config::load_config_file`] (honouring the
-//! config's own `check: {pre_run, strict}` block), so a typo fails the run
-//! before the kernel starts.
+//! config's own `check: {strict}`), so a typo fails the run before the
+//! kernel starts.
 
 use cwl::analyze::diag::{codes, Diag, Report, Sink};
 use cwlexec::StagingSettings;
@@ -68,7 +68,7 @@ const RETRY_KEYS: &[&str] = &[
 const FAULT_KEYS: &[&str] = &["kill"];
 const KILL_KEYS: &[&str] = &["node", "after_tasks", "after_ms"];
 const RUN_KEYS: &[&str] = &["workdir", "builtin_tools"];
-const CHECK_KEYS: &[&str] = &["pre_run", "strict"];
+const CHECK_KEYS: &[&str] = &["strict"];
 const CHECKPOINT_KEYS: &[&str] = &["mode", "dir", "period_ms"];
 const STAGING_KEYS: &[&str] = &["mode", "dir", "pool"];
 const MONITORING_KEYS: &[&str] = &["enabled", "sample_rate", "export", "sinks", "events_cap"];
@@ -390,7 +390,6 @@ pub fn lint_value(doc: &Value, spans: &SpanIndex, report: &mut Report) {
 
     let check = doc.get("check").cloned().unwrap_or(Value::Null);
     check_keys(&check, "check", CHECK_KEYS, sink);
-    check_bool(&check, "check", "pre_run", sink);
     check_bool(&check, "check", "strict", sink);
 
     let checkpoint = doc.get("checkpoint").cloned().unwrap_or(Value::Null);
@@ -564,15 +563,6 @@ pub fn lint_value(doc: &Value, spans: &SpanIndex, report: &mut Report) {
             ),
         );
     }
-    if check.get("strict").and_then(Value::as_bool) == Some(true)
-        && check.get("pre_run").and_then(Value::as_bool) == Some(false)
-    {
-        sink.warning(
-            codes::CFG_NO_EFFECT,
-            "check.strict",
-            "check.strict has no effect with pre_run: false (nothing is checked)",
-        );
-    }
 }
 
 /// Lint config source text. `file` names the report.
@@ -715,6 +705,9 @@ mod tests {
             d.message
         );
         assert!(d.position.is_some(), "unknown key must carry a span");
+        // The pre-run gate has no off switch.
+        let r = lint("check:\n  pre_run: false\n");
+        assert!(r.has_code(codes::CFG_UNKNOWN_KEY), "{}", r.render_text());
     }
 
     #[test]
@@ -794,8 +787,6 @@ mod tests {
         let r = lint("executor:\n  kind: htex\n  workers: 4\n");
         assert!(r.has_code(codes::CFG_NO_EFFECT));
         let r = lint("checkpoint:\n  mode: task-exit\n  period_ms: 100\n");
-        assert!(r.has_code(codes::CFG_NO_EFFECT));
-        let r = lint("check:\n  pre_run: false\n  strict: true\n");
         assert!(r.has_code(codes::CFG_NO_EFFECT));
     }
 

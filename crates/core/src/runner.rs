@@ -110,14 +110,13 @@ pub fn run_tool_cli_resumable(
 ) -> Result<CliOutcome, String> {
     let spec = RunSpec::load(cwl_path, inputs.clone());
     // The cwl-check pre-run gate: refuse to start a run the static
-    // analyzer can already prove broken (configurable via `check:`).
-    // The configured executor's capacity feeds the feasibility pass, so a
-    // ResourceRequirement no node can satisfy fails here, not mid-run.
-    if config.pre_run_check {
-        let capacity = crate::lint::executor_capacity(&config.parsl);
-        spec.gate(capacity, config.strict_check)
-            .map_err(|report| report.refusal())?;
-    }
+    // analyzer can already prove broken (`check: {strict}` also refuses on
+    // warnings). The configured executor's capacity feeds the feasibility
+    // pass, so a ResourceRequirement no node can satisfy fails here, not
+    // mid-run.
+    let capacity = crate::lint::executor_capacity(&config.parsl);
+    spec.gate(capacity, config.strict_check)
+        .map_err(|report| report.refusal())?;
     spec.document()?;
     let trace = if config.parsl.monitoring.enabled {
         config.parsl.monitoring.export_path.clone()

@@ -58,7 +58,7 @@ pub use workflow::{Step, StepInput, Workflow, WorkflowOutput};
 /// ([`analyze::analyze_value`]). Kept only because the benchmark under
 /// `ledger/` names it and [`validate::is_valid`], and may not change outside
 /// the benchmark's own revision, which deletes both. Nothing in the
-/// workspace calls them outside this file.
+/// workspace calls them.
 pub fn validate_document(doc: &yamlite::Value) -> Vec<Diag> {
     analyze_value(doc).diags
 }
@@ -71,39 +71,51 @@ pub mod validate {
     }
 
     /// The structural rules of a valid document, one row each: a document
-    /// and the exact error and warning codes the analyzer gives it. Its
-    /// `run:` targets stay unresolved, so each row shows only its own rule.
+    /// and the exact `(code, path)` of every error and warning
+    /// [`crate::analyze_value`] gives it. Its `run:` targets stay
+    /// unresolved, so each row shows only its own rule. The rows keep the
+    /// test names of the deleted structural validator; the benchmark's
+    /// revision that deletes this module moves them into the analyzer's
+    /// tests.
     #[cfg(test)]
     mod tests {
         use crate::analyze::codes::*;
         use crate::Severity;
 
-        fn row(text: &str, errors: &[&str], warnings: &[&str]) {
-            let diags = crate::validate_document(&yamlite::parse_str(text).unwrap());
-            let codes = |severity| {
-                let mut codes: Vec<&str> = diags
+        type Found<'a> = &'a [(&'a str, &'a str)];
+
+        fn row(text: &str, errors: Found, warnings: Found) {
+            let report = crate::analyze_value(&yamlite::parse_str(text).unwrap());
+            let found = |severity| {
+                let mut found: Vec<(&str, &str)> = report
+                    .diags
                     .iter()
                     .filter(|d| d.severity == severity)
-                    .map(|d| d.code)
+                    .map(|d| (d.code, d.path.as_str()))
                     .collect();
-                codes.sort();
-                codes.dedup();
-                codes
+                found.sort();
+                found
             };
+            fn sorted<'a>(expected: Found<'a>) -> Vec<(&'a str, &'a str)> {
+                let mut expected = expected.to_vec();
+                expected.sort();
+                expected
+            }
             assert_eq!(
-                (codes(Severity::Error), codes(Severity::Warning)),
-                (errors.to_vec(), warnings.to_vec()),
-                "{diags:?}"
+                (found(Severity::Error), found(Severity::Warning)),
+                (sorted(errors), sorted(warnings)),
+                "{}",
+                report.render_text()
             );
-            assert_eq!(super::is_valid(&diags), errors.is_empty());
-            // The findings `analyze_str` gives the text with no file.
-            let spanned = crate::analyze_str(text, None);
+            // The one-document entry finds what `analyze_str` finds in the
+            // same text with no file, spans aside.
             let unspanned = |diags: &[crate::Diag]| {
                 let mut found: Vec<_> = diags.iter().map(|d| (d.code, d.path.clone())).collect();
                 found.sort();
                 found
             };
-            assert_eq!(unspanned(&diags), unspanned(&spanned.diags));
+            let spanned = crate::analyze_str(text, None);
+            assert_eq!(unspanned(&report.diags), unspanned(&spanned.diags));
         }
 
         #[test]
@@ -119,7 +131,7 @@ pub mod validate {
         fn missing_version_flagged() {
             row(
                 "class: CommandLineTool\nbaseCommand: echo\ninputs: {}\noutputs: {}\n",
-                &[CWL_MODEL],
+                &[(CWL_MODEL, "cwlVersion")],
                 &[],
             );
         }
@@ -129,7 +141,7 @@ pub mod validate {
             row(
                 "cwlVersion: v9.9\nclass: CommandLineTool\nbaseCommand: x\ninputs: {}\noutputs: {}\n",
                 &[],
-                &[ODD_VERSION],
+                &[(ODD_VERSION, "cwlVersion")],
             );
         }
 
@@ -137,7 +149,7 @@ pub mod validate {
         fn no_command_flagged() {
             row(
                 "cwlVersion: v1.2\nclass: CommandLineTool\ninputs: {}\noutputs: {}\n",
-                &[NO_COMMAND],
+                &[(NO_COMMAND, "baseCommand")],
                 &[],
             );
         }
@@ -146,7 +158,7 @@ pub mod validate {
         fn validate_field_requires_python_requirement() {
             row(
                 "cwlVersion: v1.2\nclass: CommandLineTool\nbaseCommand: cat\ninputs:\n  f:\n    type: File\n    validate: f\"{check($(inputs.f))}\"\noutputs: {}\n",
-                &[VALIDATE_NEEDS_PY],
+                &[(VALIDATE_NEEDS_PY, "inputs.f.validate")],
                 &[],
             );
         }
@@ -156,7 +168,7 @@ pub mod validate {
             row(
                 "cwlVersion: v1.2\nclass: CommandLineTool\nbaseCommand: x\nrequirements:\n  - class: DockerRequirement\ninputs: {}\noutputs: {}\n",
                 &[],
-                &[IGNORED_REQ],
+                &[(IGNORED_REQ, "requirements")],
             );
         }
 
@@ -180,8 +192,11 @@ steps:
       y: ghost_input
     out: [real_out]
 "#,
-                &[UNKNOWN_SOURCE],
-                &[UNUSED_OUTPUT],
+                &[
+                    (UNKNOWN_SOURCE, "steps.stepA.in.y"),
+                    (UNKNOWN_SOURCE, "outputs.out.outputSource"),
+                ],
+                &[(UNUSED_OUTPUT, "steps.stepA.out")],
             );
         }
 
@@ -202,7 +217,10 @@ steps:
       item: xs
     out: []
 "#,
-                &[SCATTER_NOT_INPUT, SCATTER_NEEDS_REQ],
+                &[
+                    (SCATTER_NOT_INPUT, "steps.s.scatter"),
+                    (SCATTER_NEEDS_REQ, "steps.s.scatter"),
+                ],
                 &[],
             );
         }
@@ -226,7 +244,7 @@ steps:
       item: word
     out: []
 "#,
-                &[SCATTER_NOT_ARRAY],
+                &[(SCATTER_NOT_ARRAY, "steps.s.scatter")],
                 &[],
             );
         }
@@ -271,7 +289,7 @@ steps:
         valueFrom: "fixed.rimg"
     out: []
 "#,
-                &[VALUE_FROM_NEEDS_REQ],
+                &[(VALUE_FROM_NEEDS_REQ, "steps.s.in.name.valueFrom")],
                 &[],
             );
         }
@@ -285,7 +303,7 @@ steps:
         fn when_requires_v12() {
             row(
                 "cwlVersion: v1.0\nclass: Workflow\ninputs:\n  r: int\noutputs: {}\nsteps:\n  s:\n    run: t.cwl\n    when: $(inputs.r > 0)\n    in:\n      r: r\n    out: []\n",
-                &[WHEN_NEEDS_V12],
+                &[(WHEN_NEEDS_V12, "steps.s.when")],
                 &[],
             );
             row(
@@ -299,7 +317,7 @@ steps:
         fn dangling_step_input_flagged() {
             row(
                 "cwlVersion: v1.2\nclass: Workflow\ninputs: {}\noutputs: {}\nsteps:\n  s:\n    run: t.cwl\n    in:\n      x:\n        source: null\n    out: []\n",
-                &[DANGLING_STEP_INPUT],
+                &[(DANGLING_STEP_INPUT, "steps.s.in.x")],
                 &[],
             );
         }

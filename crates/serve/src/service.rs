@@ -79,7 +79,6 @@ pub struct Service {
     runs_dir: PathBuf,
     serve: ServeSettings,
     builtin_tools: bool,
-    pre_run_check: bool,
     strict_check: bool,
     capacity: cwl::analyze::ExecutorCapacity,
     runs: Mutex<BTreeMap<u64, RunRecord>>,
@@ -140,7 +139,6 @@ impl Service {
             runs_dir,
             serve: config.serve,
             builtin_tools: config.builtin_tools,
-            pre_run_check: config.pre_run_check,
             strict_check: config.strict_check,
             capacity,
             runs: Mutex::new(BTreeMap::new()),
@@ -232,18 +230,16 @@ impl Service {
             .canonicalize()
             .map_err(|e| SubmitError::Internal(format!("{}: {e}", cwl.display())))?;
         let spec = RunSpec::load(&cwl, inputs.clone());
-        if self.pre_run_check {
-            if let Err(report) = spec.gate(self.capacity.clone(), self.strict_check) {
-                self.rejected_metric.add(1);
-                return Err(SubmitError::Rejected {
-                    summary: format!(
-                        "admission rejected: {} error(s), {} warning(s)",
-                        report.error_count(),
-                        report.warning_count()
-                    ),
-                    diagnostics: report.render_text().trim_end().to_string(),
-                });
-            }
+        if let Err(report) = spec.gate(self.capacity.clone(), self.strict_check) {
+            self.rejected_metric.add(1);
+            return Err(SubmitError::Rejected {
+                summary: format!(
+                    "admission rejected: {} error(s), {} warning(s)",
+                    report.error_count(),
+                    report.warning_count()
+                ),
+                diagnostics: report.render_text().trim_end().to_string(),
+            });
         }
         spec.document().map_err(SubmitError::Internal)?;
         let id = next_run_id(&self.runs_dir).map_err(SubmitError::Internal)?;

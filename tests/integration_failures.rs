@@ -146,91 +146,44 @@ fn baseline_runners_surface_injected_failures() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The six broken documents whose rules the executor also meets, each with
-/// the analyzer code that refuses it, an input object, and what the
-/// executor itself does with it when nothing gates the run: `Err` holds a
-/// fragment of its own error, `Ok` that the run completes.
-const UNGATED: [(&str, &str, &str, Result<(), &str>); 6] = [
-    (
-        "unknown_source",
-        "E010",
-        "{}",
-        Err("source \"nonexistent\" is neither a workflow input nor the output of a finished step"),
-    ),
-    (
-        "cycle",
-        "E017",
-        "{}",
-        Err("workflow step graph contains a cycle"),
-    ),
-    (
-        "linkmerge_bad",
-        "E015",
-        "{a: x, b: y}",
-        Err("unknown linkMerge method \"merge_zip\""),
-    ),
-    // The executor scatters without the requirement...
-    ("scatter_missing_req", "E014", "{words: [x, y]}", Ok(())),
-    // ...and evaluates `valueFrom` without it.
-    ("valuefrom_missing_req", "E024", "{x: hi}", Ok(())),
-    (
-        "scatter_not_input",
-        "E012",
-        "{words: [x, y]}",
-        Err("scatter target \"nothere\" is not an array"),
-    ),
+/// Six broken documents whose rules the executor also meets, each with the
+/// analyzer code that refuses it and an input object it could otherwise
+/// run with.
+const GATED: [(&str, &str, &str); 6] = [
+    ("unknown_source", "E010", "{}"),
+    ("cycle", "E017", "{}"),
+    ("linkmerge_bad", "E015", "{a: x, b: y}"),
+    ("scatter_missing_req", "E014", "{words: [x, y]}"),
+    ("valuefrom_missing_req", "E024", "{x: hi}"),
+    ("scatter_not_input", "E012", "{words: [x, y]}"),
 ];
 
-/// Run `f` on a thread of its own: `None` if it panicked, and a failure if
-/// it has not returned within a minute (a hung thread cannot be joined).
-fn within_a_minute<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> Option<T> {
-    use std::sync::mpsc::{channel, RecvTimeoutError};
-    let (tx, rx) = channel();
-    let worker = std::thread::spawn(move || {
-        let _ = tx.send(f());
-    });
-    match rx.recv_timeout(std::time::Duration::from_secs(60)) {
-        Err(RecvTimeoutError::Timeout) => panic!("no answer within a minute"),
-        answer => worker.join().ok().and(answer.ok()),
-    }
-}
-
-/// `check: {pre_run: false}` skips every static rule: the executor meets
-/// each broken document with its own error (or runs it), never a panic or
-/// a hang. Gated — the default, or `ParslWorkflowRunner::run` — each is
-/// refused with its analyzer code.
+/// Every run is gated: the CLI entry and the `ParslWorkflowRunner::run`
+/// library entry each refuse a broken document with its analyzer code.
 #[test]
-fn ungated_broken_documents_meet_the_executors_own_errors() {
-    let dir = scratch("ungated");
-    for (name, code, inputs, ungated) in UNGATED {
+fn broken_documents_are_refused_with_their_analyzer_code() {
+    let dir = scratch("gated");
+    for (name, code, inputs) in GATED {
         let doc = fixtures().join("broken").join(format!("{name}.cwl"));
         let Value::Map(inputs) = yamlite::parse_str(inputs).unwrap() else {
             unreachable!()
         };
-        for pre_run in [false, true] {
-            let config = cwl_parsl::load_config_value(
-                &yamlite::parse_str(&format!(
-                    "executor: {{kind: thread-pool, workers: 2}}\n\
-                     run: {{workdir: {}, builtin_tools: true}}\n\
-                     check: {{pre_run: {pre_run}}}\n",
-                    dir.join(format!("{name}-{pre_run}")).display()
-                ))
-                .unwrap(),
-            )
-            .unwrap();
-            let (doc, inputs) = (doc.clone(), inputs.clone());
-            let outcome = within_a_minute(move || {
-                cwl_parsl::run_tool_cli(config, &doc, &inputs).map(|o| o.outputs)
-            })
-            .unwrap_or_else(|| panic!("{name}: the run panicked (pre_run: {pre_run})"));
-            match (pre_run, outcome, ungated) {
-                // Neither workflow declares an output.
-                (false, Ok(outputs), Ok(())) => assert!(outputs.is_empty(), "{name}"),
-                (false, Err(e), Err(fragment)) => assert!(e.contains(fragment), "{name}: {e}"),
-                (true, Err(e), _) => assert!(e.contains(&format!("error[{code}]")), "{name}: {e}"),
-                (_, outcome, _) => panic!("{name} (pre_run: {pre_run}): {outcome:?}"),
-            }
-        }
+        let config = cwl_parsl::load_config_value(
+            &yamlite::parse_str(&format!(
+                "executor: {{kind: thread-pool, workers: 2}}\n\
+                 run: {{workdir: {}, builtin_tools: true}}\n",
+                dir.join(name).display()
+            ))
+            .unwrap(),
+        )
+        .unwrap();
+        let refused = cwl_parsl::run_tool_cli(config, &doc, &inputs)
+            .map(|o| o.outputs)
+            .unwrap_err();
+        assert!(
+            refused.contains(&format!("error[{code}]")),
+            "{name}: {refused}"
+        );
         let dfk = DataFlowKernel::new(Config::local_threads(2));
         let runner = ParslWorkflowRunner::new(
             &dfk,
