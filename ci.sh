@@ -218,6 +218,46 @@ case "$blur_info" in
     ;;
 esac
 
+# .rimg integrity smoke: a generated image reads back; one pixel byte
+# overwritten in place (offset 40 of an all-white 8x8 image: past the
+# 13-byte header, inside the 192 pixel bytes) makes `info` refuse it as
+# corrupt; and a dimension the codec cannot store is a usage error (exit 1),
+# never a panic (exit 101) or a file nothing can read.
+rm -rf target/rimg-smoke
+mkdir -p target/rimg-smoke
+./target/release/imgtool gen target/rimg-smoke/white.rimg \
+    --width 8 --height 8 --kind checker --seed 100
+./target/release/imgtool info target/rimg-smoke/white.rimg >/dev/null
+printf '\000' | dd of=target/rimg-smoke/white.rimg bs=1 seek=40 count=1 \
+    conv=notrunc 2>/dev/null
+if rimg_err=$(./target/release/imgtool info target/rimg-smoke/white.rimg 2>&1); then
+    echo "error: imgtool info read an image with an overwritten pixel" >&2
+    exit 1
+fi
+case "$rimg_err" in
+*corrupt*) echo "rimg smoke: $rimg_err" ;;
+*)
+    echo "error: overwritten pixel not reported as corrupt: $rimg_err" >&2
+    exit 1
+    ;;
+esac
+for width in 0 65537; do
+    rimg_code=0
+    rimg_err=$(./target/release/imgtool gen target/rimg-smoke/bad.rimg \
+        --width "$width" --height 4 2>&1) || rimg_code=$?
+    case "$rimg_code:$rimg_err" in
+    "1:imgtool: --width must be"*) echo "rimg smoke: $rimg_err" ;;
+    *)
+        echo "error: gen --width $width exited $rimg_code: $rimg_err" >&2
+        exit 1
+        ;;
+    esac
+done
+if [ -e target/rimg-smoke/bad.rimg ]; then
+    echo "error: a refused gen left target/rimg-smoke/bad.rimg behind" >&2
+    exit 1
+fi
+
 # Crash-resume smoke: kill parsl-cwl mid-run with SIGKILL, resume from the
 # checkpoint journal, and require the resumed run to report replayed tasks
 # through parsl-trace. The workflow is generated under target/ (not

@@ -136,24 +136,14 @@ impl Image {
         (sums[0] as f64 / n, sums[1] as f64 / n, sums[2] as f64 / n)
     }
 
-    /// FNV-1a hash of dimensions and pixel data — a cheap content
-    /// fingerprint for integrity checks and output comparison.
+    /// XXH64 of width, height (little-endian) and pixel data — a cheap
+    /// content fingerprint for integrity checks and output comparison.
     pub fn fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf29ce484222325;
-        const PRIME: u64 = 0x100000001b3;
-        let mut h = OFFSET;
-        for b in self
-            .width
-            .to_le_bytes()
-            .into_iter()
-            .chain(self.height.to_le_bytes())
-        {
-            h = (h ^ b as u64).wrapping_mul(PRIME);
-        }
-        for &b in &self.data {
-            h = (h ^ b as u64).wrapping_mul(PRIME);
-        }
-        h
+        let mut bytes = Vec::with_capacity(8 + self.data.len());
+        bytes.extend_from_slice(&self.width.to_le_bytes());
+        bytes.extend_from_slice(&self.height.to_le_bytes());
+        bytes.extend_from_slice(&self.data);
+        crate::codec::xxh64(&bytes)
     }
 }
 

@@ -12,6 +12,7 @@
 //! imgtool info   <in.rimg>
 //! ```
 
+use crate::codec::MAX_DIM;
 use crate::{
     box_blur, checkerboard, gradient, noise, read_rimg, resize_bilinear, sepia, write_rimg,
 };
@@ -54,6 +55,18 @@ fn parse_u32(opts: &[(&str, &str)], name: &str) -> Result<Option<u32>, String> {
     }
 }
 
+/// A required dimension option, checked against what the codec can store
+/// before anything is allocated for it.
+fn parse_dim(opts: &[(&str, &str)], name: &str) -> Result<u32, String> {
+    let v = parse_u32(opts, name)?.ok_or_else(|| format!("--{name} is required"))?;
+    if !(1..=MAX_DIM).contains(&v) {
+        return Err(format!(
+            "--{name} must be positive and at most {MAX_DIM}, got {v}"
+        ));
+    }
+    Ok(v)
+}
+
 /// Run one `imgtool` command line (`args` without the program name), with
 /// file arguments taken relative to `dir`. `Ok` holds what the command
 /// prints on stdout (only `info` prints anything).
@@ -67,8 +80,8 @@ pub fn run(args: &[String], dir: &Path) -> Result<String, String> {
             let [out] = pos[..] else {
                 return Err("usage: imgtool gen <out.rimg> --width W --height H".to_string());
             };
-            let width = parse_u32(&opts, "width")?.ok_or("--width is required")?;
-            let height = parse_u32(&opts, "height")?.ok_or("--height is required")?;
+            let width = parse_dim(&opts, "width")?;
+            let height = parse_dim(&opts, "height")?;
             let seed = opt(&opts, "seed")
                 .map(|s| s.parse::<u64>().map_err(|_| format!("bad --seed {s:?}")))
                 .transpose()?
@@ -86,10 +99,7 @@ pub fn run(args: &[String], dir: &Path) -> Result<String, String> {
             let [input, output] = pos[..] else {
                 return Err("usage: imgtool resize <in> <out> --size N".to_string());
             };
-            let size = parse_u32(&opts, "size")?.ok_or("--size is required")?;
-            if size == 0 {
-                return Err("--size must be positive".to_string());
-            }
+            let size = parse_dim(&opts, "size")?;
             let img = read_rimg(dir.join(input)).map_err(|e| e.to_string())?;
             let out = resize_bilinear(&img, size, size);
             write_rimg(dir.join(output), &out).map_err(|e| e.to_string())?;

@@ -74,6 +74,12 @@ fn cli_error_paths() {
     assert!(fail(&["resize", "ghost.rimg", "out.rimg", "--size", "4"]).contains("imgtool:"));
     assert!(fail(&["resize", "a", "b", "--size", "0"]).contains("positive"));
     assert!(fail(&["blur", "a", "b"]).contains("--radius"));
+    let out = dir.join("x.rimg");
+    let out = out.to_str().unwrap();
+    for width in ["0", "65537"] {
+        let err = fail(&["gen", out, "--width", width, "--height", "4"]);
+        assert!(err.contains("--width must be positive"), "{err}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -151,6 +157,15 @@ fn binary_and_builtin_dispatch_agree() {
         &["info", "ghost.rimg"],
         &["frobnicate"],
         &[],
+        // Dimensions outside 1..=MAX_DIM are usage errors, refused before
+        // anything is allocated or written; MAX_DIM itself is accepted.
+        &["gen", "bad.rimg", "--width", "0", "--height", "4"],
+        &["gen", "bad.rimg", "--width", "4", "--height", "0"],
+        &["gen", "bad.rimg", "--width", "70000", "--height", "1"],
+        &["gen", "bad.rimg", "--width", "1", "--height", "65537"],
+        &["resize", "src.rimg", "bad.rimg", "--size", "70000"],
+        &["gen", "edge.rimg", "--width", "65536", "--height", "1"],
+        &["info", "edge.rimg"],
     ];
     for (i, args) in cases.iter().enumerate() {
         let command = |program: &str| cwl::BuiltCommand {
@@ -190,6 +205,7 @@ fn binary_and_builtin_dispatch_agree() {
     };
     let (bin_files, builtin_files) = (files(&via_bin), files(&via_builtin));
     assert!(bin_files.iter().any(|(n, _)| n == "wide.rimg"));
+    assert!(bin_files.iter().any(|(n, _)| n == "edge.rimg"));
     assert!(!bin_files.iter().any(|(n, _)| n == "bad.rimg"));
     assert_eq!(bin_files, builtin_files);
     let info = std::fs::read_to_string(via_bin.join("18.out")).unwrap();
