@@ -93,7 +93,7 @@ echo "sim gate: seed 42 event log is byte-stable across runs"
 # Static analysis gate: every shipped fixture and config must be
 # diagnostic-free, warnings included. (fixtures/broken/ is the analyzer's
 # own negative corpus and is deliberately not globbed here.)
-cargo run --release -p cwl --bin cwl-check -- --strict -q fixtures/*.cwl configs/
+cargo run --release -p cwl_parsl --bin cwl-check -- --strict -q fixtures/*.cwl configs/
 
 # One-rulebook gate (DESIGN.md §4d): `cwl::analyze` is the only code that
 # decides whether a CWL document is valid. (a) The benchmark's two compat
@@ -128,10 +128,38 @@ echo "rulebook gate: one Severity, no compat calls, --validate agrees with cwl-c
 # parsl-lint schema, warnings included.
 cargo run --release -p cwl_parsl --bin parsl-lint -- --strict -q configs/
 
+# One-schema gate (DESIGN.md §4h): `core::config`'s key table is the only
+# code that names a config key, so the loader, parsl-lint and
+# `cwl-check --config` cannot disagree on which keys exist. A string
+# literal naming one of these keys (bare or dotted) outside that one file
+# means a second reader has grown back.
+schema_files=$(grep -rlE \
+    '"([A-Za-z_.]*\.)?(heartbeat_timeout_ms|workers_per_node|max_in_flight|builtin_tools|period_ms)"' \
+    crates/*/src | sort -u)
+if [ "$schema_files" != "crates/core/src/config.rs" ]; then
+    echo "error: config keys must be read in crates/core/src/config.rs alone; found in:" >&2
+    echo "$schema_files" >&2
+    exit 1
+fi
+# Negative config corpus: every file under fixtures/broken_configs/ is a
+# config the run refuses, so parsl-lint must fail it and cwl-check --config
+# must refuse it rather than size an executor from it.
+for bad in fixtures/broken_configs/*.yml; do
+    if ./target/release/parsl-lint -q "$bad" >/dev/null 2>&1; then
+        echo "error: parsl-lint passed $bad" >&2
+        exit 1
+    fi
+    if ./target/release/cwl-check --config "$bad" fixtures/echo.cwl >/dev/null 2>&1; then
+        echo "error: cwl-check --config $bad passed" >&2
+        exit 1
+    fi
+done
+echo "config gates: one key table; every broken config is refused by parsl-lint and cwl-check"
+
 # The analyzer must still CATCH what it exists to catch: a clean exit on
 # the negative corpus would mean the effect/feasibility passes regressed.
 for bad in effect_collision unschedulable nested_unschedulable; do
-    if cargo run --release -p cwl --bin cwl-check -- --strict -q \
+    if cargo run --release -p cwl_parsl --bin cwl-check -- --strict -q \
         "fixtures/broken/$bad.cwl" >/dev/null 2>&1; then
         echo "error: cwl-check --strict passed fixtures/broken/$bad.cwl" >&2
         exit 1

@@ -3,7 +3,9 @@
 //! Runs the [`cwl::analyze`] passes (typed dataflow checking, expression
 //! linting, effect analysis, and — given a run config — feasibility
 //! analysis) over CWL files and prints span-carrying diagnostics with
-//! stable codes, as compiler-style text or JSON.
+//! stable codes, as compiler-style text or JSON. `--config` loads the run
+//! config as a run does (a config the run would refuse is refused here,
+//! exit 2) and sizes the executor's capacity the way the pre-run gate does.
 //!
 //! ```text
 //! cwl-check [--json] [--strict] [-q] [--plan] [--config <yml>] <file-or-dir>...
@@ -14,10 +16,12 @@
 //! well-formedness checking only. Exit status: 0 clean, 1 findings,
 //! 2 usage error.
 
-use cwl::analyze::{analyze_docs, plan, AnalyzeOptions, ExecutorCapacity, Report};
+use cwl::analyze::{analyze_docs, plan, AnalyzeOptions, Report};
 use cwl::docs::{DocSet, Loaded};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
+
+mod common;
 
 const USAGE: &str =
     "usage: cwl-check [--json] [--strict] [-q] [--plan] [--config <yml>] <file-or-dir>...
@@ -68,10 +72,10 @@ fn main() -> ExitCode {
 
     let capacity = match &config {
         None => None,
-        Some(path) => match yamlite::parse_file(path) {
-            Ok(doc) => Some(ExecutorCapacity::from_run_config(&doc)),
+        Some(path) => match cwl_parsl::load_config_file(path) {
+            Ok(config) => Some(cwl_parsl::lint::executor_capacity(&config.parsl)),
             Err(e) => {
-                eprintln!("cwl-check: cannot read config {}: {e}", path.display());
+                eprintln!("cwl-check: config {}: {e}", path.display());
                 return ExitCode::from(2);
             }
         },
@@ -80,35 +84,20 @@ fn main() -> ExitCode {
         capacity: capacity.clone(),
     };
 
-    let mut files: Vec<PathBuf> = Vec::new();
-    for target in &targets {
-        if target.is_dir() {
-            match collect_dir(target) {
-                Ok(mut found) => files.append(&mut found),
-                Err(e) => {
-                    eprintln!("cwl-check: cannot read directory {}: {e}", target.display());
-                    return ExitCode::from(2);
-                }
-            }
-        } else {
-            files.push(target.clone());
+    let files = match common::expand(&targets, &["cwl", "yml", "yaml"]) {
+        Ok(files) => files,
+        Err(e) => {
+            eprintln!("cwl-check: {e}");
+            return ExitCode::from(2);
         }
-    }
-    files.sort();
+    };
 
     let mut failed = false;
     for file in &files {
         let docs = DocSet::load(file);
         let (report, is_cwl) = check_file(&docs, &opts);
         failed |= !report.is_clean(strict);
-        if json {
-            println!("{}", report.to_json());
-        } else {
-            print!("{}", report.render_text());
-            if report.diags.is_empty() && !quiet {
-                println!("{}: OK", file.display());
-            }
-        }
+        common::print(&report, file, json, quiet);
         if plan_mode && is_cwl && !json {
             match plan::plan_docs(&docs, capacity.as_ref()) {
                 Ok(summary) => println!("{}: {}", file.display(), summary.render()),
@@ -139,16 +128,4 @@ fn check_file(docs: &DocSet, opts: &AnalyzeOptions) -> (Report, bool) {
         // Parse errors must be reported either way.
         _ => (analyze_docs(docs, opts), true),
     }
-}
-
-fn collect_dir(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
-    let mut out = Vec::new();
-    for entry in std::fs::read_dir(dir)? {
-        let path = entry?.path();
-        let ext = path.extension().and_then(|e| e.to_str()).unwrap_or("");
-        if path.is_file() && matches!(ext, "cwl" | "yml" | "yaml") {
-            out.push(path);
-        }
-    }
-    Ok(out)
 }

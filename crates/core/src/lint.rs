@@ -1,633 +1,79 @@
-//! `parsl-lint` — static type-checking of parsl-cwl run configs.
+//! `parsl-lint`: run configs checked before anything runs.
 //!
-//! Reuses the `cwl::analyze::diag` framework (stable codes, spans, text +
-//! JSON rendering) over the TaPS-style YAML config schema that
-//! [`crate::config`] loads. The loader is permissive — unknown keys are
-//! silently ignored, so a typo'd `worker:` runs on default parallelism
-//! without a word. This pass is the strict mirror of the loader:
-//!
-//! * **E041** — unknown key, with a did-you-mean suggestion;
-//! * **E042** — value of the wrong type or out of range (bad enum, a
-//!   `jitter` outside `[0, 1]`, a zero `pool`);
-//! * **E043** — keys that are individually fine but invalid together
-//!   (heartbeat timeout not exceeding the period, more executor nodes
-//!   than the cluster has, a fault kill with two trigger conditions);
-//! * **E044** — a pinned `staging.dir` that can never be created
-//!   (delegates to [`StagingSettings::validate`]);
-//! * **E045** — a `serve.socket` path the daemon can never bind (the
-//!   deepest existing ancestor is not a writable directory);
-//! * **W120** — a setting the chosen executor/mode never reads;
-//! * **W121** — cross-file: two configs sharing one checkpoint journal
-//!   directory (resumes would mix runs).
-//!
-//! The same pass gates [`crate::config::load_config_file`] (honouring the
-//! config's own `check: {strict}`), so a typo fails the run before the
-//! kernel starts.
+//! Every per-file finding (E041–E045, W120) comes from the one config
+//! reader, [`crate::config::read_config`], which also gates
+//! [`crate::config::load_config_file`]: what lint refuses, the run
+//! refuses. This module adds what needs more than one file — **W121**,
+//! two configs sharing one checkpoint journal directory (a resume would
+//! mix runs) — and the capacity conversion the pre-run gate and
+//! `cwl-check --config` share.
 
+use crate::config::read_config;
 use cwl::analyze::diag::{codes, Diag, Report, Sink};
-use cwlexec::StagingSettings;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use yamlite::{SpanIndex, Value};
+use yamlite::{Position, SpanIndex};
 
-/// Known keys per block, as data. A `*` key means "any key allowed".
-const TOP_KEYS: &[&str] = &[
-    "executor",
-    "provider",
-    "retry",
-    "retries",
-    "fault",
-    "run",
-    "check",
-    "checkpoint",
-    "staging",
-    "monitoring",
-    "serve",
-];
-const EXECUTOR_KEYS: &[&str] = &[
-    "kind",
-    "workers",
-    "nodes",
-    "workers_per_node",
-    "min_nodes",
-    "heartbeat_ms",
-    "heartbeat_timeout_ms",
-    "label",
-    "batch_size",
-];
-const PROVIDER_KEYS: &[&str] = &["kind", "cores_per_node", "cluster"];
-const CLUSTER_KEYS: &[&str] = &["nodes", "cores_per_node"];
-const RETRY_KEYS: &[&str] = &[
-    "max_retries",
-    "initial_backoff_ms",
-    "multiplier",
-    "max_backoff_ms",
-    "jitter",
-    "walltime_ms",
-];
-const FAULT_KEYS: &[&str] = &["kill"];
-const KILL_KEYS: &[&str] = &["node", "after_tasks", "after_ms"];
-const RUN_KEYS: &[&str] = &["workdir", "builtin_tools"];
-const CHECK_KEYS: &[&str] = &["strict"];
-const CHECKPOINT_KEYS: &[&str] = &["mode", "dir", "period_ms"];
-const STAGING_KEYS: &[&str] = &["mode", "dir", "pool"];
-const MONITORING_KEYS: &[&str] = &["enabled", "sample_rate", "export", "sinks", "events_cap"];
-const SERVE_KEYS: &[&str] = &[
-    "socket",
-    "max_in_flight",
-    "queue_cap",
-    "tenants",
-    "default_weight",
-];
-
-const EXECUTOR_KINDS: &[&str] = &[
-    "thread-pool",
-    "threads",
-    "local-threads",
-    "htex",
-    "high-throughput",
-];
-const PROVIDER_KINDS: &[&str] = &["local", "slurm"];
-const CHECKPOINT_MODES: &[&str] = &["off", "task-exit", "periodic"];
-const STAGING_MODES: &[&str] = &["copy", "link", "auto"];
-const MONITORING_SINKS: &[&str] = &["jsonl", "chrome"];
-
-/// Executor keys only the HTEX path reads.
-const HTEX_ONLY_KEYS: &[&str] = &[
-    "nodes",
-    "workers_per_node",
-    "min_nodes",
-    "heartbeat_ms",
-    "heartbeat_timeout_ms",
-    "label",
-    "batch_size",
-];
-
-fn child(base: &str, seg: &str) -> String {
-    yamlite::span::child_path(base, seg)
+/// One linted config file, kept for the cross-file pass.
+pub struct Linted {
+    pub report: Report,
+    spans: SpanIndex,
+    journal: Option<(PathBuf, &'static str)>,
 }
 
-/// Levenshtein edit distance, for did-you-mean suggestions.
-fn edit_distance(a: &str, b: &str) -> usize {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    let mut prev: Vec<usize> = (0..=b.len()).collect();
-    let mut cur = vec![0usize; b.len() + 1];
-    for (i, ca) in a.iter().enumerate() {
-        cur[0] = i + 1;
-        for (j, cb) in b.iter().enumerate() {
-            let sub = prev[j] + usize::from(ca != cb);
-            cur[j + 1] = sub.min(prev[j + 1] + 1).min(cur[j] + 1);
+impl Linted {
+    /// A file the reader never saw: one E001 finding.
+    fn unparsed(file: Option<&Path>, message: String, position: Option<Position>) -> Self {
+        let mut report = Report::new();
+        report.file = file.map(|p| p.display().to_string());
+        report.diags.push(Diag::yaml_parse(message, position));
+        Linted {
+            report,
+            spans: SpanIndex::default(),
+            journal: None,
         }
-        std::mem::swap(&mut prev, &mut cur);
-    }
-    prev[b.len()]
-}
-
-/// Closest known key, when close enough to be a plausible typo.
-fn did_you_mean<'a>(key: &str, known: &[&'a str]) -> Option<&'a str> {
-    known
-        .iter()
-        .map(|k| (edit_distance(key, k), *k))
-        .min()
-        .filter(|(d, k)| *d <= 2.max(k.len() / 3))
-        .map(|(_, k)| k)
-}
-
-/// E041 for every key of `block` not in `known`.
-fn check_keys(block: &Value, base: &str, known: &[&str], sink: &mut Sink) {
-    let Value::Map(m) = block else { return };
-    for (key, _) in m.iter() {
-        if known.contains(&key) {
-            continue;
-        }
-        let suggestion = match did_you_mean(key, known) {
-            Some(s) => format!(" (did you mean {s:?}?)"),
-            None => String::new(),
-        };
-        let where_ = if base.is_empty() {
-            "the top level".to_string()
-        } else {
-            format!("`{base}:`")
-        };
-        sink.error(
-            codes::CFG_UNKNOWN_KEY,
-            child(base, key),
-            format!("unknown key {key:?} in {where_}{suggestion}"),
-        );
     }
 }
 
-/// E042 unless `block[key]`, when present, is an integer `>= min`.
-fn check_int(block: &Value, base: &str, key: &str, min: i64, sink: &mut Sink) {
-    let Some(v) = block.get(key) else { return };
-    let label = child(base, key);
-    match v.as_int() {
-        Some(n) if n >= min => {}
-        Some(n) => sink.error(
-            codes::CFG_VALUE,
-            label.clone(),
-            format!("{label} must be >= {min}, got {n}"),
-        ),
-        None => sink.error(
-            codes::CFG_VALUE,
-            label.clone(),
-            format!("{label} must be an integer, got {}", v.to_display_string()),
-        ),
-    }
-}
-
-/// E042 unless `block[key]`, when present, is a boolean.
-fn check_bool(block: &Value, base: &str, key: &str, sink: &mut Sink) {
-    let Some(v) = block.get(key) else { return };
-    if v.as_bool().is_none() {
-        sink.error(
-            codes::CFG_VALUE,
-            child(base, key),
-            format!(
-                "{base}.{key} must be a boolean, got {}",
-                v.to_display_string()
-            ),
-        );
-    }
-}
-
-/// E042 unless `block[key]`, when present, is a number in `[lo, hi]`.
-fn check_fraction(block: &Value, base: &str, key: &str, sink: &mut Sink) {
-    let Some(v) = block.get(key) else { return };
-    match v.as_float().or_else(|| v.as_int().map(|n| n as f64)) {
-        Some(f) if f.is_finite() && (0.0..=1.0).contains(&f) => {}
-        _ => sink.error(
-            codes::CFG_VALUE,
-            child(base, key),
-            format!(
-                "{base}.{key} must be a fraction in [0, 1], got {}",
-                v.to_display_string()
-            ),
-        ),
-    }
-}
-
-/// E042 unless `block[key]`, when present, is a finite number `> 0`
-/// (fair-share weights: a zero or negative weight starves the tenant).
-fn check_weight(block: &Value, base: &str, key: &str, sink: &mut Sink) {
-    let Some(v) = block.get(key) else { return };
-    match v.as_float() {
-        Some(f) if f.is_finite() && f > 0.0 => {}
-        _ => sink.error(
-            codes::CFG_VALUE,
-            child(base, key),
-            format!(
-                "{base}.{key} must be a number > 0, got {}",
-                v.to_display_string()
-            ),
-        ),
-    }
-}
-
-/// E045 probe: the deepest existing ancestor of `sock`'s parent must be a
-/// writable directory, or `bind()` can never create the socket there.
-fn probe_socket_dir(sock: &Path) -> Result<(), String> {
-    let parent = match sock.parent() {
-        Some(p) if !p.as_os_str().is_empty() => p,
-        _ => return Ok(()), // bare filename: binds in the cwd
+/// Lint config source text; `file` names the report. `None` for a CWL
+/// document (it has a `class:` key), which is `cwl-check`'s to check.
+pub fn lint_text(text: &str, file: Option<&Path>) -> Option<Linted> {
+    let (doc, spans) = match yamlite::parse_str_spanned(text) {
+        Ok(parsed) => parsed,
+        Err(e) => return Some(Linted::unparsed(file, e.message, Some(e.position))),
     };
-    let mut probe = parent;
-    loop {
-        if probe.exists() {
-            if !probe.is_dir() {
-                return Err(format!(
-                    "serve.socket {}: ancestor {} exists but is not a directory",
-                    sock.display(),
-                    probe.display()
-                ));
-            }
-            let marker = probe.join(format!(".serve-probe-{}", std::process::id()));
-            return match std::fs::File::create(&marker) {
-                Ok(_) => {
-                    let _ = std::fs::remove_file(&marker);
-                    Ok(())
-                }
-                Err(e) => Err(format!(
-                    "serve.socket {} is not creatable ({} at {})",
-                    sock.display(),
-                    e,
-                    probe.display()
-                )),
-            };
-        }
-        match probe.parent() {
-            Some(p) if p != probe => probe = p,
-            _ => return Ok(()), // relative path with no existing prefix
-        }
-    }
-}
-
-/// E042 unless `block[key]`, when present, is one of `allowed`.
-fn check_enum(block: &Value, base: &str, key: &str, allowed: &[&str], sink: &mut Sink) {
-    let Some(v) = block.get(key) else { return };
-    let ok = v.as_str().map(|s| allowed.contains(&s)).unwrap_or(false);
-    if !ok {
-        let suggestion = v
-            .as_str()
-            .and_then(|s| did_you_mean(s, allowed))
-            .map(|s| format!(" (did you mean {s:?}?)"))
-            .unwrap_or_default();
-        sink.error(
-            codes::CFG_VALUE,
-            child(base, key),
-            format!(
-                "{base}.{key} must be one of {allowed:?}, got {}{suggestion}",
-                v.to_display_string()
-            ),
-        );
-    }
-}
-
-/// Lint a parsed run config, appending findings to `report`.
-pub fn lint_value(doc: &Value, spans: &SpanIndex, report: &mut Report) {
-    let mut sink = Sink::new(spans, report);
-    let sink = &mut sink;
-    match doc {
-        Value::Null => return, // empty config = all defaults, fine
-        Value::Map(_) => {}
-        other => {
-            sink.error(
-                codes::CFG_VALUE,
-                "",
-                format!(
-                    "config must be a YAML map, got {}",
-                    other.to_display_string()
-                ),
-            );
-            return;
-        }
-    }
-    check_keys(doc, "", TOP_KEYS, sink);
-
-    let executor = doc.get("executor").cloned().unwrap_or(Value::Null);
-    let kind = executor
-        .get("kind")
-        .and_then(Value::as_str)
-        .unwrap_or("thread-pool");
-    let is_htex = matches!(kind, "htex" | "high-throughput");
-    check_keys(&executor, "executor", EXECUTOR_KEYS, sink);
-    check_enum(&executor, "executor", "kind", EXECUTOR_KINDS, sink);
-    check_int(&executor, "executor", "workers", 1, sink);
-    check_int(&executor, "executor", "nodes", 1, sink);
-    check_int(&executor, "executor", "workers_per_node", 0, sink);
-    check_int(&executor, "executor", "min_nodes", 0, sink);
-    check_int(&executor, "executor", "heartbeat_ms", 1, sink);
-    check_int(&executor, "executor", "heartbeat_timeout_ms", 1, sink);
-    check_int(&executor, "executor", "batch_size", 1, sink);
-
-    let provider = doc.get("provider").cloned().unwrap_or(Value::Null);
-    let provider_kind = provider
-        .get("kind")
-        .and_then(Value::as_str)
-        .unwrap_or("local");
-    check_keys(&provider, "provider", PROVIDER_KEYS, sink);
-    check_enum(&provider, "provider", "kind", PROVIDER_KINDS, sink);
-    check_int(&provider, "provider", "cores_per_node", 1, sink);
-    let cluster = provider.get("cluster").cloned().unwrap_or(Value::Null);
-    check_keys(&cluster, "provider.cluster", CLUSTER_KEYS, sink);
-    check_int(&cluster, "provider.cluster", "nodes", 1, sink);
-    check_int(&cluster, "provider.cluster", "cores_per_node", 1, sink);
-
-    if let Some(retry) = doc.get("retry") {
-        check_keys(retry, "retry", RETRY_KEYS, sink);
-        check_int(retry, "retry", "max_retries", 0, sink);
-        check_int(retry, "retry", "initial_backoff_ms", 0, sink);
-        check_int(retry, "retry", "max_backoff_ms", 0, sink);
-        check_int(retry, "retry", "walltime_ms", 1, sink);
-        check_fraction(retry, "retry", "jitter", sink);
-        if let Some(m) = retry.get("multiplier") {
-            match m.as_float().or_else(|| m.as_int().map(|n| n as f64)) {
-                Some(f) if f.is_finite() && f >= 0.0 => {}
-                _ => sink.error(
-                    codes::CFG_VALUE,
-                    "retry.multiplier",
-                    format!(
-                        "retry.multiplier must be a finite non-negative number, got {}",
-                        m.to_display_string()
-                    ),
-                ),
-            }
-        }
-    }
-    check_int(doc, "", "retries", 0, sink);
-
-    let fault = doc.get("fault").cloned().unwrap_or(Value::Null);
-    check_keys(&fault, "fault", FAULT_KEYS, sink);
-    if let Some(kills) = fault.get("kill").and_then(Value::as_seq) {
-        for (i, kill) in kills.iter().enumerate() {
-            let kpath = yamlite::span::item_path("fault.kill", i);
-            check_keys(kill, &kpath, KILL_KEYS, sink);
-            if kill.get("node").and_then(Value::as_str).is_none() {
-                sink.error(
-                    codes::CFG_VALUE,
-                    kpath.clone(),
-                    format!("fault.kill[{i}] needs a `node:` name"),
-                );
-            }
-            if kill.get("after_tasks").is_some() && kill.get("after_ms").is_some() {
-                sink.error(
-                    codes::CFG_COMBO,
-                    kpath.clone(),
-                    format!(
-                        "fault.kill[{i}] sets both after_tasks and after_ms; \
-                         a kill has one trigger (after_tasks wins here, which \
-                         is probably not what you meant)"
-                    ),
-                );
-            }
-        }
-    }
-
-    let run = doc.get("run").cloned().unwrap_or(Value::Null);
-    check_keys(&run, "run", RUN_KEYS, sink);
-    check_bool(&run, "run", "builtin_tools", sink);
-
-    let check = doc.get("check").cloned().unwrap_or(Value::Null);
-    check_keys(&check, "check", CHECK_KEYS, sink);
-    check_bool(&check, "check", "strict", sink);
-
-    let checkpoint = doc.get("checkpoint").cloned().unwrap_or(Value::Null);
-    check_keys(&checkpoint, "checkpoint", CHECKPOINT_KEYS, sink);
-    check_enum(&checkpoint, "checkpoint", "mode", CHECKPOINT_MODES, sink);
-    check_int(&checkpoint, "checkpoint", "period_ms", 1, sink);
-
-    let staging = doc.get("staging").cloned().unwrap_or(Value::Null);
-    check_keys(&staging, "staging", STAGING_KEYS, sink);
-    check_enum(&staging, "staging", "mode", STAGING_MODES, sink);
-    check_int(&staging, "staging", "pool", 1, sink);
-    if let Some(dir) = staging.get("dir").and_then(Value::as_str) {
-        let probe = StagingSettings {
-            dir: Some(PathBuf::from(dir)),
-            ..Default::default()
-        };
-        if let Err(e) = probe.validate() {
-            sink.error(codes::CFG_STAGING_DIR, "staging.dir", e);
-        }
-    }
-
-    let monitoring = doc.get("monitoring").cloned().unwrap_or(Value::Null);
-    check_keys(&monitoring, "monitoring", MONITORING_KEYS, sink);
-    check_bool(&monitoring, "monitoring", "enabled", sink);
-    check_fraction(&monitoring, "monitoring", "sample_rate", sink);
-    check_int(&monitoring, "monitoring", "events_cap", 1, sink);
-    if let Some(sinks) = monitoring.get("sinks").and_then(Value::as_seq) {
-        for (i, s) in sinks.iter().enumerate() {
-            let ok = s
-                .as_str()
-                .map(|s| MONITORING_SINKS.contains(&s))
-                .unwrap_or(false);
-            if !ok {
-                sink.error(
-                    codes::CFG_VALUE,
-                    yamlite::span::item_path("monitoring.sinks", i),
-                    format!(
-                        "monitoring.sinks entries must be one of {MONITORING_SINKS:?}, got {}",
-                        s.to_display_string()
-                    ),
-                );
-            }
-        }
-    }
-
-    let serve = doc.get("serve").cloned().unwrap_or(Value::Null);
-    check_keys(&serve, "serve", SERVE_KEYS, sink);
-    check_int(&serve, "serve", "max_in_flight", 1, sink);
-    check_int(&serve, "serve", "queue_cap", 1, sink);
-    check_weight(&serve, "serve", "default_weight", sink);
-    if let Some(tenants) = serve.get("tenants").cloned() {
-        match &tenants {
-            Value::Map(m) => {
-                for (name, _) in m.iter() {
-                    check_weight(&tenants, "serve.tenants", name, sink);
-                }
-            }
-            other => sink.error(
-                codes::CFG_VALUE,
-                "serve.tenants",
-                format!(
-                    "serve.tenants must be a map of tenant -> weight, got {}",
-                    other.to_display_string()
-                ),
-            ),
-        }
-    }
-    // E045: a socket path the daemon can never bind — same probe idiom as
-    // the staging-dir check (walk up to the deepest existing ancestor,
-    // which is what `bind()` needs to be a writable directory).
-    if let Some(sock) = serve.get("socket").and_then(Value::as_str) {
-        if let Err(e) = probe_socket_dir(Path::new(sock)) {
-            sink.error(codes::CFG_SERVE_SOCKET, "serve.socket", e);
-        }
-    }
-
-    // E043: heartbeat timeout must exceed the heartbeat period, or every
-    // manager is declared lost between two beats.
-    if let (Some(period), Some(timeout)) = (
-        executor.get("heartbeat_ms").and_then(Value::as_int),
-        executor.get("heartbeat_timeout_ms").and_then(Value::as_int),
-    ) {
-        if timeout <= period {
-            sink.error(
-                codes::CFG_COMBO,
-                "executor.heartbeat_timeout_ms",
-                format!(
-                    "heartbeat_timeout_ms ({timeout}) must exceed heartbeat_ms \
-                     ({period}); as configured every manager misses its deadline"
-                ),
-            );
-        }
-    }
-
-    // E043: asking the provider for more nodes than the cluster has.
-    if provider_kind == "slurm" {
-        if let Some(cluster_nodes) = cluster.get("nodes").and_then(Value::as_int) {
-            for key in ["nodes", "min_nodes"] {
-                if let Some(n) = executor.get(key).and_then(Value::as_int) {
-                    if n > cluster_nodes {
-                        sink.error(
-                            codes::CFG_COMBO,
-                            child("executor", key),
-                            format!(
-                                "executor.{key} ({n}) exceeds the cluster's \
-                                 {cluster_nodes} node(s); the pilot job can never start"
-                            ),
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    // W120: settings the chosen executor/mode never reads.
-    if !is_htex {
-        if doc.get("provider").is_some() {
-            sink.warning(
-                codes::CFG_NO_EFFECT,
-                "provider",
-                format!("`provider:` has no effect with the {kind} executor"),
-            );
-        }
-        if doc.get("fault").is_some() {
-            sink.warning(
-                codes::CFG_NO_EFFECT,
-                "fault",
-                format!("`fault:` has no effect with the {kind} executor"),
-            );
-        }
-        for key in HTEX_ONLY_KEYS {
-            if executor.get(key).is_some() {
-                sink.warning(
-                    codes::CFG_NO_EFFECT,
-                    child("executor", key),
-                    format!("executor.{key} has no effect with the {kind} executor"),
-                );
-            }
-        }
-    } else {
-        if executor.get("workers").is_some() {
-            sink.warning(
-                codes::CFG_NO_EFFECT,
-                "executor.workers",
-                "executor.workers has no effect with htex (use workers_per_node)",
-            );
-        }
-        match provider_kind {
-            "slurm" if provider.get("cores_per_node").is_some() => sink.warning(
-                codes::CFG_NO_EFFECT,
-                "provider.cores_per_node",
-                "provider.cores_per_node has no effect with slurm \
-                 (set provider.cluster.cores_per_node)",
-            ),
-            "local" if provider.get("cluster").is_some() => sink.warning(
-                codes::CFG_NO_EFFECT,
-                "provider.cluster",
-                "provider.cluster has no effect with the local provider",
-            ),
-            _ => {}
-        }
-    }
-    let ckpt_mode = checkpoint.get("mode").and_then(Value::as_str);
-    if checkpoint.get("period_ms").is_some() && ckpt_mode != Some("periodic") {
-        sink.warning(
-            codes::CFG_NO_EFFECT,
-            "checkpoint.period_ms",
-            format!(
-                "checkpoint.period_ms only applies to mode: periodic (mode here is {})",
-                ckpt_mode.unwrap_or("task-exit")
-            ),
-        );
-    }
-}
-
-/// Lint config source text. `file` names the report.
-pub fn lint_str(text: &str, file: Option<&Path>) -> Report {
-    let mut report = Report::new();
-    report.file = file.map(|p| p.display().to_string());
-    match yamlite::parse_str_spanned(text) {
-        Err(e) => report
-            .diags
-            .push(Diag::yaml_parse(e.message, Some(e.position))),
-        Ok((doc, spans)) => lint_value(&doc, &spans, &mut report),
-    }
-    report.sort();
-    report
-}
-
-/// Lint a config file on disk.
-pub fn lint_file(path: impl AsRef<Path>) -> Report {
-    let path = path.as_ref();
-    match yamlite::parse_file_spanned(path) {
-        Ok((doc, spans)) => {
-            let mut report = Report::new();
-            report.file = Some(path.display().to_string());
-            lint_value(&doc, &spans, &mut report);
-            report.sort();
-            report
-        }
-        Err(e) => {
-            let mut report = Report::new();
-            report.file = Some(path.display().to_string());
-            report
-                .diags
-                .push(Diag::yaml_parse(e.message, Some(e.position)));
-            report
-        }
-    }
-}
-
-/// The checkpoint journal directory a config would write, when
-/// checkpointing is on: the explicit `checkpoint.dir`, else
-/// `<run.workdir>/ckpt` when a workdir is pinned. `None` when
-/// checkpointing is off or the journal lands in a per-process temp dir
-/// (unique by construction).
-pub fn effective_checkpoint_dir(doc: &Value) -> Option<PathBuf> {
-    let block = doc.get("checkpoint")?;
-    if block.get("mode").and_then(Value::as_str) == Some("off") {
+    if doc.get("class").is_some() {
         return None;
     }
-    if let Some(dir) = block.get("dir").and_then(Value::as_str) {
-        return Some(PathBuf::from(dir));
+    let mut report = Report::new();
+    report.file = file.map(|p| p.display().to_string());
+    let journal = read_config(&doc, &mut Sink::new(&spans, &mut report)).journal;
+    Some(Linted {
+        report,
+        spans,
+        journal,
+    })
+}
+
+/// Lint a config file on disk (see [`lint_text`]).
+pub fn lint_file(path: &Path) -> Option<Linted> {
+    match std::fs::read_to_string(path) {
+        Ok(text) => lint_text(&text, Some(path)),
+        Err(e) => {
+            let message = format!("cannot read {}: {e}", path.display());
+            Some(Linted::unparsed(Some(path), message, None))
+        }
     }
-    doc.get("run")
-        .and_then(|r| r.get("workdir"))
-        .and_then(Value::as_str)
-        .map(|w| Path::new(w).join("ckpt"))
 }
 
 /// Cross-file pass: W121 when two configs would write the same checkpoint
 /// journal directory (a resume would load another run's results).
 /// Appends one diagnostic per involved file to its report.
-pub fn cross_file_checks(files: &mut [(PathBuf, Value, SpanIndex, Report)]) {
+pub fn cross_file_checks(files: &mut [Linted]) {
     let mut by_dir: BTreeMap<PathBuf, Vec<usize>> = BTreeMap::new();
-    for (i, (_, doc, _, _)) in files.iter().enumerate() {
-        if let Some(dir) = effective_checkpoint_dir(doc) {
-            by_dir.entry(dir).or_default().push(i);
+    for (i, file) in files.iter().enumerate() {
+        if let Some((dir, _)) = &file.journal {
+            by_dir.entry(dir.clone()).or_default().push(i);
         }
     }
     for (dir, idxs) in by_dir {
@@ -635,25 +81,22 @@ pub fn cross_file_checks(files: &mut [(PathBuf, Value, SpanIndex, Report)]) {
             continue;
         }
         for &i in &idxs {
-            let others: Vec<String> = idxs
+            let others: Vec<&str> = idxs
                 .iter()
                 .filter(|&&j| j != i)
-                .map(|&j| files[j].0.display().to_string())
+                .map(|&j| files[j].report.file.as_deref().unwrap_or("<input>"))
                 .collect();
-            let (_, doc, spans, report) = &mut files[i];
-            let path = if doc.get("checkpoint").and_then(|c| c.get("dir")).is_some() {
-                "checkpoint.dir"
-            } else {
-                "checkpoint"
-            };
-            Sink::new(spans, report).warning(
+            let message = format!(
+                "checkpoint dir {} is shared with {} (a resume would mix runs)",
+                dir.display(),
+                others.join(", ")
+            );
+            let file = &mut files[i];
+            let anchor = file.journal.as_ref().map_or("checkpoint", |(_, key)| *key);
+            Sink::new(&file.spans, &mut file.report).warning(
                 codes::CFG_SHARED_CKPT,
-                path,
-                format!(
-                    "checkpoint dir {} is shared with {} (a resume would mix runs)",
-                    dir.display(),
-                    others.join(", ")
-                ),
+                anchor,
+                message,
             );
         }
     }
@@ -679,7 +122,9 @@ mod tests {
     use super::*;
 
     fn lint(text: &str) -> Report {
-        lint_str(text, None)
+        let mut report = lint_text(text, None).unwrap().report;
+        report.sort();
+        report
     }
 
     #[test]
@@ -792,35 +237,31 @@ mod tests {
 
     #[test]
     fn shared_checkpoint_dir_is_w121() {
-        let a = yamlite::parse_str_spanned("checkpoint:\n  dir: /tmp/shared-j\n").unwrap();
-        let b = yamlite::parse_str_spanned(
-            "checkpoint:\n  mode: periodic\n  period_ms: 100\n  dir: /tmp/shared-j\n",
-        )
-        .unwrap();
-        let c = yamlite::parse_str_spanned("checkpoint:\n  dir: /tmp/other-j\n").unwrap();
+        let lint_as = |text: &str, name: &str| lint_text(text, Some(Path::new(name))).unwrap();
         let mut files = vec![
-            (PathBuf::from("a.yml"), a.0, a.1, Report::new()),
-            (PathBuf::from("b.yml"), b.0, b.1, Report::new()),
-            (PathBuf::from("c.yml"), c.0, c.1, Report::new()),
+            lint_as("checkpoint:\n  dir: /tmp/shared-j\n", "a.yml"),
+            lint_as(
+                "checkpoint:\n  mode: periodic\n  period_ms: 100\n  dir: /tmp/shared-j\n",
+                "b.yml",
+            ),
+            lint_as("checkpoint:\n  dir: /tmp/other-j\n", "c.yml"),
         ];
         cross_file_checks(&mut files);
-        assert!(files[0].3.has_code(codes::CFG_SHARED_CKPT));
-        assert!(files[1].3.has_code(codes::CFG_SHARED_CKPT));
-        assert!(!files[2].3.has_code(codes::CFG_SHARED_CKPT));
-        assert!(files[0].3.diags[0].message.contains("b.yml"));
+        assert!(files[0].report.has_code(codes::CFG_SHARED_CKPT));
+        assert!(files[1].report.has_code(codes::CFG_SHARED_CKPT));
+        assert!(!files[2].report.has_code(codes::CFG_SHARED_CKPT));
+        assert!(files[0].report.diags[0].message.contains("b.yml"));
     }
 
     #[test]
     fn workdir_implies_checkpoint_dir() {
-        let doc = yamlite::parse_str("checkpoint: {}\nrun:\n  workdir: /tmp/w\n").unwrap();
+        let journal = |text: &str| lint_text(text, None).unwrap().journal.map(|(dir, _)| dir);
         assert_eq!(
-            effective_checkpoint_dir(&doc),
+            journal("checkpoint: {}\nrun:\n  workdir: /tmp/w\n"),
             Some(PathBuf::from("/tmp/w/ckpt"))
         );
-        let doc = yamlite::parse_str("checkpoint:\n  mode: off\n  dir: /tmp/j\n").unwrap();
-        assert_eq!(effective_checkpoint_dir(&doc), None);
-        let doc = yamlite::parse_str("run:\n  workdir: /tmp/w\n").unwrap();
-        assert_eq!(effective_checkpoint_dir(&doc), None);
+        assert_eq!(journal("checkpoint:\n  mode: off\n  dir: /tmp/j\n"), None);
+        assert_eq!(journal("run:\n  workdir: /tmp/w\n"), None);
     }
 
     #[test]

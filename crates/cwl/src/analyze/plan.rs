@@ -28,8 +28,9 @@ use std::path::Path;
 use yamlite::Value;
 
 /// Static capacity of a configured executor, as the feasibility pass sees
-/// it. Built from a run config ([`Self::from_run_config`]) or from a live
-/// `parsl::Config` (see `cwl_parsl::config::executor_capacity`).
+/// it. Built from a loaded `parsl::Config` by
+/// `cwl_parsl::lint::executor_capacity`, for the pre-run gate and
+/// `cwl-check --config` alike.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecutorCapacity {
     /// Human label for messages (`"htex (3 nodes × 4 workers)"`).
@@ -40,91 +41,6 @@ pub struct ExecutorCapacity {
     pub cores_per_node: Option<i64>,
     /// RAM (MiB) a single node offers, when known.
     pub ram_per_node_mb: Option<i64>,
-}
-
-impl ExecutorCapacity {
-    /// Parse executor capacity out of a parsl-cwl run config value,
-    /// mirroring `core::config::load_config_value`'s executor/provider
-    /// interpretation (including the simulated cluster's 126 GiB nodes).
-    pub fn from_run_config(v: &Value) -> Self {
-        let executor = v.get("executor").cloned().unwrap_or(Value::Null);
-        let kind = executor
-            .get("kind")
-            .and_then(Value::as_str)
-            .unwrap_or("thread-pool");
-        let host_cores = std::thread::available_parallelism()
-            .map(|n| n.get() as i64)
-            .unwrap_or(4);
-        match kind {
-            "htex" | "high-throughput" => {
-                let nodes = executor
-                    .get("nodes")
-                    .and_then(Value::as_int)
-                    .unwrap_or(1)
-                    .max(1);
-                let provider = v.get("provider").cloned().unwrap_or(Value::Null);
-                let (cores_per_node, ram_per_node_mb) = match provider
-                    .get("kind")
-                    .and_then(Value::as_str)
-                    .unwrap_or("local")
-                {
-                    "slurm" => {
-                        let cluster = provider.get("cluster").cloned().unwrap_or(Value::Null);
-                        let cores = cluster
-                            .get("cores_per_node")
-                            .and_then(Value::as_int)
-                            .unwrap_or(host_cores)
-                            .max(1);
-                        // The simulated cluster's homogeneous nodes carry
-                        // 126 GiB each (core::config hardcodes this).
-                        (Some(cores), Some(126 * 1024))
-                    }
-                    _ => {
-                        let cores = provider
-                            .get("cores_per_node")
-                            .and_then(Value::as_int)
-                            .unwrap_or(host_cores)
-                            .max(1);
-                        (Some(cores), None)
-                    }
-                };
-                let workers_per_node = executor
-                    .get("workers_per_node")
-                    .and_then(Value::as_int)
-                    .unwrap_or(0)
-                    .max(0);
-                let wpn = if workers_per_node == 0 {
-                    cores_per_node.unwrap_or(1)
-                } else {
-                    workers_per_node
-                };
-                ExecutorCapacity {
-                    label: format!("htex ({nodes} node(s) x {wpn} worker(s))"),
-                    slots: (nodes * wpn).max(1) as usize,
-                    cores_per_node,
-                    ram_per_node_mb,
-                }
-            }
-            // Anything else is treated as the thread-pool default; unknown
-            // kinds are parsl-lint's E042, not this pass's concern.
-            _ => {
-                let workers = executor
-                    .get("workers")
-                    .and_then(Value::as_int)
-                    .unwrap_or(host_cores)
-                    .max(1);
-                ExecutorCapacity {
-                    label: format!("thread-pool ({workers} worker(s))"),
-                    slots: workers as usize,
-                    // The thread pool shares the host; per-task core/RAM
-                    // reservations are not enforced, so min-demands are
-                    // only checked against the host's core count.
-                    cores_per_node: Some(host_cores),
-                    ram_per_node_mb: None,
-                }
-            }
-        }
-    }
 }
 
 /// Check one resource declaration. `where_` anchors the diagnostic; `who`
@@ -471,39 +387,6 @@ pub fn plan_docs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use yamlite::parse_str;
-
-    #[test]
-    fn capacity_from_thread_pool_config() {
-        let v = parse_str("executor:\n  kind: thread-pool\n  workers: 6\n").unwrap();
-        let cap = ExecutorCapacity::from_run_config(&v);
-        assert_eq!(cap.slots, 6);
-        assert!(cap.cores_per_node.is_some());
-        assert!(cap.ram_per_node_mb.is_none());
-    }
-
-    #[test]
-    fn capacity_from_htex_slurm_config() {
-        let v = parse_str(
-            "executor:\n  kind: htex\n  nodes: 3\n  workers_per_node: 4\nprovider:\n  kind: slurm\n  cluster:\n    nodes: 3\n    cores_per_node: 8\n",
-        )
-        .unwrap();
-        let cap = ExecutorCapacity::from_run_config(&v);
-        assert_eq!(cap.slots, 12);
-        assert_eq!(cap.cores_per_node, Some(8));
-        assert_eq!(cap.ram_per_node_mb, Some(126 * 1024));
-    }
-
-    #[test]
-    fn capacity_htex_workers_default_to_cores() {
-        let v = parse_str(
-            "executor:\n  kind: htex\n  nodes: 2\nprovider:\n  kind: local\n  cores_per_node: 5\n",
-        )
-        .unwrap();
-        let cap = ExecutorCapacity::from_run_config(&v);
-        assert_eq!(cap.slots, 10);
-        assert_eq!(cap.cores_per_node, Some(5));
-    }
 
     #[test]
     fn makespan_bound_is_max_of_span_and_work() {

@@ -38,4 +38,4 @@ pub mod step;
 pub use dispatch::{BuiltinDispatch, FlakyDispatch, SubprocessDispatch, ToolDispatch};
 pub use engine::engine_for;
 pub use exec::{execute_tool, execute_tool_staged, ToolRun};
-pub use staging::{publish_stage_stats, StageCtx, StagingSettings};
+pub use staging::{probe_creatable, publish_stage_stats, StageCtx, StagingSettings};

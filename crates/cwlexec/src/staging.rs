@@ -4,7 +4,7 @@
 
 use datastore::{ContentStore, StageMode, StageStats, Stager};
 use obs::Observability;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// The `staging:` config block, resolved. Shared by every runner.
@@ -49,37 +49,41 @@ impl StagingSettings {
             return Err("staging.pool must be at least 1".to_string());
         }
         let Some(dir) = &self.dir else { return Ok(()) };
-        // Walk up to the deepest ancestor that exists; the store will
-        // mkdir -p the rest, so that ancestor is what must be writable.
-        let mut probe = dir.as_path();
-        loop {
-            if probe.exists() {
-                if !probe.is_dir() {
-                    return Err(format!(
-                        "staging.dir {}: ancestor {} exists but is not a directory",
-                        dir.display(),
-                        probe.display()
-                    ));
-                }
-                let marker = probe.join(format!(".staging-probe-{}", std::process::id()));
-                return match std::fs::File::create(&marker) {
-                    Ok(_) => {
-                        let _ = std::fs::remove_file(&marker);
-                        Ok(())
-                    }
-                    Err(e) => Err(format!(
-                        "staging.dir {} is not writable ({} at {})",
-                        dir.display(),
-                        e,
-                        probe.display()
-                    )),
-                };
-            }
-            match probe.parent() {
-                Some(p) if p != probe => probe = p,
-                _ => return Ok(()), // relative path with no existing prefix
-            }
+        // The store will mkdir -p below the deepest existing ancestor.
+        probe_creatable(dir, &format!("staging.dir {}", dir.display()), "writable")
+    }
+}
+
+/// Whether `path` (and any missing parents) could be created: walk up to
+/// the deepest existing ancestor, which must be a directory this process
+/// can create a file in. A relative path with no existing prefix passes.
+/// A pinned staging store and a serve socket's directory are both checked
+/// with it; `subject` opens the error message and `creatable` names what
+/// the path is not.
+pub fn probe_creatable(path: &Path, subject: &str, creatable: &str) -> Result<(), String> {
+    let mut probe = path;
+    while !probe.exists() {
+        match probe.parent() {
+            Some(p) if p != probe => probe = p,
+            _ => return Ok(()),
         }
+    }
+    if !probe.is_dir() {
+        let at = probe.display();
+        return Err(format!(
+            "{subject}: ancestor {at} exists but is not a directory"
+        ));
+    }
+    let marker = probe.join(format!(".parsl-cwl-probe-{}", std::process::id()));
+    match std::fs::File::create(&marker) {
+        Ok(_) => {
+            let _ = std::fs::remove_file(&marker);
+            Ok(())
+        }
+        Err(e) => Err(format!(
+            "{subject} is not {creatable} ({e} at {})",
+            probe.display()
+        )),
     }
 }
 
