@@ -156,6 +156,27 @@ for bad in fixtures/broken_configs/*.yml; do
 done
 echo "config gates: one key table; every broken config is refused by parsl-lint and cwl-check"
 
+# One-event-path gate (DESIGN.md §4e): every task and node event is one
+# counter in the kernel's obs registry, read back by `monitoring()` and
+# waited on with `Observability::wait_for`. The per-event ring that ran
+# beside it must not grow back: not its types, not the executor hook that
+# fed it, not the config key that bounded it. Test modules are skipped
+# (each file from its first #[cfg(test)] on): the lint test feeds the
+# removed key to parsl-lint to see it refused.
+event_path=$(find crates tests examples -type f | sort | xargs awk '
+    FNR == 1 { in_tests = 0 }
+    /#\[cfg\(test\)\]/ { in_tests = 1 }
+    !in_tests && /MonitoringLog|TaskEvent|attach_monitoring|events_cap/ {
+        printf "%s:%d:%s\n", FILENAME, FNR, $0
+    }
+')
+if [ -n "$event_path" ]; then
+    echo "error: task events have one path, the obs registry; found a second:" >&2
+    echo "$event_path" >&2
+    exit 1
+fi
+echo "event-path gate: no event ring, no attach_monitoring, no events_cap"
+
 # The analyzer must still CATCH what it exists to catch: a clean exit on
 # the negative corpus would mean the effect/feasibility passes regressed.
 for bad in effect_collision unschedulable nested_unschedulable; do

@@ -71,7 +71,6 @@
 //!   sample_rate: 1.0           # fraction of task lineages traced, in [0, 1] (default 1.0)
 //!   export: ./work/trace.jsonl # JSONL trace path, read by parsl-trace (default: no export)
 //!   sinks: [jsonl, chrome]     # list of jsonl | chrome (default [jsonl])
-//!   events_cap: 65536          # in-memory event ring, >= 1 (default 65536)
 //! serve:                       # parsl-serve daemon (multi-run service)
 //!   socket: ./work/serve.sock  # UDS path, directory must be creatable (default <workdir>/serve.sock)
 //!   max_in_flight: 4           # runs executing concurrently, >= 1 (default 4)
@@ -309,7 +308,6 @@ pub const KEYS: &[Key] = &[
     key("monitoring.sample_rate",          Fraction,    "1.0"),
     key("monitoring.export",               Str,         ""),
     key("monitoring.sinks",                EnumList(&["jsonl", "chrome"]), "[jsonl]"),
-    key("monitoring.events_cap",           Int(1),      "65536"),
     key("serve",                           Block,       ""),
     key("serve.socket",                    Str,         ""),
     key("serve.max_in_flight",             Int(1),      "4"),
@@ -811,7 +809,6 @@ impl<'a> Pass<'a, '_, '_> {
             export_path: self.path("monitoring.export"),
             sink_jsonl: sink("jsonl"),
             sink_chrome: sink("chrome"),
-            events_cap: self.count("monitoring.events_cap"),
         }
     }
 
@@ -1189,6 +1186,17 @@ mod tests {
     }
 
     #[test]
+    fn capacity_names_the_executor_label() {
+        let c = load(
+            "executor:\n  kind: htex\n  label: gpu-pool\n  nodes: 2\n  workers_per_node: 3\nprovider:\n  kind: local\n",
+        )
+        .unwrap();
+        let cap = executor_capacity(&c.parsl);
+        assert!(cap.label.starts_with("gpu-pool ("), "{}", cap.label);
+        assert_eq!(cap.label, "gpu-pool (2 node(s) x 3 worker(s))");
+    }
+
+    #[test]
     fn capacity_htex_workers_default_to_cores() {
         let c = load(
             "executor:\n  kind: htex\n  nodes: 2\nprovider:\n  kind: local\n  cores_per_node: 5\n",
@@ -1292,13 +1300,8 @@ mod tests {
         let m = &c.parsl.monitoring;
         assert!(m.enabled);
         assert_eq!(
-            (m.sample_rate, m.sink_jsonl, m.sink_chrome, m.events_cap),
-            (
-                obs.sample_rate,
-                obs.sink_jsonl,
-                obs.sink_chrome,
-                obs.events_cap
-            )
+            (m.sample_rate, m.sink_jsonl, m.sink_chrome),
+            (obs.sample_rate, obs.sink_jsonl, obs.sink_chrome)
         );
     }
 

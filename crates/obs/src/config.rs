@@ -19,16 +19,7 @@ pub struct ObsConfig {
     /// Additionally write `<export_path>.chrome.json` in Chrome
     /// `trace_event` format (load in `chrome://tracing` / Perfetto).
     pub sink_chrome: bool,
-    /// Cap on the in-memory per-task event ring buffer. Summary counters
-    /// stay exact past the cap; only per-event detail older than the last
-    /// `events_cap` records is dropped. Generous by default so one-shot
-    /// runs never evict; a long-lived daemon stays bounded.
-    pub events_cap: usize,
 }
-
-/// Default [`ObsConfig::events_cap`]: large enough that a one-shot run
-/// keeps every event, small enough to bound a week-long daemon.
-pub const DEFAULT_EVENTS_CAP: usize = 65_536;
 
 impl Default for ObsConfig {
     fn default() -> Self {
@@ -38,7 +29,6 @@ impl Default for ObsConfig {
             export_path: None,
             sink_jsonl: true,
             sink_chrome: false,
-            events_cap: DEFAULT_EVENTS_CAP,
         }
     }
 }

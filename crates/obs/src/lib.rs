@@ -7,17 +7,21 @@
 //!   batch enqueue → manager recv → worker exec → result return;
 //! * **metrics** ([`metrics`]) — a sharded registry of counters, gauges,
 //!   and HDR-style latency histograms under well-known names
-//!   ([`metrics::names`]);
+//!   ([`metrics::names`]). Task and node events (submitted, completed,
+//!   retried, node lost, …) are counters too, counted with
+//!   [`Observability::count`] whether or not recording is on, and
+//!   [`Observability::wait_for`] blocks until a condition over them holds;
 //! * **lineage** ([`lineage`]) — one record per Parsl task joining the
 //!   task id to the CWL step id it implements, with
 //!   submit ≤ dispatch ≤ complete timestamps and attempt counts.
 //!
-//! Everything is **zero-cost when disabled**: each record path starts with
-//! one relaxed atomic load and bails before allocating or locking. The
-//! `DataFlowKernel` owns an instance per run (test isolation); layers with
-//! no handle to a kernel — the expression cache, tool dispatch, providers —
-//! record against the process-wide [`global()`] instance, which is disabled
-//! unless a run turns it on.
+//! Spans and lineage are **zero-cost when disabled**: each record path
+//! starts with one relaxed atomic load and bails before allocating or
+//! locking. Counters always count: an increment through a held handle
+//! allocates and locks nothing. The `DataFlowKernel` owns an instance per
+//! run (test isolation); layers with no handle to a kernel — the expression
+//! cache, tool dispatch, providers — record against the process-wide
+//! [`global()`] instance, which is disabled unless a run turns it on.
 //!
 //! Traces export as JSONL (read back by the `parsl-trace` CLI) and Chrome
 //! `trace_event` JSON ([`export`]).
@@ -32,13 +36,15 @@ pub mod report;
 pub mod span;
 
 pub use clock::RunClock;
-pub use config::{ObsConfig, DEFAULT_EVENTS_CAP};
+pub use config::ObsConfig;
 pub use lineage::LineageRecord;
 pub use metrics::{names, Counter, Gauge, Histogram, MetricSnapshot, MetricValue, Registry};
 pub use span::{ActiveSpan, SpanCtx, SpanKind, SpanRecord};
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use parking_lot::{Condvar, Mutex};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
 /// One run's worth of telemetry: clock, tracer, metrics, and lineage.
 pub struct Observability {
@@ -50,6 +56,15 @@ pub struct Observability {
     registry: Registry,
     lineage: lineage::LineageTable,
     next_span: AtomicU64,
+    /// Notified by [`Observability::count`] while a thread waits in
+    /// [`Observability::wait_for`]; the mutex only orders that handshake.
+    counted: Condvar,
+    wake: Mutex<()>,
+    /// Threads currently blocked in [`Observability::wait_for`]. `count`
+    /// skips the lock and the notify when this is zero — with the
+    /// std-backed condvar a notify is a syscall even with no waiters,
+    /// which would be most of an event's cost on the dispatch hot path.
+    waiters: AtomicUsize,
 }
 
 impl Observability {
@@ -64,6 +79,9 @@ impl Observability {
             registry: Registry::new(),
             lineage: lineage::LineageTable::new(),
             next_span: AtomicU64::new(1),
+            counted: Condvar::new(),
+            wake: Mutex::new(()),
+            waiters: AtomicUsize::new(0),
         }
     }
 
@@ -207,6 +225,48 @@ impl Observability {
     /// Snapshot all metrics, sorted by name.
     pub fn metrics(&self) -> Vec<MetricSnapshot> {
         self.registry.snapshot()
+    }
+
+    // ---- events --------------------------------------------------------
+
+    /// Count one event on `counter` (a handle from this registry) and wake
+    /// every [`Observability::wait_for`] caller. Counts whether or not
+    /// recording is on: one striped add, one fence and one load when
+    /// nobody waits.
+    #[inline]
+    pub fn count(&self, counter: &Counter) {
+        counter.incr();
+        // Pairs with the fence in `wait_for`: either that waiter's
+        // predicate sees this increment, or this load sees the waiter.
+        fence(Ordering::SeqCst);
+        if self.waiters.load(Ordering::Relaxed) > 0 {
+            // Taking the lock waits out a waiter between its predicate and
+            // its sleep, so the notify cannot fall in that gap.
+            let _wake = self.wake.lock();
+            self.counted.notify_all();
+        }
+    }
+
+    /// Block until `pred` holds, re-checking it after every counted event,
+    /// and give up after `timeout` (real time). Returns the last value of
+    /// `pred`. This is what tests and shutdown paths use instead of
+    /// sleep-polling: no fixed sleeps, no lost wake-ups, and a hard bound
+    /// on how long a failing run can hang.
+    pub fn wait_for(&self, timeout: Duration, mut pred: impl FnMut() -> bool) -> bool {
+        let deadline = Instant::now() + timeout;
+        let mut wake = self.wake.lock();
+        self.waiters.fetch_add(1, Ordering::SeqCst);
+        fence(Ordering::SeqCst);
+        let result = loop {
+            if pred() {
+                break true;
+            }
+            if self.counted.wait_until(&mut wake, deadline).timed_out() {
+                break pred();
+            }
+        };
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
+        result
     }
 
     // ---- lineage -------------------------------------------------------

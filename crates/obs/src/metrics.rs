@@ -221,6 +221,12 @@ pub mod names {
     pub const DFK_OUTSTANDING: &str = "parsl.dfk.tasks_outstanding";
     /// Counter: tasks submitted to the DFK.
     pub const DFK_SUBMITTED: &str = "parsl.dfk.tasks_submitted";
+    /// Counter: tasks that ended in success (memo hits included).
+    pub const DFK_COMPLETED: &str = "parsl.dfk.tasks_completed";
+    /// Counter: tasks that ended in failure, retries exhausted.
+    pub const DFK_FAILED: &str = "parsl.dfk.tasks_failed";
+    /// Counter: attempts stopped by the walltime watchdog.
+    pub const DFK_TIMED_OUT: &str = "parsl.dfk.tasks_timed_out";
     /// Counter: retry attempts scheduled.
     pub const DFK_RETRIES: &str = "parsl.dfk.retries";
     /// Counter: memoization table hits.
@@ -235,8 +241,12 @@ pub mod names {
     pub const HTEX_BATCH_OCCUPANCY: &str = "parsl.htex.batch_occupancy";
     /// Counter: managers declared dead by the heartbeat monitor.
     pub const HTEX_HEARTBEAT_MISSES: &str = "parsl.htex.heartbeat_misses";
+    /// Counter: nodes whose loss the executor has handled.
+    pub const HTEX_NODES_LOST: &str = "parsl.htex.nodes_lost";
     /// Counter: tasks re-queued after their node died.
     pub const HTEX_REDISPATCHES: &str = "parsl.htex.tasks_redispatched";
+    /// Counter: replacement nodes provisioned after a node loss.
+    pub const HTEX_BLOCKS_REPLACED: &str = "parsl.htex.blocks_replaced";
     /// Counter: provider blocks added after start (scaling + replacement).
     pub const HTEX_BLOCKS_ADDED: &str = "parsl.htex.blocks_added";
     /// Counter: scale-out events fired by the elastic strategy.

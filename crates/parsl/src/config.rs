@@ -209,13 +209,13 @@ impl Config {
         }
     }
 
-    /// HTEX over a provider.
+    /// HTEX over a provider, labelled with the executor's own label.
     pub fn htex(config: HtexConfig, provider: Arc<dyn Provider>) -> Self {
         Self {
+            label: config.label.clone(),
             executor: ExecutorChoice::Htex { config, provider },
             retry: RetryPolicy::default(),
             memoize: false,
-            label: "htex".to_string(),
             monitoring: obs::ObsConfig::default(),
             checkpoint: None,
             clock: simtest::real_clock(),

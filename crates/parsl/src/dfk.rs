@@ -1,7 +1,7 @@
 //! The DataFlowKernel (DFK): Parsl's runtime core. Tracks dependencies
 //! between app invocations through future-completion callbacks, launches
 //! tasks on the configured executor when their inputs are ready, propagates
-//! failures, retries, and records monitoring events.
+//! failures, retries, and counts task events in its obs registry.
 
 use crate::apps::{AppBody, CommandApp, CommandSpec};
 use crate::config::{Config, ExecutorChoice, RetryPolicy};
@@ -10,7 +10,7 @@ use crate::executor::{Executor, TaskPayload, ThreadPoolExecutor};
 use crate::file::File;
 use crate::future::{promise_pair, AppFuture, DataFuture, Promise, TaskResult};
 use crate::htex::HighThroughputExecutor;
-use crate::monitoring::{MonitoringLog, TaskEventKind};
+use crate::monitoring::Monitoring;
 use crate::task::TaskId;
 use obs::{names, ObsConfig, Observability, SpanCtx, SpanKind};
 use parking_lot::{Condvar, Mutex};
@@ -238,20 +238,17 @@ pub struct DataFlowKernel {
     outstanding: AtomicUsize,
     done_lock: Mutex<()>,
     all_done: Condvar,
-    /// Shared with the executor so node-level events (NodeLost,
-    /// BlockReplaced, Redispatched) land in the same log as task events.
-    log: Arc<MonitoringLog>,
     /// This run's observability instance, shared with the executor so
-    /// executor-side spans land in the same trace.
+    /// executor-side spans and node events (lost, re-dispatched,
+    /// replaced) land in the same trace and registry as task events.
     obs: Arc<Observability>,
     /// Pre-resolved metric handles so hot paths skip the registry lookup.
     metrics: DfkMetrics,
     /// Durable checkpointing, when configured (None keeps the completion
     /// path checkpoint-free apart from this one branch).
     ckpt: Option<CkptState>,
-    /// Kernel time source: retry-backoff sleeps and the monitoring log's
-    /// run clock go through this, so a virtual clock makes backoff elapse
-    /// in logical time.
+    /// Kernel time source: retry-backoff sleeps go through this, so a
+    /// virtual clock makes backoff elapse in logical time.
     clock: simtest::ClockRef,
     /// Jitter RNG for the retry backoff schedule — seeded from
     /// [`Config::seed`] so a simulated run replays identical delays.
@@ -265,8 +262,13 @@ pub struct DataFlowKernel {
 }
 
 /// Handles to the kernel's well-known metrics, resolved once at startup.
+/// Each task event is one counter, counted through
+/// [`Observability::count`] whether or not monitoring is on.
 struct DfkMetrics {
     submitted: Arc<obs::Counter>,
+    completed: Arc<obs::Counter>,
+    failed: Arc<obs::Counter>,
+    timed_out: Arc<obs::Counter>,
     retries: Arc<obs::Counter>,
     memo_hits: Arc<obs::Counter>,
     memo_misses: Arc<obs::Counter>,
@@ -393,11 +395,6 @@ impl DataFlowKernel {
         seed: Option<u64>,
         gate: Option<Arc<dyn DispatchGate>>,
     ) -> Arc<Self> {
-        let log = Arc::new(MonitoringLog::with_clock_and_cap(
-            clock.clone(),
-            monitoring.events_cap,
-        ));
-        executor.attach_monitoring(log.clone());
         let obs = Arc::new(Observability::new(monitoring));
         if obs.is_enabled() {
             // Layers with no handle to a kernel (expression cache, tool
@@ -406,8 +403,20 @@ impl DataFlowKernel {
             obs::global().set_enabled(true);
         }
         executor.attach_observability(obs.clone());
+        // The executor's event counters exist from the start too, so every
+        // summary field has its metric in the trace even at zero.
+        for name in [
+            names::HTEX_NODES_LOST,
+            names::HTEX_REDISPATCHES,
+            names::HTEX_BLOCKS_REPLACED,
+        ] {
+            obs.counter(name);
+        }
         let metrics = DfkMetrics {
             submitted: obs.counter(names::DFK_SUBMITTED),
+            completed: obs.counter(names::DFK_COMPLETED),
+            failed: obs.counter(names::DFK_FAILED),
+            timed_out: obs.counter(names::DFK_TIMED_OUT),
             retries: obs.counter(names::DFK_RETRIES),
             memo_hits: obs.counter(names::MEMO_HITS),
             memo_misses: obs.counter(names::MEMO_MISSES),
@@ -433,7 +442,6 @@ impl DataFlowKernel {
             outstanding: AtomicUsize::new(0),
             done_lock: Mutex::new(()),
             all_done: Condvar::new(),
-            log,
             obs,
             metrics,
             ckpt,
@@ -452,9 +460,13 @@ impl DataFlowKernel {
         &self.executor
     }
 
-    /// Monitoring log for this kernel.
-    pub fn monitoring(&self) -> &MonitoringLog {
-        &self.log
+    /// This kernel's event counts and fault story, read from its obs
+    /// registry and its executor's node table.
+    pub fn monitoring(&self) -> Monitoring<'_> {
+        Monitoring {
+            obs: &self.obs,
+            executor: &*self.executor,
+        }
     }
 
     /// This run's observability instance (spans, metrics, lineage).
@@ -644,7 +656,7 @@ impl DataFlowKernel {
         }
         let (fut, promise) = promise_pair(id);
         self.outstanding.fetch_add(1, Ordering::AcqRel);
-        self.log.record(id, TaskEventKind::Submitted, label);
+        self.obs.count(&self.metrics.submitted);
         // The Submit span is this task's trace root; its id is valid as a
         // parent from the moment it opens, so spans from a synchronous
         // launch below nest correctly.
@@ -657,7 +669,6 @@ impl DataFlowKernel {
             if let Some(tag) = &tag {
                 self.obs.lineage_bind_run(id.0, &tag.lineage_name());
             }
-            self.metrics.submitted.incr();
             self.metrics.outstanding.add(1);
         }
 
@@ -728,8 +739,6 @@ impl DataFlowKernel {
                 }
             }
         }
-        self.log
-            .record(task.id, TaskEventKind::Launched, &task.label);
         // Memoization: a prior success with the same label and inputs
         // short-circuits execution entirely. The fingerprint (which
         // serializes every input value) is computed exactly once and
@@ -754,8 +763,7 @@ impl DataFlowKernel {
             let cached = self.memo.get(&task.label, fp);
             self.obs.finish_span(lookup);
             if let Some(cached) = cached {
-                self.log
-                    .record(task.id, TaskEventKind::Memoized, &task.label);
+                self.obs.count(&self.metrics.memo_hits);
                 // A hit on a journal-seeded key is a *replay*: the crashed
                 // run finished this task and the resume is skipping it.
                 // Tagged tasks consult their own run's seeded set.
@@ -787,19 +795,12 @@ impl DataFlowKernel {
                         })
                         .unwrap_or(false),
                 };
-                if self.obs.is_enabled() {
-                    self.metrics.memo_hits.incr();
-                    self.obs.lineage_complete(
-                        task.id.0,
-                        if replayed { "replayed" } else { "memoized" },
-                    );
-                }
+                self.obs
+                    .lineage_complete(task.id.0, if replayed { "replayed" } else { "memoized" });
                 self.finish(&task, Ok((*cached).clone()));
                 return;
             }
-            if self.obs.is_enabled() {
-                self.metrics.memo_misses.incr();
-            }
+            self.metrics.memo_misses.incr();
         }
         // Tagged tasks go through the dispatch gate (when one is
         // configured) so the fair-share scheduler decides when this run's
@@ -860,8 +861,7 @@ impl DataFlowKernel {
                 .name(format!("walltime-{}", task.id))
                 .spawn(move || {
                     if watched.result_timeout(walltime).is_none() {
-                        dfk.log
-                            .record(task.id, TaskEventKind::TimedOut, &task.label);
+                        dfk.obs.count(&dfk.metrics.timed_out);
                         dfk.obs.instant_span(
                             SpanKind::TimedOut,
                             task.id.0,
@@ -938,16 +938,13 @@ impl DataFlowKernel {
                         }
                     }) {
                     Ok(prev) => {
-                        dfk.log.record(task.id, TaskEventKind::Retried, &task.label);
-                        if dfk.obs.is_enabled() {
-                            dfk.obs.instant_span(
-                                SpanKind::Retry,
-                                task.id.0,
-                                task.root_span,
-                                &task.label,
-                            );
-                            dfk.metrics.retries.incr();
-                        }
+                        dfk.obs.count(&dfk.metrics.retries);
+                        dfk.obs.instant_span(
+                            SpanKind::Retry,
+                            task.id.0,
+                            task.root_span,
+                            &task.label,
+                        );
                         let vals = vals_for_retry
                             .clone()
                             .expect("retry granted only when max_retries > 0");
@@ -976,19 +973,14 @@ impl DataFlowKernel {
 
     /// Resolve the task's public future and update accounting.
     fn finish(&self, task: &TaskInner, result: TaskResult) {
-        let kind = if result.is_ok() {
-            TaskEventKind::Completed
+        let (counter, outcome) = if result.is_ok() {
+            (&self.metrics.completed, "completed")
         } else {
-            TaskEventKind::Failed
+            (&self.metrics.failed, "failed")
         };
-        self.log.record(task.id, kind, &task.label);
+        self.obs.count(counter);
         if self.obs.is_enabled() {
             // Memoized tasks recorded their (sticky) outcome in `launch`.
-            let outcome = if result.is_ok() {
-                "completed"
-            } else {
-                "failed"
-            };
             self.obs.lineage_complete(task.id.0, outcome);
             self.metrics.outstanding.add(-1);
         }

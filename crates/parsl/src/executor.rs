@@ -4,7 +4,6 @@
 
 use crate::error::TaskError;
 use crate::future::{Promise, TaskResult};
-use crate::monitoring::MonitoringLog;
 use crate::task::TaskId;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use obs::{names, Observability, SpanCtx, SpanKind};
@@ -76,13 +75,16 @@ pub trait Executor: Send + Sync {
     /// with [`TaskError::Shutdown`].
     fn shutdown(&self);
 
-    /// Attach a monitoring log for executor-level events (node loss,
-    /// re-dispatch). Default: no executor-level events.
-    fn attach_monitoring(&self, _log: Arc<MonitoringLog>) {}
-
     /// Attach the run's observability instance so the executor can record
-    /// spans and metrics. Default: the executor records nothing.
+    /// spans, metrics and node events. Default: the executor records
+    /// nothing.
     fn attach_observability(&self, _obs: Arc<Observability>) {}
+
+    /// Names of the nodes this executor has declared dead. Default: none
+    /// (an executor without nodes loses none).
+    fn lost_nodes(&self) -> Vec<String> {
+        Vec::new()
+    }
 }
 
 enum Msg {

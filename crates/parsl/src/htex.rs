@@ -40,9 +40,7 @@
 
 use crate::error::TaskError;
 use crate::executor::{Executor, TaskPayload};
-use crate::monitoring::{MonitoringLog, TaskEventKind};
 use crate::provider::{NodeHandle, Provider};
-use crate::task::TaskId;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use gridsim::{FaultPlan, LatencyModel};
 use obs::{names, Observability, SpanKind};
@@ -220,10 +218,10 @@ pub struct HighThroughputExecutor {
     /// Time source for heartbeats and staleness detection — real in
     /// production, virtual under the simulation harness.
     clock: simtest::ClockRef,
-    log: Mutex<Option<Arc<MonitoringLog>>>,
     /// The run's observability instance, swapped in by
     /// [`Executor::attach_observability`] after the DFK builds it. Shared
     /// (`Arc<Mutex<..>>`) with worker threads spawned before the attach.
+    /// Node events (lost, re-dispatched, replaced) are counted here.
     obs: Arc<Mutex<Arc<Observability>>>,
     dispatcher: Mutex<Option<std::thread::JoinHandle<()>>>,
     monitor: Mutex<Option<std::thread::JoinHandle<()>>>,
@@ -253,7 +251,6 @@ impl HighThroughputExecutor {
             stop: Arc::new(StopSignal::new()),
             failed: AtomicBool::new(false),
             clock: config.clock,
-            log: Mutex::new(None),
             obs: Arc::new(Mutex::new(Arc::new(Observability::off()))),
             dispatcher: Mutex::new(None),
             monitor: Mutex::new(None),
@@ -289,9 +286,7 @@ impl HighThroughputExecutor {
         let provision_span = obs.start_span(SpanKind::BlockProvision, 0, 0, &self.label);
         let granted = self.provider.provision(nodes)?;
         obs.finish_span(provision_span);
-        if obs.is_enabled() {
-            obs.counter(names::HTEX_BLOCKS_ADDED).incr();
-        }
+        obs.counter(names::HTEX_BLOCKS_ADDED).incr();
         let mut added = 0usize;
         let mut names = Vec::with_capacity(granted.len());
         let mut new_mgrs = Vec::with_capacity(granted.len());
@@ -421,27 +416,27 @@ impl HighThroughputExecutor {
         self.outstanding.load(Ordering::SeqCst)
     }
 
-    /// Names of nodes the monitor has declared dead.
-    pub fn lost_nodes(&self) -> Vec<String> {
+    /// Names of connected nodes the monitor has not declared dead.
+    pub fn live_nodes(&self) -> Vec<String> {
+        self.node_names(false)
+    }
+
+    /// The node table: names of registered nodes that are (or are not)
+    /// dead.
+    fn node_names(&self, dead: bool) -> Vec<String> {
         self.managers
             .lock()
             .iter()
-            .filter(|m| m.dead.load(Ordering::SeqCst))
+            .filter(|m| m.dead.load(Ordering::SeqCst) == dead)
             .map(|m| m.node_name.clone())
             .collect()
-    }
-
-    fn note(&self, task: TaskId, kind: TaskEventKind, label: &str) {
-        if let Some(log) = self.log.lock().as_ref() {
-            log.record(task, kind, label);
-        }
     }
 
     /// A manager stopped heartbeating (or its node was killed): re-queue
     /// its in-flight tasks and restore capacity if below the floor.
     fn handle_node_loss(self: &Arc<Self>, mgr: &Arc<ManagerState>) {
-        self.note(TaskId(0), TaskEventKind::NodeLost, &mgr.node_name);
         let obs = self.obs.lock().clone();
+        obs.count(&obs.counter(names::HTEX_NODES_LOST));
         // The loss event is node-level (lineage 0); each orphan's
         // Redispatched span parents onto it, linking the task's lineage to
         // the loss that forced the re-queue.
@@ -452,20 +447,18 @@ impl HighThroughputExecutor {
             let mut in_flight = mgr.in_flight.lock();
             in_flight.drain().map(|(_, t)| t).collect()
         };
+        let redispatches = obs.counter(names::HTEX_REDISPATCHES);
         for t in orphans {
             if t.finished.load(Ordering::SeqCst) {
                 continue;
             }
-            self.note(t.payload.id, TaskEventKind::Redispatched, &mgr.node_name);
-            if obs.is_enabled() {
-                obs.instant_span(
-                    SpanKind::Redispatched,
-                    t.payload.ctx.lineage,
-                    loss_span,
-                    &mgr.node_name,
-                );
-                obs.counter(names::HTEX_REDISPATCHES).incr();
-            }
+            obs.count(&redispatches);
+            obs.instant_span(
+                SpanKind::Redispatched,
+                t.payload.ctx.lineage,
+                loss_span,
+                &mgr.node_name,
+            );
             let _ = self.dispatch_tx.send(DispatchMsg::Task {
                 payload: t.payload,
                 finished: t.finished,
@@ -481,9 +474,11 @@ impl HighThroughputExecutor {
             let spawned = std::thread::Builder::new()
                 .name(format!("{}-replace", self.label))
                 .spawn(move || match h.add_block_inner(1) {
-                    Ok((_, names)) => {
-                        for name in names {
-                            h.note(TaskId(0), TaskEventKind::BlockReplaced, &name);
+                    Ok((_, nodes)) => {
+                        let obs = h.obs.lock().clone();
+                        let replaced = obs.counter(names::HTEX_BLOCKS_REPLACED);
+                        for _ in nodes {
+                            obs.count(&replaced);
                         }
                     }
                     Err(_) => {
@@ -942,10 +937,7 @@ fn monitor_loop(htex: Weak<HighThroughputExecutor>) {
                 && now_ms.saturating_sub(mgr.last_beat.load(Ordering::SeqCst)) > threshold_ms
             {
                 mgr.dead.store(true, Ordering::SeqCst);
-                let obs = h.obs.lock().clone();
-                if obs.is_enabled() {
-                    obs.counter(names::HTEX_HEARTBEAT_MISSES).incr();
-                }
+                h.obs.lock().counter(names::HTEX_HEARTBEAT_MISSES).incr();
             }
             if mgr.dead.load(Ordering::SeqCst) && !mgr.lost_handled.swap(true, Ordering::SeqCst) {
                 h.handle_node_loss(mgr);
@@ -998,9 +990,13 @@ impl Executor for HighThroughputExecutor {
         if let Some(m) = self.monitor.lock().take() {
             let _ = m.join();
         }
+        // Dead managers stay registered: the node table is what
+        // `lost_nodes` reads, and the fault story outlives the executor.
         let managers: Vec<Arc<ManagerState>> = {
             let mut lock = self.managers.lock();
-            lock.drain(..).collect()
+            let all = lock.clone();
+            lock.retain(|m| m.dead.load(Ordering::SeqCst));
+            all
         };
         for mgr in &managers {
             for _ in 0..mgr.worker_count {
@@ -1035,12 +1031,12 @@ impl Executor for HighThroughputExecutor {
         self.provider.release(nodes);
     }
 
-    fn attach_monitoring(&self, log: Arc<MonitoringLog>) {
-        *self.log.lock() = Some(log);
-    }
-
     fn attach_observability(&self, obs: Arc<Observability>) {
         *self.obs.lock() = obs;
+    }
+
+    fn lost_nodes(&self) -> Vec<String> {
+        self.node_names(true)
     }
 }
 
@@ -1063,6 +1059,7 @@ mod tests {
     use super::*;
     use crate::future::promise_pair;
     use crate::provider::{LocalProvider, SlurmProvider};
+    use crate::task::TaskId;
     use gridsim::{BatchScheduler, ClusterSpec, SchedulerConfig};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use yamlite::Value;
@@ -1284,7 +1281,7 @@ mod tests {
         // Two single-worker nodes; localhost/0 dies after executing one
         // task, stranding whatever was queued or running on it.
         let plan = FaultPlan::new().kill_after_tasks("localhost/0", 1);
-        let log = Arc::new(MonitoringLog::new());
+        let obs = Arc::new(Observability::off());
         let htex = HighThroughputExecutor::start(
             HtexConfig {
                 label: "htex".to_string(),
@@ -1297,7 +1294,7 @@ mod tests {
             Arc::new(LocalProvider::new(1)),
         )
         .unwrap();
-        htex.attach_monitoring(log.clone());
+        htex.attach_observability(obs.clone());
         let futs: Vec<_> = (1..=10).map(|i| submit_value(&htex, i)).collect();
         for (i, f) in futs.iter().enumerate() {
             assert_eq!(
@@ -1309,13 +1306,10 @@ mod tests {
         }
         assert!(plan.is_dead("localhost/0"));
         // The monitor notices the death within a heartbeat or two.
-        assert!(simtest::wait_until(Duration::from_secs(5), || htex
-            .manager_count()
-            == 1));
+        let lost = obs.counter(names::HTEX_NODES_LOST);
+        assert!(obs.wait_for(Duration::from_secs(5), || lost.value() == 1));
         assert_eq!(htex.manager_count(), 1);
         assert_eq!(htex.lost_nodes(), vec!["localhost/0".to_string()]);
-        let summary = log.summary();
-        assert_eq!(summary.node_lost, 1);
         assert_eq!(htex.outstanding_tasks(), 0);
         htex.shutdown();
     }
@@ -1325,7 +1319,7 @@ mod tests {
         // kill_now stops the heartbeat without any task arriving: only the
         // staleness threshold can detect this death.
         let plan = FaultPlan::new().kill_now("localhost/1");
-        let log = Arc::new(MonitoringLog::new());
+        let obs = Arc::new(Observability::off());
         let htex = HighThroughputExecutor::start(
             HtexConfig {
                 label: "htex".to_string(),
@@ -1340,12 +1334,10 @@ mod tests {
             Arc::new(LocalProvider::new(1)),
         )
         .unwrap();
-        htex.attach_monitoring(log.clone());
-        assert!(simtest::wait_until(Duration::from_secs(5), || htex
-            .manager_count()
-            == 1));
+        htex.attach_observability(obs.clone());
+        let lost = obs.counter(names::HTEX_NODES_LOST);
+        assert!(obs.wait_for(Duration::from_secs(5), || lost.value() == 1));
         assert_eq!(htex.manager_count(), 1);
-        assert_eq!(log.summary().node_lost, 1);
         // The surviving node still executes work.
         let fut = submit_value(&htex, 1);
         assert_eq!(
@@ -1362,7 +1354,7 @@ mod tests {
         let sched = BatchScheduler::new(ClusterSpec::small(3, 1), SchedulerConfig::immediate());
         let provider = Arc::new(SlurmProvider::new(sched.clone()));
         let plan = FaultPlan::new().kill_after_tasks("node01", 1);
-        let log = Arc::new(MonitoringLog::new());
+        let obs = Arc::new(Observability::off());
         let htex = HighThroughputExecutor::start(
             HtexConfig {
                 label: "htex".to_string(),
@@ -1376,19 +1368,17 @@ mod tests {
             provider,
         )
         .unwrap();
-        htex.attach_monitoring(log.clone());
+        htex.attach_observability(obs.clone());
         let futs: Vec<_> = (1..=8).map(|i| submit_value(&htex, i)).collect();
         for f in &futs {
             f.result_timeout(Duration::from_secs(10))
                 .expect("task hung")
                 .unwrap();
         }
-        log.wait_for_events(Duration::from_secs(5), |events| {
-            crate::monitoring::TaskSummary::from_events(events).blocks_replaced > 0
-        });
-        let summary = log.summary();
-        assert_eq!(summary.node_lost, 1);
-        assert_eq!(summary.blocks_replaced, 1);
+        let replaced = obs.counter(names::HTEX_BLOCKS_REPLACED);
+        obs.wait_for(Duration::from_secs(5), || replaced.value() > 0);
+        assert_eq!(obs.counter(names::HTEX_NODES_LOST).value(), 1);
+        assert_eq!(replaced.value(), 1);
         assert_eq!(htex.manager_count(), 2);
         htex.shutdown();
         // Both the dead node's pilot job and the live ones are released.

@@ -11,7 +11,8 @@
 //! * [`AppFuture`]/[`DataFuture`] — completion futures built on
 //!   Mutex + Condvar with completion callbacks (no polling anywhere);
 //! * [`DataFlowKernel`] — dependency tracking via callback-driven counters,
-//!   failure propagation, retries, and a monitoring log;
+//!   failure propagation, retries, and event counters read through
+//!   [`Monitoring`];
 //! * [`Executor`] implementations:
 //!   [`ThreadPoolExecutor`] (the paper's
 //!   single-node configuration) and
@@ -62,10 +63,10 @@ pub use executor::{Executor, TaskBody, TaskPayload, ThreadPoolExecutor};
 pub use file::File;
 pub use future::{AppFuture, DataFuture, Promise};
 pub use htex::{HighThroughputExecutor, HtexConfig};
-pub use monitoring::{FaultSummary, MonitoringLog, TaskEvent, TaskEventKind};
+pub use monitoring::{FaultSummary, Monitoring, TaskSummary};
 pub use provider::{LocalProvider, NodeHandle, Provider, SlurmProvider};
 pub use strategy::{ScalingPolicy, Strategy};
-pub use task::{TaskId, TaskState};
+pub use task::TaskId;
 
 // Re-export the observability surface callers need to configure and read
 // traces without depending on `obs` directly.

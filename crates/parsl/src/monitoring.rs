@@ -1,47 +1,14 @@
 //! Task-lifecycle monitoring — a lightweight stand-in for Parsl's
-//! monitoring database: an in-memory, thread-safe event log the bench
-//! harness and tests can query.
+//! monitoring database. Every task and node event is one counter in the
+//! kernel's obs [`Registry`](obs::Registry); [`Monitoring`] reads them
+//! back as summaries and waits on them. Per-event detail (spans, lineage)
+//! is the trace's, recorded only when monitoring is on.
 
-use crate::task::{TaskId, TaskState};
-use obs::RunClock;
-use parking_lot::{Condvar, Mutex};
-use std::collections::VecDeque;
-use std::time::{Duration, Instant};
+use crate::executor::Executor;
+use obs::{names, Observability};
+use std::time::Duration;
 
-/// What happened to a task.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TaskEventKind {
-    Submitted,
-    Launched,
-    Completed,
-    Failed,
-    Retried,
-    /// Completed from the memo table without executing.
-    Memoized,
-    /// The node hosting this manager stopped heartbeating; the event's
-    /// `label` names the lost node (task id is the sentinel `TaskId(0)`).
-    NodeLost,
-    /// An in-flight task from a lost node was re-queued to survivors.
-    Redispatched,
-    /// An attempt exceeded its configured walltime.
-    TimedOut,
-    /// A replacement block was provisioned after node loss; `label` names
-    /// the replacement node (task id is the sentinel `TaskId(0)`).
-    BlockReplaced,
-}
-
-/// One monitoring record.
-#[derive(Debug, Clone)]
-pub struct TaskEvent {
-    pub task: TaskId,
-    pub kind: TaskEventKind,
-    /// Time since the log was created.
-    pub at: Duration,
-    /// Task label (app name), or the node name for node-level events.
-    pub label: String,
-}
-
-/// Aggregated counts per final state.
+/// Aggregated counts per event kind.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TaskSummary {
     pub submitted: usize,
@@ -53,30 +20,6 @@ pub struct TaskSummary {
     pub redispatched: usize,
     pub timed_out: usize,
     pub blocks_replaced: usize,
-}
-
-impl TaskSummary {
-    /// Aggregate an event slice — usable inside
-    /// [`MonitoringLog::wait_for_events`] predicates, where the log's own
-    /// accessors would re-entrantly take the events lock.
-    pub fn from_events(events: &[TaskEvent]) -> Self {
-        let mut s = TaskSummary::default();
-        for e in events {
-            match e.kind {
-                TaskEventKind::Submitted => s.submitted += 1,
-                TaskEventKind::Completed => s.completed += 1,
-                TaskEventKind::Failed => s.failed += 1,
-                TaskEventKind::Retried => s.retried += 1,
-                TaskEventKind::Memoized => s.memoized += 1,
-                TaskEventKind::NodeLost => s.node_lost += 1,
-                TaskEventKind::Redispatched => s.redispatched += 1,
-                TaskEventKind::TimedOut => s.timed_out += 1,
-                TaskEventKind::BlockReplaced => s.blocks_replaced += 1,
-                TaskEventKind::Launched => {}
-            }
-        }
-        s
-    }
 }
 
 /// Aggregated fault-handling view of a run — the numbers the paper's
@@ -95,270 +38,100 @@ pub struct FaultSummary {
     pub retries: usize,
 }
 
-impl FaultSummary {
-    /// Aggregate an event slice (see [`TaskSummary::from_events`]).
-    pub fn from_events(events: &[TaskEvent]) -> Self {
-        let mut s = FaultSummary::default();
-        for e in events {
-            match e.kind {
-                TaskEventKind::NodeLost => s.nodes_lost.push(e.label.clone()),
-                TaskEventKind::Redispatched => s.tasks_redispatched += 1,
-                TaskEventKind::TimedOut => s.tasks_timed_out += 1,
-                TaskEventKind::BlockReplaced => s.blocks_replaced += 1,
-                TaskEventKind::Retried => s.retries += 1,
-                _ => {}
-            }
-        }
-        s
-    }
+/// A kernel's monitoring view: its obs counters and its executor's node
+/// table. Returned by [`crate::DataFlowKernel::monitoring`].
+pub struct Monitoring<'a> {
+    pub(crate) obs: &'a Observability,
+    pub(crate) executor: &'a dyn Executor,
 }
 
-/// The retained event window plus running aggregates that stay exact
-/// after eviction. The ring bounds only per-event *detail*; every counter
-/// and timestamp a summary reads is folded in at record time.
-struct EventRing {
-    ring: VecDeque<TaskEvent>,
-    cap: usize,
-    /// Events evicted from the front of the ring so far.
-    dropped: usize,
-    summary: TaskSummary,
-    faults: FaultSummary,
-    /// Timestamp of the very first event (evicted or not), for makespan.
-    first_at: Option<Duration>,
-    /// Latest terminal (Completed/Failed) timestamp, for makespan.
-    last_terminal_at: Option<Duration>,
-}
-
-impl EventRing {
-    fn push(&mut self, event: TaskEvent) {
-        self.first_at.get_or_insert(event.at);
-        if matches!(event.kind, TaskEventKind::Completed | TaskEventKind::Failed) {
-            self.last_terminal_at = Some(event.at);
-        }
-        fold_summary(&mut self.summary, &event);
-        fold_faults(&mut self.faults, &event);
-        if self.ring.len() == self.cap {
-            self.ring.pop_front();
-            self.dropped += 1;
-        }
-        self.ring.push_back(event);
-    }
-}
-
-fn fold_summary(s: &mut TaskSummary, e: &TaskEvent) {
-    match e.kind {
-        TaskEventKind::Submitted => s.submitted += 1,
-        TaskEventKind::Completed => s.completed += 1,
-        TaskEventKind::Failed => s.failed += 1,
-        TaskEventKind::Retried => s.retried += 1,
-        TaskEventKind::Memoized => s.memoized += 1,
-        TaskEventKind::NodeLost => s.node_lost += 1,
-        TaskEventKind::Redispatched => s.redispatched += 1,
-        TaskEventKind::TimedOut => s.timed_out += 1,
-        TaskEventKind::BlockReplaced => s.blocks_replaced += 1,
-        TaskEventKind::Launched => {}
-    }
-}
-
-fn fold_faults(s: &mut FaultSummary, e: &TaskEvent) {
-    match e.kind {
-        TaskEventKind::NodeLost => s.nodes_lost.push(e.label.clone()),
-        TaskEventKind::Redispatched => s.tasks_redispatched += 1,
-        TaskEventKind::TimedOut => s.tasks_timed_out += 1,
-        TaskEventKind::BlockReplaced => s.blocks_replaced += 1,
-        TaskEventKind::Retried => s.retries += 1,
-        _ => {}
-    }
-}
-
-/// The in-memory event log.
-///
-/// Timestamps come from a [`RunClock`] anchored at log creation — a
-/// monotonic clock, never wall time — and are read while holding the
-/// events lock, so `at` values are non-decreasing in log order even when
-/// many threads record concurrently.
-///
-/// Storage is a bounded ring (see [`obs::DEFAULT_EVENTS_CAP`]): a
-/// long-lived daemon does not grow without bound. [`MonitoringLog::summary`],
-/// [`MonitoringLog::fault_summary`], and [`MonitoringLog::makespan`] stay
-/// exact past the cap because their inputs are folded in at record time;
-/// only per-event detail older than the window is dropped.
-pub struct MonitoringLog {
-    clock: RunClock,
-    events: Mutex<EventRing>,
-    /// Notified on every `record` while a waiter is registered, so tests
-    /// and shutdown paths can wait for a condition instead of
-    /// sleep-polling.
-    recorded: Condvar,
-    /// Threads currently blocked in [`MonitoringLog::wait_for_events`].
-    /// `record` skips the condvar notify when this is zero — with the
-    /// std-backed condvar a notify is a syscall even with no waiters,
-    /// which is most of the per-event cost on the dispatch hot path.
-    waiters: std::sync::atomic::AtomicUsize,
-}
-
-impl Default for MonitoringLog {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl MonitoringLog {
-    /// An empty log; timestamps are relative to this call.
-    pub fn new() -> Self {
-        Self::with_clock(simtest::real_clock())
-    }
-
-    /// An empty log stamped from an explicit time source (a virtual clock
-    /// under simulation).
-    pub fn with_clock(clock: simtest::ClockRef) -> Self {
-        Self::with_clock_and_cap(clock, obs::DEFAULT_EVENTS_CAP)
-    }
-
-    /// An empty log with an explicit retained-event cap (minimum 1).
-    pub fn with_clock_and_cap(clock: simtest::ClockRef, cap: usize) -> Self {
-        Self {
-            clock: RunClock::with_clock(clock),
-            events: Mutex::new(EventRing {
-                ring: VecDeque::new(),
-                cap: cap.max(1),
-                dropped: 0,
-                summary: TaskSummary::default(),
-                faults: FaultSummary::default(),
-                first_at: None,
-                last_terminal_at: None,
-            }),
-            recorded: Condvar::new(),
-            waiters: std::sync::atomic::AtomicUsize::new(0),
+impl Monitoring<'_> {
+    /// Event counts so far.
+    pub fn summary(&self) -> TaskSummary {
+        let n = |name| self.obs.counter(name).value() as usize;
+        TaskSummary {
+            submitted: n(names::DFK_SUBMITTED),
+            completed: n(names::DFK_COMPLETED),
+            failed: n(names::DFK_FAILED),
+            retried: n(names::DFK_RETRIES),
+            memoized: n(names::MEMO_HITS),
+            node_lost: n(names::HTEX_NODES_LOST),
+            redispatched: n(names::HTEX_REDISPATCHES),
+            timed_out: n(names::DFK_TIMED_OUT),
+            blocks_replaced: n(names::HTEX_BLOCKS_REPLACED),
         }
     }
 
-    /// Append an event.
-    pub fn record(&self, task: TaskId, kind: TaskEventKind, label: &str) {
-        let mut events = self.events.lock();
-        // Read the clock under the lock: the RunClock is monotone across
-        // completed readings, so serialized reads are sorted in push order.
-        let at = self.clock.now();
-        events.push(TaskEvent {
-            task,
-            kind,
-            at,
-            label: label.to_string(),
-        });
-        drop(events);
-        // The waiter count is raised under the events lock, so a waiter
-        // that missed this event is visible here by the time the lock is
-        // released — no lost wakeups.
-        if self.waiters.load(std::sync::atomic::Ordering::SeqCst) > 0 {
-            self.recorded.notify_all();
+    /// The fault-handling story of the run, for experiment reports. Lost
+    /// node names come from the executor's own node table.
+    pub fn fault_summary(&self) -> FaultSummary {
+        let s = self.summary();
+        FaultSummary {
+            nodes_lost: self.executor.lost_nodes(),
+            tasks_redispatched: s.redispatched,
+            tasks_timed_out: s.timed_out,
+            blocks_replaced: s.blocks_replaced,
+            retries: s.retried,
         }
     }
 
-    /// Snapshot of the retained event window (all events so far unless the
-    /// ring cap evicted older ones — see [`MonitoringLog::events_dropped`]).
-    pub fn events(&self) -> Vec<TaskEvent> {
-        self.events.lock().ring.iter().cloned().collect()
-    }
-
-    /// Events evicted from the retained window so far.
-    pub fn events_dropped(&self) -> usize {
-        self.events.lock().dropped
-    }
-
-    /// The retained-event cap this log was built with.
-    pub fn events_cap(&self) -> usize {
-        self.events.lock().cap
-    }
-
-    /// Deadline-bounded condition wait over the event log: blocks until
-    /// `pred` holds for the events recorded so far, waking on every new
-    /// record, and gives up after `timeout` (real time). Returns the final
-    /// value of `pred`.
-    ///
-    /// This is the synchronization primitive integration tests use instead
-    /// of sleep-and-poll: no fixed sleeps, no lost wakeups (the predicate
-    /// is re-evaluated under the same lock `record` takes), and a hard
-    /// upper bound on how long a failing run can hang.
+    /// Block until `pred` holds for the summary, re-checking after every
+    /// counted event; give up after `timeout` (real time). Returns the
+    /// last value of `pred` (see [`Observability::wait_for`]).
     pub fn wait_for_events(
         &self,
         timeout: Duration,
-        mut pred: impl FnMut(&[TaskEvent]) -> bool,
+        mut pred: impl FnMut(&TaskSummary) -> bool,
     ) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut events = self.events.lock();
-        // Registered under the lock: any `record` that runs after this
-        // point sees the waiter once it releases the lock and notifies.
-        self.waiters
-            .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-        let result = loop {
-            if pred(events.ring.make_contiguous()) {
-                break true;
-            }
-            if self.recorded.wait_until(&mut events, deadline).timed_out() {
-                break pred(events.ring.make_contiguous());
-            }
-        };
-        self.waiters
-            .fetch_sub(1, std::sync::atomic::Ordering::SeqCst);
-        result
+        self.obs.wait_for(timeout, || pred(&self.summary()))
     }
-
-    /// Aggregate counts. Exact even after ring eviction: folded in at
-    /// record time, not recomputed from the retained window.
-    pub fn summary(&self) -> TaskSummary {
-        self.events.lock().summary.clone()
-    }
-
-    /// The fault-handling story of the run, for experiment reports.
-    pub fn fault_summary(&self) -> FaultSummary {
-        self.events.lock().faults.clone()
-    }
-
-    /// Observed makespan: time from first submit to last completion event.
-    pub fn makespan(&self) -> Option<Duration> {
-        let events = self.events.lock();
-        let first = events.first_at?;
-        let last = events.last_terminal_at?;
-        Some(last.saturating_sub(first))
-    }
-}
-
-/// Final state derived from an event sequence (helper for tests/tools).
-pub fn final_state(events: &[TaskEvent], task: TaskId) -> Option<TaskState> {
-    let mut state = None;
-    for e in events.iter().filter(|e| e.task == task) {
-        state = Some(match e.kind {
-            TaskEventKind::Submitted => TaskState::Pending,
-            TaskEventKind::Launched
-            | TaskEventKind::Retried
-            | TaskEventKind::Memoized
-            | TaskEventKind::Redispatched
-            | TaskEventKind::TimedOut => TaskState::Launched,
-            TaskEventKind::Completed => TaskState::Done,
-            TaskEventKind::Failed => TaskState::Failed,
-            // Node-level events carry a sentinel task id; they do not
-            // change any task's state.
-            TaskEventKind::NodeLost | TaskEventKind::BlockReplaced => continue,
-        });
-    }
-    state
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::TaskPayload;
+    use crate::{AppArg, Config, DataFlowKernel, FnApp, TaskError};
+    use std::sync::Arc;
+    use yamlite::Value;
+
+    /// An executor that runs nothing and reports a fixed node table.
+    struct NodeTable(Vec<String>);
+
+    impl Executor for NodeTable {
+        fn submit(&self, _task: TaskPayload) {}
+        fn label(&self) -> &str {
+            "node-table"
+        }
+        fn worker_count(&self) -> usize {
+            0
+        }
+        fn shutdown(&self) {}
+        fn lost_nodes(&self) -> Vec<String> {
+            self.0.clone()
+        }
+    }
+
+    fn count(obs: &Observability, name: &str, times: usize) {
+        let counter = obs.counter(name);
+        for _ in 0..times {
+            obs.count(&counter);
+        }
+    }
 
     #[test]
     fn records_and_summarizes() {
-        let log = MonitoringLog::new();
-        log.record(TaskId(1), TaskEventKind::Submitted, "a");
-        log.record(TaskId(1), TaskEventKind::Launched, "a");
-        log.record(TaskId(1), TaskEventKind::Completed, "a");
-        log.record(TaskId(2), TaskEventKind::Submitted, "b");
-        log.record(TaskId(2), TaskEventKind::Failed, "b");
-        let s = log.summary();
+        let obs = Observability::off();
+        count(&obs, names::DFK_SUBMITTED, 2);
+        count(&obs, names::DFK_COMPLETED, 1);
+        count(&obs, names::DFK_FAILED, 1);
+        let executor = NodeTable(Vec::new());
+        let m = Monitoring {
+            obs: &obs,
+            executor: &executor,
+        };
         assert_eq!(
-            s,
+            m.summary(),
             TaskSummary {
                 submitted: 2,
                 completed: 1,
@@ -366,144 +139,154 @@ mod tests {
                 ..TaskSummary::default()
             }
         );
-        assert_eq!(log.events().len(), 5);
-    }
-
-    #[test]
-    fn final_states() {
-        let log = MonitoringLog::new();
-        log.record(TaskId(1), TaskEventKind::Submitted, "a");
-        log.record(TaskId(1), TaskEventKind::Retried, "a");
-        log.record(TaskId(1), TaskEventKind::Completed, "a");
-        let events = log.events();
-        assert_eq!(final_state(&events, TaskId(1)), Some(TaskState::Done));
-        assert_eq!(final_state(&events, TaskId(9)), None);
     }
 
     #[test]
     fn fault_events_summarized() {
-        let log = MonitoringLog::new();
-        log.record(TaskId(0), TaskEventKind::NodeLost, "node01");
-        log.record(TaskId(3), TaskEventKind::Redispatched, "stage");
-        log.record(TaskId(4), TaskEventKind::Redispatched, "stage");
-        log.record(TaskId(5), TaskEventKind::TimedOut, "slow");
-        log.record(TaskId(0), TaskEventKind::BlockReplaced, "node04");
-        log.record(TaskId(3), TaskEventKind::Retried, "stage");
-        let s = log.summary();
+        let obs = Observability::off();
+        count(&obs, names::HTEX_NODES_LOST, 1);
+        count(&obs, names::HTEX_REDISPATCHES, 2);
+        count(&obs, names::DFK_TIMED_OUT, 1);
+        count(&obs, names::HTEX_BLOCKS_REPLACED, 1);
+        count(&obs, names::DFK_RETRIES, 1);
+        let executor = NodeTable(vec!["node01".to_string()]);
+        let m = Monitoring {
+            obs: &obs,
+            executor: &executor,
+        };
+        let s = m.summary();
         assert_eq!(s.node_lost, 1);
         assert_eq!(s.redispatched, 2);
         assert_eq!(s.timed_out, 1);
         assert_eq!(s.blocks_replaced, 1);
-        let fs = log.fault_summary();
-        assert_eq!(fs.nodes_lost, vec!["node01".to_string()]);
-        assert_eq!(fs.tasks_redispatched, 2);
-        assert_eq!(fs.tasks_timed_out, 1);
-        assert_eq!(fs.blocks_replaced, 1);
-        assert_eq!(fs.retries, 1);
-    }
-
-    #[test]
-    fn node_events_do_not_set_task_state() {
-        let log = MonitoringLog::new();
-        log.record(TaskId(0), TaskEventKind::NodeLost, "node01");
-        log.record(TaskId(1), TaskEventKind::Submitted, "a");
-        log.record(TaskId(1), TaskEventKind::Redispatched, "a");
-        let events = log.events();
-        assert_eq!(final_state(&events, TaskId(0)), None);
-        assert_eq!(final_state(&events, TaskId(1)), Some(TaskState::Launched));
-    }
-
-    /// Regression: timestamps must be monotonic within a run. Events are
-    /// stamped from a run-anchored monotonic clock read under the events
-    /// lock, so `at` can never go backwards in log order — even with many
-    /// threads racing to record.
-    #[test]
-    fn timestamps_never_go_backwards_across_threads() {
-        use std::sync::Arc;
-        let log = Arc::new(MonitoringLog::new());
-        let threads: Vec<_> = (0..8)
-            .map(|t| {
-                let log = log.clone();
-                std::thread::spawn(move || {
-                    for i in 0..250 {
-                        log.record(TaskId(t * 1000 + i), TaskEventKind::Submitted, "race");
-                    }
-                })
-            })
-            .collect();
-        for th in threads {
-            th.join().unwrap();
-        }
-        let events = log.events();
-        assert_eq!(events.len(), 8 * 250);
-        assert!(
-            events.windows(2).all(|w| w[0].at <= w[1].at),
-            "event timestamps went backwards"
+        assert_eq!(
+            m.fault_summary(),
+            FaultSummary {
+                nodes_lost: vec!["node01".to_string()],
+                tasks_redispatched: 2,
+                tasks_timed_out: 1,
+                blocks_replaced: 1,
+                retries: 1,
+            }
         );
     }
 
+    /// Node-level events are counted apart from task outcomes: a lost node
+    /// and a re-dispatch finish no task and fail none.
     #[test]
-    fn makespan_spans_first_to_last() {
-        // Virtual clock: the elapsed time between records is exact logical
-        // time, not a wall-clock sleep the scheduler may stretch.
-        let vc = simtest::VirtualClock::new();
-        vc.set_auto(false);
-        let log = MonitoringLog::with_clock(vc.clone());
-        log.record(TaskId(1), TaskEventKind::Submitted, "a");
-        vc.advance(Duration::from_millis(15));
-        log.record(TaskId(1), TaskEventKind::Completed, "a");
-        assert_eq!(log.makespan().unwrap(), Duration::from_millis(15));
-        let empty = MonitoringLog::new();
-        assert!(empty.makespan().is_none());
+    fn node_events_do_not_set_task_state() {
+        let obs = Observability::off();
+        count(&obs, names::HTEX_NODES_LOST, 1);
+        count(&obs, names::DFK_SUBMITTED, 1);
+        count(&obs, names::HTEX_REDISPATCHES, 1);
+        let executor = NodeTable(Vec::new());
+        let s = Monitoring {
+            obs: &obs,
+            executor: &executor,
+        }
+        .summary();
+        assert_eq!((s.submitted, s.completed, s.failed), (1, 0, 0));
+        assert_eq!((s.node_lost, s.redispatched), (1, 1));
     }
 
-    /// Satellite: the event ring must bound retained detail at the cap
-    /// while every summary counter (and makespan) stays exact — a
-    /// week-long daemon cannot grow the log without bound.
+    /// Counts stay exact however many events arrive and from however many
+    /// threads: nothing is retained per event, so nothing is evicted.
     #[test]
-    fn ring_caps_retained_events_but_counters_stay_exact() {
-        let log = MonitoringLog::with_clock_and_cap(simtest::real_clock(), 16);
-        assert_eq!(log.events_cap(), 16);
-        for i in 0..100u64 {
-            log.record(TaskId(i), TaskEventKind::Submitted, "s");
-            log.record(TaskId(i), TaskEventKind::Completed, "s");
+    fn counters_stay_exact_across_threads() {
+        let obs = Arc::new(Observability::off());
+        let threads: Vec<_> = (0..8)
+            .map(|_| {
+                let obs = obs.clone();
+                std::thread::spawn(move || {
+                    count(&obs, names::DFK_SUBMITTED, 250);
+                    count(&obs, names::DFK_COMPLETED, 250);
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
         }
-        log.record(TaskId(999), TaskEventKind::Failed, "tail");
-        let retained = log.events();
-        assert_eq!(retained.len(), 16, "ring must hold exactly the cap");
-        assert_eq!(log.events_dropped(), 201 - 16);
-        // The newest events survive; the oldest were evicted.
-        assert_eq!(retained.last().unwrap().task, TaskId(999));
-        assert!(retained.iter().all(|e| e.task.0 >= 92));
-        // Aggregates are exact despite eviction.
-        let s = log.summary();
-        assert_eq!(s.submitted, 100);
-        assert_eq!(s.completed, 100);
-        assert_eq!(s.failed, 1);
-        assert!(log.makespan().is_some());
-        // A cap of zero is clamped to one retained event.
-        let tiny = MonitoringLog::with_clock_and_cap(simtest::real_clock(), 0);
-        tiny.record(TaskId(1), TaskEventKind::Submitted, "a");
-        tiny.record(TaskId(2), TaskEventKind::Submitted, "b");
-        assert_eq!(tiny.events().len(), 1);
-        assert_eq!(tiny.summary().submitted, 2);
+        let executor = NodeTable(Vec::new());
+        let s = Monitoring {
+            obs: &obs,
+            executor: &executor,
+        }
+        .summary();
+        assert_eq!((s.submitted, s.completed), (8 * 250, 8 * 250));
     }
 
     #[test]
     fn wait_for_events_wakes_on_record() {
-        use std::sync::Arc;
-        let log = Arc::new(MonitoringLog::new());
-        let writer = log.clone();
-        let t = std::thread::spawn(move || {
-            for i in 0..3 {
-                writer.record(TaskId(i), TaskEventKind::Completed, "w");
-            }
-        });
-        assert!(log.wait_for_events(Duration::from_secs(5), |ev| {
-            TaskSummary::from_events(ev).completed == 3
-        }));
+        let obs = Arc::new(Observability::off());
+        let writer = obs.clone();
+        let t = std::thread::spawn(move || count(&writer, names::DFK_COMPLETED, 3));
+        let executor = NodeTable(Vec::new());
+        let m = Monitoring {
+            obs: &obs,
+            executor: &executor,
+        };
+        assert!(m.wait_for_events(Duration::from_secs(5), |s| s.completed == 3));
         t.join().unwrap();
         // A predicate that can never hold returns false at the deadline.
-        assert!(!log.wait_for_events(Duration::from_millis(20), |ev| ev.len() > 100));
+        assert!(!m.wait_for_events(Duration::from_millis(20), |s| s.completed > 100));
+    }
+
+    /// One retry, one memo hit and one failure on a kernel: `summary()`
+    /// equals the counters in the exported trace, field by field, and the
+    /// same run with monitoring off gives the same `summary()`.
+    #[test]
+    fn summary_matches_the_exported_trace() {
+        fn run(monitoring: obs::ObsConfig) -> TaskSummary {
+            let dfk = DataFlowKernel::new(
+                Config::local_threads(2)
+                    .with_retries(1)
+                    .with_memoization()
+                    .with_monitoring(monitoring),
+            );
+            let double = FnApp::new(|v: &[Value]| Ok(Value::Int(v[0].as_int().unwrap() * 2)));
+            let fail = FnApp::new(|_: &[Value]| Err(TaskError::failed("always")));
+            let first = dfk.submit("double", vec![AppArg::value(21i64)], double.clone());
+            assert_eq!(first.result().unwrap(), Value::Int(42));
+            let memo = dfk.submit("double", vec![AppArg::value(21i64)], double);
+            assert_eq!(memo.result().unwrap(), Value::Int(42));
+            assert!(dfk.submit("fail", vec![], fail).result().is_err());
+            dfk.shutdown();
+            dfk.monitoring().summary()
+        }
+
+        let dir = std::env::temp_dir().join(format!("monitoring-drift-{}", std::process::id()));
+        let path = dir.join("trace.jsonl");
+        let summary = run(obs::ObsConfig::exporting(&path));
+        assert_eq!(
+            summary,
+            TaskSummary {
+                submitted: 3,
+                completed: 2,
+                failed: 1,
+                retried: 1,
+                memoized: 1,
+                ..TaskSummary::default()
+            }
+        );
+        let trace = obs::report::load_trace(&path).unwrap();
+        let metric = |name: &str| {
+            let m = trace.metrics.iter().find(|m| m.name == name);
+            m.unwrap_or_else(|| panic!("{name} missing from the trace"))
+                .value as usize
+        };
+        let from_trace = TaskSummary {
+            submitted: metric(names::DFK_SUBMITTED),
+            completed: metric(names::DFK_COMPLETED),
+            failed: metric(names::DFK_FAILED),
+            retried: metric(names::DFK_RETRIES),
+            memoized: metric(names::MEMO_HITS),
+            node_lost: metric(names::HTEX_NODES_LOST),
+            redispatched: metric(names::HTEX_REDISPATCHES),
+            timed_out: metric(names::DFK_TIMED_OUT),
+            blocks_replaced: metric(names::HTEX_BLOCKS_REPLACED),
+        };
+        assert_eq!(summary, from_trace);
+        assert_eq!(run(obs::ObsConfig::default()), summary);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

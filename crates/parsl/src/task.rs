@@ -1,4 +1,4 @@
-//! Task identity and lifecycle states.
+//! Task identity.
 
 use std::fmt;
 
@@ -12,58 +12,12 @@ impl fmt::Display for TaskId {
     }
 }
 
-/// Lifecycle of a task, mirroring Parsl's task state machine (collapsed to
-/// the states that matter for a synchronous-runtime reconstruction).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TaskState {
-    /// Submitted; waiting for dependencies.
-    Pending,
-    /// Dependencies met; handed to the executor.
-    Launched,
-    /// Executing on a worker.
-    Running,
-    /// Finished successfully.
-    Done,
-    /// Finished with an error (after exhausting retries).
-    Failed,
-}
-
-impl TaskState {
-    /// Whether this is a terminal state.
-    pub fn is_terminal(&self) -> bool {
-        matches!(self, TaskState::Done | TaskState::Failed)
-    }
-}
-
-impl fmt::Display for TaskState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            TaskState::Pending => "pending",
-            TaskState::Launched => "launched",
-            TaskState::Running => "running",
-            TaskState::Done => "done",
-            TaskState::Failed => "failed",
-        };
-        f.write_str(s)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn terminal_classification() {
-        assert!(!TaskState::Pending.is_terminal());
-        assert!(!TaskState::Launched.is_terminal());
-        assert!(!TaskState::Running.is_terminal());
-        assert!(TaskState::Done.is_terminal());
-        assert!(TaskState::Failed.is_terminal());
-    }
-
-    #[test]
     fn display() {
         assert_eq!(TaskId(7).to_string(), "task7");
-        assert_eq!(TaskState::Running.to_string(), "running");
     }
 }

@@ -394,13 +394,10 @@ impl Service {
                 rec.replayed = stats.replayed;
                 rec.appended = stats.appended;
                 match result {
-                    _ if rec.state == RunState::Cancelled => {
-                        // Keep the client's verdict; the error (if any)
-                        // explains where the abort landed.
-                        if let Err(e) = result {
-                            rec.error = Some(e);
-                        }
-                    }
+                    // A terminal record is final: a cancelled run keeps the
+                    // client's verdict and its error, whatever the abort
+                    // then reports.
+                    _ if rec.state == RunState::Cancelled => {}
                     Ok(outputs) => {
                         rec.state = RunState::Completed;
                         rec.outputs = Some(outputs);
@@ -564,5 +561,52 @@ impl Service {
         }
         cwlexec::publish_stage_stats(self.dfk.observability(), self.stager.stats());
         self.dfk.shutdown();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `cancel` then the run thread's `finish` with the abort's error: the
+    /// record keeps the state and the error `cancel` gave it, so every
+    /// `status` of the terminal run agrees.
+    #[test]
+    fn finish_keeps_a_cancelled_runs_error() {
+        let workdir = std::env::temp_dir().join(format!("serve-finish-{}", std::process::id()));
+        let yaml = format!(
+            "executor:\n  kind: thread-pool\n  workers: 1\nrun:\n  workdir: {}\n",
+            workdir.display()
+        );
+        let config =
+            cwl_parsl::config::load_config_value(&yamlite::parse_str(&yaml).unwrap()).unwrap();
+        let svc = Service::start(config, false).unwrap();
+        let id = 7;
+        {
+            let mut runs = svc.runs.lock();
+            let rec = RunRecord {
+                id,
+                tenant: "t".to_string(),
+                cwl: workdir.join("none.cwl"),
+                inputs: Map::new(),
+                state: RunState::Running,
+                run_dir: svc.runs_dir.join(format!("run-{id}")),
+                error: None,
+                outputs: None,
+                replayed: 0,
+                appended: 0,
+                spec: None,
+            };
+            std::fs::create_dir_all(&rec.run_dir).unwrap();
+            runs.insert(id, rec);
+            svc.claim_slot();
+        }
+        assert!(svc.cancel(id));
+        svc.finish(id, Err("task failed: run cancelled".to_string()));
+        let snap = svc.status(id).unwrap();
+        assert_eq!(snap.state, RunState::Cancelled);
+        assert_eq!(snap.error.as_deref(), Some("cancelled by client"));
+        svc.shutdown();
+        let _ = std::fs::remove_dir_all(&workdir);
     }
 }

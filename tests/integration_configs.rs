@@ -85,7 +85,7 @@ const EXPECTED: &str = r#"configs/checkpoint.yml
   retry: RetryPolicy { max_retries: 0, initial_backoff: 0ns, multiplier: 2.0, max_backoff: 30s, jitter_frac: 0.1, walltime: None }
   checkpoint: CheckpointSettings { mode: TaskExit, dir: None, period: 500ms }
   staging: StagingSettings { mode: Auto, dir: None, pool: 4 }
-  monitoring: ObsConfig { enabled: false, sample_rate: 1.0, export_path: None, sink_jsonl: true, sink_chrome: false, events_cap: 65536 }
+  monitoring: ObsConfig { enabled: false, sample_rate: 1.0, export_path: None, sink_jsonl: true, sink_chrome: false }
   serve: ServeSettings { socket: None, max_in_flight: 4, queue_cap: 64, tenants: [], default_weight: 1.0 }
   run: workdir=./target/checkpoint-work builtin_tools=true strict_check=false
   scheduler(nodes, cores)=None fault_plan=None
@@ -96,7 +96,7 @@ configs/htex-fault.yml
   retry: RetryPolicy { max_retries: 2, initial_backoff: 10ms, multiplier: 2.0, max_backoff: 200ms, jitter_frac: 0.1, walltime: None }
   checkpoint: CheckpointSettings { mode: Off, dir: None, period: 500ms }
   staging: StagingSettings { mode: Auto, dir: None, pool: 4 }
-  monitoring: ObsConfig { enabled: false, sample_rate: 1.0, export_path: None, sink_jsonl: true, sink_chrome: false, events_cap: 65536 }
+  monitoring: ObsConfig { enabled: false, sample_rate: 1.0, export_path: None, sink_jsonl: true, sink_chrome: false }
   serve: ServeSettings { socket: None, max_in_flight: 4, queue_cap: 64, tenants: [], default_weight: 1.0 }
   run: workdir=<temp>/parsl-cwl-<pid> builtin_tools=true strict_check=false
   scheduler(nodes, cores)=Some((4, 4)) fault_plan=Some(FaultPlan { pending: 1, dead: [] })
@@ -107,7 +107,7 @@ configs/htex-slurm.yml
   retry: RetryPolicy { max_retries: 1, initial_backoff: 0ns, multiplier: 2.0, max_backoff: 30s, jitter_frac: 0.1, walltime: None }
   checkpoint: CheckpointSettings { mode: Off, dir: None, period: 500ms }
   staging: StagingSettings { mode: Auto, dir: None, pool: 4 }
-  monitoring: ObsConfig { enabled: false, sample_rate: 1.0, export_path: None, sink_jsonl: true, sink_chrome: false, events_cap: 65536 }
+  monitoring: ObsConfig { enabled: false, sample_rate: 1.0, export_path: None, sink_jsonl: true, sink_chrome: false }
   serve: ServeSettings { socket: None, max_in_flight: 4, queue_cap: 64, tenants: [], default_weight: 1.0 }
   run: workdir=./work builtin_tools=true strict_check=false
   scheduler(nodes, cores)=Some((3, 144)) fault_plan=None
@@ -117,7 +117,7 @@ configs/local-threads.yml
   retry: RetryPolicy { max_retries: 0, initial_backoff: 0ns, multiplier: 2.0, max_backoff: 30s, jitter_frac: 0.1, walltime: None }
   checkpoint: CheckpointSettings { mode: Off, dir: None, period: 500ms }
   staging: StagingSettings { mode: Auto, dir: None, pool: 4 }
-  monitoring: ObsConfig { enabled: false, sample_rate: 1.0, export_path: None, sink_jsonl: true, sink_chrome: false, events_cap: 65536 }
+  monitoring: ObsConfig { enabled: false, sample_rate: 1.0, export_path: None, sink_jsonl: true, sink_chrome: false }
   serve: ServeSettings { socket: None, max_in_flight: 4, queue_cap: 64, tenants: [], default_weight: 1.0 }
   run: workdir=./work builtin_tools=true strict_check=false
   scheduler(nodes, cores)=None fault_plan=None
@@ -127,7 +127,7 @@ configs/serve.yml
   retry: RetryPolicy { max_retries: 0, initial_backoff: 0ns, multiplier: 2.0, max_backoff: 30s, jitter_frac: 0.1, walltime: None }
   checkpoint: CheckpointSettings { mode: Off, dir: None, period: 500ms }
   staging: StagingSettings { mode: Auto, dir: None, pool: 4 }
-  monitoring: ObsConfig { enabled: true, sample_rate: 1.0, export_path: Some("target/serve-work/trace.jsonl"), sink_jsonl: true, sink_chrome: false, events_cap: 65536 }
+  monitoring: ObsConfig { enabled: true, sample_rate: 1.0, export_path: Some("target/serve-work/trace.jsonl"), sink_jsonl: true, sink_chrome: false }
   serve: ServeSettings { socket: None, max_in_flight: 3, queue_cap: 64, tenants: [("alice", 2.0), ("bob", 1.0)], default_weight: 1.0 }
   run: workdir=./target/serve-work builtin_tools=true strict_check=false
   scheduler(nodes, cores)=None fault_plan=None
@@ -137,7 +137,7 @@ configs/trace-smoke.yml
   retry: RetryPolicy { max_retries: 0, initial_backoff: 0ns, multiplier: 2.0, max_backoff: 30s, jitter_frac: 0.1, walltime: None }
   checkpoint: CheckpointSettings { mode: Off, dir: None, period: 500ms }
   staging: StagingSettings { mode: Auto, dir: None, pool: 4 }
-  monitoring: ObsConfig { enabled: true, sample_rate: 1.0, export_path: Some("target/trace-smoke.jsonl"), sink_jsonl: true, sink_chrome: true, events_cap: 65536 }
+  monitoring: ObsConfig { enabled: true, sample_rate: 1.0, export_path: Some("target/trace-smoke.jsonl"), sink_jsonl: true, sink_chrome: true }
   serve: ServeSettings { socket: None, max_in_flight: 4, queue_cap: 64, tenants: [], default_weight: 1.0 }
   run: workdir=./target/trace-smoke-work builtin_tools=true strict_check=false
   scheduler(nodes, cores)=None fault_plan=None

@@ -12,8 +12,8 @@ use cwl_parsl::{CwlApp, CwlAppOptions, ParslWorkflowRunner};
 use cwlexec::{BuiltinDispatch, ToolDispatch};
 use gridsim::{BatchScheduler, ClusterSpec, FaultPlan, LatencyModel, SchedulerConfig};
 use parsl::{
-    AppArg, Config, DataFlowKernel, FaultSummary, FnApp, HtexConfig, RetryPolicy, SlurmProvider,
-    TaskEvent, TaskEventKind,
+    AppArg, Config, DataFlowKernel, FnApp, HighThroughputExecutor, HtexConfig, RetryPolicy,
+    SlurmProvider, TaskSummary,
 };
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -30,15 +30,15 @@ fn configs() -> PathBuf {
 }
 
 /// Wait (bounded) for an expected monitoring condition: fault handling runs
-/// on the monitor thread, so events like `BlockReplaced` can land slightly
-/// after the workflow's futures resolve. Condvar-notified on every recorded
-/// event — no sleep-and-poll.
-fn wait_for(dfk: &DataFlowKernel, what: &str, cond: impl FnMut(&[TaskEvent]) -> bool) {
+/// on the monitor thread, so events like a block replacement can land
+/// slightly after the workflow's futures resolve. Condvar-notified on every
+/// counted event — no sleep-and-poll.
+fn wait_for(dfk: &DataFlowKernel, what: &str, cond: impl FnMut(&TaskSummary) -> bool) {
     assert!(
         dfk.monitoring()
             .wait_for_events(Duration::from_secs(5), cond),
-        "timed out waiting for {what}; events: {:?}",
-        dfk.monitoring().events()
+        "timed out waiting for {what}; summary: {:?}",
+        dfk.monitoring().summary()
     );
 }
 
@@ -50,39 +50,47 @@ fn scratch(tag: &str) -> PathBuf {
 }
 
 /// Three-node HTEX on a four-node cluster; node01 dies after two task
-/// arrivals, the spare node replaces it.
-fn faulty_kernel(round: usize) -> (Arc<DataFlowKernel>, BatchScheduler) {
+/// arrivals, the spare node replaces it. The executor handle reads the
+/// node table.
+fn faulty_kernel(
+    round: usize,
+) -> (
+    Arc<DataFlowKernel>,
+    Arc<HighThroughputExecutor>,
+    BatchScheduler,
+) {
     let cluster = ClusterSpec::small(4, 1);
     let sched = BatchScheduler::new(cluster, SchedulerConfig::immediate());
     let plan = FaultPlan::new().kill_after_tasks("node01", 2);
-    let dfk = DataFlowKernel::try_new(
-        Config::htex(
-            HtexConfig {
-                label: format!("fault-r{round}"),
-                nodes: 3,
-                workers_per_node: 1,
-                latency: LatencyModel::in_process(),
-                heartbeat_period: Duration::from_millis(5),
-                heartbeat_threshold: Duration::from_millis(60),
-                min_nodes: 3,
-                fault_plan: Some(plan),
-                // Batched dispatch: node01 dies mid-batch, so the unfinished
-                // remainder of its batch must be re-dispatched.
-                batch_size: 4,
-                ..HtexConfig::default()
-            },
-            Arc::new(SlurmProvider::new(sched.clone())),
-        )
-        .with_retry_policy(RetryPolicy::retries(1)),
+    let htex = HighThroughputExecutor::start(
+        HtexConfig {
+            label: format!("fault-r{round}"),
+            nodes: 3,
+            workers_per_node: 1,
+            latency: LatencyModel::in_process(),
+            heartbeat_period: Duration::from_millis(5),
+            heartbeat_threshold: Duration::from_millis(60),
+            min_nodes: 3,
+            fault_plan: Some(plan),
+            // Batched dispatch: node01 dies mid-batch, so the unfinished
+            // remainder of its batch must be re-dispatched.
+            batch_size: 4,
+            ..HtexConfig::default()
+        },
+        Arc::new(SlurmProvider::new(sched.clone())),
     )
     .unwrap();
-    (dfk, sched)
+    let dfk = DataFlowKernel::with_executor(
+        htex.clone(),
+        Config::local_threads(0).with_retry_policy(RetryPolicy::retries(1)),
+    );
+    (dfk, htex, sched)
 }
 
 #[test]
 fn node_death_mid_workflow_recovers_deterministically() {
     for round in 0..3 {
-        let (dfk, sched) = faulty_kernel(round);
+        let (dfk, htex, sched) = faulty_kernel(round);
         // The pilot job holds 3 of 4 nodes.
         assert_eq!(sched.free_node_count(), 1, "round {round}");
 
@@ -103,9 +111,7 @@ fn node_death_mid_workflow_recovers_deterministically() {
             );
         }
 
-        wait_for(&dfk, "block replacement", |evs| {
-            FaultSummary::from_events(evs).blocks_replaced == 1
-        });
+        wait_for(&dfk, "block replacement", |s| s.blocks_replaced == 1);
         let fs = dfk.monitoring().fault_summary();
         assert_eq!(
             fs.nodes_lost,
@@ -116,18 +122,25 @@ fn node_death_mid_workflow_recovers_deterministically() {
             fs.tasks_redispatched >= 1,
             "round {round}: the task that found the node dead is re-queued"
         );
-        let events = dfk.monitoring().events();
-        let replacement = events
-            .iter()
-            .find(|e| e.kind == TaskEventKind::BlockReplaced)
-            .unwrap();
-        assert_eq!(replacement.label, "node04", "round {round}");
+        assert_eq!(fs.blocks_replaced, 1, "round {round}");
+        // The spare node is the replacement.
+        assert_eq!(
+            htex.live_nodes(),
+            ["node02", "node03", "node04"],
+            "round {round}"
+        );
         // No task ends in a failed state.
         assert_eq!(dfk.monitoring().summary().failed, 0, "round {round}");
 
         dfk.shutdown();
         // Shutdown returns every node, including the dead one's allocation.
         assert_eq!(sched.free_node_count(), 4, "round {round}");
+        // The fault story outlives the executor.
+        assert_eq!(
+            dfk.monitoring().fault_summary().nodes_lost,
+            ["node01"],
+            "round {round}"
+        );
     }
 }
 
@@ -140,22 +153,26 @@ fn mid_batch_node_kill_redispatches_exactly_the_unfinished() {
     use std::sync::atomic::{AtomicUsize, Ordering};
     const TASKS: usize = 24;
     let plan = FaultPlan::new().kill_after_tasks("localhost/0", 2);
-    let dfk = DataFlowKernel::try_new(Config::htex(
-        HtexConfig {
-            label: "mid-batch".into(),
-            nodes: 2,
-            workers_per_node: 1,
-            latency: LatencyModel::in_process(),
-            heartbeat_period: Duration::from_millis(5),
-            heartbeat_threshold: Duration::from_millis(60),
-            min_nodes: 0,
-            fault_plan: Some(plan.clone()),
-            // Multi-task messages: the kill lands in the middle of one.
-            batch_size: 6,
-            ..HtexConfig::default()
-        },
-        Arc::new(parsl::LocalProvider::new(1)),
-    ))
+    let dfk = DataFlowKernel::try_new(
+        Config::htex(
+            HtexConfig {
+                label: "mid-batch".into(),
+                nodes: 2,
+                workers_per_node: 1,
+                latency: LatencyModel::in_process(),
+                heartbeat_period: Duration::from_millis(5),
+                heartbeat_threshold: Duration::from_millis(60),
+                min_nodes: 0,
+                fault_plan: Some(plan.clone()),
+                // Multi-task messages: the kill lands in the middle of one.
+                batch_size: 6,
+                ..HtexConfig::default()
+            },
+            Arc::new(parsl::LocalProvider::new(1)),
+        )
+        // Per-task re-dispatches are read from the trace's spans.
+        .with_monitoring(parsl::ObsConfig::on()),
+    )
     .unwrap();
 
     let executions: Arc<Vec<AtomicUsize>> =
@@ -183,9 +200,7 @@ fn mid_batch_node_kill_redispatches_exactly_the_unfinished() {
     }
     assert!(plan.is_dead("localhost/0"));
 
-    wait_for(&dfk, "node loss processed", |evs| {
-        !FaultSummary::from_events(evs).nodes_lost.is_empty()
-    });
+    wait_for(&dfk, "node loss processed", |s| s.node_lost > 0);
     let fs = dfk.monitoring().fault_summary();
     assert_eq!(fs.nodes_lost, vec!["localhost/0".to_string()]);
     assert!(
@@ -195,13 +210,18 @@ fn mid_batch_node_kill_redispatches_exactly_the_unfinished() {
 
     // Per-task accounting: a task runs once, plus at most once per
     // re-dispatch of that specific task — a result that died with the node
-    // re-executes, but nothing runs without having been re-dispatched.
+    // re-executes, but nothing runs without having been re-dispatched. A
+    // task's lineage id is its task id (1-based).
     let mut redispatches = [0usize; TASKS];
-    for e in dfk.monitoring().events() {
-        if e.kind == TaskEventKind::Redispatched && e.task.0 >= 1 {
-            redispatches[(e.task.0 - 1) as usize] += 1;
+    for s in dfk.observability().spans() {
+        if s.kind == parsl::SpanKind::Redispatched && s.lineage >= 1 {
+            redispatches[(s.lineage - 1) as usize] += 1;
         }
     }
+    assert!(
+        redispatches.iter().sum::<usize>() >= 1,
+        "each re-dispatch leaves a Redispatched span"
+    );
     for i in 0..TASKS {
         let runs = executions[i].load(Ordering::SeqCst);
         assert!(runs >= 1, "task {i} never executed");
@@ -224,7 +244,7 @@ fn mid_batch_node_kill_redispatches_exactly_the_unfinished() {
 #[test]
 fn cwl_workflow_survives_node_loss() {
     let dir = scratch("cwl");
-    let (dfk, _sched) = faulty_kernel(9);
+    let (dfk, _htex, _sched) = faulty_kernel(9);
     let echo = CwlApp::load(
         &dfk,
         fixtures().join("echo.cwl"),
@@ -255,9 +275,7 @@ fn cwl_workflow_survives_node_loss() {
     }
     // The node can die holding no unfinished task; the monitor then records
     // the loss only after every future has already resolved.
-    wait_for(&dfk, "node loss processed", |evs| {
-        !FaultSummary::from_events(evs).nodes_lost.is_empty()
-    });
+    wait_for(&dfk, "node loss processed", |s| s.node_lost > 0);
     let fs = dfk.monitoring().fault_summary();
     assert_eq!(fs.nodes_lost, vec!["node01".to_string()]);
     dfk.shutdown();
@@ -370,9 +388,7 @@ fn node_loss_produces_linked_trace_spans() {
             "task {i}"
         );
     }
-    wait_for(&dfk, "node loss processed", |evs| {
-        !FaultSummary::from_events(evs).nodes_lost.is_empty()
-    });
+    wait_for(&dfk, "node loss processed", |s| s.node_lost > 0);
     dfk.shutdown();
 
     let spans = obs.spans();
@@ -436,9 +452,7 @@ fn yaml_fault_config_drives_injection() {
     for (i, f) in futs.iter().enumerate() {
         assert_eq!(f.result().unwrap(), Value::Int(3 * i as i64));
     }
-    wait_for(&dfk, "block replacement", |evs| {
-        FaultSummary::from_events(evs).blocks_replaced == 1
-    });
+    wait_for(&dfk, "block replacement", |s| s.blocks_replaced == 1);
     let fs = dfk.monitoring().fault_summary();
     assert_eq!(fs.nodes_lost, vec!["node02".to_string()]);
     assert!(plan.is_dead("node02"));

@@ -23,9 +23,7 @@
 //! - `SIM_SEED_BASE=b`, `SIM_SEED_COUNT=n` — run `b..b+n` (default `1..51`).
 
 use gridsim::{FaultPlan, LatencyModel, Scenario};
-use parsl::{
-    AppArg, Config, DataFlowKernel, FnApp, HtexConfig, LocalProvider, RetryPolicy, TaskEventKind,
-};
+use parsl::{AppArg, Config, DataFlowKernel, FnApp, HtexConfig, LocalProvider, RetryPolicy};
 use simtest::{Clock as _, VirtualClock};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -260,9 +258,7 @@ fn virtual_clock_detects_silent_death_without_wall_time() {
     .unwrap();
     let wall = std::time::Instant::now();
     dfk.monitoring()
-        .wait_for_events(Duration::from_secs(30), |evs| {
-            evs.iter().any(|e| e.kind == TaskEventKind::NodeLost)
-        });
+        .wait_for_events(Duration::from_secs(30), |s| s.node_lost > 0);
     let fs = dfk.monitoring().fault_summary();
     assert_eq!(fs.nodes_lost, vec!["localhost/1".to_string()]);
     // The staleness threshold alone is 30 virtual seconds; crossing it this
@@ -338,9 +334,7 @@ fn virtual_clock_fault_workflow_loses_no_tasks() {
         }
         assert!(plan.is_dead("localhost/0"));
         dfk.monitoring()
-            .wait_for_events(Duration::from_secs(10), |evs| {
-                evs.iter().any(|e| e.kind == TaskEventKind::NodeLost)
-            });
+            .wait_for_events(Duration::from_secs(10), |s| s.node_lost > 0);
         let fs = dfk.monitoring().fault_summary();
         assert_eq!(fs.nodes_lost, vec!["localhost/0".to_string()]);
         for (i, e) in executions.iter().enumerate() {
