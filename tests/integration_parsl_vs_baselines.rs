@@ -3,11 +3,13 @@
 //! and inputs — the correctness property underneath the paper's performance
 //! comparison — and must refuse the same documents for the same reason.
 //! [`CASES`] is the table: every fixture workflow and one inline document
-//! per workflow construct, each run on all three.
+//! per workflow construct, each run on all three (parsl-cwl on both its
+//! thread pool and HTEX).
 
 use cwl_parsl::{CwlAppOptions, ParslWorkflowRunner};
 use cwlexec::BuiltinDispatch;
-use parsl::{Config, DataFlowKernel};
+use gridsim::LatencyModel;
+use parsl::{Config, DataFlowKernel, HtexConfig, LocalProvider};
 use runners::{RefRunner, ToilRunner};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -613,7 +615,10 @@ fn by_content(value: &Value) -> Value {
 /// ran (when the runner counts them).
 type Answer = Result<(Value, Option<usize>), String>;
 
-fn run_on_all_three(case: &Case, dir: &Path) -> [(&'static str, Answer); 3] {
+/// Every case on RefRunner, ToilRunner, and the Parsl runner on both of
+/// its executors: the thread pool and HTEX (2 nodes × 2 workers, default
+/// `batch_size`, no modelled latency, local provider).
+fn run_on_all_three(case: &Case, dir: &Path) -> [(&'static str, Answer); 4] {
     let (workflow, inputs) = stage(case, dir);
     let report = |r: Result<runners::RunReport, String>| {
         r.map(|r| (by_content(&Value::Map(r.outputs)), Some(r.tasks)))
@@ -625,22 +630,36 @@ fn run_on_all_three(case: &Case, dir: &Path) -> [(&'static str, Answer); 3] {
         &inputs,
         dir.join("toil"),
     );
-    let dfk = DataFlowKernel::new(Config::local_threads(4));
-    let options = CwlAppOptions::in_dir(dir.join("parsl")).with_builtin_tools();
-    let parsl = ParslWorkflowRunner::new(&dfk, options).run(&workflow, &inputs);
-    dfk.shutdown();
+    let parsl = |config: Config, sub: &str| {
+        let dfk = DataFlowKernel::new(config);
+        let options = CwlAppOptions::in_dir(dir.join(sub)).with_builtin_tools();
+        let outputs = ParslWorkflowRunner::new(&dfk, options).run(&workflow, &inputs);
+        dfk.shutdown();
+        outputs.map(|outputs| (by_content(&Value::Map(outputs)), None))
+    };
+    let htex = Config::htex(
+        HtexConfig {
+            label: "xsys-htex".to_string(),
+            nodes: 2,
+            workers_per_node: 2,
+            latency: LatencyModel::in_process(),
+            ..HtexConfig::default()
+        },
+        Arc::new(LocalProvider::new(2)),
+    );
     [
         ("RefRunner", report(reference)),
         ("ToilRunner", report(toil)),
         (
             "ParslWorkflowRunner",
-            parsl.map(|outputs| (by_content(&Value::Map(outputs)), None)),
+            parsl(Config::local_threads(4), "parsl"),
         ),
+        ("ParslWorkflowRunner on HTEX", parsl(htex, "parsl-htex")),
     ]
 }
 
 /// Why a case fails, if it does.
-fn verdict(case: &Case, answers: &[(&'static str, Answer); 3]) -> Result<(), String> {
+fn verdict(case: &Case, answers: &[(&'static str, Answer); 4]) -> Result<(), String> {
     if let Want::Rejected(reason) = case.want {
         for (runner, answer) in answers {
             match answer {
@@ -737,7 +756,7 @@ steps:
         want: Want::Agreement,
     };
     let dir = scratch("graph-shape");
-    let [reference, toil, parsl] = run_on_all_three(&case, &dir);
+    let [reference, toil, parsl, parsl_htex] = run_on_all_three(&case, &dir);
     let expected = yamlite::parse_str("{copies: [\"a\\n\", \"b\\n\"]}").unwrap();
     assert_eq!(reference.1.unwrap().0, expected);
     assert_eq!(toil.1.unwrap().0, expected);
@@ -746,6 +765,7 @@ steps:
         refusal.contains("the scatter width depends on the output of an upstream step"),
         "{refusal}"
     );
+    assert_eq!(parsl_htex.1.unwrap_err(), refusal);
     gridsim::TimeScale::set(1.0);
     let _ = std::fs::remove_dir_all(&dir);
 }
