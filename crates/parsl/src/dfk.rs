@@ -12,7 +12,7 @@ use crate::future::{promise_pair, AppFuture, DataFuture, Promise, TaskResult};
 use crate::htex::HighThroughputExecutor;
 use crate::monitoring::Monitoring;
 use crate::task::TaskId;
-use obs::{names, ObsConfig, Observability, SpanCtx, SpanKind};
+use obs::{names, Observability, SpanCtx, SpanKind};
 use parking_lot::{Condvar, Mutex};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -340,9 +340,12 @@ impl DataFlowKernel {
     /// Build a kernel, returning provisioning errors.
     pub fn try_new(config: Config) -> Result<Arc<Self>, String> {
         let label = config.label.clone();
+        // Built before the executor starts, so the executor records into the
+        // run's own instance from its first block on.
+        let obs = Arc::new(Observability::new(config.monitoring));
         let executor: Arc<dyn Executor> = match config.executor {
             ExecutorChoice::ThreadPool { workers } => {
-                ThreadPoolExecutor::new(format!("{label}-tpe"), workers)
+                ThreadPoolExecutor::new(format!("{label}-tpe"), workers, obs.clone())
             }
             ExecutorChoice::Htex {
                 config: mut hc,
@@ -354,14 +357,14 @@ impl DataFlowKernel {
                 if !Arc::ptr_eq(&config.clock, &simtest::real_clock()) {
                     hc.clock = config.clock.clone();
                 }
-                HighThroughputExecutor::start(hc, provider)?
+                HighThroughputExecutor::start(hc, provider, obs.clone())?
             }
         };
         Ok(Self::from_parts(
             executor,
+            obs,
             config.retry,
             config.memoize,
-            config.monitoring,
             config.checkpoint,
             config.clock,
             config.seed,
@@ -370,13 +373,19 @@ impl DataFlowKernel {
     }
 
     /// Build a kernel on an already-running executor — for custom executors
-    /// and fault-injection tests.
-    pub fn with_executor(executor: Arc<dyn Executor>, config: Config) -> Arc<Self> {
+    /// and fault-injection tests. `obs` is the handle the executor was built
+    /// with; the kernel records into the same one (`config.monitoring` is
+    /// not read: `obs` already carries its settings).
+    pub fn with_executor(
+        executor: Arc<dyn Executor>,
+        obs: Arc<Observability>,
+        config: Config,
+    ) -> Arc<Self> {
         Self::from_parts(
             executor,
+            obs,
             config.retry,
             config.memoize,
-            config.monitoring,
             config.checkpoint,
             config.clock,
             config.seed,
@@ -387,22 +396,20 @@ impl DataFlowKernel {
     #[allow(clippy::too_many_arguments)]
     fn from_parts(
         executor: Arc<dyn Executor>,
+        obs: Arc<Observability>,
         retry: RetryPolicy,
         memoize: bool,
-        monitoring: ObsConfig,
         checkpoint: Option<Arc<ckpt::Journal>>,
         clock: simtest::ClockRef,
         seed: Option<u64>,
         gate: Option<Arc<dyn DispatchGate>>,
     ) -> Arc<Self> {
-        let obs = Arc::new(Observability::new(monitoring));
         if obs.is_enabled() {
             // Layers with no handle to a kernel (expression cache, tool
             // dispatch, providers) record against the process-global
             // instance; export folds its metrics into this run's trace.
             obs::global().set_enabled(true);
         }
-        executor.attach_observability(obs.clone());
         // The executor's event counters exist from the start too, so every
         // summary field has its metric in the trace even at zero.
         for name in [
@@ -1549,11 +1556,13 @@ mod tests {
 
     #[test]
     fn executor_lost_is_retried_but_dependency_failure_is_not() {
+        let obs = Arc::new(Observability::off());
         let flaky = Arc::new(LosesFirstTask {
-            inner: ThreadPoolExecutor::new("inner", 2),
+            inner: ThreadPoolExecutor::new("inner", 2, obs.clone()),
             tripped: std::sync::atomic::AtomicBool::new(false),
         });
-        let dfk = DataFlowKernel::with_executor(flaky, Config::local_threads(0).with_retries(2));
+        let dfk =
+            DataFlowKernel::with_executor(flaky, obs, Config::local_threads(0).with_retries(2));
         // First submission is lost with ExecutorLost → retried → succeeds.
         let survivor = dfk.submit("survivor", vec![], FnApp::new(|_| Ok(Value::Int(7))));
         assert_eq!(survivor.result().unwrap(), Value::Int(7));
@@ -1760,5 +1769,44 @@ mod tests {
             assert_eq!(f.result().unwrap(), Value::Int(i as i64));
         }
         dfk.shutdown();
+    }
+
+    /// The kernel's observability handle reaches HTEX before its first
+    /// block is provisioned, so a traced run exports that block too.
+    #[test]
+    fn traced_htex_kernel_exports_its_first_block() {
+        use crate::htex::HtexConfig;
+        use crate::provider::LocalProvider;
+        let dir = std::env::temp_dir().join(format!("dfk-first-block-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("trace.jsonl");
+        let dfk = DataFlowKernel::new(
+            Config::htex(
+                HtexConfig {
+                    label: "traced".into(),
+                    nodes: 1,
+                    workers_per_node: 1,
+                    ..HtexConfig::default()
+                },
+                Arc::new(LocalProvider::new(1)),
+            )
+            .with_monitoring(obs::ObsConfig::exporting(&path)),
+        );
+        dfk.shutdown();
+        dfk.observability().export().unwrap();
+        let trace = obs::report::load_trace(&path).unwrap();
+        let blocks = trace
+            .metrics
+            .iter()
+            .find(|m| m.name == names::HTEX_BLOCKS_ADDED)
+            .map(|m| m.value);
+        assert_eq!(blocks, Some(1));
+        let provisions = trace
+            .spans
+            .iter()
+            .filter(|s| s.kind == SpanKind::BlockProvision)
+            .count();
+        assert_eq!(provisions, 1);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

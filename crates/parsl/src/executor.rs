@@ -75,11 +75,6 @@ pub trait Executor: Send + Sync {
     /// with [`TaskError::Shutdown`].
     fn shutdown(&self);
 
-    /// Attach the run's observability instance so the executor can record
-    /// spans, metrics and node events. Default: the executor records
-    /// nothing.
-    fn attach_observability(&self, _obs: Arc<Observability>) {}
-
     /// Names of the nodes this executor has declared dead. Default: none
     /// (an executor without nodes loses none).
     fn lost_nodes(&self) -> Vec<String> {
@@ -100,16 +95,15 @@ pub struct ThreadPoolExecutor {
     workers: parking_lot::Mutex<Vec<std::thread::JoinHandle<()>>>,
     worker_count: usize,
     closed: AtomicBool,
-    obs: Arc<parking_lot::Mutex<Arc<Observability>>>,
 }
 
 impl ThreadPoolExecutor {
-    /// Spawn a pool with `workers` threads.
-    pub fn new(label: impl Into<String>, workers: usize) -> Arc<Self> {
+    /// Spawn a pool with `workers` threads that record their spans and
+    /// metrics into `obs`, the kernel's observability handle.
+    pub fn new(label: impl Into<String>, workers: usize, obs: Arc<Observability>) -> Arc<Self> {
         let workers = workers.max(1);
         let label = label.into();
         let (tx, rx) = unbounded::<Msg>();
-        let obs = Arc::new(parking_lot::Mutex::new(Arc::new(Observability::off())));
         let mut handles = Vec::with_capacity(workers);
         for i in 0..workers {
             let rx: Receiver<Msg> = rx.clone();
@@ -128,16 +122,14 @@ impl ThreadPoolExecutor {
             workers: parking_lot::Mutex::new(handles),
             worker_count: workers,
             closed: AtomicBool::new(false),
-            obs,
         })
     }
 }
 
-fn worker_loop(rx: Receiver<Msg>, obs: Arc<parking_lot::Mutex<Arc<Observability>>>) {
+fn worker_loop(rx: Receiver<Msg>, obs: Arc<Observability>) {
     while let Ok(msg) = rx.recv() {
         match msg {
             Msg::Task(task) => {
-                let obs = obs.lock().clone();
                 if obs.is_enabled() {
                     let ctx = task.ctx;
                     let span = obs.start_span(
@@ -195,10 +187,6 @@ impl Executor for ThreadPoolExecutor {
             let _ = handle.join();
         }
     }
-
-    fn attach_observability(&self, obs: Arc<Observability>) {
-        *self.obs.lock() = obs;
-    }
 }
 
 #[cfg(test)]
@@ -226,7 +214,7 @@ mod tests {
 
     #[test]
     fn executes_tasks() {
-        let pool = ThreadPoolExecutor::new("tp", 4);
+        let pool = ThreadPoolExecutor::new("tp", 4, Arc::new(Observability::off()));
         let (fut, task) = payload(1, || Ok(Value::Int(7)));
         pool.submit(task);
         assert_eq!(fut.result().unwrap(), Value::Int(7));
@@ -235,7 +223,7 @@ mod tests {
 
     #[test]
     fn parallelism_actually_happens() {
-        let pool = ThreadPoolExecutor::new("tp", 4);
+        let pool = ThreadPoolExecutor::new("tp", 4, Arc::new(Observability::off()));
         let running = Arc::new(AtomicUsize::new(0));
         let peak = Arc::new(AtomicUsize::new(0));
         let mut futs = Vec::new();
@@ -261,7 +249,7 @@ mod tests {
 
     #[test]
     fn panics_are_isolated() {
-        let pool = ThreadPoolExecutor::new("tp", 2);
+        let pool = ThreadPoolExecutor::new("tp", 2, Arc::new(Observability::off()));
         let (bad, task) = payload(1, || panic!("kaboom"));
         pool.submit(task);
         match bad.result() {
@@ -277,7 +265,7 @@ mod tests {
 
     #[test]
     fn shutdown_joins_workers() {
-        let pool = ThreadPoolExecutor::new("tp", 2);
+        let pool = ThreadPoolExecutor::new("tp", 2, Arc::new(Observability::off()));
         let (fut, task) = payload(1, || Ok(Value::Null));
         pool.submit(task);
         fut.result().unwrap();
@@ -287,7 +275,7 @@ mod tests {
 
     #[test]
     fn submit_after_shutdown_fails_fast() {
-        let pool = ThreadPoolExecutor::new("tp", 2);
+        let pool = ThreadPoolExecutor::new("tp", 2, Arc::new(Observability::off()));
         pool.shutdown();
         let (fut, task) = payload(1, || Ok(Value::Int(1)));
         pool.submit(task);
@@ -300,7 +288,7 @@ mod tests {
 
     #[test]
     fn zero_workers_clamped_to_one() {
-        let pool = ThreadPoolExecutor::new("tp", 0);
+        let pool = ThreadPoolExecutor::new("tp", 0, Arc::new(Observability::off()));
         assert_eq!(pool.worker_count(), 1);
         pool.shutdown();
     }

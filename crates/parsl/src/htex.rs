@@ -218,20 +218,24 @@ pub struct HighThroughputExecutor {
     /// Time source for heartbeats and staleness detection — real in
     /// production, virtual under the simulation harness.
     clock: simtest::ClockRef,
-    /// The run's observability instance, swapped in by
-    /// [`Executor::attach_observability`] after the DFK builds it. Shared
-    /// (`Arc<Mutex<..>>`) with worker threads spawned before the attach.
-    /// Node events (lost, re-dispatched, replaced) are counted here.
-    obs: Arc<Mutex<Arc<Observability>>>,
+    /// The run's observability instance, given at construction: the first
+    /// block's provisioning is recorded too. Node events (lost,
+    /// re-dispatched, replaced) are counted here.
+    obs: Arc<Observability>,
     dispatcher: Mutex<Option<std::thread::JoinHandle<()>>>,
     monitor: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
 impl HighThroughputExecutor {
-    /// Provision nodes through `provider` and start managers. Blocks until
-    /// the pilot job(s) are granted — like Parsl blocking on first tasks
-    /// until workers connect.
-    pub fn start(config: HtexConfig, provider: Arc<dyn Provider>) -> Result<Arc<Self>, String> {
+    /// Provision nodes through `provider` and start managers, recording
+    /// into `obs` (the kernel's observability handle). Blocks until the
+    /// pilot job(s) are granted — like Parsl blocking on first tasks until
+    /// workers connect.
+    pub fn start(
+        config: HtexConfig,
+        provider: Arc<dyn Provider>,
+        obs: Arc<Observability>,
+    ) -> Result<Arc<Self>, String> {
         let (dispatch_tx, dispatch_rx) = unbounded::<DispatchMsg>();
         let htex = Arc::new(Self {
             label: config.label,
@@ -251,7 +255,7 @@ impl HighThroughputExecutor {
             stop: Arc::new(StopSignal::new()),
             failed: AtomicBool::new(false),
             clock: config.clock,
-            obs: Arc::new(Mutex::new(Arc::new(Observability::off()))),
+            obs,
             dispatcher: Mutex::new(None),
             monitor: Mutex::new(None),
         });
@@ -280,7 +284,7 @@ impl HighThroughputExecutor {
     }
 
     fn add_block_inner(self: &Arc<Self>, nodes: usize) -> Result<(usize, Vec<String>), String> {
-        let obs = self.obs.lock().clone();
+        let obs = &self.obs;
         // Covers the provider round-trip (batch-queue wait included). An
         // unfinished span from an Err return is simply dropped.
         let provision_span = obs.start_span(SpanKind::BlockProvision, 0, 0, &self.label);
@@ -435,7 +439,7 @@ impl HighThroughputExecutor {
     /// A manager stopped heartbeating (or its node was killed): re-queue
     /// its in-flight tasks and restore capacity if below the floor.
     fn handle_node_loss(self: &Arc<Self>, mgr: &Arc<ManagerState>) {
-        let obs = self.obs.lock().clone();
+        let obs = &self.obs;
         obs.count(&obs.counter(names::HTEX_NODES_LOST));
         // The loss event is node-level (lineage 0); each orphan's
         // Redispatched span parents onto it, linking the task's lineage to
@@ -475,7 +479,7 @@ impl HighThroughputExecutor {
                 .name(format!("{}-replace", self.label))
                 .spawn(move || match h.add_block_inner(1) {
                     Ok((_, nodes)) => {
-                        let obs = h.obs.lock().clone();
+                        let obs = &h.obs;
                         let replaced = obs.counter(names::HTEX_BLOCKS_REPLACED);
                         for _ in nodes {
                             obs.count(&replaced);
@@ -587,7 +591,7 @@ fn dispatcher_loop(rx: Receiver<DispatchMsg>, htex: Weak<HighThroughputExecutor>
             // capped at one message's worth.
             let k = queue.len().div_ceil(alive.len()).min(h.batch_size);
             let chunk: Vec<(TaskPayload, Arc<AtomicBool>)> = queue.drain(..k).collect();
-            let obs = h.obs.lock().clone();
+            let obs = &h.obs;
             if obs.is_enabled() {
                 // Batch occupancy: how full each interchange→manager
                 // message actually was.
@@ -667,7 +671,7 @@ fn worker_loop(
     rx: Receiver<WorkerMsg>,
     latency: LatencyModel,
     plan: Option<FaultPlan>,
-    obs: Arc<Mutex<Arc<Observability>>>,
+    obs: Arc<Observability>,
     clock: simtest::ClockRef,
 ) {
     loop {
@@ -710,7 +714,6 @@ fn worker_loop(
         if !ticket.swap(true, Ordering::SeqCst) {
             latency.pay_dispatch_on(&*clock);
         }
-        let obs = obs.lock().clone();
         let result = if obs.is_enabled() {
             let ctx = payload.ctx;
             obs.instant_span(
@@ -873,7 +876,7 @@ fn flush_results(
         latency.pay_result_on(&**clock);
     }
     if let Some(h) = htex.upgrade() {
-        let obs = h.obs.lock().clone();
+        let obs = &h.obs;
         if obs.is_enabled() {
             for (payload, _) in &completions {
                 obs.instant_span(
@@ -937,7 +940,7 @@ fn monitor_loop(htex: Weak<HighThroughputExecutor>) {
                 && now_ms.saturating_sub(mgr.last_beat.load(Ordering::SeqCst)) > threshold_ms
             {
                 mgr.dead.store(true, Ordering::SeqCst);
-                h.obs.lock().counter(names::HTEX_HEARTBEAT_MISSES).incr();
+                h.obs.counter(names::HTEX_HEARTBEAT_MISSES).incr();
             }
             if mgr.dead.load(Ordering::SeqCst) && !mgr.lost_handled.swap(true, Ordering::SeqCst) {
                 h.handle_node_loss(mgr);
@@ -1031,20 +1034,15 @@ impl Executor for HighThroughputExecutor {
         self.provider.release(nodes);
     }
 
-    fn attach_observability(&self, obs: Arc<Observability>) {
-        *self.obs.lock() = obs;
-    }
-
     fn lost_nodes(&self) -> Vec<String> {
         self.node_names(true)
     }
 }
 
 impl HighThroughputExecutor {
-    /// The observability instance currently attached (a disabled stand-in
-    /// until the DFK attaches the run's own).
+    /// The observability instance this executor records into.
     pub fn observability(&self) -> Arc<Observability> {
-        self.obs.lock().clone()
+        self.obs.clone()
     }
 
     /// The executor's time source (real or virtual) — shared with the
@@ -1090,6 +1088,7 @@ mod tests {
         let htex = HighThroughputExecutor::start(
             no_latency("htex", 3, 2),
             Arc::new(LocalProvider::new(2)),
+            Arc::new(Observability::off()),
         )
         .unwrap();
         assert_eq!(htex.manager_count(), 3);
@@ -1117,6 +1116,7 @@ mod tests {
                 ..no_latency("htex", 2, 1)
             },
             Arc::new(LocalProvider::new(1)),
+            Arc::new(Observability::off()),
         )
         .unwrap();
         // The executor works while they are parked.
@@ -1139,6 +1139,7 @@ mod tests {
         let htex = HighThroughputExecutor::start(
             no_latency("htex", 2, 0),
             Arc::new(LocalProvider::new(3)),
+            Arc::new(Observability::off()),
         )
         .unwrap();
         assert_eq!(htex.worker_count(), 6);
@@ -1149,7 +1150,12 @@ mod tests {
     fn add_block_scales_out() {
         let sched = BatchScheduler::new(ClusterSpec::small(4, 2), SchedulerConfig::immediate());
         let provider = Arc::new(SlurmProvider::new(sched.clone()));
-        let htex = HighThroughputExecutor::start(no_latency("htex", 1, 2), provider).unwrap();
+        let htex = HighThroughputExecutor::start(
+            no_latency("htex", 1, 2),
+            provider,
+            Arc::new(Observability::off()),
+        )
+        .unwrap();
         assert_eq!(htex.worker_count(), 2);
         assert_eq!(sched.free_node_count(), 3);
         let added = htex.add_block(2).unwrap();
@@ -1168,7 +1174,12 @@ mod tests {
     fn slurm_nodes_released_on_shutdown() {
         let sched = BatchScheduler::new(ClusterSpec::small(3, 2), SchedulerConfig::immediate());
         let provider = Arc::new(SlurmProvider::new(sched.clone()));
-        let htex = HighThroughputExecutor::start(no_latency("htex", 2, 1), provider).unwrap();
+        let htex = HighThroughputExecutor::start(
+            no_latency("htex", 2, 1),
+            provider,
+            Arc::new(Observability::off()),
+        )
+        .unwrap();
         assert_eq!(sched.free_node_count(), 1);
         let fut = submit_value(&htex, 1);
         fut.result().unwrap();
@@ -1181,6 +1192,7 @@ mod tests {
         let htex = HighThroughputExecutor::start(
             no_latency("htex", 2, 2),
             Arc::new(LocalProvider::new(2)),
+            Arc::new(Observability::off()),
         )
         .unwrap();
         let running = Arc::new(AtomicUsize::new(0));
@@ -1215,7 +1227,12 @@ mod tests {
     fn oversubscribed_provider_fails_start() {
         let sched = BatchScheduler::new(ClusterSpec::small(2, 2), SchedulerConfig::immediate());
         let provider = Arc::new(SlurmProvider::new(sched));
-        assert!(HighThroughputExecutor::start(no_latency("htex", 5, 1), provider).is_err());
+        assert!(HighThroughputExecutor::start(
+            no_latency("htex", 5, 1),
+            provider,
+            Arc::new(Observability::off())
+        )
+        .is_err());
     }
 
     #[test]
@@ -1223,6 +1240,7 @@ mod tests {
         let htex = HighThroughputExecutor::start(
             no_latency("htex", 1, 1),
             Arc::new(LocalProvider::new(1)),
+            Arc::new(Observability::off()),
         )
         .unwrap();
         let gate = Arc::new(parking_lot::Mutex::new(()));
@@ -1260,6 +1278,7 @@ mod tests {
         let htex = HighThroughputExecutor::start(
             no_latency("htex", 1, 1),
             Arc::new(LocalProvider::new(1)),
+            Arc::new(Observability::off()),
         )
         .unwrap();
         htex.shutdown();
@@ -1292,9 +1311,9 @@ mod tests {
                 ..HtexConfig::default()
             },
             Arc::new(LocalProvider::new(1)),
+            obs.clone(),
         )
         .unwrap();
-        htex.attach_observability(obs.clone());
         let futs: Vec<_> = (1..=10).map(|i| submit_value(&htex, i)).collect();
         for (i, f) in futs.iter().enumerate() {
             assert_eq!(
@@ -1332,9 +1351,9 @@ mod tests {
                 ..HtexConfig::default()
             },
             Arc::new(LocalProvider::new(1)),
+            obs.clone(),
         )
         .unwrap();
-        htex.attach_observability(obs.clone());
         let lost = obs.counter(names::HTEX_NODES_LOST);
         assert!(obs.wait_for(Duration::from_secs(5), || lost.value() == 1));
         assert_eq!(htex.manager_count(), 1);
@@ -1366,9 +1385,9 @@ mod tests {
                 ..HtexConfig::default()
             },
             provider,
+            obs.clone(),
         )
         .unwrap();
-        htex.attach_observability(obs.clone());
         let futs: Vec<_> = (1..=8).map(|i| submit_value(&htex, i)).collect();
         for f in &futs {
             f.result_timeout(Duration::from_secs(10))
@@ -1406,6 +1425,7 @@ mod tests {
                 ..HtexConfig::default()
             },
             provider,
+            Arc::new(Observability::off()),
         )
         .unwrap();
         let futs: Vec<_> = (1..=8).map(|i| submit_value(&htex, i)).collect();
@@ -1443,6 +1463,7 @@ mod tests {
                 ..HtexConfig::default()
             },
             Arc::new(LocalProvider::new(1)),
+            Arc::new(Observability::off()),
         )
         .unwrap();
         let fut = submit_value(&htex, 1);

@@ -135,6 +135,7 @@ mod tests {
                 ..HtexConfig::default()
             },
             Arc::new(SlurmProvider::new(sched.clone())),
+            Arc::new(obs::Observability::off()),
         )
         .unwrap();
         assert_eq!(htex.manager_count(), 1);
@@ -195,6 +196,7 @@ mod tests {
                 ..HtexConfig::default()
             },
             Arc::new(SlurmProvider::new(sched)),
+            Arc::new(obs::Observability::off()),
         )
         .unwrap();
         let mut strategy = Strategy::start(
@@ -229,6 +231,7 @@ mod tests {
                 ..HtexConfig::default()
             },
             Arc::new(SlurmProvider::new(sched)),
+            Arc::new(obs::Observability::off()),
         )
         .unwrap();
         // Heartbeat + monitor park too (25 ms periods nobody advances).
@@ -265,6 +268,7 @@ mod tests {
                 ..HtexConfig::default()
             },
             Arc::new(SlurmProvider::new(sched)),
+            Arc::new(obs::Observability::off()),
         )
         .unwrap();
         let mut s = Strategy::start(htex.clone(), ScalingPolicy::default());

@@ -62,6 +62,7 @@ fn faulty_kernel(
     let cluster = ClusterSpec::small(4, 1);
     let sched = BatchScheduler::new(cluster, SchedulerConfig::immediate());
     let plan = FaultPlan::new().kill_after_tasks("node01", 2);
+    let obs = Arc::new(obs::Observability::off());
     let htex = HighThroughputExecutor::start(
         HtexConfig {
             label: format!("fault-r{round}"),
@@ -78,10 +79,12 @@ fn faulty_kernel(
             ..HtexConfig::default()
         },
         Arc::new(SlurmProvider::new(sched.clone())),
+        obs.clone(),
     )
     .unwrap();
     let dfk = DataFlowKernel::with_executor(
         htex.clone(),
+        obs,
         Config::local_threads(0).with_retry_policy(RetryPolicy::retries(1)),
     );
     (dfk, htex, sched)
