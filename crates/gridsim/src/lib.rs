@@ -13,7 +13,9 @@
 //!   baseline runners *pay* (by sleeping a scaled amount) when they would in
 //!   reality cross a process or network boundary;
 //! * [`TimeScale`] globally compresses all modelled latencies so full paper
-//!   sweeps run in CI time while preserving the *ratios* between systems.
+//!   sweeps run in CI time while preserving the *ratios* between systems;
+//! * [`interchange`] holds the HTEX interchange protocol's decisions with no
+//!   I/O inside them: `parsl::htex` ships them and [`sim`] checks them.
 //!
 //! Everything that represents computation (image kernels, expression
 //! evaluation) runs for real on real threads; only distributed-systems
@@ -22,6 +24,7 @@
 
 pub mod cluster;
 pub mod fault;
+pub mod interchange;
 pub mod latency;
 pub mod scheduler;
 pub mod sim;

@@ -1,7 +1,7 @@
 //! The HighThroughputExecutor (HTEX) — Parsl's pilot-job executor and the
 //! configuration the paper uses for its three-node runs (Fig. 1a).
 //!
-//! Architecture mirrored from the Python original:
+//! Architecture, as in the Python original:
 //!
 //! ```text
 //! submit side          ┊ network ┊           allocated nodes
@@ -12,27 +12,38 @@
 //!
 //! Nodes come from a [`Provider`] as pilot jobs (paying batch-queue wait);
 //! each granted node gets a *manager* with `workers_per_node` worker threads.
-//! A dispatcher thread drains the interchange queue and hands tasks to live
-//! managers round-robin in **batches** of up to [`HtexConfig::batch_size`]:
-//! each batch crosses the submit-side ↔ manager network boundary as one
-//! message, so its modelled dispatch latency is paid once per message
-//! rather than once per task (the first worker to pick any task of the
-//! batch pays; the rest ride along). Results flow back the same way: each
-//! manager runs a reply aggregator that flushes completed tasks in batches,
-//! paying the result-path latency once per reply message. The latencies are
-//! paid **off the submit thread**, so transfers to different managers
-//! pipeline exactly as real network messages do. `batch_size: 1` recovers
-//! the unbatched one-message-per-task protocol.
+//! Every protocol decision — how the queue is cut into messages, which node
+//! each goes to, when a heartbeat is stale, which result is accepted, what a
+//! loss re-dispatches and what it leaves to do — is made by
+//! [`gridsim::interchange`], the same code the deterministic simulator
+//! drives. This module supplies the threads, channels and clock around it
+//! and calls it inline, on the thread that already holds the event.
 //!
-//! Fault tolerance, mirrored from Parsl's interchange/manager heartbeats:
-//! every manager runs a heartbeat thread; a monitor on the submit side
-//! declares a manager dead when its heartbeat goes stale (or when a
-//! [`FaultPlan`] kills its node). The dead manager's in-flight tasks are
-//! re-queued to surviving managers — task bodies are `Fn`, not `FnOnce`, so
-//! a payload can be re-dispatched — and, when the live-node count drops
-//! below [`HtexConfig::min_nodes`], a replacement block is provisioned
-//! through the provider. If every node is lost and no replacement can be
-//! obtained, pending tasks fail with [`TaskError::ExecutorLost`].
+//! A dispatcher thread drains the interchange queue and sends live managers
+//! **batches** of up to [`HtexConfig::batch_size`] tasks, round-robin: each
+//! batch crosses the submit-side ↔ manager network boundary as one message,
+//! so its modelled dispatch latency is paid once per message (the first
+//! worker to pick any task of the batch pays; the rest ride along). No
+//! worker slot is reserved: a manager queues what it is sent. Results flow
+//! back the same way: each manager runs a reply aggregator that flushes
+//! completed tasks in batches, paying the result-path latency once per
+//! reply message. The latencies are paid **off the submit thread**, so
+//! transfers to different managers pipeline exactly as real network
+//! messages do. `batch_size: 1` recovers one message per task.
+//!
+//! Every task a manager was sent sits in that manager's
+//! [`Ledger`] (under the manager's own mutex) until its result is accepted.
+//! Fault tolerance follows Parsl's interchange/manager heartbeats: every
+//! manager runs a heartbeat thread; a monitor on the submit side declares a
+//! manager dead when its heartbeat goes stale (or when a [`FaultPlan`] kills
+//! its node). The loss drains the dead manager's ledger — exactly the
+//! unfinished tasks — back to the dispatcher (task bodies are `Fn`, not
+//! `FnOnce`, so a payload can be re-dispatched); a result the lost node
+//! still sends is dropped, so every task completes once. When the
+//! live-node count drops below [`HtexConfig::min_nodes`], a replacement
+//! block is provisioned through the provider. If every node is lost and no
+//! replacement can be obtained, pending tasks fail with
+//! [`TaskError::ExecutorLost`].
 //!
 //! Elasticity: [`HighThroughputExecutor::add_block`] provisions additional
 //! nodes at runtime; [`crate::strategy`] automates this the way Parsl's
@@ -40,19 +51,18 @@
 
 use crate::error::TaskError;
 use crate::executor::{Executor, TaskPayload};
+use crate::future::TaskResult;
 use crate::provider::{NodeHandle, Provider};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
+use gridsim::interchange::{after_loss, AfterLoss, Attempt, Dispatch, Heartbeat, Ledger};
 use gridsim::{FaultPlan, LatencyModel};
 use obs::{names, Observability, SpanKind};
 use parking_lot::Mutex;
 use simtest::{StopSignal, Waited};
-use std::collections::HashMap;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
-
-/// How often idle workers wake to check whether their manager died.
-const WORKER_POLL: Duration = Duration::from_millis(10);
 
 /// HTEX configuration.
 pub struct HtexConfig {
@@ -117,9 +127,8 @@ impl HtexConfig {
 
 enum WorkerMsg {
     Task {
-        seq: u64,
+        attempt: Attempt,
         payload: TaskPayload,
-        finished: Arc<AtomicBool>,
         /// Shared by every task of one interchange→manager message; the
         /// first worker to claim it pays the message's dispatch latency.
         ticket: Arc<AtomicBool>,
@@ -128,46 +137,33 @@ enum WorkerMsg {
 }
 
 enum DispatchMsg {
-    Task {
-        payload: TaskPayload,
-        finished: Arc<AtomicBool>,
-    },
+    Task(TaskPayload),
+    /// A node registered, or the executor failed: look at the held queue.
+    Wake,
     Stop,
 }
 
 /// Worker → reply-aggregator traffic on one manager.
 enum ResultMsg {
     Done {
-        seq: u64,
-        payload: TaskPayload,
-        finished: Arc<AtomicBool>,
-        result: crate::future::TaskResult,
+        attempt: Attempt,
+        result: TaskResult,
     },
     Stop,
-}
-
-/// A dispatched task the executor still owes an answer for. The `finished`
-/// flag is shared by every dispatch attempt of the same submission, so
-/// exactly one attempt claims completion (and the backlog decrement) even
-/// when a spuriously-dead manager raced a re-dispatch.
-struct TrackedTask {
-    payload: TaskPayload,
-    finished: Arc<AtomicBool>,
 }
 
 /// Submit-side state for one connected manager (≙ one granted node).
 struct ManagerState {
     node_name: String,
     tx: Sender<WorkerMsg>,
-    /// Last heartbeat, in ms since the executor started.
+    /// Last heartbeat, in µs of the executor's clock.
     last_beat: AtomicU64,
     /// Set when the node is known dead (fault plan or stale heartbeat).
     dead: AtomicBool,
-    /// Set by the monitor once this manager's loss has been processed.
-    lost_handled: AtomicBool,
-    /// Tasks sent to this manager and not yet completed, keyed by a
-    /// dispatch sequence number (task ids may repeat across attempts).
-    in_flight: Mutex<HashMap<u64, TrackedTask>>,
+    /// Tasks sent to this manager and not yet answered, under attempt
+    /// numbers. The dispatcher inserts a chunk, this manager's aggregator
+    /// accepts results, the monitor drains it on a loss.
+    ledger: Mutex<Ledger<TaskPayload>>,
     /// Workers hand finished tasks to this manager's reply aggregator,
     /// which completes them in batches (one result-latency per batch).
     result_tx: Sender<ResultMsg>,
@@ -180,16 +176,6 @@ struct ManagerState {
     worker_count: usize,
 }
 
-/// Decrements a counter on drop — keeps the outstanding-task count exact
-/// even if something panics between claiming a task and finishing it.
-struct OutstandingGuard<'a>(&'a AtomicUsize);
-
-impl Drop for OutstandingGuard<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
 /// The pilot-job executor.
 pub struct HighThroughputExecutor {
     label: String,
@@ -200,14 +186,12 @@ pub struct HighThroughputExecutor {
     workers_per_node: usize,
     latency: LatencyModel,
     fault_plan: Option<FaultPlan>,
-    heartbeat_period: Duration,
-    heartbeat_threshold: Duration,
+    heartbeat: Heartbeat,
     min_nodes: usize,
     /// Maximum tasks per interchange↔manager message (≥ 1).
     batch_size: usize,
     /// Tasks submitted minus tasks finished — used by the scaling strategy.
     outstanding: AtomicUsize,
-    next_seq: AtomicU64,
     /// Raised once by [`Executor::shutdown`]: the "closed" flag every path
     /// reads, and the signal that wakes the heartbeat and monitor threads
     /// out of their per-period waits so the joins below never wait one out.
@@ -246,12 +230,13 @@ impl HighThroughputExecutor {
             workers_per_node: config.workers_per_node,
             latency: config.latency,
             fault_plan: config.fault_plan,
-            heartbeat_period: config.heartbeat_period,
-            heartbeat_threshold: config.heartbeat_threshold,
+            heartbeat: Heartbeat {
+                period: config.heartbeat_period,
+                threshold: config.heartbeat_threshold,
+            },
             min_nodes: config.min_nodes,
             batch_size: config.batch_size.max(1),
             outstanding: AtomicUsize::new(0),
-            next_seq: AtomicU64::new(1),
             stop: Arc::new(StopSignal::new()),
             failed: AtomicBool::new(false),
             clock: config.clock,
@@ -261,10 +246,11 @@ impl HighThroughputExecutor {
         });
         htex.add_block(config.nodes)?;
         let me = Arc::downgrade(&htex);
+        let batch_size = htex.batch_size;
         *htex.dispatcher.lock() = Some(
             std::thread::Builder::new()
                 .name(format!("{}-dispatch", htex.label))
-                .spawn(move || dispatcher_loop(dispatch_rx, me))
+                .spawn(move || dispatcher_loop(dispatch_rx, me, Dispatch::new(batch_size)))
                 .map_err(|e| format!("failed to spawn HTEX dispatcher: {e}"))?,
         );
         let me = Arc::downgrade(&htex);
@@ -306,10 +292,9 @@ impl HighThroughputExecutor {
             let mgr = Arc::new(ManagerState {
                 node_name: node_name.clone(),
                 tx,
-                last_beat: AtomicU64::new(self.clock.now().as_millis() as u64),
+                last_beat: AtomicU64::new(self.clock.now().as_micros() as u64),
                 dead: AtomicBool::new(false),
-                lost_handled: AtomicBool::new(false),
-                in_flight: Mutex::new(HashMap::new()),
+                ledger: Mutex::new(Ledger::new()),
                 result_tx,
                 workers: Mutex::new(Vec::new()),
                 heartbeat: Mutex::new(None),
@@ -335,25 +320,26 @@ impl HighThroughputExecutor {
                 }
             }
             {
-                let mgr_for_agg = mgr.clone();
-                let latency = self.latency.clone();
-                let plan = self.fault_plan.clone();
+                let aggregator = Aggregator {
+                    mgr: mgr.clone(),
+                    latency: self.latency.clone(),
+                    plan: self.fault_plan.clone(),
+                    htex: Arc::downgrade(self),
+                    obs: self.obs.clone(),
+                    clock: self.clock.clone(),
+                };
                 let cap = self.batch_size;
-                let me = Arc::downgrade(self);
-                let clock = self.clock.clone();
                 *mgr.aggregator.lock() = Some(
                     std::thread::Builder::new()
                         .name(format!("{}-{node_name}-agg", self.label))
-                        .spawn(move || {
-                            result_loop(mgr_for_agg, result_rx, latency, plan, cap, me, clock)
-                        })
+                        .spawn(move || aggregator.run(result_rx, cap))
                         .map_err(|e| format!("failed to spawn HTEX aggregator: {e}"))?,
                 );
             }
             {
                 let mgr_for_beat = mgr.clone();
                 let plan = self.fault_plan.clone();
-                let period = self.heartbeat_period;
+                let period = self.heartbeat.period;
                 let stop = self.stop.clone();
                 let me = Arc::downgrade(self);
                 let clock = self.clock.clone();
@@ -376,6 +362,9 @@ impl HighThroughputExecutor {
             if !self.stop.is_raised() {
                 registry.extend(new_mgrs.iter().cloned());
                 self.worker_total.fetch_add(added, Ordering::SeqCst);
+                drop(registry);
+                // A queue held for want of a live node can go out now.
+                let _ = self.dispatch_tx.send(DispatchMsg::Wake);
                 return Ok((added, names));
             }
         }
@@ -414,6 +403,18 @@ impl HighThroughputExecutor {
             .count()
     }
 
+    /// Refill `into` with the managers not known dead.
+    fn live_managers(&self, into: &mut Vec<Arc<ManagerState>>) {
+        into.clear();
+        into.extend(
+            self.managers
+                .lock()
+                .iter()
+                .filter(|m| !m.dead.load(Ordering::SeqCst))
+                .cloned(),
+        );
+    }
+
     /// Tasks submitted but not yet finished — the backlog signal the
     /// scaling strategy watches.
     pub fn outstanding_tasks(&self) -> usize {
@@ -436,9 +437,17 @@ impl HighThroughputExecutor {
             .collect()
     }
 
-    /// A manager stopped heartbeating (or its node was killed): re-queue
-    /// its in-flight tasks and restore capacity if below the floor.
-    fn handle_node_loss(self: &Arc<Self>, mgr: &Arc<ManagerState>) {
+    /// A manager stopped heartbeating (or its node was killed): drain its
+    /// ledger back to the dispatcher, wake its idle workers so they exit,
+    /// and act on what the loss leaves to do. A loss already processed
+    /// drains nothing.
+    fn handle_node_loss(self: &Arc<Self>, mgr: &ManagerState) {
+        let Some(orphans) = mgr.ledger.lock().mark_lost() else {
+            return;
+        };
+        for _ in 0..mgr.worker_count {
+            let _ = mgr.tx.send(WorkerMsg::Stop);
+        }
         let obs = &self.obs;
         obs.count(&obs.counter(names::HTEX_NODES_LOST));
         // The loss event is node-level (lineage 0); each orphan's
@@ -447,157 +456,137 @@ impl HighThroughputExecutor {
         let loss_span = obs.instant_span(SpanKind::NodeLost, 0, 0, &mgr.node_name);
         self.worker_total
             .fetch_sub(mgr.worker_count, Ordering::SeqCst);
-        let orphans: Vec<TrackedTask> = {
-            let mut in_flight = mgr.in_flight.lock();
-            in_flight.drain().map(|(_, t)| t).collect()
-        };
         let redispatches = obs.counter(names::HTEX_REDISPATCHES);
-        for t in orphans {
-            if t.finished.load(Ordering::SeqCst) {
-                continue;
-            }
+        for (_, payload) in orphans {
             obs.count(&redispatches);
             obs.instant_span(
                 SpanKind::Redispatched,
-                t.payload.ctx.lineage,
+                payload.ctx.lineage,
                 loss_span,
                 &mgr.node_name,
             );
-            let _ = self.dispatch_tx.send(DispatchMsg::Task {
-                payload: t.payload,
-                finished: t.finished,
-            });
-        }
-        let alive = self.manager_count();
-        if alive < self.min_nodes {
-            // Provision the replacement off-thread: the request can wait in
-            // the batch queue indefinitely (e.g. no spare node until our own
-            // dead allocation is returned), and the monitor must keep
-            // scanning — and shutdown must not hang joining it.
-            let h = self.clone();
-            let spawned = std::thread::Builder::new()
-                .name(format!("{}-replace", self.label))
-                .spawn(move || match h.add_block_inner(1) {
-                    Ok((_, nodes)) => {
-                        let obs = &h.obs;
-                        let replaced = obs.counter(names::HTEX_BLOCKS_REPLACED);
-                        for _ in nodes {
-                            obs.count(&replaced);
-                        }
-                    }
-                    Err(_) => {
-                        if h.manager_count() == 0 {
-                            h.failed.store(true, Ordering::SeqCst);
-                        }
-                    }
-                });
-            if spawned.is_err() && alive == 0 {
-                self.failed.store(true, Ordering::SeqCst);
+            if let Err(err) = self.dispatch_tx.send(DispatchMsg::Task(payload)) {
+                if let DispatchMsg::Task(payload) = err.0 {
+                    self.fail_task(payload, TaskError::Shutdown);
+                }
             }
-        } else if alive == 0 {
-            self.failed.store(true, Ordering::SeqCst);
+        }
+        match after_loss(self.manager_count(), self.min_nodes) {
+            AfterLoss::Replace => {
+                // Provision the replacement off-thread: the request can wait
+                // in the batch queue indefinitely (e.g. no spare node until
+                // our own dead allocation is returned), and the monitor must
+                // keep scanning — and shutdown must not hang joining it.
+                let h = self.clone();
+                let spawned = std::thread::Builder::new()
+                    .name(format!("{}-replace", self.label))
+                    .spawn(move || match h.add_block_inner(1) {
+                        Ok((_, nodes)) => {
+                            let replaced = h.obs.counter(names::HTEX_BLOCKS_REPLACED);
+                            for _ in nodes {
+                                h.obs.count(&replaced);
+                            }
+                        }
+                        Err(_) => {
+                            if after_loss(h.manager_count(), 0) == AfterLoss::FailAll {
+                                h.fail_all();
+                            }
+                        }
+                    });
+                if spawned.is_err() && after_loss(self.manager_count(), 0) == AfterLoss::FailAll {
+                    self.fail_all();
+                }
+            }
+            AfterLoss::FailAll => self.fail_all(),
+            AfterLoss::Nothing => {}
         }
     }
 
-    /// Complete a task the executor gives up on, claiming it so no other
-    /// dispatch attempt double-counts the backlog decrement.
-    fn fail_task(&self, payload: &TaskPayload, finished: &AtomicBool, err: TaskError) {
-        if !finished.swap(true, Ordering::SeqCst) {
-            self.outstanding.fetch_sub(1, Ordering::SeqCst);
-            payload.promise.clone().complete(Err(err));
-        }
+    /// Every node is lost and none will replace them: the dispatcher fails
+    /// what it holds, and everything submitted after.
+    fn fail_all(&self) {
+        self.failed.store(true, Ordering::SeqCst);
+        let _ = self.dispatch_tx.send(DispatchMsg::Wake);
+    }
+
+    /// Complete a task the executor gives up on.
+    fn fail_task(&self, payload: TaskPayload, err: TaskError) {
+        self.outstanding.fetch_sub(1, Ordering::SeqCst);
+        payload.promise.complete(Err(err));
     }
 }
 
-/// Round-robin batches of tasks from the interchange queue onto live
-/// managers. The dispatcher drains up to `batch_size` ready tasks per
-/// manager round-trip, so a burst of submissions becomes a handful of
-/// messages instead of one per task; the drained set is split evenly
-/// across live managers so batching never serializes a workload that
-/// could span nodes. When no manager is alive, waits for the monitor to
-/// either provision a replacement or declare the executor failed.
-fn dispatcher_loop(rx: Receiver<DispatchMsg>, htex: Weak<HighThroughputExecutor>) {
-    let mut rr = 0usize;
+/// The interchange: places the queue on live managers in chunks planned by
+/// [`Dispatch`], recording each chunk in its manager's ledger before
+/// sending it. Blocks only when there is nothing to place — the queue is
+/// empty, or no manager is live, in which case the queue is held until a
+/// node registers or the executor fails.
+fn dispatcher_loop(
+    rx: Receiver<DispatchMsg>,
+    htex: Weak<HighThroughputExecutor>,
+    mut dispatch: Dispatch,
+) {
+    let mut queue: VecDeque<TaskPayload> = VecDeque::new();
+    let mut live: Vec<Arc<ManagerState>> = Vec::new();
+    let mut held = false;
     let mut stopping = false;
     while !stopping {
-        let mut queue: std::collections::VecDeque<(TaskPayload, Arc<AtomicBool>)> =
-            std::collections::VecDeque::new();
-        match rx.recv() {
-            Ok(DispatchMsg::Task { payload, finished }) => queue.push_back((payload, finished)),
-            Ok(DispatchMsg::Stop) | Err(_) => return,
+        if queue.is_empty() || held {
+            match rx.recv() {
+                Ok(DispatchMsg::Task(payload)) => queue.push_back(payload),
+                Ok(DispatchMsg::Wake) => {}
+                Ok(DispatchMsg::Stop) | Err(_) => stopping = true,
+            }
         }
-        // Greedily drain whatever has already accumulated, up to one full
+        let Some(h) = htex.upgrade() else { break };
+        h.live_managers(&mut live);
+        // Greedily take whatever has already accumulated, up to one full
         // message per live manager.
-        let cap = match htex.upgrade() {
-            Some(h) => h.batch_size * h.manager_count().max(1),
-            None => 1,
-        };
-        while queue.len() < cap {
+        while !stopping && queue.len() < dispatch.round_cap(live.len()) {
             match rx.try_recv() {
-                Ok(DispatchMsg::Task { payload, finished }) => queue.push_back((payload, finished)),
-                Ok(DispatchMsg::Stop) => {
-                    stopping = true;
-                    break;
-                }
+                Ok(DispatchMsg::Task(payload)) => queue.push_back(payload),
+                Ok(DispatchMsg::Wake) => {}
+                Ok(DispatchMsg::Stop) => stopping = true,
                 Err(_) => break,
             }
         }
-        while !queue.is_empty() {
-            let Some(h) = htex.upgrade() else {
-                for (payload, finished) in queue {
-                    if !finished.swap(true, Ordering::SeqCst) {
-                        payload.promise.complete(Err(TaskError::Shutdown));
-                    }
-                }
-                return;
+        held = live.is_empty();
+        if held {
+            let err = if stopping || h.stop.is_raised() {
+                Some(TaskError::Shutdown)
+            } else if h.failed.load(Ordering::SeqCst) {
+                Some(TaskError::ExecutorLost(
+                    "all nodes lost and no replacement could be provisioned".to_string(),
+                ))
+            } else {
+                None
             };
-            let alive: Vec<Arc<ManagerState>> = h
-                .managers
+            if let Some(err) = err {
+                for payload in queue.drain(..) {
+                    h.fail_task(payload, err.clone());
+                }
+            }
+            continue;
+        }
+        let obs = &h.obs;
+        for chunk in dispatch.plan(queue.len(), live.len()) {
+            let mgr = &live[chunk.slot];
+            // A manager lost since `live` was read refuses the chunk; its
+            // tasks stay at the front of the queue for the next chunk or
+            // round.
+            if !mgr
+                .ledger
                 .lock()
-                .iter()
-                .filter(|m| !m.dead.load(Ordering::SeqCst))
-                .cloned()
-                .collect();
-            if alive.is_empty() {
-                if h.stop.is_raised() {
-                    for (payload, finished) in queue.drain(..) {
-                        h.fail_task(&payload, &finished, TaskError::Shutdown);
-                    }
-                    break;
-                }
-                if h.failed.load(Ordering::SeqCst) {
-                    for (payload, finished) in queue.drain(..) {
-                        h.fail_task(
-                            &payload,
-                            &finished,
-                            TaskError::ExecutorLost(
-                                "all nodes lost and no replacement could be provisioned"
-                                    .to_string(),
-                            ),
-                        );
-                    }
-                    break;
-                }
-                let clock = h.clock.clone();
-                drop(h);
-                // Only reached while every manager is dead and tasks wait
-                // for a replacement block; costs a shutdown at most 2 ms.
-                clock.sleep(Duration::from_millis(2)); // timer-ok: no-manager backoff
+                .insert(chunk.first, queue.iter().take(chunk.len).cloned())
+            {
                 continue;
             }
-            rr = rr.wrapping_add(1);
-            let mgr = alive[rr % alive.len()].clone();
-            // This manager's share of the drained batch: an even split,
-            // capped at one message's worth.
-            let k = queue.len().div_ceil(alive.len()).min(h.batch_size);
-            let chunk: Vec<(TaskPayload, Arc<AtomicBool>)> = queue.drain(..k).collect();
-            let obs = &h.obs;
             if obs.is_enabled() {
                 // Batch occupancy: how full each interchange→manager
                 // message actually was.
                 obs.histogram(names::HTEX_BATCH_OCCUPANCY)
-                    .record(chunk.len() as u64);
-                for (payload, _) in &chunk {
+                    .record(chunk.len as u64);
+                for payload in queue.iter().take(chunk.len) {
                     obs.instant_span(
                         SpanKind::BatchEnqueue,
                         payload.ctx.lineage,
@@ -607,59 +596,30 @@ fn dispatcher_loop(rx: Receiver<DispatchMsg>, htex: Weak<HighThroughputExecutor>
                 }
             }
             // One shared ticket per message: the first worker to pick any
-            // task of this chunk pays the dispatch latency, once.
+            // task of this chunk pays the dispatch latency, once. A failed
+            // send needs nothing: the task is in the ledger, and whatever
+            // stopped the workers (a loss, shutdown) drains it.
             let ticket = Arc::new(AtomicBool::new(false));
-            let mut seqs = Vec::with_capacity(chunk.len());
-            {
-                let mut in_flight = mgr.in_flight.lock();
-                for (payload, finished) in &chunk {
-                    let seq = h.next_seq.fetch_add(1, Ordering::SeqCst);
-                    in_flight.insert(
-                        seq,
-                        TrackedTask {
-                            payload: payload.clone(),
-                            finished: finished.clone(),
-                        },
-                    );
-                    seqs.push(seq);
-                }
-            }
-            let mut send_failed_at = None;
-            for (i, (payload, finished)) in chunk.iter().enumerate() {
-                let sent = mgr.tx.send(WorkerMsg::Task {
-                    seq: seqs[i],
-                    payload: payload.clone(),
-                    finished: finished.clone(),
+            for (attempt, payload) in (chunk.first..).zip(queue.drain(..chunk.len)) {
+                let _ = mgr.tx.send(WorkerMsg::Task {
+                    attempt,
+                    payload,
                     ticket: ticket.clone(),
                 });
-                if sent.is_err() {
-                    send_failed_at = Some(i);
-                    break;
-                }
             }
-            if let Some(i) = send_failed_at {
-                // Manager channel already gone; reclaim the unsent tail and
-                // retry elsewhere.
-                let mut in_flight = mgr.in_flight.lock();
-                for j in i..chunk.len() {
-                    if in_flight.remove(&seqs[j]).is_some() {
-                        queue.push_front(chunk[j].clone());
-                    }
-                }
-                continue;
-            }
-            // If the monitor processed this manager's loss between our
-            // liveness check and the inserts, its drain may have missed
-            // part of the chunk — reclaim those and dispatch elsewhere
-            // (entries already absent were claimed by the drain).
-            if mgr.lost_handled.load(Ordering::SeqCst) {
-                let mut in_flight = mgr.in_flight.lock();
-                for (j, seq) in seqs.iter().enumerate() {
-                    if in_flight.remove(seq).is_some() {
-                        queue.push_back(chunk[j].clone());
-                    }
-                }
-            }
+        }
+    }
+    // Stopped (or the executor is gone): whatever was never placed fails.
+    let h = htex.upgrade();
+    let unread = std::iter::from_fn(|| rx.try_recv().ok()).filter_map(|msg| match msg {
+        DispatchMsg::Task(payload) => Some(payload),
+        DispatchMsg::Wake | DispatchMsg::Stop => None,
+    });
+    let leftover = queue.into_iter().chain(unread);
+    for payload in leftover {
+        match &h {
+            Some(h) => h.fail_task(payload, TaskError::Shutdown),
+            None => payload.promise.complete(Err(TaskError::Shutdown)),
         }
     }
 }
@@ -674,35 +634,21 @@ fn worker_loop(
     obs: Arc<Observability>,
     clock: simtest::ClockRef,
 ) {
-    loop {
-        let msg = match rx.recv_timeout(WORKER_POLL) {
-            Ok(msg) => msg,
-            Err(RecvTimeoutError::Timeout) => {
-                if mgr.dead.load(Ordering::SeqCst) {
-                    return;
-                }
-                continue;
-            }
-            Err(RecvTimeoutError::Disconnected) => return,
-        };
-        let (seq, payload, finished, ticket) = match msg {
-            WorkerMsg::Task {
-                seq,
-                payload,
-                finished,
-                ticket,
-            } => (seq, payload, finished, ticket),
-            WorkerMsg::Stop => return,
-        };
+    while let Ok(WorkerMsg::Task {
+        attempt,
+        payload,
+        ticket,
+    }) = rx.recv()
+    {
         if mgr.dead.load(Ordering::SeqCst) {
-            // The node died with this task queued; it stays in `in_flight`
-            // for the monitor to re-dispatch.
+            // The node died with this task queued; it stays in the ledger
+            // for the loss to re-dispatch.
             return;
         }
         if let Some(p) = &plan {
             if p.note_task(&mgr.node_name) {
                 // The node just died; the task never ran and stays in
-                // flight for re-dispatch.
+                // the ledger for re-dispatch.
                 mgr.dead.store(true, Ordering::SeqCst);
                 return;
             }
@@ -739,147 +685,104 @@ fn worker_loop(
         };
         if plan.as_ref().is_some_and(|p| p.is_dead(&mgr.node_name)) {
             // The node died while the task ran: the result dies with it and
-            // the task stays in flight for re-dispatch.
+            // the task stays in the ledger for re-dispatch.
             mgr.dead.store(true, Ordering::SeqCst);
             return;
         }
-        // Completion claiming, backlog accounting, and the (batched)
-        // result-path latency all happen on the aggregator.
-        let _ = mgr.result_tx.send(ResultMsg::Done {
-            seq,
-            payload,
-            finished,
-            result,
-        });
+        // Acceptance, backlog accounting, and the (batched) result-path
+        // latency all happen on the aggregator.
+        let _ = mgr.result_tx.send(ResultMsg::Done { attempt, result });
     }
 }
 
 /// One manager's reply aggregator: collects finished tasks from the node's
 /// workers and flushes them to the submit side in batches, paying the
 /// modelled result-path latency once per reply message instead of once per
-/// task. Keeps PR-level fault semantics: a result from a plan-dead node is
-/// dropped un-claimed, so its task stays in flight for re-dispatch.
-fn result_loop(
+/// task. The ledger decides which results count.
+struct Aggregator {
     mgr: Arc<ManagerState>,
-    rx: Receiver<ResultMsg>,
     latency: LatencyModel,
     plan: Option<FaultPlan>,
-    batch_size: usize,
     htex: Weak<HighThroughputExecutor>,
+    obs: Arc<Observability>,
     clock: simtest::ClockRef,
-) {
-    let mut stop = false;
-    while !stop {
-        let mut batch: Vec<(u64, TaskPayload, Arc<AtomicBool>, crate::future::TaskResult)> =
-            Vec::new();
-        match rx.recv_timeout(WORKER_POLL) {
-            Ok(ResultMsg::Done {
-                seq,
-                payload,
-                finished,
-                result,
-            }) => batch.push((seq, payload, finished, result)),
-            Ok(ResultMsg::Stop) => stop = true,
-            Err(RecvTimeoutError::Timeout) => {
-                if !mgr.dead.load(Ordering::SeqCst) {
-                    continue;
-                }
-                // Dead manager: flush what the workers already produced
-                // (spurious deaths still deliver), then exit.
-                stop = true;
-            }
-            Err(RecvTimeoutError::Disconnected) => return,
-        }
-        loop {
-            while batch.len() < batch_size {
-                match rx.try_recv() {
-                    Ok(ResultMsg::Done {
-                        seq,
-                        payload,
-                        finished,
-                        result,
-                    }) => batch.push((seq, payload, finished, result)),
-                    Ok(ResultMsg::Stop) => {
-                        stop = true;
-                        break;
-                    }
-                    Err(_) => break,
-                }
-            }
-            if batch.is_empty() {
-                break;
-            }
-            flush_results(
-                &mgr,
-                &latency,
-                &plan,
-                &htex,
-                &clock,
-                std::mem::take(&mut batch),
-            );
-            if !stop {
-                break;
-            }
-            // Stopping: keep flushing in message-sized batches until the
-            // queue is dry.
-        }
-    }
 }
 
-/// Deliver one reply message's worth of results.
-fn flush_results(
-    mgr: &ManagerState,
-    latency: &LatencyModel,
-    plan: &Option<FaultPlan>,
-    htex: &Weak<HighThroughputExecutor>,
-    clock: &simtest::ClockRef,
-    batch: Vec<(u64, TaskPayload, Arc<AtomicBool>, crate::future::TaskResult)>,
-) {
-    if plan.as_ref().is_some_and(|p| p.is_dead(&mgr.node_name)) {
-        // The node died before this reply left it: the results die with it
-        // and the tasks stay in flight for the monitor to re-dispatch.
-        mgr.dead.store(true, Ordering::SeqCst);
-        return;
-    }
-    let mut completions = Vec::with_capacity(batch.len());
-    {
-        let mut in_flight = mgr.in_flight.lock();
-        for (seq, payload, finished, result) in batch {
-            in_flight.remove(&seq);
-            if finished.swap(true, Ordering::SeqCst) {
-                // Another dispatch attempt of the same submission already
-                // completed it (we were spuriously declared dead); discard.
-                continue;
+impl Aggregator {
+    fn run(self, rx: Receiver<ResultMsg>, batch_size: usize) {
+        let mut batch: Vec<(Attempt, TaskResult)> = Vec::with_capacity(batch_size);
+        let mut accepted: Vec<(TaskPayload, TaskResult)> = Vec::with_capacity(batch_size);
+        let mut stop = false;
+        while !stop {
+            match rx.recv() {
+                Ok(ResultMsg::Done { attempt, result }) => batch.push((attempt, result)),
+                Ok(ResultMsg::Stop) | Err(_) => stop = true,
             }
-            completions.push((payload, result));
+            loop {
+                while batch.len() < batch_size {
+                    match rx.try_recv() {
+                        Ok(ResultMsg::Done { attempt, result }) => batch.push((attempt, result)),
+                        Ok(ResultMsg::Stop) => {
+                            stop = true;
+                            break;
+                        }
+                        Err(_) => break,
+                    }
+                }
+                if batch.is_empty() {
+                    break;
+                }
+                self.flush(&mut batch, &mut accepted);
+                if !stop {
+                    break;
+                }
+                // Stopping: keep flushing in message-sized batches until
+                // the queue is dry.
+            }
         }
     }
-    if completions.is_empty() {
-        return;
-    }
-    {
-        // Decrement the backlog BEFORE resolving the promises — and via
-        // drop guards, so nothing on this path can leak the counter —
-        // because `wait_all` callers may observe a completion and
-        // immediately read `outstanding_tasks()`.
-        let h = htex.upgrade();
-        let _outstanding: Vec<OutstandingGuard> = h
+
+    /// Deliver one reply message's worth of results: the ledger hands back
+    /// the payload of each attempt still in flight, and only those complete.
+    fn flush(
+        &self,
+        batch: &mut Vec<(Attempt, TaskResult)>,
+        accepted: &mut Vec<(TaskPayload, TaskResult)>,
+    ) {
+        let mgr = &self.mgr;
+        if self
+            .plan
             .as_ref()
-            .map(|h| {
-                completions
-                    .iter()
-                    .map(|_| OutstandingGuard(&h.outstanding))
-                    .collect()
-            })
-            .unwrap_or_default();
+            .is_some_and(|p| p.is_dead(&mgr.node_name))
+        {
+            // The node died before this reply left it: the results die with
+            // it and the tasks stay in the ledger for the loss to drain.
+            mgr.dead.store(true, Ordering::SeqCst);
+            batch.clear();
+            return;
+        }
+        {
+            let mut ledger = mgr.ledger.lock();
+            for (attempt, result) in batch.drain(..) {
+                if let Some(payload) = ledger.accept(attempt) {
+                    accepted.push((payload, result));
+                }
+            }
+        }
+        if accepted.is_empty() {
+            return;
+        }
+        // Settle the backlog BEFORE resolving the promises, because
+        // `wait_all` callers may observe a completion and immediately read
+        // `outstanding_tasks()`.
+        if let Some(h) = self.htex.upgrade() {
+            h.outstanding.fetch_sub(accepted.len(), Ordering::SeqCst);
+        }
         // One reply message for the whole batch.
-        latency.pay_result_on(&**clock);
-    }
-    if let Some(h) = htex.upgrade() {
-        let obs = &h.obs;
-        if obs.is_enabled() {
-            for (payload, _) in &completions {
-                obs.instant_span(
+        self.latency.pay_result_on(&*self.clock);
+        if self.obs.is_enabled() {
+            for (payload, _) in accepted.iter() {
+                self.obs.instant_span(
                     SpanKind::ResultReturn,
                     payload.ctx.lineage,
                     payload.ctx.parent,
@@ -887,13 +790,13 @@ fn flush_results(
                 );
             }
         }
-    }
-    for (payload, result) in completions {
-        // A panicking completion callback must not take the aggregator
-        // down (the counter is already settled above).
-        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            payload.promise.complete(result)
-        }));
+        for (payload, result) in accepted.drain(..) {
+            // A panicking completion callback must not take the aggregator
+            // down (the counter is already settled above).
+            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                payload.promise.complete(result)
+            }));
+        }
     }
 }
 
@@ -917,38 +820,36 @@ fn heartbeat_loop(
             return;
         }
         mgr.last_beat
-            .store(clock.now().as_millis() as u64, Ordering::SeqCst);
+            .store(clock.now().as_micros() as u64, Ordering::SeqCst);
     }
 }
 
 /// Submit-side failure detector: declare managers with stale heartbeats
-/// dead and process each loss exactly once. Scans once per heartbeat
-/// period; shutdown wakes it out of the wait in between.
+/// dead and process each loss once. Scans at the instants the heartbeat
+/// rule names; shutdown wakes it out of the wait in between.
 fn monitor_loop(htex: Weak<HighThroughputExecutor>) {
     loop {
         let Some(h) = htex.upgrade() else { return };
         if h.stop.is_raised() {
             return;
         }
-        let period = h.heartbeat_period;
-        let threshold_ms = h.heartbeat_threshold.as_millis() as u64;
         let clock = h.clock.clone();
-        let now_ms = clock.now().as_millis() as u64;
+        let now = clock.now();
         let managers: Vec<Arc<ManagerState>> = h.managers.lock().clone();
         for mgr in &managers {
-            if !mgr.dead.load(Ordering::SeqCst)
-                && now_ms.saturating_sub(mgr.last_beat.load(Ordering::SeqCst)) > threshold_ms
-            {
+            let last_beat = Duration::from_micros(mgr.last_beat.load(Ordering::SeqCst));
+            if !mgr.dead.load(Ordering::SeqCst) && h.heartbeat.is_stale(now, last_beat) {
                 mgr.dead.store(true, Ordering::SeqCst);
                 h.obs.counter(names::HTEX_HEARTBEAT_MISSES).incr();
             }
-            if mgr.dead.load(Ordering::SeqCst) && !mgr.lost_handled.swap(true, Ordering::SeqCst) {
+            if mgr.dead.load(Ordering::SeqCst) {
                 h.handle_node_loss(mgr);
             }
         }
+        let next = h.heartbeat.next_scan(now);
         let stop = h.stop.clone();
         drop(h);
-        if clock.wait(period, &stop) == Waited::Stopped {
+        if clock.wait(next.saturating_sub(clock.now()), &stop) == Waited::Stopped {
             return;
         }
     }
@@ -963,13 +864,9 @@ impl Executor for HighThroughputExecutor {
             return;
         }
         self.outstanding.fetch_add(1, Ordering::SeqCst);
-        let finished = Arc::new(AtomicBool::new(false));
-        if let Err(send_err) = self.dispatch_tx.send(DispatchMsg::Task {
-            payload: task,
-            finished,
-        }) {
-            if let DispatchMsg::Task { payload, finished } = send_err.0 {
-                self.fail_task(&payload, &finished, TaskError::Shutdown);
+        if let Err(err) = self.dispatch_tx.send(DispatchMsg::Task(task)) {
+            if let DispatchMsg::Task(payload) = err.0 {
+                self.fail_task(payload, TaskError::Shutdown);
             }
         }
     }
@@ -986,12 +883,14 @@ impl Executor for HighThroughputExecutor {
         if self.stop.raise() {
             return;
         }
+        // The monitor first: once it is joined nothing re-dispatches, so
+        // the dispatcher's last drain sees every task still to place.
+        if let Some(m) = self.monitor.lock().take() {
+            let _ = m.join();
+        }
         let _ = self.dispatch_tx.send(DispatchMsg::Stop);
         if let Some(d) = self.dispatcher.lock().take() {
             let _ = d.join();
-        }
-        if let Some(m) = self.monitor.lock().take() {
-            let _ = m.join();
         }
         // Dead managers stay registered: the node table is what
         // `lost_nodes` reads, and the fault story outlives the executor.
@@ -1022,8 +921,10 @@ impl Executor for HighThroughputExecutor {
             }
             // Whatever never ran (queued on a dead or stopping manager)
             // must still resolve.
-            for (_, t) in mgr.in_flight.lock().drain() {
-                self.fail_task(&t.payload, &t.finished, TaskError::Shutdown);
+            if let Some(left) = mgr.ledger.lock().mark_lost() {
+                for (_, payload) in left {
+                    self.fail_task(payload, TaskError::Shutdown);
+                }
             }
             // Dead managers' pilot jobs are released too — the provider
             // dedups by job, so sharing a job with live nodes is fine.
