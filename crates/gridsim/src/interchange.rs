@@ -6,18 +6,6 @@
 //! ships. Nothing here holds a thread, a clock, a channel or a lock: callers
 //! pass the instant in and keep each [`Ledger`] under whatever exclusion
 //! their own concurrency needs.
-//!
-//! * [`Ledger`] — one node's in-flight tasks, keyed by dispatch
-//!   [`Attempt`]. A result is accepted only while its attempt is still in
-//!   the ledger, so a task completes exactly once; a loss drains exactly the
-//!   unfinished set and refuses every later insert, so a lost node's late
-//!   results are dropped.
-//! * [`Dispatch`] — the chunk plan: `ceil(queued / live)` tasks per message,
-//!   capped at `batch_size`, round-robin over the live nodes, each task
-//!   numbered with a fresh attempt. No worker slots are reserved: a node
-//!   queues what it is sent.
-//! * [`Heartbeat`] — staleness and the next scan instant.
-//! * [`after_loss`] — what a loss leaves to do against `min_nodes`.
 
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -26,8 +14,11 @@ use std::time::Duration;
 /// in dispatch order. A re-dispatched task gets a new one.
 pub type Attempt = u64;
 
-/// One node's in-flight ledger. `T` is what the caller carries per task: a
-/// task index in the simulator, the task payload in HTEX.
+/// One node's in-flight tasks, keyed by attempt. `T` is what the caller
+/// carries per task: a task index in the simulator, the payload in HTEX.
+/// A result counts only while its attempt is still here, so a task
+/// completes once; a loss drains exactly the unfinished set and refuses
+/// every later insert, so a lost node's late results are dropped.
 #[derive(Debug)]
 pub struct Ledger<T> {
     in_flight: BTreeMap<Attempt, T>,
@@ -44,34 +35,30 @@ impl<T> Default for Ledger<T> {
 }
 
 impl<T> Ledger<T> {
-    /// An empty ledger for a live node.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Record a chunk sent to this node as one message; its tasks take the
-    /// attempts `first, first + 1, …` in order. Refused once the node is
-    /// lost: returns `false` and records nothing, so the caller still owns
-    /// the chunk and places it elsewhere.
+    /// Record a chunk sent to this node as one message, its tasks under the
+    /// attempts `first, first + 1, …`. Once the node is lost this records
+    /// nothing and returns `false`: the caller keeps the chunk.
     pub fn insert(&mut self, first: Attempt, chunk: impl IntoIterator<Item = T>) -> bool {
-        if self.lost {
-            return false;
+        if !self.lost {
+            self.in_flight.extend((first..).zip(chunk));
         }
-        self.in_flight.extend((first..).zip(chunk));
-        true
+        !self.lost
     }
 
-    /// A result for `attempt` came back from this node. Returns what was
-    /// carried for it while that attempt is still in flight here, and
-    /// `None` once it is not: the node was lost (its tasks drained, and the
-    /// current attempt now lives elsewhere) or the attempt was answered
-    /// already. Complete the task only on `Some`.
+    /// A result for `attempt` came back from this node: what was carried
+    /// for it while that attempt is in flight here, else `None` (the node
+    /// was lost, or the attempt was answered already). Complete the task
+    /// only on `Some`.
     pub fn accept(&mut self, attempt: Attempt) -> Option<T> {
         self.in_flight.remove(&attempt)
     }
 
-    /// Mark the node lost and drain exactly its unfinished set, in attempt
-    /// order, for re-dispatch. `None` when it was lost already: each loss is
+    /// Mark the node lost and drain its unfinished set, in attempt order,
+    /// for re-dispatch. `None` when it was lost already: a loss is
     /// processed once.
     pub fn mark_lost(&mut self) -> Option<Vec<(Attempt, T)>> {
         if self.lost {
@@ -81,25 +68,14 @@ impl<T> Ledger<T> {
         Some(std::mem::take(&mut self.in_flight).into_iter().collect())
     }
 
-    /// Whether the node has been marked lost.
     pub fn is_lost(&self) -> bool {
         self.lost
     }
-
-    /// Tasks in flight on this node.
-    pub fn len(&self) -> usize {
-        self.in_flight.len()
-    }
-
-    /// Whether nothing is in flight on this node.
-    pub fn is_empty(&self) -> bool {
-        self.in_flight.is_empty()
-    }
 }
 
-/// One planned message: `len` tasks from the front of the queue go to the
-/// live node at index `slot` of the caller's live list, numbered from
-/// attempt `first`.
+/// One planned message: `len` tasks from the front of the queue, numbered
+/// from attempt `first`, for the live node at index `slot` of the caller's
+/// live list.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Chunk {
     pub slot: usize,
@@ -107,8 +83,8 @@ pub struct Chunk {
     pub first: Attempt,
 }
 
-/// The submit side's dispatch rule: how a queue is cut into messages and
-/// which live node each one goes to.
+/// The submit side's dispatch rule. No worker slot is reserved: a node
+/// queues what it is sent.
 #[derive(Debug)]
 pub struct Dispatch {
     batch_size: usize,
@@ -132,17 +108,13 @@ impl Dispatch {
         self.batch_size * live.max(1)
     }
 
-    /// Cut `queued` tasks into messages for `live` nodes: every chunk takes
-    /// `ceil(queued / live)` tasks capped at `batch_size` (the last one what
-    /// is left), and chunks go round-robin from where the previous round
-    /// stopped. Plans nothing while no node is live: the queue is held.
+    /// Cut `queued` tasks into messages for `live` nodes: each takes
+    /// `ceil(queued / live)` tasks capped at `batch_size` (the last what is
+    /// left), round-robin from where the previous round stopped. Plans
+    /// nothing while no node is live: the queue is held.
     pub fn plan(&mut self, queued: usize, live: usize) -> impl Iterator<Item = Chunk> + '_ {
-        let per = if live == 0 {
-            0
-        } else {
-            queued.div_ceil(live).min(self.batch_size)
-        };
-        let mut left = if per == 0 { 0 } else { queued };
+        let per = queued.div_ceil(live.max(1)).min(self.batch_size);
+        let mut left = if live == 0 { 0 } else { queued };
         std::iter::from_fn(move || {
             if left == 0 {
                 return None;
@@ -161,8 +133,8 @@ impl Dispatch {
     }
 }
 
-/// Heartbeat rule: a node whose last beat is more than `threshold` old is
-/// stale, and the submit side scans once per `period`.
+/// A node whose last beat is more than `threshold` old is dead; the submit
+/// side scans once per `period`.
 #[derive(Clone, Copy, Debug)]
 pub struct Heartbeat {
     pub period: Duration,
@@ -170,7 +142,6 @@ pub struct Heartbeat {
 }
 
 impl Heartbeat {
-    /// Whether a node last heard from at `last_beat` is dead at `now`.
     pub fn is_stale(&self, now: Duration, last_beat: Duration) -> bool {
         now.saturating_sub(last_beat) > self.threshold
     }
@@ -188,11 +159,10 @@ pub enum AfterLoss {
     Replace,
     /// Nothing is live and nothing will be replaced: fail every queued task.
     FailAll,
-    /// Enough nodes are live.
     Nothing,
 }
 
-/// Decide after a loss, with `live` nodes left, against the `min_nodes`
+/// Decide after a loss with `live` nodes left, against the `min_nodes`
 /// floor. A replacement that cannot be provisioned is decided again with a
 /// floor of 0.
 pub fn after_loss(live: usize, min_nodes: usize) -> AfterLoss {
@@ -270,7 +240,8 @@ mod tests {
             l.mark_lost(),
             Some(vec![(11, "b"), (13, "d"), (14, "e"), (15, "f")])
         );
-        assert!(l.is_empty() && l.is_lost());
+        assert!(l.is_lost());
+        assert_eq!(l.accept(11), None);
         // A loss is processed once.
         assert_eq!(l.mark_lost(), None);
     }
@@ -291,7 +262,7 @@ mod tests {
         assert_eq!(l.accept(5), Some(1));
         assert_eq!(l.accept(5), None);
         assert_eq!(l.accept(99), None);
-        assert_eq!(l.len(), 1);
+        assert_eq!(l.mark_lost(), Some(vec![(4, 0)]));
     }
 
     #[test]
@@ -299,7 +270,7 @@ mod tests {
         let mut l: Ledger<usize> = Ledger::new();
         assert_eq!(l.mark_lost(), Some(vec![]));
         assert!(!l.insert(1, [3, 4]));
-        assert!(l.is_empty());
+        assert_eq!(l.accept(1), None);
     }
 
     #[test]

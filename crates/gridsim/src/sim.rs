@@ -1,15 +1,19 @@
 //! Deterministic discrete-event simulation of the executor stack.
 //!
 //! This is the virtual-time event loop the simtest harness drives: simulated
-//! nodes with a fixed worker count, message delays on the dispatch and
-//! result paths, heartbeats with a staleness monitor, and fault injection at
-//! chosen logical instants. It mirrors the semantics of
-//! `parsl::htex` — slot-reserving dispatch, heartbeat loss → `NodeLost` →
-//! re-dispatch of exactly the unfinished in-flight set, results from dead
-//! nodes dropped at the flush boundary — but runs single-threaded on a
-//! logical clock, so the *entire* schedule is a pure function of the seed:
-//! the same seed produces a byte-identical event log, and a failing seed
-//! replays the exact interleaving in a debugger.
+//! nodes with a fixed worker count, one message delay per dispatched chunk
+//! and per result, heartbeats with a staleness monitor, and fault injection
+//! at chosen logical instants. Every protocol decision is made by
+//! [`crate::interchange`], the code `parsl::htex` ships: the chunk plan and
+//! round-robin node choice, the per-node ledger (a result counts only while
+//! its attempt is in flight; a loss drains exactly the unfinished set and a
+//! lost node's late results are dropped), heartbeat staleness and the scan
+//! instant, and the after-loss decision. The engine adds what HTEX gets from
+//! threads and the network — an event heap in logical time, seeded draws, a
+//! worker FIFO per node and fault delivery — and runs single-threaded, so
+//! the *entire* schedule is a pure function of the seed: the same seed
+//! produces a byte-identical event log, and a failing seed replays the exact
+//! interleaving in a debugger.
 //!
 //! Invariants are checked inside the engine as events are applied (not
 //! re-derived afterwards from the log):
@@ -20,10 +24,12 @@
 //! * **lost-node exclusion** — a task attempt that was re-dispatched after
 //!   its node was declared lost is never *also* accepted from that node.
 
+use crate::interchange::{after_loss, AfterLoss, Attempt, Dispatch, Heartbeat, Ledger};
 use simtest::SimRng;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, HashSet, VecDeque};
 use std::fmt::Write as _;
+use std::time::Duration;
 
 /// One task in a simulated workflow DAG. `deps` are indices of tasks that
 /// must complete first (always smaller than the task's own index).
@@ -111,6 +117,8 @@ pub struct SimConfig {
     pub workers_per_node: usize,
     pub heartbeat_period_us: u64,
     pub heartbeat_threshold_us: u64,
+    /// Maximum tasks per dispatched message, as HTEX's `batch_size`.
+    pub batch_size: usize,
     pub exec_us: (u64, u64),
     pub dispatch_delay_us: (u64, u64),
     pub result_delay_us: (u64, u64),
@@ -126,6 +134,7 @@ impl SimConfig {
             workers_per_node: 2,
             heartbeat_period_us: 1_000,
             heartbeat_threshold_us: 4_000,
+            batch_size: 8,
             exec_us: (200, 2_000),
             dispatch_delay_us: (10, 200),
             result_delay_us: (10, 200),
@@ -143,6 +152,8 @@ pub struct SimEvent {
     pub kind: SimEventKind,
 }
 
+/// `attempt` is the dispatch attempt number: unique across the run and
+/// increasing in dispatch order (a re-dispatch takes a new one).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SimEventKind {
     Dispatch {
@@ -178,59 +189,37 @@ pub enum SimEventKind {
 
 impl SimEvent {
     fn render(&self, labels: &[String]) -> String {
-        let name = |t: usize| labels[t].as_str();
+        let name = |t: &usize| labels[*t].as_str();
         match &self.kind {
             SimEventKind::Dispatch {
                 task,
                 node,
                 attempt,
-            } => {
-                format!(
-                    "dispatch {} -> node{} attempt {}",
-                    name(*task),
-                    node,
-                    attempt
-                )
-            }
+            } => format!("dispatch {} -> node{node} attempt {attempt}", name(task)),
             SimEventKind::Complete {
                 task,
                 node,
                 attempt,
-            } => {
-                format!(
-                    "complete {} on node{} attempt {}",
-                    name(*task),
-                    node,
-                    attempt
-                )
-            }
+            } => format!("complete {} on node{node} attempt {attempt}", name(task)),
             SimEventKind::Kill { node } => format!("kill node{node}"),
             SimEventKind::NodeLost { node } => format!("node-lost node{node}"),
             SimEventKind::Redispatched {
                 task,
                 node,
                 attempt,
-            } => {
-                format!(
-                    "redispatch {} (was node{} attempt {})",
-                    name(*task),
-                    node,
-                    attempt
-                )
-            }
+            } => format!(
+                "redispatch {} (was node{node} attempt {attempt})",
+                name(task)
+            ),
             SimEventKind::ResultDropped {
                 task,
                 node,
                 attempt,
-            } => {
-                format!(
-                    "result-dropped {} from node{} attempt {}",
-                    name(*task),
-                    node,
-                    attempt
-                )
-            }
-            SimEventKind::Stranded { task } => format!("stranded {}", name(*task)),
+            } => format!(
+                "result-dropped {} from node{node} attempt {attempt}",
+                name(task)
+            ),
+            SimEventKind::Stranded { task } => format!("stranded {}", name(task)),
         }
     }
 }
@@ -272,54 +261,49 @@ impl SimReport {
     }
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum TaskState {
-    Waiting,
-    Ready,
-    InFlight { node: usize, attempt: u32 },
-    Done { node: usize, attempt: u32 },
-}
-
 struct TaskInfo {
     deps_left: usize,
     children: Vec<usize>,
-    state: TaskState,
-    attempts: u32,
+    done: bool,
 }
 
 struct NodeState {
+    /// False once a fault has killed the node: it runs and sends nothing.
     alive: bool,
-    declared_lost: bool,
     last_beat_us: u64,
-    free_workers: usize,
-    /// task index → attempt currently assigned to this node.
-    in_flight: BTreeMap<usize, u32>,
+    /// What the submit side sent this node and has not accepted back.
+    ledger: Ledger<usize>,
+    /// Delivered tasks waiting for a worker, in arrival order.
+    fifo: VecDeque<Run>,
+    /// Workers not running a task.
+    idle: usize,
+}
+
+impl NodeState {
+    /// Alive and not declared lost: a node whose workers take tasks.
+    fn usable(&self) -> bool {
+        self.alive && !self.ledger.is_lost()
+    }
+}
+
+/// One task attempt on one node.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Run {
+    task: usize,
+    node: usize,
+    attempt: Attempt,
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Ev {
-    Kill {
-        node: usize,
-    },
-    Heartbeat {
-        node: usize,
-    },
+    Kill(usize),
+    Heartbeat(usize),
     MonitorScan,
-    TaskArrive {
-        task: usize,
-        node: usize,
-        attempt: u32,
-    },
-    ExecDone {
-        task: usize,
-        node: usize,
-        attempt: u32,
-    },
-    ResultArrive {
-        task: usize,
-        node: usize,
-        attempt: u32,
-    },
+    /// A dispatched task reaches its node (a message's tasks all arrive at
+    /// one instant, in order).
+    TaskArrive(Run),
+    ExecDone(Run),
+    ResultArrive(Run),
 }
 
 struct Engine {
@@ -334,7 +318,10 @@ struct Engine {
     tasks: Vec<TaskInfo>,
     nodes: Vec<NodeState>,
     ready: VecDeque<usize>,
-    rr: usize,
+    dispatch: Dispatch,
+    heartbeat: Heartbeat,
+    /// The after-loss decision failed everything: the run is over.
+    failed: bool,
     // Report accumulation.
     labels: Vec<String>,
     events: Vec<SimEvent>,
@@ -346,7 +333,7 @@ struct Engine {
     /// (task, node, attempt) triples that were re-dispatched away from a
     /// lost node; accepting a result for one of these is the invariant
     /// violation the proptest hunts for.
-    redispatched_attempts: HashSet<(usize, usize, u32)>,
+    redispatched_attempts: HashSet<(usize, usize, Attempt)>,
 }
 
 /// Run `dag` under `cfg` and return the full schedule and its invariants.
@@ -357,12 +344,7 @@ pub fn run(cfg: &SimConfig, dag: &SimDag) -> SimReport {
         .map(|t| TaskInfo {
             deps_left: t.deps.len(),
             children: Vec::new(),
-            state: if t.deps.is_empty() {
-                TaskState::Ready
-            } else {
-                TaskState::Waiting
-            },
-            attempts: 0,
+            done: false,
         })
         .collect();
     for (i, t) in dag.tasks.iter().enumerate() {
@@ -370,19 +352,16 @@ pub fn run(cfg: &SimConfig, dag: &SimDag) -> SimReport {
             tasks[d].children.push(i);
         }
     }
-    let ready: VecDeque<usize> = tasks
-        .iter()
-        .enumerate()
-        .filter(|(_, t)| t.state == TaskState::Ready)
-        .map(|(i, _)| i)
+    let ready: VecDeque<usize> = (0..tasks.len())
+        .filter(|&i| tasks[i].deps_left == 0)
         .collect();
     let nodes = (0..cfg.nodes.max(1))
         .map(|_| NodeState {
             alive: true,
-            declared_lost: false,
             last_beat_us: 0,
-            free_workers: cfg.workers_per_node.max(1),
-            in_flight: BTreeMap::new(),
+            ledger: Ledger::new(),
+            fifo: VecDeque::new(),
+            idle: cfg.workers_per_node.max(1),
         })
         .collect();
 
@@ -395,7 +374,12 @@ pub fn run(cfg: &SimConfig, dag: &SimDag) -> SimReport {
         tasks,
         nodes,
         ready,
-        rr: 0,
+        dispatch: Dispatch::new(cfg.batch_size),
+        heartbeat: Heartbeat {
+            period: Duration::from_micros(cfg.heartbeat_period_us),
+            threshold: Duration::from_micros(cfg.heartbeat_threshold_us),
+        },
+        failed: false,
         labels: dag.tasks.iter().map(|t| t.label.clone()).collect(),
         events: Vec::new(),
         log_seq: 0,
@@ -407,19 +391,15 @@ pub fn run(cfg: &SimConfig, dag: &SimDag) -> SimReport {
     };
     eng.run();
 
-    let stranded: Vec<usize> = eng
-        .tasks
-        .iter()
-        .enumerate()
-        .filter(|(_, t)| !matches!(t.state, TaskState::Done { .. }))
-        .map(|(i, _)| i)
+    let stranded: Vec<usize> = (0..eng.tasks.len())
+        .filter(|&i| !eng.tasks[i].done)
         .collect();
     for &t in &stranded {
         eng.log(SimEventKind::Stranded { task: t });
         // A task left behind while a live node could still run it is a lost
         // task — the core invariant. Stranding is only legitimate when the
         // whole cluster is gone.
-        if eng.nodes.iter().any(|n| n.alive && !n.declared_lost) {
+        if eng.nodes.iter().any(NodeState::usable) {
             eng.violations.push(format!(
                 "lost task: {} never completed although node(s) survive",
                 eng.labels[t]
@@ -460,37 +440,46 @@ impl Engine {
         self.rng.gen_range_u64(range.0, range.1)
     }
 
+    fn now(&self) -> Duration {
+        Duration::from_micros(self.now_us)
+    }
+
     fn all_done(&self) -> bool {
-        self.tasks
-            .iter()
-            .all(|t| matches!(t.state, TaskState::Done { .. }))
+        self.tasks.iter().all(|t| t.done)
     }
 
     /// Is there any point keeping periodic machinery armed? Yes while work
-    /// remains and some node is either still usable or still awaiting its
-    /// `NodeLost` declaration (i.e. not yet declared lost).
+    /// remains and the after-loss decision has not failed everything.
     fn keep_periodic(&self) -> bool {
-        !self.all_done() && self.nodes.iter().any(|n| !n.declared_lost)
+        !self.all_done() && !self.failed
+    }
+
+    /// Schedule the monitor's next scan at the instant the heartbeat rule
+    /// names.
+    fn schedule_scan(&mut self) {
+        let now = self.now();
+        let at = self.heartbeat.next_scan(now);
+        self.schedule((at - now).as_micros() as u64, Ev::MonitorScan);
     }
 
     fn run(&mut self) {
         for f in self.cfg.faults.clone() {
             if f.node < self.nodes.len() {
-                self.schedule(f.at_us, Ev::Kill { node: f.node });
+                self.schedule(f.at_us, Ev::Kill(f.node));
             }
         }
         for node in 0..self.nodes.len() {
             let period = self.cfg.heartbeat_period_us;
-            self.schedule(period, Ev::Heartbeat { node });
+            self.schedule(period, Ev::Heartbeat(node));
         }
-        self.schedule(self.cfg.heartbeat_period_us, Ev::MonitorScan);
+        self.schedule_scan();
         self.try_dispatch();
 
         while let Some(Reverse((at, seq))) = self.queue.pop() {
             self.now_us = at;
             let ev = self.pending[seq as usize];
             self.apply(ev);
-            if self.all_done() {
+            if self.all_done() || self.failed {
                 break;
             }
         }
@@ -498,86 +487,73 @@ impl Engine {
 
     fn apply(&mut self, ev: Ev) {
         match ev {
-            Ev::Kill { node } => {
+            Ev::Kill(node) => {
                 if self.nodes[node].alive {
                     self.nodes[node].alive = false;
+                    // What was queued on the node dies with it; the ledger
+                    // still holds it for the loss to drain.
+                    self.nodes[node].fifo.clear();
                     self.log(SimEventKind::Kill { node });
                 }
             }
-            Ev::Heartbeat { node } => {
+            Ev::Heartbeat(node) => {
                 // A dead node's heartbeat thread is gone: no beat, no re-arm.
                 if self.nodes[node].alive {
                     self.nodes[node].last_beat_us = self.now_us;
                     if self.keep_periodic() {
                         let period = self.cfg.heartbeat_period_us;
-                        self.schedule(period, Ev::Heartbeat { node });
+                        self.schedule(period, Ev::Heartbeat(node));
                     }
                 }
             }
             Ev::MonitorScan => {
+                let now = self.now();
                 for node in 0..self.nodes.len() {
-                    let stale = self.now_us.saturating_sub(self.nodes[node].last_beat_us)
-                        > self.cfg.heartbeat_threshold_us;
-                    if !self.nodes[node].declared_lost && stale {
-                        self.declare_lost(node);
+                    let last_beat = Duration::from_micros(self.nodes[node].last_beat_us);
+                    if !self.nodes[node].ledger.is_lost() && self.heartbeat.is_stale(now, last_beat)
+                    {
+                        self.lose(node);
                     }
                 }
                 if self.keep_periodic() {
-                    let period = self.cfg.heartbeat_period_us;
-                    self.schedule(period, Ev::MonitorScan);
+                    self.schedule_scan();
                 }
                 self.try_dispatch();
             }
-            Ev::TaskArrive {
-                task,
-                node,
-                attempt,
-            } => {
-                // Only start executing if the node is still alive and the
-                // assignment has not been superseded by a re-dispatch.
-                if self.nodes[node].alive && self.nodes[node].in_flight.get(&task) == Some(&attempt)
-                {
-                    let exec = self.draw(self.cfg.exec_us);
-                    self.schedule(
-                        exec,
-                        Ev::ExecDone {
-                            task,
-                            node,
-                            attempt,
-                        },
-                    );
+            Ev::TaskArrive(run) => {
+                // A message to a dead node is lost with it; its tasks stay
+                // in the ledger until the loss drains them.
+                if self.nodes[run.node].usable() {
+                    self.nodes[run.node].fifo.push_back(run);
+                    self.start_workers(run.node);
                 }
             }
-            Ev::ExecDone {
-                task,
-                node,
-                attempt,
-            } => {
-                if self.nodes[node].alive && self.nodes[node].in_flight.get(&task) == Some(&attempt)
-                {
+            Ev::ExecDone(run) => {
+                if self.nodes[run.node].alive {
+                    self.nodes[run.node].idle += 1;
                     let delay = self.draw(self.cfg.result_delay_us);
-                    self.schedule(
-                        delay,
-                        Ev::ResultArrive {
-                            task,
-                            node,
-                            attempt,
-                        },
-                    );
+                    self.schedule(delay, Ev::ResultArrive(run));
+                    self.start_workers(run.node);
                 }
             }
-            Ev::ResultArrive {
+            Ev::ResultArrive(Run {
                 task,
                 node,
                 attempt,
-            } => {
-                // The flush boundary: results from nodes now known dead are
-                // dropped; the monitor re-dispatches their tasks.
-                if !self.nodes[node].alive || self.nodes[node].declared_lost {
+            }) => {
+                // A reply from a node that has died since is lost with it
+                // (HTEX's aggregator drops a reply once its node is dead);
+                // otherwise the ledger decides whether the attempt counts.
+                let accepted = if self.nodes[node].alive {
+                    self.nodes[node].ledger.accept(attempt)
+                } else {
+                    None
+                };
+                if accepted.is_none() {
                     self.log(SimEventKind::ResultDropped {
                         task,
                         node,
-                        attempt,
+                        attempt: attempt as u32,
                     });
                     return;
                 }
@@ -587,27 +563,24 @@ impl Engine {
                         self.labels[task], attempt, node
                     ));
                 }
-                if let TaskState::Done { .. } = self.tasks[task].state {
+                if self.tasks[task].done {
                     self.violations.push(format!(
                         "task {} completed twice (second result from node{} attempt {})",
                         self.labels[task], node, attempt
                     ));
                     return;
                 }
-                self.tasks[task].state = TaskState::Done { node, attempt };
-                self.nodes[node].in_flight.remove(&task);
-                self.nodes[node].free_workers += 1;
+                self.tasks[task].done = true;
                 self.completed += 1;
                 self.log(SimEventKind::Complete {
                     task,
                     node,
-                    attempt,
+                    attempt: attempt as u32,
                 });
                 let children = self.tasks[task].children.clone();
                 for c in children {
                     self.tasks[c].deps_left -= 1;
                     if self.tasks[c].deps_left == 0 {
-                        self.tasks[c].state = TaskState::Ready;
                         self.ready.push_back(c);
                     }
                 }
@@ -616,75 +589,84 @@ impl Engine {
         }
     }
 
-    fn declare_lost(&mut self, node: usize) {
-        self.nodes[node].declared_lost = true;
+    /// The monitor found `node` stale: its ledger drains the unfinished set
+    /// back to the ready queue, and the after-loss decision runs with no
+    /// floor (the simulator provisions no replacement blocks).
+    fn lose(&mut self, node: usize) {
+        let Some(drained) = self.nodes[node].ledger.mark_lost() else {
+            return;
+        };
         self.nodes_lost.push(node);
         self.log(SimEventKind::NodeLost { node });
-        // Drain exactly the unfinished in-flight set back to ready, in
-        // deterministic (task index) order.
-        let drained: Vec<(usize, u32)> = std::mem::take(&mut self.nodes[node].in_flight)
-            .into_iter()
-            .collect();
-        self.nodes[node].free_workers = 0;
-        for (task, attempt) in drained {
-            if matches!(self.tasks[task].state, TaskState::Done { .. }) {
-                continue;
-            }
+        self.nodes[node].fifo.clear();
+        for (attempt, task) in drained {
             self.redispatched_attempts.insert((task, node, attempt));
             self.redispatches += 1;
             self.log(SimEventKind::Redispatched {
                 task,
                 node,
-                attempt,
+                attempt: attempt as u32,
             });
-            self.tasks[task].state = TaskState::Ready;
             self.ready.push_back(task);
+        }
+        let live = self.nodes.iter().filter(|n| !n.ledger.is_lost()).count();
+        if after_loss(live, 0) == AfterLoss::FailAll {
+            self.failed = true;
         }
     }
 
-    /// Assign ready tasks to free workers, round-robin over usable nodes.
-    /// Deterministic: ready queue is FIFO, node choice rotates from `rr`.
+    /// Idle workers on `node` take delivered tasks in arrival order.
+    fn start_workers(&mut self, node: usize) {
+        while self.nodes[node].usable() && self.nodes[node].idle > 0 {
+            let Some(run) = self.nodes[node].fifo.pop_front() else {
+                break;
+            };
+            self.nodes[node].idle -= 1;
+            let exec = self.draw(self.cfg.exec_us);
+            self.schedule(exec, Ev::ExecDone(run));
+        }
+    }
+
+    /// Send the ready queue out as the dispatch rule plans it, over the
+    /// nodes the submit side has not declared lost (a killed node looks
+    /// live until its heartbeat goes stale). One dispatch delay per message.
     fn try_dispatch(&mut self) {
-        while let Some(&task) = self.ready.front() {
-            let n = self.nodes.len();
-            let mut chosen = None;
-            for off in 0..n {
-                let node = (self.rr + off) % n;
-                let ns = &self.nodes[node];
-                if ns.alive && !ns.declared_lost && ns.free_workers > 0 {
-                    chosen = Some(node);
-                    break;
-                }
-            }
-            let Some(node) = chosen else { break };
-            self.ready.pop_front();
-            self.rr = (node + 1) % n;
-            self.tasks[task].attempts += 1;
-            let attempt = self.tasks[task].attempts;
-            self.tasks[task].state = TaskState::InFlight { node, attempt };
-            self.nodes[node].free_workers -= 1;
-            self.nodes[node].in_flight.insert(task, attempt);
-            self.log(SimEventKind::Dispatch {
-                task,
-                node,
-                attempt,
-            });
+        if self.failed {
+            return;
+        }
+        let live: Vec<usize> = (0..self.nodes.len())
+            .filter(|&n| !self.nodes[n].ledger.is_lost())
+            .collect();
+        let plan: Vec<_> = self.dispatch.plan(self.ready.len(), live.len()).collect();
+        for chunk in plan {
+            let node = live[chunk.slot];
+            let tasks: Vec<usize> = self.ready.drain(..chunk.len).collect();
+            let inserted = self.nodes[node]
+                .ledger
+                .insert(chunk.first, tasks.iter().copied());
+            debug_assert!(inserted, "a live node's ledger refused a chunk");
             let delay = self.draw(self.cfg.dispatch_delay_us);
-            self.schedule(
-                delay,
-                Ev::TaskArrive {
+            for (attempt, task) in (chunk.first..).zip(tasks) {
+                let kind = SimEventKind::Dispatch {
+                    task,
+                    node,
+                    attempt: attempt as u32,
+                };
+                self.log(kind);
+                let run = Run {
                     task,
                     node,
                     attempt,
-                },
-            );
+                };
+                self.schedule(delay, Ev::TaskArrive(run));
+            }
         }
     }
 }
 
-/// A fully seeded scenario: workflow shape, cluster size, and fault plan all
-/// derived from one `u64`. This is the unit of the schedule-exploration
-/// suite — `simrun --log <seed>` replays exactly this.
+/// A fully seeded scenario: workflow shape, cluster size, message size and
+/// fault plan all derived from one `u64`. This is the unit of the
+/// schedule-exploration suite — `simrun --log <seed>` replays exactly this.
 #[derive(Clone, Debug)]
 pub struct Scenario {
     pub seed: u64,
@@ -731,6 +713,7 @@ impl Scenario {
         }
         faults.sort_by_key(|f| (f.at_us, f.node));
         cfg.faults = faults;
+        cfg.batch_size = 1 + rng.gen_index(8); // 1..=8
         Scenario {
             seed,
             shape,

@@ -339,70 +339,38 @@ impl DataFlowKernel {
 
     /// Build a kernel, returning provisioning errors.
     pub fn try_new(config: Config) -> Result<Arc<Self>, String> {
-        let label = config.label.clone();
         // Built before the executor starts, so the executor records into the
         // run's own instance from its first block on.
-        let obs = Arc::new(Observability::new(config.monitoring));
-        let executor: Arc<dyn Executor> = match config.executor {
+        let obs = Arc::new(Observability::new(config.monitoring.clone()));
+        let executor: Arc<dyn Executor> = match &config.executor {
             ExecutorChoice::ThreadPool { workers } => {
-                ThreadPoolExecutor::new(format!("{label}-tpe"), workers, obs.clone())
+                ThreadPoolExecutor::new(format!("{}-tpe", config.label), *workers, obs.clone())
             }
             ExecutorChoice::Htex {
-                config: mut hc,
+                config: hc,
                 provider,
             } => {
+                let mut hc = hc.clone();
                 // A non-default kernel clock is the run-wide time source:
                 // the HTEX it starts must read the same one, or heartbeats
                 // and backoff would disagree about when "now" is.
                 if !Arc::ptr_eq(&config.clock, &simtest::real_clock()) {
                     hc.clock = config.clock.clone();
                 }
-                HighThroughputExecutor::start(hc, provider, obs.clone())?
+                HighThroughputExecutor::start(hc, provider.clone(), obs.clone())?
             }
         };
-        Ok(Self::from_parts(
-            executor,
-            obs,
-            config.retry,
-            config.memoize,
-            config.checkpoint,
-            config.clock,
-            config.seed,
-            config.gate,
-        ))
+        Ok(Self::with_executor(executor, obs, config))
     }
 
     /// Build a kernel on an already-running executor — for custom executors
     /// and fault-injection tests. `obs` is the handle the executor was built
-    /// with; the kernel records into the same one (`config.monitoring` is
-    /// not read: `obs` already carries its settings).
+    /// with, and the kernel records into the same one; `config.executor`
+    /// and `config.monitoring` are not read.
     pub fn with_executor(
         executor: Arc<dyn Executor>,
         obs: Arc<Observability>,
         config: Config,
-    ) -> Arc<Self> {
-        Self::from_parts(
-            executor,
-            obs,
-            config.retry,
-            config.memoize,
-            config.checkpoint,
-            config.clock,
-            config.seed,
-            config.gate,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn from_parts(
-        executor: Arc<dyn Executor>,
-        obs: Arc<Observability>,
-        retry: RetryPolicy,
-        memoize: bool,
-        checkpoint: Option<Arc<ckpt::Journal>>,
-        clock: simtest::ClockRef,
-        seed: Option<u64>,
-        gate: Option<Arc<dyn DispatchGate>>,
     ) -> Arc<Self> {
         if obs.is_enabled() {
             // Layers with no handle to a kernel (expression cache, tool
@@ -429,7 +397,7 @@ impl DataFlowKernel {
             memo_misses: obs.counter(names::MEMO_MISSES),
             outstanding: obs.gauge(names::DFK_OUTSTANDING),
         };
-        let ckpt = checkpoint.map(|journal| CkptState {
+        let ckpt = config.checkpoint.map(|journal| CkptState {
             journal,
             seeded: Mutex::new(std::collections::HashSet::new()),
             steps: Mutex::new(std::collections::HashMap::new()),
@@ -440,10 +408,10 @@ impl DataFlowKernel {
         });
         Arc::new(Self {
             executor,
-            retry,
+            retry: config.retry,
             // Checkpointing is durable memoization: a journal implies the
             // memo table, or replays would have nowhere to land.
-            memoize: memoize || ckpt.is_some(),
+            memoize: config.memoize || ckpt.is_some(),
             memo: ShardedMemo::new(),
             next_id: AtomicU64::new(1),
             outstanding: AtomicUsize::new(0),
@@ -452,12 +420,12 @@ impl DataFlowKernel {
             obs,
             metrics,
             ckpt,
-            clock,
-            rng: Mutex::new(match seed {
+            clock: config.clock,
+            rng: Mutex::new(match config.seed {
                 Some(s) => simtest::SimRng::seeded(s),
                 None => simtest::SimRng::from_entropy(),
             }),
-            gate,
+            gate: config.gate,
             run_ckpts: Mutex::new(std::collections::HashMap::new()),
         })
     }

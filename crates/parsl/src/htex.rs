@@ -12,37 +12,29 @@
 //!
 //! Nodes come from a [`Provider`] as pilot jobs (paying batch-queue wait);
 //! each granted node gets a *manager* with `workers_per_node` worker threads.
-//! Every protocol decision — how the queue is cut into messages, which node
-//! each goes to, when a heartbeat is stale, which result is accepted, what a
-//! loss re-dispatches and what it leaves to do — is made by
-//! [`gridsim::interchange`], the same code the deterministic simulator
-//! drives. This module supplies the threads, channels and clock around it
-//! and calls it inline, on the thread that already holds the event.
+//! Every protocol decision — how the queue is cut into messages and where
+//! each goes, when a heartbeat is stale, which result counts, what a loss
+//! re-dispatches and what it leaves to do — is [`gridsim::interchange`]'s,
+//! the code the deterministic simulator drives; this module supplies the
+//! threads, channels and clock and calls it inline.
 //!
-//! A dispatcher thread drains the interchange queue and sends live managers
-//! **batches** of up to [`HtexConfig::batch_size`] tasks, round-robin: each
-//! batch crosses the submit-side ↔ manager network boundary as one message,
-//! so its modelled dispatch latency is paid once per message (the first
-//! worker to pick any task of the batch pays; the rest ride along). No
-//! worker slot is reserved: a manager queues what it is sent. Results flow
-//! back the same way: each manager runs a reply aggregator that flushes
-//! completed tasks in batches, paying the result-path latency once per
-//! reply message. The latencies are paid **off the submit thread**, so
-//! transfers to different managers pipeline exactly as real network
-//! messages do. `batch_size: 1` recovers one message per task.
+//! A dispatcher thread sends live managers **batches** of up to
+//! [`HtexConfig::batch_size`] tasks, round-robin, with no worker slot
+//! reserved. Each batch crosses the submit-side ↔ manager network boundary
+//! as one message, so its modelled dispatch latency is paid once (by the
+//! first worker to pick any of its tasks), off the submit thread, and
+//! transfers to different managers pipeline. Each manager's reply
+//! aggregator flushes completed tasks in batches, paying the result-path
+//! latency once per reply. `batch_size: 1` recovers one message per task.
 //!
-//! Every task a manager was sent sits in that manager's
-//! [`Ledger`] (under the manager's own mutex) until its result is accepted.
-//! Fault tolerance follows Parsl's interchange/manager heartbeats: every
-//! manager runs a heartbeat thread; a monitor on the submit side declares a
-//! manager dead when its heartbeat goes stale (or when a [`FaultPlan`] kills
-//! its node). The loss drains the dead manager's ledger — exactly the
-//! unfinished tasks — back to the dispatcher (task bodies are `Fn`, not
-//! `FnOnce`, so a payload can be re-dispatched); a result the lost node
-//! still sends is dropped, so every task completes once. When the
-//! live-node count drops below [`HtexConfig::min_nodes`], a replacement
-//! block is provisioned through the provider. If every node is lost and no
-//! replacement can be obtained, pending tasks fail with
+//! Every task a manager was sent sits in that manager's [`Ledger`] until
+//! its result is accepted. Each manager heartbeats; a monitor on the submit
+//! side declares it dead when the heartbeat goes stale (or a [`FaultPlan`]
+//! kills its node). The loss drains exactly the unfinished tasks back to
+//! the dispatcher (task bodies are `Fn`, so a payload can be re-run), a
+//! result the lost node still sends is dropped, and below
+//! [`HtexConfig::min_nodes`] a replacement block is provisioned. If every
+//! node is lost and none can replace them, pending tasks fail with
 //! [`TaskError::ExecutorLost`].
 //!
 //! Elasticity: [`HighThroughputExecutor::add_block`] provisions additional
@@ -65,6 +57,7 @@ use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 /// HTEX configuration.
+#[derive(Clone)]
 pub struct HtexConfig {
     /// Executor label.
     pub label: String,
@@ -108,19 +101,6 @@ impl Default for HtexConfig {
             fault_plan: None,
             batch_size: 8,
             clock: simtest::real_clock(),
-        }
-    }
-}
-
-impl HtexConfig {
-    /// The paper's three-node configuration: all cores on every node.
-    pub fn paper_three_node() -> Self {
-        Self {
-            label: "htex".to_string(),
-            nodes: 3,
-            workers_per_node: 0,
-            latency: LatencyModel::cluster_lan(),
-            ..Self::default()
         }
     }
 }
@@ -266,10 +246,6 @@ impl HighThroughputExecutor {
     /// Provision `nodes` additional nodes and connect their managers.
     /// Returns the number of workers added.
     pub fn add_block(self: &Arc<Self>, nodes: usize) -> Result<usize, String> {
-        self.add_block_inner(nodes).map(|(added, _)| added)
-    }
-
-    fn add_block_inner(self: &Arc<Self>, nodes: usize) -> Result<(usize, Vec<String>), String> {
         let obs = &self.obs;
         // Covers the provider round-trip (batch-queue wait included). An
         // unfinished span from an Err return is simply dropped.
@@ -278,7 +254,6 @@ impl HighThroughputExecutor {
         obs.finish_span(provision_span);
         obs.counter(names::HTEX_BLOCKS_ADDED).incr();
         let mut added = 0usize;
-        let mut names = Vec::with_capacity(granted.len());
         let mut new_mgrs = Vec::with_capacity(granted.len());
         for node in granted {
             let per_node = if self.workers_per_node == 0 {
@@ -351,7 +326,6 @@ impl HighThroughputExecutor {
                 );
             }
             added += per_node;
-            names.push(node_name);
             new_mgrs.push(mgr);
         }
         // Register under one lock so a block granted while shutdown was
@@ -365,7 +339,7 @@ impl HighThroughputExecutor {
                 drop(registry);
                 // A queue held for want of a live node can go out now.
                 let _ = self.dispatch_tx.send(DispatchMsg::Wake);
-                return Ok((added, names));
+                return Ok(added);
             }
         }
         // Shutdown raced this provisioning: tear the block back down.
@@ -396,11 +370,7 @@ impl HighThroughputExecutor {
 
     /// Number of live managers (nodes) currently connected.
     pub fn manager_count(&self) -> usize {
-        self.managers
-            .lock()
-            .iter()
-            .filter(|m| !m.dead.load(Ordering::SeqCst))
-            .count()
+        self.live_nodes().len()
     }
 
     /// Refill `into` with the managers not known dead.
@@ -413,6 +383,17 @@ impl HighThroughputExecutor {
                 .filter(|m| !m.dead.load(Ordering::SeqCst))
                 .cloned(),
         );
+    }
+
+    /// The observability instance this executor records into.
+    pub fn observability(&self) -> Arc<Observability> {
+        self.obs.clone()
+    }
+
+    /// The executor's time source (real or virtual) — shared with the
+    /// scaling strategy so its polling interval runs on the same clock.
+    pub fn clock(&self) -> simtest::ClockRef {
+        self.clock.clone()
     }
 
     /// Tasks submitted but not yet finished — the backlog signal the
@@ -480,13 +461,8 @@ impl HighThroughputExecutor {
                 let h = self.clone();
                 let spawned = std::thread::Builder::new()
                     .name(format!("{}-replace", self.label))
-                    .spawn(move || match h.add_block_inner(1) {
-                        Ok((_, nodes)) => {
-                            let replaced = h.obs.counter(names::HTEX_BLOCKS_REPLACED);
-                            for _ in nodes {
-                                h.obs.count(&replaced);
-                            }
-                        }
+                    .spawn(move || match h.add_block(1) {
+                        Ok(_) => h.obs.count(&h.obs.counter(names::HTEX_BLOCKS_REPLACED)),
                         Err(_) => {
                             if after_loss(h.manager_count(), 0) == AfterLoss::FailAll {
                                 h.fail_all();
@@ -611,15 +587,14 @@ fn dispatcher_loop(
     }
     // Stopped (or the executor is gone): whatever was never placed fails.
     let h = htex.upgrade();
-    let unread = std::iter::from_fn(|| rx.try_recv().ok()).filter_map(|msg| match msg {
-        DispatchMsg::Task(payload) => Some(payload),
-        DispatchMsg::Wake | DispatchMsg::Stop => None,
-    });
-    let leftover = queue.into_iter().chain(unread);
-    for payload in leftover {
-        match &h {
-            Some(h) => h.fail_task(payload, TaskError::Shutdown),
-            None => payload.promise.complete(Err(TaskError::Shutdown)),
+    let unread = std::iter::from_fn(|| rx.try_recv().ok());
+    for msg in queue.into_iter().map(DispatchMsg::Task).chain(unread) {
+        match (msg, &h) {
+            (DispatchMsg::Task(payload), Some(h)) => h.fail_task(payload, TaskError::Shutdown),
+            (DispatchMsg::Task(payload), None) => {
+                payload.promise.complete(Err(TaskError::Shutdown))
+            }
+            _ => {}
         }
     }
 }
@@ -937,19 +912,6 @@ impl Executor for HighThroughputExecutor {
 
     fn lost_nodes(&self) -> Vec<String> {
         self.node_names(true)
-    }
-}
-
-impl HighThroughputExecutor {
-    /// The observability instance this executor records into.
-    pub fn observability(&self) -> Arc<Observability> {
-        self.obs.clone()
-    }
-
-    /// The executor's time source (real or virtual) — shared with the
-    /// scaling strategy so its polling interval runs on the same clock.
-    pub fn clock(&self) -> simtest::ClockRef {
-        self.clock.clone()
     }
 }
 
