@@ -46,6 +46,32 @@ if [ -n "$unmarked_sleeps" ]; then
 fi
 echo "timer gate: every sleep( in ckpt, parsl, serve and core carries its timer-ok reason"
 
+# One-protocol gate (DESIGN.md §4b, §4i): HTEX and the simulator make every
+# interchange decision through gridsim::interchange, and HTEX waits on its
+# channels, not on timers. (a) The non-test part of htex.rs has no
+# `recv_timeout(`, no `WORKER_POLL` and no `timer-ok` marker: a lost node's
+# workers are woken through their channel and a queue with no live node is
+# held until a node registers. (b) sim.rs and htex.rs both name the
+# module's types, so neither keeps a copy of the rules.
+htex_timers=$(awk '
+    /#\[cfg\(test\)\]/ { exit }
+    /recv_timeout\(|WORKER_POLL|timer-ok/ { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
+' crates/parsl/src/htex.rs)
+if [ -n "$htex_timers" ]; then
+    echo "error: HTEX waits on a timer instead of its channels:" >&2
+    echo "$htex_timers" >&2
+    exit 1
+fi
+for driver in crates/gridsim/src/sim.rs crates/parsl/src/htex.rs; do
+    for name in Ledger Dispatch Heartbeat after_loss; do
+        if ! awk '/#\[cfg\(test\)\]/ { exit } { print }' "$driver" | grep -qw "$name"; then
+            echo "error: $driver does not use gridsim::interchange's $name" >&2
+            exit 1
+        fi
+    done
+done
+echo "protocol gate: htex.rs has no poll timer; sim.rs and htex.rs drive gridsim::interchange"
+
 # Realpath gate (DESIGN.md §4g): the data plane and checkpoint validation
 # know a file by the identity of the one stat they make, so in the non-test
 # part of datastore and core's checkpoint.rs every `.canonicalize(` must

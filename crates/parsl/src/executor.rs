@@ -18,8 +18,8 @@ pub type TaskBody = Arc<dyn Fn() -> Result<Value, TaskError> + Send + Sync>;
 
 /// The work handed to an executor: a ready-to-run body plus the promise to
 /// resolve with its outcome. Cloneable so a lost dispatch can be retried on
-/// a surviving worker (the shared promise makes double completion a no-op —
-/// first completion wins).
+/// a surviving worker (which attempt completes it is the executor's call;
+/// HTEX's ledger accepts exactly one).
 #[derive(Clone)]
 pub struct TaskPayload {
     /// Task identity (for logs).

@@ -732,6 +732,10 @@ fn cancelling_a_run_wakes_its_parked_waiter() {
     let tool = write_slow_tool(&dir);
     let d = spawn_daemon(config(&dir, ""), false);
 
+    // A second, uncancelled run keeps the daemon busy until it is stopped,
+    // whether or not the cancelled run's task had left the fair-share gate
+    // (a cancel that lands before it does aborts that run at once).
+    d.submit(&tool, ms_inputs(60_000));
     let run = d.submit(&tool, ms_inputs(60_000));
     let mut waiter = d.connect();
     waiter.send(&cmd_run("wait", run));
