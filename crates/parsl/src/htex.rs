@@ -370,7 +370,11 @@ impl HighThroughputExecutor {
 
     /// Number of live managers (nodes) currently connected.
     pub fn manager_count(&self) -> usize {
-        self.live_nodes().len()
+        self.managers
+            .lock()
+            .iter()
+            .filter(|m| !m.dead.load(Ordering::SeqCst))
+            .count()
     }
 
     /// Refill `into` with the managers not known dead.
