@@ -108,19 +108,25 @@ impl Dispatch {
         self.batch_size * live.max(1)
     }
 
-    /// Cut `queued` tasks into messages for `live` nodes: each takes
-    /// `ceil(queued / live)` tasks capped at `batch_size` (the last what is
-    /// left), round-robin from where the previous round stopped. Plans
-    /// nothing while no node is live: the queue is held.
+    /// Cut `queued` tasks into messages for `live` nodes: an even split
+    /// (sizes differ by at most one, larger first, so the first takes
+    /// `ceil(queued / live)`) over one message per live node, or over more
+    /// when one would exceed `batch_size`; round-robin from where the
+    /// previous round stopped. Plans nothing while no node is live: the
+    /// queue is held.
     pub fn plan(&mut self, queued: usize, live: usize) -> impl Iterator<Item = Chunk> + '_ {
-        let per = queued.div_ceil(live.max(1)).min(self.batch_size);
-        let mut left = if live == 0 { 0 } else { queued };
+        let chunks = if live == 0 {
+            0
+        } else {
+            queued.min(live).max(queued.div_ceil(self.batch_size))
+        };
+        let mut planned = 0;
         std::iter::from_fn(move || {
-            if left == 0 {
+            if planned == chunks {
                 return None;
             }
-            let len = per.min(left);
-            left -= len;
+            let len = queued / chunks + usize::from(planned < queued % chunks);
+            planned += 1;
             self.rr = self.rr.wrapping_add(1);
             let first = self.next_attempt;
             self.next_attempt += len as Attempt;
@@ -188,12 +194,14 @@ mod tests {
         // (queued, live, batch_size) → chunk lengths, in order.
         let rows: &[(usize, usize, usize, &[usize])] = &[
             (1, 2, 8, &[1]),
+            (2, 3, 8, &[1, 1]),
             (4, 2, 8, &[2, 2]),
             (5, 2, 8, &[3, 2]),
-            (10, 3, 8, &[4, 4, 2]),
+            (4, 3, 8, &[2, 1, 1]),
+            (10, 3, 8, &[4, 3, 3]),
             (16, 2, 8, &[8, 8]),
             (40, 2, 8, &[8, 8, 8, 8, 8]),
-            (7, 1, 3, &[3, 3, 1]),
+            (7, 1, 3, &[3, 2, 2]),
             (6, 4, 1, &[1, 1, 1, 1, 1, 1]),
         ];
         for &(queued, live, batch, want) in rows {
@@ -203,6 +211,8 @@ mod tests {
                 .map(|c| c.1)
                 .collect();
             assert_eq!(got, want, "queued {queued}, live {live}, batch {batch}");
+            assert_eq!(got[0], queued.div_ceil(live).min(batch));
+            assert_eq!(got.iter().sum::<usize>(), queued);
         }
     }
 
