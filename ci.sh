@@ -62,10 +62,10 @@ if [ -n "$htex_timers" ]; then
     echo "$htex_timers" >&2
     exit 1
 fi
-for driver in crates/gridsim/src/sim.rs crates/parsl/src/htex.rs; do
+for src in crates/gridsim/src/sim.rs crates/parsl/src/htex.rs; do
     for name in Ledger Dispatch Heartbeat after_loss; do
-        if ! awk '/#\[cfg\(test\)\]/ { exit } { print }' "$driver" | grep -qw "$name"; then
-            echo "error: $driver does not use gridsim::interchange's $name" >&2
+        if ! awk '/#\[cfg\(test\)\]/ { exit } { print }' "$src" | grep -qw "$name"; then
+            echo "error: $src does not use gridsim::interchange's $name" >&2
             exit 1
         fi
     done
