@@ -72,6 +72,34 @@ for src in crates/gridsim/src/sim.rs crates/parsl/src/htex.rs; do
 done
 echo "protocol gate: htex.rs has no poll timer; sim.rs and htex.rs drive gridsim::interchange"
 
+# One-attempt gate (DESIGN.md §4c): a task attempt is one object that the
+# executor runs and completes. (a) The non-test part of dfk.rs makes one
+# future per task, the task's own, so it calls `promise_pair(` exactly
+# once; (b) `TaskPayload` carries no promise field, so no second future
+# rides beside the attempt.
+promise_calls=$(awk '
+    /#\[cfg\(test\)\]/ { exit }
+    /promise_pair\(/ { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
+' crates/parsl/src/dfk.rs)
+if [ "$(echo "$promise_calls" | grep -c .)" -ne 1 ]; then
+    echo "error: dfk.rs must call promise_pair( once, for the task's own future:" >&2
+    echo "${promise_calls:-(no call)}" >&2
+    exit 1
+fi
+payload_promise=$(awk '
+    /^pub struct TaskPayload/ { inside = 1 }
+    inside && /^[[:space:]]*(pub[[:space:]]+)?promise[[:space:]]*:/ {
+        printf "%s:%d:%s\n", FILENAME, FNR, $0
+    }
+    inside && /^}/ { inside = 0 }
+' crates/parsl/src/executor.rs)
+if [ -n "$payload_promise" ]; then
+    echo "error: TaskPayload carries a promise beside its attempt:" >&2
+    echo "$payload_promise" >&2
+    exit 1
+fi
+echo "attempt gate: one promise_pair in dfk.rs; TaskPayload carries its attempt alone"
+
 # Realpath gate (DESIGN.md §4g): the data plane and checkpoint validation
 # know a file by the identity of the one stat they make, so in the non-test
 # part of datastore and core's checkpoint.rs every `.canonicalize(` must

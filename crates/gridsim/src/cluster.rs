@@ -65,11 +65,6 @@ impl ClusterSpec {
         Self::homogeneous("dept-hpc", 3, 48, 126)
     }
 
-    /// A single node of the paper's cluster (Fig. 1b configuration).
-    pub fn paper_single_node() -> Self {
-        Self::homogeneous("dept-hpc-1", 1, 48, 126)
-    }
-
     /// A small cluster sized for laptop-scale tests: `n_nodes` × `cores`.
     pub fn small(n_nodes: usize, cores: usize) -> Self {
         Self::homogeneous("testgrid", n_nodes, cores, 16)

@@ -76,14 +76,23 @@ impl Gauge {
         self.value.fetch_add(delta, Ordering::Relaxed);
     }
 
+    /// Add `delta` with the given ordering and return the previous value,
+    /// for a gauge that is also a count its owner synchronises on (the
+    /// kernel's outstanding tasks: the finisher that sees 1 wakes waiters).
+    #[inline]
+    pub fn fetch_add(&self, delta: i64, order: Ordering) -> i64 {
+        self.value.fetch_add(delta, order)
+    }
+
     /// Set the value.
     pub fn set(&self, v: i64) {
         self.value.store(v, Ordering::Relaxed);
     }
 
-    /// Current value.
+    /// Current value. Acquire, so a reader that sees a count written by
+    /// [`Gauge::fetch_add`] also sees what the writer did before it.
     pub fn value(&self) -> i64 {
-        self.value.load(Ordering::Relaxed)
+        self.value.load(Ordering::Acquire)
     }
 }
 

@@ -6,7 +6,7 @@
 use crate::apps::{AppBody, CommandApp, CommandSpec};
 use crate::config::{Config, ExecutorChoice, RetryPolicy};
 use crate::error::TaskError;
-use crate::executor::{Executor, TaskPayload, ThreadPoolExecutor};
+use crate::executor::{Attempt, Executor, TaskPayload, ThreadPoolExecutor};
 use crate::file::File;
 use crate::future::{promise_pair, AppFuture, DataFuture, Promise, TaskResult};
 use crate::htex::HighThroughputExecutor;
@@ -14,9 +14,11 @@ use crate::monitoring::Monitoring;
 use crate::task::TaskId;
 use obs::{names, Observability, SpanCtx, SpanKind};
 use parking_lot::{Condvar, Mutex};
+use simtest::{StopSignal, Waited};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 use yamlite::Value;
 
 /// An argument to an app invocation: a literal value, another app's future
@@ -178,6 +180,117 @@ struct TaskInner {
     gated: std::sync::atomic::AtomicBool,
 }
 
+/// One execution attempt of a task: the [`Attempt`] the kernel hands its
+/// executor. The executor runs it and completes it; the walltime watchdog,
+/// when one is configured, races it to completion on the same object.
+struct TaskAttempt {
+    dfk: Arc<DataFlowKernel>,
+    task: Arc<TaskInner>,
+    /// The resolved inputs: the body's arguments, and a retry's.
+    vals: Arc<Vec<Value>>,
+    fingerprint: Option<u64>,
+    /// Set by the first completion; every later one is a no-op.
+    claimed: AtomicBool,
+    /// Raised by the first completion, for the walltime watchdog to wake
+    /// on. Allocated only when a walltime is configured.
+    done: Option<Box<StopSignal>>,
+}
+
+impl Attempt for TaskAttempt {
+    fn run(&self) -> TaskResult {
+        (self.task.body)(&self.vals)
+    }
+
+    fn complete(&self, result: TaskResult) {
+        if self.claim() {
+            self.settle(result);
+        }
+    }
+}
+
+impl TaskAttempt {
+    /// Win the right to deliver this attempt's outcome: true for the first
+    /// caller only, who also wakes the watchdog.
+    fn claim(&self) -> bool {
+        if self.claimed.swap(true, Ordering::AcqRel) {
+            return false;
+        }
+        if let Some(done) = &self.done {
+            done.raise();
+        }
+        true
+    }
+
+    /// The walltime watchdog: wait up to `walltime` of real time for the
+    /// attempt to complete, and fail it with a timeout if it has not.
+    fn watch(&self, walltime: Duration) {
+        let done = self
+            .done
+            .as_deref()
+            .expect("an attempt with a walltime has a completion signal");
+        if simtest::real_clock().wait(walltime, done) == Waited::Elapsed && self.claim() {
+            let (dfk, task) = (&self.dfk, &self.task);
+            dfk.obs.count(&dfk.metrics.timed_out);
+            dfk.obs
+                .instant_span(SpanKind::TimedOut, task.id.0, task.root_span, &task.label);
+            self.settle(Err(TaskError::Timeout(walltime)));
+        }
+    }
+
+    /// Deliver the winning outcome: memoize and journal a success, retry a
+    /// retryable failure while budget remains (after the policy's
+    /// backoff), and otherwise finish the task.
+    fn settle(&self, result: TaskResult) {
+        let (dfk, task) = (&self.dfk, &self.task);
+        let e = match result {
+            Ok(value) => {
+                if let Some(fp) = self.fingerprint {
+                    dfk.memo.insert(task.label.clone(), fp, value.clone());
+                    dfk.journal(task, fp, &value);
+                }
+                return dfk.finish(task, Ok(value));
+            }
+            Err(e) => e,
+        };
+        // Dependency failures are final — re-running cannot change the
+        // upstream outcome — and shutdown means there is nothing left to
+        // run on. Execution failures (including timeouts and lost
+        // executors) retry.
+        let retryable = !matches!(e, TaskError::DependencyFailed { .. } | TaskError::Shutdown);
+        let granted = task
+            .retries_left
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| {
+                if retryable {
+                    n.checked_sub(1)
+                } else {
+                    None
+                }
+            });
+        let Ok(prev) = granted else {
+            return dfk.finish(task, Err(e));
+        };
+        dfk.obs.count(&dfk.metrics.retries);
+        dfk.obs
+            .instant_span(SpanKind::Retry, task.id.0, task.root_span, &task.label);
+        let retry_index = dfk.retry.max_retries - prev + 1;
+        let delay = dfk
+            .retry
+            .backoff_for_seeded(retry_index, &mut dfk.rng.lock());
+        let (task, vals, fingerprint) = (task.clone(), self.vals.clone(), self.fingerprint);
+        if delay.is_zero() {
+            dfk.attempt(task, vals, fingerprint);
+        } else {
+            let dfk = dfk.clone();
+            let _ = std::thread::Builder::new()
+                .name(format!("backoff-{}", task.id))
+                .spawn(move || {
+                    dfk.clock.sleep(delay); // timer-ok: retry backoff, a modelled delay
+                    dfk.attempt(task, vals, fingerprint);
+                });
+        }
+    }
+}
+
 /// Shards in the memoization table. Power of two so the shard index is a
 /// mask of the fingerprint. Sixteen shards keep contention negligible even
 /// with every worker of a wide HTEX completing tasks at once.
@@ -232,10 +345,9 @@ pub struct DataFlowKernel {
     /// result. Only successes are cached, matching Parsl's memoizer.
     memo: ShardedMemo,
     next_id: AtomicU64,
-    /// Tasks not yet in a terminal state. Submission and completion touch
-    /// only this atomic; `done_lock`/`all_done` exist solely so `wait_all`
-    /// can sleep, and the condvar is notified only on the 1→0 transition.
-    outstanding: AtomicUsize,
+    /// `done_lock`/`all_done` exist solely so `wait_all` can sleep on the
+    /// outstanding-task count (`metrics.outstanding`); the condvar is
+    /// notified only on its 1→0 transition.
     done_lock: Mutex<()>,
     all_done: Condvar,
     /// This run's observability instance, shared with the executor so
@@ -272,6 +384,9 @@ struct DfkMetrics {
     retries: Arc<obs::Counter>,
     memo_hits: Arc<obs::Counter>,
     memo_misses: Arc<obs::Counter>,
+    /// Tasks not yet in a terminal state: the kernel's one count of them,
+    /// kept whether or not monitoring is on. Submission and completion
+    /// touch only this atomic.
     outstanding: Arc<obs::Gauge>,
 }
 
@@ -414,7 +529,6 @@ impl DataFlowKernel {
             memoize: config.memoize || ckpt.is_some(),
             memo: ShardedMemo::new(),
             next_id: AtomicU64::new(1),
-            outstanding: AtomicUsize::new(0),
             done_lock: Mutex::new(()),
             all_done: Condvar::new(),
             obs,
@@ -451,7 +565,7 @@ impl DataFlowKernel {
 
     /// Number of tasks not yet in a terminal state.
     pub fn outstanding(&self) -> usize {
-        self.outstanding.load(Ordering::Acquire)
+        usize::try_from(self.metrics.outstanding.value()).unwrap_or(0)
     }
 
     /// Seed the memo table from journal records loaded on resume — raw
@@ -575,11 +689,6 @@ impl DataFlowKernel {
         self.run_ckpts.lock().get(&run).cloned()
     }
 
-    /// The checkpoint journal, when configured.
-    pub fn checkpoint_journal(&self) -> Option<&Arc<ckpt::Journal>> {
-        self.ckpt.as_ref().map(|c| &c.journal)
-    }
-
     /// Invoke an app: returns immediately with a future. The task launches
     /// once every future among `args` has completed; any failed dependency
     /// fails this task without launching it.
@@ -630,7 +739,7 @@ impl DataFlowKernel {
             self.bind_step(id, step);
         }
         let (fut, promise) = promise_pair(id);
-        self.outstanding.fetch_add(1, Ordering::AcqRel);
+        self.metrics.outstanding.fetch_add(1, Ordering::AcqRel);
         self.obs.count(&self.metrics.submitted);
         // The Submit span is this task's trace root; its id is valid as a
         // parent from the moment it opens, so spans from a synchronous
@@ -644,7 +753,6 @@ impl DataFlowKernel {
             if let Some(tag) = &tag {
                 self.obs.lineage_bind_run(id.0, &tag.lineage_name());
             }
-            self.metrics.outstanding.add(1);
         }
 
         let deps: Vec<AppFuture> = args.iter().filter_map(AppArg::dependency).collect();
@@ -792,158 +900,92 @@ impl DataFlowKernel {
         }
     }
 
-    /// Run one execution attempt on the executor; retry on failure while
-    /// budget remains, honouring the policy's backoff schedule.
-    /// `fingerprint` is the precomputed input fingerprint when memoization
-    /// is on (`None` otherwise) — computed once in [`Self::launch`].
+    /// Hand one execution attempt to the executor: a [`TaskAttempt`] that
+    /// the executor runs and completes, and whose completion retries on
+    /// failure while budget remains. `fingerprint` is the precomputed input
+    /// fingerprint when memoization is on (`None` otherwise) — computed
+    /// once in [`Self::launch`].
     fn attempt(
         self: &Arc<Self>,
         task: Arc<TaskInner>,
         vals: Arc<Vec<Value>>,
         fingerprint: Option<u64>,
     ) {
-        let (attempt_fut, attempt_promise) = promise_pair(task.id);
-        let body = task.body.clone();
-        // The completion callback needs `vals` only to relaunch a failed
-        // attempt; with no retry budget the body's reference is the last
-        // one and the callback captures nothing.
-        let vals_for_retry = (self.retry.max_retries > 0).then(|| vals.clone());
+        let id = task.id;
+        let walltime = self.retry.walltime;
         // The Dispatch span covers the executor hand-off; executor-side
         // spans (enqueue, recv, exec, result) parent onto it via the
         // payload's trace context.
-        let dispatch =
-            self.obs
-                .start_span(SpanKind::Dispatch, task.id.0, task.root_span, &task.label);
-        self.obs.lineage_dispatch(task.id.0);
+        let dispatch = self
+            .obs
+            .start_span(SpanKind::Dispatch, id.0, task.root_span, &task.label);
+        self.obs.lineage_dispatch(id.0);
+        let attempt = Arc::new(TaskAttempt {
+            dfk: self.clone(),
+            task,
+            vals,
+            fingerprint,
+            claimed: AtomicBool::new(false),
+            done: walltime.map(|_| Box::new(StopSignal::new())),
+        });
+        let watchdog = walltime.map(|walltime| (walltime, attempt.clone()));
         self.executor.submit(TaskPayload {
-            id: task.id,
-            body: Arc::new(move || body(&vals)),
-            promise: attempt_promise.clone(),
+            id,
+            attempt,
             ctx: SpanCtx {
-                lineage: task.id.0,
+                lineage: id.0,
                 parent: dispatch.id(),
             },
         });
         self.obs.finish_span(dispatch);
-        // Walltime watchdog: race the executor with a timer holding a
-        // clone of the attempt promise — first completion wins, so a
-        // finished task makes the watchdog's completion a no-op.
-        if let Some(walltime) = self.retry.walltime {
-            let watched = attempt_fut.clone();
-            let dfk = self.clone();
-            let task = task.clone();
+        if let Some((walltime, attempt)) = watchdog {
             let _ = std::thread::Builder::new()
-                .name(format!("walltime-{}", task.id))
-                .spawn(move || {
-                    if watched.result_timeout(walltime).is_none() {
-                        dfk.obs.count(&dfk.metrics.timed_out);
-                        dfk.obs.instant_span(
-                            SpanKind::TimedOut,
-                            task.id.0,
-                            task.root_span,
-                            &task.label,
-                        );
-                        attempt_promise.complete(Err(TaskError::Timeout(walltime)));
-                    }
-                });
+                .name(format!("walltime-{id}"))
+                .spawn(move || attempt.watch(walltime));
         }
-        let dfk = self.clone();
-        attempt_fut.on_complete(move |result| match result {
-            Ok(value) => {
-                if let Some(fp) = fingerprint {
-                    dfk.memo.insert(task.label.clone(), fp, value.clone());
-                    // Durable completion record. Journal failures degrade
-                    // to a warning — losing checkpoint coverage must not
-                    // fail a task that actually succeeded. Tagged tasks
-                    // journal to their run's journal; untagged tasks to
-                    // the kernel-wide one.
-                    match &task.tag {
-                        Some(tag) => {
-                            if let Some(rc) = dfk.run_ckpt(tag.run) {
-                                let record = ckpt::Record {
-                                    label: task.label.to_string(),
-                                    fingerprint: fp,
-                                    step: task.step.clone(),
-                                    result: yamlite::to_string_flow(value),
-                                };
-                                match rc.journal.append(&record) {
-                                    Ok(()) => {
-                                        rc.appended.fetch_add(1, Ordering::Relaxed);
-                                        rc.append_metric.incr();
-                                    }
-                                    Err(e) => eprintln!("warning: {e}"),
-                                }
-                            }
+    }
+
+    /// Durable completion record for a successful attempt. Journal
+    /// failures degrade to a warning — losing checkpoint coverage must not
+    /// fail a task that actually succeeded. Tagged tasks journal to their
+    /// run's journal; untagged tasks to the kernel-wide one.
+    fn journal(&self, task: &TaskInner, fingerprint: u64, value: &Value) {
+        match &task.tag {
+            Some(tag) => {
+                if let Some(rc) = self.run_ckpt(tag.run) {
+                    let record = ckpt::Record {
+                        label: task.label.to_string(),
+                        fingerprint,
+                        step: task.step.clone(),
+                        result: yamlite::to_string_flow(value),
+                    };
+                    match rc.journal.append(&record) {
+                        Ok(()) => {
+                            rc.appended.fetch_add(1, Ordering::Relaxed);
+                            rc.append_metric.incr();
                         }
-                        None => {
-                            if let Some(ckpt) = &dfk.ckpt {
-                                let record = ckpt::Record {
-                                    label: task.label.to_string(),
-                                    fingerprint: fp,
-                                    step: ckpt.steps.lock().get(&task.id.0).cloned(),
-                                    result: yamlite::to_string_flow(value),
-                                };
-                                match ckpt.journal.append(&record) {
-                                    Ok(()) => {
-                                        ckpt.appended.fetch_add(1, Ordering::Relaxed);
-                                        ckpt.append_metric.incr();
-                                    }
-                                    Err(e) => eprintln!("warning: {e}"),
-                                }
-                            }
-                        }
+                        Err(e) => eprintln!("warning: {e}"),
                     }
                 }
-                dfk.finish(&task, result.clone())
             }
-            Err(e) => {
-                // Dependency failures are final — re-running cannot change
-                // the upstream outcome — and shutdown means there is
-                // nothing left to run on. Execution failures (including
-                // timeouts and lost executors) retry.
-                let retryable =
-                    !matches!(e, TaskError::DependencyFailed { .. } | TaskError::Shutdown);
-                match task
-                    .retries_left
-                    .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| {
-                        if retryable {
-                            n.checked_sub(1)
-                        } else {
-                            None
+            None => {
+                if let Some(ckpt) = &self.ckpt {
+                    let record = ckpt::Record {
+                        label: task.label.to_string(),
+                        fingerprint,
+                        step: ckpt.steps.lock().get(&task.id.0).cloned(),
+                        result: yamlite::to_string_flow(value),
+                    };
+                    match ckpt.journal.append(&record) {
+                        Ok(()) => {
+                            ckpt.appended.fetch_add(1, Ordering::Relaxed);
+                            ckpt.append_metric.incr();
                         }
-                    }) {
-                    Ok(prev) => {
-                        dfk.obs.count(&dfk.metrics.retries);
-                        dfk.obs.instant_span(
-                            SpanKind::Retry,
-                            task.id.0,
-                            task.root_span,
-                            &task.label,
-                        );
-                        let vals = vals_for_retry
-                            .clone()
-                            .expect("retry granted only when max_retries > 0");
-                        let retry_index = dfk.retry.max_retries - prev + 1;
-                        let delay = dfk
-                            .retry
-                            .backoff_for_seeded(retry_index, &mut dfk.rng.lock());
-                        if delay.is_zero() {
-                            dfk.attempt(task.clone(), vals, fingerprint);
-                        } else {
-                            let dfk = dfk.clone();
-                            let task = task.clone();
-                            let _ = std::thread::Builder::new()
-                                .name(format!("backoff-{}", task.id))
-                                .spawn(move || {
-                                    dfk.clock.sleep(delay); // timer-ok: retry backoff, a modelled delay
-                                    dfk.attempt(task, vals, fingerprint);
-                                });
-                        }
+                        Err(e) => eprintln!("warning: {e}"),
                     }
-                    Err(_) => dfk.finish(&task, result.clone()),
                 }
             }
-        });
+        }
     }
 
     /// Resolve the task's public future and update accounting.
@@ -957,7 +999,6 @@ impl DataFlowKernel {
         if self.obs.is_enabled() {
             // Memoized tasks recorded their (sticky) outcome in `launch`.
             self.obs.lineage_complete(task.id.0, outcome);
-            self.metrics.outstanding.add(-1);
         }
         if let Some(promise) = task.promise.lock().take() {
             promise.complete(result);
@@ -974,7 +1015,7 @@ impl DataFlowKernel {
         // to zero takes the lock, so the common case is one atomic RMW.
         // Taking `done_lock` before notifying closes the race with a waiter
         // that observed a non-zero count and is about to sleep.
-        if self.outstanding.fetch_sub(1, Ordering::AcqRel) == 1 {
+        if self.metrics.outstanding.fetch_add(-1, Ordering::AcqRel) == 1 {
             let _guard = self.done_lock.lock();
             self.all_done.notify_all();
         }
@@ -983,7 +1024,7 @@ impl DataFlowKernel {
     /// Block until every submitted task reaches a terminal state.
     pub fn wait_all(&self) {
         let mut guard = self.done_lock.lock();
-        while self.outstanding.load(Ordering::Acquire) > 0 {
+        while self.metrics.outstanding.value() > 0 {
             self.all_done.wait(&mut guard);
         }
     }
@@ -1224,6 +1265,44 @@ mod tests {
         assert_eq!(dfk.outstanding(), 0);
         assert_eq!(dfk.monitoring().summary().completed, 6);
         dfk.shutdown();
+    }
+
+    /// The `tasks_outstanding` gauge is the kernel's one count of
+    /// unfinished tasks: mid-run it reads what `outstanding()` reads, and
+    /// 0 after `wait_all`, with monitoring on and with it off.
+    #[test]
+    fn outstanding_gauge_is_the_kernel_count() {
+        for monitoring in [obs::ObsConfig::default(), obs::ObsConfig::on()] {
+            let enabled = monitoring.enabled;
+            let dfk = DataFlowKernel::new(Config::local_threads(2).with_monitoring(monitoring));
+            let gauge = dfk.observability().gauge(names::DFK_OUTSTANDING);
+            let gate = Arc::new(Mutex::new(()));
+            let held = gate.lock();
+            let (started_tx, started) = std::sync::mpsc::channel();
+            let blocker = {
+                let gate = gate.clone();
+                FnApp::new(move |_: &[Value]| {
+                    started_tx.send(()).unwrap();
+                    drop(gate.lock());
+                    Ok(Value::Null)
+                })
+            };
+            for _ in 0..2 {
+                dfk.submit("blocked", vec![], blocker.clone());
+            }
+            for _ in 0..3 {
+                dfk.submit("queued", vec![], add_app());
+            }
+            started.recv().unwrap();
+            started.recv().unwrap();
+            assert_eq!(dfk.outstanding(), 5, "monitoring {enabled}");
+            assert_eq!(gauge.value(), 5, "monitoring {enabled}");
+            drop(held);
+            dfk.wait_all();
+            assert_eq!(dfk.outstanding(), 0, "monitoring {enabled}");
+            assert_eq!(gauge.value(), 0, "monitoring {enabled}");
+            dfk.shutdown();
+        }
     }
 
     #[test]
@@ -1505,8 +1584,7 @@ mod tests {
     impl Executor for LosesFirstTask {
         fn submit(&self, task: TaskPayload) {
             if !self.tripped.swap(true, Ordering::SeqCst) {
-                task.promise
-                    .complete(Err(TaskError::ExecutorLost("synthetic node loss".into())));
+                task.complete(Err(TaskError::ExecutorLost("synthetic node loss".into())));
                 return;
             }
             self.inner.submit(task);

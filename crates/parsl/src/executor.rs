@@ -1,59 +1,81 @@
 //! The [`Executor`] abstraction and the in-process
 //! [`ThreadPoolExecutor`] — Parsl's single-node executor, used for the
 //! paper's Fig. 1b configuration.
+//!
+//! An executor receives [`TaskPayload`]s. Each carries one [`Attempt`]: a
+//! single object that both runs the task body and takes its outcome. The
+//! executor calls [`TaskPayload::run`] on a worker and hands the result to
+//! [`TaskPayload::complete`]; it never sees the task's future, and nothing
+//! is allocated between the kernel and the executor beyond the attempt
+//! itself.
 
 use crate::error::TaskError;
-use crate::future::{Promise, TaskResult};
+use crate::future::TaskResult;
 use crate::task::TaskId;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use obs::{names, Observability, SpanCtx, SpanKind};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use yamlite::Value;
 
-/// A task body. `Arc<dyn Fn>` rather than `Box<dyn FnOnce>` so a payload
-/// can be cloned and re-dispatched when the worker holding it is lost —
-/// the foundation of HTEX fault tolerance.
-pub type TaskBody = Arc<dyn Fn() -> Result<Value, TaskError> + Send + Sync>;
+/// One execution attempt of a task, as the kernel hands it to an executor.
+///
+/// The contract:
+/// - [`Attempt::run`] executes the task body and returns its outcome. It
+///   may be called more than once for one attempt: HTEX re-runs a payload
+///   whose node was lost before its result was accepted. It neither
+///   resolves nor records anything; the caller isolates panics
+///   ([`TaskPayload::run`] does).
+/// - [`Attempt::complete`] delivers the outcome. The first call wins, as
+///   decided by one atomic flag; every later call — a second executor
+///   resolution, a walltime watchdog losing the race — is a no-op. Any
+///   thread may call it, including one that never ran the body (a
+///   shutdown or a lost node fails the attempt without running it).
+///
+/// An executor completes every payload it is given: with the outcome of a
+/// run, or with the error it fails the task with.
+pub trait Attempt: Send + Sync {
+    /// Execute the task body once and return its outcome.
+    fn run(&self) -> TaskResult;
+    /// Resolve the attempt with `result`; only the first call has effect.
+    fn complete(&self, result: TaskResult);
+}
 
-/// The work handed to an executor: a ready-to-run body plus the promise to
-/// resolve with its outcome. Cloneable so a lost dispatch can be retried on
-/// a surviving worker (which attempt completes it is the executor's call;
-/// HTEX's ledger accepts exactly one).
+/// The work handed to an executor: the attempt to run and complete, plus
+/// the ids the executor's spans need. Cloning shares the attempt (one
+/// reference-count bump), so a lost dispatch can be re-run on a surviving
+/// worker; which clone completes it is the executor's call, and HTEX's
+/// ledger accepts exactly one.
 #[derive(Clone)]
 pub struct TaskPayload {
     /// Task identity (for logs).
     pub id: TaskId,
-    /// The body to execute.
-    pub body: TaskBody,
-    /// The promise resolved with the outcome.
-    pub promise: Promise,
+    /// The attempt: runs the body and takes its outcome.
+    pub attempt: Arc<dyn Attempt>,
     /// Trace context: the lineage id and the dispatch span executor-side
     /// spans hang off. [`SpanCtx::NONE`] when monitoring is off.
     pub ctx: SpanCtx,
 }
 
 impl TaskPayload {
-    /// Execute the body (with panic isolation) and resolve the promise.
-    pub fn run(self) {
-        let result = run_isolated(&self.body);
-        self.promise.complete(result);
-    }
-}
-
-/// Run a task body, converting panics into [`TaskError::Panicked`] so one
-/// bad app cannot take down a worker.
-pub fn run_isolated(body: &TaskBody) -> TaskResult {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body())) {
-        Ok(result) => result,
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "opaque panic payload".to_string());
-            Err(TaskError::Panicked(msg))
+    /// Execute the attempt's body, converting panics into
+    /// [`TaskError::Panicked`] so one bad app cannot take down a worker.
+    pub fn run(&self) -> TaskResult {
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.attempt.run())) {
+            Ok(result) => result,
+            Err(payload) => {
+                let msg = payload
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "opaque panic payload".to_string());
+                Err(TaskError::Panicked(msg))
+            }
         }
+    }
+
+    /// Resolve the attempt (first completion wins).
+    pub fn complete(&self, result: TaskResult) {
+        self.attempt.complete(result);
     }
 }
 
@@ -61,8 +83,8 @@ pub fn run_isolated(body: &TaskBody) -> TaskResult {
 /// (itself modeled on `concurrent.futures.Executor`).
 pub trait Executor: Send + Sync {
     /// Queue a task for execution. Must not block on task completion.
-    /// After [`Executor::shutdown`], implementations must fail the task's
-    /// promise with [`TaskError::Shutdown`] instead of accepting it.
+    /// After [`Executor::shutdown`], implementations must complete the
+    /// task with [`TaskError::Shutdown`] instead of accepting it.
     fn submit(&self, task: TaskPayload);
 
     /// Human-readable label (appears in monitoring).
@@ -139,12 +161,12 @@ fn worker_loop(rx: Receiver<Msg>, obs: Arc<Observability>) {
                         "thread-pool",
                     );
                     let start = obs.now_us();
-                    task.run();
+                    task.complete(task.run());
                     obs.histogram(names::TASK_EXEC_US)
                         .record(obs.now_us().saturating_sub(start));
                     obs.finish_span(span);
                 } else {
-                    task.run();
+                    task.complete(task.run());
                 }
             }
             Msg::Stop => break,
@@ -156,15 +178,15 @@ impl Executor for ThreadPoolExecutor {
     fn submit(&self, task: TaskPayload) {
         if self.closed.load(Ordering::SeqCst) {
             // Fail fast: a submit after shutdown must not leave the caller
-            // blocked forever on a promise nobody will resolve.
-            task.promise.complete(Err(TaskError::Shutdown));
+            // blocked forever on a task nobody will complete.
+            task.complete(Err(TaskError::Shutdown));
             return;
         }
         if let Err(send_err) = self.tx.send(Msg::Task(task)) {
             // Lost the race with shutdown; recover the payload from the
-            // failed send and resolve its promise.
+            // failed send and complete it.
             if let Msg::Task(task) = send_err.0 {
-                task.promise.complete(Err(TaskError::Shutdown));
+                task.complete(Err(TaskError::Shutdown));
             }
         }
     }
@@ -190,23 +212,47 @@ impl Executor for ThreadPoolExecutor {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::future::promise_pair;
+    use crate::future::{promise_pair, AppFuture, Promise};
+    use parking_lot::Mutex;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
+    use yamlite::Value;
 
-    fn payload(
+    /// A test attempt: a closure and the promise of the future it
+    /// resolves, standing in for the kernel's attempt object.
+    struct FnAttempt<F> {
+        body: F,
+        promise: Mutex<Option<Promise>>,
+    }
+
+    impl<F: Fn() -> TaskResult + Send + Sync> Attempt for FnAttempt<F> {
+        fn run(&self) -> TaskResult {
+            (self.body)()
+        }
+        fn complete(&self, result: TaskResult) {
+            if let Some(promise) = self.promise.lock().take() {
+                promise.complete(result);
+            }
+        }
+    }
+
+    /// A payload that runs `body` and resolves the returned future.
+    pub(crate) fn payload(
         id: u64,
-        body: impl Fn() -> Result<Value, TaskError> + Send + Sync + 'static,
-    ) -> (crate::future::AppFuture, TaskPayload) {
+        body: impl Fn() -> TaskResult + Send + Sync + 'static,
+    ) -> (AppFuture, TaskPayload) {
         let (fut, promise) = promise_pair(TaskId(id));
+        let attempt = Arc::new(FnAttempt {
+            body,
+            promise: Mutex::new(Some(promise)),
+        });
         (
             fut,
             TaskPayload {
                 id: TaskId(id),
-                body: Arc::new(body),
-                promise,
+                attempt,
                 ctx: SpanCtx::NONE,
             },
         )

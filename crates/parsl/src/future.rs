@@ -43,11 +43,10 @@ impl std::fmt::Debug for AppFuture {
     }
 }
 
-/// The write side of an [`AppFuture`]. Completing twice is a logic error and
-/// is ignored (first completion wins), matching `concurrent.futures`.
-/// Cloneable so a task attempt can be raced by several resolvers (e.g. the
-/// executor and a walltime watchdog) — whichever completes first wins.
-#[derive(Clone)]
+/// The write side of an [`AppFuture`]: the kernel holds one per task and
+/// resolves it once, when the task reaches a terminal state. Completing
+/// twice is a logic error and is ignored (first completion wins), matching
+/// `concurrent.futures`.
 pub struct Promise {
     shared: Arc<Shared>,
 }
@@ -71,24 +70,25 @@ pub fn promise_pair(id: TaskId) -> (AppFuture, Promise) {
 }
 
 impl Promise {
-    /// Resolve the future. Callbacks run inline on the completing thread.
+    /// Resolve the future. Callbacks run inline on the completing thread,
+    /// after the lock is released, on a copy of the result that is made
+    /// only when a callback is registered.
     pub fn complete(self, result: TaskResult) {
-        let callbacks = {
+        let (callbacks, snapshot) = {
             let mut st = self.shared.state.lock();
             if st.result.is_some() {
                 return; // first completion wins
             }
+            let callbacks = std::mem::take(&mut st.callbacks);
+            let snapshot = (!callbacks.is_empty()).then(|| result.clone());
             st.result = Some(result);
-            std::mem::take(&mut st.callbacks)
+            (callbacks, snapshot)
         };
         self.shared.cond.notify_all();
-        let st = self.shared.state.lock();
-        let result_ref = st.result.as_ref().expect("just set");
-        // Clone out so callbacks run without holding the lock.
-        let snapshot = result_ref.clone();
-        drop(st);
-        for cb in callbacks {
-            cb(&snapshot);
+        if let Some(snapshot) = snapshot {
+            for cb in callbacks {
+                cb(&snapshot);
+            }
         }
     }
 }
@@ -248,6 +248,18 @@ mod tests {
         assert_eq!(hits.load(Ordering::SeqCst), 0);
         promise.complete(Ok(Value::Null));
         assert_eq!(hits.load(Ordering::SeqCst), 3);
+    }
+
+    #[test]
+    fn callbacks_before_and_after_completion_see_the_value() {
+        let (fut, promise) = promise_pair(TaskId(1));
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let early = seen.clone();
+        fut.on_complete(move |r| early.lock().push(r.clone().unwrap()));
+        promise.complete(Ok(Value::str("v")));
+        let late = seen.clone();
+        fut.on_complete(move |r| late.lock().push(r.clone().unwrap()));
+        assert_eq!(*seen.lock(), vec![Value::str("v"), Value::str("v")]);
     }
 
     #[test]

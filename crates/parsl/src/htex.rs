@@ -31,7 +31,7 @@
 //! its result is accepted. Each manager heartbeats; a monitor on the submit
 //! side declares it dead when the heartbeat goes stale (or a [`FaultPlan`]
 //! kills its node). The loss drains exactly the unfinished tasks back to
-//! the dispatcher (task bodies are `Fn`, so a payload can be re-run), a
+//! the dispatcher (an attempt's `run` can be called again), a
 //! result the lost node still sends is dropped, and below
 //! [`HtexConfig::min_nodes`] a replacement block is provisioned. If every
 //! node is lost and none can replace them, pending tasks fail with
@@ -492,7 +492,7 @@ impl HighThroughputExecutor {
     /// Complete a task the executor gives up on.
     fn fail_task(&self, payload: TaskPayload, err: TaskError) {
         self.outstanding.fetch_sub(1, Ordering::SeqCst);
-        payload.promise.complete(Err(err));
+        payload.complete(Err(err));
     }
 }
 
@@ -595,9 +595,7 @@ fn dispatcher_loop(
     for msg in queue.into_iter().map(DispatchMsg::Task).chain(unread) {
         match (msg, &h) {
             (DispatchMsg::Task(payload), Some(h)) => h.fail_task(payload, TaskError::Shutdown),
-            (DispatchMsg::Task(payload), None) => {
-                payload.promise.complete(Err(TaskError::Shutdown))
-            }
+            (DispatchMsg::Task(payload), None) => payload.complete(Err(TaskError::Shutdown)),
             _ => {}
         }
     }
@@ -654,13 +652,13 @@ fn worker_loop(
                 &mgr.node_name,
             );
             let t0 = obs.now_us();
-            let result = crate::executor::run_isolated(&payload.body);
+            let result = payload.run();
             obs.histogram(names::TASK_EXEC_US)
                 .record(obs.now_us().saturating_sub(t0));
             obs.finish_span(span);
             result
         } else {
-            crate::executor::run_isolated(&payload.body)
+            payload.run()
         };
         if plan.as_ref().is_some_and(|p| p.is_dead(&mgr.node_name)) {
             // The node died while the task ran: the result dies with it and
@@ -751,7 +749,7 @@ impl Aggregator {
         if accepted.is_empty() {
             return;
         }
-        // Settle the backlog BEFORE resolving the promises, because
+        // Settle the backlog BEFORE completing the tasks, because
         // `wait_all` callers may observe a completion and immediately read
         // `outstanding_tasks()`.
         if let Some(h) = self.htex.upgrade() {
@@ -772,9 +770,8 @@ impl Aggregator {
         for (payload, result) in accepted.drain(..) {
             // A panicking completion callback must not take the aggregator
             // down (the counter is already settled above).
-            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                payload.promise.complete(result)
-            }));
+            let _ =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| payload.complete(result)));
         }
     }
 }
@@ -838,8 +835,8 @@ impl Executor for HighThroughputExecutor {
     fn submit(&self, task: TaskPayload) {
         if self.stop.is_raised() {
             // Fail fast instead of enqueueing onto a stopped dispatcher —
-            // the promise must never be left unresolved.
-            task.promise.complete(Err(TaskError::Shutdown));
+            // the task must never be left unresolved.
+            task.complete(Err(TaskError::Shutdown));
             return;
         }
         self.outstanding.fetch_add(1, Ordering::SeqCst);
@@ -922,9 +919,8 @@ impl Executor for HighThroughputExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::future::promise_pair;
+    use crate::executor::tests::payload;
     use crate::provider::{LocalProvider, SlurmProvider};
-    use crate::task::TaskId;
     use gridsim::{BatchScheduler, ClusterSpec, SchedulerConfig};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use yamlite::Value;
@@ -940,13 +936,8 @@ mod tests {
     }
 
     fn submit_value(htex: &HighThroughputExecutor, i: u64) -> crate::future::AppFuture {
-        let (fut, promise) = promise_pair(TaskId(i));
-        htex.submit(TaskPayload {
-            id: TaskId(i),
-            body: Arc::new(move || Ok(Value::Int(i as i64))),
-            promise,
-            ctx: obs::SpanCtx::NONE,
-        });
+        let (fut, task) = payload(i, move || Ok(Value::Int(i as i64)));
+        htex.submit(task);
         fut
     }
 
@@ -1066,21 +1057,16 @@ mod tests {
         let peak = Arc::new(AtomicUsize::new(0));
         let mut futs = Vec::new();
         for i in 0..8 {
-            let (fut, promise) = promise_pair(TaskId(i));
             let running = running.clone();
             let peak = peak.clone();
-            htex.submit(TaskPayload {
-                id: TaskId(i),
-                body: Arc::new(move || {
-                    let now = running.fetch_add(1, Ordering::SeqCst) + 1;
-                    peak.fetch_max(now, Ordering::SeqCst);
-                    std::thread::sleep(Duration::from_millis(25));
-                    running.fetch_sub(1, Ordering::SeqCst);
-                    Ok(Value::Null)
-                }),
-                promise,
-                ctx: obs::SpanCtx::NONE,
+            let (fut, task) = payload(i, move || {
+                let now = running.fetch_add(1, Ordering::SeqCst) + 1;
+                peak.fetch_max(now, Ordering::SeqCst);
+                std::thread::sleep(Duration::from_millis(25));
+                running.fetch_sub(1, Ordering::SeqCst);
+                Ok(Value::Null)
             });
+            htex.submit(task);
             futs.push(fut);
         }
         for f in &futs {
@@ -1114,17 +1100,12 @@ mod tests {
         let held = gate.lock();
         let mut futs = Vec::new();
         for i in 0..4 {
-            let (fut, promise) = promise_pair(TaskId(i));
             let gate = gate.clone();
-            htex.submit(TaskPayload {
-                id: TaskId(i),
-                body: Arc::new(move || {
-                    let _g = gate.lock();
-                    Ok(Value::Null)
-                }),
-                promise,
-                ctx: obs::SpanCtx::NONE,
+            let (fut, task) = payload(i, move || {
+                let _g = gate.lock();
+                Ok(Value::Null)
             });
+            htex.submit(task);
             futs.push(fut);
         }
         assert!(
@@ -1149,13 +1130,8 @@ mod tests {
         )
         .unwrap();
         htex.shutdown();
-        let (fut, promise) = promise_pair(TaskId(1));
-        htex.submit(TaskPayload {
-            id: TaskId(1),
-            body: Arc::new(|| Ok(Value::Int(1))),
-            promise,
-            ctx: obs::SpanCtx::NONE,
-        });
+        let (fut, task) = payload(1, || Ok(Value::Int(1)));
+        htex.submit(task);
         match fut.result_timeout(Duration::from_secs(2)) {
             Some(Err(TaskError::Shutdown)) => {}
             other => panic!("expected fast Shutdown error, got {other:?}"),

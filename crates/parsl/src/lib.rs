@@ -59,7 +59,7 @@ pub use apps::{run_command, AppBody, CommandApp, CommandSpec, FnApp};
 pub use config::{Capacity, Config, ExecutorChoice, RetryPolicy};
 pub use dfk::{AppArg, CkptStats, DataFlowKernel, DispatchGate, GatedLaunch, RunTag};
 pub use error::TaskError;
-pub use executor::{Executor, TaskBody, TaskPayload, ThreadPoolExecutor};
+pub use executor::{Executor, TaskPayload, ThreadPoolExecutor};
 pub use file::File;
 pub use future::{AppFuture, DataFuture, Promise};
 pub use htex::{HighThroughputExecutor, HtexConfig};

@@ -114,11 +114,10 @@ impl Drop for Strategy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::{Executor, TaskPayload};
-    use crate::future::promise_pair;
+    use crate::executor::tests::payload;
+    use crate::executor::Executor;
     use crate::htex::HtexConfig;
     use crate::provider::SlurmProvider;
-    use crate::task::TaskId;
     use gridsim::{BatchScheduler, ClusterSpec, LatencyModel, SchedulerConfig};
     use simtest::Clock as _;
     use yamlite::Value;
@@ -153,16 +152,11 @@ mod tests {
         // Flood with slow tasks: backlog >> workers.
         let mut futs = Vec::new();
         for i in 0..24 {
-            let (fut, promise) = promise_pair(TaskId(i));
-            htex.submit(TaskPayload {
-                id: TaskId(i),
-                body: Arc::new(|| {
-                    std::thread::sleep(Duration::from_millis(15));
-                    Ok(Value::Null)
-                }),
-                promise,
-                ctx: obs::SpanCtx::NONE,
+            let (fut, task) = payload(i, || {
+                std::thread::sleep(Duration::from_millis(15));
+                Ok(Value::Null)
             });
+            htex.submit(task);
             futs.push(fut);
         }
         for f in &futs {
