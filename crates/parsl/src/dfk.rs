@@ -201,46 +201,16 @@ impl Attempt for TaskAttempt {
         (self.task.body)(&self.vals)
     }
 
+    /// Deliver the first outcome: memoize and journal a success, retry a
+    /// retryable failure while budget remains (after the policy's
+    /// backoff), and otherwise finish the task.
     fn complete(&self, result: TaskResult) {
-        if self.claim() {
-            self.settle(result);
-        }
-    }
-}
-
-impl TaskAttempt {
-    /// Win the right to deliver this attempt's outcome: true for the first
-    /// caller only, who also wakes the watchdog.
-    fn claim(&self) -> bool {
         if self.claimed.swap(true, Ordering::AcqRel) {
-            return false;
+            return;
         }
         if let Some(done) = &self.done {
             done.raise();
         }
-        true
-    }
-
-    /// The walltime watchdog: wait up to `walltime` of real time for the
-    /// attempt to complete, and fail it with a timeout if it has not.
-    fn watch(&self, walltime: Duration) {
-        let done = self
-            .done
-            .as_deref()
-            .expect("an attempt with a walltime has a completion signal");
-        if simtest::real_clock().wait(walltime, done) == Waited::Elapsed && self.claim() {
-            let (dfk, task) = (&self.dfk, &self.task);
-            dfk.obs.count(&dfk.metrics.timed_out);
-            dfk.obs
-                .instant_span(SpanKind::TimedOut, task.id.0, task.root_span, &task.label);
-            self.settle(Err(TaskError::Timeout(walltime)));
-        }
-    }
-
-    /// Deliver the winning outcome: memoize and journal a success, retry a
-    /// retryable failure while budget remains (after the policy's
-    /// backoff), and otherwise finish the task.
-    fn settle(&self, result: TaskResult) {
         let (dfk, task) = (&self.dfk, &self.task);
         let e = match result {
             Ok(value) => {
@@ -287,6 +257,26 @@ impl TaskAttempt {
                     dfk.clock.sleep(delay); // timer-ok: retry backoff, a modelled delay
                     dfk.attempt(task, vals, fingerprint);
                 });
+        }
+    }
+}
+
+impl TaskAttempt {
+    /// The walltime watchdog: wait up to `walltime` of real time for the
+    /// attempt to complete, and fail it with a timeout if it has not. The
+    /// first completion wins, so an attempt that finishes after the wait
+    /// ends makes this completion a no-op.
+    fn watch(&self, walltime: Duration) {
+        let done = self
+            .done
+            .as_deref()
+            .expect("an attempt with a walltime has a completion signal");
+        if simtest::real_clock().wait(walltime, done) == Waited::Elapsed {
+            let (dfk, task) = (&self.dfk, &self.task);
+            dfk.obs.count(&dfk.metrics.timed_out);
+            dfk.obs
+                .instant_span(SpanKind::TimedOut, task.id.0, task.root_span, &task.label);
+            self.complete(Err(TaskError::Timeout(walltime)));
         }
     }
 }

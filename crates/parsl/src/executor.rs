@@ -3,11 +3,10 @@
 //! paper's Fig. 1b configuration.
 //!
 //! An executor receives [`TaskPayload`]s. Each carries one [`Attempt`]: a
-//! single object that both runs the task body and takes its outcome. The
-//! executor calls [`TaskPayload::run`] on a worker and hands the result to
-//! [`TaskPayload::complete`]; it never sees the task's future, and nothing
-//! is allocated between the kernel and the executor beyond the attempt
-//! itself.
+//! single object that both runs the task body and takes its outcome, and
+//! the only one the kernel allocates per dispatch. The executor calls
+//! [`TaskPayload::run`] on a worker and hands the result to
+//! [`TaskPayload::complete`]; it never sees the task's future.
 
 use crate::error::TaskError;
 use crate::future::TaskResult;
