@@ -24,9 +24,9 @@ use std::sync::Arc;
 ///   whose node was lost before its result was accepted. It neither
 ///   resolves nor records anything; the caller isolates panics
 ///   ([`TaskPayload::run`] does).
-/// - [`Attempt::complete`] delivers the outcome. The first call wins, as
-///   decided by one atomic flag; every later call — a second executor
-///   resolution, a walltime watchdog losing the race — is a no-op. Any
+/// - [`Attempt::complete`] delivers the outcome. The first call wins;
+///   every later call — a second executor resolution, a walltime
+///   watchdog losing the race — is a no-op. Any
 ///   thread may call it, including one that never ran the body (a
 ///   shutdown or a lost node fails the attempt without running it).
 ///
