@@ -100,6 +100,31 @@ if [ -n "$payload_promise" ]; then
 fi
 echo "attempt gate: one promise_pair in dfk.rs; TaskPayload carries its attempt alone"
 
+# One-journal gate (DESIGN.md §4f "One binding"): a parsl-cwl run's journal
+# and a parsl-serve run's are one type in the kernel, reached through one
+# lookup, and CWL tools have one subprocess spawner. (a) The non-test part
+# of dfk.rs names neither of the two journal types that came before
+# `BoundJournal`, nor the task-to-step side table's `bind_step`, nor the
+# second submit entry; (b) the bash_app analogue is gone from crates/,
+# tests/ and examples/: `cwlexec::SubprocessDispatch` runs every tool.
+journal_doubles=$(awk '
+    /#\[cfg\(test\)\]/ { exit }
+    { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
+' crates/parsl/src/dfk.rs | grep -wE 'CkptState|RunCkpt|bind_step|submit_bound' || true)
+if [ -n "$journal_doubles" ]; then
+    echo "error: dfk.rs binds journals or submits through a second path:" >&2
+    echo "$journal_doubles" >&2
+    exit 1
+fi
+second_spawner=$(grep -rnwE 'CommandApp|CommandSpec|run_command|submit_command' \
+    crates tests examples || true)
+if [ -n "$second_spawner" ]; then
+    echo "error: a second subprocess spawner; run tools through cwlexec's SubprocessDispatch:" >&2
+    echo "$second_spawner" >&2
+    exit 1
+fi
+echo "journal gate: one journal binding in dfk.rs; SubprocessDispatch is the one spawner"
+
 # Realpath gate (DESIGN.md §4g): the data plane and checkpoint validation
 # know a file by the identity of the one stat they make, so in the non-test
 # part of datastore and core's checkpoint.rs every `.canonicalize(` must

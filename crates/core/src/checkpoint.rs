@@ -66,10 +66,7 @@ impl PreparedCkpt {
     /// count every record rejected on the way (here or by the kernel) into
     /// `ckpt.invalidated`. Returns that count.
     pub fn seed_into(&self, dfk: &DataFlowKernel, run: Option<u64>) -> usize {
-        let (_seeded, unparseable) = match run {
-            Some(id) => dfk.seed_run_checkpoint(id, &self.seed),
-            None => dfk.seed_checkpoint(&self.seed),
-        };
+        let (_seeded, unparseable) = dfk.seed_journal(run, &self.seed);
         let invalidated = self.invalidated + unparseable;
         if invalidated > 0 {
             dfk.observability()

@@ -30,10 +30,9 @@ impl ToolTask {
     /// Submit the task. `body` turns the dependencies' values into the
     /// task's output object, calling the [`RunTool`] it is handed unless it
     /// decides the tool is not to run; it is `Fn` because a retried or
-    /// re-dispatched task runs it again. `step` joins the Parsl task id to
-    /// a CWL step id in the lineage table and the checkpoint journal
-    /// before the task can launch — binding after submit races a fast
-    /// worker journaling a step-less record.
+    /// re-dispatched task runs it again. `step` names the CWL step in the
+    /// lineage table and the task's journal record; `run_tag` selects the
+    /// service run's journal, or the kernel's when `None`.
     pub(crate) fn submit(
         self,
         dfk: &Arc<DataFlowKernel>,
@@ -70,10 +69,7 @@ impl ToolTask {
             };
             body(&run, vals).map(Value::Map).map_err(TaskError::failed)
         });
-        let future = match run_tag {
-            Some(tag) => dfk.submit_tagged(name, step, args, app, tag.clone()),
-            None => dfk.submit_bound(name, step, args, app),
-        };
+        let future = dfk.submit_tagged(name, step, args, app, run_tag.cloned());
         lineage.store(future.id().0, Ordering::Release);
         future
     }

@@ -325,22 +325,50 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// One row per way a real program's run can go: its stdout captured,
+    /// an `EnvVarRequirement` variable reaching it in the task workdir, a
+    /// non-zero exit, a program that cannot be spawned, an empty argv.
     #[test]
     fn subprocess_dispatch_runs_real_programs() {
         let dir = workdir("sub");
-        SubprocessDispatch
-            .run(&cmd(&["echo", "via", "subprocess"], Some("out.txt")), &dir)
-            .unwrap();
-        assert_eq!(
-            std::fs::read_to_string(dir.join("out.txt")).unwrap(),
-            "via subprocess\n"
+        let dir_name = dir.file_name().unwrap().to_str().unwrap();
+        let env = [("PARSL_TEST_VAR", "marker42")];
+        // argv, env, then the stdout capture or a part of the error.
+        type Row<'a> = (
+            &'a [&'a str],
+            &'a [(&'a str, &'a str)],
+            Result<String, &'a str>,
         );
-        assert!(SubprocessDispatch
-            .run(&cmd(&["false"], None), &dir)
-            .is_err());
-        assert!(SubprocessDispatch
-            .run(&cmd(&["no-such-program-zzz"], None), &dir)
-            .is_err());
+        let table: [Row; 5] = [
+            (
+                &["echo", "via", "subprocess"],
+                &[],
+                Ok("via subprocess\n".into()),
+            ),
+            (
+                &["sh", "-c", "echo $PARSL_TEST_VAR; basename \"$(pwd)\""],
+                &env,
+                Ok(format!("marker42\n{dir_name}\n")),
+            ),
+            (&["false"], &[], Err("exited with status")),
+            (&["no-such-program-zzz"], &[], Err("cannot spawn")),
+            (&[], &[], Err("empty argv")),
+        ];
+        for (argv, env, expected) in table {
+            let mut c = cmd(argv, Some("out.txt"));
+            c.env = env
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .collect();
+            match (SubprocessDispatch.run(&c, &dir), expected) {
+                (Ok(()), Ok(out)) => {
+                    let got = std::fs::read_to_string(dir.join("out.txt")).unwrap();
+                    assert_eq!(got, out, "{argv:?}");
+                }
+                (Err(e), Err(reason)) => assert!(e.contains(reason), "{argv:?}: {e}"),
+                (ran, expected) => panic!("{argv:?}: ran {ran:?}, expected {expected:?}"),
+            }
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,12 +1,11 @@
-//! App bodies: `FnApp` (Parsl's `python_app` analogue — any Rust closure)
-//! and command execution (`bash_app` analogue — a real subprocess with
-//! stdout/stderr redirection), which is what CWL CommandLineTools compile to.
+//! App bodies: `FnApp` (Parsl's `python_app` analogue — any Rust closure).
+//! A CWL CommandLineTool is an `FnApp` too, whose body runs the tool
+//! through `cwlexec`'s dispatch; `cwlexec::SubprocessDispatch` is the one
+//! subprocess spawner.
 
 use crate::error::TaskError;
-use std::path::PathBuf;
-use std::process::{Command, Stdio};
 use std::sync::Arc;
-use yamlite::{Map, Value};
+use yamlite::Value;
 
 /// The executable body of an app: resolved input values in, value out.
 pub type AppBody = Arc<dyn Fn(&[Value]) -> Result<Value, TaskError> + Send + Sync>;
@@ -25,234 +24,9 @@ impl FnApp {
     }
 }
 
-/// A fully resolved command invocation (`bash_app` analogue).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct CommandSpec {
-    /// Program followed by its arguments.
-    pub argv: Vec<String>,
-    /// Redirect stdout to this file.
-    pub stdout: Option<PathBuf>,
-    /// Redirect stderr to this file.
-    pub stderr: Option<PathBuf>,
-    /// Working directory.
-    pub cwd: Option<PathBuf>,
-    /// Extra environment variables.
-    pub env: Vec<(String, String)>,
-}
-
-impl CommandSpec {
-    /// A spec running `argv` in the current directory.
-    pub fn new(argv: Vec<String>) -> Self {
-        Self {
-            argv,
-            ..Default::default()
-        }
-    }
-
-    /// Render as a shell-like string (for logs).
-    pub fn render(&self) -> String {
-        let mut s = self
-            .argv
-            .iter()
-            .map(|a| {
-                if a.contains(' ') || a.is_empty() {
-                    format!("'{a}'")
-                } else {
-                    a.clone()
-                }
-            })
-            .collect::<Vec<_>>()
-            .join(" ");
-        if let Some(o) = &self.stdout {
-            s.push_str(&format!(" > {}", o.display()));
-        }
-        if let Some(e) = &self.stderr {
-            s.push_str(&format!(" 2> {}", e.display()));
-        }
-        s
-    }
-}
-
-/// Execute a command spec as a real subprocess. Returns a map:
-/// `{exit_code, command, stdout?, stderr?}` (streams appear inline when not
-/// redirected to files). Non-zero exit becomes [`TaskError::Failed`] with
-/// the tail of stderr, like Parsl's bash_app.
-pub fn run_command(spec: &CommandSpec) -> Result<Value, TaskError> {
-    let Some(program) = spec.argv.first() else {
-        return Err(TaskError::failed("empty command line"));
-    };
-    let mut cmd = Command::new(program);
-    cmd.args(&spec.argv[1..]);
-    if let Some(cwd) = &spec.cwd {
-        cmd.current_dir(cwd);
-    }
-    for (k, v) in &spec.env {
-        cmd.env(k, v);
-    }
-    match &spec.stdout {
-        Some(path) => {
-            let f = std::fs::File::create(path)
-                .map_err(|e| TaskError::failed(format!("cannot create stdout {path:?}: {e}")))?;
-            cmd.stdout(Stdio::from(f));
-        }
-        None => {
-            cmd.stdout(Stdio::piped());
-        }
-    }
-    match &spec.stderr {
-        Some(path) => {
-            let f = std::fs::File::create(path)
-                .map_err(|e| TaskError::failed(format!("cannot create stderr {path:?}: {e}")))?;
-            cmd.stderr(Stdio::from(f));
-        }
-        None => {
-            cmd.stderr(Stdio::piped());
-        }
-    }
-    let output = cmd
-        .output()
-        .map_err(|e| TaskError::failed(format!("cannot spawn {program:?}: {e}")))?;
-
-    let code = output.status.code().unwrap_or(-1);
-    let stdout_text = String::from_utf8_lossy(&output.stdout).into_owned();
-    let stderr_text = String::from_utf8_lossy(&output.stderr).into_owned();
-
-    if !output.status.success() {
-        let detail = if let Some(stderr_path) = &spec.stderr {
-            format!("see {}", stderr_path.display())
-        } else {
-            let tail: String = stderr_text
-                .chars()
-                .rev()
-                .take(400)
-                .collect::<String>()
-                .chars()
-                .rev()
-                .collect();
-            tail
-        };
-        return Err(TaskError::failed(format!(
-            "command {:?} exited with code {code}: {detail}",
-            spec.render()
-        )));
-    }
-
-    let mut m = Map::new();
-    m.insert("exit_code", code as i64);
-    m.insert("command", spec.render());
-    if spec.stdout.is_none() && !stdout_text.is_empty() {
-        m.insert("stdout", stdout_text);
-    }
-    if spec.stderr.is_none() && !stderr_text.is_empty() {
-        m.insert("stderr", stderr_text);
-    }
-    Ok(Value::Map(m))
-}
-
-/// An app body that builds a [`CommandSpec`] from resolved inputs and runs
-/// it — the shape the CWL bridge produces.
-pub struct CommandApp;
-
-impl CommandApp {
-    /// Build an [`AppBody`] from a spec-builder closure.
-    #[allow(clippy::new_ret_no_self)] // deliberately returns the shared body type
-    pub fn new<F>(build: F) -> AppBody
-    where
-        F: Fn(&[Value]) -> Result<CommandSpec, TaskError> + Send + Sync + 'static,
-    {
-        Arc::new(move |vals| {
-            let spec = build(vals)?;
-            run_command(&spec)
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tmpdir(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("parsl-apps-{tag}-{}", std::process::id()));
-        std::fs::create_dir_all(&d).unwrap();
-        d
-    }
-
-    #[test]
-    fn run_echo_captures_stdout() {
-        let spec = CommandSpec::new(vec!["echo".into(), "hello".into(), "world".into()]);
-        let v = run_command(&spec).unwrap();
-        assert_eq!(v["exit_code"].as_int(), Some(0));
-        assert_eq!(v["stdout"].as_str(), Some("hello world\n"));
-    }
-
-    #[test]
-    fn run_echo_redirects_stdout() {
-        let dir = tmpdir("redir");
-        let out = dir.join("hello.txt");
-        let spec = CommandSpec {
-            argv: vec!["echo".into(), "redirected".into()],
-            stdout: Some(out.clone()),
-            ..Default::default()
-        };
-        let v = run_command(&spec).unwrap();
-        assert!(v.get("stdout").is_none());
-        assert_eq!(std::fs::read_to_string(&out).unwrap(), "redirected\n");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn nonzero_exit_fails() {
-        let spec = CommandSpec::new(vec!["false".into()]);
-        let err = run_command(&spec).unwrap_err();
-        assert!(matches!(err, TaskError::Failed(_)));
-        assert!(err.to_string().contains("exited with code 1"), "{err}");
-    }
-
-    #[test]
-    fn missing_program_fails() {
-        let spec = CommandSpec::new(vec!["definitely-not-a-program-xyz".into()]);
-        let err = run_command(&spec).unwrap_err();
-        assert!(err.to_string().contains("cannot spawn"), "{err}");
-        assert!(run_command(&CommandSpec::default()).is_err());
-    }
-
-    #[test]
-    fn env_and_cwd_apply() {
-        let dir = tmpdir("env");
-        let spec = CommandSpec {
-            argv: vec!["sh".into(), "-c".into(), "echo $PARSL_TEST_VAR; pwd".into()],
-            env: vec![("PARSL_TEST_VAR".into(), "marker42".into())],
-            cwd: Some(dir.clone()),
-            ..Default::default()
-        };
-        let v = run_command(&spec).unwrap();
-        let out = v["stdout"].as_str().unwrap();
-        assert!(out.contains("marker42"));
-        assert!(out.contains(dir.file_name().unwrap().to_str().unwrap()));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn render_quotes_spaces() {
-        let spec = CommandSpec {
-            argv: vec!["echo".into(), "two words".into()],
-            stdout: Some("/tmp/o".into()),
-            ..Default::default()
-        };
-        assert_eq!(spec.render(), "echo 'two words' > /tmp/o");
-    }
-
-    #[test]
-    fn command_app_body() {
-        let body = CommandApp::new(|vals| {
-            Ok(CommandSpec::new(vec![
-                "echo".into(),
-                vals[0].to_display_string(),
-            ]))
-        });
-        let v = body(&[Value::str("from-body")]).unwrap();
-        assert_eq!(v["stdout"].as_str(), Some("from-body\n"));
-    }
 
     #[test]
     fn fn_app_body() {

@@ -169,11 +169,13 @@ pub struct Config {
     /// Observability: span/metric/lineage recording and trace export
     /// (disabled by default — every record path stays a single branch).
     pub monitoring: obs::ObsConfig,
-    /// Checkpoint journal: when set, every successful non-memoized task
-    /// completion is appended to it, and the kernel forces memoization on
-    /// (checkpointing *is* durable memoization — Parsl's model). Seed the
-    /// memo table from a loaded journal with
-    /// [`crate::DataFlowKernel::seed_checkpoint`].
+    /// The kernel's checkpoint journal: when set, every successful
+    /// non-memoized completion of an untagged task is appended to it, and
+    /// the kernel forces memoization on (checkpointing *is* durable
+    /// memoization — Parsl's model). A tagged task journals to its service
+    /// run's journal instead ([`crate::DataFlowKernel::attach_run_journal`]),
+    /// through the same binding. Seed the memo table from a loaded journal
+    /// with [`crate::DataFlowKernel::seed_checkpoint`].
     pub checkpoint: Option<Arc<ckpt::Journal>>,
     /// Time source for every kernel-side sleep and timestamp (retry
     /// backoff, heartbeats, monitoring). The process-wide real clock by

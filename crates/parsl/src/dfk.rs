@@ -3,11 +3,10 @@
 //! tasks on the configured executor when their inputs are ready, propagates
 //! failures, retries, and counts task events in its obs registry.
 
-use crate::apps::{AppBody, CommandApp, CommandSpec};
+use crate::apps::AppBody;
 use crate::config::{Config, ExecutorChoice, RetryPolicy};
 use crate::error::TaskError;
 use crate::executor::{Attempt, Executor, TaskPayload, ThreadPoolExecutor};
-use crate::file::File;
 use crate::future::{promise_pair, AppFuture, DataFuture, Promise, TaskResult};
 use crate::htex::HighThroughputExecutor;
 use crate::monitoring::Monitoring;
@@ -15,7 +14,6 @@ use crate::task::TaskId;
 use obs::{names, Observability, SpanCtx, SpanKind};
 use parking_lot::{Condvar, Mutex};
 use simtest::{StopSignal, Waited};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -84,8 +82,10 @@ impl AppArg {
 
 /// Identifies the service run a task belongs to when the kernel hosts
 /// many concurrent workflow runs (the `parsl-serve` daemon). Untagged
-/// tasks — everything submitted through [`DataFlowKernel::submit`] /
-/// [`DataFlowKernel::submit_bound`] — behave exactly as before.
+/// tasks — [`DataFlowKernel::submit`], or [`DataFlowKernel::submit_tagged`]
+/// with no tag — fingerprint only when the kernel memoizes, leave their
+/// fingerprints unmixed, journal to the kernel's journal and bypass the
+/// [`DispatchGate`].
 #[derive(Clone, Debug)]
 pub struct RunTag {
     /// Daemon-assigned run id (also the key for the run's journal).
@@ -170,14 +170,21 @@ struct TaskInner {
     /// The task's `Submit` span id — the root every later span for this
     /// task hangs off (0 when monitoring is off or the task unsampled).
     root_span: u64,
-    /// CWL step id, carried on the task so per-run journal records can
-    /// name it without the kernel-wide step map.
+    /// CWL step id, which the task's journal record names.
     step: Option<String>,
     /// Service run this task belongs to (`None` for one-shot kernels).
     tag: Option<RunTag>,
     /// Set when a [`DispatchGate`] launched this task; the terminal
     /// `finish` then owes the gate a `finished` callback.
     gated: std::sync::atomic::AtomicBool,
+}
+
+impl TaskInner {
+    /// The service run whose journal this task records into; `None`
+    /// selects the kernel's own.
+    fn run(&self) -> Option<u64> {
+        self.tag.as_ref().map(|tag| tag.run)
+    }
 }
 
 /// One execution attempt of a task: the [`Attempt`] the kernel hands its
@@ -346,9 +353,9 @@ pub struct DataFlowKernel {
     obs: Arc<Observability>,
     /// Pre-resolved metric handles so hot paths skip the registry lookup.
     metrics: DfkMetrics,
-    /// Durable checkpointing, when configured (None keeps the completion
-    /// path checkpoint-free apart from this one branch).
-    ckpt: Option<CkptState>,
+    /// The kernel's checkpoint journal, which untagged tasks record into
+    /// ([`Config::checkpoint`]; a `parsl-cwl` run).
+    ckpt: Option<BoundJournal>,
     /// Kernel time source: retry-backoff sleeps go through this, so a
     /// virtual clock makes backoff elapse in logical time.
     clock: simtest::ClockRef,
@@ -358,9 +365,10 @@ pub struct DataFlowKernel {
     /// Multi-run dispatch gate (fair-share scheduling), when configured.
     gate: Option<Arc<dyn DispatchGate>>,
     /// Per-run checkpoint journals for a kernel hosting many concurrent
-    /// runs; keyed by [`RunTag::run`]. Independent of the legacy
-    /// single-journal `ckpt` state used by one-shot kernels.
-    run_ckpts: Mutex<std::collections::HashMap<u64, Arc<RunCkpt>>>,
+    /// runs (a `parsl-serve` daemon), keyed by [`RunTag::run`]: tagged
+    /// tasks record into their run's. The same [`BoundJournal`] as `ckpt`;
+    /// see [`Self::with_journal`].
+    run_ckpts: Mutex<std::collections::HashMap<u64, Arc<BoundJournal>>>,
 }
 
 /// Handles to the kernel's well-known metrics, resolved once at startup.
@@ -374,41 +382,66 @@ struct DfkMetrics {
     retries: Arc<obs::Counter>,
     memo_hits: Arc<obs::Counter>,
     memo_misses: Arc<obs::Counter>,
+    ckpt_append: Arc<obs::Counter>,
+    ckpt_replayed: Arc<obs::Counter>,
     /// Tasks not yet in a terminal state: the kernel's one count of them,
     /// kept whether or not monitoring is on. Submission and completion
     /// touch only this atomic.
     outstanding: Arc<obs::Gauge>,
 }
 
-/// Checkpointing state: the journal plus the bookkeeping that separates a
-/// *replay* (memo hit on a journal-seeded key) from an ordinary memo hit.
-struct CkptState {
+/// A checkpoint journal bound to the kernel (untagged tasks) or to one
+/// service run (its tagged tasks), plus the bookkeeping that separates a
+/// *replay* (memo hit on a key this journal seeded) from an ordinary memo
+/// hit. A run journal's fingerprints are namespace-mixed (see
+/// [`RunTag::memo_ns`]), so seeding on resume lands on the same keys its
+/// tagged launches compute.
+struct BoundJournal {
     journal: Arc<ckpt::Journal>,
     /// Memo keys seeded from the journal on resume; a hit on one of these
     /// means the resumed run skipped a task the crashed run had finished.
     seeded: Mutex<std::collections::HashSet<(Arc<str>, u64)>>,
-    /// Task id → CWL step id, bound by the workflow compiler so journal
-    /// records carry the originating step.
-    steps: Mutex<std::collections::HashMap<u64, String>>,
-    /// Independent of the obs counters so `checkpoint_stats` works with
-    /// monitoring off.
+    /// Independent of the obs counters so the stats work with monitoring
+    /// off.
     appended: AtomicUsize,
     replayed: AtomicUsize,
-    append_metric: Arc<obs::Counter>,
-    replay_metric: Arc<obs::Counter>,
 }
 
-/// One service run's journal inside a multi-run kernel. Fingerprints in
-/// these journals are already namespace-mixed (see [`RunTag::memo_ns`]),
-/// so seeding on resume lands on the same keys tagged launches compute.
-struct RunCkpt {
-    journal: Arc<ckpt::Journal>,
-    /// Memo keys seeded from this run's journal on resume.
-    seeded: Mutex<std::collections::HashSet<(Arc<str>, u64)>>,
-    appended: AtomicUsize,
-    replayed: AtomicUsize,
-    append_metric: Arc<obs::Counter>,
-    replay_metric: Arc<obs::Counter>,
+impl BoundJournal {
+    fn new(journal: Arc<ckpt::Journal>) -> Self {
+        Self {
+            journal,
+            seeded: Mutex::new(std::collections::HashSet::new()),
+            appended: AtomicUsize::new(0),
+            replayed: AtomicUsize::new(0),
+        }
+    }
+
+    fn stats(&self) -> CkptStats {
+        CkptStats {
+            appended: self.appended.load(Ordering::Relaxed),
+            replayed: self.replayed.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Whether a memo hit on `(label, fingerprint)` replays a record this
+    /// journal seeded; counts the replay when it does.
+    fn replays(&self, label: &Arc<str>, fingerprint: u64) -> bool {
+        let hit = self.seeded.lock().contains(&(label.clone(), fingerprint));
+        if hit {
+            self.replayed.fetch_add(1, Ordering::Relaxed);
+        }
+        hit
+    }
+
+    /// Make periodic-mode appends durable (TaskExit mode already synced
+    /// each one) and return the final stats.
+    fn close(&self) -> CkptStats {
+        if let Err(e) = self.journal.flush() {
+            eprintln!("warning: {e}");
+        }
+        self.stats()
+    }
 }
 
 /// A snapshot of checkpoint activity for end-of-run reporting.
@@ -500,17 +533,11 @@ impl DataFlowKernel {
             retries: obs.counter(names::DFK_RETRIES),
             memo_hits: obs.counter(names::MEMO_HITS),
             memo_misses: obs.counter(names::MEMO_MISSES),
+            ckpt_append: obs.counter(names::CKPT_APPEND),
+            ckpt_replayed: obs.counter(names::CKPT_REPLAYED),
             outstanding: obs.gauge(names::DFK_OUTSTANDING),
         };
-        let ckpt = config.checkpoint.map(|journal| CkptState {
-            journal,
-            seeded: Mutex::new(std::collections::HashSet::new()),
-            steps: Mutex::new(std::collections::HashMap::new()),
-            appended: AtomicUsize::new(0),
-            replayed: AtomicUsize::new(0),
-            append_metric: obs.counter(names::CKPT_APPEND),
-            replay_metric: obs.counter(names::CKPT_REPLAYED),
-        });
+        let ckpt = config.checkpoint.map(BoundJournal::new);
         Arc::new(Self {
             executor,
             retry: config.retry,
@@ -558,165 +585,108 @@ impl DataFlowKernel {
         usize::try_from(self.metrics.outstanding.value()).unwrap_or(0)
     }
 
+    /// Seed the memo table from the kernel's journal's records — see
+    /// [`DataFlowKernel::seed_journal`].
+    pub fn seed_checkpoint<R: ckpt::SeedSource>(&self, records: &[R]) -> (usize, usize) {
+        self.seed_journal(None, records)
+    }
+
     /// Seed the memo table from journal records loaded on resume — raw
     /// [`ckpt::Record`]s, or [`ckpt::Seed`]s whose results the caller has
-    /// already parsed while validating them. Records whose result fails to
-    /// parse are skipped (counted as the second element of the return
-    /// value); callers have already applied the stale-hash and missing-file
-    /// invalidation rules. Later memo hits on seeded keys are counted as
-    /// *replays*, not plain memo hits.
+    /// already parsed while validating them — into service run `run`'s
+    /// attached journal, or the kernel's own when `None`. A run journal's
+    /// fingerprints are already namespace-mixed, so its hits land only on
+    /// tasks tagged with the same workflow namespace. Records whose result
+    /// fails to parse are skipped (counted as the second element of the
+    /// return value); callers have already applied the stale-hash and
+    /// missing-file invalidation rules. Later memo hits on seeded keys
+    /// count as that journal's *replays*, not plain memo hits.
     ///
-    /// No-op (all records "invalid") when the kernel has no checkpoint
-    /// journal — seeding without one would replay results that nothing
-    /// guards.
-    pub fn seed_checkpoint<R: ckpt::SeedSource>(&self, records: &[R]) -> (usize, usize) {
-        match &self.ckpt {
-            Some(ckpt) => self.seed_memo(&ckpt.seeded, records),
-            None => (0, records.len()),
-        }
-    }
-
-    /// Insert each record's result into the memo table and note its key in
-    /// `seeded`; returns `(seeded, unparseable)`.
-    fn seed_memo<R: ckpt::SeedSource>(
+    /// No-op (all records "invalid") when there is no such journal —
+    /// seeding without one would replay results that nothing guards.
+    pub fn seed_journal<R: ckpt::SeedSource>(
         &self,
-        seeded: &Mutex<std::collections::HashSet<(Arc<str>, u64)>>,
+        run: Option<u64>,
         records: &[R],
     ) -> (usize, usize) {
-        let mut keys = seeded.lock();
-        let mut invalid = 0usize;
-        for rec in records {
-            match rec.value() {
-                Ok(value) => {
-                    let (label, fingerprint) = rec.memo_key();
-                    let label: Arc<str> = Arc::from(label);
-                    keys.insert((label.clone(), fingerprint));
-                    self.memo.insert(label, fingerprint, value);
+        self.with_journal(run, |bound| {
+            let mut keys = bound.seeded.lock();
+            let mut invalid = 0usize;
+            for rec in records {
+                match rec.value() {
+                    Ok(value) => {
+                        let (label, fingerprint) = rec.memo_key();
+                        let label: Arc<str> = Arc::from(label);
+                        keys.insert((label.clone(), fingerprint));
+                        self.memo.insert(label, fingerprint, value);
+                    }
+                    Err(_) => invalid += 1,
                 }
-                Err(_) => invalid += 1,
             }
-        }
-        (records.len() - invalid, invalid)
-    }
-
-    /// Record that a task originated from a CWL workflow step, so its
-    /// journal record carries the step id. No-op without a checkpoint.
-    pub fn bind_step(&self, id: TaskId, step: &str) {
-        if let Some(ckpt) = &self.ckpt {
-            ckpt.steps.lock().insert(id.0, step.to_string());
-        }
-    }
-
-    /// Checkpoint activity so far, when checkpointing is configured.
-    pub fn checkpoint_stats(&self) -> Option<CkptStats> {
-        self.ckpt.as_ref().map(|c| CkptStats {
-            appended: c.appended.load(Ordering::Relaxed),
-            replayed: c.replayed.load(Ordering::Relaxed),
+            (records.len() - invalid, invalid)
         })
+        .unwrap_or((0, records.len()))
     }
 
-    // ---- multi-run service support -------------------------------------
+    /// The kernel's checkpoint activity so far, when it has a journal.
+    pub fn checkpoint_stats(&self) -> Option<CkptStats> {
+        self.journal_stats(None)
+    }
+
+    /// Checkpoint activity so far of service run `run`'s attached journal,
+    /// or of the kernel's own when `None`.
+    pub fn journal_stats(&self, run: Option<u64>) -> Option<CkptStats> {
+        self.with_journal(run, BoundJournal::stats)
+    }
 
     /// Attach a per-run checkpoint journal for a service run. Completions
-    /// of tasks tagged with this run id append here (with their
-    /// namespace-mixed fingerprints); the legacy single-journal path is
-    /// untouched. Tagged tasks always compute fingerprints, so a run
-    /// journal works even on a kernel built without `memoize`.
+    /// of tasks tagged with this run id append here, with their
+    /// namespace-mixed fingerprints. Tagged tasks always compute
+    /// fingerprints, so a run journal works even on a kernel built without
+    /// `memoize`.
     pub fn attach_run_journal(&self, run: u64, journal: Arc<ckpt::Journal>) {
-        self.run_ckpts.lock().insert(
-            run,
-            Arc::new(RunCkpt {
-                journal,
-                seeded: Mutex::new(std::collections::HashSet::new()),
-                appended: AtomicUsize::new(0),
-                replayed: AtomicUsize::new(0),
-                append_metric: self.obs.counter(names::CKPT_APPEND),
-                replay_metric: self.obs.counter(names::CKPT_REPLAYED),
-            }),
-        );
-    }
-
-    /// Seed the shared memo table from a resumed run journal (the per-run
-    /// analogue of [`DataFlowKernel::seed_checkpoint`]). Record
-    /// fingerprints are already namespace-mixed, so hits land only on
-    /// tasks tagged with the same workflow namespace. Returns
-    /// `(seeded, invalid)`; no-op when `run` has no attached journal.
-    pub fn seed_run_checkpoint<R: ckpt::SeedSource>(
-        &self,
-        run: u64,
-        records: &[R],
-    ) -> (usize, usize) {
-        match self.run_ckpt(run) {
-            Some(rc) => self.seed_memo(&rc.seeded, records),
-            None => (0, records.len()),
-        }
-    }
-
-    /// Checkpoint activity for one service run, when its journal is
-    /// attached.
-    pub fn run_checkpoint_stats(&self, run: u64) -> Option<CkptStats> {
-        self.run_ckpt(run).map(|c| CkptStats {
-            appended: c.appended.load(Ordering::Relaxed),
-            replayed: c.replayed.load(Ordering::Relaxed),
-        })
+        self.run_ckpts
+            .lock()
+            .insert(run, Arc::new(BoundJournal::new(journal)));
     }
 
     /// Flush and detach a service run's journal, returning its final
     /// stats. The run's memo entries stay — cross-run dedupe is the point
     /// of the shared table.
     pub fn detach_run_journal(&self, run: u64) -> Option<CkptStats> {
-        let rc = self.run_ckpts.lock().remove(&run)?;
-        if let Err(e) = rc.journal.flush() {
-            eprintln!("warning: {e}");
-        }
-        Some(CkptStats {
-            appended: rc.appended.load(Ordering::Relaxed),
-            replayed: rc.replayed.load(Ordering::Relaxed),
-        })
+        let bound = self.run_ckpts.lock().remove(&run)?;
+        Some(bound.close())
     }
 
-    fn run_ckpt(&self, run: u64) -> Option<Arc<RunCkpt>> {
-        self.run_ckpts.lock().get(&run).cloned()
+    /// Apply `f` to the journal a task of service run `run` records into:
+    /// the run's attached journal, or the kernel's own when `None`. `None`
+    /// when there is no such journal. The kernel's is reached without a
+    /// lock; a run's is cloned out of the map so `f` runs unlocked.
+    fn with_journal<T>(&self, run: Option<u64>, f: impl FnOnce(&BoundJournal) -> T) -> Option<T> {
+        match run {
+            None => self.ckpt.as_ref().map(f),
+            Some(run) => {
+                let bound = self.run_ckpts.lock().get(&run).cloned();
+                bound.map(|bound| f(&bound))
+            }
+        }
     }
 
     /// Invoke an app: returns immediately with a future. The task launches
     /// once every future among `args` has completed; any failed dependency
     /// fails this task without launching it.
     pub fn submit(self: &Arc<Self>, label: &str, args: Vec<AppArg>, body: AppBody) -> AppFuture {
-        self.submit_bound(label, None, args, body)
+        self.submit_tagged(label, None, args, body, None)
     }
 
-    /// `submit`, with the originating CWL step id bound before the task can
-    /// launch. Binding after `submit` returns races the worker: a fast task
-    /// could journal its completion record before the submitting thread gets
-    /// to `bind_step`, dropping the step id from the record.
-    pub fn submit_bound(
-        self: &Arc<Self>,
-        label: &str,
-        step: Option<&str>,
-        args: Vec<AppArg>,
-        body: AppBody,
-    ) -> AppFuture {
-        self.submit_inner(label, step, args, body, None)
-    }
-
-    /// `submit_bound`, tagged with the service run the task belongs to.
-    /// Tagged tasks always fingerprint their inputs (namespace-mixed so
-    /// distinct workflows never collide), journal completions to the run's
-    /// attached journal, and — when the kernel has a [`DispatchGate`] —
-    /// dispatch through it instead of straight to the executor.
+    /// `submit`, with the originating CWL step id, which the task's
+    /// lineage and journal record name, and the service run the task
+    /// belongs to. A tagged task always fingerprints its inputs
+    /// (namespace-mixed so distinct workflows never collide), journals its
+    /// completion to the run's attached journal, and — when the kernel has
+    /// a [`DispatchGate`] — dispatches through it instead of straight to
+    /// the executor.
     pub fn submit_tagged(
-        self: &Arc<Self>,
-        label: &str,
-        step: Option<&str>,
-        args: Vec<AppArg>,
-        body: AppBody,
-        tag: RunTag,
-    ) -> AppFuture {
-        self.submit_inner(label, step, args, body, Some(tag))
-    }
-
-    fn submit_inner(
         self: &Arc<Self>,
         label: &str,
         step: Option<&str>,
@@ -725,9 +695,6 @@ impl DataFlowKernel {
         tag: Option<RunTag>,
     ) -> AppFuture {
         let id = TaskId(self.next_id.fetch_add(1, Ordering::Relaxed));
-        if let Some(step) = step {
-            self.bind_step(id, step);
-        }
         let (fut, promise) = promise_pair(id);
         self.metrics.outstanding.fetch_add(1, Ordering::AcqRel);
         self.obs.count(&self.metrics.submitted);
@@ -780,25 +747,6 @@ impl DataFlowKernel {
         fut
     }
 
-    /// Invoke a command app: `build` turns resolved input values into a
-    /// [`CommandSpec`]; `outputs` are files the command will produce, each
-    /// returned as a [`DataFuture`] (Parsl's `bash_app(outputs=[...])`).
-    pub fn submit_command(
-        self: &Arc<Self>,
-        label: &str,
-        args: Vec<AppArg>,
-        build: impl Fn(&[Value]) -> Result<CommandSpec, TaskError> + Send + Sync + 'static,
-        outputs: Vec<PathBuf>,
-    ) -> (AppFuture, Vec<DataFuture>) {
-        let body = CommandApp::new(build);
-        let fut = self.submit(label, args, body);
-        let data = outputs
-            .into_iter()
-            .map(|p| DataFuture::new(File::new(p), fut.clone()))
-            .collect();
-        (fut, data)
-    }
-
     /// Dependencies are met: materialize inputs and start the first attempt
     /// (or fail fast on upstream failure).
     fn launch(self: &Arc<Self>, task: Arc<TaskInner>) {
@@ -837,37 +785,15 @@ impl DataFlowKernel {
             self.obs.finish_span(lookup);
             if let Some(cached) = cached {
                 self.obs.count(&self.metrics.memo_hits);
-                // A hit on a journal-seeded key is a *replay*: the crashed
-                // run finished this task and the resume is skipping it.
-                // Tagged tasks consult their own run's seeded set.
-                let seeded_hit = |c: &Mutex<std::collections::HashSet<(Arc<str>, u64)>>| {
-                    c.lock().contains(&(task.label.clone(), fp))
-                };
-                let replayed = match &task.tag {
-                    Some(tag) => self
-                        .run_ckpt(tag.run)
-                        .map(|c| {
-                            let hit = seeded_hit(&c.seeded);
-                            if hit {
-                                c.replayed.fetch_add(1, Ordering::Relaxed);
-                                c.replay_metric.incr();
-                            }
-                            hit
-                        })
-                        .unwrap_or(false),
-                    None => self
-                        .ckpt
-                        .as_ref()
-                        .map(|c| {
-                            let hit = seeded_hit(&c.seeded);
-                            if hit {
-                                c.replayed.fetch_add(1, Ordering::Relaxed);
-                                c.replay_metric.incr();
-                            }
-                            hit
-                        })
-                        .unwrap_or(false),
-                };
+                // A hit on a key the task's own journal seeded is a
+                // *replay*: the crashed run finished this task and the
+                // resume is skipping it.
+                let replayed = self
+                    .with_journal(task.run(), |bound| bound.replays(&task.label, fp))
+                    .unwrap_or(false);
+                if replayed {
+                    self.metrics.ckpt_replayed.incr();
+                }
                 self.obs
                     .lineage_complete(task.id.0, if replayed { "replayed" } else { "memoized" });
                 self.finish(&task, Ok((*cached).clone()));
@@ -935,47 +861,26 @@ impl DataFlowKernel {
         }
     }
 
-    /// Durable completion record for a successful attempt. Journal
-    /// failures degrade to a warning — losing checkpoint coverage must not
-    /// fail a task that actually succeeded. Tagged tasks journal to their
-    /// run's journal; untagged tasks to the kernel-wide one.
+    /// Durable completion record for a successful attempt, in the task's
+    /// journal (see [`Self::with_journal`]). Journal failures degrade to a
+    /// warning — losing checkpoint coverage must not fail a task that
+    /// actually succeeded.
     fn journal(&self, task: &TaskInner, fingerprint: u64, value: &Value) {
-        match &task.tag {
-            Some(tag) => {
-                if let Some(rc) = self.run_ckpt(tag.run) {
-                    let record = ckpt::Record {
-                        label: task.label.to_string(),
-                        fingerprint,
-                        step: task.step.clone(),
-                        result: yamlite::to_string_flow(value),
-                    };
-                    match rc.journal.append(&record) {
-                        Ok(()) => {
-                            rc.appended.fetch_add(1, Ordering::Relaxed);
-                            rc.append_metric.incr();
-                        }
-                        Err(e) => eprintln!("warning: {e}"),
-                    }
+        self.with_journal(task.run(), |bound| {
+            let record = ckpt::Record {
+                label: task.label.to_string(),
+                fingerprint,
+                step: task.step.clone(),
+                result: yamlite::to_string_flow(value),
+            };
+            match bound.journal.append(&record) {
+                Ok(()) => {
+                    bound.appended.fetch_add(1, Ordering::Relaxed);
+                    self.metrics.ckpt_append.incr();
                 }
+                Err(e) => eprintln!("warning: {e}"),
             }
-            None => {
-                if let Some(ckpt) = &self.ckpt {
-                    let record = ckpt::Record {
-                        label: task.label.to_string(),
-                        fingerprint,
-                        step: ckpt.steps.lock().get(&task.id.0).cloned(),
-                        result: yamlite::to_string_flow(value),
-                    };
-                    match ckpt.journal.append(&record) {
-                        Ok(()) => {
-                            ckpt.appended.fetch_add(1, Ordering::Relaxed);
-                            ckpt.append_metric.incr();
-                        }
-                        Err(e) => eprintln!("warning: {e}"),
-                    }
-                }
-            }
-        }
+        });
     }
 
     /// Resolve the task's public future and update accounting.
@@ -1024,12 +929,9 @@ impl DataFlowKernel {
     pub fn shutdown(&self) {
         self.wait_all();
         self.executor.shutdown();
-        // Make periodic-mode journal appends durable before declaring the
-        // run finished (TaskExit mode already synced each one).
-        if let Some(ckpt) = &self.ckpt {
-            if let Err(e) = ckpt.journal.flush() {
-                eprintln!("warning: {e}");
-            }
+        // The journal is durable before the run is declared finished.
+        if let Some(bound) = &self.ckpt {
+            bound.close();
         }
         if let Err(e) = self.obs.export() {
             eprintln!("warning: trace export failed: {e}");
@@ -1176,55 +1078,26 @@ mod tests {
     }
 
     #[test]
-    fn submit_command_produces_data_futures() {
-        let dir = std::env::temp_dir().join(format!("parsl-dfk-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let out = dir.join("echoed.txt");
-        let dfk = dfk();
-        let out2 = out.clone();
-        let (fut, outputs) = dfk.submit_command(
-            "echo",
-            vec![AppArg::value("payload")],
-            move |vals| {
-                Ok(CommandSpec {
-                    argv: vec!["echo".into(), vals[0].to_display_string()],
-                    stdout: Some(out2.clone()),
-                    ..Default::default()
-                })
-            },
-            vec![out.clone()],
-        );
-        let produced = outputs[0].result().unwrap();
-        assert!(produced.exists());
-        assert_eq!(std::fs::read_to_string(&out).unwrap(), "payload\n");
-        assert_eq!(fut.result().unwrap()["exit_code"].as_int(), Some(0));
-        dfk.shutdown();
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn data_future_chains_tasks() {
         let dir = std::env::temp_dir().join(format!("parsl-chain-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let first_out = dir.join("first.txt");
         let dfk = dfk();
         let fo = first_out.clone();
-        let (_f1, outs1) = dfk.submit_command(
+        let produce = dfk.submit(
             "produce",
-            vec![],
-            move |_| {
-                Ok(CommandSpec {
-                    argv: vec!["echo".into(), "chained-content".into()],
-                    stdout: Some(fo.clone()),
-                    ..Default::default()
-                })
-            },
-            vec![first_out.clone()],
+            vec![AppArg::value("chained-content")],
+            FnApp::new(move |vals| {
+                let text = format!("{}\n", vals[0].to_display_string());
+                std::fs::write(&fo, text).map_err(TaskError::failed)?;
+                Ok(Value::Null)
+            }),
         );
+        let produced = DataFuture::new(crate::file::File::new(&first_out), produce);
         // Second task consumes the DataFuture: materializes as the path.
         let consume = dfk.submit(
             "consume",
-            vec![AppArg::data(&outs1[0])],
+            vec![AppArg::data(&produced)],
             FnApp::new(|vals| {
                 let path = vals[0]
                     .as_str()
@@ -1234,6 +1107,7 @@ mod tests {
             }),
         );
         assert_eq!(consume.result().unwrap(), Value::str("chained-content"));
+        assert!(produced.result().unwrap().exists());
         dfk.shutdown();
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1646,7 +1520,13 @@ mod tests {
             finished: AtomicUsize::new(0),
         });
         let dfk = DataFlowKernel::new(Config::local_threads(2).with_gate(gate.clone() as Arc<_>));
-        let gated = dfk.submit_tagged("g", None, vec![AppArg::value(1i64)], add_app(), tag(1, 7));
+        let gated = dfk.submit_tagged(
+            "g",
+            None,
+            vec![AppArg::value(1i64)],
+            add_app(),
+            Some(tag(1, 7)),
+        );
         // Untagged tasks bypass the gate entirely.
         let free = dfk.submit("free", vec![AppArg::value(2i64)], add_app());
         assert_eq!(free.result().unwrap(), Value::Int(2));
@@ -1664,7 +1544,7 @@ mod tests {
             gate.finished.load(Ordering::SeqCst) == 1
         }));
         // Aborted tasks fail without executing and without a finished().
-        let doomed = dfk.submit_tagged("d", None, vec![], add_app(), tag(1, 7));
+        let doomed = dfk.submit_tagged("d", None, vec![], add_app(), Some(tag(1, 7)));
         let parked: Vec<_> = std::mem::take(&mut *gate.parked.lock());
         for l in parked {
             l.abort("run cancelled");
@@ -1693,7 +1573,7 @@ mod tests {
             None,
             vec![AppArg::value(5i64)],
             body.clone(),
-            tag(1, 99),
+            Some(tag(1, 99)),
         );
         assert_eq!(a.result().unwrap(), Value::Int(5));
         let b = dfk.submit_tagged(
@@ -1701,12 +1581,18 @@ mod tests {
             None,
             vec![AppArg::value(5i64)],
             body.clone(),
-            tag(2, 99),
+            Some(tag(2, 99)),
         );
         assert_eq!(b.result().unwrap(), Value::Int(5));
         assert_eq!(runs.load(Ordering::SeqCst), 1, "same namespace must dedupe");
         // Different namespace (a different workflow): must re-execute.
-        let c = dfk.submit_tagged("t", None, vec![AppArg::value(5i64)], body, tag(3, 100));
+        let c = dfk.submit_tagged(
+            "t",
+            None,
+            vec![AppArg::value(5i64)],
+            body,
+            Some(tag(3, 100)),
+        );
         assert_eq!(c.result().unwrap(), Value::Int(5));
         assert_eq!(
             runs.load(Ordering::SeqCst),
@@ -1739,7 +1625,7 @@ mod tests {
             Some("s1"),
             vec![AppArg::value(1i64)],
             add_app(),
-            tag(7, 77),
+            Some(tag(7, 77)),
         );
         assert_eq!(a.result().unwrap(), Value::Int(1));
         dfk.submit("plain", vec![AppArg::value(9i64)], add_app())
@@ -1764,21 +1650,226 @@ mod tests {
         let dfk = DataFlowKernel::new(Config::local_threads(4));
         let (journal, loaded) = ckpt::Journal::resume(&path, ckpt::SyncMode::TaskExit).unwrap();
         dfk.attach_run_journal(7, Arc::new(journal));
-        assert_eq!(dfk.seed_run_checkpoint(7, &loaded.records), (1, 0));
+        assert_eq!(dfk.seed_journal(Some(7), &loaded.records), (1, 0));
         let body = FnApp::new(|_: &[Value]| -> Result<Value, TaskError> {
             panic!("journaled task must not re-execute")
         });
-        let a = dfk.submit_tagged("a", Some("s1"), vec![AppArg::value(1i64)], body, tag(7, 77));
+        let a = dfk.submit_tagged(
+            "a",
+            Some("s1"),
+            vec![AppArg::value(1i64)],
+            body,
+            Some(tag(7, 77)),
+        );
         assert_eq!(a.result().unwrap(), Value::Int(1));
         dfk.wait_all();
         assert_eq!(
-            dfk.run_checkpoint_stats(7).unwrap(),
+            dfk.journal_stats(Some(7)).unwrap(),
             CkptStats {
                 appended: 0,
                 replayed: 1
             }
         );
         dfk.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Where a journal binds: the kernel's own (a `parsl-cwl` run, its
+    /// tasks untagged) or one service run's (a `parsl-serve` run, its tasks
+    /// tagged).
+    #[derive(Clone, Copy, Debug)]
+    enum Binding {
+        Kernel,
+        Run,
+    }
+
+    impl Binding {
+        /// A kernel with `journal` bound, and the tag its tasks carry.
+        fn kernel(self, journal: ckpt::Journal) -> (Arc<DataFlowKernel>, Option<RunTag>) {
+            let journal = Arc::new(journal);
+            match self {
+                Binding::Kernel => (
+                    DataFlowKernel::new(Config::local_threads(2).with_checkpoint(journal)),
+                    None,
+                ),
+                Binding::Run => {
+                    let dfk = DataFlowKernel::new(Config::local_threads(2));
+                    dfk.attach_run_journal(7, journal);
+                    (dfk, Some(tag(7, 77)))
+                }
+            }
+        }
+
+        /// End the binding — shutdown for the kernel's journal, detach for
+        /// a run's — and return its final stats.
+        fn close(self, dfk: &DataFlowKernel) -> CkptStats {
+            match self {
+                Binding::Kernel => {
+                    dfk.shutdown();
+                    dfk.checkpoint_stats().unwrap()
+                }
+                Binding::Run => {
+                    dfk.wait_all();
+                    let stats = dfk.detach_run_journal(7).unwrap();
+                    dfk.shutdown();
+                    stats
+                }
+            }
+        }
+    }
+
+    /// What one binding did over submit → close → resume → replay: the
+    /// first and the resumed kernel's stats, the journal's `(label, step)`
+    /// records, and how many bodies the resumed kernel executed.
+    type JournalTrace = (CkptStats, CkptStats, Vec<(String, Option<String>)>, usize);
+
+    fn journal_round_trip(binding: Binding) -> JournalTrace {
+        let dir =
+            std::env::temp_dir().join(format!("parsl-journal-{binding:?}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("journal.ckpt");
+        let _ = std::fs::remove_file(&path);
+        let header = ckpt::Header {
+            version: 1,
+            run_hash: 77,
+            label: "journal-contract".into(),
+        };
+        let submit = |dfk: &Arc<DataFlowKernel>, tag: &Option<RunTag>, body: &AppBody| {
+            let a = dfk.submit_tagged(
+                "a",
+                Some("s1"),
+                vec![AppArg::value(1i64)],
+                body.clone(),
+                tag.clone(),
+            );
+            let b = dfk.submit_tagged(
+                "b",
+                Some("s2"),
+                vec![AppArg::future(&a), AppArg::value(10i64)],
+                body.clone(),
+                tag.clone(),
+            );
+            assert_eq!(b.result().unwrap(), Value::Int(11), "{binding:?}");
+        };
+
+        let journal = ckpt::Journal::create(&path, &header, ckpt::SyncMode::TaskExit).unwrap();
+        let (dfk, tag) = binding.kernel(journal);
+        submit(&dfk, &tag, &add_app());
+        let first = binding.close(&dfk);
+        let records = ckpt::load(&path)
+            .unwrap()
+            .records
+            .into_iter()
+            .map(|r| (r.label, r.step))
+            .collect();
+
+        let (journal, loaded) = ckpt::Journal::resume(&path, ckpt::SyncMode::TaskExit).unwrap();
+        let (dfk, tag) = binding.kernel(journal);
+        let run = tag.as_ref().map(|t| t.run);
+        assert_eq!(
+            dfk.seed_journal(run, &loaded.records),
+            (2, 0),
+            "{binding:?}"
+        );
+        let executions = Arc::new(AtomicUsize::new(0));
+        let body = {
+            let executions = executions.clone();
+            FnApp::new(move |vals: &[Value]| {
+                executions.fetch_add(1, Ordering::SeqCst);
+                Ok(Value::Int(vals.iter().filter_map(Value::as_int).sum()))
+            })
+        };
+        submit(&dfk, &tag, &body);
+        let resumed = binding.close(&dfk);
+        assert_eq!(ckpt::load(&path).unwrap().records.len(), 2, "{binding:?}");
+        std::fs::remove_dir_all(&dir).ok();
+        (first, resumed, records, executions.load(Ordering::SeqCst))
+    }
+
+    /// One journal contract on both bindings: the same submissions append
+    /// the same records with the same stats, and a resume replays every
+    /// one of them without executing a body.
+    #[test]
+    fn kernel_and_run_journals_keep_one_contract() {
+        let expected: JournalTrace = (
+            CkptStats {
+                appended: 2,
+                replayed: 0,
+            },
+            CkptStats {
+                appended: 0,
+                replayed: 2,
+            },
+            vec![
+                ("a".to_string(), Some("s1".to_string())),
+                ("b".to_string(), Some("s2".to_string())),
+            ],
+            0,
+        );
+        for binding in [Binding::Kernel, Binding::Run] {
+            assert_eq!(journal_round_trip(binding), expected, "{binding:?}");
+        }
+    }
+
+    /// A run sharing a resumed run's memo namespace hits the keys that
+    /// run's journal seeded as plain memo hits: they are the resumed run's
+    /// replays, not its own, and the resumed run's stats do not move.
+    #[test]
+    fn same_namespace_run_hits_seeded_keys_as_memo_hits() {
+        let dir = std::env::temp_dir().join(format!("parsl-run8-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let header = |run: u64| ckpt::Header {
+            version: 1,
+            run_hash: 77,
+            label: format!("run-{run}"),
+        };
+        let path7 = dir.join("run7.ckpt");
+        let _ = std::fs::remove_file(&path7);
+        let dfk = dfk();
+        let journal = ckpt::Journal::create(&path7, &header(7), ckpt::SyncMode::TaskExit);
+        dfk.attach_run_journal(7, Arc::new(journal.unwrap()));
+        let a = dfk.submit_tagged(
+            "a",
+            Some("s1"),
+            vec![AppArg::value(1i64)],
+            add_app(),
+            Some(tag(7, 77)),
+        );
+        assert_eq!(a.result().unwrap(), Value::Int(1));
+        dfk.wait_all();
+        dfk.detach_run_journal(7).unwrap();
+        dfk.shutdown();
+
+        // Restarted daemon: run 7 resumes and is seeded; run 8, a new run
+        // of the same workflow, has a fresh journal.
+        let dfk = DataFlowKernel::new(Config::local_threads(4));
+        let (journal, loaded) = ckpt::Journal::resume(&path7, ckpt::SyncMode::TaskExit).unwrap();
+        dfk.attach_run_journal(7, Arc::new(journal));
+        assert_eq!(dfk.seed_journal(Some(7), &loaded.records), (1, 0));
+        let path8 = dir.join("run8.ckpt");
+        let _ = std::fs::remove_file(&path8);
+        let journal = ckpt::Journal::create(&path8, &header(8), ckpt::SyncMode::TaskExit);
+        dfk.attach_run_journal(8, Arc::new(journal.unwrap()));
+        let never = FnApp::new(|_: &[Value]| -> Result<Value, TaskError> {
+            panic!("a seeded key must not re-execute")
+        });
+        let b = dfk.submit_tagged(
+            "a",
+            Some("s1"),
+            vec![AppArg::value(1i64)],
+            never,
+            Some(tag(8, 77)),
+        );
+        assert_eq!(b.result().unwrap(), Value::Int(1));
+        dfk.wait_all();
+        let untouched = CkptStats::default();
+        assert_eq!(dfk.monitoring().summary().memoized, 1);
+        let replays = dfk.observability().counter(names::CKPT_REPLAYED);
+        assert_eq!(replays.value(), 0);
+        assert_eq!(dfk.detach_run_journal(8), Some(untouched));
+        assert_eq!(dfk.detach_run_journal(7), Some(untouched));
+        dfk.shutdown();
+        assert!(ckpt::load(&path8).unwrap().records.is_empty());
         std::fs::remove_dir_all(&dir).ok();
     }
 

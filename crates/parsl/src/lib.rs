@@ -22,8 +22,13 @@
 //! * [`Provider`] implementations: [`LocalProvider`]
 //!   and [`SlurmProvider`] (pilot jobs through the
 //!   simulated [`gridsim`] batch scheduler);
-//! * [`apps`] — `FnApp` (python_app analogue) and `CommandApp` (bash_app
-//!   analogue, executing real subprocesses with stdout/stderr redirection).
+//! * [`apps`] — `FnApp`, the python_app analogue: any Rust closure is an
+//!   app body (a CWL tool's is one that runs the tool through `cwlexec`'s
+//!   dispatch);
+//! * one checkpoint journal binding: a kernel-level journal
+//!   ([`Config::with_checkpoint`]) and a `parsl-serve` run's journal
+//!   ([`DataFlowKernel::attach_run_journal`]) seed, append, replay and
+//!   flush through the same code.
 //!
 //! # Quickstart
 //!
@@ -55,7 +60,7 @@ pub mod provider;
 pub mod strategy;
 pub mod task;
 
-pub use apps::{run_command, AppBody, CommandApp, CommandSpec, FnApp};
+pub use apps::{AppBody, FnApp};
 pub use config::{Capacity, Config, ExecutorChoice, RetryPolicy};
 pub use dfk::{AppArg, CkptStats, DataFlowKernel, DispatchGate, GatedLaunch, RunTag};
 pub use error::TaskError;

@@ -430,7 +430,7 @@ impl Service {
     fn snapshot(&self, rec: &RunRecord) -> RunSnapshot {
         // A running run's checkpoint stats live on the kernel until
         // `finish` folds them into the record.
-        let (replayed, appended) = match self.dfk.run_checkpoint_stats(rec.id) {
+        let (replayed, appended) = match self.dfk.journal_stats(Some(rec.id)) {
             Some(s) if !rec.state.is_terminal() => (s.replayed, s.appended),
             _ => (rec.replayed, rec.appended),
         };
