@@ -1077,6 +1077,31 @@ mod tests {
         dfk.shutdown();
     }
 
+    /// A tool's app run through the kernel: the command spawned by
+    /// `cwlexec::SubprocessDispatch`, its output file a `DataFuture` that
+    /// resolves once the task has produced it.
+    #[test]
+    fn submit_command_produces_data_futures() {
+        use crate::apps::tests::{command, tool_app};
+        let dir = std::env::temp_dir().join(format!("parsl-dfk-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let out = dir.join("out.txt");
+        let dfk = dfk();
+        let fut = dfk.submit(
+            "echo",
+            vec![AppArg::value("payload")],
+            tool_app(dir.clone(), |vals| {
+                command(&["echo", &vals[0].to_display_string()])
+            }),
+        );
+        let produced = DataFuture::new(crate::file::File::new(&out), fut.clone());
+        assert!(produced.result().unwrap().exists());
+        assert_eq!(std::fs::read_to_string(&out).unwrap(), "payload\n");
+        assert_eq!(fut.result().unwrap(), Value::Null);
+        dfk.shutdown();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn data_future_chains_tasks() {
         let dir = std::env::temp_dir().join(format!("parsl-chain-{}", std::process::id()));
