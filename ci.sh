@@ -21,30 +21,41 @@ fi
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
 
-# Timer gate (DESIGN.md §4m): in the non-test part of ckpt, parsl, serve and
-# core (each file up to its first #[cfg(test)]) every `sleep(` must say, on
-# its own line, why it is not a wait something can end — `Clock::wait` with
-# a StopSignal in a periodic thread, the daemon's poll(2), the client's
-# `wait` verb — so the next timer someone puts on a request or exit path
-# fails here instead of showing up as a 25 or 50 ms step in the ledger. No
-# timing is asserted anywhere: the tests that hang when a waiter cannot be
-# woken are the regression guard.
-unmarked_sleeps=$(awk '
+# Timer gate (DESIGN.md §4m): (a) the non-test part of ckpt, parsl, serve
+# and core (each file up to its first #[cfg(test)]) holds no `sleep(` at
+# all. Every wait there is one something can end — `Clock::wait` with a
+# StopSignal in a long-lived thread, the kernel timer's deadline heap, the
+# daemon's poll(2), the client's `wait` verb — so the next timer someone
+# puts on a request or exit path fails here instead of showing up as a 25
+# or 50 ms step in the ledger. (b) The non-test part of dfk.rs starts no
+# thread and carries no `timer-ok` marker: a walltime or a retry backoff is
+# an entry on the kernel's one timer (timer.rs), not a thread of its own.
+# No timing is asserted anywhere: the tests that hang when a waiter cannot
+# be woken are the regression guard.
+sleeps=$(awk '
     FNR == 1 { in_tests = 0 }
     /#\[cfg\(test\)\]/ { in_tests = 1 }
-    !in_tests && /sleep\(/ && !/\/\/ timer-ok: [^ ]/ {
-        printf "%s:%d:%s\n", FILENAME, FNR, $0
-    }
+    !in_tests && /sleep\(/ { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
 ' crates/ckpt/src/*.rs crates/parsl/src/*.rs \
     crates/serve/src/*.rs crates/serve/src/bin/*.rs \
     crates/core/src/*.rs crates/core/src/bin/*.rs)
-if [ -n "$unmarked_sleeps" ]; then
-    echo "error: sleep( without a same-line '// timer-ok: <reason>' marker:" >&2
-    echo "$unmarked_sleeps" >&2
-    echo "wait on what signals instead (Clock::wait + StopSignal, poll, the wait verb); see DESIGN.md §4m" >&2
+if [ -n "$sleeps" ]; then
+    echo "error: sleep( outside a test module:" >&2
+    echo "$sleeps" >&2
+    echo "wait on what signals instead (Clock::wait + StopSignal, the kernel timer, poll, the wait verb); see DESIGN.md §4m" >&2
     exit 1
 fi
-echo "timer gate: every sleep( in ckpt, parsl, serve and core carries its timer-ok reason"
+dfk_threads=$(awk '
+    /#\[cfg\(test\)\]/ { exit }
+    /thread::Builder|thread::spawn|timer-ok/ { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
+' crates/parsl/src/dfk.rs)
+if [ -n "$dfk_threads" ]; then
+    echo "error: dfk.rs starts a thread or keeps a timer of its own:" >&2
+    echo "$dfk_threads" >&2
+    echo "schedule it on the kernel timer (crates/parsl/src/timer.rs) instead" >&2
+    exit 1
+fi
+echo "timer gate: no sleep( in ckpt, parsl, serve or core; dfk.rs starts no thread"
 
 # One-protocol gate (DESIGN.md §4b, §4i): HTEX and the simulator make every
 # interchange decision through gridsim::interchange, and HTEX waits on its

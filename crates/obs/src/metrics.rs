@@ -234,7 +234,7 @@ pub mod names {
     pub const DFK_COMPLETED: &str = "parsl.dfk.tasks_completed";
     /// Counter: tasks that ended in failure, retries exhausted.
     pub const DFK_FAILED: &str = "parsl.dfk.tasks_failed";
-    /// Counter: attempts stopped by the walltime watchdog.
+    /// Counter: attempts stopped by their walltime.
     pub const DFK_TIMED_OUT: &str = "parsl.dfk.tasks_timed_out";
     /// Counter: retry attempts scheduled.
     pub const DFK_RETRIES: &str = "parsl.dfk.retries";

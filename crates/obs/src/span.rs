@@ -35,7 +35,7 @@ pub enum SpanKind {
     ResultReturn,
     /// A retry being scheduled after a failed attempt.
     Retry,
-    /// The walltime watchdog killing the task.
+    /// The task's walltime passing before its attempt completed.
     TimedOut,
     /// A manager declared dead by the heartbeat monitor.
     NodeLost,

@@ -2,7 +2,6 @@
 
 use crate::htex::HtexConfig;
 use crate::provider::Provider;
-use rand::Rng;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -88,31 +87,18 @@ impl RetryPolicy {
 
     /// The jittered delay before retry number `retry_index` (1-based):
     /// `initial_backoff * multiplier^(retry_index-1)`, capped at
-    /// `max_backoff`, then scaled by a random factor in
-    /// `[1-jitter_frac, 1+jitter_frac]` drawn from the thread-local RNG.
+    /// `max_backoff`, then scaled by a factor in
+    /// `[1-jitter_frac, 1+jitter_frac]` drawn from `rng`. The kernel's RNG
+    /// is seeded from [`Config::seed`] (from entropy without one, so retry
+    /// storms across a fleet de-synchronize): identical `(policy, seed,
+    /// call sequence)` ⇒ identical delays, the property the deterministic
+    /// simulation harness asserts on.
     ///
-    /// Nondeterministic by design (retry storms across a fleet must
-    /// de-synchronize); the kernel itself always goes through
-    /// [`Self::backoff_for_seeded`] so a seeded run replays the exact same
-    /// backoff schedule.
-    pub fn backoff_for(&self, retry_index: usize) -> Duration {
-        self.backoff_with(retry_index, |frac| {
-            rand::thread_rng().gen_range(-frac..frac)
-        })
-    }
-
-    /// [`Self::backoff_for`] with the jitter drawn from a seeded RNG:
-    /// identical `(policy, seed, call sequence)` ⇒ identical delays, the
-    /// property the deterministic simulation harness asserts on.
-    pub fn backoff_for_seeded(&self, retry_index: usize, rng: &mut simtest::SimRng) -> Duration {
-        self.backoff_with(retry_index, |frac| rng.gen_range_f64(-frac, frac))
-    }
-
     /// Defensive against policies built without [`Self::validate`]: a
     /// non-finite or out-of-range `jitter_frac` is clamped into `[0, 1]`
-    /// here rather than handed to the jitter draw (where a negative
-    /// fraction makes the range empty — a panic for `thread_rng`).
-    fn backoff_with(&self, retry_index: usize, draw: impl FnOnce(f64) -> f64) -> Duration {
+    /// here rather than handed to the jitter draw, where a negative
+    /// fraction would make the range empty.
+    pub fn backoff_for_seeded(&self, retry_index: usize, rng: &mut simtest::SimRng) -> Duration {
         if self.initial_backoff.is_zero() || retry_index == 0 {
             return Duration::ZERO;
         }
@@ -127,7 +113,11 @@ impl RetryPolicy {
         } else {
             0.0
         };
-        let jitter = if frac > 0.0 { 1.0 + draw(frac) } else { 1.0 };
+        let jitter = if frac > 0.0 {
+            1.0 + rng.gen_range_f64(-frac, frac)
+        } else {
+            1.0
+        };
         let secs = (base * jitter).max(0.0);
         Duration::from_secs_f64(if secs.is_finite() { secs } else { 0.0 })
     }
@@ -338,6 +328,7 @@ mod tests {
 
     #[test]
     fn backoff_grows_and_caps() {
+        let mut rng = simtest::SimRng::seeded(1);
         let policy = RetryPolicy {
             max_retries: 5,
             initial_backoff: Duration::from_millis(100),
@@ -346,15 +337,28 @@ mod tests {
             jitter_frac: 0.0,
             walltime: None,
         };
-        assert_eq!(policy.backoff_for(1), Duration::from_millis(100));
-        assert_eq!(policy.backoff_for(2), Duration::from_millis(200));
+        assert_eq!(
+            policy.backoff_for_seeded(1, &mut rng),
+            Duration::from_millis(100)
+        );
+        assert_eq!(
+            policy.backoff_for_seeded(2, &mut rng),
+            Duration::from_millis(200)
+        );
         // 400ms caps to 350ms.
-        assert_eq!(policy.backoff_for(3), Duration::from_millis(350));
-        assert_eq!(policy.backoff_for(10), Duration::from_millis(350));
+        assert_eq!(
+            policy.backoff_for_seeded(3, &mut rng),
+            Duration::from_millis(350)
+        );
+        assert_eq!(
+            policy.backoff_for_seeded(10, &mut rng),
+            Duration::from_millis(350)
+        );
     }
 
     #[test]
     fn backoff_jitter_stays_in_band() {
+        let mut rng = simtest::SimRng::seeded(2);
         let policy = RetryPolicy {
             max_retries: 1,
             initial_backoff: Duration::from_millis(100),
@@ -364,7 +368,7 @@ mod tests {
             walltime: None,
         };
         for _ in 0..100 {
-            let d = policy.backoff_for(1);
+            let d = policy.backoff_for_seeded(1, &mut rng);
             assert!(d >= Duration::from_millis(75), "{d:?}");
             assert!(d <= Duration::from_millis(125), "{d:?}");
         }
@@ -372,8 +376,9 @@ mod tests {
 
     #[test]
     fn negative_jitter_does_not_panic() {
+        let mut rng = simtest::SimRng::seeded(3);
         // Regression: a negative jitter_frac made `gen_range(-j..j)` an
-        // empty range. backoff_for must clamp, not panic.
+        // empty range. backoff_for_seeded must clamp, not panic.
         let policy = RetryPolicy {
             max_retries: 1,
             initial_backoff: Duration::from_millis(50),
@@ -382,13 +387,19 @@ mod tests {
             jitter_frac: -0.5,
             walltime: None,
         };
-        assert_eq!(policy.backoff_for(1), Duration::from_millis(50));
+        assert_eq!(
+            policy.backoff_for_seeded(1, &mut rng),
+            Duration::from_millis(50)
+        );
         let nan = RetryPolicy {
             jitter_frac: f64::NAN,
             initial_backoff: Duration::from_millis(50),
             ..policy.clone()
         };
-        assert_eq!(nan.backoff_for(1), Duration::from_millis(50));
+        assert_eq!(
+            nan.backoff_for_seeded(1, &mut rng),
+            Duration::from_millis(50)
+        );
     }
 
     #[test]
@@ -439,9 +450,10 @@ mod tests {
 
     #[test]
     fn zero_backoff_is_immediate() {
+        let mut rng = simtest::SimRng::seeded(4);
         let policy = RetryPolicy::retries(3);
-        assert_eq!(policy.backoff_for(1), Duration::ZERO);
-        assert_eq!(policy.backoff_for(3), Duration::ZERO);
+        assert_eq!(policy.backoff_for_seeded(1, &mut rng), Duration::ZERO);
+        assert_eq!(policy.backoff_for_seeded(3, &mut rng), Duration::ZERO);
     }
 
     /// The seeded path must be a pure function of (policy, seed, call

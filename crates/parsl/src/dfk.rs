@@ -11,11 +11,11 @@ use crate::future::{promise_pair, AppFuture, DataFuture, Promise, TaskResult};
 use crate::htex::HighThroughputExecutor;
 use crate::monitoring::Monitoring;
 use crate::task::TaskId;
+use crate::timer::{Due, Timer};
 use obs::{names, Observability, SpanCtx, SpanKind};
 use parking_lot::{Condvar, Mutex};
-use simtest::{StopSignal, Waited};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Duration;
 use yamlite::Value;
 
@@ -188,8 +188,9 @@ impl TaskInner {
 }
 
 /// One execution attempt of a task: the [`Attempt`] the kernel hands its
-/// executor. The executor runs it and completes it; the walltime watchdog,
-/// when one is configured, races it to completion on the same object.
+/// executor. The executor runs it and completes it; its walltime, when one
+/// is configured, races it to completion on the same object from the
+/// kernel timer.
 struct TaskAttempt {
     dfk: Arc<DataFlowKernel>,
     task: Arc<TaskInner>,
@@ -198,9 +199,6 @@ struct TaskAttempt {
     fingerprint: Option<u64>,
     /// Set by the first completion; every later one is a no-op.
     claimed: AtomicBool,
-    /// Raised by the first completion, for the walltime watchdog to wake
-    /// on. Allocated only when a walltime is configured.
-    done: Option<Box<StopSignal>>,
 }
 
 impl Attempt for TaskAttempt {
@@ -208,16 +206,19 @@ impl Attempt for TaskAttempt {
         (self.task.body)(&self.vals)
     }
 
-    /// Deliver the first outcome: memoize and journal a success, retry a
-    /// retryable failure while budget remains (after the policy's
-    /// backoff), and otherwise finish the task.
     fn complete(&self, result: TaskResult) {
-        if self.claimed.swap(true, Ordering::AcqRel) {
-            return;
+        if !self.claimed.swap(true, Ordering::AcqRel) {
+            self.settle(result);
         }
-        if let Some(done) = &self.done {
-            done.raise();
-        }
+    }
+}
+
+impl TaskAttempt {
+    /// Deliver the outcome of the completion that claimed the attempt:
+    /// memoize and journal a success, retry a retryable failure while
+    /// budget remains (after the policy's backoff), and otherwise finish
+    /// the task.
+    fn settle(&self, result: TaskResult) {
         let (dfk, task) = (&self.dfk, &self.task);
         let e = match result {
             Ok(value) => {
@@ -257,33 +258,57 @@ impl Attempt for TaskAttempt {
         if delay.is_zero() {
             dfk.attempt(task, vals, fingerprint);
         } else {
-            let dfk = dfk.clone();
-            let _ = std::thread::Builder::new()
-                .name(format!("backoff-{}", task.id))
-                .spawn(move || {
-                    dfk.clock.sleep(delay); // timer-ok: retry backoff, a modelled delay
-                    dfk.attempt(task, vals, fingerprint);
-                });
+            let backoff = Timed::Backoff(dfk.clone(), task, vals, fingerprint);
+            dfk.timer.after(delay, backoff);
         }
     }
 }
 
-impl TaskAttempt {
-    /// The walltime watchdog: wait up to `walltime` of real time for the
-    /// attempt to complete, and fail it with a timeout if it has not. The
-    /// first completion wins, so an attempt that finishes after the wait
-    /// ends makes this completion a no-op.
-    fn watch(&self, walltime: Duration) {
-        let done = self
-            .done
-            .as_deref()
-            .expect("an attempt with a walltime has a completion signal");
-        if simtest::real_clock().wait(walltime, done) == Waited::Elapsed {
-            let (dfk, task) = (&self.dfk, &self.task);
-            dfk.obs.count(&dfk.metrics.timed_out);
-            dfk.obs
-                .instant_span(SpanKind::TimedOut, task.id.0, task.root_span, &task.label);
-            self.complete(Err(TaskError::Timeout(walltime)));
+/// What the kernel's [`Timer`] holds until its deadline.
+enum Timed {
+    /// An attempt's walltime: fail the attempt with a timeout unless it has
+    /// completed. Weak, so a finished attempt's task and inputs are freed
+    /// when it completes, not at this deadline.
+    Walltime(Weak<TaskAttempt>, Duration),
+    /// A retry waiting out its backoff: the next attempt's task, inputs
+    /// and fingerprint.
+    Backoff(
+        Arc<DataFlowKernel>,
+        Arc<TaskInner>,
+        Arc<Vec<Value>>,
+        Option<u64>,
+    ),
+}
+
+impl Due for Timed {
+    fn fire(self) {
+        match self {
+            Timed::Walltime(attempt, walltime) => {
+                let Some(attempt) = attempt.upgrade() else {
+                    return;
+                };
+                if attempt.claimed.swap(true, Ordering::AcqRel) {
+                    return;
+                }
+                let (dfk, task) = (&attempt.dfk, &attempt.task);
+                dfk.obs.count(&dfk.metrics.timed_out);
+                dfk.obs
+                    .instant_span(SpanKind::TimedOut, task.id.0, task.root_span, &task.label);
+                attempt.settle(Err(TaskError::Timeout(walltime)));
+            }
+            Timed::Backoff(dfk, task, vals, fingerprint) => dfk.attempt(task, vals, fingerprint),
+        }
+    }
+
+    fn refuse(self, reason: String) {
+        let error = TaskError::failed(reason);
+        match self {
+            Timed::Walltime(attempt, _) => {
+                if let Some(attempt) = attempt.upgrade() {
+                    attempt.complete(Err(error));
+                }
+            }
+            Timed::Backoff(dfk, task, ..) => dfk.finish(&task, Err(error)),
         }
     }
 }
@@ -356,9 +381,9 @@ pub struct DataFlowKernel {
     /// The kernel's checkpoint journal, which untagged tasks record into
     /// ([`Config::checkpoint`]; a `parsl-cwl` run).
     ckpt: Option<BoundJournal>,
-    /// Kernel time source: retry-backoff sleeps go through this, so a
-    /// virtual clock makes backoff elapse in logical time.
-    clock: simtest::ClockRef,
+    /// The kernel's one timer, on the kernel's clock: walltimes and retry
+    /// backoffs, so a virtual clock makes both elapse in logical time.
+    timer: Timer<Timed>,
     /// Jitter RNG for the retry backoff schedule — seeded from
     /// [`Config::seed`] so a simulated run replays identical delays.
     rng: Mutex<simtest::SimRng>,
@@ -551,7 +576,7 @@ impl DataFlowKernel {
             obs,
             metrics,
             ckpt,
-            clock: config.clock,
+            timer: Timer::new(config.clock),
             rng: Mutex::new(match config.seed {
                 Some(s) => simtest::SimRng::seeded(s),
                 None => simtest::SimRng::from_entropy(),
@@ -828,7 +853,6 @@ impl DataFlowKernel {
         fingerprint: Option<u64>,
     ) {
         let id = task.id;
-        let walltime = self.retry.walltime;
         // The Dispatch span covers the executor hand-off; executor-side
         // spans (enqueue, recv, exec, result) parent onto it via the
         // payload's trace context.
@@ -842,9 +866,11 @@ impl DataFlowKernel {
             vals,
             fingerprint,
             claimed: AtomicBool::new(false),
-            done: walltime.map(|_| Box::new(StopSignal::new())),
         });
-        let watchdog = walltime.map(|walltime| (walltime, attempt.clone()));
+        let walltime = self
+            .retry
+            .walltime
+            .map(|walltime| (walltime, Arc::downgrade(&attempt)));
         self.executor.submit(TaskPayload {
             id,
             attempt,
@@ -854,10 +880,9 @@ impl DataFlowKernel {
             },
         });
         self.obs.finish_span(dispatch);
-        if let Some((walltime, attempt)) = watchdog {
-            let _ = std::thread::Builder::new()
-                .name(format!("walltime-{id}"))
-                .spawn(move || attempt.watch(walltime));
+        if let Some((walltime, attempt)) = walltime {
+            self.timer
+                .after(walltime, Timed::Walltime(attempt, walltime));
         }
     }
 
@@ -924,10 +949,11 @@ impl DataFlowKernel {
         }
     }
 
-    /// Wait for all tasks, then stop the executor and export the trace
-    /// (when monitoring is configured with an export path).
+    /// Wait for all tasks, then stop the timer and the executor and export
+    /// the trace (when monitoring is configured with an export path).
     pub fn shutdown(&self) {
         self.wait_all();
+        self.timer.stop();
         self.executor.shutdown();
         // The journal is durable before the run is declared finished.
         if let Some(bound) = &self.ckpt {
@@ -1461,6 +1487,122 @@ mod tests {
         assert_eq!(fut.result().unwrap(), Value::str("made it"));
         assert_eq!(dfk.monitoring().summary().timed_out, 1);
         dfk.shutdown();
+    }
+
+    const HOUR: Duration = Duration::from_secs(3600);
+
+    /// No wait under test may outlive this much real time.
+    const BOUND: Duration = Duration::from_secs(20);
+
+    /// A thread-pool kernel on a virtual clock that only the test moves.
+    fn manual_clock_kernel(
+        policy: RetryPolicy,
+    ) -> (Arc<DataFlowKernel>, Arc<simtest::VirtualClock>) {
+        let vc = simtest::VirtualClock::new();
+        vc.set_auto(false);
+        let config = Config::local_threads(2)
+            .with_clock(vc.clone())
+            .with_retry_policy(policy);
+        (DataFlowKernel::new(config), vc)
+    }
+
+    /// Two hundred retries waiting out an hour's backoff share the kernel's
+    /// one timer: one sleeper on the kernel's clock, not one per retry, and
+    /// advancing that clock by the hour runs every retry.
+    #[test]
+    fn backoffs_share_one_timer_on_the_kernel_clock() {
+        let (dfk, vc) = manual_clock_kernel(RetryPolicy {
+            max_retries: 1,
+            initial_backoff: HOUR,
+            multiplier: 1.0,
+            max_backoff: HOUR,
+            jitter_frac: 0.0,
+            walltime: None,
+        });
+        let futs: Vec<AppFuture> = (0..200i64)
+            .map(|i| {
+                let failed_once = AtomicBool::new(false);
+                let body = FnApp::new(move |vals: &[Value]| {
+                    if failed_once.swap(true, Ordering::SeqCst) {
+                        Ok(vals[0].clone())
+                    } else {
+                        Err(TaskError::failed("first attempt fails"))
+                    }
+                });
+                dfk.submit("flaky", vec![AppArg::value(i)], body)
+            })
+            .collect();
+        let retries = dfk.observability().counter(names::DFK_RETRIES);
+        assert!(simtest::wait_until(BOUND, || retries.value() == 200));
+        assert!(simtest::wait_until(BOUND, || vc.sleeper_count() >= 1));
+        assert_eq!(
+            vc.sleeper_count(),
+            1,
+            "one timer, not one sleeper per retry"
+        );
+        vc.advance(HOUR);
+        let values = simtest::returns_within(BOUND, move || {
+            futs.iter().map(|f| f.result().unwrap()).collect::<Vec<_>>()
+        })
+        .expect("the hour has passed on the kernel's clock: every retry must run");
+        assert_eq!(values, (0..200).map(Value::Int).collect::<Vec<_>>());
+        dfk.shutdown();
+        assert_eq!(vc.sleeper_count(), 0);
+    }
+
+    /// A walltime runs on the kernel's clock: a body that never returns by
+    /// itself times out when the test advances that clock by the walltime.
+    #[test]
+    fn walltime_fires_on_the_kernel_clock() {
+        let (dfk, vc) = manual_clock_kernel(RetryPolicy {
+            walltime: Some(HOUR),
+            ..RetryPolicy::default()
+        });
+        let (release, held) = std::sync::mpsc::channel::<()>();
+        let held = Mutex::new(held);
+        let fut = dfk.submit(
+            "stuck",
+            vec![],
+            FnApp::new(move |_| {
+                let _ = held.lock().recv();
+                Ok(Value::Null)
+            }),
+        );
+        assert!(
+            simtest::wait_until(BOUND, || vc.sleeper_count() == 1),
+            "the walltime waits on the kernel's clock"
+        );
+        vc.advance(HOUR);
+        match simtest::returns_within(BOUND, move || fut.result()) {
+            Some(Err(TaskError::Timeout(d))) => assert_eq!(d, HOUR),
+            other => panic!("expected Timeout(1h), got {other:?}"),
+        }
+        assert_eq!(dfk.monitoring().summary().timed_out, 1);
+        drop(release);
+        dfk.shutdown();
+    }
+
+    /// The walltimes of attempts that completed stay on the timer until
+    /// their deadlines; `shutdown` stops it anyway and leaves nothing
+    /// waiting on the clock.
+    #[test]
+    fn shutdown_stops_a_timer_holding_finished_walltimes() {
+        let (dfk, vc) = manual_clock_kernel(RetryPolicy {
+            walltime: Some(HOUR),
+            ..RetryPolicy::default()
+        });
+        for i in 0..200i64 {
+            dfk.submit("fast", vec![AppArg::value(i)], add_app());
+        }
+        dfk.wait_all();
+        let kernel = dfk.clone();
+        assert!(
+            simtest::returns_within(BOUND, move || kernel.shutdown()).is_some(),
+            "shutdown must not wait out an hour-long walltime"
+        );
+        assert_eq!(vc.sleeper_count(), 0);
+        assert_eq!(dfk.monitoring().summary().timed_out, 0);
+        assert_eq!(dfk.monitoring().summary().completed, 200);
     }
 
     /// An executor that loses its first submission to a synthetic node

@@ -25,10 +25,10 @@ use std::sync::Arc;
 ///   resolves nor records anything; the caller isolates panics
 ///   ([`TaskPayload::run`] does).
 /// - [`Attempt::complete`] delivers the outcome. The first call wins;
-///   every later call — a second executor resolution, a walltime
-///   watchdog losing the race — is a no-op. Any
-///   thread may call it, including one that never ran the body (a
-///   shutdown or a lost node fails the attempt without running it).
+///   every later call — a second executor resolution, the kernel timer's
+///   walltime losing the race — is a no-op. Any thread may call it,
+///   including one that never ran the body (a shutdown or a lost node
+///   fails the attempt without running it).
 ///
 /// An executor completes every payload it is given: with the outcome of a
 /// run, or with the error it fails the task with.

@@ -59,6 +59,7 @@ pub mod monitoring;
 pub mod provider;
 pub mod strategy;
 pub mod task;
+mod timer;
 
 pub use apps::{AppBody, FnApp};
 pub use config::{Capacity, Config, ExecutorChoice, RetryPolicy};

@@ -30,7 +30,7 @@ pub struct FaultSummary {
     pub nodes_lost: Vec<String>,
     /// Tasks re-queued off dead nodes.
     pub tasks_redispatched: usize,
-    /// Attempts killed by the walltime watchdog.
+    /// Attempts stopped by their walltime.
     pub tasks_timed_out: usize,
     /// Replacement blocks provisioned to restore capacity.
     pub blocks_replaced: usize,

@@ -312,6 +312,10 @@ mod tests {
     #[test]
     fn sleepers_wake_in_deadline_order() {
         let vc = VirtualClock::new();
+        // Held still until all three sleepers have registered: a sleeper
+        // that registered alone could otherwise be advanced to and woken
+        // before a shorter one arrived.
+        vc.set_auto(false);
         let order: Arc<PMutex<Vec<u32>>> = Arc::new(PMutex::new(Vec::new()));
         let mut handles = Vec::new();
         // Spawn in reverse-deadline order to prove the queue, not spawn
@@ -324,6 +328,8 @@ mod tests {
                 order.lock().push(label);
             }));
         }
+        assert!(crate::wait_until(BOUND, || vc.sleeper_count() == 3));
+        vc.set_auto(true);
         for h in handles {
             h.join().unwrap();
         }

@@ -351,9 +351,9 @@ fn virtual_clock_fault_workflow_loses_no_tasks() {
 
 /// Seeded retry backoff replays exactly: two kernels with the same seed and
 /// their own virtual clocks walk the same multi-second backoff ladder, and
-/// because the backoff sleeper is the only virtual-time consumer, the final
-/// virtual timestamp *is* the summed schedule — identical across runs,
-/// different across seeds.
+/// because the kernel timer's backoff entries are the only virtual-time
+/// consumer, the final virtual timestamp *is* the summed schedule —
+/// identical across runs, different across seeds.
 #[test]
 fn virtual_clock_backoff_schedule_replays_by_seed() {
     fn total_backoff(seed: u64) -> Duration {
