@@ -34,12 +34,14 @@
 //! assert_eq!(doc["inputs"]["message"]["default"].as_str(), Some("Hello"));
 //! ```
 
-pub mod emit;
-pub mod error;
-pub mod parse;
+#![warn(unreachable_pub)]
+
+pub(crate) mod emit;
+pub(crate) mod error;
+pub(crate) mod parse;
 pub mod path;
 pub mod span;
-pub mod value;
+pub(crate) mod value;
 
 pub use emit::{to_string, to_string_flow};
 pub use error::{ParseError, Position};

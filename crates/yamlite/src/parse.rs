@@ -803,7 +803,7 @@ impl<'a> Cursor<'a> {
 }
 
 /// YAML 1.2 core-schema scalar resolution for plain scalars.
-pub fn resolve_scalar(raw: &str) -> Value {
+pub(crate) fn resolve_scalar(raw: &str) -> Value {
     match raw {
         "" | "~" | "null" | "Null" | "NULL" => return Value::Null,
         "true" | "True" | "TRUE" => return Value::Bool(true),

@@ -26,7 +26,7 @@ impl SpanIndex {
     }
 
     /// Record the position of the node at `path`.
-    pub fn insert(&mut self, path: String, pos: Position) {
+    pub(crate) fn insert(&mut self, path: String, pos: Position) {
         self.map.insert(path, pos);
     }
 
@@ -47,14 +47,6 @@ impl SpanIndex {
             }
             cur = parent_path(cur)?;
         }
-    }
-
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
     }
 }
 

@@ -265,7 +265,7 @@ impl Value {
     }
 
     /// Sequence index that tolerates non-seq values (returns `None`).
-    pub fn get_index(&self, idx: usize) -> Option<&Value> {
+    pub(crate) fn get_index(&self, idx: usize) -> Option<&Value> {
         self.as_seq().and_then(|s| s.get(idx))
     }
 
