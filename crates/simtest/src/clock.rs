@@ -102,7 +102,7 @@ pub struct RealClock {
 }
 
 impl RealClock {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         RealClock {
             start: Instant::now(),
         }
@@ -174,7 +174,7 @@ impl VirtualClock {
     }
 
     /// Auto-advancing virtual clock with an explicit idle grace window.
-    pub fn with_grace(grace: Duration) -> Arc<Self> {
+    pub(crate) fn with_grace(grace: Duration) -> Arc<Self> {
         Arc::new(VirtualClock {
             state: Mutex::new(VcState {
                 now: Duration::ZERO,
@@ -199,15 +199,6 @@ impl VirtualClock {
         let mut st = self.state.lock();
         st.now += d;
         self.cond.notify_all();
-    }
-
-    /// Advance virtual time to `t` (no-op if time is already past it).
-    pub fn advance_to(&self, t: Duration) {
-        let mut st = self.state.lock();
-        if t > st.now {
-            st.now = t;
-            self.cond.notify_all();
-        }
     }
 
     /// Number of threads currently blocked in `sleep` or `wait`.
@@ -288,6 +279,17 @@ impl Clock for VirtualClock {
 mod tests {
     use super::*;
     use parking_lot::Mutex as PMutex;
+
+    impl VirtualClock {
+        /// Advance virtual time to `t` (no-op if time is already past it).
+        fn advance_to(&self, t: Duration) {
+            let mut st = self.state.lock();
+            if t > st.now {
+                st.now = t;
+                self.cond.notify_all();
+            }
+        }
+    }
 
     #[test]
     fn real_clock_is_monotone_and_shared() {

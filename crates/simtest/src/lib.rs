@@ -17,6 +17,8 @@
 //!   spins) — and [`returns_within`], which turns "this call must not hang"
 //!   into a test failure instead of a hung suite.
 
+#![warn(unreachable_pub)]
+
 mod clock;
 mod rng;
 
