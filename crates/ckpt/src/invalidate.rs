@@ -76,16 +76,9 @@ impl SeedSource for Seed {
 }
 
 /// Walk a result value and collect the `path` of every `class: File`
-/// object that no longer exists on disk. An empty return means the record
-/// is replayable as far as file outputs are concerned.
-pub fn missing_file_outputs(value: &Value) -> Vec<PathBuf> {
-    let mut stale = Vec::new();
-    walk(value, &mut |_, _, _| true, false, &mut stale);
-    stale
-}
-
-/// Like [`missing_file_outputs`], but a `class: File` that *does* exist
-/// is additionally checked against `verify(path, metadata,
+/// object that no longer exists on disk (an empty return means the record
+/// is replayable as far as file outputs are concerned). A `class: File`
+/// that *does* exist is additionally checked against `verify(path, metadata,
 /// expected_checksum)` when the record carries a `checksum` — so an output
 /// truncated or modified in place invalidates the record instead of
 /// replaying as a stale memo hit. `verify` returns whether the on-disk
@@ -97,14 +90,13 @@ pub fn stale_file_outputs(
     verify: &mut dyn FnMut(&Path, &Metadata, &str) -> bool,
 ) -> Vec<PathBuf> {
     let mut stale = Vec::new();
-    walk(value, verify, true, &mut stale);
+    walk(value, verify, &mut stale);
     stale
 }
 
 fn walk(
     value: &Value,
     verify: &mut dyn FnMut(&Path, &Metadata, &str) -> bool,
-    check_content: bool,
     stale: &mut Vec<PathBuf>,
 ) {
     match value {
@@ -117,7 +109,6 @@ fn walk(
                     // mtime.
                     let fresh = match std::fs::metadata(p) {
                         Err(_) => false,
-                        Ok(_) if !check_content => true,
                         Ok(meta) => match map.get("checksum").and_then(Value::as_str) {
                             None => true,
                             Some(sum) => {
@@ -137,12 +128,12 @@ fn walk(
                 }
             }
             for (_, v) in map.iter() {
-                walk(v, verify, check_content, stale);
+                walk(v, verify, stale);
             }
         }
         Value::Seq(items) => {
             for v in items {
-                walk(v, verify, check_content, stale);
+                walk(v, verify, stale);
             }
         }
         _ => {}
@@ -152,6 +143,11 @@ fn walk(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The existence half of [`stale_file_outputs`]: no checksum to verify.
+    fn missing_file_outputs(value: &Value) -> Vec<PathBuf> {
+        stale_file_outputs(value, &mut |_, _, _| true)
+    }
 
     #[test]
     fn detects_missing_file_paths() {
@@ -213,9 +209,6 @@ mod tests {
         });
         assert_eq!(stale, vec![out.clone()]);
         assert!(!called);
-
-        // The legacy exists-only check still replays it.
-        assert!(missing_file_outputs(&value).is_empty());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -77,7 +77,7 @@ pub struct LoadedJournal {
     /// All intact task records, in append order.
     pub records: Vec<Record>,
     /// Byte offset of the end of the last intact frame.
-    pub valid_len: u64,
+    pub(crate) valid_len: u64,
     /// True when trailing bytes past `valid_len` were damaged (torn write
     /// or corruption) and must be truncated before appending.
     pub torn: bool,
@@ -490,11 +490,6 @@ impl Journal {
         self.syncer.sync()
     }
 
-    /// Records appended through this handle (not counting pre-existing ones).
-    pub fn appended(&self) -> usize {
-        self.syncer.appended.load(Ordering::SeqCst)
-    }
-
     /// The journal file's path.
     pub fn path(&self) -> &Path {
         &self.path
@@ -525,6 +520,13 @@ fn sync_parent_dir(path: &Path) {
 mod tests {
     use super::*;
     use simtest::Clock as _;
+
+    impl Journal {
+        /// Records appended through this handle (not counting pre-existing ones).
+        fn appended(&self) -> usize {
+            self.syncer.appended.load(Ordering::SeqCst)
+        }
+    }
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("ckpt-test-{}", std::process::id()));

@@ -27,11 +27,13 @@
 //! Trust rules for loaded records live in [`invalidate`]: results that name
 //! `class: File` outputs are only replayable while those paths still exist.
 
+#![warn(unreachable_pub)]
+
 mod crc32;
 pub mod invalidate;
 mod journal;
 
-pub use crc32::crc32;
+pub(crate) use crc32::crc32;
 pub use invalidate::{Seed, SeedSource};
 pub use journal::{load, Header, Journal, LoadedJournal, Record, SyncMode, MAGIC};
 
