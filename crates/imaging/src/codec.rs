@@ -31,7 +31,7 @@ const MAGIC: &[u8; 4] = b"RIMG";
 const VERSION: u8 = 2;
 /// The largest width or height a `.rimg` may declare; [`decode`] refuses
 /// anything else before allocating, and `imgtool` refuses to write it.
-pub const MAX_DIM: u32 = 1 << 16;
+pub(crate) const MAX_DIM: u32 = 1 << 16;
 
 /// Errors reading or writing `.rimg` files.
 #[derive(Debug)]

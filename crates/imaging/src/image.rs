@@ -4,19 +4,14 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Rgb {
     pub r: u8,
-    pub g: u8,
-    pub b: u8,
+    pub(crate) g: u8,
+    pub(crate) b: u8,
 }
 
 impl Rgb {
     /// Build a pixel.
     pub const fn new(r: u8, g: u8, b: u8) -> Self {
         Self { r, g, b }
-    }
-
-    /// Perceptual luma (BT.601), used by tests and `imgtool info`.
-    pub fn luma(&self) -> f32 {
-        0.299 * self.r as f32 + 0.587 * self.g as f32 + 0.114 * self.b as f32
     }
 }
 
@@ -55,7 +50,7 @@ impl Image {
     }
 
     /// Wrap raw RGB bytes (must be exactly `width * height * 3` long).
-    pub fn from_raw(width: u32, height: u32, data: Vec<u8>) -> Result<Self, String> {
+    pub(crate) fn from_raw(width: u32, height: u32, data: Vec<u8>) -> Result<Self, String> {
         if width == 0 || height == 0 {
             return Err("image dimensions must be non-zero".to_string());
         }
@@ -113,15 +108,6 @@ impl Image {
         self.data[o] = p.r;
         self.data[o + 1] = p.g;
         self.data[o + 2] = p.b;
-    }
-
-    /// Clamped pixel read: coordinates outside the image snap to the edge
-    /// (the boundary convention the blur kernel uses).
-    #[inline]
-    pub fn get_clamped(&self, x: i64, y: i64) -> Rgb {
-        let cx = x.clamp(0, self.width as i64 - 1) as u32;
-        let cy = y.clamp(0, self.height as i64 - 1) as u32;
-        self.get(cx, cy)
     }
 
     /// Mean channel values (used by `imgtool info` and tests).
@@ -210,11 +196,5 @@ mod tests {
         // Same bytes, different shape → different fingerprint.
         let c = Image::new(2, 8);
         assert_ne!(a.fingerprint(), c.fingerprint());
-    }
-
-    #[test]
-    fn luma() {
-        assert_eq!(Rgb::new(255, 255, 255).luma(), 255.0);
-        assert_eq!(Rgb::new(0, 0, 0).luma(), 0.0);
     }
 }

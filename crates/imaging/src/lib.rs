@@ -14,11 +14,13 @@
 //! The per-image compute is real work — the scaling curves in the Fig. 1
 //! reproduction come from actually crunching pixels, not from sleeps.
 
+#![warn(unreachable_pub)]
+
 pub mod codec;
-pub mod gen;
-pub mod image;
+pub(crate) mod gen;
+pub(crate) mod image;
 pub mod imgtool;
-pub mod ops;
+pub(crate) mod ops;
 #[cfg(test)]
 mod reference;
 

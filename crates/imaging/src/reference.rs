@@ -7,8 +7,18 @@
 
 use crate::image::{Image, Rgb};
 
+impl Image {
+    /// Clamped pixel read: coordinates outside the image snap to the edge
+    /// (the boundary convention the blur kernel uses).
+    pub(crate) fn get_clamped(&self, x: i64, y: i64) -> Rgb {
+        let cx = x.clamp(0, self.width() as i64 - 1) as u32;
+        let cy = y.clamp(0, self.height() as i64 - 1) as u32;
+        self.get(cx, cy)
+    }
+}
+
 /// Resize with bilinear interpolation to `new_w` × `new_h`.
-pub fn resize_bilinear(src: &Image, new_w: u32, new_h: u32) -> Image {
+pub(crate) fn resize_bilinear(src: &Image, new_w: u32, new_h: u32) -> Image {
     assert!(new_w > 0 && new_h > 0, "target dimensions must be non-zero");
     let mut dst = Image::new(new_w, new_h);
     let sx = src.width() as f32 / new_w as f32;
@@ -42,7 +52,7 @@ pub fn resize_bilinear(src: &Image, new_w: u32, new_h: u32) -> Image {
 }
 
 /// Apply the classic sepia tone matrix.
-pub fn sepia(src: &Image) -> Image {
+pub(crate) fn sepia(src: &Image) -> Image {
     let mut dst = Image::new(src.width(), src.height());
     for y in 0..src.height() {
         for x in 0..src.width() {
@@ -59,7 +69,7 @@ pub fn sepia(src: &Image) -> Image {
 
 /// Separable box blur with clamp-to-edge boundary handling.
 /// `radius == 0` returns a copy.
-pub fn box_blur(src: &Image, radius: u32) -> Image {
+pub(crate) fn box_blur(src: &Image, radius: u32) -> Image {
     if radius == 0 {
         return src.clone();
     }
