@@ -11,11 +11,10 @@
 
 use simtest::ClockRef;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 /// A clock anchored at its creation instant, returning monotonically
 /// non-decreasing microsecond offsets.
-pub struct RunClock {
+pub(crate) struct RunClock {
     source: ClockRef,
     epoch_us: u64,
     last_us: AtomicU64,
@@ -33,13 +32,13 @@ impl std::fmt::Debug for RunClock {
 
 impl RunClock {
     /// Anchor a new clock at "now" on the process-wide real clock.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::with_clock(simtest::real_clock())
     }
 
     /// Anchor a new clock at "now" on an explicit time source (a
     /// `VirtualClock` under simulation).
-    pub fn with_clock(source: ClockRef) -> Self {
+    pub(crate) fn with_clock(source: ClockRef) -> Self {
         let epoch_us = source.now().as_micros() as u64;
         Self {
             source,
@@ -51,15 +50,10 @@ impl RunClock {
     /// Microseconds since the run started. Never decreases, even when the
     /// calls race across threads: each completed call establishes a floor
     /// for every later call.
-    pub fn now_us(&self) -> u64 {
+    pub(crate) fn now_us(&self) -> u64 {
         let raw = (self.source.now().as_micros() as u64).saturating_sub(self.epoch_us);
         let prev = self.last_us.fetch_max(raw, Ordering::AcqRel);
         raw.max(prev)
-    }
-
-    /// [`RunClock::now_us`] as a `Duration` offset from run start.
-    pub fn now(&self) -> Duration {
-        Duration::from_micros(self.now_us())
     }
 }
 
@@ -74,6 +68,7 @@ mod tests {
     use super::*;
     use simtest::VirtualClock;
     use std::sync::Arc;
+    use std::time::Duration;
 
     #[test]
     fn never_decreases_single_thread() {

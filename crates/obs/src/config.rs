@@ -52,7 +52,7 @@ impl ObsConfig {
     }
 
     /// Sampling rate as a per-mille integer, clamped to [0, 1000].
-    pub fn sample_per_mille(&self) -> u32 {
+    pub(crate) fn sample_per_mille(&self) -> u32 {
         (self.sample_rate.clamp(0.0, 1.0) * 1000.0).round() as u32
     }
 }

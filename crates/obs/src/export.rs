@@ -15,10 +15,10 @@ use std::io::Write;
 use std::path::Path;
 
 /// Trace format version written in the `meta` line.
-pub const FORMAT_VERSION: u32 = 1;
+pub(crate) const FORMAT_VERSION: u32 = 1;
 
 /// Render one span as a JSONL line (no trailing newline).
-pub fn span_line(s: &SpanRecord) -> String {
+pub(crate) fn span_line(s: &SpanRecord) -> String {
     format!(
         "{{\"type\":\"span\",\"id\":{},\"parent\":{},\"lineage\":{},\
          \"kind\":\"{}\",\"name\":\"{}\",\"start_us\":{},\"end_us\":{}}}",
@@ -33,7 +33,7 @@ pub fn span_line(s: &SpanRecord) -> String {
 }
 
 /// Render one lineage record as a JSONL line.
-pub fn lineage_line(r: &LineageRecord) -> String {
+pub(crate) fn lineage_line(r: &LineageRecord) -> String {
     let step = match &r.cwl_step {
         Some(s) => format!("\"{}\"", escape(s)),
         None => "null".to_string(),
@@ -60,7 +60,7 @@ pub fn lineage_line(r: &LineageRecord) -> String {
 }
 
 /// Render one metric snapshot as a JSONL line.
-pub fn metric_line(m: &MetricSnapshot) -> String {
+pub(crate) fn metric_line(m: &MetricSnapshot) -> String {
     match &m.value {
         MetricValue::Counter(v) => format!(
             "{{\"type\":\"metric\",\"kind\":\"counter\",\"name\":\"{}\",\"value\":{v}}}",
@@ -85,7 +85,7 @@ pub fn metric_line(m: &MetricSnapshot) -> String {
 }
 
 /// Write the complete JSONL trace to `path`.
-pub fn write_jsonl(
+pub(crate) fn write_jsonl(
     path: &Path,
     spans: &[SpanRecord],
     lineage: &[LineageRecord],
@@ -112,7 +112,7 @@ pub fn write_jsonl(
 }
 
 /// Write the spans in Chrome `trace_event` format.
-pub fn write_chrome(path: &Path, spans: &[SpanRecord]) -> std::io::Result<()> {
+pub(crate) fn write_chrome(path: &Path, spans: &[SpanRecord]) -> std::io::Result<()> {
     if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
         std::fs::create_dir_all(dir)?;
     }

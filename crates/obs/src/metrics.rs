@@ -70,12 +70,6 @@ impl Gauge {
         }
     }
 
-    /// Add `delta` (may be negative).
-    #[inline]
-    pub fn add(&self, delta: i64) {
-        self.value.fetch_add(delta, Ordering::Relaxed);
-    }
-
     /// Add `delta` with the given ordering and return the previous value,
     /// for a gauge that is also a count its owner synchronises on (the
     /// kernel's outstanding tasks: the finisher that sees 1 wakes waiters).
@@ -170,16 +164,6 @@ impl Histogram {
         self.max.load(Ordering::Relaxed)
     }
 
-    /// Mean of recorded values.
-    pub fn mean(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum() as f64 / n as f64
-        }
-    }
-
     /// Value at quantile `q` in [0, 1], at bucket resolution.
     pub fn value_at_quantile(&self, q: f64) -> u64 {
         let total = self.bucket_total();
@@ -195,14 +179,6 @@ impl Histogram {
             }
         }
         self.max()
-    }
-
-    /// Per-bucket counts (test/merge support).
-    pub fn bucket_counts(&self) -> Vec<u64> {
-        self.buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect()
     }
 
     /// Cumulative rank at each bucket boundary — non-decreasing, ending at
@@ -327,9 +303,9 @@ pub enum MetricValue {
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricSnapshot {
     /// Registry name (see [`names`]).
-    pub name: String,
+    pub(crate) name: String,
     /// Reading.
-    pub value: MetricValue,
+    pub(crate) value: MetricValue,
 }
 
 /// Name → metric registry. Lookup takes a short-held mutex; instrumented
@@ -350,7 +326,7 @@ impl Registry {
     }
 
     /// Get or create the counter `name`.
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
+    pub(crate) fn counter(&self, name: &str) -> Arc<Counter> {
         let mut m = self.counters.lock();
         match m.get(name) {
             Some(c) => c.clone(),
@@ -363,7 +339,7 @@ impl Registry {
     }
 
     /// Get or create the gauge `name`.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
+    pub(crate) fn gauge(&self, name: &str) -> Arc<Gauge> {
         let mut m = self.gauges.lock();
         match m.get(name) {
             Some(g) => g.clone(),
@@ -376,7 +352,7 @@ impl Registry {
     }
 
     /// Get or create the histogram `name`.
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
+    pub(crate) fn histogram(&self, name: &str) -> Arc<Histogram> {
         let mut m = self.histograms.lock();
         match m.get(name) {
             Some(h) => h.clone(),
@@ -389,7 +365,7 @@ impl Registry {
     }
 
     /// Snapshot every metric, sorted by name.
-    pub fn snapshot(&self) -> Vec<MetricSnapshot> {
+    pub(crate) fn snapshot(&self) -> Vec<MetricSnapshot> {
         let mut out = Vec::new();
         for (name, c) in self.counters.lock().iter() {
             out.push(MetricSnapshot {
@@ -423,6 +399,13 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Gauge {
+        /// Add `delta` (may be negative).
+        fn add(&self, delta: i64) {
+            self.value.fetch_add(delta, Ordering::Relaxed);
+        }
+    }
 
     #[test]
     fn counter_totals_are_exact() {
@@ -488,7 +471,6 @@ mod tests {
         let h = Histogram::new();
         assert_eq!(h.count(), 0);
         assert_eq!(h.value_at_quantile(0.5), 0);
-        assert_eq!(h.mean(), 0.0);
     }
 
     #[test]

@@ -13,19 +13,19 @@ pub struct TraceMetric {
     /// Metric name.
     pub name: String,
     /// `counter`, `gauge`, or `histogram`.
-    pub kind: String,
+    pub(crate) kind: String,
     /// Counter/gauge value (0 for histograms).
     pub value: i64,
     /// Histogram fields (zero for counters/gauges).
-    pub count: u64,
+    pub(crate) count: u64,
     /// Sum of histogram samples.
-    pub sum: u64,
+    pub(crate) sum: u64,
     /// Median.
-    pub p50: u64,
+    pub(crate) p50: u64,
     /// 99th percentile.
-    pub p99: u64,
+    pub(crate) p99: u64,
     /// Maximum.
-    pub max: u64,
+    pub(crate) max: u64,
 }
 
 /// A parsed trace file.
@@ -47,7 +47,7 @@ pub fn load_trace(path: &Path) -> Result<Trace, String> {
 }
 
 /// Parse JSONL trace text.
-pub fn parse_trace(text: &str) -> Result<Trace, String> {
+pub(crate) fn parse_trace(text: &str) -> Result<Trace, String> {
     let mut trace = Trace::default();
     for (lineno, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
@@ -131,27 +131,27 @@ fn parse_metric(v: &Json, lineno: usize) -> Result<TraceMetric, String> {
 /// Per-stage latency breakdown for one task, derived from its spans and
 /// lineage record (all µs).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TaskPath {
+pub(crate) struct TaskPath {
     /// Parsl task id.
-    pub task: u64,
+    pub(crate) task: u64,
     /// Label (and CWL step id, when bound).
-    pub name: String,
+    pub(crate) name: String,
     /// submit → first dispatch.
-    pub prep_us: u64,
+    pub(crate) prep_us: u64,
     /// dispatch → worker execution start (queue + transit).
-    pub queue_us: u64,
+    pub(crate) queue_us: u64,
     /// Worker execution time.
-    pub exec_us: u64,
+    pub(crate) exec_us: u64,
     /// Execution end → completion (result return).
-    pub result_us: u64,
+    pub(crate) result_us: u64,
     /// submit → completion.
-    pub total_us: u64,
+    pub(crate) total_us: u64,
     /// Which stage dominates.
-    pub dominant: &'static str,
+    pub(crate) dominant: &'static str,
 }
 
 /// Compute the per-task critical-path breakdown, slowest total first.
-pub fn task_paths(trace: &Trace) -> Vec<TaskPath> {
+pub(crate) fn task_paths(trace: &Trace) -> Vec<TaskPath> {
     let mut exec_by_lineage: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
     for s in &trace.spans {
         if matches!(s.kind, SpanKind::WorkerExec | SpanKind::ToolExec) {

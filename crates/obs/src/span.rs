@@ -47,7 +47,7 @@ pub enum SpanKind {
 
 impl SpanKind {
     /// Every kind, in causal order.
-    pub const ALL: [SpanKind; 16] = [
+    pub(crate) const ALL: [SpanKind; 16] = [
         SpanKind::WorkflowRun,
         SpanKind::Submit,
         SpanKind::MemoLookup,
@@ -89,7 +89,7 @@ impl SpanKind {
     }
 
     /// Inverse of [`SpanKind::as_str`].
-    pub fn parse(s: &str) -> Option<SpanKind> {
+    pub(crate) fn parse(s: &str) -> Option<SpanKind> {
         SpanKind::ALL.into_iter().find(|k| k.as_str() == s)
     }
 }
@@ -122,7 +122,7 @@ pub struct SpanRecord {
 
 impl SpanRecord {
     /// Duration in microseconds.
-    pub fn duration_us(&self) -> u64 {
+    pub(crate) fn duration_us(&self) -> u64 {
         self.end_us.saturating_sub(self.start_us)
     }
 }
@@ -145,7 +145,7 @@ pub struct ActiveSpan {
 
 impl ActiveSpan {
     /// An inert handle (nothing recorded).
-    pub fn none() -> Self {
+    pub(crate) fn none() -> Self {
         Self {
             id: 0,
             parent: 0,
@@ -160,11 +160,6 @@ impl ActiveSpan {
     /// before the span finishes.
     pub fn id(&self) -> u64 {
         self.id
-    }
-
-    /// Whether this handle will record anything on finish.
-    pub fn is_recording(&self) -> bool {
-        self.id != 0
     }
 }
 
@@ -250,7 +245,6 @@ mod tests {
 
     #[test]
     fn inert_handle_reports_not_recording() {
-        assert!(!ActiveSpan::none().is_recording());
         assert_eq!(ActiveSpan::none().id(), 0);
     }
 }
