@@ -38,7 +38,7 @@ impl fmt::Display for NodeSpec {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClusterSpec {
     /// Cluster name (appears in logs).
-    pub name: String,
+    pub(crate) name: String,
     /// Member nodes.
     pub nodes: Vec<NodeSpec>,
 }
@@ -81,7 +81,7 @@ impl ClusterSpec {
     }
 
     /// Validate basic sanity (non-empty, every node has cores).
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.nodes.is_empty() {
             return Err(format!("cluster {:?} has no nodes", self.name));
         }

@@ -159,15 +159,6 @@ impl FaultPlan {
         st.dead.contains_key(node)
     }
 
-    /// Names of all nodes that have died so far.
-    pub fn dead_nodes(&self) -> Vec<String> {
-        let mut st = self.state.lock();
-        st.apply_elapsed();
-        let mut nodes: Vec<String> = st.dead.keys().cloned().collect();
-        nodes.sort();
-        nodes
-    }
-
     /// Whether the plan scripts any faults at all (pending or fired).
     pub fn is_empty(&self) -> bool {
         let st = self.state.lock();
@@ -178,6 +169,17 @@ impl FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl FaultPlan {
+        /// Names of all nodes that have died so far.
+        fn dead_nodes(&self) -> Vec<String> {
+            let mut st = self.state.lock();
+            st.apply_elapsed();
+            let mut nodes: Vec<String> = st.dead.keys().cloned().collect();
+            nodes.sort();
+            nodes
+        }
+    }
 
     #[test]
     fn empty_plan_kills_nothing() {

@@ -68,7 +68,7 @@ impl<T> Ledger<T> {
         Some(std::mem::take(&mut self.in_flight).into_iter().collect())
     }
 
-    pub fn is_lost(&self) -> bool {
+    pub(crate) fn is_lost(&self) -> bool {
         self.lost
     }
 }

@@ -50,7 +50,7 @@ pub fn pay(d: Duration) {
 
 /// [`pay`], but sleeping on an explicit clock — under a virtual clock the
 /// modelled overhead elapses logically instead of burning wall time.
-pub fn pay_on(clock: &dyn simtest::Clock, d: Duration) {
+pub(crate) fn pay_on(clock: &dyn simtest::Clock, d: Duration) {
     let d = scaled(d);
     if !d.is_zero() {
         clock.sleep(d);
@@ -87,16 +87,6 @@ impl LatencyModel {
             result: Duration::from_micros(300),
             jitter_frac: 0.10,
         }
-    }
-
-    /// Pay the dispatch-direction cost.
-    pub fn pay_dispatch(&self) {
-        pay(self.jittered(self.dispatch));
-    }
-
-    /// Pay the result-direction cost.
-    pub fn pay_result(&self) {
-        pay(self.jittered(self.result));
     }
 
     /// Pay the dispatch-direction cost on an explicit clock.
@@ -191,8 +181,9 @@ mod tests {
     fn in_process_pays_nothing() {
         let m = LatencyModel::in_process();
         let t = Instant::now();
-        m.pay_dispatch();
-        m.pay_result();
+        let clock = simtest::real_clock();
+        m.pay_dispatch_on(&*clock);
+        m.pay_result_on(&*clock);
         assert!(t.elapsed() < Duration::from_millis(10));
     }
 }

@@ -22,17 +22,17 @@
 //! overheads are modelled. This preserves contention, speedup curves, and
 //! scheduling behaviour — the properties the paper's figures depend on.
 
-pub mod cluster;
-pub mod fault;
+#![warn(unreachable_pub)]
+
+pub(crate) mod cluster;
+pub(crate) mod fault;
 pub mod interchange;
-pub mod latency;
-pub mod scheduler;
+pub(crate) mod latency;
+pub(crate) mod scheduler;
 pub mod sim;
 
 pub use cluster::{ClusterSpec, NodeSpec};
 pub use fault::FaultPlan;
 pub use latency::{pay, scaled, LatencyModel, TimeScale};
-pub use scheduler::{
-    BatchScheduler, JobHandle, JobId, JobRequest, JobState, PreemptHook, SchedulerConfig,
-};
+pub use scheduler::{BatchScheduler, JobHandle, JobId, JobRequest, JobState, SchedulerConfig};
 pub use sim::{Scenario, SimConfig, SimDag, SimEvent, SimEventKind, SimFault, SimReport};

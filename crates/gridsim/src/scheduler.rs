@@ -36,21 +36,15 @@ pub enum JobState {
     Completed,
     /// Cancelled while pending.
     Cancelled,
-    /// Evicted while running (walltime expiry or explicit preemption);
-    /// nodes were reclaimed without the owner's consent.
-    Preempted,
 }
 
 /// What a job asks for.
 #[derive(Debug, Clone)]
 pub struct JobRequest {
     /// Number of whole nodes requested.
-    pub nodes: usize,
+    pub(crate) nodes: usize,
     /// Human-readable label for logs.
-    pub label: String,
-    /// Maximum running time; the scheduler preempts the job once it has
-    /// been running this long (None = unlimited, the prior behaviour).
-    pub walltime: Option<Duration>,
+    pub(crate) label: String,
 }
 
 impl JobRequest {
@@ -59,29 +53,18 @@ impl JobRequest {
         Self {
             nodes,
             label: label.into(),
-            walltime: None,
         }
     }
-
-    /// Limit the job's running time; it is preempted when the limit passes.
-    pub fn with_walltime(mut self, walltime: Duration) -> Self {
-        self.walltime = Some(walltime);
-        self
-    }
 }
-
-/// Callback fired after a job is preempted (walltime expiry or
-/// [`BatchScheduler::preempt`]). Runs outside the scheduler lock.
-pub type PreemptHook = Box<dyn Fn(JobId) + Send + Sync>;
 
 /// Scheduler tunables.
 #[derive(Debug, Clone)]
 pub struct SchedulerConfig {
     /// Modelled `sbatch` round-trip paid synchronously on submit.
-    pub submit_latency: Duration,
+    pub(crate) submit_latency: Duration,
     /// Modelled extra delay between resources becoming free and the grant
     /// landing (the scheduling cycle of real batch systems).
-    pub grant_latency: Duration,
+    pub(crate) grant_latency: Duration,
 }
 
 impl Default for SchedulerConfig {
@@ -110,8 +93,6 @@ struct JobRecord {
     state: JobState,
     request: JobRequest,
     granted: Vec<usize>,
-    submitted_at: Instant,
-    started_at: Option<Instant>,
 }
 
 #[derive(Debug)]
@@ -127,7 +108,6 @@ struct Inner {
     config: SchedulerConfig,
     state: Mutex<SchedState>,
     cond: Condvar,
-    preempt_hook: Mutex<Option<PreemptHook>>,
 }
 
 /// The batch scheduler. Cheap to clone (shared handle).
@@ -152,15 +132,8 @@ impl BatchScheduler {
                     next_id: 1,
                 }),
                 cond: Condvar::new(),
-                preempt_hook: Mutex::new(None),
             }),
         }
-    }
-
-    /// Install a callback fired (outside the lock) whenever a job is
-    /// preempted. Replaces any previous hook.
-    pub fn set_preempt_hook(&self, hook: impl Fn(JobId) + Send + Sync + 'static) {
-        *self.inner.preempt_hook.lock() = Some(Box::new(hook));
     }
 
     /// The cluster this scheduler manages.
@@ -185,7 +158,6 @@ impl BatchScheduler {
             ));
         }
         pay(self.inner.config.submit_latency);
-        let walltime = request.walltime;
         let id = {
             let mut st = self.inner.state.lock();
             let id = JobId(st.next_id);
@@ -196,8 +168,6 @@ impl BatchScheduler {
                     state: JobState::Pending,
                     request,
                     granted: Vec::new(),
-                    submitted_at: Instant::now(),
-                    started_at: None,
                 },
             );
             st.queue.push_back(id);
@@ -205,59 +175,10 @@ impl BatchScheduler {
             id
         };
         self.inner.cond.notify_all();
-        if let Some(limit) = walltime {
-            self.arm_walltime(id, limit);
-        }
         Ok(JobHandle {
             id,
             scheduler: self.clone(),
         })
-    }
-
-    /// Spawn the timer that preempts `id` once it has run for `limit`.
-    fn arm_walltime(&self, id: JobId, limit: Duration) {
-        let sched = self.clone();
-        std::thread::Builder::new()
-            .name(format!("gridsim-walltime-{id}"))
-            .spawn(move || {
-                // Wait (generously) for the job to leave the queue; queue
-                // time does not count against walltime, as in Slurm.
-                if sched.wait_running(id, Duration::from_secs(3600)).is_err() {
-                    return;
-                }
-                std::thread::sleep(limit);
-                // Only preempt if still running; a released job is done.
-                if sched.state(id) == Some(JobState::Running) {
-                    let _ = sched.preempt(id);
-                }
-            })
-            .expect("spawn walltime timer");
-    }
-
-    /// Forcibly evict a running job: reclaim its nodes, run a grant pass,
-    /// and fire the preempt hook. Models walltime expiry / queue preemption.
-    pub fn preempt(&self, id: JobId) -> Result<(), String> {
-        {
-            let mut st = self.inner.state.lock();
-            let job = st
-                .jobs
-                .get_mut(&id)
-                .ok_or_else(|| format!("{id} is unknown"))?;
-            match job.state {
-                JobState::Running => {
-                    job.state = JobState::Preempted;
-                    let granted = std::mem::take(&mut job.granted);
-                    st.free_nodes.extend(granted);
-                    self.grant_locked(&mut st);
-                }
-                other => return Err(format!("{id} cannot be preempted from state {other:?}")),
-            }
-        }
-        self.inner.cond.notify_all();
-        if let Some(hook) = self.inner.preempt_hook.lock().as_ref() {
-            hook(id);
-        }
-        Ok(())
     }
 
     /// FCFS grant pass; caller holds the lock.
@@ -274,13 +195,12 @@ impl BatchScheduler {
             if let Some(job) = st.jobs.get_mut(&head) {
                 job.state = JobState::Running;
                 job.granted = granted;
-                job.started_at = Some(Instant::now());
             }
         }
     }
 
     /// Current state of `id` (None for unknown ids).
-    pub fn state(&self, id: JobId) -> Option<JobState> {
+    pub(crate) fn state(&self, id: JobId) -> Option<JobState> {
         self.inner.state.lock().jobs.get(&id).map(|j| j.state)
     }
 
@@ -296,7 +216,7 @@ impl BatchScheduler {
 
     /// Block until `id` is running (or cancelled), up to `timeout`.
     /// Returns the granted node indices on success.
-    pub fn wait_running(&self, id: JobId, timeout: Duration) -> Result<Vec<usize>, String> {
+    pub(crate) fn wait_running(&self, id: JobId, timeout: Duration) -> Result<Vec<usize>, String> {
         let deadline = Instant::now() + timeout;
         let mut st = self.inner.state.lock();
         loop {
@@ -311,7 +231,6 @@ impl BatchScheduler {
                     }
                     JobState::Cancelled => return Err(format!("{id} was cancelled")),
                     JobState::Completed => return Err(format!("{id} already completed")),
-                    JobState::Preempted => return Err(format!("{id} was preempted")),
                     JobState::Pending => {
                         let now = Instant::now();
                         if now >= deadline {
@@ -325,7 +244,7 @@ impl BatchScheduler {
     }
 
     /// Release a running job's nodes (idempotent for completed jobs).
-    pub fn release(&self, id: JobId) -> Result<(), String> {
+    pub(crate) fn release(&self, id: JobId) -> Result<(), String> {
         {
             let mut st = self.inner.state.lock();
             let job = st
@@ -339,9 +258,8 @@ impl BatchScheduler {
                     st.free_nodes.extend(granted);
                     self.grant_locked(&mut st);
                 }
-                // Completed is idempotent; Preempted nodes were already
-                // reclaimed, so release is a harmless no-op there too.
-                JobState::Completed | JobState::Preempted => {}
+                // Completed is idempotent.
+                JobState::Completed => {}
                 other => return Err(format!("{id} cannot be released from state {other:?}")),
             }
         }
@@ -350,7 +268,7 @@ impl BatchScheduler {
     }
 
     /// Cancel a pending job. Running jobs must be released instead.
-    pub fn cancel(&self, id: JobId) -> Result<(), String> {
+    pub(crate) fn cancel(&self, id: JobId) -> Result<(), String> {
         {
             let mut st = self.inner.state.lock();
             let job = st
@@ -368,13 +286,6 @@ impl BatchScheduler {
         }
         self.inner.cond.notify_all();
         Ok(())
-    }
-
-    /// Queue wait time for a job that has started (None while pending).
-    pub fn queue_wait(&self, id: JobId) -> Option<Duration> {
-        let st = self.inner.state.lock();
-        let j = st.jobs.get(&id)?;
-        Some(j.started_at?.duration_since(j.submitted_at))
     }
 }
 
@@ -518,67 +429,6 @@ mod tests {
         a.release().unwrap();
         a.release().unwrap();
         assert_eq!(a.state(), JobState::Completed);
-    }
-
-    #[test]
-    fn queue_wait_recorded() {
-        let s = sched(1);
-        let a = s.submit(JobRequest::nodes(1, "a")).unwrap();
-        let b = s.submit(JobRequest::nodes(1, "b")).unwrap();
-        assert!(s.queue_wait(b.id).is_none());
-        std::thread::sleep(Duration::from_millis(15));
-        a.release().unwrap();
-        assert!(s.queue_wait(b.id).unwrap() >= Duration::from_millis(10));
-    }
-
-    #[test]
-    fn preempt_reclaims_nodes_and_fires_hook() {
-        let s = sched(2);
-        let preempted = Arc::new(Mutex::new(Vec::new()));
-        let seen = preempted.clone();
-        s.set_preempt_hook(move |id| seen.lock().push(id));
-        let a = s.submit(JobRequest::nodes(2, "victim")).unwrap();
-        let b = s.submit(JobRequest::nodes(1, "waiter")).unwrap();
-        assert_eq!(b.state(), JobState::Pending);
-        s.preempt(a.id).unwrap();
-        assert_eq!(a.state(), JobState::Preempted);
-        // Reclaimed nodes grant the queued job.
-        assert_eq!(b.state(), JobState::Running);
-        assert_eq!(preempted.lock().as_slice(), &[a.id]);
-        // Releasing a preempted job is a no-op, not an error.
-        a.release().unwrap();
-        // Preempting twice is an error (not running any more).
-        assert!(s.preempt(a.id).is_err());
-        assert!(a.wait_running(Duration::from_millis(10)).is_err());
-    }
-
-    #[test]
-    fn walltime_expiry_preempts() {
-        let s = sched(1);
-        let hits = Arc::new(Mutex::new(0usize));
-        let h = hits.clone();
-        s.set_preempt_hook(move |_| *h.lock() += 1);
-        let j = s
-            .submit(JobRequest::nodes(1, "short").with_walltime(Duration::from_millis(25)))
-            .unwrap();
-        assert_eq!(j.state(), JobState::Running);
-        // Deadline-bounded wait for the walltime timer (a real-time timer
-        // thread by design) to fire.
-        assert!(simtest::wait_until(Duration::from_secs(2), || j.state() != JobState::Running));
-        assert_eq!(j.state(), JobState::Preempted);
-        assert_eq!(s.free_node_count(), 1);
-        assert_eq!(*hits.lock(), 1);
-    }
-
-    #[test]
-    fn released_job_escapes_walltime() {
-        let s = sched(1);
-        let j = s
-            .submit(JobRequest::nodes(1, "quick").with_walltime(Duration::from_millis(30)))
-            .unwrap();
-        j.release().unwrap();
-        std::thread::sleep(Duration::from_millis(60));
-        assert_eq!(j.state(), JobState::Completed);
     }
 
     #[test]

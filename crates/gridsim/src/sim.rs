@@ -35,8 +35,8 @@ use std::time::Duration;
 /// must complete first (always smaller than the task's own index).
 #[derive(Clone, Debug)]
 pub struct SimTask {
-    pub label: String,
-    pub deps: Vec<usize>,
+    pub(crate) label: String,
+    pub(crate) deps: Vec<usize>,
 }
 
 /// A workflow DAG for the simulator.
@@ -54,7 +54,7 @@ impl SimDag {
     }
 
     /// The paper's 4-step diamond: seed → (left, right) → join.
-    pub fn diamond() -> Self {
+    pub(crate) fn diamond() -> Self {
         SimDag {
             tasks: vec![
                 Self::task("seed", vec![]),
@@ -66,7 +66,7 @@ impl SimDag {
     }
 
     /// Fan-out/fan-in: seed → `width` shards → join.
-    pub fn scatter(width: usize) -> Self {
+    pub(crate) fn scatter(width: usize) -> Self {
         let mut tasks = vec![Self::task("seed", vec![])];
         for i in 0..width {
             tasks.push(Self::task(format!("shard{i}"), vec![0]));
@@ -76,7 +76,7 @@ impl SimDag {
     }
 
     /// A strict chain of `n` tasks.
-    pub fn chain(n: usize) -> Self {
+    pub(crate) fn chain(n: usize) -> Self {
         let tasks = (0..n)
             .map(|i| Self::task(format!("c{i}"), if i == 0 { vec![] } else { vec![i - 1] }))
             .collect();
@@ -85,7 +85,7 @@ impl SimDag {
 
     /// A random DAG over `n` tasks; edges only point forward, so it is
     /// acyclic by construction.
-    pub fn random(rng: &mut SimRng, n: usize) -> Self {
+    pub(crate) fn random(rng: &mut SimRng, n: usize) -> Self {
         let tasks = (0..n)
             .map(|i| {
                 let mut deps = Vec::new();
@@ -104,30 +104,30 @@ impl SimDag {
 /// Kill `node` at logical instant `at_us`.
 #[derive(Clone, Copy, Debug)]
 pub struct SimFault {
-    pub node: usize,
-    pub at_us: u64,
+    pub(crate) node: usize,
+    pub(crate) at_us: u64,
 }
 
 /// Simulation parameters. All times are logical microseconds; `(lo, hi)`
 /// pairs are half-open uniform draw ranges.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
-    pub seed: u64,
+    pub(crate) seed: u64,
     pub nodes: usize,
-    pub workers_per_node: usize,
-    pub heartbeat_period_us: u64,
-    pub heartbeat_threshold_us: u64,
+    pub(crate) workers_per_node: usize,
+    pub(crate) heartbeat_period_us: u64,
+    pub(crate) heartbeat_threshold_us: u64,
     /// Maximum tasks per dispatched message, as HTEX's `batch_size`.
-    pub batch_size: usize,
-    pub exec_us: (u64, u64),
-    pub dispatch_delay_us: (u64, u64),
-    pub result_delay_us: (u64, u64),
-    pub faults: Vec<SimFault>,
+    pub(crate) batch_size: usize,
+    pub(crate) exec_us: (u64, u64),
+    pub(crate) dispatch_delay_us: (u64, u64),
+    pub(crate) result_delay_us: (u64, u64),
+    pub(crate) faults: Vec<SimFault>,
 }
 
 impl SimConfig {
     /// Small healthy cluster, no faults.
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         SimConfig {
             seed,
             nodes: 3,
@@ -147,8 +147,8 @@ impl SimConfig {
 /// together `(at_us, seq)` totally order the schedule.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SimEvent {
-    pub at_us: u64,
-    pub seq: u64,
+    pub(crate) at_us: u64,
+    pub(crate) seq: u64,
     pub kind: SimEventKind,
 }
 
@@ -337,7 +337,7 @@ struct Engine {
 }
 
 /// Run `dag` under `cfg` and return the full schedule and its invariants.
-pub fn run(cfg: &SimConfig, dag: &SimDag) -> SimReport {
+pub(crate) fn run(cfg: &SimConfig, dag: &SimDag) -> SimReport {
     let mut tasks: Vec<TaskInfo> = dag
         .tasks
         .iter()
@@ -669,7 +669,6 @@ impl Engine {
 /// schedule-exploration suite — `simrun --log <seed>` replays exactly this.
 #[derive(Clone, Debug)]
 pub struct Scenario {
-    pub seed: u64,
     pub shape: &'static str,
     pub cfg: SimConfig,
     pub dag: SimDag,
@@ -714,12 +713,7 @@ impl Scenario {
         faults.sort_by_key(|f| (f.at_us, f.node));
         cfg.faults = faults;
         cfg.batch_size = 1 + rng.gen_index(8); // 1..=8
-        Scenario {
-            seed,
-            shape,
-            cfg,
-            dag,
-        }
+        Scenario { shape, cfg, dag }
     }
 
     pub fn run(&self) -> SimReport {
