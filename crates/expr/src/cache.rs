@@ -50,7 +50,7 @@ pub fn set_enabled(on: bool) -> bool {
 }
 
 /// Whether the cache is currently consulted.
-pub fn enabled() -> bool {
+pub(crate) fn enabled() -> bool {
     ENABLED.load(Ordering::SeqCst)
 }
 
@@ -128,7 +128,7 @@ impl<T> Default for ProgramCache<T> {
 
 impl<T> ProgramCache<T> {
     /// An empty cache.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             shards: std::array::from_fn(|_| {
                 Mutex::new(Shard {
@@ -143,7 +143,7 @@ impl<T> ProgramCache<T> {
     /// miss. Compilation runs outside the shard lock; compile errors are
     /// returned and never cached (the error path re-parses, which is fine —
     /// a failing expression fails the task that carries it).
-    pub fn get_or_compile<E>(
+    pub(crate) fn get_or_compile<E>(
         &self,
         src: &str,
         compile: impl FnOnce(&str) -> Result<T, E>,
@@ -200,18 +200,8 @@ impl<T> ProgramCache<T> {
         Ok(prog)
     }
 
-    /// Number of cached programs (tests).
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().map.len()).sum()
-    }
-
-    /// Whether the cache holds no programs.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Drop every cached program.
-    pub fn clear(&self) {
+    pub(crate) fn clear(&self) {
         for s in &self.shards {
             s.lock().map.clear();
         }
@@ -255,6 +245,18 @@ pub fn clear_all() {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<T> ProgramCache<T> {
+        /// Number of cached programs.
+        fn len(&self) -> usize {
+            self.shards.iter().map(|s| s.lock().map.len()).sum()
+        }
+
+        /// Whether the cache holds no programs.
+        fn is_empty(&self) -> bool {
+            self.len() == 0
+        }
+    }
 
     /// `ENABLED`, `HITS` and `MISSES` are process-wide, so the tests of this
     /// module take turns: one that flips the switch or compares counter

@@ -60,9 +60,9 @@ pub trait ExpressionEngine: Send + Sync {
 #[derive(Debug, Clone, PartialEq)]
 pub struct JsCostModel {
     /// Engine (node process) start-up paid once per evaluation.
-    pub spawn: Duration,
+    pub(crate) spawn: Duration,
     /// Marshalling cost per KiB of serialized evaluation context.
-    pub marshal_per_kib: Duration,
+    pub(crate) marshal_per_kib: Duration,
 }
 
 impl JsCostModel {
@@ -160,23 +160,11 @@ impl PyEngine {
         Self { lib }
     }
 
-    /// Engine with an empty library (builtins only).
-    pub fn empty() -> Self {
-        Self {
-            lib: PyLib::default(),
-        }
-    }
-
     /// Compile an `expressionLib` source block into an engine.
     pub fn compile(src: &str) -> Result<Self, EvalError> {
         Ok(Self {
             lib: PyLib::compile(src)?,
         })
-    }
-
-    /// Access the underlying library.
-    pub fn lib(&self) -> &PyLib {
-        &self.lib
     }
 }
 
@@ -251,7 +239,7 @@ mod tests {
 
     #[test]
     fn py_engine_paren() {
-        let e = PyEngine::empty();
+        let e = PyEngine::new(PyLib::default());
         assert_eq!(e.eval_paren("inputs.n", &ctx()).unwrap(), Value::Int(3));
         assert_eq!(
             e.eval_paren("len($(inputs.message))", &ctx()).unwrap(),

@@ -37,16 +37,16 @@ impl fmt::Display for EvalErrorKind {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EvalError {
     /// Failure class.
-    pub kind: EvalErrorKind,
+    pub(crate) kind: EvalErrorKind,
     /// Human-readable description.
-    pub message: String,
+    pub(crate) message: String,
     /// 1-based line within the expression source (0 when unknown).
-    pub line: usize,
+    pub(crate) line: usize,
 }
 
 impl EvalError {
     /// Build an error with an unknown position.
-    pub fn new(kind: EvalErrorKind, message: impl Into<String>) -> Self {
+    pub(crate) fn new(kind: EvalErrorKind, message: impl Into<String>) -> Self {
         Self {
             kind,
             message: message.into(),
@@ -55,7 +55,7 @@ impl EvalError {
     }
 
     /// Build an error at a known 1-based line.
-    pub fn at(kind: EvalErrorKind, message: impl Into<String>, line: usize) -> Self {
+    pub(crate) fn at(kind: EvalErrorKind, message: impl Into<String>, line: usize) -> Self {
         Self {
             kind,
             message: message.into(),
@@ -64,22 +64,22 @@ impl EvalError {
     }
 
     /// Shorthand for a syntax error.
-    pub fn syntax(message: impl Into<String>, line: usize) -> Self {
+    pub(crate) fn syntax(message: impl Into<String>, line: usize) -> Self {
         Self::at(EvalErrorKind::Syntax, message, line)
     }
 
     /// Shorthand for a type error.
-    pub fn type_err(message: impl Into<String>) -> Self {
+    pub(crate) fn type_err(message: impl Into<String>) -> Self {
         Self::new(EvalErrorKind::Type, message)
     }
 
     /// Shorthand for a name error.
-    pub fn name(message: impl Into<String>) -> Self {
+    pub(crate) fn name(message: impl Into<String>) -> Self {
         Self::new(EvalErrorKind::Name, message)
     }
 
     /// Shorthand for a user-raised exception.
-    pub fn raised(message: impl Into<String>) -> Self {
+    pub(crate) fn raised(message: impl Into<String>) -> Self {
         Self::new(EvalErrorKind::Raised, message)
     }
 }

@@ -94,7 +94,7 @@ pub enum Stmt {
 
 impl Expr {
     /// Whether this expression is a valid assignment target.
-    pub fn is_lvalue(&self) -> bool {
+    pub(crate) fn is_lvalue(&self) -> bool {
         matches!(
             self,
             Expr::Ident(_) | Expr::Member(_, _) | Expr::Index(_, _)

@@ -30,7 +30,7 @@ pub fn run_body(src: &str, globals: &Map) -> Result<Value, EvalError> {
 }
 
 /// JS number-to-string: integral values print without a decimal point.
-pub fn js_number_to_string(n: f64) -> String {
+pub(crate) fn js_number_to_string(n: f64) -> String {
     if n.is_nan() {
         "NaN".to_string()
     } else if n.is_infinite() {
@@ -48,7 +48,7 @@ pub fn js_number_to_string(n: f64) -> String {
 
 /// Convert an f64 into a Value, collapsing integral doubles to `Int`
 /// (matching how JS displays numbers).
-pub fn num(n: f64) -> Value {
+pub(crate) fn num(n: f64) -> Value {
     if n == n.trunc() && n.abs() < 9.0e15 && !n.is_nan() {
         Value::Int(n as i64)
     } else {
@@ -97,7 +97,7 @@ pub fn js_to_number(v: &Value) -> f64 {
 }
 
 /// Control flow signal from statement execution.
-pub enum Flow {
+pub(crate) enum Flow {
     Normal,
     Return(Value),
     Break,

@@ -4,7 +4,7 @@ use crate::error::EvalError;
 
 /// A JavaScript token.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Tok {
+pub(crate) enum Tok {
     // Literals and names
     Num(f64),
     Str(String),
@@ -68,13 +68,13 @@ pub enum Tok {
 
 /// A token with its 1-based source line (for error messages).
 #[derive(Debug, Clone, PartialEq)]
-pub struct SpannedTok {
-    pub tok: Tok,
-    pub line: usize,
+pub(crate) struct SpannedTok {
+    pub(crate) tok: Tok,
+    pub(crate) line: usize,
 }
 
 /// Tokenize JavaScript source.
-pub fn lex(src: &str) -> Result<Vec<SpannedTok>, EvalError> {
+pub(crate) fn lex(src: &str) -> Result<Vec<SpannedTok>, EvalError> {
     let bytes = src.as_bytes();
     let mut out = Vec::new();
     let mut i = 0;

@@ -12,13 +12,12 @@
 //! [`yamlite::Value`]. A step budget guards against runaway loops.
 
 pub mod ast;
-pub mod eval;
-pub mod lexer;
-pub mod parser;
+pub(crate) mod eval;
+pub(crate) mod lexer;
+pub(crate) mod parser;
 pub mod stdlib;
 
 pub use eval::{eval_expression, js_to_number, js_to_string, run_body};
-pub use parser::{parse_body, parse_expression};
 
 use crate::cache;
 use crate::error::EvalError;

@@ -5,7 +5,7 @@ use super::lexer::{lex, SpannedTok, Tok};
 use crate::error::EvalError;
 
 /// Parse a single expression (e.g. the contents of `$(...)`).
-pub fn parse_expression(src: &str) -> Result<Expr, EvalError> {
+pub(crate) fn parse_expression(src: &str) -> Result<Expr, EvalError> {
     let toks = lex(src)?;
     let mut p = Parser { toks, pos: 0 };
     let e = p.expression()?;
@@ -16,7 +16,7 @@ pub fn parse_expression(src: &str) -> Result<Expr, EvalError> {
 }
 
 /// Parse a statement list (e.g. the contents of `${...}`).
-pub fn parse_body(src: &str) -> Result<Vec<Stmt>, EvalError> {
+pub(crate) fn parse_body(src: &str) -> Result<Vec<Stmt>, EvalError> {
     let toks = lex(src)?;
     let mut p = Parser { toks, pos: 0 };
     let mut stmts = Vec::new();

@@ -15,7 +15,7 @@ pub fn is_namespace(name: &str) -> bool {
 }
 
 /// JS `typeof`.
-pub fn type_of(v: &Value) -> &'static str {
+pub(crate) fn type_of(v: &Value) -> &'static str {
     match v {
         Value::Null => "object", // typeof null === "object"
         Value::Bool(_) => "boolean",
@@ -26,7 +26,7 @@ pub fn type_of(v: &Value) -> &'static str {
 }
 
 /// Property access `obj.name` (no call).
-pub fn get_property(v: &Value, name: &str) -> Result<Value, EvalError> {
+pub(crate) fn get_property(v: &Value, name: &str) -> Result<Value, EvalError> {
     match (v, name) {
         (Value::Str(s), "length") => Ok(Value::Int(s.chars().count() as i64)),
         (Value::Seq(s), "length") => Ok(Value::Int(s.len() as i64)),
@@ -40,7 +40,7 @@ pub fn get_property(v: &Value, name: &str) -> Result<Value, EvalError> {
 }
 
 /// Index access `obj[i]`.
-pub fn get_index(obj: &Value, idx: &Value) -> Result<Value, EvalError> {
+pub(crate) fn get_index(obj: &Value, idx: &Value) -> Result<Value, EvalError> {
     match obj {
         Value::Seq(s) => {
             let i = js_to_number(idx);
@@ -71,7 +71,7 @@ pub fn get_index(obj: &Value, idx: &Value) -> Result<Value, EvalError> {
 /// Call a method on a receiver. Returns `(result, mutated_receiver)` — the
 /// second slot is `Some(new_value)` for mutating methods (`push`, `pop`,
 /// `sort`, …) so the evaluator can write the receiver back.
-pub fn call_method(
+pub(crate) fn call_method(
     recv: Value,
     method: &str,
     args: &[Value],
@@ -373,7 +373,7 @@ fn number_method(n: f64, method: &str, args: &[Value]) -> Result<Value, EvalErro
 }
 
 /// Call a namespace function: `Math.*`, `JSON.*`, `Object.*`, `Array.*`…
-pub fn call_namespace(ns: &str, method: &str, args: &[Value]) -> Result<Value, EvalError> {
+pub(crate) fn call_namespace(ns: &str, method: &str, args: &[Value]) -> Result<Value, EvalError> {
     match ns {
         "Math" => math(method, args),
         "JSON" => json(method, args),
@@ -458,7 +458,7 @@ pub fn is_global_function(name: &str) -> bool {
 }
 
 /// Call a bare global function (`parseInt(x)` style).
-pub fn call_global(name: &str, args: &[Value]) -> Result<Value, EvalError> {
+pub(crate) fn call_global(name: &str, args: &[Value]) -> Result<Value, EvalError> {
     match name {
         "parseInt" => {
             let s = js_to_string(&arg(args, 0));

@@ -33,12 +33,14 @@
 //! positions. Only the *process-boundary overhead* of the JS path is
 //! modelled (through [`gridsim::pay`]); everything else is genuine work.
 
+#![warn(unreachable_pub)]
+
 pub mod cache;
-pub mod engine;
-pub mod error;
+pub(crate) mod engine;
+pub(crate) mod error;
 pub mod interp;
 pub mod js;
-pub mod paramref;
+pub(crate) mod paramref;
 pub mod py;
 
 pub use cache::{CacheStats, ProgramCache};

@@ -12,11 +12,11 @@ use yamlite::{Map, Value};
 #[derive(Debug, Clone, Default)]
 pub struct EvalContext {
     /// The tool/step input object.
-    pub inputs: Value,
+    pub(crate) inputs: Value,
     /// `self` — context-dependent (e.g. the file a binding applies to).
     pub self_: Value,
     /// Runtime facts: `cores`, `ram`, `outdir`, `tmpdir`.
-    pub runtime: Value,
+    pub(crate) runtime: Value,
 }
 
 impl EvalContext {
@@ -30,7 +30,7 @@ impl EvalContext {
     }
 
     /// Flatten into the globals map the engines expect.
-    pub fn to_globals(&self) -> Map {
+    pub(crate) fn to_globals(&self) -> Map {
         let mut m = Map::with_capacity(3);
         m.insert("inputs", self.inputs.clone());
         m.insert("self", self.self_.clone());
@@ -40,7 +40,7 @@ impl EvalContext {
 }
 
 /// The default `runtime` object CWL runners expose.
-pub fn default_runtime() -> Value {
+pub(crate) fn default_runtime() -> Value {
     let mut m = Map::new();
     m.insert("cores", Value::Int(1));
     m.insert("ram", Value::Int(1024));
@@ -51,7 +51,7 @@ pub fn default_runtime() -> Value {
 
 /// Whether `path` fits the restricted parameter-reference grammar:
 /// `ident(.ident | [int] | ["key"] | ['key'])*`.
-pub fn is_simple_reference(path: &str) -> bool {
+pub(crate) fn is_simple_reference(path: &str) -> bool {
     parse_segments(path).is_some()
 }
 
@@ -123,7 +123,7 @@ fn parse_segments(path: &str) -> Option<Vec<Seg>> {
 
 /// Resolve a parameter-reference path against a globals map
 /// (`inputs`/`self`/`runtime` at the top level).
-pub fn resolve(globals: &Map, path: &str) -> Result<Value, EvalError> {
+pub(crate) fn resolve(globals: &Map, path: &str) -> Result<Value, EvalError> {
     let segs = parse_segments(path).ok_or_else(|| {
         EvalError::new(
             crate::error::EvalErrorKind::Syntax,

@@ -86,7 +86,7 @@ pub enum PExpr {
 
 impl PExpr {
     /// Whether this expression is a valid assignment target.
-    pub fn is_lvalue(&self) -> bool {
+    pub(crate) fn is_lvalue(&self) -> bool {
         matches!(
             self,
             PExpr::Ident(_) | PExpr::Attr(_, _) | PExpr::Index(_, _)
@@ -99,10 +99,10 @@ impl PExpr {
 pub struct PyFunction {
     pub name: String,
     /// Parameter names with optional default expressions.
-    pub params: Vec<(String, Option<PExpr>)>,
-    pub body: Vec<PStmt>,
+    pub(crate) params: Vec<(String, Option<PExpr>)>,
+    pub(crate) body: Vec<PStmt>,
     /// 1-based line of the `def` (for error messages).
-    pub line: usize,
+    pub(crate) line: usize,
 }
 
 /// Statements.

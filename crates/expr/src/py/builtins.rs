@@ -5,7 +5,7 @@ use crate::error::EvalError;
 use yamlite::{Map, Value};
 
 /// Python type name for error messages.
-pub fn type_name(v: &Value) -> &'static str {
+pub(crate) fn type_name(v: &Value) -> &'static str {
     match v {
         Value::Null => "NoneType",
         Value::Bool(_) => "bool",
@@ -34,7 +34,7 @@ pub fn is_exception_name(name: &str) -> bool {
 }
 
 /// Python `str()` conversion.
-pub fn py_str(v: &Value) -> String {
+pub(crate) fn py_str(v: &Value) -> String {
     match v {
         Value::Null => "None".to_string(),
         Value::Bool(b) => if *b { "True" } else { "False" }.to_string(),
@@ -46,7 +46,7 @@ pub fn py_str(v: &Value) -> String {
 }
 
 /// Python `repr()` conversion.
-pub fn py_repr(v: &Value) -> String {
+pub(crate) fn py_repr(v: &Value) -> String {
     match v {
         Value::Str(s) => format!("'{}'", s.replace('\\', "\\\\").replace('\'', "\\'")),
         Value::Seq(items) => {
@@ -112,7 +112,7 @@ fn type_err_bin(op: &str, l: &Value, r: &Value) -> EvalError {
 }
 
 /// Apply a binary arithmetic operator with Python semantics.
-pub fn binary(op: PBinOp, l: &Value, r: &Value) -> Result<Value, EvalError> {
+pub(crate) fn binary(op: PBinOp, l: &Value, r: &Value) -> Result<Value, EvalError> {
     match op {
         PBinOp::Add => match (l, r) {
             (Value::Str(a), Value::Str(b)) => Ok(Value::Str(format!("{a}{b}"))),
@@ -236,7 +236,7 @@ fn py_floor_div(a: i64, b: i64) -> i64 {
 }
 
 /// Unary negation.
-pub fn negate(v: &Value) -> Result<Value, EvalError> {
+pub(crate) fn negate(v: &Value) -> Result<Value, EvalError> {
     match v {
         Value::Int(i) => Ok(Value::Int(-i)),
         Value::Float(f) => Ok(Value::Float(-f)),
@@ -249,7 +249,7 @@ pub fn negate(v: &Value) -> Result<Value, EvalError> {
 }
 
 /// Python comparison (supports ordering, equality, and membership).
-pub fn compare(op: CmpOp, l: &Value, r: &Value) -> Result<bool, EvalError> {
+pub(crate) fn compare(op: CmpOp, l: &Value, r: &Value) -> Result<bool, EvalError> {
     match op {
         CmpOp::Eq => Ok(py_eq(l, r)),
         CmpOp::Ne => Ok(!py_eq(l, r)),
@@ -293,7 +293,7 @@ fn membership(needle: &Value, haystack: &Value) -> Result<bool, EvalError> {
 }
 
 /// Python equality: numeric cross-type equality, deep for containers.
-pub fn py_eq(l: &Value, r: &Value) -> bool {
+pub(crate) fn py_eq(l: &Value, r: &Value) -> bool {
     match (l, r) {
         (Value::Int(a), Value::Float(b)) | (Value::Float(b), Value::Int(a)) => *a as f64 == *b,
         (Value::Bool(a), Value::Int(b)) | (Value::Int(b), Value::Bool(a)) => (*a as i64) == *b,
@@ -325,7 +325,7 @@ fn py_cmp(l: &Value, r: &Value) -> Option<std::cmp::Ordering> {
 }
 
 /// Items yielded by `for ... in <v>`.
-pub fn iterate(v: &Value) -> Result<Vec<Value>, EvalError> {
+pub(crate) fn iterate(v: &Value) -> Result<Vec<Value>, EvalError> {
     match v {
         Value::Seq(items) => Ok(items.clone()),
         Value::Str(s) => Ok(s.chars().map(|c| Value::Str(c.to_string())).collect()),
@@ -338,7 +338,7 @@ pub fn iterate(v: &Value) -> Result<Vec<Value>, EvalError> {
 }
 
 /// Index with Python semantics (negative indices, IndexError/KeyError).
-pub fn get_index(obj: &Value, idx: &Value) -> Result<Value, EvalError> {
+pub(crate) fn get_index(obj: &Value, idx: &Value) -> Result<Value, EvalError> {
     match obj {
         Value::Seq(items) => {
             let i = match idx {
@@ -393,7 +393,7 @@ pub fn get_index(obj: &Value, idx: &Value) -> Result<Value, EvalError> {
 }
 
 /// Slice `obj[start:end]` for strings and lists.
-pub fn get_slice(
+pub(crate) fn get_slice(
     obj: &Value,
     start: Option<&Value>,
     end: Option<&Value>,
@@ -483,7 +483,7 @@ pub fn is_builtin_name(name: &str) -> bool {
     )
 }
 
-pub fn call_builtin(
+pub(crate) fn call_builtin(
     name: &str,
     args: &[Value],
     printed: &mut Vec<String>,
@@ -697,7 +697,7 @@ pub fn call_builtin(
 
 /// Call a method on a receiver. Returns `(result, Some(new_receiver))` for
 /// mutating methods so the evaluator can write the receiver back.
-pub fn call_method(
+pub(crate) fn call_method(
     recv: Value,
     method: &str,
     args: &[Value],

@@ -69,13 +69,6 @@ impl PyLib {
         }
     }
 
-    /// Names of the functions this library defines.
-    pub fn function_names(&self) -> Vec<&str> {
-        let mut names: Vec<&str> = self.funcs.keys().map(|s| s.as_str()).collect();
-        names.sort_unstable();
-        names
-    }
-
     /// Evaluate a single Python expression (possibly containing `$(...)`
     /// parameter references) against the CWL context `ctx` (a map providing
     /// `inputs`, `self`, `runtime`).
@@ -88,13 +81,6 @@ impl PyLib {
         let mut interp = PyInterp::new(&self.funcs, ctx.clone());
         interp.globals = self.globals.clone();
         interp.eval(&expr)
-    }
-
-    /// Call a named library function directly with positional arguments.
-    pub fn call_function(&self, name: &str, args: &[Value], ctx: &Map) -> Result<Value, EvalError> {
-        let mut interp = PyInterp::new(&self.funcs, ctx.clone());
-        interp.globals = self.globals.clone();
-        interp.call_user(name, args.to_vec())
     }
 }
 

@@ -9,7 +9,7 @@ use crate::error::EvalError;
 
 /// One piece of an f-string.
 #[derive(Debug, Clone, PartialEq)]
-pub enum FPart {
+pub(crate) enum FPart {
     /// Literal text.
     Lit(String),
     /// Source text of an embedded `{expression}`.
@@ -18,7 +18,7 @@ pub enum FPart {
 
 /// A Python token.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Tok {
+pub(crate) enum Tok {
     Int(i64),
     Float(f64),
     Str(String),
@@ -85,9 +85,9 @@ pub enum Tok {
 
 /// A token with its 1-based source line.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SpannedTok {
-    pub tok: Tok,
-    pub line: usize,
+pub(crate) struct SpannedTok {
+    pub(crate) tok: Tok,
+    pub(crate) line: usize,
 }
 
 /// Collapse triple-quoted strings (`"""..."""` / `'''...'''`) into ordinary
@@ -192,7 +192,7 @@ fn collapse_triple_quotes(src: &str) -> Result<String, EvalError> {
 }
 
 /// Tokenize Python source into a token stream with INDENT/DEDENT structure.
-pub fn lex(raw_src: &str) -> Result<Vec<SpannedTok>, EvalError> {
+pub(crate) fn lex(raw_src: &str) -> Result<Vec<SpannedTok>, EvalError> {
     let src = &collapse_triple_quotes(raw_src)?;
     let mut out: Vec<SpannedTok> = Vec::new();
     let mut indents: Vec<usize> = vec![0];

@@ -8,13 +8,11 @@
 
 pub mod ast;
 pub mod builtins;
-pub mod eval;
-pub mod lexer;
-pub mod parser;
+pub(crate) mod eval;
+pub(crate) mod lexer;
+pub(crate) mod parser;
 
-pub use builtins::{py_repr, py_str};
 pub use eval::PyLib;
-pub use parser::{parse_expression, parse_module};
 
 use crate::cache;
 use crate::error::EvalError;
@@ -62,7 +60,6 @@ def describe(x):
     return f'small: {s}'
 ";
         let lib = PyLib::compile(src).unwrap();
-        assert_eq!(lib.function_names(), vec!["describe", "scale"]);
         assert_eq!(
             lib.eval_expression("describe($(inputs.n))", &ctx())
                 .unwrap(),

@@ -5,7 +5,7 @@ use super::lexer::{lex, FPart, SpannedTok, Tok};
 use crate::error::{EvalError, EvalErrorKind};
 
 /// Parse a module (a sequence of statements, e.g. an `expressionLib` block).
-pub fn parse_module(src: &str) -> Result<Vec<PStmt>, EvalError> {
+pub(crate) fn parse_module(src: &str) -> Result<Vec<PStmt>, EvalError> {
     let toks = lex(src)?;
     let mut p = Parser { toks, pos: 0 };
     let mut stmts = Vec::new();
@@ -16,7 +16,7 @@ pub fn parse_module(src: &str) -> Result<Vec<PStmt>, EvalError> {
 }
 
 /// Parse a single expression (e.g. an f-string fragment).
-pub fn parse_expression(src: &str) -> Result<PExpr, EvalError> {
+pub(crate) fn parse_expression(src: &str) -> Result<PExpr, EvalError> {
     let toks = lex(src)?;
     let mut p = Parser { toks, pos: 0 };
     let e = p.expression()?;
