@@ -47,7 +47,7 @@ pub enum Ingest {
 }
 
 /// What one ingest produced: digest, object path, and how it got there.
-pub type IngestResult = std::io::Result<(Digest, PathBuf, Ingest)>;
+pub(crate) type IngestResult = std::io::Result<(Digest, PathBuf, Ingest)>;
 
 /// Map `f` over `items` on a bounded pool of scoped threads, each claiming
 /// the next unclaimed item, so uneven per-item cost (one file to hash, the
@@ -118,19 +118,8 @@ impl ContentStore {
         self.index
     }
 
-    /// Store root directory.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
-    /// Total bytes hashed into the store by this process (cache misses
-    /// only — a scatter of 1000 identical inputs counts its bytes once).
-    pub fn ingested_bytes(&self) -> u64 {
-        self.ingested_bytes.load(Ordering::Relaxed)
-    }
-
     /// Where an object with this digest lives (whether or not present).
-    pub fn object_path(&self, d: &Digest) -> PathBuf {
+    pub(crate) fn object_path(&self, d: &Digest) -> PathBuf {
         let shard = (d.hash >> 56) as u8;
         self.root
             .join("objects")
@@ -139,7 +128,7 @@ impl ContentStore {
     }
 
     /// The materialized object for a digest, if this process ingested it.
-    pub fn lookup(&self, d: &Digest) -> Option<PathBuf> {
+    pub(crate) fn lookup(&self, d: &Digest) -> Option<PathBuf> {
         let stripe = &self.objects[(d.hash as usize) & (index::STRIPES - 1)];
         stripe.lock().get(d).cloned()
     }
@@ -238,7 +227,7 @@ fn in_shard<T>(obj: &Path, op: impl Fn() -> std::io::Result<T>) -> std::io::Resu
 }
 
 /// Seal a store-private file read-only. No-op off Unix.
-pub fn seal(path: &Path) -> std::io::Result<()> {
+pub(crate) fn seal(path: &Path) -> std::io::Result<()> {
     #[cfg(unix)]
     {
         use std::os::unix::fs::PermissionsExt;
@@ -254,6 +243,19 @@ pub fn seal(path: &Path) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ContentStore {
+        /// Store root directory.
+        fn root(&self) -> &Path {
+            &self.root
+        }
+
+        /// Total bytes hashed into the store by this process (cache misses
+        /// only — a scatter of 1000 identical inputs counts its bytes once).
+        pub(crate) fn ingested_bytes(&self) -> u64 {
+            self.ingested_bytes.load(Ordering::Relaxed)
+        }
+    }
 
     fn scratch(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("ds-cas-{name}-{}", std::process::id()));

@@ -182,16 +182,6 @@ impl Digest {
     pub fn checksum(&self) -> String {
         format!("xxh64:{:016x}", self.hash)
     }
-
-    /// Parse a `checksum()` string back. `None` on any other shape.
-    pub fn parse_checksum(s: &str, len: u64) -> Option<Digest> {
-        let hex = s.strip_prefix("xxh64:")?;
-        if hex.len() != 16 {
-            return None;
-        }
-        let hash = u64::from_str_radix(hex, 16).ok()?;
-        Some(Digest { hash, len })
-    }
 }
 
 impl fmt::Display for Digest {
@@ -203,6 +193,18 @@ impl fmt::Display for Digest {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Digest {
+        /// Parse a `checksum()` string back. `None` on any other shape.
+        fn parse_checksum(s: &str, len: u64) -> Option<Digest> {
+            let hex = s.strip_prefix("xxh64:")?;
+            if hex.len() != 16 {
+                return None;
+            }
+            let hash = u64::from_str_radix(hex, 16).ok()?;
+            Some(Digest { hash, len })
+        }
+    }
 
     // Reference vectors from the canonical xxHash implementation
     // (XXH64 with seed 0).

@@ -20,11 +20,10 @@ use crate::digest::Digest;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fs::Metadata;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 /// Stripe count; a power of two so stripe selection is a mask.
-pub const STRIPES: usize = 16;
+pub(crate) const STRIPES: usize = 16;
 
 /// `(st_dev, st_ino)`: which file, whatever it is called.
 type Identity = (u64, u64);
@@ -39,7 +38,6 @@ struct Entry {
 /// Sharded `(dev, ino) -> (len, mtime, digest)` cache.
 pub struct PathIndex {
     stripes: [Mutex<HashMap<Identity, Entry>>; STRIPES],
-    hits: AtomicU64,
 }
 
 impl Default for PathIndex {
@@ -77,10 +75,9 @@ fn stripe_of((dev, ino): Identity) -> usize {
 }
 
 impl PathIndex {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         PathIndex {
             stripes: std::array::from_fn(|_| Mutex::new(HashMap::new())),
-            hits: AtomicU64::new(0),
         }
     }
 
@@ -90,12 +87,7 @@ impl PathIndex {
         let id = identity(meta)?;
         let stripe = self.stripes[stripe_of(id)].lock();
         let e = stripe.get(&id)?;
-        if e.len == meta.len() && e.mtime_ns == mtime_ns(meta) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            Some(e.digest)
-        } else {
-            None
-        }
+        (e.len == meta.len() && e.mtime_ns == mtime_ns(meta)).then_some(e.digest)
     }
 
     /// Record a freshly computed digest for the file `meta` describes.
@@ -107,11 +99,6 @@ impl PathIndex {
             digest,
         };
         self.stripes[stripe_of(id)].lock().insert(id, entry);
-    }
-
-    /// How many lookups were served from the cache (digest not recomputed).
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
     }
 
     /// Number of files with an entry.

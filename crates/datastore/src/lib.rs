@@ -19,11 +19,13 @@
 //! - [`index::global`] — the process-wide digest index that also serves
 //!   `parsl::File::checksum()` without re-reading data.
 
-pub mod cas;
-pub mod digest;
+#![warn(unreachable_pub)]
+
+pub(crate) mod cas;
+pub(crate) mod digest;
 pub mod index;
-pub mod stage;
+pub(crate) mod stage;
 
 pub use cas::{par_map, ContentStore, Ingest};
 pub use digest::{Digest, Xxh64};
-pub use stage::{Method, StageMode, StageStats, Staged, Stager};
+pub use stage::{Method, StageMode, StageStats, Stager};

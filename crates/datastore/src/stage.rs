@@ -18,7 +18,7 @@ use crate::digest::Digest;
 use crate::index;
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use yamlite::Value;
@@ -94,14 +94,6 @@ pub struct Stager {
     bytes_copied: AtomicU64,
 }
 
-/// A staged file: where it landed and what it contains.
-#[derive(Clone, Debug)]
-pub struct Staged {
-    pub path: PathBuf,
-    pub digest: Digest,
-    pub method: Method,
-}
-
 impl Stager {
     pub fn new(store: Arc<ContentStore>, mode: StageMode) -> Arc<Stager> {
         Arc::new(Stager {
@@ -114,10 +106,6 @@ impl Stager {
             bytes_saved: AtomicU64::new(0),
             bytes_copied: AtomicU64::new(0),
         })
-    }
-
-    pub fn mode(&self) -> StageMode {
-        self.mode
     }
 
     pub fn store(&self) -> &Arc<ContentStore> {
@@ -145,8 +133,9 @@ impl Stager {
     }
 
     /// Stage `src` into `dest`. The source is ingested (index-cached), and
-    /// the destination materialized per the mode.
-    pub fn stage_file(&self, src: &Path, dest: &Path) -> std::io::Result<Staged> {
+    /// the destination materialized per the mode; the rung that did it is
+    /// returned.
+    pub fn stage_file(&self, src: &Path, dest: &Path) -> std::io::Result<Method> {
         let (digest, obj, how) = self.store.ingest(src)?;
         if how == Ingest::Cached {
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -164,12 +153,7 @@ impl Stager {
         dest: &Path,
         digest: Digest,
         obj: &Path,
-    ) -> std::io::Result<Staged> {
-        let staged = |method| Staged {
-            path: dest.to_path_buf(),
-            digest,
-            method,
-        };
+    ) -> std::io::Result<Method> {
         if let Ok(existing) = std::fs::metadata(dest) {
             // Staging a file onto itself (input already lives in the
             // workdir), or onto a file that already holds the content, is
@@ -179,7 +163,7 @@ impl Stager {
                 id.is_some() && std::fs::metadata(src).is_ok_and(|s| index::identity(&s) == id);
             if onto_itself || self.store.index().lookup(&existing) == Some(digest) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(staged(Method::Hit));
+                return Ok(Method::Hit);
             }
             std::fs::remove_file(dest)?;
         }
@@ -205,7 +189,7 @@ impl Stager {
                 self.store.index().record(&meta, digest);
             }
         }
-        Ok(staged(method))
+        Ok(method)
     }
 
     fn materialize(
@@ -344,9 +328,10 @@ impl Stager {
             _ => basename,
         };
         claimed.insert(name.clone(), digest);
-        let staged = self.stage_prepared(src, &dir.join(&name), digest, &obj)?;
+        let dest = dir.join(&name);
+        self.stage_prepared(src, &dest, digest, &obj)?;
         let mut out = map.clone();
-        out.insert("path", staged.path.to_string_lossy().into_owned());
+        out.insert("path", dest.to_string_lossy().into_owned());
         out.insert("basename", name.clone());
         let p = Path::new(&name);
         out.insert(
@@ -378,7 +363,7 @@ fn disambiguate(basename: &str, n: usize) -> String {
 /// on btrfs/XFS/bcachefs). Fails cleanly (`Unsupported`/`EOPNOTSUPP`) on
 /// filesystems without CoW cloning and on non-Linux targets.
 #[cfg(target_os = "linux")]
-pub fn reflink(src: &Path, dest: &Path) -> std::io::Result<()> {
+pub(crate) fn reflink(src: &Path, dest: &Path) -> std::io::Result<()> {
     use std::os::unix::io::AsRawFd;
     // From linux/fs.h: #define FICLONE _IOW(0x94, 9, int)
     const FICLONE: u64 = 0x4004_9409;
@@ -401,7 +386,7 @@ pub fn reflink(src: &Path, dest: &Path) -> std::io::Result<()> {
 }
 
 #[cfg(not(target_os = "linux"))]
-pub fn reflink(_src: &Path, _dest: &Path) -> std::io::Result<()> {
+pub(crate) fn reflink(_src: &Path, _dest: &Path) -> std::io::Result<()> {
     Err(std::io::Error::new(
         std::io::ErrorKind::Unsupported,
         "reflink is Linux-only",
@@ -411,6 +396,7 @@ pub fn reflink(_src: &Path, _dest: &Path) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn scratch(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("ds-stage-{name}-{}", std::process::id()));
@@ -436,9 +422,9 @@ mod tests {
         let staged = linker
             .stage_file(&src, &dir.join("job1/input.dat"))
             .unwrap();
-        assert!(matches!(staged.method, Method::Hardlink | Method::Reflink));
+        assert!(matches!(staged, Method::Hardlink | Method::Reflink));
         #[cfg(unix)]
-        if staged.method == Method::Hardlink {
+        if staged == Method::Hardlink {
             assert_eq!(inode(&src), inode(&dir.join("job1/input.dat")));
         }
         assert_eq!(linker.stats().links, 1);
@@ -448,7 +434,7 @@ mod tests {
         let staged = copier
             .stage_file(&src, &dir.join("job2/input.dat"))
             .unwrap();
-        assert_eq!(staged.method, Method::Copy);
+        assert_eq!(staged, Method::Copy);
         #[cfg(unix)]
         assert_ne!(inode(&src), inode(&dir.join("job2/input.dat")));
         assert_eq!(copier.stats().copies, 1);
@@ -490,7 +476,7 @@ mod tests {
         let dest = dir.join("job/a.txt");
         stager.stage_file(&src, &dest).unwrap();
         let again = stager.stage_file(&src, &dest).unwrap();
-        assert_eq!(again.method, Method::Hit);
+        assert_eq!(again, Method::Hit);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -509,7 +495,7 @@ mod tests {
         let staged = linker
             .stage_file(&src, &dir.join("job1/input.dat"))
             .unwrap();
-        assert_eq!(staged.method, Method::Hardlink);
+        assert_eq!(staged, Method::Hardlink);
         assert_eq!(index.len(), 1);
 
         let copier = Stager::new(store, StageMode::Copy);
@@ -528,7 +514,7 @@ mod tests {
         let store = ContentStore::open(dir.join("cas")).unwrap();
         let stager = Stager::new(store, StageMode::Copy);
         let staged = stager.stage_file(&src, &src).unwrap();
-        assert_eq!(staged.method, Method::Hit);
+        assert_eq!(staged, Method::Hit);
         assert_eq!(std::fs::read(&src).unwrap(), b"already here");
         std::fs::remove_dir_all(&dir).ok();
     }
