@@ -16,7 +16,7 @@ use yamlite::Value;
 
 /// How a source type fits a sink type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Fit {
+pub(crate) enum Fit {
     /// Assignable.
     Ok,
     /// Assignable only when the optional source is non-null at runtime.
@@ -32,7 +32,7 @@ pub enum Fit {
 /// where files are expected (path strings), arrays are covariant, `Any`
 /// fits both ways, and an optional source feeding a required sink is a
 /// warning rather than an error (null only surfaces at runtime).
-pub fn fit(source: &CwlType, sink: &CwlType) -> Fit {
+pub(crate) fn fit(source: &CwlType, sink: &CwlType) -> Fit {
     use CwlType::*;
     // Output-only shorthands produce files on disk.
     let source = match source {
@@ -69,9 +69,9 @@ fn unify(types: &[CwlType]) -> CwlType {
 /// The IO signature of a step's run target.
 pub(crate) struct RunIo {
     /// `(id, type, has_default)` per declared input.
-    pub inputs: Vec<(String, CwlType, bool)>,
-    pub outputs: Vec<(String, CwlType)>,
-    pub is_workflow: bool,
+    pub(crate) inputs: Vec<(String, CwlType, bool)>,
+    pub(crate) outputs: Vec<(String, CwlType)>,
+    pub(crate) is_workflow: bool,
 }
 
 fn run_io(doc: &CwlDocument) -> RunIo {

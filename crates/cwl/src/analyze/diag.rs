@@ -69,10 +69,10 @@ pub enum Severity {
 pub mod codes {
     pub const YAML_PARSE: &str = "E001";
     pub const CWL_MODEL: &str = "E002";
-    pub const RUN_UNLOADABLE: &str = "E003";
-    pub const NO_COMMAND: &str = "E004";
-    pub const DUPLICATE_ID: &str = "E005";
-    pub const VALIDATE_NEEDS_PY: &str = "E006";
+    pub(crate) const RUN_UNLOADABLE: &str = "E003";
+    pub(crate) const NO_COMMAND: &str = "E004";
+    pub(crate) const DUPLICATE_ID: &str = "E005";
+    pub(crate) const VALIDATE_NEEDS_PY: &str = "E006";
     pub const UNKNOWN_SOURCE: &str = "E010";
     pub const LINK_TYPE: &str = "E011";
     pub const SCATTER_NOT_INPUT: &str = "E012";
@@ -82,16 +82,16 @@ pub mod codes {
     pub const OUTPUT_TYPE: &str = "E016";
     pub const CYCLE: &str = "E017";
     pub const BAD_STEP_OUT: &str = "E018";
-    pub const SUBWORKFLOW_NEEDS_REQ: &str = "E019";
+    pub(crate) const SUBWORKFLOW_NEEDS_REQ: &str = "E019";
     pub const JS_SYNTAX: &str = "E020";
     pub const PY_SYNTAX: &str = "E021";
     pub const UNBOUND_VAR: &str = "E022";
     pub const BODY_NEEDS_REQ: &str = "E023";
     pub const VALUE_FROM_NEEDS_REQ: &str = "E024";
-    pub const DANGLING_STEP_INPUT: &str = "E025";
+    pub(crate) const DANGLING_STEP_INPUT: &str = "E025";
     pub const UNWIRED_INPUT: &str = "E026";
-    pub const WHEN_NEEDS_V12: &str = "E027";
-    pub const UNKNOWN_STEP_INPUT: &str = "E028";
+    pub(crate) const WHEN_NEEDS_V12: &str = "E027";
+    pub(crate) const UNKNOWN_STEP_INPUT: &str = "E028";
     pub const EFFECT_COLLISION: &str = "E030";
     pub const SCATTER_EFFECT: &str = "E031";
     pub const UNSCHEDULABLE: &str = "E032";
@@ -101,11 +101,11 @@ pub mod codes {
     pub const CFG_STAGING_DIR: &str = "E044";
     pub const CFG_SERVE_SOCKET: &str = "E045";
     pub const DEAD_STEP: &str = "W101";
-    pub const UNUSED_OUTPUT: &str = "W102";
+    pub(crate) const UNUSED_OUTPUT: &str = "W102";
     pub const OPTIONAL_COERCION: &str = "W103";
-    pub const ODD_VERSION: &str = "W104";
-    pub const IGNORED_REQ: &str = "W105";
-    pub const UNKNOWN_REQ: &str = "W106";
+    pub(crate) const ODD_VERSION: &str = "W104";
+    pub(crate) const IGNORED_REQ: &str = "W105";
+    pub(crate) const UNKNOWN_REQ: &str = "W106";
     pub const WRITABLE_INPUT: &str = "W110";
     pub const NEAR_CAPACITY: &str = "W111";
     pub const CFG_NO_EFFECT: &str = "W120";
@@ -126,7 +126,7 @@ pub struct Diag {
     /// File the finding is in, when it differs from the report's file —
     /// set for findings surfaced from a *referenced* tool file, so the
     /// rendering points at the tool source, not the referencing workflow.
-    pub file: Option<String>,
+    pub(crate) file: Option<String>,
 }
 
 impl Diag {

@@ -29,17 +29,17 @@ use yamlite::Value;
 
 /// One statically-known write that escapes the task's private directory.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SharedWrite {
+pub(crate) struct SharedWrite {
     /// Normalized shared-namespace path (collision key).
-    pub key: String,
+    pub(crate) key: String,
     /// What produced it, for the message (`stdout`, `output "o" glob`, ...).
-    pub origin: String,
+    pub(crate) origin: String,
 }
 
 /// Normalize a write name and classify it: `Some(key)` when it lands in
 /// the namespace shared between tasks, `None` when it stays private to
 /// the task's working directory.
-pub fn shared_key(name: &str) -> Option<String> {
+pub(crate) fn shared_key(name: &str) -> Option<String> {
     let absolute = name.starts_with('/');
     let mut stack: Vec<&str> = Vec::new();
     let mut escapes = 0usize;
@@ -96,7 +96,7 @@ fn static_name(raw: &str, tool: &CommandLineTool, step: Option<&Step>) -> Option
 }
 
 /// The statically-known shared-namespace writes of one tool invocation.
-pub fn shared_writes(tool: &CommandLineTool, step: Option<&Step>) -> Vec<SharedWrite> {
+pub(crate) fn shared_writes(tool: &CommandLineTool, step: Option<&Step>) -> Vec<SharedWrite> {
     let mut out = Vec::new();
     let mut push = |raw: &str, origin: String| {
         if let Some(name) = static_name(raw, tool, step) {

@@ -25,10 +25,10 @@
 //! a CWL document is valid: `cwl-check`, `parsl-cwl --validate`, the
 //! pre-run gate and serve's admission all apply it.
 
-pub mod dataflow;
+pub(crate) mod dataflow;
 pub mod diag;
-pub mod effects;
-pub mod exprlint;
+pub(crate) mod effects;
+pub(crate) mod exprlint;
 pub mod plan;
 
 pub use diag::{codes, Diag, Report, Severity, Sink};
@@ -57,7 +57,7 @@ pub fn analyze_str(text: &str, file: Option<&Path>) -> Report {
 }
 
 /// [`analyze_str`] with explicit [`AnalyzeOptions`].
-pub fn analyze_str_opts(text: &str, file: Option<&Path>, opts: &AnalyzeOptions) -> Report {
+pub(crate) fn analyze_str_opts(text: &str, file: Option<&Path>, opts: &AnalyzeOptions) -> Report {
     analyze_docs(&DocSet::from_text(text, file), opts)
 }
 

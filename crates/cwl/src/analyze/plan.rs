@@ -318,19 +318,19 @@ pub(crate) fn check_workflow(
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanSummary {
     /// Total task instances (scatter widths × nested tasks).
-    pub tasks: usize,
+    pub(crate) tasks: usize,
     /// Longest dependency chain, in task units.
-    pub critical_path: usize,
+    pub(crate) critical_path: usize,
     /// Executor slots the bound was computed against, when capacity known.
-    pub slots: Option<usize>,
+    pub(crate) slots: Option<usize>,
     /// Some scatter width could not be determined statically (counted as
     /// one shard; the real plan is at least this large).
-    pub width_unknown: bool,
+    pub(crate) width_unknown: bool,
 }
 
 impl PlanSummary {
     /// Greedy-scheduling lower bound: `max(span, ceil(work / slots))`.
-    pub fn makespan_lower_bound(&self) -> usize {
+    pub(crate) fn makespan_lower_bound(&self) -> usize {
         let work_bound = match self.slots {
             Some(s) if s > 0 => self.tasks.div_ceil(s),
             _ => 0,

@@ -55,7 +55,7 @@ pub struct DocEntry {
     /// The path the file was first reached by.
     pub path: PathBuf,
     /// Its canonical path (`path` itself when that does not resolve).
-    pub key: PathBuf,
+    pub(crate) key: PathBuf,
     pub loaded: Loaded,
 }
 
@@ -69,7 +69,7 @@ impl DocEntry {
     }
 
     /// The directory its relative `run:` paths resolve against.
-    pub fn dir(&self) -> &Path {
+    pub(crate) fn dir(&self) -> &Path {
         self.path.parent().unwrap_or(Path::new("."))
     }
 
@@ -79,11 +79,6 @@ impl DocEntry {
             Loaded::Unread(_) => None,
             Loaded::Unparsed { text, .. } | Loaded::Parsed { text, .. } => Some(text),
         }
-    }
-
-    /// The parsed YAML, or [`crate::load_file`]'s refusal for the file.
-    pub fn value(&self) -> Result<&Value, String> {
-        self.parsed(&self.path).map(|(value, _)| value)
     }
 
     /// The loaded document, or [`crate::load_file`]'s refusal for it.
@@ -143,7 +138,7 @@ impl DocSet {
 
     /// A set whose root document is `text`. `file` names it and anchors its
     /// `run:` paths; without one, path references stay unresolved.
-    pub fn from_text(text: &str, file: Option<&Path>) -> Self {
+    pub(crate) fn from_text(text: &str, file: Option<&Path>) -> Self {
         let path = file.map(Path::to_path_buf).unwrap_or_default();
         let root = DocEntry {
             key: key_of(&path),
@@ -217,7 +212,7 @@ impl DocSet {
     }
 
     /// The entry for a file the set reached, by any path it was reached by.
-    pub fn get(&self, path: &Path) -> Option<&DocEntry> {
+    pub(crate) fn get(&self, path: &Path) -> Option<&DocEntry> {
         self.index.get(path).map(|&i| &self.entries[i])
     }
 

@@ -10,7 +10,7 @@ use yamlite::{Map, Value};
 /// Normalize a File-typed value: a bare path string or a partial
 /// `{class: File}` object becomes a full File object with `path`,
 /// `basename`, `nameroot`, `nameext` (and `size` when the file exists).
-pub fn normalize_file(v: &Value, class: &str) -> Result<Value, String> {
+pub(crate) fn normalize_file(v: &Value, class: &str) -> Result<Value, String> {
     let path = match v {
         Value::Str(s) => s.clone(),
         Value::Map(m) => {

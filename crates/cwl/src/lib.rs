@@ -34,14 +34,16 @@
 //! [`expr::ExpressionEngine`] — JavaScript per the CWL spec, or the paper's
 //! inline Python.
 
+#![warn(unreachable_pub)]
+
 pub mod analyze;
-pub mod binding;
+pub(crate) mod binding;
 pub mod docs;
 pub mod input;
 pub mod loader;
 pub mod outputs;
-pub mod requirements;
-pub mod tool;
+pub(crate) mod requirements;
+pub(crate) mod tool;
 pub mod types;
 pub mod workflow;
 

@@ -21,22 +21,6 @@ impl CwlDocument {
             CwlDocument::Workflow(_) => "Workflow",
         }
     }
-
-    /// Unwrap as a tool.
-    pub fn as_tool(&self) -> Option<&CommandLineTool> {
-        match self {
-            CwlDocument::Tool(t) => Some(t),
-            _ => None,
-        }
-    }
-
-    /// Unwrap as a workflow.
-    pub fn as_workflow(&self) -> Option<&Workflow> {
-        match self {
-            CwlDocument::Workflow(w) => Some(w),
-            _ => None,
-        }
-    }
 }
 
 /// Parse a document value by its `class`.
@@ -74,8 +58,7 @@ mod tests {
                 .unwrap();
         let doc = load_document(&wf).unwrap();
         assert_eq!(doc.class(), "Workflow");
-        assert!(doc.as_workflow().is_some());
-        assert!(doc.as_tool().is_none());
+        assert!(matches!(doc, CwlDocument::Workflow(_)));
     }
 
     #[test]

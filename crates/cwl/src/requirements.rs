@@ -5,11 +5,11 @@ use yamlite::Value;
 
 /// A `ResourceRequirement` subset.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct ResourceRequirement {
-    pub cores_min: Option<i64>,
-    pub ram_min: Option<i64>,
-    pub cores_max: Option<i64>,
-    pub ram_max: Option<i64>,
+pub(crate) struct ResourceRequirement {
+    pub(crate) cores_min: Option<i64>,
+    pub(crate) ram_min: Option<i64>,
+    pub(crate) cores_max: Option<i64>,
+    pub(crate) ram_max: Option<i64>,
 }
 
 /// One `InitialWorkDirRequirement` listing entry. The runner does not
@@ -18,14 +18,14 @@ pub struct ResourceRequirement {
 /// staged input is a shared-object mutation hazard, and literal entry
 /// names join the step's static write-set.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct WorkdirEntry {
+pub(crate) struct WorkdirEntry {
     /// `entryname:` — the file name created in the working directory.
-    pub entryname: Option<String>,
+    pub(crate) entryname: Option<String>,
     /// `entry:` — the content (a literal or an expression like
     /// `$(inputs.x)`).
-    pub entry: Option<String>,
+    pub(crate) entry: Option<String>,
     /// `writable: true` requests an in-place mutable copy.
-    pub writable: bool,
+    pub(crate) writable: bool,
 }
 
 /// Parsed requirements of a tool or workflow.
@@ -33,7 +33,7 @@ pub struct WorkdirEntry {
 pub struct Requirements {
     /// `InlineJavascriptRequirement` present; carries any `expressionLib`
     /// source blocks.
-    pub inline_javascript: bool,
+    pub(crate) inline_javascript: bool,
     /// JS expression library sources.
     pub js_expression_lib: Vec<String>,
     /// The paper's `InlinePythonRequirement`; carries `expressionLib`
@@ -42,24 +42,24 @@ pub struct Requirements {
     /// Python expression library sources.
     pub py_expression_lib: Vec<String>,
     /// `EnvVarRequirement` entries.
-    pub env_vars: Vec<(String, String)>,
+    pub(crate) env_vars: Vec<(String, String)>,
     /// `ResourceRequirement`.
-    pub resources: Option<ResourceRequirement>,
+    pub(crate) resources: Option<ResourceRequirement>,
     /// `StepInputExpressionRequirement` (allows `valueFrom` on step inputs).
-    pub step_input_expression: bool,
+    pub(crate) step_input_expression: bool,
     /// `ScatterFeatureRequirement`.
-    pub scatter: bool,
+    pub(crate) scatter: bool,
     /// `SubworkflowFeatureRequirement`.
     pub subworkflow: bool,
     /// `InitialWorkDirRequirement` listing entries (parsed for the effect
     /// analysis even though the class itself is on the ignored list).
-    pub initial_workdir: Vec<WorkdirEntry>,
+    pub(crate) initial_workdir: Vec<WorkdirEntry>,
     /// Requirement classes we recognized but deliberately ignore
     /// (e.g. DockerRequirement — containers are out of scope; recorded so
     /// validation can warn).
-    pub ignored: Vec<String>,
+    pub(crate) ignored: Vec<String>,
     /// Requirement classes we did not recognize at all.
-    pub unknown: Vec<String>,
+    pub(crate) unknown: Vec<String>,
 }
 
 impl Requirements {
@@ -168,7 +168,7 @@ impl Requirements {
 
     /// Merge another requirement set in (workflow-level requirements apply
     /// to steps unless overridden).
-    pub fn merge_from(&mut self, outer: &Requirements) {
+    pub(crate) fn merge_from(&mut self, outer: &Requirements) {
         self.inline_javascript |= outer.inline_javascript;
         self.inline_python |= outer.inline_python;
         for lib in &outer.js_expression_lib {

@@ -21,7 +21,7 @@ pub struct InputBinding {
 
 impl InputBinding {
     /// Parse from a document node.
-    pub fn parse(v: &Value) -> Result<Self, String> {
+    pub(crate) fn parse(v: &Value) -> Result<Self, String> {
         let m = v
             .as_map()
             .ok_or_else(|| format!("inputBinding must be a map, got {v:?}"))?;
@@ -69,7 +69,7 @@ pub struct OutputParam {
     /// `outputBinding.glob` — the file (or expression) to collect.
     pub glob: Option<String>,
     /// Documentation string.
-    pub doc: Option<String>,
+    pub(crate) doc: Option<String>,
 }
 
 /// A literal or bound extra argument (`arguments:` section).
@@ -78,11 +78,11 @@ pub struct Argument {
     /// The value: a literal or an expression string.
     pub value: Value,
     /// Sort position.
-    pub position: i64,
+    pub(crate) position: i64,
     /// Optional prefix.
-    pub prefix: Option<String>,
+    pub(crate) prefix: Option<String>,
     /// Whether prefix and value are separate argv entries.
-    pub separate: bool,
+    pub(crate) separate: bool,
 }
 
 /// A parsed `class: CommandLineTool` document.
@@ -231,11 +231,6 @@ impl CommandLineTool {
     pub fn input(&self, id: &str) -> Option<&InputParam> {
         self.inputs.iter().find(|p| p.id == id)
     }
-
-    /// Look up an output parameter by id.
-    pub fn output(&self, id: &str) -> Option<&OutputParam> {
-        self.outputs.iter().find(|p| p.id == id)
-    }
 }
 
 /// Parse a CWL parameter section, which may be a map (`id: {..}` /
@@ -361,7 +356,12 @@ outputs:
             Some("--size")
         );
         assert_eq!(
-            tool.output("resized").unwrap().glob.as_deref(),
+            tool.outputs
+                .iter()
+                .find(|p| p.id == "resized")
+                .unwrap()
+                .glob
+                .as_deref(),
             Some("$(inputs.output_image)")
         );
     }

@@ -32,7 +32,7 @@ impl CwlType {
     /// Parse a type from its document representation: a plain string
     /// (`"string"`, `"File[]"`, `"int?"`), a `{type: array, items: ...}`
     /// map, or a `[null, X]` union (optional).
-    pub fn parse(v: &Value) -> Result<Self, String> {
+    pub(crate) fn parse(v: &Value) -> Result<Self, String> {
         match v {
             Value::Str(s) => Self::parse_str(s),
             Value::Map(m) => {
@@ -96,7 +96,7 @@ impl CwlType {
     /// Whether `value` conforms to this type. File values are accepted as
     /// path strings or `{class: File}` objects (normalization happens in
     /// [`crate::input`]).
-    pub fn accepts(&self, value: &Value) -> bool {
+    pub(crate) fn accepts(&self, value: &Value) -> bool {
         match self {
             CwlType::Null => value.is_null(),
             CwlType::Boolean => matches!(value, Value::Bool(_)),
@@ -130,15 +130,6 @@ impl CwlType {
     /// Whether null is acceptable (optional or null type).
     pub fn allows_null(&self) -> bool {
         matches!(self, CwlType::Null | CwlType::Optional(_))
-    }
-
-    /// Whether this type denotes a (possibly optional) File.
-    pub fn is_file_like(&self) -> bool {
-        match self {
-            CwlType::File | CwlType::Directory => true,
-            CwlType::Optional(inner) | CwlType::Array(inner) => inner.is_file_like(),
-            _ => false,
-        }
     }
 }
 
@@ -246,14 +237,6 @@ mod tests {
         assert!(opt.accepts(&Value::Int(1)));
         assert!(opt.allows_null());
         assert!(!CwlType::Int.allows_null());
-    }
-
-    #[test]
-    fn file_likeness() {
-        assert!(CwlType::File.is_file_like());
-        assert!(CwlType::Array(Box::new(CwlType::File)).is_file_like());
-        assert!(CwlType::Optional(Box::new(CwlType::File)).is_file_like());
-        assert!(!CwlType::Str.is_file_like());
     }
 
     #[test]

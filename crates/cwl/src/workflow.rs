@@ -13,14 +13,14 @@ pub struct WorkflowInput {
     pub id: String,
     pub typ: CwlType,
     pub default: Option<Value>,
-    pub doc: Option<String>,
+    pub(crate) doc: Option<String>,
 }
 
 /// A workflow-level output, wired from a step output.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkflowOutput {
     pub id: String,
-    pub typ: CwlType,
+    pub(crate) typ: CwlType,
     /// `step/output` (or a workflow input id) this output forwards.
     pub output_source: String,
 }
@@ -94,9 +94,9 @@ impl Step {
 /// A parsed `class: Workflow` document.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Workflow {
-    pub id: Option<String>,
-    pub cwl_version: String,
-    pub doc: Option<String>,
+    pub(crate) id: Option<String>,
+    pub(crate) cwl_version: String,
+    pub(crate) doc: Option<String>,
     pub inputs: Vec<WorkflowInput>,
     pub outputs: Vec<WorkflowOutput>,
     pub steps: Vec<Step>,
@@ -176,7 +176,7 @@ impl Workflow {
     }
 
     /// Find a step by id.
-    pub fn step(&self, id: &str) -> Option<&Step> {
+    pub(crate) fn step(&self, id: &str) -> Option<&Step> {
         self.steps.iter().find(|s| s.id == id)
     }
 
