@@ -14,7 +14,7 @@ pub struct ToolRun {
     /// The collected output object (output id → value).
     pub outputs: Map,
     /// The command line that ran (for logs and reports).
-    pub command: Vec<String>,
+    pub(crate) command: Vec<String>,
 }
 
 /// Execute one `CommandLineTool` in `workdir`:

@@ -29,10 +29,12 @@
 //! and step outputs. The ready-wave executor in `runners` and the Parsl
 //! workflow compiler in `cwl_parsl` both bind a step instance through it.
 
-pub mod dispatch;
-pub mod engine;
-pub mod exec;
-pub mod staging;
+#![warn(unreachable_pub)]
+
+pub(crate) mod dispatch;
+pub(crate) mod engine;
+pub(crate) mod exec;
+pub(crate) mod staging;
 pub mod step;
 
 pub use dispatch::{BuiltinDispatch, FlakyDispatch, SubprocessDispatch, ToolDispatch};
