@@ -234,8 +234,6 @@ pub mod names {
     pub const HTEX_BLOCKS_REPLACED: &str = "parsl.htex.blocks_replaced";
     /// Counter: provider blocks added after start (scaling + replacement).
     pub const HTEX_BLOCKS_ADDED: &str = "parsl.htex.blocks_added";
-    /// Counter: scale-out events fired by the elastic strategy.
-    pub const STRATEGY_SCALE_OUTS: &str = "parsl.strategy.scale_outs";
     /// Counter: provider provision calls.
     pub const PROVIDER_PROVISIONS: &str = "parsl.provider.provisions";
     /// Histogram: provider provision latency, µs.

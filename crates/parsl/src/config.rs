@@ -98,7 +98,11 @@ impl RetryPolicy {
     /// non-finite or out-of-range `jitter_frac` is clamped into `[0, 1]`
     /// here rather than handed to the jitter draw, where a negative
     /// fraction would make the range empty.
-    pub fn backoff_for_seeded(&self, retry_index: usize, rng: &mut simtest::SimRng) -> Duration {
+    pub(crate) fn backoff_for_seeded(
+        &self,
+        retry_index: usize,
+        rng: &mut simtest::SimRng,
+    ) -> Duration {
         if self.initial_backoff.is_zero() || retry_index == 0 {
             return Duration::ZERO;
         }
@@ -153,7 +157,7 @@ pub struct Config {
     /// App memoization (Parsl's `memoize=True`): a task whose label and
     /// resolved input values match a previously *successful* task returns
     /// the cached result without re-executing.
-    pub memoize: bool,
+    pub(crate) memoize: bool,
     /// Label for logs.
     pub label: String,
     /// Observability: span/metric/lineage recording and trace export
@@ -166,23 +170,23 @@ pub struct Config {
     /// run's journal instead ([`crate::DataFlowKernel::attach_run_journal`]),
     /// through the same binding. Seed the memo table from a loaded journal
     /// with [`crate::DataFlowKernel::seed_checkpoint`].
-    pub checkpoint: Option<Arc<ckpt::Journal>>,
+    pub(crate) checkpoint: Option<Arc<ckpt::Journal>>,
     /// Time source for every kernel-side sleep and timestamp (retry
     /// backoff, heartbeats, monitoring). The process-wide real clock by
     /// default; a [`simtest::VirtualClock`] under the deterministic
     /// simulation harness. Propagated into the HTEX executor when the
     /// kernel starts it.
-    pub clock: simtest::ClockRef,
+    pub(crate) clock: simtest::ClockRef,
     /// Seed for the kernel's RNG (retry jitter). `None` (the default)
     /// seeds from entropy; `Some(s)` makes the backoff schedule a pure
     /// function of the seed, for replayable simulation runs.
-    pub seed: Option<u64>,
+    pub(crate) seed: Option<u64>,
     /// Dispatch gate for multi-run service scheduling: when set, every
     /// *tagged* task whose dependencies are met is offered to the gate
     /// instead of dispatching straight to the executor, so a fair-share
     /// scheduler can decide which run's tasks go next. Untagged tasks
     /// bypass the gate.
-    pub gate: Option<Arc<dyn crate::dfk::DispatchGate>>,
+    pub(crate) gate: Option<Arc<dyn crate::dfk::DispatchGate>>,
 }
 
 impl Config {
@@ -225,12 +229,6 @@ impl Config {
     /// Replace the whole retry policy.
     pub fn with_retry_policy(mut self, policy: RetryPolicy) -> Self {
         self.retry = policy;
-        self
-    }
-
-    /// Set a per-attempt walltime limit.
-    pub fn with_walltime(mut self, walltime: Duration) -> Self {
-        self.retry.walltime = Some(walltime);
         self
     }
 
@@ -310,6 +308,14 @@ impl Config {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Config {
+        /// Set a per-attempt walltime limit.
+        pub(crate) fn with_walltime(mut self, walltime: Duration) -> Self {
+            self.retry.walltime = Some(walltime);
+            self
+        }
+    }
 
     #[test]
     fn builders() {

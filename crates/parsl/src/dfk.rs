@@ -101,7 +101,7 @@ pub struct RunTag {
 
 impl RunTag {
     /// The run's lineage namespace, as exported in the trace.
-    pub fn lineage_name(&self) -> String {
+    pub(crate) fn lineage_name(&self) -> String {
         format!("{}/run-{}", self.tenant, self.run)
     }
 }
@@ -124,11 +124,6 @@ impl GatedLaunch {
             .tag
             .as_ref()
             .expect("GatedLaunch exists only for tagged tasks")
-    }
-
-    /// Task label (app name).
-    pub fn label(&self) -> &str {
-        &self.task.label
     }
 
     /// Dispatch the task to the executor. The gate receives
@@ -586,11 +581,6 @@ impl DataFlowKernel {
         })
     }
 
-    /// The executor in use.
-    pub fn executor(&self) -> &Arc<dyn Executor> {
-        &self.executor
-    }
-
     /// This kernel's event counts and fault story, read from its obs
     /// registry and its executor's node table.
     pub fn monitoring(&self) -> Monitoring<'_> {
@@ -603,11 +593,6 @@ impl DataFlowKernel {
     /// This run's observability instance (spans, metrics, lineage).
     pub fn observability(&self) -> &Arc<Observability> {
         &self.obs
-    }
-
-    /// Number of tasks not yet in a terminal state.
-    pub fn outstanding(&self) -> usize {
-        usize::try_from(self.metrics.outstanding.value()).unwrap_or(0)
     }
 
     /// Seed the memo table from the kernel's journal's records — see
@@ -872,7 +857,6 @@ impl DataFlowKernel {
             .walltime
             .map(|walltime| (walltime, Arc::downgrade(&attempt)));
         self.executor.submit(TaskPayload {
-            id,
             attempt,
             ctx: SpanCtx {
                 lineage: id.0,
@@ -970,6 +954,13 @@ mod tests {
     use super::*;
     use crate::apps::FnApp;
     use std::time::Duration;
+
+    impl DataFlowKernel {
+        /// Number of tasks not yet in a terminal state.
+        fn outstanding(&self) -> usize {
+            usize::try_from(self.metrics.outstanding.value()).unwrap_or(0)
+        }
+    }
 
     fn dfk() -> Arc<DataFlowKernel> {
         DataFlowKernel::new(Config::local_threads(4))
@@ -1121,7 +1112,7 @@ mod tests {
             }),
         );
         let produced = DataFuture::new(crate::file::File::new(&out), fut.clone());
-        assert!(produced.result().unwrap().exists());
+        assert!(produced.result().unwrap().path().exists());
         assert_eq!(std::fs::read_to_string(&out).unwrap(), "payload\n");
         assert_eq!(fut.result().unwrap(), Value::Null);
         dfk.shutdown();
@@ -1158,7 +1149,7 @@ mod tests {
             }),
         );
         assert_eq!(consume.result().unwrap(), Value::str("chained-content"));
-        assert!(produced.result().unwrap().exists());
+        assert!(produced.result().unwrap().path().exists());
         dfk.shutdown();
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -10,7 +10,6 @@
 
 use crate::error::TaskError;
 use crate::future::TaskResult;
-use crate::task::TaskId;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use obs::{names, Observability, SpanCtx, SpanKind};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -32,7 +31,7 @@ use std::sync::Arc;
 ///
 /// An executor completes every payload it is given: with the outcome of a
 /// run, or with the error it fails the task with.
-pub trait Attempt: Send + Sync {
+pub(crate) trait Attempt: Send + Sync {
     /// Execute the task body once and return its outcome.
     fn run(&self) -> TaskResult;
     /// Resolve the attempt with `result`; only the first call has effect.
@@ -46,19 +45,17 @@ pub trait Attempt: Send + Sync {
 /// ledger accepts exactly one.
 #[derive(Clone)]
 pub struct TaskPayload {
-    /// Task identity (for logs).
-    pub id: TaskId,
     /// The attempt: runs the body and takes its outcome.
-    pub attempt: Arc<dyn Attempt>,
+    pub(crate) attempt: Arc<dyn Attempt>,
     /// Trace context: the lineage id and the dispatch span executor-side
     /// spans hang off. [`SpanCtx::NONE`] when monitoring is off.
-    pub ctx: SpanCtx,
+    pub(crate) ctx: SpanCtx,
 }
 
 impl TaskPayload {
     /// Execute the attempt's body, converting panics into
     /// [`TaskError::Panicked`] so one bad app cannot take down a worker.
-    pub fn run(&self) -> TaskResult {
+    pub(crate) fn run(&self) -> TaskResult {
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.attempt.run())) {
             Ok(result) => result,
             Err(payload) => {
@@ -73,7 +70,7 @@ impl TaskPayload {
     }
 
     /// Resolve the attempt (first completion wins).
-    pub fn complete(&self, result: TaskResult) {
+    pub(crate) fn complete(&self, result: TaskResult) {
         self.attempt.complete(result);
     }
 }
@@ -110,7 +107,7 @@ enum Msg {
 
 /// A fixed-size pool of worker threads fed from one queue — the
 /// `ThreadPoolExecutor` of the paper's single-node runs.
-pub struct ThreadPoolExecutor {
+pub(crate) struct ThreadPoolExecutor {
     label: String,
     tx: Sender<Msg>,
     workers: parking_lot::Mutex<Vec<std::thread::JoinHandle<()>>>,
@@ -121,7 +118,11 @@ pub struct ThreadPoolExecutor {
 impl ThreadPoolExecutor {
     /// Spawn a pool with `workers` threads that record their spans and
     /// metrics into `obs`, the kernel's observability handle.
-    pub fn new(label: impl Into<String>, workers: usize, obs: Arc<Observability>) -> Arc<Self> {
+    pub(crate) fn new(
+        label: impl Into<String>,
+        workers: usize,
+        obs: Arc<Observability>,
+    ) -> Arc<Self> {
         let workers = workers.max(1);
         let label = label.into();
         let (tx, rx) = unbounded::<Msg>();
@@ -242,7 +243,7 @@ pub(crate) mod tests {
         id: u64,
         body: impl Fn() -> TaskResult + Send + Sync + 'static,
     ) -> (AppFuture, TaskPayload) {
-        let (fut, promise) = promise_pair(TaskId(id));
+        let (fut, promise) = promise_pair(crate::task::TaskId(id));
         let attempt = Arc::new(FnAttempt {
             body,
             promise: Mutex::new(Some(promise)),
@@ -250,7 +251,6 @@ pub(crate) mod tests {
         (
             fut,
             TaskPayload {
-                id: TaskId(id),
                 attempt,
                 ctx: SpanCtx::NONE,
             },

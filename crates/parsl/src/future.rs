@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 use yamlite::Value;
 
 /// The outcome a future resolves to.
-pub type TaskResult = Result<Value, TaskError>;
+pub(crate) type TaskResult = Result<Value, TaskError>;
 
 type Callback = Box<dyn FnOnce(&TaskResult) + Send>;
 
@@ -99,11 +99,6 @@ impl AppFuture {
         self.id
     }
 
-    /// Whether the result is available.
-    pub fn done(&self) -> bool {
-        self.shared.state.lock().result.is_some()
-    }
-
     /// Block until the result is available and return it.
     pub fn result(&self) -> TaskResult {
         let mut st = self.shared.state.lock();
@@ -126,13 +121,13 @@ impl AppFuture {
     }
 
     /// Peek without blocking.
-    pub fn peek(&self) -> Option<TaskResult> {
+    pub(crate) fn peek(&self) -> Option<TaskResult> {
         self.shared.state.lock().result.clone()
     }
 
     /// Register a completion callback. If the future is already complete the
     /// callback runs immediately on the calling thread.
-    pub fn on_complete(&self, cb: impl FnOnce(&TaskResult) + Send + 'static) {
+    pub(crate) fn on_complete(&self, cb: impl FnOnce(&TaskResult) + Send + 'static) {
         let mut st = self.shared.state.lock();
         if let Some(r) = st.result.clone() {
             drop(st);
@@ -141,19 +136,6 @@ impl AppFuture {
             st.callbacks.push(Box::new(cb));
         }
     }
-
-    /// A future that is already complete (useful for literals and tests).
-    pub fn ready(id: TaskId, result: TaskResult) -> Self {
-        let (fut, promise) = promise_pair(id);
-        promise.complete(result);
-        fut
-    }
-}
-
-/// Wait for all futures to complete (any outcome). Returns their results in
-/// order. Equivalent to `concurrent.futures.wait(..., ALL_COMPLETED)`.
-pub fn wait_all(futures: &[AppFuture]) -> Vec<TaskResult> {
-    futures.iter().map(AppFuture::result).collect()
 }
 
 /// A future for a file an app will produce — Parsl's `DataFuture`. It
@@ -174,17 +156,12 @@ impl DataFuture {
 
     /// The file path this future will materialize (available immediately —
     /// paths are known before execution, like Parsl's `DataFuture.filepath`).
-    pub fn filepath(&self) -> &std::path::Path {
+    pub(crate) fn filepath(&self) -> &std::path::Path {
         self.file.path()
     }
 
-    /// The file object (path metadata only; may not exist yet).
-    pub fn file(&self) -> &File {
-        &self.file
-    }
-
     /// The producing task's future.
-    pub fn parent(&self) -> &AppFuture {
+    pub(crate) fn parent(&self) -> &AppFuture {
         &self.parent
     }
 
@@ -194,11 +171,6 @@ impl DataFuture {
         self.parent.result()?;
         Ok(self.file.clone())
     }
-
-    /// Whether the producing task has completed.
-    pub fn done(&self) -> bool {
-        self.parent.done()
-    }
 }
 
 #[cfg(test)]
@@ -206,12 +178,19 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    /// A future that is already complete.
+    fn ready(id: TaskId, result: TaskResult) -> AppFuture {
+        let (fut, promise) = promise_pair(id);
+        promise.complete(result);
+        fut
+    }
+
     #[test]
     fn complete_then_result() {
         let (fut, promise) = promise_pair(TaskId(1));
-        assert!(!fut.done());
+        assert!(fut.peek().is_none());
         promise.complete(Ok(Value::Int(42)));
-        assert!(fut.done());
+        assert!(fut.peek().is_some());
         assert_eq!(fut.result().unwrap(), Value::Int(42));
         assert_eq!(fut.peek().unwrap().unwrap(), Value::Int(42));
     }
@@ -264,7 +243,7 @@ mod tests {
 
     #[test]
     fn callback_after_completion_runs_inline() {
-        let fut = AppFuture::ready(TaskId(9), Err(TaskError::failed("x")));
+        let fut = ready(TaskId(9), Err(TaskError::failed("x")));
         let hits = Arc::new(AtomicUsize::new(0));
         let h = hits.clone();
         fut.on_complete(move |r| {
@@ -301,22 +280,11 @@ mod tests {
     }
 
     #[test]
-    fn wait_all_collects_in_order() {
-        let futs: Vec<AppFuture> = (0..4)
-            .map(|i| AppFuture::ready(TaskId(i), Ok(Value::Int(i as i64))))
-            .collect();
-        let results = wait_all(&futs);
-        for (i, r) in results.iter().enumerate() {
-            assert_eq!(r.clone().unwrap(), Value::Int(i as i64));
-        }
-    }
-
-    #[test]
     fn data_future_resolves_with_parent() {
         let (fut, promise) = promise_pair(TaskId(1));
         let df = DataFuture::new(File::new("/tmp/out.rimg"), fut);
         assert_eq!(df.filepath(), std::path::Path::new("/tmp/out.rimg"));
-        assert!(!df.done());
+        assert!(df.parent().peek().is_none());
         promise.complete(Ok(Value::Null));
         assert_eq!(
             df.result().unwrap().path(),
@@ -326,7 +294,7 @@ mod tests {
 
     #[test]
     fn data_future_propagates_failure() {
-        let fut = AppFuture::ready(TaskId(2), Err(TaskError::failed("producer died")));
+        let fut = ready(TaskId(2), Err(TaskError::failed("producer died")));
         let df = DataFuture::new(File::new("/tmp/x"), fut);
         assert!(df.result().is_err());
     }

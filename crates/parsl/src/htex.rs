@@ -245,7 +245,7 @@ impl HighThroughputExecutor {
 
     /// Provision `nodes` additional nodes and connect their managers.
     /// Returns the number of workers added.
-    pub fn add_block(self: &Arc<Self>, nodes: usize) -> Result<usize, String> {
+    pub(crate) fn add_block(self: &Arc<Self>, nodes: usize) -> Result<usize, String> {
         let obs = &self.obs;
         // Covers the provider round-trip (batch-queue wait included). An
         // unfinished span from an Err return is simply dropped.
@@ -369,7 +369,7 @@ impl HighThroughputExecutor {
     }
 
     /// Number of live managers (nodes) currently connected.
-    pub fn manager_count(&self) -> usize {
+    pub(crate) fn manager_count(&self) -> usize {
         self.managers
             .lock()
             .iter()
@@ -387,23 +387,6 @@ impl HighThroughputExecutor {
                 .filter(|m| !m.dead.load(Ordering::SeqCst))
                 .cloned(),
         );
-    }
-
-    /// The observability instance this executor records into.
-    pub fn observability(&self) -> Arc<Observability> {
-        self.obs.clone()
-    }
-
-    /// The executor's time source (real or virtual) — shared with the
-    /// scaling strategy so its polling interval runs on the same clock.
-    pub fn clock(&self) -> simtest::ClockRef {
-        self.clock.clone()
-    }
-
-    /// Tasks submitted but not yet finished — the backlog signal the
-    /// scaling strategy watches.
-    pub fn outstanding_tasks(&self) -> usize {
-        self.outstanding.load(Ordering::SeqCst)
     }
 
     /// Names of connected nodes the monitor has not declared dead.
@@ -924,6 +907,13 @@ mod tests {
     use gridsim::{BatchScheduler, ClusterSpec, SchedulerConfig};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use yamlite::Value;
+
+    impl HighThroughputExecutor {
+        /// Tasks submitted but not yet finished.
+        fn outstanding_tasks(&self) -> usize {
+            self.outstanding.load(Ordering::SeqCst)
+        }
+    }
 
     fn no_latency(label: &str, nodes: usize, wpn: usize) -> HtexConfig {
         HtexConfig {

@@ -47,31 +47,30 @@
 //! dfk.shutdown();
 //! ```
 
+#![warn(unreachable_pub)]
+
 pub mod apps;
-pub mod config;
-pub mod dfk;
-pub mod error;
-pub mod executor;
-pub mod file;
+pub(crate) mod config;
+pub(crate) mod dfk;
+pub(crate) mod error;
+pub(crate) mod executor;
+pub(crate) mod file;
 pub mod future;
-pub mod htex;
-pub mod monitoring;
-pub mod provider;
-pub mod strategy;
-pub mod task;
+pub(crate) mod htex;
+pub(crate) mod monitoring;
+pub(crate) mod provider;
+pub(crate) mod task;
 mod timer;
 
 pub use apps::{AppBody, FnApp};
 pub use config::{Capacity, Config, ExecutorChoice, RetryPolicy};
 pub use dfk::{AppArg, CkptStats, DataFlowKernel, DispatchGate, GatedLaunch, RunTag};
 pub use error::TaskError;
-pub use executor::{Executor, TaskPayload, ThreadPoolExecutor};
 pub use file::File;
 pub use future::{AppFuture, DataFuture, Promise};
 pub use htex::{HighThroughputExecutor, HtexConfig};
 pub use monitoring::{FaultSummary, Monitoring, TaskSummary};
 pub use provider::{LocalProvider, NodeHandle, Provider, SlurmProvider};
-pub use strategy::{ScalingPolicy, Strategy};
 pub use task::TaskId;
 
 // Re-export the observability surface callers need to configure and read

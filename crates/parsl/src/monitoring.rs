@@ -11,14 +11,14 @@ use std::time::Duration;
 /// Aggregated counts per event kind.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TaskSummary {
-    pub submitted: usize,
+    pub(crate) submitted: usize,
     pub completed: usize,
     pub failed: usize,
     pub retried: usize,
     pub memoized: usize,
     pub node_lost: usize,
-    pub redispatched: usize,
-    pub timed_out: usize,
+    pub(crate) redispatched: usize,
+    pub(crate) timed_out: usize,
     pub blocks_replaced: usize,
 }
 
@@ -31,11 +31,11 @@ pub struct FaultSummary {
     /// Tasks re-queued off dead nodes.
     pub tasks_redispatched: usize,
     /// Attempts stopped by their walltime.
-    pub tasks_timed_out: usize,
+    pub(crate) tasks_timed_out: usize,
     /// Replacement blocks provisioned to restore capacity.
     pub blocks_replaced: usize,
     /// Attempts retried by the dataflow kernel.
-    pub retries: usize,
+    pub(crate) retries: usize,
 }
 
 /// A kernel's monitoring view: its obs counters and its executor's node

@@ -11,7 +11,7 @@ use std::time::Duration;
 /// A granted compute node, with a release hook back to its provider.
 pub struct NodeHandle {
     /// The node's spec (name, cores).
-    pub spec: NodeSpec,
+    pub(crate) spec: NodeSpec,
     /// The pilot job this node belongs to (None for local provisioning).
     job: Option<JobHandle>,
 }
@@ -26,7 +26,7 @@ impl std::fmt::Debug for NodeHandle {
 
 impl NodeHandle {
     /// Logical cores on this node.
-    pub fn cores(&self) -> usize {
+    pub(crate) fn cores(&self) -> usize {
         self.spec.cores
     }
 }
@@ -63,14 +63,6 @@ impl LocalProvider {
             cores_per_node: cores_per_node.max(1),
         }
     }
-
-    /// Use the host's available parallelism.
-    pub fn auto() -> Self {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4);
-        Self::new(cores)
-    }
 }
 
 impl Provider for LocalProvider {
@@ -101,7 +93,7 @@ impl Provider for LocalProvider {
 pub struct SlurmProvider {
     scheduler: BatchScheduler,
     /// How long to wait for the pilot job to leave the queue.
-    pub queue_timeout: Duration,
+    pub(crate) queue_timeout: Duration,
     label: String,
 }
 
@@ -113,11 +105,6 @@ impl SlurmProvider {
             queue_timeout: Duration::from_secs(300),
             label: "slurm".to_string(),
         }
-    }
-
-    /// Access the underlying scheduler (e.g. for queue statistics).
-    pub fn scheduler(&self) -> &BatchScheduler {
-        &self.scheduler
     }
 }
 
@@ -182,13 +169,6 @@ mod tests {
         assert_eq!(nodes.len(), 3);
         assert_eq!(nodes[0].cores(), 8);
         p.release(nodes);
-    }
-
-    #[test]
-    fn local_provider_auto_detects() {
-        let p = LocalProvider::auto();
-        let nodes = p.provision(1).unwrap();
-        assert!(nodes[0].cores() >= 1);
     }
 
     #[test]
