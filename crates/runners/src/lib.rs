@@ -13,15 +13,16 @@
 //! through [`gridsim::pay`] and globally scalable via
 //! [`gridsim::TimeScale`].
 
-pub mod pool;
-pub mod profile;
-pub mod refrunner;
-pub mod report;
-pub mod toil;
-pub mod wfexec;
+#![warn(unreachable_pub)]
+
+pub(crate) mod pool;
+pub(crate) mod profile;
+pub(crate) mod refrunner;
+pub(crate) mod report;
+pub(crate) mod toil;
+pub(crate) mod wfexec;
 
 pub use profile::ExecProfile;
 pub use refrunner::RefRunner;
 pub use report::RunReport;
 pub use toil::ToilRunner;
-pub use wfexec::WorkflowExecutor;

@@ -5,7 +5,7 @@ use crossbeam::channel::unbounded;
 
 /// Run `jobs` with at most `slots` running concurrently. Results come back
 /// in job order. Panics in jobs are isolated per job and reported as `Err`.
-pub fn run_parallel<T, F>(jobs: Vec<F>, slots: usize) -> Vec<Result<T, String>>
+pub(crate) fn run_parallel<T, F>(jobs: Vec<F>, slots: usize) -> Vec<Result<T, String>>
 where
     T: Send,
     F: FnOnce() -> Result<T, String> + Send,

@@ -13,47 +13,47 @@ use std::time::Duration;
 #[derive(Clone)]
 pub struct ExecProfile {
     /// Runner name for reports.
-    pub name: String,
+    pub(crate) name: String,
     /// Concurrent job slots (the paper configures "all cores on the
     /// allocated nodes").
-    pub slots: usize,
+    pub(crate) slots: usize,
     /// Interpreter/process start-up paid per task (cwltool forks a Python
     /// job runner per step; measured CPython start-up is ~25 ms). Paid on
     /// the worker, so it overlaps across slots.
-    pub per_task_overhead: Duration,
+    pub(crate) per_task_overhead: Duration,
     /// Coordinator-side job construction paid per task, **serialized** on
     /// the scheduling thread (cwltool/Toil build each job's object —
     /// deep-copying the job order, provenance records — in the main
     /// process before dispatch).
-    pub setup_per_task: Duration,
+    pub(crate) setup_per_task: Duration,
     /// Additional serialized coordinator cost per KiB of the job's input
     /// object (the deep copies grow with the inputs; this is what makes
     /// expression-heavy workflows with large contexts superlinear).
-    pub setup_per_kib: Duration,
+    pub(crate) setup_per_kib: Duration,
     /// Re-parse and re-validate the step's CWL document per task, as
     /// cwltool's per-job pipeline effectively does (real CPU work).
     pub revalidate_per_task: bool,
     /// Cost model for JavaScript expression evaluation (node process
     /// spawn + context marshalling).
-    pub js_cost: JsCostModel,
+    pub(crate) js_cost: JsCostModel,
     /// Batch-system submit latency per task (Toil's sbatch round trip).
-    pub submit_latency: Duration,
+    pub(crate) submit_latency: Duration,
     /// Leader poll interval; completed tasks become visible half an
     /// interval later on average (Toil's polling leader).
-    pub poll_interval: Duration,
+    pub(crate) poll_interval: Duration,
     /// Write job/result files into this job store per task (Toil's
     /// file-backed job store; real I/O).
-    pub job_store: Option<PathBuf>,
+    pub(crate) job_store: Option<PathBuf>,
     /// Run the `cwl::analyze` static pass before execution and refuse to
     /// start when it reports errors (cwltool's pre-flight `--validate`
     /// role, but with typed dataflow + expression linting).
-    pub precheck: bool,
+    pub(crate) precheck: bool,
     /// Under `precheck`, also refuse to start on warnings.
-    pub precheck_strict: bool,
+    pub(crate) precheck_strict: bool,
     /// Data-plane configuration. The baseline profiles stage by byte
     /// copy (what cwltool and Toil actually do); `bare` uses the
     /// zero-copy ladder.
-    pub staging: StagingSettings,
+    pub(crate) staging: StagingSettings,
 }
 
 impl ExecProfile {
@@ -79,7 +79,7 @@ impl ExecProfile {
     /// `cwltool --parallel`: thread-per-ready-job scheduling, per-job Python
     /// process start-up, per-job document re-processing, node-per-expression
     /// JS evaluation.
-    pub fn cwltool_like(slots: usize) -> Self {
+    pub(crate) fn cwltool_like(slots: usize) -> Self {
         Self {
             name: "cwltool".to_string(),
             slots,
@@ -102,7 +102,7 @@ impl ExecProfile {
 
     /// `toil-cwl-runner` with the slurm batch system: job-store round trips,
     /// sbatch submit latency, polling leader, node-per-expression JS.
-    pub fn toil_like(slots: usize, job_store: PathBuf) -> Self {
+    pub(crate) fn toil_like(slots: usize, job_store: PathBuf) -> Self {
         Self {
             name: "toil".to_string(),
             slots,

@@ -87,11 +87,14 @@ mod tests {
             )
             .unwrap();
         assert_eq!(report.tasks, 1);
-        assert_eq!(report.run_dir.parent(), Some(dir.as_path()));
-        assert_eq!(
-            std::fs::read_to_string(report.run_dir.join("hello.txt")).unwrap(),
-            "from refrunner\n"
-        );
+        // The tool ran in the run's private directory under `dir`.
+        let out = report.outputs.get("output").unwrap()["path"]
+            .as_str()
+            .unwrap();
+        let out = std::path::Path::new(out);
+        assert_eq!(out.file_name().unwrap(), "hello.txt");
+        assert_eq!(out.parent().unwrap().parent(), Some(dir.as_path()));
+        assert_eq!(std::fs::read_to_string(out).unwrap(), "from refrunner\n");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

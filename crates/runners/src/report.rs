@@ -1,6 +1,5 @@
 //! Run reports: what a runner returns besides the output object.
 
-use std::path::PathBuf;
 use std::time::Duration;
 use yamlite::Map;
 
@@ -8,7 +7,7 @@ use yamlite::Map;
 #[derive(Debug, Clone)]
 pub struct RunReport {
     /// Runner name.
-    pub runner: String,
+    pub(crate) runner: String,
     /// The top-level output object.
     pub outputs: Map,
     /// Number of leaf tool tasks executed (scatter instances count
@@ -16,14 +15,11 @@ pub struct RunReport {
     pub tasks: usize,
     /// Wall-clock makespan.
     pub elapsed: Duration,
-    /// The run's private staging directory (a unique `run-*` subdirectory
-    /// of the caller's workdir; all job directories live under it).
-    pub run_dir: PathBuf,
 }
 
 impl RunReport {
     /// Tasks per second over the whole run.
-    pub fn throughput(&self) -> f64 {
+    pub(crate) fn throughput(&self) -> f64 {
         if self.elapsed.is_zero() {
             return f64::INFINITY;
         }
@@ -55,7 +51,6 @@ mod tests {
             outputs: Map::new(),
             tasks: 10,
             elapsed: Duration::from_secs(2),
-            run_dir: PathBuf::from("w/run-0"),
         };
         assert_eq!(r.throughput(), 5.0);
         assert!(r.to_string().contains("10 tasks in 2.000s"));

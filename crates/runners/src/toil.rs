@@ -53,17 +53,6 @@ impl ToilRunner {
         self.exec
             .run_docs(&cwl::DocSet::load(path), inputs, workdir)
     }
-
-    /// Number of job files currently in the job store.
-    pub fn job_store_entries(&self) -> usize {
-        std::fs::read_dir(&self.job_store)
-            .map(|rd| {
-                rd.filter_map(Result::ok)
-                    .filter(|e| e.path().extension().is_some_and(|x| x == "yml"))
-                    .count()
-            })
-            .unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -71,6 +60,19 @@ mod tests {
     use super::*;
     use cwlexec::BuiltinDispatch;
     use yamlite::{vmap, Value};
+
+    impl ToilRunner {
+        /// Number of job files currently in the job store.
+        fn job_store_entries(&self) -> usize {
+            std::fs::read_dir(&self.job_store)
+                .map(|rd| {
+                    rd.filter_map(Result::ok)
+                        .filter(|e| e.path().extension().is_some_and(|x| x == "yml"))
+                        .count()
+                })
+                .unwrap_or(0)
+        }
+    }
 
     fn fixtures() -> PathBuf {
         Path::new(env!("CARGO_MANIFEST_DIR")).join("../../fixtures")

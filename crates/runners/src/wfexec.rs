@@ -25,9 +25,9 @@ use yamlite::{Map, Value};
 
 /// The generic executor. See [`crate::RefRunner`] / [`crate::ToilRunner`]
 /// for the configured baselines.
-pub struct WorkflowExecutor {
+pub(crate) struct WorkflowExecutor {
     /// Cost/scheduling profile.
-    pub profile: ExecProfile,
+    pub(crate) profile: ExecProfile,
     dispatch: Arc<dyn ToolDispatch>,
     tasks: AtomicUsize,
     /// Per-run observability; `None` falls back to the process-global
@@ -37,7 +37,7 @@ pub struct WorkflowExecutor {
 
 impl WorkflowExecutor {
     /// Build an executor.
-    pub fn new(profile: ExecProfile, dispatch: Arc<dyn ToolDispatch>) -> Self {
+    pub(crate) fn new(profile: ExecProfile, dispatch: Arc<dyn ToolDispatch>) -> Self {
         Self {
             profile,
             dispatch,
@@ -48,7 +48,7 @@ impl WorkflowExecutor {
 
     /// Attach a per-run observability instance (traces + lineage for this
     /// executor's runs land there instead of the process-global one).
-    pub fn with_observability(mut self, obs: Arc<Observability>) -> Self {
+    pub(crate) fn with_observability(mut self, obs: Arc<Observability>) -> Self {
         self.obs = Some(obs);
         self
     }
@@ -61,7 +61,7 @@ impl WorkflowExecutor {
     /// all working files under `workdir`. Works for both CommandLineTools
     /// and Workflows (including scatter and subworkflows); every file the
     /// run needs comes from `docs`.
-    pub fn run_docs(
+    pub(crate) fn run_docs(
         &self,
         docs: &DocSet,
         provided: &Map,
@@ -135,7 +135,6 @@ impl WorkflowExecutor {
             outputs,
             tasks: self.tasks.load(Ordering::SeqCst),
             elapsed: start.elapsed(),
-            run_dir,
         })
     }
 
