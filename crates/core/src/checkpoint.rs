@@ -78,7 +78,7 @@ impl PreparedCkpt {
 }
 
 /// Resolve where the journal lives for this run.
-pub fn journal_path(settings: &CheckpointSettings, workdir: &Path) -> PathBuf {
+pub(crate) fn journal_path(settings: &CheckpointSettings, workdir: &Path) -> PathBuf {
     settings
         .dir
         .clone()

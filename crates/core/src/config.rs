@@ -122,7 +122,7 @@ pub struct RunnerConfig {
 #[derive(Clone, Debug, PartialEq)]
 pub struct ServeSettings {
     /// Unix-domain socket path; `None` defaults to `<workdir>/serve.sock`.
-    pub socket: Option<PathBuf>,
+    pub(crate) socket: Option<PathBuf>,
     /// Maximum number of runs executing concurrently; further admitted
     /// runs wait in the queue.
     pub max_in_flight: usize,
@@ -203,7 +203,7 @@ impl CheckpointSettings {
 
 /// What a key's value must be.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Kind {
+pub(crate) enum Kind {
     /// A map of the rows one level below (an empty value counts as `{}`).
     Block,
     /// A list of such maps, checked against the rows below `<path>[]`.
@@ -228,16 +228,16 @@ pub enum Kind {
 
 /// One row of the config schema.
 #[derive(Clone, Copy, Debug)]
-pub struct Key {
+pub(crate) struct Key {
     /// Dotted path from the top of the file; `[]` stands for every entry
     /// of a list.
-    pub path: &'static str,
-    pub kind: Kind,
+    pub(crate) path: &'static str,
+    pub(crate) kind: Kind,
     /// What an absent key means, as YAML. Empty when the reader computes
     /// it (host cores, a path under the workdir: see the reference above).
-    pub default: &'static str,
+    pub(crate) default: &'static str,
     /// Only the HTEX executor reads it, so a thread pool warns W120.
-    pub htex_only: bool,
+    pub(crate) htex_only: bool,
 }
 
 const fn key(path: &'static str, kind: Kind, default: &'static str) -> Key {
@@ -260,7 +260,7 @@ const HTEX_KINDS: &[&str] = &["htex", "high-throughput"];
 
 /// The config schema: every key there is.
 #[rustfmt::skip]
-pub const KEYS: &[Key] = &[
+pub(crate) const KEYS: &[Key] = &[
     key("executor",                        Block,       ""),
     key("executor.kind",                   Enum(&["thread-pool", "threads", "local-threads", "htex", "high-throughput"]), "thread-pool"),
     key("executor.workers",                Int(1),      ""),
@@ -395,20 +395,20 @@ fn misfit(kind: Kind, v: &Value) -> Option<String> {
 
 /// What [`read_config`] makes of one config.
 #[derive(Default)]
-pub struct Reading {
+pub(crate) struct Reading {
     /// The config, when no finding was an error.
-    pub config: Option<RunnerConfig>,
+    pub(crate) config: Option<RunnerConfig>,
     /// The checkpoint journal directory the config pins, and the key that
     /// pins it (`parsl-lint`'s cross-file W121 compares these). `None`
     /// when checkpointing is off or the journal lands in the per-process
     /// temp workdir, which is unique by construction.
-    pub journal: Option<(PathBuf, &'static str)>,
+    pub(crate) journal: Option<(PathBuf, &'static str)>,
 }
 
 /// Read a config: check `doc` against [`KEYS`] in one walk, report every
 /// finding to `sink`, and build the [`RunnerConfig`] when none is an
 /// error.
-pub fn read_config(doc: &Value, sink: &mut Sink) -> Reading {
+pub(crate) fn read_config(doc: &Value, sink: &mut Sink) -> Reading {
     let mut pass = Pass {
         sink,
         found: BTreeMap::new(),

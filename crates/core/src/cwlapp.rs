@@ -16,25 +16,25 @@ use yamlite::{Map, Value};
 /// Options controlling how a [`CwlApp`] executes its tool.
 pub struct CwlAppOptions {
     /// Base directory for per-invocation working directories.
-    pub workdir_base: PathBuf,
+    pub(crate) workdir_base: PathBuf,
     /// Run recognized workload tools in-process instead of spawning
     /// subprocesses (hermetic benchmarking; see [`BuiltinDispatch`]).
-    pub builtin_tools: bool,
+    pub(crate) builtin_tools: bool,
     /// Explicit dispatch override (failure injection, custom sandboxes);
     /// takes precedence over `builtin_tools`.
-    pub dispatch: Option<Arc<dyn ToolDispatch>>,
+    pub(crate) dispatch: Option<Arc<dyn ToolDispatch>>,
     /// Data-plane configuration (`staging:` block); used to open a
     /// per-run content store under `workdir_base` unless `stager` is set.
-    pub staging: StagingSettings,
+    pub(crate) staging: StagingSettings,
     /// Pre-built stager shared across apps in one run (the CLI builds one
     /// so every task and the prestage pool hit the same store and the
     /// run can publish one set of stage counters).
-    pub stager: Option<Arc<Stager>>,
+    pub(crate) stager: Option<Arc<Stager>>,
     /// Service run tag: when set, every task submitted through this app
     /// (or a workflow runner built from these options) carries the run's
     /// identity — fair-share scheduling, per-run journaling, and lineage
     /// namespacing all key off it.
-    pub run_tag: Option<parsl::RunTag>,
+    pub(crate) run_tag: Option<parsl::RunTag>,
 }
 
 impl Default for CwlAppOptions {
@@ -130,9 +130,9 @@ pub struct CwlRun {
     /// Resolves to the collected CWL output object.
     pub future: AppFuture,
     /// File outputs, in the tool's output declaration order.
-    pub outputs: Vec<DataFuture>,
+    pub(crate) outputs: Vec<DataFuture>,
     /// This invocation's working directory.
-    pub workdir: PathBuf,
+    pub(crate) workdir: PathBuf,
 }
 
 impl CwlRun {
@@ -188,7 +188,7 @@ impl CwlApp {
     }
 
     /// Wrap an already-parsed tool.
-    pub fn from_tool(
+    pub(crate) fn from_tool(
         dfk: &Arc<DataFlowKernel>,
         tool: CommandLineTool,
         label: Option<String>,
@@ -218,16 +218,6 @@ impl CwlApp {
         })
     }
 
-    /// The data plane this app stages through.
-    pub fn stager(&self) -> &Arc<Stager> {
-        &self.stager
-    }
-
-    /// The underlying tool definition.
-    pub fn tool(&self) -> &CommandLineTool {
-        &self.tool
-    }
-
     /// Start building an invocation (keyword arguments style).
     pub fn call(&self) -> CwlInvocation<'_> {
         CwlInvocation {
@@ -248,7 +238,6 @@ enum Slot {
 /// Argument kinds accepted by an invocation.
 enum Kwarg {
     Literal(Value),
-    Fut(AppFuture),
     Data(DataFuture),
 }
 
@@ -263,12 +252,6 @@ impl<'a> CwlInvocation<'a> {
     /// Bind a literal value to an input.
     pub fn arg(mut self, name: impl Into<String>, value: impl Into<Value>) -> Self {
         self.args.push((name.into(), Kwarg::Literal(value.into())));
-        self
-    }
-
-    /// Bind another app's result future to an input.
-    pub fn arg_future(mut self, name: impl Into<String>, fut: &AppFuture) -> Self {
-        self.args.push((name.into(), Kwarg::Fut(fut.clone())));
         self
     }
 
@@ -328,10 +311,6 @@ impl<'a> CwlInvocation<'a> {
         for (name, kwarg) in self.args {
             let slot = match kwarg {
                 Kwarg::Literal(v) => Slot::Lit(Arc::new(v)),
-                Kwarg::Fut(f) => {
-                    parsl_args.push(AppArg::future(&f));
-                    Slot::Arg(parsl_args.len() - 1)
-                }
                 Kwarg::Data(d) => {
                     parsl_args.push(AppArg::data(&d));
                     Slot::Arg(parsl_args.len() - 1)
@@ -657,11 +636,12 @@ mod tests {
             vec![],
             parsl::apps::FnApp::new(|_| Ok(Value::str("dynamic.rimg"))),
         );
+        let name = parsl::DataFuture::new(parsl::File::new("dynamic.rimg"), name_task);
         let err = resize
             .call()
             .arg("input_image", "/x.rimg")
             .arg("size", 8i64)
-            .arg_future("output_image", &name_task)
+            .arg_data("output_image", &name)
             .submit()
             .unwrap_err();
         assert!(err.contains("depends on a future-valued input"), "{err}");

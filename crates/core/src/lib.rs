@@ -23,15 +23,17 @@
 //! any document carrying `InlinePythonRequirement` gets its expressions
 //! evaluated in-process by the Python-subset interpreter.
 
+#![warn(unreachable_pub)]
+
 pub mod checkpoint;
 pub mod config;
-pub mod cwlapp;
+pub(crate) mod cwlapp;
 pub mod lint;
 pub mod proto;
-pub mod run;
+pub(crate) mod run;
 pub mod runner;
 mod task;
-pub mod wfrunner;
+pub(crate) mod wfrunner;
 
 pub use config::{load_config_file, load_config_value, RunnerConfig, ServeSettings};
 pub use cwlapp::{CwlApp, CwlAppOptions, CwlInvocation, CwlRun};

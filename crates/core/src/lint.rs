@@ -37,7 +37,7 @@ impl Linted {
 
 /// Lint config source text; `file` names the report. `None` for a CWL
 /// document (it has a `class:` key), which is `cwl-check`'s to check.
-pub fn lint_text(text: &str, file: Option<&Path>) -> Option<Linted> {
+pub(crate) fn lint_text(text: &str, file: Option<&Path>) -> Option<Linted> {
     let (doc, spans) = match yamlite::parse_str_spanned(text) {
         Ok(parsed) => parsed,
         Err(e) => return Some(Linted::unparsed(file, e.message, Some(e.position))),

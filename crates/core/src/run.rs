@@ -23,9 +23,9 @@ use yamlite::{Map, Value};
 #[derive(Debug)]
 pub struct RunSpec {
     /// Every file the run consists of, read once.
-    pub docs: DocSet,
+    pub(crate) docs: DocSet,
     /// The root input object.
-    pub inputs: Map,
+    pub(crate) inputs: Map,
 }
 
 impl RunSpec {

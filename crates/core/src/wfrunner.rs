@@ -90,11 +90,6 @@ impl ParslWorkflowRunner {
         }
     }
 
-    /// The data plane tasks stage through (when the store opened).
-    pub fn stager(&self) -> Option<&Arc<Stager>> {
-        self.stager.as_ref().ok()
-    }
-
     /// Execute the workflow at `path` with `provided` inputs; blocks until
     /// all tasks finish and returns the workflow output object. The library
     /// entry: nothing gates before it, so it applies the pre-run gate
@@ -109,7 +104,7 @@ impl ParslWorkflowRunner {
     /// root workflow and every file it runs come from `docs`. The caller
     /// gates `docs` ([`crate::run::RunSpec::gate`]); nothing here checks
     /// them against the spec's rules again.
-    pub fn run_docs(&self, docs: &DocSet, provided: &Map) -> Result<Map, String> {
+    pub(crate) fn run_docs(&self, docs: &DocSet, provided: &Map) -> Result<Map, String> {
         let root = docs.root();
         let CwlDocument::Workflow(_) = root.document()? else {
             return Err(format!("{} is not a Workflow", root.path.display()));
