@@ -22,13 +22,14 @@
 //!   `parsl-cwl submit|status|wait|logs|cancel|drain` (the `cwl_parsl`
 //!   crate), sharing the wire format via [`cwl_parsl::proto`].
 
-pub mod daemon;
-pub mod queue;
-pub mod run;
-pub mod service;
+#![warn(unreachable_pub)]
+
+pub(crate) mod daemon;
+pub(crate) mod queue;
+pub(crate) mod run;
+pub(crate) mod service;
 mod sys;
 
 pub use daemon::{serve_daemon, Daemon, StopHandle};
-pub use queue::FairShare;
 pub use run::{RunRecord, RunState};
 pub use service::{RunSnapshot, Service, SubmitError};

@@ -72,10 +72,6 @@ impl<T> Drr<T> {
         self.queues.entry(tenant).or_default().push_back(item);
     }
 
-    fn len(&self) -> usize {
-        self.queues.values().map(VecDeque::len).sum()
-    }
-
     /// Pop the next item under DRR. A visit credits the tenant its weight
     /// exactly once; a dispatch costs 1, and the cursor stays on a tenant
     /// only while paid-for credit remains — so a weight-2 tenant sends
@@ -138,7 +134,7 @@ struct Inner {
 
 /// The daemon's [`DispatchGate`]: admission-passed tasks wait here until a
 /// slot frees and DRR picks their tenant.
-pub struct FairShare {
+pub(crate) struct FairShare {
     inner: Mutex<Inner>,
     max_parallel: usize,
     /// Queue-wait histogram (µs), bound after the kernel exists.
@@ -148,7 +144,11 @@ pub struct FairShare {
 impl FairShare {
     /// `max_parallel` should match the executor's slot count: lower wastes
     /// capacity, higher just moves queueing into the executor.
-    pub fn new(max_parallel: usize, weights: Vec<(String, f64)>, default_weight: f64) -> Self {
+    pub(crate) fn new(
+        max_parallel: usize,
+        weights: Vec<(String, f64)>,
+        default_weight: f64,
+    ) -> Self {
         Self {
             inner: Mutex::new(Inner {
                 drr: Drr::new(weights, default_weight),
@@ -162,25 +162,15 @@ impl FairShare {
 
     /// Record queue-wait latencies to `h` (the daemon binds
     /// `serve.queue_wait_us` from the kernel's observability).
-    pub fn bind_queue_wait(&self, h: Arc<obs::Histogram>) {
+    pub(crate) fn bind_queue_wait(&self, h: Arc<obs::Histogram>) {
         *self.queue_wait.lock() = Some(h);
-    }
-
-    /// Tasks currently waiting for a slot.
-    pub fn queued(&self) -> usize {
-        self.inner.lock().drr.len()
-    }
-
-    /// Tasks currently dispatched and not yet terminal.
-    pub fn in_flight(&self) -> usize {
-        self.inner.lock().in_flight
     }
 
     /// Cancel `run`: queued tasks abort now, later-arriving ones abort at
     /// the gate. In-flight tasks run to completion (the kernel has no
     /// preemption); their dependents then abort here. Returns how many
     /// queued tasks were aborted.
-    pub fn cancel_run(&self, run: u64) -> usize {
+    pub(crate) fn cancel_run(&self, run: u64) -> usize {
         let mut doomed = Vec::new();
         {
             let mut g = self.inner.lock();
@@ -207,7 +197,7 @@ impl FairShare {
 
     /// Drop a finished run from the cancelled set (ids are never reused,
     /// but the set should not grow for the daemon's lifetime).
-    pub fn forget_run(&self, run: u64) {
+    pub(crate) fn forget_run(&self, run: u64) {
         self.inner.lock().cancelled.remove(&run);
     }
 

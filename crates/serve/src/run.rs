@@ -35,11 +35,11 @@ pub enum RunState {
 
 impl RunState {
     /// Terminal states survive restarts untouched; the rest resume.
-    pub fn is_terminal(self) -> bool {
+    pub(crate) fn is_terminal(self) -> bool {
         matches!(self, Self::Completed | Self::Failed | Self::Cancelled)
     }
 
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             Self::Queued => "queued",
             Self::Running => "running",
@@ -49,7 +49,7 @@ impl RunState {
         }
     }
 
-    pub fn parse(s: &str) -> Option<Self> {
+    pub(crate) fn parse(s: &str) -> Option<Self> {
         Some(match s {
             "queued" => Self::Queued,
             "running" => Self::Running,
@@ -64,26 +64,26 @@ impl RunState {
 /// One submission's full state, as the daemon tracks it in memory.
 #[derive(Clone, Debug)]
 pub struct RunRecord {
-    pub id: u64,
-    pub tenant: String,
+    pub(crate) id: u64,
+    pub(crate) tenant: String,
     /// Absolute path of the submitted CWL document.
-    pub cwl: PathBuf,
-    pub inputs: Map,
+    pub(crate) cwl: PathBuf,
+    pub(crate) inputs: Map,
     pub state: RunState,
-    pub run_dir: PathBuf,
-    pub error: Option<String>,
-    pub outputs: Option<Map>,
+    pub(crate) run_dir: PathBuf,
+    pub(crate) error: Option<String>,
+    pub(crate) outputs: Option<Map>,
     /// Checkpoint activity, filled in at run end.
-    pub replayed: usize,
-    pub appended: usize,
+    pub(crate) replayed: usize,
+    pub(crate) appended: usize,
     /// The documents and inputs the run was admitted with, held from
     /// admission until the run starts. `None` for a run recovered from its
     /// manifest, which reloads them from `cwl`.
-    pub spec: Option<Arc<RunSpec>>,
+    pub(crate) spec: Option<Arc<RunSpec>>,
 }
 
 impl RunRecord {
-    pub fn manifest_path(&self) -> PathBuf {
+    pub(crate) fn manifest_path(&self) -> PathBuf {
         self.run_dir.join("manifest.yml")
     }
 
@@ -152,7 +152,7 @@ impl RunRecord {
 /// restarts. The counter is advanced *before* the id is used, so a crash
 /// between allocation and run-dir creation burns an id instead of
 /// reusing one.
-pub fn next_run_id(runs_dir: &Path) -> Result<u64, String> {
+pub(crate) fn next_run_id(runs_dir: &Path) -> Result<u64, String> {
     std::fs::create_dir_all(runs_dir).map_err(|e| format!("{}: {e}", runs_dir.display()))?;
     let seq = runs_dir.join(".run-seq");
     let next = std::fs::read_to_string(&seq)
@@ -167,7 +167,7 @@ pub fn next_run_id(runs_dir: &Path) -> Result<u64, String> {
 }
 
 /// Scan the runs dir for persisted manifests, in id order.
-pub fn scan_runs(runs_dir: &Path) -> Vec<RunRecord> {
+pub(crate) fn scan_runs(runs_dir: &Path) -> Vec<RunRecord> {
     let Ok(entries) = std::fs::read_dir(runs_dir) else {
         return Vec::new();
     };

@@ -59,10 +59,10 @@ impl std::fmt::Display for SubmitError {
 /// A point-in-time view of one run, safe to serialize.
 #[derive(Clone, Debug)]
 pub struct RunSnapshot {
-    pub id: u64,
-    pub tenant: String,
+    pub(crate) id: u64,
+    pub(crate) tenant: String,
     pub state: RunState,
-    pub cwl: PathBuf,
+    pub(crate) cwl: PathBuf,
     pub run_dir: PathBuf,
     pub error: Option<String>,
     pub outputs: Option<Map>,
@@ -177,18 +177,13 @@ impl Service {
         &self.dfk
     }
 
-    /// The shared data plane.
-    pub fn stager(&self) -> &Arc<Stager> {
-        &self.stager
-    }
-
     /// Register the one callback run after every change a waiter can be
     /// waiting for — a run ending or being cancelled, a drain beginning —
     /// once the change is visible to [`Service::status`], [`Service::idle`]
     /// and [`Service::drained`] (the daemon's loop wake-up). It runs on
     /// whichever thread made the change, so it must not block. A second
     /// registration is ignored.
-    pub fn on_change(&self, wake: impl Fn() + Send + Sync + 'static) {
+    pub(crate) fn on_change(&self, wake: impl Fn() + Send + Sync + 'static) {
         let _ = self.on_change.set(Box::new(wake));
     }
 
@@ -448,7 +443,7 @@ impl Service {
     }
 
     /// Runs waiting for an in-flight slot.
-    pub fn queued_runs(&self) -> usize {
+    pub(crate) fn queued_runs(&self) -> usize {
         self.runs
             .lock()
             .values()
@@ -457,7 +452,7 @@ impl Service {
     }
 
     /// Runs currently executing.
-    pub fn active_runs(&self) -> usize {
+    pub(crate) fn active_runs(&self) -> usize {
         self.active.load(Ordering::Acquire)
     }
 
@@ -482,7 +477,7 @@ impl Service {
 
     /// Cancel a run. Queued runs never start; running runs abort their
     /// gated tasks (in-flight tasks finish — there is no preemption).
-    pub fn cancel(&self, id: u64) -> bool {
+    pub(crate) fn cancel(&self, id: u64) -> bool {
         let found = {
             let mut runs = self.runs.lock();
             match runs.get_mut(&id) {
@@ -505,18 +500,18 @@ impl Service {
     }
 
     /// Stop admitting; in-flight and queued runs still finish.
-    pub fn drain(&self) {
+    pub(crate) fn drain(&self) {
         self.draining.store(true, Ordering::Release);
         self.notify();
     }
 
-    pub fn draining(&self) -> bool {
+    pub(crate) fn draining(&self) -> bool {
         self.draining.load(Ordering::Acquire)
     }
 
     /// True when nothing is queued or running. Read under the `runs` lock
     /// so a run moving from queued to running is never seen as neither.
-    pub fn idle(&self) -> bool {
+    pub(crate) fn idle(&self) -> bool {
         self.idle_in(&self.runs.lock())
     }
 
@@ -526,7 +521,7 @@ impl Service {
     }
 
     /// True once a drain has nothing left to finish.
-    pub fn drained(&self) -> bool {
+    pub(crate) fn drained(&self) -> bool {
         self.draining() && self.idle()
     }
 
@@ -536,7 +531,7 @@ impl Service {
     /// everything that completed. Tasks already on a worker cannot be
     /// preempted (they die with the process); everything still behind the
     /// gate is aborted, so a process that lingers starts nothing new.
-    pub fn fast_stop(&self) {
+    pub(crate) fn fast_stop(&self) {
         let ids: Vec<u64> = {
             let runs = self.runs.lock();
             self.stopped.store(true, Ordering::Release);

@@ -28,7 +28,7 @@ extern "C" {
 
 /// One entry of a poll set: `struct pollfd`.
 #[repr(C)]
-pub struct PollFd {
+pub(crate) struct PollFd {
     fd: RawFd,
     events: c_short,
     revents: c_short,
@@ -36,18 +36,18 @@ pub struct PollFd {
 
 impl PollFd {
     /// Wait for `fd` to have bytes (or a connection, or an EOF) to read.
-    pub fn readable(fd: &impl AsRawFd) -> Self {
+    pub(crate) fn readable(fd: &impl AsRawFd) -> Self {
         Self::new(fd.as_raw_fd(), POLLIN)
     }
 
     /// Wait for `fd` to accept more bytes.
-    pub fn writable(fd: &impl AsRawFd) -> Self {
+    pub(crate) fn writable(fd: &impl AsRawFd) -> Self {
         Self::new(fd.as_raw_fd(), POLLOUT)
     }
 
     /// An entry that keeps its place in the set and never fires (`poll`
     /// skips negative descriptors).
-    pub fn skip() -> Self {
+    pub(crate) fn skip() -> Self {
         Self::new(-1, 0)
     }
 
@@ -62,7 +62,7 @@ impl PollFd {
     /// Did the last [`poll_ready`] report anything for this entry?
     /// Hang-ups and errors count: the `read`/`write` that follows says
     /// which it was.
-    pub fn ready(&self) -> bool {
+    pub(crate) fn ready(&self) -> bool {
         self.revents != 0
     }
 }
@@ -70,7 +70,7 @@ impl PollFd {
 /// Block until an entry of `fds` is ready or `timeout` passes (`None`: no
 /// timeout). A signal arriving meanwhile is an ordinary early return with
 /// nothing ready — the caller re-reads its state either way.
-pub fn poll_ready(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<()> {
+pub(crate) fn poll_ready(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<()> {
     // Rounded up, so a deadline is never polled just short of itself.
     let ms = timeout.map_or(-1, |t| {
         c_int::try_from(t.as_nanos().div_ceil(1_000_000)).unwrap_or(c_int::MAX)
@@ -93,7 +93,7 @@ pub fn poll_ready(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<(
 /// set ready, and stays there until the loop drains it — so a wake-up that
 /// lands between the loop's state checks and its `poll` call is not lost.
 /// One pending byte is as good as many; a full pair is not an error.
-pub struct Wake {
+pub(crate) struct Wake {
     tx: UnixStream,
     rx: UnixStream,
     /// Raised by [`Wake::term`]: the loop should stop without draining.
@@ -101,7 +101,7 @@ pub struct Wake {
 }
 
 impl Wake {
-    pub fn new() -> io::Result<Self> {
+    pub(crate) fn new() -> io::Result<Self> {
         let (tx, rx) = UnixStream::pair()?;
         tx.set_nonblocking(true)?;
         rx.set_nonblocking(true)?;
@@ -113,7 +113,7 @@ impl Wake {
     }
 
     /// End the loop's current (or next) `poll`.
-    pub fn wake(&self) {
+    pub(crate) fn wake(&self) {
         // SAFETY: the buffer is one live byte and the count is 1; `tx`
         // lives as long as `self`. Failure (a full pair) is ignored: a
         // byte is already pending then.
@@ -124,24 +124,24 @@ impl Wake {
 
     /// Ask the loop to stop now. Async-signal-safe — one atomic store and
     /// one `write(2)` — because the SIGTERM handler calls it.
-    pub fn term(&self) {
+    pub(crate) fn term(&self) {
         // SeqCst on both sides; the byte written after the store is what
         // makes the loop look.
         self.term.store(true, Ordering::SeqCst);
         self.wake();
     }
 
-    pub fn term_raised(&self) -> bool {
+    pub(crate) fn term_raised(&self) -> bool {
         self.term.load(Ordering::SeqCst)
     }
 
     /// The poll-set entry that fires on a pending wake-up.
-    pub fn poll_entry(&self) -> PollFd {
+    pub(crate) fn poll_entry(&self) -> PollFd {
         PollFd::readable(&self.rx)
     }
 
     /// Consume every pending byte, so the next `poll` blocks again.
-    pub fn drain(&self) {
+    pub(crate) fn drain(&self) {
         let mut sink = [0u8; 64];
         while matches!((&self.rx).read(&mut sink), Ok(n) if n > 0) {}
     }
@@ -166,7 +166,7 @@ extern "C" fn on_sigterm(_sig: c_int) {
 /// wake on purpose: the handler may be running on another thread when the
 /// target is replaced, so an old target can never be freed safely — and a
 /// daemon process makes this call once.
-pub fn term_on_sigterm(wake: &Arc<Wake>) {
+pub(crate) fn term_on_sigterm(wake: &Arc<Wake>) {
     let target = Arc::into_raw(wake.clone()).cast_mut();
     SIGTERM_TARGET.store(target, Ordering::SeqCst);
     // SAFETY: `signal(2)` with a valid signal number and a function of the
