@@ -8,7 +8,10 @@
 //! all see those same files. Each file is keyed by its canonical path, so
 //! two spellings of one file share an entry and a reference cycle ends where
 //! it closes. A file that cannot be read, parsed or loaded keeps its error:
-//! the analyzer reports it with its code, execution refuses with it.
+//! the analyzer reports it with its code, execution refuses with it. Only
+//! regular files of at most [`MAX_DOC_BYTES`] are read: a FIFO or a device
+//! could block `open(2)` forever, and the daemon reads documents on its one
+//! loop thread.
 
 use crate::loader::{load_document, CwlDocument};
 use crate::workflow::{RunRef, Workflow};
@@ -16,6 +19,10 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use yamlite::{ParseError, Position, SpanIndex, Value};
+
+/// The largest document file a run reads: the size of the largest request
+/// frame `parsl-serve` accepts (16 MiB).
+const MAX_DOC_BYTES: u64 = 16 << 20;
 
 /// How far one file of a [`DocSet`] got. (One per file of a run: the size
 /// of the parsed variant costs nothing worth a box.)
@@ -61,8 +68,8 @@ pub struct DocEntry {
 
 impl DocEntry {
     fn read(path: PathBuf, key: PathBuf) -> Self {
-        let loaded = match std::fs::read_to_string(&path) {
-            Err(e) => Loaded::Unread(e.to_string()),
+        let loaded = match read_regular(&path) {
+            Err(e) => Loaded::Unread(e),
             Ok(text) => Loaded::parse(text),
         };
         Self { path, key, loaded }
@@ -104,6 +111,23 @@ impl DocEntry {
             Loaded::Parsed { value, doc, .. } => Ok((value, doc)),
         }
     }
+}
+
+/// The text of `path` if it is a regular file of at most
+/// [`MAX_DOC_BYTES`]. It is stat'ed first: the metadata of a FIFO answers
+/// at once, where opening it waits for a writer.
+fn read_regular(path: &Path) -> Result<String, String> {
+    let meta = std::fs::metadata(path).map_err(|e| e.to_string())?;
+    if !meta.is_file() {
+        return Err("not a regular file".to_string());
+    }
+    if meta.len() > MAX_DOC_BYTES {
+        return Err(format!(
+            "{} bytes, over the {MAX_DOC_BYTES}-byte limit",
+            meta.len()
+        ));
+    }
+    std::fs::read_to_string(path).map_err(|e| e.to_string())
 }
 
 /// What a step's `run:` names.
@@ -376,6 +400,41 @@ mod tests {
         let tool = RunRef::Path("tool.cwl".to_string());
         let target = docs.resolve(&tool, Some(inner.dir())).unwrap().unwrap();
         assert_eq!(target.doc.class(), "CommandLineTool");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A FIFO blocks `open(2)` until a writer comes: as a root document
+    /// and as a step's `run:` target it is refused from its metadata, and
+    /// so is a file over the size cap (sparse, so it takes no disk).
+    #[test]
+    fn special_and_oversized_files_are_refused_unopened() {
+        let dir = scratch("special");
+        let fifo = dir.join("pipe.cwl");
+        let made = std::process::Command::new("mkfifo")
+            .arg(&fifo)
+            .status()
+            .unwrap();
+        assert!(made.success());
+        let big = dir.join("big.cwl");
+        std::fs::File::create(&big)
+            .unwrap()
+            .set_len(MAX_DOC_BYTES + 1)
+            .unwrap();
+        let wf = "class: Workflow\ncwlVersion: v1.2\ninputs: {}\noutputs: {}\nsteps:\n  a:\n    run: pipe.cwl\n    in: {}\n    out: []\n  b:\n    run: big.cwl\n    in: {}\n    out: []\n";
+        std::fs::write(dir.join("wf.cwl"), wf).unwrap();
+
+        for root in [fifo.clone(), dir.join("wf.cwl")] {
+            let docs = simtest::returns_within(std::time::Duration::from_secs(20), move || {
+                DocSet::load(root)
+            })
+            .expect("reading the document set blocked");
+            let err = docs.get(&fifo).unwrap().document().unwrap_err();
+            assert!(err.contains("cannot read"), "{err}");
+            assert!(err.contains("not a regular file"), "{err}");
+        }
+        let docs = DocSet::load(dir.join("wf.cwl"));
+        let err = docs.get(&big).unwrap().document().unwrap_err();
+        assert!(err.contains("over the 16777216-byte limit"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -885,7 +885,10 @@ fn framed(body: &[u8]) -> Vec<u8> {
 /// Hostile clients. For every row: an honest `ping` made *while the hostile
 /// connection is still open* is answered within [`PING_TIMEOUT`] (at the
 /// parent the first row starves it for 10 s); rows that amount to a
-/// malformed request get the text `read_frame` has always given; nothing
+/// malformed request get the text `read_frame` has always given; a submit
+/// naming a FIFO is refused at admission without the loop opening it
+/// (opened, it would block the loop in `open(2)` for want of a writer);
+/// nothing
 /// panics; connections that never complete a request are dropped at the
 /// request deadline with no other client noticing; and the daemon still
 /// drains and exits afterwards.
@@ -907,6 +910,23 @@ fn hostile_clients_cost_a_poll_slot_and_nothing_else() {
     )
     .unwrap();
     let cut_submit = submit_frame[..submit_frame.len() - 5].to_vec();
+    // A FIFO with no writer: opening it would block the loop thread.
+    let fifo = dir.join("pipe.cwl");
+    let made = std::process::Command::new("mkfifo")
+        .arg(&fifo)
+        .status()
+        .unwrap();
+    assert!(made.success());
+    let mut fifo_frame = Vec::new();
+    proto::write_frame(
+        &mut fifo_frame,
+        &obj(vec![
+            ("cmd", s("submit")),
+            ("cwl", s(fifo.display().to_string())),
+            ("tenant", s("alice")),
+        ]),
+    )
+    .unwrap();
 
     let rows = vec![
         Hostile {
@@ -950,6 +970,12 @@ fn hostile_clients_cost_a_poll_slot_and_nothing_else() {
             reply: read_frame_error(&cut_submit),
             bytes: cut_submit,
             half_close: true,
+        },
+        Hostile {
+            name: "submit naming a FIFO",
+            bytes: fifo_frame,
+            half_close: false,
+            reply: Expect::Error("admission rejected: 1 error(s), 0 warning(s)".to_string()),
         },
         Hostile {
             name: "half-close after a complete wait",
