@@ -18,6 +18,11 @@ use crate::{
 };
 use std::path::Path;
 
+/// The most pixels one command may ask for: 2^26 (an 8192 × 8192 image,
+/// 192 MiB of RGB). Each side alone fits `MAX_DIM`, but two sides near it
+/// would ask for tens of gigabytes.
+const MAX_PIXELS: u64 = 1 << 26;
+
 /// Positional arguments plus `--flag value` option pairs.
 type ParsedArgs<'a> = (Vec<&'a str>, Vec<(&'a str, &'a str)>);
 
@@ -67,6 +72,18 @@ fn parse_dim(opts: &[(&str, &str)], name: &str) -> Result<u32, String> {
     Ok(v)
 }
 
+/// Refuse a `width` × `height` output over [`MAX_PIXELS`] before anything
+/// is read or allocated for it.
+fn check_pixels(width: u32, height: u32) -> Result<(), String> {
+    let pixels = u64::from(width) * u64::from(height);
+    if pixels > MAX_PIXELS {
+        return Err(format!(
+            "{width}x{height} is {pixels} pixels, more than the {MAX_PIXELS} one image may have"
+        ));
+    }
+    Ok(())
+}
+
 /// Run one `imgtool` command line (`args` without the program name), with
 /// file arguments taken relative to `dir`. `Ok` holds what the command
 /// prints on stdout (only `info` prints anything).
@@ -82,6 +99,7 @@ pub fn run(args: &[String], dir: &Path) -> Result<String, String> {
             };
             let width = parse_dim(&opts, "width")?;
             let height = parse_dim(&opts, "height")?;
+            check_pixels(width, height)?;
             let seed = opt(&opts, "seed")
                 .map(|s| s.parse::<u64>().map_err(|_| format!("bad --seed {s:?}")))
                 .transpose()?
@@ -100,6 +118,7 @@ pub fn run(args: &[String], dir: &Path) -> Result<String, String> {
                 return Err("usage: imgtool resize <in> <out> --size N".to_string());
             };
             let size = parse_dim(&opts, "size")?;
+            check_pixels(size, size)?;
             let img = read_rimg(dir.join(input)).map_err(|e| e.to_string())?;
             let out = resize_bilinear(&img, size, size);
             write_rimg(dir.join(output), &out).map_err(|e| e.to_string())?;

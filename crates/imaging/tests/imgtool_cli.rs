@@ -80,6 +80,10 @@ fn cli_error_paths() {
         let err = fail(&["gen", out, "--width", width, "--height", "4"]);
         assert!(err.contains("--width must be positive"), "{err}");
     }
+    let err = fail(&["gen", out, "--width", "65536", "--height", "65536"]);
+    assert!(err.contains("4294967296 pixels"), "{err}");
+    let err = fail(&["resize", "a", "b", "--size", "65536"]);
+    assert!(err.contains("4294967296 pixels"), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -166,6 +170,11 @@ fn binary_and_builtin_dispatch_agree() {
         &["resize", "src.rimg", "bad.rimg", "--size", "70000"],
         &["gen", "edge.rimg", "--width", "65536", "--height", "1"],
         &["info", "edge.rimg"],
+        // Sides inside MAX_DIM whose product is over MAX_PIXELS are usage
+        // errors too, refused before the pixels are allocated.
+        &["gen", "bad.rimg", "--width", "65536", "--height", "65536"],
+        &["gen", "bad.rimg", "--width", "65536", "--height", "1025"],
+        &["resize", "src.rimg", "bad.rimg", "--size", "65536"],
     ];
     for (i, args) in cases.iter().enumerate() {
         let command = |program: &str| cwl::BuiltCommand {
