@@ -30,8 +30,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 # or 50 ms step in the ledger. (b) The non-test part of dfk.rs starts no
 # thread and carries no `timer-ok` marker: a walltime or a retry backoff is
 # an entry on the kernel's one timer (timer.rs), not a thread of its own.
-# No timing is asserted anywhere: the tests that hang when a waiter cannot
-# be woken are the regression guard.
+# (c) The non-test part of gridsim (its `bin/` included) starts no thread:
+# the batch scheduler grants synchronously on submit and release, and the
+# simulator is one event loop, so nothing there may wait on real time in
+# the background. No timing is asserted anywhere: the tests that hang when
+# a waiter cannot be woken are the regression guard.
 sleeps=$(awk '
     FNR == 1 { in_tests = 0 }
     /#\[cfg\(test\)\]/ { in_tests = 1 }
@@ -55,7 +58,18 @@ if [ -n "$dfk_threads" ]; then
     echo "schedule it on the kernel timer (crates/parsl/src/timer.rs) instead" >&2
     exit 1
 fi
-echo "timer gate: no sleep( in ckpt, parsl, serve or core; dfk.rs starts no thread"
+gridsim_threads=$(awk '
+    FNR == 1 { in_tests = 0 }
+    /#\[cfg\(test\)\]/ { in_tests = 1 }
+    !in_tests && /thread::Builder|thread::spawn/ { printf "%s:%d:%s\n", FILENAME, FNR, $0 }
+' crates/gridsim/src/*.rs crates/gridsim/src/bin/*.rs)
+if [ -n "$gridsim_threads" ]; then
+    echo "error: gridsim starts a thread outside its tests:" >&2
+    echo "$gridsim_threads" >&2
+    echo "the scheduler and the simulator decide synchronously; see the gridsim::scheduler module doc" >&2
+    exit 1
+fi
+echo "timer gate: no sleep( in ckpt, parsl, serve or core; dfk.rs and gridsim start no thread"
 
 # One-protocol gate (DESIGN.md §4b, §4i): HTEX and the simulator make every
 # interchange decision through gridsim::interchange, and HTEX waits on its
