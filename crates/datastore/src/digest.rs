@@ -139,9 +139,8 @@ fn round(acc: u64, input: u64) -> u64 {
         .wrapping_mul(PRIME_1)
 }
 
-/// A content digest: XXH64 plus the byte length, which both disambiguates
-/// the (astronomically unlikely) 64-bit collision within a run and lets
-/// `File::size()` be answered from the index without a stat.
+/// A content digest: XXH64 plus the byte length, which disambiguates the
+/// (astronomically unlikely) 64-bit collision within a run.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct Digest {
     pub hash: u64,

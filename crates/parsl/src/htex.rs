@@ -37,9 +37,8 @@
 //! node is lost and none can replace them, pending tasks fail with
 //! [`TaskError::ExecutorLost`].
 //!
-//! Elasticity: [`HighThroughputExecutor::add_block`] provisions additional
-//! nodes at runtime; [`crate::strategy`] automates this the way Parsl's
-//! scaling strategy does.
+//! Blocks: [`HighThroughputExecutor::add_block`] provisions nodes at start
+//! and, when one is lost, its replacement. Nothing scales out on load.
 
 use crate::error::TaskError;
 use crate::executor::{Executor, TaskPayload};
@@ -170,7 +169,7 @@ pub struct HighThroughputExecutor {
     min_nodes: usize,
     /// Maximum tasks per interchange↔manager message (≥ 1).
     batch_size: usize,
-    /// Tasks submitted minus tasks finished — used by the scaling strategy.
+    /// Tasks submitted minus tasks finished.
     outstanding: AtomicUsize,
     /// Raised once by [`Executor::shutdown`]: the "closed" flag every path
     /// reads, and the signal that wakes the heartbeat and monitor threads
@@ -732,9 +731,8 @@ impl Aggregator {
         if accepted.is_empty() {
             return;
         }
-        // Settle the backlog BEFORE completing the tasks, because
-        // `wait_all` callers may observe a completion and immediately read
-        // `outstanding_tasks()`.
+        // Settle the backlog BEFORE completing the tasks: a test that sees
+        // a completion reads the backlog next.
         if let Some(h) = self.htex.upgrade() {
             h.outstanding.fetch_sub(accepted.len(), Ordering::SeqCst);
         }
