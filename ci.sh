@@ -70,6 +70,16 @@ if [ -n "$gridsim_threads" ]; then
     exit 1
 fi
 echo "timer gate: no sleep( in ckpt, parsl, serve or core; dfk.rs and gridsim start no thread"
+# One-registry gate (DESIGN.md §4e): every layer records into the
+# observability handle of its own run; no process-wide instance may come
+# back, in code or in tests.
+obs_global=$(grep -rn 'obs::global' crates/*/src tests examples || true)
+if [ -n "$obs_global" ]; then
+    echo "error: obs::global is gone; record into the run's own handle:" >&2
+    echo "$obs_global" >&2
+    exit 1
+fi
+echo "registry gate: no obs::global"
 
 # One-protocol gate (DESIGN.md §4b, §4i): HTEX and the simulator make every
 # interchange decision through gridsim::interchange, and HTEX waits on its
@@ -327,6 +337,16 @@ for step in seed left right join; do
         exit 1
     }
 done
+
+# One registry per run: the diamond's trace counts its own four tool runs.
+execs=$(echo "$trace_json" \
+    | grep -o '"name":"cwlexec.dispatch.execs","kind":"counter","value":[0-9]*' \
+    | grep -o '[0-9]*$')
+if [ "${execs:-missing}" != 4 ]; then
+    echo "error: diamond trace has cwlexec.dispatch.execs=${execs:-missing}, want 4" >&2
+    exit 1
+fi
+echo "trace smoke: cwlexec.dispatch.execs=4"
 
 # Data-plane smoke, on the same trace: the diamond's fan-out must have
 # staged at least one input by link (not copy) and saved bytes doing it.

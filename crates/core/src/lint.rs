@@ -55,9 +55,10 @@ pub(crate) fn lint_text(text: &str, file: Option<&Path>) -> Option<Linted> {
     })
 }
 
-/// Lint a config file on disk (see [`lint_text`]).
+/// Lint a config file on disk (see [`lint_text`]), read by
+/// [`yamlite::read_regular`].
 pub fn lint_file(path: &Path) -> Option<Linted> {
-    match std::fs::read_to_string(path) {
+    match yamlite::read_regular(path) {
         Ok(text) => lint_text(&text, Some(path)),
         Err(e) => {
             let message = format!("cannot read {}: {e}", path.display());

@@ -280,4 +280,87 @@ mod tests {
         assert_eq!((img.width(), img.height()), (12, 12));
         std::fs::remove_dir_all(&dir).unwrap();
     }
+
+    /// Each monitored run's trace counts its own tool runs: three diamond
+    /// runs in one process each export four dispatches, not a running
+    /// total.
+    #[test]
+    fn monitored_runs_in_one_process_each_count_their_own_dispatches() {
+        let dir = workdir("three-traces");
+        for round in 0..3 {
+            let config = load_config_value(
+                &yamlite::parse_str(&format!(
+                    "executor:\n  kind: thread-pool\n  workers: 2\nmonitoring:\n  enabled: true\n  export: {}\nrun:\n  workdir: {}\n  builtin_tools: true\n",
+                    dir.join(format!("trace-{round}.jsonl")).display(),
+                    dir.join(format!("work-{round}")).display()
+                ))
+                .unwrap(),
+            )
+            .unwrap();
+            let inputs = parse_overrides(&["--message=diamond".to_string()]).unwrap();
+            let outcome = run_tool_cli(config, &fixtures().join("diamond.cwl"), &inputs).unwrap();
+            assert_eq!(outcome.tasks, 4);
+            let trace = obs::report::load_trace(&outcome.trace.unwrap()).unwrap();
+            let execs = trace
+                .metrics
+                .iter()
+                .find(|m| m.name == obs::names::DISPATCH_EXECS)
+                .map(|m| m.value);
+            assert_eq!(execs, Some(4), "run {round}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Every YAML file the runner reads is stat'ed before it is opened: a
+    /// FIFO (whose `open(2)` waits for a writer) and a file one byte over
+    /// the cap (sparse, so it takes no disk) are refused at once, with the
+    /// reason, by the config linter, the config loader and the inputs
+    /// loader alike.
+    #[test]
+    fn yaml_readers_refuse_special_and_oversized_files_unopened() {
+        let dir = workdir("special-yaml");
+        let fifo = dir.join("pipe.yml");
+        let made = std::process::Command::new("mkfifo")
+            .arg(&fifo)
+            .status()
+            .unwrap();
+        assert!(made.success());
+        let big = dir.join("big.yml");
+        std::fs::File::create(&big)
+            .unwrap()
+            .set_len(yamlite::MAX_FILE_BYTES + 1)
+            .unwrap();
+        type Reader = fn(&Path) -> String;
+        let readers: [(&str, Reader); 3] = [
+            ("lint_file", |p| {
+                let linted = crate::lint::lint_file(p).unwrap();
+                linted.report.diags[0].message.clone()
+            }),
+            ("load_config_file", |p| {
+                crate::config::load_config_file(p).err().unwrap()
+            }),
+            ("load_inputs", |p| {
+                load_inputs(Some(p), &Map::new()).unwrap_err()
+            }),
+        ];
+        for (name, read) in readers {
+            for (file, reason) in [
+                (&fifo, "not a regular file".to_string()),
+                (
+                    &big,
+                    format!("over the {}-byte limit", yamlite::MAX_FILE_BYTES),
+                ),
+            ] {
+                let path = file.clone();
+                let err = simtest::returns_within(std::time::Duration::from_secs(20), move || {
+                    read(&path)
+                })
+                .unwrap_or_else(|| panic!("{name} blocked on {}", file.display()));
+                let want = format!("cannot read {}: ", file.display());
+                assert!(err.contains(&want), "{name}: {err}");
+                assert!(err.contains(&reason), "{name}: {err}");
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

@@ -8,10 +8,11 @@
 //! all see those same files. Each file is keyed by its canonical path, so
 //! two spellings of one file share an entry and a reference cycle ends where
 //! it closes. A file that cannot be read, parsed or loaded keeps its error:
-//! the analyzer reports it with its code, execution refuses with it. Only
-//! regular files of at most [`MAX_DOC_BYTES`] are read: a FIFO or a device
-//! could block `open(2)` forever, and the daemon reads documents on its one
-//! loop thread.
+//! the analyzer reports it with its code, execution refuses with it. Files
+//! are read by [`yamlite::read_regular`], so only regular files of at most
+//! [`yamlite::MAX_FILE_BYTES`] are read: a FIFO or a device could block
+//! `open(2)` forever, and the daemon reads documents on its one loop
+//! thread.
 
 use crate::loader::{load_document, CwlDocument};
 use crate::workflow::{RunRef, Workflow};
@@ -19,10 +20,6 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use yamlite::{ParseError, Position, SpanIndex, Value};
-
-/// The largest document file a run reads: the size of the largest request
-/// frame `parsl-serve` accepts (16 MiB).
-const MAX_DOC_BYTES: u64 = 16 << 20;
 
 /// How far one file of a [`DocSet`] got. (One per file of a run: the size
 /// of the parsed variant costs nothing worth a box.)
@@ -68,7 +65,7 @@ pub struct DocEntry {
 
 impl DocEntry {
     fn read(path: PathBuf, key: PathBuf) -> Self {
-        let loaded = match read_regular(&path) {
+        let loaded = match yamlite::read_regular(&path) {
             Err(e) => Loaded::Unread(e),
             Ok(text) => Loaded::parse(text),
         };
@@ -111,23 +108,6 @@ impl DocEntry {
             Loaded::Parsed { value, doc, .. } => Ok((value, doc)),
         }
     }
-}
-
-/// The text of `path` if it is a regular file of at most
-/// [`MAX_DOC_BYTES`]. It is stat'ed first: the metadata of a FIFO answers
-/// at once, where opening it waits for a writer.
-fn read_regular(path: &Path) -> Result<String, String> {
-    let meta = std::fs::metadata(path).map_err(|e| e.to_string())?;
-    if !meta.is_file() {
-        return Err("not a regular file".to_string());
-    }
-    if meta.len() > MAX_DOC_BYTES {
-        return Err(format!(
-            "{} bytes, over the {MAX_DOC_BYTES}-byte limit",
-            meta.len()
-        ));
-    }
-    std::fs::read_to_string(path).map_err(|e| e.to_string())
 }
 
 /// What a step's `run:` names.
@@ -418,7 +398,7 @@ mod tests {
         let big = dir.join("big.cwl");
         std::fs::File::create(&big)
             .unwrap()
-            .set_len(MAX_DOC_BYTES + 1)
+            .set_len(yamlite::MAX_FILE_BYTES + 1)
             .unwrap();
         let wf = "class: Workflow\ncwlVersion: v1.2\ninputs: {}\noutputs: {}\nsteps:\n  a:\n    run: pipe.cwl\n    in: {}\n    out: []\n  b:\n    run: big.cwl\n    in: {}\n    out: []\n";
         std::fs::write(dir.join("wf.cwl"), wf).unwrap();

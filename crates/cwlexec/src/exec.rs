@@ -54,19 +54,18 @@ pub fn execute_tool_staged(
     }
     cwl::input::run_validate_hooks(tool, &inputs, engine)?;
     let cmd = build_command(tool, &inputs, engine)?;
-    // Tool dispatch has no handle to a run, so it records against the
-    // process-global observability instance (disabled unless a run
-    // enables it).
-    let obs = obs::global();
-    if obs.is_enabled() {
-        let t0 = obs.now_us();
-        let run = dispatch.run(&cmd, workdir);
-        obs.counter(obs::names::DISPATCH_EXECS).incr();
-        obs.histogram(obs::names::DISPATCH_EXEC_US)
-            .record(obs.now_us().saturating_sub(t0));
-        run?;
-    } else {
-        dispatch.run(&cmd, workdir)?;
+    // Dispatch is timed into the run's own handle, the one the staging
+    // context carries; without a context nothing is recorded.
+    match staging.map(|ctx| ctx.obs).filter(|obs| obs.is_enabled()) {
+        Some(obs) => {
+            let t0 = obs.now_us();
+            let run = dispatch.run(&cmd, workdir);
+            obs.counter(obs::names::DISPATCH_EXECS).incr();
+            obs.histogram(obs::names::DISPATCH_EXEC_US)
+                .record(obs.now_us().saturating_sub(t0));
+            run?;
+        }
+        None => dispatch.run(&cmd, workdir)?,
     }
     let mut outputs = cwl::outputs::collect_outputs(
         tool,

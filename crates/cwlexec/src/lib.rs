@@ -21,7 +21,8 @@
 //! * [`execute_tool`] — the full per-tool pipeline; [`execute_tool_staged`]
 //!   is the same pipeline with the content-addressed data plane attached
 //!   (inputs staged zero-copy into the workdir, outputs registered as CAS
-//!   handles with digests).
+//!   handles with digests) and tool dispatch timed into the run's own
+//!   observability handle.
 //!
 //! and the per-step semantics of a `Workflow`, as pure functions in
 //! [`step`]: workflow-input resolution, run-target preparation, source

@@ -1,6 +1,6 @@
 //! The execution engine's view of the data plane: configuration, the
-//! per-task staging context, and publication of stage counters into the
-//! observability layer.
+//! per-task staging context, and the end-of-run publication of stage and
+//! expression-cache counters into the run's observability handle.
 
 use datastore::{ContentStore, StageMode, StageStats, Stager};
 use obs::Observability;
@@ -88,11 +88,11 @@ pub fn probe_creatable(path: &Path, subject: &str, creatable: &str) -> Result<()
 }
 
 /// Per-task staging context threaded into [`crate::execute_tool_staged`]:
-/// the stager plus where its spans should land.
+/// the stager plus where its spans and dispatch metrics should land.
 pub struct StageCtx<'a> {
     pub stager: &'a Stager,
-    /// Observability instance for stage spans (a per-run instance, so
-    /// spans appear in the exported trace next to the task's other spans).
+    /// The run's observability handle: stage spans and the
+    /// `cwlexec.dispatch.*` metrics land next to the task's other records.
     pub obs: &'a Observability,
     /// Lineage (task) id the spans belong to; 0 = untracked.
     pub lineage: u64,
@@ -100,15 +100,21 @@ pub struct StageCtx<'a> {
     pub parent: u64,
 }
 
-/// Fold a stager's cumulative counters into an observability instance.
-/// Called once per run, after execution and before export — stagers are
-/// shared across concurrent tasks, so per-task deltas would race.
+/// Fold a stager's cumulative counters, and the expression cache's, into
+/// a run's observability handle. Called once per run, after execution and
+/// before export — stagers are shared across concurrent tasks, so per-task
+/// deltas would race. The expression cache is process-wide (it caches
+/// facts about text, not a run's numbers), so its counts are the
+/// process's lookups up to this call.
 pub fn publish_stage_stats(obs: &Observability, stats: StageStats) {
     obs.counter(obs::names::STAGE_HITS).add(stats.hits);
     obs.counter(obs::names::STAGE_LINKS).add(stats.links);
     obs.counter(obs::names::STAGE_COPIES).add(stats.copies);
     obs.counter(obs::names::STAGE_BYTES_SAVED)
         .add(stats.bytes_saved);
+    let cache = expr::cache::stats();
+    obs.counter(obs::names::EXPR_CACHE_HITS).add(cache.hits);
+    obs.counter(obs::names::EXPR_CACHE_MISSES).add(cache.misses);
 }
 
 #[cfg(test)]

@@ -460,9 +460,12 @@ mod tests {
         }
         let stats = stager.stats();
         assert_eq!(stats.links + stats.copies, 50);
-        // Hashed once: 49 of the 50 ingests were index hits.
+        // Hashed once: 49 of the 50 ingests were index hits, and the one
+        // miss hashed all 10,000 bytes into the store's one object.
         assert_eq!(stats.hits, 49);
-        assert_eq!(store.ingested_bytes(), 10_000);
+        let (digest, _, how) = store.ingest(&src).unwrap();
+        assert_eq!(how, Ingest::Cached);
+        assert_eq!(digest.len, 10_000);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -21,7 +21,11 @@
 //! The cache is process-global (expressions are immutable text → immutable
 //! ASTs, so sharing across engines is sound) and can be switched off with
 //! [`set_enabled`], which the throughput benchmark uses to measure the
-//! pre-cache baseline from the same binary.
+//! pre-cache baseline from the same binary. Its hit and miss counters are
+//! the two statics read by [`stats`]; it records nothing into any
+//! observability handle itself. A run publishes them into its own trace
+//! (`expr.cache.hits` / `expr.cache.misses`) at run end, next to its
+//! stage counters (`cwlexec::publish_stage_stats`).
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -75,20 +79,6 @@ pub fn stats() -> CacheStats {
 pub fn reset_stats() {
     HITS.store(0, Ordering::Relaxed);
     MISSES.store(0, Ordering::Relaxed);
-}
-
-/// Process-global observability counters for the cache, resolved once so
-/// the hit path never pays the registry's name lookup.
-fn obs_counters() -> &'static (Arc<obs::Counter>, Arc<obs::Counter>) {
-    static C: std::sync::OnceLock<(Arc<obs::Counter>, Arc<obs::Counter>)> =
-        std::sync::OnceLock::new();
-    C.get_or_init(|| {
-        let g = obs::global();
-        (
-            g.counter(obs::names::EXPR_CACHE_HITS),
-            g.counter(obs::names::EXPR_CACHE_MISSES),
-        )
-    })
 }
 
 /// FNV-1a over the source text.
@@ -161,17 +151,11 @@ impl<T> ProgramCache<T> {
                 if &*e.src == src {
                     e.last_used = tick;
                     HITS.fetch_add(1, Ordering::Relaxed);
-                    if obs::global().is_enabled() {
-                        obs_counters().0.incr();
-                    }
                     return Ok(e.prog.clone());
                 }
             }
         }
         MISSES.fetch_add(1, Ordering::Relaxed);
-        if obs::global().is_enabled() {
-            obs_counters().1.incr();
-        }
         let prog = Arc::new(compile(src)?);
         let mut g = shard.lock();
         g.tick += 1;

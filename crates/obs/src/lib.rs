@@ -16,12 +16,15 @@
 //!   submit ≤ dispatch ≤ complete timestamps and attempt counts.
 //!
 //! Spans and lineage are **zero-cost when disabled**: each record path
-//! starts with one relaxed atomic load and bails before allocating or
-//! locking. Counters always count: an increment through a held handle
-//! allocates and locks nothing. The `DataFlowKernel` owns an instance per
-//! run (test isolation); layers with no handle to a kernel — the expression
-//! cache, tool dispatch, providers — record against the process-wide
-//! [`global()`] instance, which is disabled unless a run turns it on.
+//! starts with one test of a flag fixed at construction and bails before
+//! allocating or locking. Counters always count: an increment through a held handle
+//! allocates and locks nothing. Every run has exactly one instance — the
+//! `DataFlowKernel`'s, or a baseline runner's — and every layer records
+//! into the handle of its own run: tool dispatch through its staging
+//! context, HTEX around its provider calls, and the end-of-run publish of
+//! the data plane's and the expression cache's counters. There is no
+//! process-wide instance, so one run's trace never carries another's
+//! numbers.
 //!
 //! Traces export as JSONL (read back by the `parsl-trace` CLI) and Chrome
 //! `trace_event` JSON ([`export`]).
@@ -44,13 +47,13 @@ pub use metrics::{names, Counter, Gauge, Histogram, MetricSnapshot, MetricValue,
 pub use span::{ActiveSpan, SpanCtx, SpanKind, SpanRecord};
 
 use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// One run's worth of telemetry: clock, tracer, metrics, and lineage.
 pub struct Observability {
-    enabled: AtomicBool,
+    enabled: bool,
     sample_per_mille: u32,
     config: ObsConfig,
     clock: RunClock,
@@ -73,7 +76,7 @@ impl Observability {
     /// Build from a config (the clock anchors at this call).
     pub fn new(config: ObsConfig) -> Self {
         Self {
-            enabled: AtomicBool::new(config.enabled),
+            enabled: config.enabled,
             sample_per_mille: config.sample_per_mille(),
             config,
             clock: RunClock::new(),
@@ -101,12 +104,7 @@ impl Observability {
     /// path takes first.
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Flip recording at runtime.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
+        self.enabled
     }
 
     /// Current run offset in µs.
@@ -333,20 +331,7 @@ impl Observability {
         };
         let spans = self.spans();
         if self.config.sink_jsonl {
-            let mut metrics = self.metrics();
-            // Fold in process-global metrics recorded by layers without a
-            // per-run handle (expression cache, tool dispatch, providers).
-            if !std::ptr::eq(self, global()) {
-                let have: std::collections::HashSet<String> =
-                    metrics.iter().map(|m| m.name.clone()).collect();
-                for m in global().metrics() {
-                    if !have.contains(&m.name) {
-                        metrics.push(m);
-                    }
-                }
-                metrics.sort_by(|a, b| a.name.cmp(&b.name));
-            }
-            export::write_jsonl(&path, &spans, &self.lineage_records(), &metrics)?;
+            export::write_jsonl(&path, &spans, &self.lineage_records(), &self.metrics())?;
         }
         if self.config.sink_chrome {
             let mut chrome = path.clone().into_os_string();
@@ -364,15 +349,6 @@ impl std::fmt::Debug for Observability {
             .field("sample_per_mille", &self.sample_per_mille)
             .finish()
     }
-}
-
-/// The process-wide instance, disabled by default. Layers that have no
-/// handle to a run (expression cache, tool dispatch, providers) record
-/// here; a run that wants their numbers calls
-/// `global().set_enabled(true)`.
-pub fn global() -> &'static Observability {
-    static GLOBAL: OnceLock<Observability> = OnceLock::new();
-    GLOBAL.get_or_init(Observability::off)
 }
 
 #[cfg(test)]
@@ -466,13 +442,5 @@ mod tests {
             .any(|m| m.name == names::DFK_SUBMITTED && m.value == 1));
         assert!(std::fs::metadata(dir.join("trace.jsonl.chrome.json")).is_ok());
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn global_is_disabled_by_default() {
-        assert!(!global().is_enabled() || global().is_enabled());
-        // (Other tests may flip it; just check the accessor works and the
-        // instance is stable.)
-        assert!(std::ptr::eq(global(), global()));
     }
 }

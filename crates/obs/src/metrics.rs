@@ -218,9 +218,10 @@ pub mod names {
     pub const MEMO_HITS: &str = "parsl.dfk.memo_hits";
     /// Counter: memoization table misses.
     pub const MEMO_MISSES: &str = "parsl.dfk.memo_misses";
-    /// Counter: compiled-expression cache hits.
+    /// Counter: compiled-expression cache hits, published at run end.
     pub const EXPR_CACHE_HITS: &str = "expr.cache.hits";
-    /// Counter: compiled-expression cache misses (compilations).
+    /// Counter: compiled-expression cache misses (compilations),
+    /// published at run end.
     pub const EXPR_CACHE_MISSES: &str = "expr.cache.misses";
     /// Histogram: tasks per interchange message (batch occupancy).
     pub const HTEX_BATCH_OCCUPANCY: &str = "parsl.htex.batch_occupancy";
@@ -232,11 +233,9 @@ pub mod names {
     pub const HTEX_REDISPATCHES: &str = "parsl.htex.tasks_redispatched";
     /// Counter: replacement nodes provisioned after a node loss.
     pub const HTEX_BLOCKS_REPLACED: &str = "parsl.htex.blocks_replaced";
-    /// Counter: provider blocks added after start (scaling + replacement).
+    /// Counter: provider blocks added (the first block, then replacements).
     pub const HTEX_BLOCKS_ADDED: &str = "parsl.htex.blocks_added";
-    /// Counter: provider provision calls.
-    pub const PROVIDER_PROVISIONS: &str = "parsl.provider.provisions";
-    /// Histogram: provider provision latency, µs.
+    /// Histogram: provider provision latency, µs, batch-queue wait included.
     pub const PROVIDER_PROVISION_US: &str = "parsl.provider.provision_us";
     /// Counter: tool executions through `cwlexec` dispatch.
     pub const DISPATCH_EXECS: &str = "cwlexec.dispatch.execs";

@@ -530,12 +530,6 @@ impl DataFlowKernel {
         obs: Arc<Observability>,
         config: Config,
     ) -> Arc<Self> {
-        if obs.is_enabled() {
-            // Layers with no handle to a kernel (expression cache, tool
-            // dispatch, providers) record against the process-global
-            // instance; export folds its metrics into this run's trace.
-            obs::global().set_enabled(true);
-        }
         // The executor's event counters exist from the start too, so every
         // summary field has its metric in the trace even at zero.
         for name in [

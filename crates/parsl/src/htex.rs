@@ -169,8 +169,6 @@ pub struct HighThroughputExecutor {
     min_nodes: usize,
     /// Maximum tasks per interchange↔manager message (≥ 1).
     batch_size: usize,
-    /// Tasks submitted minus tasks finished.
-    outstanding: AtomicUsize,
     /// Raised once by [`Executor::shutdown`]: the "closed" flag every path
     /// reads, and the signal that wakes the heartbeat and monitor threads
     /// out of their per-period waits so the joins below never wait one out.
@@ -215,7 +213,6 @@ impl HighThroughputExecutor {
             },
             min_nodes: config.min_nodes,
             batch_size: config.batch_size.max(1),
-            outstanding: AtomicUsize::new(0),
             stop: Arc::new(StopSignal::new()),
             failed: AtomicBool::new(false),
             clock: config.clock,
@@ -249,7 +246,12 @@ impl HighThroughputExecutor {
         // Covers the provider round-trip (batch-queue wait included). An
         // unfinished span from an Err return is simply dropped.
         let provision_span = obs.start_span(SpanKind::BlockProvision, 0, 0, &self.label);
+        let t0 = obs.now_us();
         let granted = self.provider.provision(nodes)?;
+        if obs.is_enabled() {
+            obs.histogram(names::PROVIDER_PROVISION_US)
+                .record(obs.now_us().saturating_sub(t0));
+        }
         obs.finish_span(provision_span);
         obs.counter(names::HTEX_BLOCKS_ADDED).incr();
         let mut added = 0usize;
@@ -298,7 +300,6 @@ impl HighThroughputExecutor {
                     mgr: mgr.clone(),
                     latency: self.latency.clone(),
                     plan: self.fault_plan.clone(),
-                    htex: Arc::downgrade(self),
                     obs: self.obs.clone(),
                     clock: self.clock.clone(),
                 };
@@ -434,7 +435,7 @@ impl HighThroughputExecutor {
             );
             if let Err(err) = self.dispatch_tx.send(DispatchMsg::Task(payload)) {
                 if let DispatchMsg::Task(payload) = err.0 {
-                    self.fail_task(payload, TaskError::Shutdown);
+                    payload.complete(Err(TaskError::Shutdown));
                 }
             }
         }
@@ -469,12 +470,6 @@ impl HighThroughputExecutor {
     fn fail_all(&self) {
         self.failed.store(true, Ordering::SeqCst);
         let _ = self.dispatch_tx.send(DispatchMsg::Wake);
-    }
-
-    /// Complete a task the executor gives up on.
-    fn fail_task(&self, payload: TaskPayload, err: TaskError) {
-        self.outstanding.fetch_sub(1, Ordering::SeqCst);
-        payload.complete(Err(err));
     }
 }
 
@@ -525,7 +520,7 @@ fn dispatcher_loop(
             };
             if let Some(err) = err {
                 for payload in queue.drain(..) {
-                    h.fail_task(payload, err.clone());
+                    payload.complete(Err(err.clone()));
                 }
             }
             continue;
@@ -572,13 +567,10 @@ fn dispatcher_loop(
         }
     }
     // Stopped (or the executor is gone): whatever was never placed fails.
-    let h = htex.upgrade();
     let unread = std::iter::from_fn(|| rx.try_recv().ok());
     for msg in queue.into_iter().map(DispatchMsg::Task).chain(unread) {
-        match (msg, &h) {
-            (DispatchMsg::Task(payload), Some(h)) => h.fail_task(payload, TaskError::Shutdown),
-            (DispatchMsg::Task(payload), None) => payload.complete(Err(TaskError::Shutdown)),
-            _ => {}
+        if let DispatchMsg::Task(payload) = msg {
+            payload.complete(Err(TaskError::Shutdown));
         }
     }
 }
@@ -648,8 +640,8 @@ fn worker_loop(
             mgr.dead.store(true, Ordering::SeqCst);
             return;
         }
-        // Acceptance, backlog accounting, and the (batched) result-path
-        // latency all happen on the aggregator.
+        // Acceptance and the (batched) result-path latency both happen on
+        // the aggregator.
         let _ = mgr.result_tx.send(ResultMsg::Done { attempt, result });
     }
 }
@@ -662,7 +654,6 @@ struct Aggregator {
     mgr: Arc<ManagerState>,
     latency: LatencyModel,
     plan: Option<FaultPlan>,
-    htex: Weak<HighThroughputExecutor>,
     obs: Arc<Observability>,
     clock: simtest::ClockRef,
 }
@@ -731,11 +722,6 @@ impl Aggregator {
         if accepted.is_empty() {
             return;
         }
-        // Settle the backlog BEFORE completing the tasks: a test that sees
-        // a completion reads the backlog next.
-        if let Some(h) = self.htex.upgrade() {
-            h.outstanding.fetch_sub(accepted.len(), Ordering::SeqCst);
-        }
         // One reply message for the whole batch.
         self.latency.pay_result_on(&*self.clock);
         if self.obs.is_enabled() {
@@ -750,7 +736,7 @@ impl Aggregator {
         }
         for (payload, result) in accepted.drain(..) {
             // A panicking completion callback must not take the aggregator
-            // down (the counter is already settled above).
+            // down.
             let _ =
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| payload.complete(result)));
         }
@@ -820,10 +806,9 @@ impl Executor for HighThroughputExecutor {
             task.complete(Err(TaskError::Shutdown));
             return;
         }
-        self.outstanding.fetch_add(1, Ordering::SeqCst);
         if let Err(err) = self.dispatch_tx.send(DispatchMsg::Task(task)) {
             if let DispatchMsg::Task(payload) = err.0 {
-                self.fail_task(payload, TaskError::Shutdown);
+                payload.complete(Err(TaskError::Shutdown));
             }
         }
     }
@@ -880,7 +865,7 @@ impl Executor for HighThroughputExecutor {
             // must still resolve.
             if let Some(left) = mgr.ledger.lock().mark_lost() {
                 for (_, payload) in left {
-                    self.fail_task(payload, TaskError::Shutdown);
+                    payload.complete(Err(TaskError::Shutdown));
                 }
             }
             // Dead managers' pilot jobs are released too — the provider
@@ -905,13 +890,6 @@ mod tests {
     use gridsim::{BatchScheduler, ClusterSpec, SchedulerConfig};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use yamlite::Value;
-
-    impl HighThroughputExecutor {
-        /// Tasks submitted but not yet finished.
-        fn outstanding_tasks(&self) -> usize {
-            self.outstanding.load(Ordering::SeqCst)
-        }
-    }
 
     fn no_latency(label: &str, nodes: usize, wpn: usize) -> HtexConfig {
         HtexConfig {
@@ -943,7 +921,6 @@ mod tests {
         for (i, f) in futs.iter().enumerate() {
             assert_eq!(f.result().unwrap(), Value::Int(i as i64));
         }
-        assert_eq!(htex.outstanding_tasks(), 0);
         htex.shutdown();
     }
 
@@ -977,7 +954,6 @@ mod tests {
             "shutdown waited out a heartbeat period"
         );
         assert_eq!(vc.sleeper_count(), 0, "a stopped wait left its deadline");
-        assert_eq!(htex.outstanding_tasks(), 0);
     }
 
     #[test]
@@ -1077,39 +1053,6 @@ mod tests {
     }
 
     #[test]
-    fn outstanding_counts_backlog() {
-        let htex = HighThroughputExecutor::start(
-            no_latency("htex", 1, 1),
-            Arc::new(LocalProvider::new(1)),
-            Arc::new(Observability::off()),
-        )
-        .unwrap();
-        let gate = Arc::new(parking_lot::Mutex::new(()));
-        let held = gate.lock();
-        let mut futs = Vec::new();
-        for i in 0..4 {
-            let gate = gate.clone();
-            let (fut, task) = payload(i, move || {
-                let _g = gate.lock();
-                Ok(Value::Null)
-            });
-            htex.submit(task);
-            futs.push(fut);
-        }
-        assert!(
-            simtest::wait_until(Duration::from_secs(5), || htex.outstanding_tasks() >= 3),
-            "{}",
-            htex.outstanding_tasks()
-        );
-        drop(held);
-        for f in &futs {
-            f.result().unwrap();
-        }
-        assert_eq!(htex.outstanding_tasks(), 0);
-        htex.shutdown();
-    }
-
-    #[test]
     fn submit_after_shutdown_fails_fast() {
         let htex = HighThroughputExecutor::start(
             no_latency("htex", 1, 1),
@@ -1160,7 +1103,6 @@ mod tests {
         assert!(obs.wait_for(Duration::from_secs(5), || lost.value() == 1));
         assert_eq!(htex.manager_count(), 1);
         assert_eq!(htex.lost_nodes(), vec!["localhost/0".to_string()]);
-        assert_eq!(htex.outstanding_tasks(), 0);
         htex.shutdown();
     }
 
@@ -1302,7 +1244,6 @@ mod tests {
             Some(Err(TaskError::ExecutorLost(_))) => {}
             other => panic!("expected ExecutorLost, got {other:?}"),
         }
-        assert_eq!(htex.outstanding_tasks(), 0);
         htex.shutdown();
     }
 }

@@ -4,6 +4,8 @@
 //! manager. [`LocalProvider`] hands out the local machine immediately;
 //! [`SlurmProvider`] submits pilot jobs to the simulated
 //! [`gridsim::BatchScheduler`], paying queue time like real Slurm jobs.
+//! Providers record nothing themselves: HTEX's `add_block` times each
+//! `provision` call into the observability handle of its own run.
 
 use gridsim::{BatchScheduler, JobHandle, JobRequest, NodeSpec};
 use std::time::Duration;
@@ -110,19 +112,10 @@ impl SlurmProvider {
 
 impl Provider for SlurmProvider {
     fn provision(&self, nodes: usize) -> Result<Vec<NodeHandle>, String> {
-        // Providers have no handle to a run, so they record against the
-        // process-global instance (disabled unless a run enables it).
-        let obs = obs::global();
-        let t0 = obs.now_us();
         let job = self
             .scheduler
             .submit(JobRequest::nodes(nodes, format!("parsl-pilot-{nodes}n")))?;
         let granted = job.wait_running(self.queue_timeout)?;
-        if obs.is_enabled() {
-            obs.counter(obs::names::PROVIDER_PROVISIONS).incr();
-            obs.histogram(obs::names::PROVIDER_PROVISION_US)
-                .record(obs.now_us().saturating_sub(t0));
-        }
         let cluster = self.scheduler.cluster();
         Ok(granted
             .into_iter()
@@ -134,8 +127,8 @@ impl Provider for SlurmProvider {
     }
 
     fn release(&self, nodes: Vec<NodeHandle>) {
-        // Handles may span several pilot jobs (elastic scale-out adds
-        // blocks); release each distinct job exactly once.
+        // Handles may span several pilot jobs (a replacement block is a
+        // job of its own); release each distinct job exactly once.
         let mut released = std::collections::HashSet::new();
         for node in nodes {
             if let Some(job) = node.job {

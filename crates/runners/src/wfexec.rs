@@ -30,9 +30,9 @@ pub(crate) struct WorkflowExecutor {
     pub(crate) profile: ExecProfile,
     dispatch: Arc<dyn ToolDispatch>,
     tasks: AtomicUsize,
-    /// Per-run observability; `None` falls back to the process-global
-    /// instance (disabled unless a run enables it).
-    obs: Option<Arc<Observability>>,
+    /// Where this executor's runs record: an `Observability::off()` of its
+    /// own until [`WorkflowExecutor::with_observability`] replaces it.
+    obs: Arc<Observability>,
 }
 
 impl WorkflowExecutor {
@@ -42,19 +42,15 @@ impl WorkflowExecutor {
             profile,
             dispatch,
             tasks: AtomicUsize::new(0),
-            obs: None,
+            obs: Arc::new(Observability::off()),
         }
     }
 
-    /// Attach a per-run observability instance (traces + lineage for this
-    /// executor's runs land there instead of the process-global one).
+    /// Record this executor's runs (spans, lineage, dispatch and stage
+    /// counters) into `obs`.
     pub(crate) fn with_observability(mut self, obs: Arc<Observability>) -> Self {
-        self.obs = Some(obs);
+        self.obs = obs;
         self
-    }
-
-    fn obs(&self) -> &Observability {
-        self.obs.as_deref().unwrap_or_else(|| obs::global())
     }
 
     /// Execute the root document of `docs` with `provided` inputs, placing
@@ -97,9 +93,7 @@ impl WorkflowExecutor {
             .file_name()
             .map(|n| n.to_string_lossy().into_owned())
             .unwrap_or_else(|| self.profile.name.clone());
-        let wf_span = self
-            .obs()
-            .start_span(SpanKind::WorkflowRun, 0, 0, &wf_label);
+        let wf_span = self.obs.start_span(SpanKind::WorkflowRun, 0, 0, &wf_label);
         let root = wf_span.id();
         let outputs = match doc {
             CwlDocument::Tool(tool) => {
@@ -126,10 +120,10 @@ impl WorkflowExecutor {
                 self.run_workflow(&prepared, provided, &run_dir, root, &stager)?
             }
         };
-        self.obs().finish_span(wf_span);
+        self.obs.finish_span(wf_span);
         // Fold the run's staging counters into the trace exactly once
         // (stagers are shared across tasks; deltas would race).
-        cwlexec::publish_stage_stats(self.obs(), stager.stats());
+        cwlexec::publish_stage_stats(&self.obs, stager.stats());
         Ok(RunReport {
             runner: self.profile.name.clone(),
             outputs,
@@ -155,7 +149,7 @@ impl WorkflowExecutor {
         let task_no = self.tasks.fetch_add(1, Ordering::SeqCst);
         // Lineage ids are 1-based (0 means "no task" in span records).
         let lineage = task_no as u64 + 1;
-        let obs = self.obs();
+        let obs = &*self.obs;
         let span = obs.start_span(SpanKind::ToolExec, lineage, parent, label);
         if obs.is_enabled() {
             obs.lineage_submit(lineage, label);
@@ -401,26 +395,10 @@ impl WorkflowExecutor {
                 collect_file_paths(v, &mut seen);
             }
         }
-        if seen.len() < 2 {
-            // One file (or none) gains nothing from the pool; the task's
-            // own stage-in handles it.
-            for path in &seen {
-                let _ = stager.store().ingest(path);
-            }
-            return;
-        }
-        let store = stager.store();
-        let jobs: Vec<_> = seen
-            .into_iter()
-            .map(|path| {
-                let store = Arc::clone(store);
-                move || {
-                    let _ = store.ingest(&path);
-                    Ok::<(), String>(())
-                }
-            })
-            .collect();
-        let _ = run_parallel(jobs, self.profile.staging.pool.max(1));
+        let paths: Vec<PathBuf> = seen.into_iter().collect();
+        let _ = stager
+            .store()
+            .ingest_parallel(&paths, self.profile.staging.pool.max(1));
     }
 }
 

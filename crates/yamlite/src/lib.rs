@@ -39,7 +39,6 @@
 pub(crate) mod emit;
 pub(crate) mod error;
 pub(crate) mod parse;
-pub mod path;
 pub mod span;
 pub(crate) mod value;
 
@@ -49,28 +48,50 @@ pub use parse::{parse_str, parse_str_spanned};
 pub use span::SpanIndex;
 pub use value::{rewrite_seq, Map, Value};
 
-/// Parse a YAML document from a file path.
-pub fn parse_file(path: impl AsRef<std::path::Path>) -> Result<Value, ParseError> {
-    let path = path.as_ref();
-    let text = std::fs::read_to_string(path).map_err(|e| ParseError {
-        message: format!("cannot read {}: {e}", path.display()),
-        position: Position::default(),
-    })?;
-    parse_str(&text)
+use std::path::Path;
+
+/// The largest file [`read_regular`] reads: the size of the largest
+/// request frame `parsl-serve` accepts (16 MiB).
+pub const MAX_FILE_BYTES: u64 = 16 << 20;
+
+/// The text of `path` if it is a regular file of at most
+/// [`MAX_FILE_BYTES`]; the error says why not (`not a regular file`, the
+/// size, or the I/O error). It is stat'ed first: the metadata of a FIFO
+/// answers at once, where opening it waits for a writer. Every YAML and
+/// CWL file the workspace reads comes through here.
+pub fn read_regular(path: &Path) -> Result<String, String> {
+    let meta = std::fs::metadata(path).map_err(|e| e.to_string())?;
+    if !meta.is_file() {
+        return Err("not a regular file".to_string());
+    }
+    if meta.len() > MAX_FILE_BYTES {
+        return Err(format!(
+            "{} bytes, over the {MAX_FILE_BYTES}-byte limit",
+            meta.len()
+        ));
+    }
+    std::fs::read_to_string(path).map_err(|e| e.to_string())
+}
+
+fn read_file(path: &Path) -> Result<String, ParseError> {
+    read_regular(path).map_err(|e| {
+        ParseError::at(
+            format!("cannot read {}: {e}", path.display()),
+            Position::default(),
+        )
+    })
+}
+
+/// Parse a YAML document from a file path (read by [`read_regular`]).
+pub fn parse_file(path: impl AsRef<Path>) -> Result<Value, ParseError> {
+    parse_str(&read_file(path.as_ref())?)
 }
 
 /// Parse a YAML document from a file path, keeping the span side-table so
 /// diagnostics can point back into the source (the `parse_file` analogue
 /// of [`parse_str_spanned`]).
-pub fn parse_file_spanned(
-    path: impl AsRef<std::path::Path>,
-) -> Result<(Value, SpanIndex), ParseError> {
-    let path = path.as_ref();
-    let text = std::fs::read_to_string(path).map_err(|e| ParseError {
-        message: format!("cannot read {}: {e}", path.display()),
-        position: Position::default(),
-    })?;
-    parse_str_spanned(&text)
+pub fn parse_file_spanned(path: impl AsRef<Path>) -> Result<(Value, SpanIndex), ParseError> {
+    parse_str_spanned(&read_file(path.as_ref())?)
 }
 
 #[cfg(test)]

@@ -2,10 +2,10 @@
 //!
 //! [`crate::parse_str_spanned`] records, for every block mapping key and
 //! block sequence item, the 1-based line/column where it appears in the
-//! source text. Spans are kept in a side table keyed by the same dotted-path
-//! syntax [`crate::path`] uses (`steps[0].run`, `inputs.message.type`), so a
-//! consumer that walks the [`crate::Value`] tree can look up positions
-//! without the tree itself carrying location data.
+//! source text. Spans are kept in a side table keyed by dotted paths
+//! (`steps[0].run`, `inputs.message.type`), so a consumer that walks the
+//! [`crate::Value`] tree can look up positions without the tree itself
+//! carrying location data.
 //!
 //! Nodes nested inside flow collections (`[...]`/`{...}`) share the position
 //! of the line they appear on; [`SpanIndex::resolve`] falls back to the

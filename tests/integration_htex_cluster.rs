@@ -4,7 +4,8 @@
 
 use cwl_parsl::{CwlApp, CwlAppOptions};
 use gridsim::{BatchScheduler, ClusterSpec, JobRequest, LatencyModel, SchedulerConfig};
-use parsl::{Config, DataFlowKernel, HtexConfig, SlurmProvider};
+use obs::names;
+use parsl::{Config, DataFlowKernel, HtexConfig, ObsConfig, SlurmProvider};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
@@ -66,6 +67,41 @@ fn cwl_tools_run_on_htex_over_slurm() {
     // Shutdown releases the pilot job's nodes.
     assert_eq!(sched.free_node_count(), 3);
     gridsim::TimeScale::set(1.0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A monitored CWL run on HTEX over Slurm records tool dispatch and block
+/// provisioning into the kernel's own handle, read before any export.
+#[test]
+fn monitored_htex_run_records_dispatch_and_provisioning_in_its_kernel() {
+    let dir = scratch("monitored");
+    let sched = BatchScheduler::new(ClusterSpec::small(2, 2), SchedulerConfig::immediate());
+    let dfk = DataFlowKernel::try_new(
+        Config::htex(
+            HtexConfig {
+                label: "monitored".into(),
+                nodes: 1,
+                workers_per_node: 2,
+                latency: LatencyModel::in_process(),
+                ..HtexConfig::default()
+            },
+            Arc::new(SlurmProvider::new(sched)),
+        )
+        .with_monitoring(ObsConfig::on()),
+    )
+    .unwrap();
+    let echo = CwlApp::load(
+        &dfk,
+        fixtures().join("echo.cwl"),
+        CwlAppOptions::in_dir(&dir).with_builtin_tools(),
+    )
+    .unwrap();
+    let run = echo.call().arg("message", "traced").submit().unwrap();
+    run.output().result().unwrap();
+    let obs = dfk.observability();
+    assert!(obs.counter(names::DISPATCH_EXECS).value() >= 1);
+    assert!(obs.histogram(names::PROVIDER_PROVISION_US).count() >= 1);
+    dfk.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
