@@ -17,14 +17,14 @@
 //!
 //! Spans and lineage are **zero-cost when disabled**: each record path
 //! starts with one test of a flag fixed at construction and bails before
-//! allocating or locking. Counters always count: an increment through a held handle
-//! allocates and locks nothing. Every run has exactly one instance — the
-//! `DataFlowKernel`'s, or a baseline runner's — and every layer records
-//! into the handle of its own run: tool dispatch through its staging
-//! context, HTEX around its provider calls, and the end-of-run publish of
-//! the data plane's and the expression cache's counters. There is no
-//! process-wide instance, so one run's trace never carries another's
-//! numbers.
+//! allocating or locking. Counters always count: an increment through a
+//! held handle allocates and locks nothing. Every run has exactly one
+//! instance — the `DataFlowKernel`'s, or a baseline runner's — and every
+//! layer records into the handle of its own run: tool dispatch through its
+//! staging context, HTEX around its provider calls, and the end-of-run
+//! publish of the data plane's and the expression cache's counters. There
+//! is no process-wide instance, so one run's trace never carries another
+//! run's numbers.
 //!
 //! Traces export as JSONL (read back by the `parsl-trace` CLI) and Chrome
 //! `trace_event` JSON ([`export`]).
