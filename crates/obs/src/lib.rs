@@ -23,8 +23,9 @@
 //! layer records into the handle of its own run: tool dispatch through its
 //! staging context, HTEX around its provider calls, and the end-of-run
 //! publish of the data plane's and the expression cache's counters. There
-//! is no process-wide instance, so one run's trace never carries another
-//! run's numbers.
+//! is no process-wide instance, so one run's trace carries no other run's
+//! numbers, except `expr.cache.hits`/`misses`: the expression cache is
+//! process-wide, so those two are the process's totals at publish time.
 //!
 //! Traces export as JSONL (read back by the `parsl-trace` CLI) and Chrome
 //! `trace_event` JSON ([`export`]).
